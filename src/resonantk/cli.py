@@ -38,6 +38,9 @@ from .rings_fragments import (
     PENTAGONS_ONLY,
     find_polygonal_rings,
     maximal_pentagonal_fragments,
+    pentagonal_rings,
+    psi,
+    tau,
 )
 
 SCHEMA = "resonantk-report/1"
@@ -94,21 +97,19 @@ def graph_identity(f: FullereneGraph) -> str:
 
 def _load(path: str) -> FullereneGraph:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise GraphError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise GraphError(f"{path} is not UTF-8 text: byte {e.start} cannot be decoded") from None
     return validate_fullerene(parse_graph(text))
 
 
 def analyze_graph(f: FullereneGraph, with_fries: bool = False, pm_cap: int | None = None) -> AnalysisReport:
     poly = sextet(f)
     rep = resonance_order(f)
-    pent_rings = find_polygonal_rings(f, max_len=12, face_filter=PENTAGONS_ONLY)
-    psi_table: dict[str, int] = {}
-    for ring in pent_rings:
-        key = str(ring.l)
-        psi_table[key] = min(psi_table.get(key, ring.s), ring.s)
+    pent_rings = pentagonal_rings(f)
     by_len: dict[str, int] = {}
     for ring in pent_rings:
         by_len[str(ring.l)] = by_len.get(str(ring.l), 0) + 1
@@ -124,7 +125,6 @@ def analyze_graph(f: FullereneGraph, with_fries: bool = False, pm_cap: int | Non
     )
     witness = find_g_star(f)
     dich = hexagon_dichotomy_report(f)
-    tau_value = min((r.l for r in pent_rings), default=None)
     return AnalysisReport(
         identity=graph_identity(f),
         counts={
@@ -137,8 +137,8 @@ def analyze_graph(f: FullereneGraph, with_fries: bool = False, pm_cap: int | Non
         sextet_descending=poly.descending(),
         clar=poly.degree,
         order={"order": rep.order, "failing": list(rep.failing) if rep.failing else None},
-        tau=tau_value,
-        psi=psi_table,
+        tau=tau(f),
+        psi={key: psi(f, int(key)) for key in by_len},
         rings={"pentagonal_by_length": by_len, "pentagonal_total": len(pent_rings)},
         fragments=frags,
         g_star=(

@@ -1,7 +1,7 @@
 """Matchings: maximum, perfect, enumerated, and face-alternation queries.
 
 The heavy lifting (blossom maximum matching, perfect-matching enumeration)
-lives in the kernel backend; this module wraps those in graph-aware types,
+lives in ``resonantk.kernels``; this module wraps those in graph-aware types,
 adds the Tutte-style witness search for graphs without perfect matchings,
 and provides the face-deletion test used throughout the resonance analysis:
 a face set is *central* when the graph minus those face vertices still has a

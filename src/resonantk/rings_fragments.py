@@ -347,6 +347,19 @@ def ring_stats(f: FullereneGraph, ring: Ring) -> Ring:
     return rebuilt
 
 
+def pentagonal_rings(f: FullereneGraph) -> tuple[Ring, ...]:
+    """All pentagonal rings of length at most 12, scanned once per graph.
+
+    A fullerene has 12 pentagons, so this is every pentagonal ring; ``tau``,
+    ``psi`` and the CLI report share the one scan.
+    """
+    rings = f._memo.get("pentagonal_rings")
+    if rings is None:
+        rings = tuple(find_polygonal_rings(f, max_len=12, face_filter=PENTAGONS_ONLY))
+        f._memo["pentagonal_rings"] = rings
+    return rings
+
+
 def tau(f: FullereneGraph) -> int | None:
     """Minimum pentagonal-ring length, or None when no pentagonal ring exists.
 
@@ -354,7 +367,7 @@ def tau(f: FullereneGraph) -> int | None:
     warnings rather than errors: they would contradict the structure theory,
     so a hit is a finding about the input or a bug worth surfacing loudly.
     """
-    rings = find_polygonal_rings(f, max_len=12, face_filter=PENTAGONS_ONLY)
+    rings = pentagonal_rings(f)
     if not rings:
         return None
     value = min(r.l for r in rings)
@@ -367,8 +380,7 @@ def tau(f: FullereneGraph) -> int | None:
 
 def psi(f: FullereneGraph, l: int) -> int | None:
     """Minimum s over pentagonal rings of length l, or None when none exist."""
-    rings = find_polygonal_rings(f, max_len=12, face_filter=PENTAGONS_ONLY)
-    values = [r.s for r in rings if r.l == l]
+    values = [r.s for r in pentagonal_rings(f) if r.l == l]
     return min(values) if values else None
 
 

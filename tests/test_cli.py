@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from resonantk import rings_fragments
 from resonantk.cli import run
 from resonantk.plane_graph import parse_graph, validate_fullerene
 
@@ -29,6 +30,29 @@ def test_validate_bad_file(tmp_path, capsys):
     assert run(["validate", str(bad)]) == 1
     assert "INVALID" in capsys.readouterr().out
     assert run(["validate", str(tmp_path / "absent.rot")]) == 1
+
+
+def test_non_utf8_file_is_a_graph_error(tmp_path, capsys):
+    bad = tmp_path / "bad.rot"
+    bad.write_bytes(b"\xff\xfe")
+    assert run(["validate", str(bad)]) == 1
+    assert "INVALID" in capsys.readouterr().out
+    assert run(["analyze", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_analyze_scans_pentagonal_rings_once(f24_file, capsys, monkeypatch):
+    calls = []
+    scan = rings_fragments.find_polygonal_rings
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(rings_fragments, "find_polygonal_rings", counted)
+    assert run(["analyze", str(f24_file), "--json"]) == 0
+    assert len(calls) == 1
 
 
 def test_usage_error_exits_one(capsys):

@@ -1,87 +1,25 @@
-"""Backend parity: the compiled kernels must equal the pure ones exactly."""
+"""The three kernels on small graphs with known answers."""
 
 from __future__ import annotations
 
-import random
-
-import pytest
-
-from resonantk import _kernels_py as pure
 from resonantk import kernels
-
-fast = pytest.importorskip(
-    "resonantk._speedups", reason="compiled kernels not built"
-)
-
-
-def _random_graph(rng, n):
-    edges = set()
-    for _ in range(rng.randrange(0, 2 * n)):
-        u, v = rng.sample(range(n), 2)
-        edges.add((min(u, v), max(u, v)))
-    adj = [[] for _ in range(n)]
-    for u, v in sorted(edges):
-        adj[u].append(v)
-        adj[v].append(u)
-    return sorted(edges), [sorted(a) for a in adj]
-
-
-def test_backend_name():
-    assert kernels.backend() in ("pure", "compiled")
-
-
-def test_mate_array_parity():
-    rng = random.Random(2024)
-    for trial in range(200):
-        n = rng.randrange(2, 17)
-        _, adj = _random_graph(rng, n)
-        excluded = (
-            [rng.random() < 0.25 for _ in range(n)] if trial % 3 == 0 else None
-        )
-        assert pure.mate_array(n, adj, excluded) == fast.mate_array(n, adj, excluded)
-
-
-def test_perfect_matchings_parity_and_order():
-    rng = random.Random(55)
-    for _ in range(120):
-        n = rng.randrange(1, 7) * 2  # even sizes
-        _, adj = _random_graph(rng, n)
-        a = pure.perfect_matchings(n, adj, 400)
-        b = fast.perfect_matchings(n, adj, 400)
-        assert a == b  # identical enumeration order, not merely equal sets
 
 
 def test_perfect_matchings_limit_semantics():
     # C6: two perfect matchings; limit 0 returns just over the limit
     adj = [[1, 5], [0, 2], [1, 3], [2, 4], [3, 5], [0, 4]]
-    assert len(pure.perfect_matchings(6, adj, 0)) == 1
-    assert len(fast.perfect_matchings(6, adj, 0)) == 1
-    assert pure.perfect_matchings(6, adj, 10) == fast.perfect_matchings(6, adj, 10)
-    assert len(pure.perfect_matchings(6, adj, 10)) == 2
-    assert pure.perfect_matchings(5, [[]] * 5, 10) == []
-
-
-def test_cyclic_cut_parity():
-    rng = random.Random(7)
-    for _ in range(60):
-        n = rng.randrange(4, 13)
-        edges, _ = _random_graph(rng, n)
-        assert pure.has_small_cyclic_cut(n, edges, 3) == fast.has_small_cyclic_cut(
-            n, edges, 3
-        )
+    assert len(kernels.perfect_matchings(6, adj, 0)) == 1
+    assert len(kernels.perfect_matchings(6, adj, 10)) == 2
+    assert kernels.perfect_matchings(5, [[]] * 5, 10) == []
 
 
 def test_cyclic_cut_two_triangles_bridge():
     edges = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]
-    for impl in (pure, fast):
-        assert impl.has_small_cyclic_cut(6, edges, 1)
-        assert not impl.has_small_cyclic_cut(6, edges, 0)
+    assert kernels.has_small_cyclic_cut(6, edges, 1)
+    assert not kernels.has_small_cyclic_cut(6, edges, 0)
 
 
-def test_fullerene_pm_enumeration_parity(graphs):
+def test_fullerene_pm_enumeration_count(graphs):
     f = graphs["F24"]
     adj = [sorted(f.graph.rotation[v]) for v in range(f.n)]
-    a = pure.perfect_matchings(f.n, adj, 10**6)
-    b = fast.perfect_matchings(f.n, adj, 10**6)
-    assert a == b
-    assert len(a) == 54
+    assert len(kernels.perfect_matchings(f.n, adj, 10**6)) == 54
