@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
+from . import kernels, matching
 from .errors import GraphError
 from .matching import (
     Matching,
     alternating_faces,
     enumerate_perfect_matchings,
-    is_central,
     maximum_matching,
 )
 from .plane_graph import FullereneGraph, delete_vertices, is_bipartite
@@ -137,7 +137,7 @@ def _resonant(f: FullereneGraph, ids: tuple[int, ...]) -> bool:
     key = frozenset(ids)
     hit = memo.get(key)
     if hit is None:
-        hit = is_central(f, ids)
+        hit = matching.is_central(f, ids)
         memo[key] = hit
     return hit
 
@@ -160,7 +160,11 @@ def is_resonant_pattern(
     dropped = [v for h in ids for v in f.faces[h].vertices]
     sub = delete_vertices(f, dropped)
     rest = maximum_matching(sub)
-    assert 2 * rest.size == sub.n
+    if 2 * rest.size != sub.n:
+        raise RuntimeError(
+            f"hexagons {ids} were decided resonant, but the rest of the graph has "
+            f"a maximum matching of {rest.size} edges on {sub.n} vertices"
+        )
     edges = {
         (a, b) if a < b else (b, a)
         for u, v in rest.edges
@@ -172,7 +176,11 @@ def is_resonant_pattern(
             u, v = b[i], b[i + 1]
             edges.add((u, v) if u < v else (v, u))
     cert = Matching(frozenset(edges), f)
-    assert set(ids) <= set(alternating_faces(f, cert))
+    missing = set(ids) - set(alternating_faces(f, cert))
+    if missing:
+        raise RuntimeError(
+            f"the certificate for {ids} does not alternate on hexagons {sorted(missing)}"
+        )
     return ResonantPattern(ids, cert)
 
 
@@ -202,22 +210,57 @@ def disjoint_hexagon_sets(f: FullereneGraph, k: int) -> Iterator[tuple[int, ...]
 def sextet(f: FullereneGraph) -> SextetPolynomial:
     """The polynomial whose i-th coefficient counts resonant i-sets.
 
-    Each candidate set is tested individually; sizes are swept upward until
-    one contributes nothing (a resonant set's subsets are resonant, so all
-    larger sizes are then empty too).
+    One depth-first walk visits the resonant sets, each extended only by
+    hexagons later in ``f.hexagon_ids`` that miss it, so every set is reached
+    once, from the set without its last hexagon.  A node carries a perfect
+    matching of G - V(H) as a mate array.  A child H + h copies it, excludes
+    h's six vertices and frees their partners outside h, then runs one
+    ``kernels.augment`` search from each freed vertex still unmatched: if h
+    already alternates nothing is freed and no search runs.  A failed search
+    proves the child non-resonant (Edmonds), and its subtree is skipped,
+    since a resonant set's subsets are resonant.  Every child's outcome is
+    written to the resonance memo, which then holds every set the
+    size-then-lex sweep of ``resonance_order`` reaches.
     """
-    coeffs = [1]  # the empty set: fullerene graphs always have a perfect matching
-    assert _resonant(f, ())
-    k = 1
-    while True:
-        count = 0
-        for ids in disjoint_hexagon_sets(f, k):
-            if _resonant(f, ids):
-                count += 1
-        if count == 0:
-            break
-        coeffs.append(count)
-        k += 1
+    memo = f._memo.setdefault("resonant", {})
+    conflicts = _hexagon_conflicts(f)
+    adj = f.graph.rotation
+    n = f.n
+    root = kernels.mate_array(n, adj)
+    if -1 in root:
+        raise RuntimeError("the graph has no perfect matching, so the empty set is not resonant")
+    memo[frozenset()] = True
+    coeffs = [1]
+    # Frames [H, mate of G - V(H), exclusion mask of V(H), hexagons that may
+    # extend H, index of the next one to try].
+    stack = [[(), root, [False] * n, f.hexagon_ids, 0]]
+    while stack:
+        frame = stack[-1]
+        ids, mate, excluded, cands, i = frame
+        if i == len(cands):
+            stack.pop()
+            continue
+        frame[4] = i + 1
+        h = cands[i]
+        ring = f.faces[h].boundary
+        exc = excluded[:]
+        for v in ring:
+            exc[v] = True
+        freed = [mate[v] for v in ring if not exc[mate[v]]]
+        child = mate[:]
+        for v in ring:
+            child[v] = -1
+        for u in freed:
+            child[u] = -1
+        ok = all(child[u] >= 0 or kernels.augment(n, adj, exc, child, u) for u in freed)
+        ids = ids + (h,)
+        memo[frozenset(ids)] = ok
+        if ok:
+            if len(ids) == len(coeffs):
+                coeffs.append(0)
+            coeffs[len(ids)] += 1
+            bad = conflicts[h]
+            stack.append([ids, child, exc, [c for c in cands[i + 1 :] if c not in bad], 0])
     return SextetPolynomial(tuple(coeffs))
 
 
@@ -284,7 +327,8 @@ def find_g_star(f: FullereneGraph) -> GStarWitness | None:
             continue
         witness = GStarWitness(v, tuple(sorted(opposite)))
         ids = _check_hexagon_set(f, witness.hexagons)
-        assert not _resonant(f, ids)
+        if _resonant(f, ids):
+            raise RuntimeError(f"G* witness {witness} isolates vertex {v} but was decided resonant")
         return witness
     return None
 

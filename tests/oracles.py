@@ -61,6 +61,15 @@ def count_perfect_matchings(n: int, adj: list[list[int]]) -> int:
     return result
 
 
+def resonant_by_brute_force(adj: list[list[int]], removed: set[int] | frozenset[int]) -> bool:
+    """Whether the graph minus ``removed`` has a perfect matching, by counting them."""
+
+    keep = [v for v in range(len(adj)) if v not in removed]
+    index = {v: i for i, v in enumerate(keep)}
+    sub = [[index[w] for w in adj[v] if w in index] for v in keep]
+    return count_perfect_matchings(len(keep), sub) > 0
+
+
 def count_disjoint_hexagon_sets(hexagon_vertex_sets: list[frozenset[int]], k: int) -> int:
     """Number of k-element sets of pairwise vertex-disjoint hexagons."""
 

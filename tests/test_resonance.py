@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+from itertools import combinations
+
 import pytest
 
-from oracles import count_disjoint_hexagon_sets
+from oracles import count_disjoint_hexagon_sets, resonant_by_brute_force
 
+from resonantk import kernels, matching
+from resonantk.catalog import catalog_graph, nanotube
 from resonantk.errors import GraphError, GuardExceeded
 from resonantk.resonance import (
     ALL,
@@ -145,3 +150,72 @@ def test_disjoint_hexagon_sets_lex_order(graphs):
     pairs = list(disjoint_hexagon_sets(f, 2))
     assert pairs == sorted(pairs)
     assert all(a < b for a, b in pairs)
+
+
+def _fresh(name):
+    """A newly built graph, so its memo holds only what the test computes."""
+    if name[:3] in ("R5_", "R6_"):
+        return nanotube(name[:2], int(name[3:]))
+    return catalog_graph(name).graph
+
+
+def _brute_force_sextet(f):
+    adj = [list(f.graph.rotation[v]) for v in range(f.n)]
+    hexes = [f.faces[h].vertices for h in f.hexagon_ids]
+    counts = []
+    for k in range(len(hexes) + 1):
+        sets = [c for c in combinations(hexes, k) if all(not a & b for a, b in combinations(c, 2))]
+        if not sets:
+            break
+        counts.append(sum(resonant_by_brute_force(adj, frozenset().union(*c)) for c in sets))
+    while counts[-1] == 0:
+        counts.pop()
+    return tuple(counts)
+
+
+def test_sextet_matches_brute_force_oracle(graphs, tubes):
+    small = [f for f in graphs.values() if f.n <= 40]
+    small += [tubes[cap, k] for cap in ("R5", "R6") for k in (1, 2)]
+    for f in small:
+        assert sextet(f).coefficients == _brute_force_sextet(f)
+
+
+@pytest.mark.parametrize("name", ["F48", "R6_2"])
+def test_walk_memo_agrees_with_is_central(name):
+    f = _fresh(name)
+    poly = sextet(f)
+    memo = f._memo["resonant"]
+    assert sum(memo.values()) == sum(poly.coefficients)
+    for key, resonant in memo.items():
+        assert resonant == matching.is_central(f, key), sorted(key)
+
+
+@pytest.mark.parametrize("name", ["C60", "C70", "R6_3"])
+def test_sextet_matches_once_and_feeds_the_order(name, monkeypatch):
+    calls = {"mate_array": 0, "is_central": 0}
+
+    def counted(fn_name, fn):
+        def wrapper(*args, **kwargs):
+            calls[fn_name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(kernels, "mate_array", counted("mate_array", kernels.mate_array))
+    monkeypatch.setattr(matching, "is_central", counted("is_central", matching.is_central))
+    f = _fresh(name)
+    sextet(f)
+    assert calls == {"mate_array": 1, "is_central": 0}
+    resonance_order(f)
+    assert calls == {"mate_array": 1, "is_central": 0}
+
+
+def test_sextet_leaves_no_reference_cycles():
+    gc.disable()
+    try:
+        f = _fresh("C70")
+        gc.collect()
+        sextet(f)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
