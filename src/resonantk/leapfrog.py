@@ -139,10 +139,7 @@ def territory(lf: LeapfrogResult, image_face_id: int) -> Territory:
     """
     if image_face_id not in lf.heritable:
         raise GraphError(f"face {image_face_id} is not heritable; territories surround heritable faces")
-    face = lf.image.faces[image_face_id]
-    ring = tuple(
-        lf.image.faces.face_of_arc((b, a)) for a, b in face.boundary_arcs()
-    )
+    ring = lf.image.faces.across(image_face_id)
     assert len(set(ring)) == len(ring)
     assert all(r in lf.fresh for r in ring)
     return Territory(image_face_id, ring)
@@ -181,15 +178,14 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     if h1 == h2 or image.faces[h1].vertices & image.faces[h2].vertices:
         raise GraphError(f"hexagons {h1} and {h2} must be vertex-disjoint")
 
+    across = image.faces.across
     fresh_targets = [h for h in (h1, h2) if h in lf.fresh]
     for a_set in _flip_candidates(lf, h1):
         for b_set in _flip_candidates(lf, h2):
             flips = a_set | b_set
-            if not _pairwise_disjoint(image, flips):
-                continue
-            if any(
-                _share_edge(image, t, flip) for t in fresh_targets for flip in flips
-            ):
+            if any(b in across(a) for a in flips for b in flips):
+                continue  # two flipped faces share a vertex
+            if any(flip in across(t) for t in fresh_targets for flip in flips):
                 continue
             edges = set(lf.m0.edges)
             for fid in flips:
@@ -203,20 +199,4 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
                 return candidate
     raise RuntimeError(
         f"no territory flip makes hexagons {h1} and {h2} alternate together"
-    )
-
-
-def _pairwise_disjoint(image: FullereneGraph, fids: frozenset[int]) -> bool:
-    ids = sorted(fids)
-    for i in range(len(ids)):
-        vi = image.faces[ids[i]].vertices
-        for j in range(i + 1, len(ids)):
-            if vi & image.faces[ids[j]].vertices:
-                return False
-    return True
-
-
-def _share_edge(image: FullereneGraph, f1: int, f2: int) -> bool:
-    return bool(
-        set(image.faces[f1].boundary_edges()) & set(image.faces[f2].boundary_edges())
     )

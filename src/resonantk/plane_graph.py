@@ -91,6 +91,7 @@ class Face:
     index: int
     boundary: tuple[int, ...]
     vertices: frozenset[int]
+    _edges: tuple[Edge, ...] = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -98,12 +99,7 @@ class Face:
 
     def boundary_edges(self) -> tuple[Edge, ...]:
         """The boundary's undirected edges, in cycle order."""
-        b = self.boundary
-        return tuple(
-            (b[i], b[(i + 1) % len(b)]) if b[i] < b[(i + 1) % len(b)]
-            else (b[(i + 1) % len(b)], b[i])
-            for i in range(len(b))
-        )
+        return self._edges
 
     def boundary_arcs(self) -> tuple[Arc, ...]:
         b = self.boundary
@@ -117,11 +113,18 @@ class FaceSet:
     Face ids are assigned in increasing order of each face's
     lexicographically least boundary arc, which makes them stable across
     runs for identical input.
+
+    The set is also the graph's one face-adjacency (dual) index:
+    :meth:`across` lists the face beyond each boundary edge.  In a simple
+    cubic plane graph whose faces are simple cycles (every fullerene), the
+    three faces at a vertex pairwise share an edge there, so two distinct
+    faces share a vertex exactly when each is across the other.
     """
 
     faces: tuple[Face, ...]
     _arc_face: dict[Arc, int] = field(repr=False)
     _vertex_faces: tuple[tuple[int, ...], ...] = field(repr=False)
+    _across: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.faces)
@@ -139,6 +142,24 @@ class FaceSet:
     def faces_at(self, v: int) -> tuple[int, ...]:
         """Ids of the three faces incident with vertex v, ascending."""
         return self._vertex_faces[v]
+
+    def across(self, face_id: int) -> tuple[int, ...]:
+        """The face beyond each boundary edge, in boundary order from the least arc.
+
+        Entry i is ``face_of_arc((b, a))`` for the i-th boundary arc (a, b).
+        """
+        return self._across[face_id]
+
+    def shared_edge(self, a: int, b: int) -> Edge | None:
+        """The edge faces a and b meet in, or None unless they meet in exactly one edge.
+
+        Faces meet properly when b is across exactly one boundary edge of a;
+        they then share that edge's two endpoints and no other vertex.
+        """
+        around = self._across[a]
+        if around.count(b) != 1:
+            return None
+        return self.faces[a].boundary_edges()[around.index(b)]
 
     def sizes(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -321,7 +342,7 @@ def _trace_face_cycles(g: EmbeddedGraph) -> list[tuple[Arc, ...]]:
 
 
 def faces(g: EmbeddedGraph) -> FaceSet:
-    """Trace all faces of the embedding.
+    """Trace all faces of the embedding and index which faces meet.
 
     Face ids follow the order of each face's least boundary arc.
     """
@@ -331,11 +352,15 @@ def faces(g: EmbeddedGraph) -> FaceSet:
     at_vertex: list[set[int]] = [set() for _ in range(g.n)]
     for idx, cycle in enumerate(cycles):
         boundary = tuple(a[0] for a in cycle)
-        built.append(Face(idx, boundary, frozenset(boundary)))
+        edges = tuple((a, b) if a < b else (b, a) for a, b in cycle)
+        built.append(Face(idx, boundary, frozenset(boundary), edges))
         for a in cycle:
             arc_face[a] = idx
             at_vertex[a[0]].add(idx)
-    return FaceSet(tuple(built), arc_face, tuple(tuple(sorted(s)) for s in at_vertex))
+    across = tuple(tuple(arc_face[(b, a)] for a, b in cycle) for cycle in cycles)
+    return FaceSet(
+        tuple(built), arc_face, tuple(tuple(sorted(s)) for s in at_vertex), across
+    )
 
 
 def validate_fullerene(g: EmbeddedGraph) -> FullereneGraph:

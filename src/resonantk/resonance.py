@@ -100,20 +100,6 @@ class HexagonReport:
     odd_cycle: tuple[int, ...] | None
 
 
-def _hexagon_conflicts(f: FullereneGraph) -> dict[int, frozenset[int]]:
-    """For each hexagon, the hexagons sharing at least one vertex with it."""
-    cache = f._memo.get("hex_conflicts")
-    if cache is None:
-        cache = {}
-        hexes = f.hexagon_ids
-        for i, a in enumerate(hexes):
-            av = f.faces[a].vertices
-            bad = [b for b in hexes if b != a and av & f.faces[b].vertices]
-            cache[a] = frozenset(bad)
-        f._memo["hex_conflicts"] = cache
-    return cache
-
-
 def _check_hexagon_set(f: FullereneGraph, hexagon_ids: Iterable[int]) -> tuple[int, ...]:
     ids = tuple(sorted(set(hexagon_ids)))
     for h in ids:
@@ -122,9 +108,9 @@ def _check_hexagon_set(f: FullereneGraph, hexagon_ids: Iterable[int]) -> tuple[i
         if not f.is_hexagon(h):
             raise GraphError(f"face {h} is a pentagon; resonant sets contain hexagons only")
     for i in range(len(ids)):
-        vi = f.faces[ids[i]].vertices
+        around = f.faces.across(ids[i])
         for j in range(i + 1, len(ids)):
-            if vi & f.faces[ids[j]].vertices:
+            if ids[j] in around:
                 raise GraphError(
                     f"hexagons {ids[i]} and {ids[j]} share vertices; the set must be disjoint"
                 )
@@ -185,26 +171,31 @@ def is_resonant_pattern(
 
 
 def disjoint_hexagon_sets(f: FullereneGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-sets of pairwise vertex-disjoint hexagons, lexicographically."""
+    """All k-sets of pairwise vertex-disjoint hexagons, lexicographically.
+
+    Hexagons conflict when they share a vertex, that is when one is across
+    an edge of the other.
+    """
     if k < 0:
         raise GraphError(f"set size must be non-negative, got {k}")
-    conflicts = _hexagon_conflicts(f)
-    hexes = f.hexagon_ids
-
-    def extend(prefix: list[int], banned: frozenset[int], start: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == k:
-            yield tuple(prefix)
-            return
-        remaining = k - len(prefix)
-        for idx in range(start, len(hexes) - remaining + 1):
-            h = hexes[idx]
-            if h in banned:
-                continue
-            prefix.append(h)
-            yield from extend(prefix, banned | conflicts[h], idx + 1)
-            prefix.pop()
-
-    yield from extend([], frozenset(), 0)
+    if k == 0:
+        yield ()
+        return
+    # Frames [set so far, hexagons that may extend it, index of the next one to try].
+    stack = [[(), f.hexagon_ids, 0]]
+    while stack:
+        frame = stack[-1]
+        ids, cands, i = frame
+        if i + k - len(ids) > len(cands):
+            stack.pop()
+            continue
+        frame[2] = i + 1
+        h = cands[i]
+        if len(ids) + 1 == k:
+            yield ids + (h,)
+        else:
+            bad = f.faces.across(h)
+            stack.append([ids + (h,), [c for c in cands[i + 1 :] if c not in bad], 0])
 
 
 def sextet(f: FullereneGraph) -> SextetPolynomial:
@@ -223,7 +214,6 @@ def sextet(f: FullereneGraph) -> SextetPolynomial:
     size-then-lex sweep of ``resonance_order`` reaches.
     """
     memo = f._memo.setdefault("resonant", {})
-    conflicts = _hexagon_conflicts(f)
     adj = f.graph.rotation
     n = f.n
     root = kernels.mate_array(n, adj)
@@ -259,7 +249,7 @@ def sextet(f: FullereneGraph) -> SextetPolynomial:
             if len(ids) == len(coeffs):
                 coeffs.append(0)
             coeffs[len(ids)] += 1
-            bad = conflicts[h]
+            bad = f.faces.across(h)
             stack.append([ids, child, exc, [c for c in cands[i + 1 :] if c not in bad], 0])
     return SextetPolynomial(tuple(coeffs))
 

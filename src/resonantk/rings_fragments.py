@@ -6,13 +6,16 @@ vertex-disjoint, and the l shared edges form a matching.  The union of the
 ring faces is bounded by two disjoint cycles; writing s and s' for the number
 of vertices on each cycle lying in only one ring face, the cycle lengths are
 l + s and l + s', and the faces strictly inside the cycle with the smaller
-count (ties broken lexicographically) satisfy four counting identities:
+count (the inner side) satisfy four counting identities:
 
     n5 + n6 = (s + r + 2) / 2          5*n5 + 6*n6 = 2*s + 3*r + l
     n5 = 6 + s - l                     n6 = l + (r - s)/2 - 5
 
-with r the number of vertices strictly inside, and r == s (mod 2).  For
-pentagonal rings (all ring faces pentagons) additionally s + s' = l.
+with r the number of vertices strictly inside, and r == s (mod 2).  When
+s = s', the side with the smaller r is inner, so the choice does not depend
+on vertex labels; only when r ties too does the lexicographically smaller
+sorted cycle decide.  For pentagonal rings (all ring faces pentagons)
+additionally s + s' = l.
 
 A *pentagonal fragment* is a disk bounded by a cycle whose interior faces
 are all pentagons.  Connected pentagon clusters are grown by flood fill over
@@ -24,12 +27,13 @@ not treated as maximal fragments.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Literal
 
 from .errors import GraphError
-from .plane_graph import Edge, Face, FullereneGraph
+from .plane_graph import Edge, FaceSet, FullereneGraph
 
 PENTAGONS_ONLY = "PENTAGONS_ONLY"
 ANY = "ANY"
@@ -90,21 +94,6 @@ class CapWitness:
 # ---------------------------------------------------------------------------
 
 
-def _face_relation(a: Face, b: Face) -> Edge | None:
-    """The unique properly shared edge, or None.
-
-    Proper means the faces intersect in exactly that edge's two endpoints.
-    """
-    common = a.vertices & b.vertices
-    if len(common) != 2:
-        return None
-    shared = set(a.boundary_edges()) & set(b.boundary_edges())
-    if len(shared) != 1:
-        return None
-    edge = next(iter(shared))
-    return edge if set(edge) == common else None
-
-
 def find_polygonal_rings(
     f: FullereneGraph, max_len: int = 12, face_filter: str = ANY
 ) -> list[Ring]:
@@ -117,155 +106,141 @@ def find_polygonal_rings(
     if face_filter not in (PENTAGONS_ONLY, ANY):
         raise GraphError(f"unknown face filter {face_filter!r}")
     if face_filter == PENTAGONS_ONLY:
-        candidates = set(f.pentagon_ids)
+        candidates = frozenset(f.pentagon_ids)
     else:
-        candidates = set(range(len(f.faces)))
-
-    relation: dict[tuple[int, int], Edge | None] = {}
-
-    def rel(a: int, b: int) -> Edge | None:
-        key = (a, b) if a < b else (b, a)
-        if key not in relation:
-            relation[key] = _face_relation(f.faces[key[0]], f.faces[key[1]])
-        return relation[key]
-
-    rings: list[Ring] = []
-    order = sorted(candidates)
-    for root in order:
-        root_vs = f.faces[root].vertices
-        seq = [root]
-        used_edge_vs: list[frozenset[int]] = []
-
-        def extend() -> None:
-            last = seq[-1]
-            for g in order:
-                if g <= root or g in seq:
-                    continue
-                e = rel(last, g)
-                if e is None:
-                    continue
-                ev = frozenset(e)
-                if any(ev & prev for prev in used_edge_vs):
-                    continue
-                gvs = f.faces[g].vertices
-                # vertex-disjoint from every earlier non-consecutive face
-                if any(gvs & f.faces[seq[i]].vertices for i in range(1, len(seq) - 1)):
-                    continue
-                rvs = gvs & root_vs
-                # close the ring with g as its final face (direction: seq[1] < g)
-                if len(seq) >= 2 and len(seq) + 1 <= max_len and seq[1] < g:
-                    ce = rel(g, root)
-                    if ce is not None and set(ce) == rvs:
-                        cev = frozenset(ce)
-                        if not (cev & ev) and not any(cev & prev for prev in used_edge_vs):
-                            rings.append(_build_ring(f, tuple(seq) + (g,)))
-                if rvs and len(seq) >= 2:
-                    continue  # beyond position 1, touching the root means closing only
-                if len(seq) + 2 <= max_len:
-                    seq.append(g)
-                    used_edge_vs.append(ev)
-                    extend()
-                    seq.pop()
-                    used_edge_vs.pop()
-
-        extend()
+        candidates = frozenset(range(len(f.faces)))
+    rings = [
+        _build_ring(f, cycle)
+        for root in sorted(candidates)
+        for cycle in _ring_cycles(f.faces, candidates, max_len, root)
+    ]
     rings.sort(key=lambda r: (r.l, r.faces))
     return rings
 
 
+def _ring_cycles(
+    fs: FaceSet, candidates: frozenset[int], max_len: int, root: int
+) -> list[tuple[int, ...]]:
+    """The face cycles of the rings whose least face is ``root``.
+
+    A depth-first walk grows a face path from ``root`` over the dual.  Each
+    step adds a face across one edge of the last face, meeting it in that
+    edge only; ``used`` holds the endpoints of the edges shared along the
+    path.  A ring is reported in the direction whose second face is less
+    than its last, so each ring appears once.
+    """
+    out: list[tuple[int, ...]] = []
+    seq = [root]
+    used: set[int] = set()
+    # Frames [(edge, far face) pairs of seq[-1] left to try, edge into seq[-1]].
+    stack = [[zip(fs[root].boundary_edges(), fs.across(root)), ()]]
+    while stack:
+        frame = stack[-1]
+        step = next(frame[0], None)
+        if step is None:
+            stack.pop()
+            seq.pop()
+            used.difference_update(frame[1])
+            continue
+        e, g = step
+        if g <= root or g not in candidates or g in seq or fs.across(seq[-1]).count(g) != 1:
+            continue
+        if e[0] in used or e[1] in used:
+            continue
+        # vertex-disjoint from every earlier non-consecutive face: faces
+        # share a vertex exactly when one is across the other
+        if any(g in fs.across(x) for x in seq[1:-1]):
+            continue
+        # close the ring with g as its final face
+        if len(seq) >= 2 and len(seq) < max_len and seq[1] < g:
+            ce = fs.shared_edge(g, root)
+            if ce is not None and not {ce[0], ce[1]} & (used | {e[0], e[1]}):
+                out.append(tuple(seq) + (g,))
+        if len(seq) >= 2 and root in fs.across(g):
+            continue  # beyond position 1, touching the root means closing only
+        if len(seq) + 2 <= max_len:
+            seq.append(g)
+            used.update(e)
+            stack.append([zip(fs[g].boundary_edges(), fs.across(g)), e])
+    return out
+
+
+def _check(ok: bool, identity: str, faces: tuple[int, ...]) -> None:
+    if not ok:
+        raise RuntimeError(f"ring {faces}: {identity} fails")
+
+
 def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...]) -> Ring:
-    """Compute cycles, sides, and counts for a validated face cycle."""
+    """Compute cycles, sides, and counts for a validated face cycle.
+
+    Raises:
+        RuntimeError: naming the ring structure or counting identity that
+            fails (a scanner or embedding bug).
+    """
+    fs = f.faces
     l = len(faces_cycle)
-    shared = []
-    for i in range(l):
-        e = _face_relation(f.faces[faces_cycle[i]], f.faces[faces_cycle[(i + 1) % l]])
-        assert e is not None
-        shared.append(e)
+    shared = [fs.shared_edge(faces_cycle[i], faces_cycle[(i + 1) % l]) for i in range(l)]
+    _check(None not in shared, "consecutive faces meet in one edge", faces_cycle)
     shared_vs = [frozenset(e) for e in shared]
-    for i in range(l):
-        for j in range(i + 1, l):
-            assert not (shared_vs[i] & shared_vs[j])
+    _check(len(frozenset().union(*shared_vs)) == 2 * l, "shared edges form a matching", faces_cycle)
 
     ring_faces = set(faces_cycle)
-    # boundary edges: on exactly one ring face
-    edge_count: dict[Edge, int] = {}
-    for fid in faces_cycle:
-        for e in f.faces[fid].boundary_edges():
-            edge_count[e] = edge_count.get(e, 0) + 1
-    assert all(c <= 2 for c in edge_count.values())
-    boundary_edges = [e for e, c in edge_count.items() if c == 1]
-    cycles = _edge_cycles(boundary_edges)
-    assert len(cycles) == 2, f"ring boundary fell apart into {len(cycles)} cycles"
-    cyc_a, cyc_b = cycles
+    cycles = _edge_cycles(_rim(fs, faces_cycle))
+    _check(len(cycles) == 2, "the boundary is two cycles", faces_cycle)
 
     # rung structure: each shared edge has one endpoint on each cycle
-    set_a, set_b = set(cyc_a), set(cyc_b)
-    for ev in shared_vs:
-        assert len(ev & set_a) == 1 and len(ev & set_b) == 1
+    for cyc in cycles:
+        on = set(cyc)
+        rungs = all(len(ev & on) == 1 for ev in shared_vs)
+        _check(rungs, "each shared edge is a rung", faces_cycle)
 
-    # single-face vertex counts per cycle
-    vertex_faces: dict[int, int] = {}
-    for fid in faces_cycle:
-        for v in f.faces[fid].vertices:
-            vertex_faces[v] = vertex_faces.get(v, 0) + 1
-    s_a = sum(1 for v in cyc_a if vertex_faces[v] == 1)
-    s_b = sum(1 for v in cyc_b if vertex_faces[v] == 1)
-    assert len(cyc_a) == l + s_a and len(cyc_b) == l + s_b
+    vertex_faces = _faces_per_vertex(fs, faces_cycle)
 
-    # the two sides: components of face adjacency once ring faces are removed
-    comp = _side_components(f, ring_faces)
-    assert len(comp) == 2, f"removing the ring leaves {len(comp)} face components"
-    side_of_cycle = []
-    for cyc in (cyc_a, cyc_b):
-        cyc_edges = set()
-        for i in range(len(cyc)):
-            u, v = cyc[i], cyc[(i + 1) % len(cyc)]
-            cyc_edges.add((u, v) if u < v else (v, u))
-        owners = set()
-        for fid in range(len(f.faces)):
-            if fid in ring_faces:
-                continue
-            if set(f.faces[fid].boundary_edges()) & cyc_edges:
-                owners.add(0 if fid in comp[0] else 1)
-        assert len(owners) == 1
-        side_of_cycle.append(owners.pop())
-    assert side_of_cycle[0] != side_of_cycle[1]
+    # the two sides: the faces reached from each cycle without crossing the ring
+    sides = []
+    for cyc in cycles:
+        owners = {
+            fs.face_of_arc(arc)
+            for i in range(len(cyc))
+            for arc in ((cyc[i - 1], cyc[i]), (cyc[i], cyc[i - 1]))
+        } - ring_faces
+        side = _face_component(fs, min(owners), ring_faces)
+        _check(owners <= side, "one side owns each cycle", faces_cycle)
+        s = sum(1 for v in cyc if vertex_faces[v] == 1)
+        _check(len(cyc) == l + s, "cycle length l + s", faces_cycle)
+        vertices = set().union(*(fs[fid].vertices for fid in side))
+        _check(vertices >= set(cyc), "the side holds its cycle", faces_cycle)
+        sides.append((s, len(vertices) - len(cyc), tuple(sorted(cyc)), cyc, side))
 
-    # choose the inner side: smaller s, then lexicographically smaller cycle
-    if (s_a, tuple(sorted(cyc_a))) <= (s_b, tuple(sorted(cyc_b))):
-        inner_cyc, outer_cyc, s, s_prime = cyc_a, cyc_b, s_a, s_b
-        inner_faces = tuple(sorted(comp[side_of_cycle[0]]))
-        outer_faces = tuple(sorted(comp[side_of_cycle[1]]))
-    else:
-        inner_cyc, outer_cyc, s, s_prime = cyc_b, cyc_a, s_b, s_a
-        inner_faces = tuple(sorted(comp[side_of_cycle[1]]))
-        outer_faces = tuple(sorted(comp[side_of_cycle[0]]))
+    # the inner side: smaller s, then fewer interior vertices r, then the
+    # lexicographically smaller cycle
+    inner_side, outer_side = sorted(sides, key=lambda side: side[:3])
+    s, r, _, inner_cyc, inner = inner_side
+    s_prime, _, _, outer_cyc, outer = outer_side
+    _check(
+        not inner & outer and len(inner) + len(outer) + l == len(fs),
+        "the ring splits the other faces into two sides",
+        faces_cycle,
+    )
+    n5 = sum(1 for fid in inner if fs[fid].size == 5)
+    n6 = sum(1 for fid in inner if fs[fid].size == 6)
 
-    inner_vertices = set()
-    for fid in inner_faces:
-        inner_vertices |= f.faces[fid].vertices
-    r = len(inner_vertices) - len(inner_cyc)
-    assert inner_vertices >= set(inner_cyc)
-    n5 = sum(1 for fid in inner_faces if f.faces[fid].size == 5)
-    n6 = sum(1 for fid in inner_faces if f.faces[fid].size == 6)
-
-    all_pent = all(f.faces[fid].size == 5 for fid in faces_cycle)
-    assert s != 1 and s_prime != 1
-    assert r % 2 == s % 2
-    assert 2 * (n5 + n6) == s + r + 2
-    assert 5 * n5 + 6 * n6 == 2 * s + 3 * r + l
-    assert n5 == 6 + s - l
-    assert 2 * n6 == 2 * l + (r - s) - 10
-    if all_pent:
-        assert s + s_prime == l
+    all_pent = all(fs[fid].size == 5 for fid in faces_cycle)
+    _check(s != 1 and s_prime != 1, "s, s' != 1", faces_cycle)
+    _check(r % 2 == s % 2, "r = s (mod 2)", faces_cycle)
+    _check(2 * (n5 + n6) == s + r + 2, "n5 + n6 = (s + r + 2)/2", faces_cycle)
+    _check(5 * n5 + 6 * n6 == 2 * s + 3 * r + l, "5 n5 + 6 n6 = 2s + 3r + l", faces_cycle)
+    _check(n5 == 6 + s - l, "n5 = 6 + s - l", faces_cycle)
+    _check(2 * n6 == 2 * l + (r - s) - 10, "n6 = l + (r - s)/2 - 5", faces_cycle)
+    _check(not all_pent or s + s_prime == l, "s + s' = l on a pentagonal ring", faces_cycle)
 
     return Ring(
         tuple(faces_cycle),
         tuple(shared),
         tuple(inner_cyc),
         tuple(outer_cyc),
-        inner_faces,
-        outer_faces,
+        tuple(sorted(inner)),
+        tuple(sorted(outer)),
         l,
         s,
         s_prime,
@@ -282,7 +257,8 @@ def _edge_cycles(edges: list[Edge]) -> list[tuple[int, ...]]:
     for u, v in edges:
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
-    assert all(len(ns) == 2 for ns in adj.values())
+    if any(len(ns) != 2 for ns in adj.values()):
+        raise RuntimeError("the edge set is not 2-regular, so it is no union of cycles")
     seen: set[int] = set()
     cycles = []
     for start in sorted(adj):
@@ -300,50 +276,48 @@ def _edge_cycles(edges: list[Edge]) -> list[tuple[int, ...]]:
     return cycles
 
 
-def _side_components(f: FullereneGraph, removed: set[int]) -> list[set[int]]:
-    """Connected components of face adjacency after deleting ``removed``."""
-    remaining = [fid for fid in range(len(f.faces)) if fid not in removed]
-    adjacency: dict[int, set[int]] = {fid: set() for fid in remaining}
-    for arc, fid in f.faces._arc_face.items():
-        if fid in removed:
-            continue
-        other = f.faces.face_of_arc((arc[1], arc[0]))
-        if other in removed or other == fid:
-            continue
-        adjacency[fid].add(other)
-    seen: set[int] = set()
-    comps = []
-    for fid in remaining:
-        if fid in seen:
-            continue
-        stack, comp = [fid], set()
-        seen.add(fid)
-        while stack:
-            x = stack.pop()
-            comp.add(x)
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        comps.append(comp)
-    return comps
+def _rim(fs: FaceSet, faces: tuple[int, ...]) -> list[Edge]:
+    """The edges on exactly one of ``faces``, in face then boundary order."""
+    inside = set(faces)
+    return [
+        e
+        for fid in faces
+        for e, g in zip(fs[fid].boundary_edges(), fs.across(fid))
+        if g not in inside
+    ]
+
+
+def _faces_per_vertex(fs: FaceSet, faces: tuple[int, ...]) -> Counter[int]:
+    """How many of ``faces`` each of their vertices lies on."""
+    return Counter(v for fid in faces for v in fs[fid].vertices)
+
+
+def _face_component(fs: FaceSet, start: int, blocked: set[int] | frozenset[int]) -> set[int]:
+    """The faces reached from ``start`` across edges, never entering ``blocked``."""
+    comp = {start}
+    stack = [start]
+    while stack:
+        for g in fs.across(stack.pop()):
+            if g not in comp and g not in blocked:
+                comp.add(g)
+                stack.append(g)
+    return comp
 
 
 def ring_stats(f: FullereneGraph, ring: Ring) -> Ring:
-    """Recompute a ring's statistics from the embedding, asserting the identities.
+    """Recompute a ring's statistics from the embedding, checking the identities.
 
     Raises:
-        AssertionError: if any counting identity fails (scanner or embedding bug).
+        RuntimeError: if a counting identity fails (scanner or embedding
+            bug) or the recomputed (l, s, s', r, n5, n6) differ from the ring's.
     """
     rebuilt = _build_ring(f, ring.faces)
-    assert (rebuilt.l, rebuilt.s, rebuilt.s_prime, rebuilt.r, rebuilt.n5, rebuilt.n6) == (
-        ring.l,
-        ring.s,
-        ring.s_prime,
-        ring.r,
-        ring.n5,
-        ring.n6,
-    )
+    stats = ("l", "s", "s_prime", "r", "n5", "n6")
+    differ = [k for k in stats if getattr(rebuilt, k) != getattr(ring, k)]
+    if differ:
+        raise RuntimeError(
+            f"ring {ring.faces}: recomputed {', '.join(differ)} differ from the ring's"
+        )
     return rebuilt
 
 
@@ -387,14 +361,14 @@ def psi(f: FullereneGraph, l: int) -> int | None:
 def detect_r5_r6(f: FullereneGraph) -> list[CapWitness]:
     """All R5/R6 caps: pentagonal rings of length 5 or 6 closing around one face.
 
-    Also asserts that every pentagonal ring of length 5 has s = 0 (they are
-    always caps).
+    Also checks that every pentagonal ring of length 5 has s = 0 (they are
+    always caps), raising RuntimeError otherwise.
     """
     rings = find_polygonal_rings(f, max_len=6, face_filter=PENTAGONS_ONLY)
     out = []
     for ring in rings:
         if ring.l == 5:
-            assert ring.s == 0, "a length-5 pentagonal ring must close around a single face"
+            _check(ring.s == 0, "s = 0 on a pentagonal 5-ring", ring.faces)
         if ring.l in (5, 6) and ring.s == 0 and len(ring.inner_faces) == 1:
             out.append(CapWitness("R5" if ring.l == 5 else "R6", ring))
     return out
@@ -415,41 +389,23 @@ def maximal_pentagonal_fragments(f: FullereneGraph) -> list[Fragment]:
     (whole sphere, annular belts) are reported with shape OTHER, maximal
     False, and their boundary cycles as found.
     """
-    pent = set(f.pentagon_ids)
+    hexagons = frozenset(f.hexagon_ids)
     seen: set[int] = set()
     out: list[Fragment] = []
     for start in f.pentagon_ids:
         if start in seen:
             continue
-        cluster = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            fid = stack.pop()
-            for nb in _adjacent_faces(f, fid):
-                if nb in pent and nb not in seen:
-                    seen.add(nb)
-                    cluster.add(nb)
-                    stack.append(nb)
+        cluster = _face_component(f.faces, start, hexagons)
+        seen |= cluster
         out.append(_classify_cluster(f, tuple(sorted(cluster))))
     out.sort(key=lambda fr: fr.faces)
     return out
 
 
-def _adjacent_faces(f: FullereneGraph, fid: int) -> set[int]:
-    face = f.faces[fid]
-    return {
-        f.faces.face_of_arc((b, a))
-        for a, b in face.boundary_arcs()
-    }
-
-
 def _classify_cluster(f: FullereneGraph, cluster: tuple[int, ...]) -> Fragment:
-    edge_count: dict[Edge, int] = {}
-    for fid in cluster:
-        for e in f.faces[fid].boundary_edges():
-            edge_count[e] = edge_count.get(e, 0) + 1
-    boundary_edges = [e for e, c in edge_count.items() if c == 1]
+    fs = f.faces
+    members = set(cluster)
+    boundary_edges = _rim(fs, cluster)
 
     degrees: dict[int, int] = {}
     for u, v in boundary_edges:
@@ -461,44 +417,35 @@ def _classify_cluster(f: FullereneGraph, cluster: tuple[int, ...]) -> Fragment:
         cycles = tuple(_edge_cycles(boundary_edges))
         is_disk = len(cycles) == 1
 
-    # vertices in exactly one cluster face
-    vertex_faces: dict[int, int] = {}
-    for fid in cluster:
-        for v in f.faces[fid].vertices:
-            vertex_faces[v] = vertex_faces.get(v, 0) + 1
-    boundary_vs = {v for e in boundary_edges for v in e}
-    w = frozenset(v for v in boundary_vs if vertex_faces[v] == 1)
+    # boundary vertices in exactly one cluster face
+    vertex_faces = _faces_per_vertex(fs, cluster)
+    w = frozenset(v for v in degrees if vertex_faces[v] == 1)
 
-    gamma = min(
-        sum(1 for nb in _adjacent_faces(f, fid) if nb in cluster) for fid in cluster
-    )
+    gamma = min(len(members.intersection(fs.across(fid))) for fid in cluster)
 
     if not is_disk:
         return Fragment(cluster, cycles, w, gamma, True, False, "OTHER")
 
-    neighbours = set()
-    for fid in cluster:
-        neighbours |= _adjacent_faces(f, fid)
-    neighbours -= set(cluster)
-    maximal = all(f.faces[nb].size == 6 for nb in neighbours)
+    neighbours = {g for fid in cluster for g in fs.across(fid)} - members
+    maximal = all(fs[nb].size == 6 for nb in neighbours)
 
     if len(cluster) == 1:
         shape = "PENTAGON"
-    elif len(cluster) == 6 and _is_turtle(f, cluster):
+    elif len(cluster) == 6 and _is_turtle(fs, cluster):
         shape = "TURTLE"
     else:
         shape = "OTHER"
     return Fragment(cluster, cycles, w, gamma, True, maximal, shape)
 
 
-def _is_turtle(f: FullereneGraph, cluster: tuple[int, ...]) -> bool:
+def _is_turtle(fs: FaceSet, cluster: tuple[int, ...]) -> bool:
     """Whether six pentagons form the turtle adjacency pattern."""
-    ids = list(cluster)
-    adj = set()
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if _face_relation(f.faces[ids[i]], f.faces[ids[j]]) is not None:
-                adj.add((i, j))
+    adj = {
+        (i, j)
+        for i in range(6)
+        for j in range(i + 1, 6)
+        if fs.shared_edge(cluster[i], cluster[j]) is not None
+    }
     if len(adj) != len(_TURTLE_EDGES):
         return False
     for perm in permutations(range(6)):

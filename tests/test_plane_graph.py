@@ -162,3 +162,53 @@ def test_cyclic_edge_connectivity(graphs):
     # fullerene graphs are cyclically 5-edge-connected; check no cut below 4
     assert verify_cyclic_edge_connectivity(graphs["F20"], 4)
     assert verify_cyclic_edge_connectivity(graphs["F24"], 4)
+
+
+@pytest.fixture(scope="module")
+def indexed(graphs, tubes):
+    """Every catalog graph and tube, plus the leapfrog images of F20 and F24."""
+    from resonantk.leapfrog import leapfrog
+
+    out = dict(graphs)
+    out.update({f"{cap}_{k}": tube for (cap, k), tube in tubes.items()})
+    out.update({f"L({name})": leapfrog(graphs[name]).image for name in ("F20", "F24")})
+    return out
+
+
+def test_across_reverses_each_boundary_arc(indexed):
+    for name, f in indexed.items():
+        fs = f.faces
+        for face in fs:
+            assert fs.across(face.index) == tuple(
+                fs.face_of_arc((b, a)) for a, b in face.boundary_arcs()
+            ), name
+
+
+def test_faces_meet_exactly_when_across(indexed):
+    for name, f in indexed.items():
+        fs = f.faces
+        for a in fs:
+            for b in fs:
+                if a.index == b.index:
+                    continue
+                meet = bool(a.vertices & b.vertices)
+                assert (b.index in fs.across(a.index)) == meet, (name, a.index, b.index)
+                if meet:
+                    assert fs.across(a.index).count(b.index) == 1
+                    assert set(fs.shared_edge(a.index, b.index)) == a.vertices & b.vertices
+                else:
+                    assert fs.shared_edge(a.index, b.index) is None
+
+
+def test_hexagon_conflicts_are_shared_vertices(indexed):
+    from resonantk.resonance import disjoint_hexagon_sets
+
+    for name, f in indexed.items():
+        hexes = f.hexagon_ids
+        disjoint = [
+            (a, b)
+            for i, a in enumerate(hexes)
+            for b in hexes[i + 1 :]
+            if not f.faces[a].vertices & f.faces[b].vertices
+        ]
+        assert list(disjoint_hexagon_sets(f, 2)) == disjoint, name

@@ -219,3 +219,14 @@ def test_sextet_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_resonance_order_leaves_no_reference_cycles():
+    gc.disable()
+    try:
+        f = _fresh("C70")
+        gc.collect()
+        assert resonance_order(f).order == 2
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import random
 import warnings
+from collections import Counter
 
 import pytest
 
+from resonantk.catalog import catalog_graph
+from resonantk.plane_graph import EmbeddedGraph, emit_graph, parse_graph, validate_fullerene
 from resonantk.rings_fragments import (
     ANY,
     PENTAGONS_ONLY,
@@ -54,6 +60,37 @@ def test_ring_stats_recompute(graphs):
     assert rings
     for r in rings[:10]:
         assert ring_stats(f, r) == r
+    with pytest.raises(RuntimeError, match="n6"):
+        ring_stats(f, dataclasses.replace(rings[0], n6=rings[0].n6 + 1))
+
+
+def _ring_counts(f, max_len):
+    return Counter(
+        (r.l, r.s, r.s_prime, r.r, r.n5, r.n6) for r in find_polygonal_rings(f, max_len, ANY)
+    )
+
+
+def test_ring_sides_do_not_depend_on_labels(graphs):
+    # F40 has 40 rings of length <= 9 with s = s' whose sides differ in r
+    f = graphs["F40"]
+    perm = list(range(f.n))
+    random.Random(40).shuffle(perm)
+    rotation = [(0, 0, 0)] * f.n
+    for v, (a, b, c) in enumerate(f.graph.rotation):
+        rotation[perm[v]] = (perm[c], perm[b], perm[a])  # relabelled and mirrored
+    mirror = validate_fullerene(parse_graph(emit_graph(EmbeddedGraph(tuple(rotation)))))
+    assert _ring_counts(mirror, 9) == _ring_counts(f, 9)
+
+
+def test_ring_scan_leaves_no_reference_cycles():
+    gc.disable()
+    try:
+        f = catalog_graph("C60").graph
+        gc.collect()
+        find_polygonal_rings(f, 9)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_pentagonal_filter(graphs):
