@@ -9,20 +9,25 @@ perfect matching M0 of the image.  Image faces come in exactly two kinds:
 * *fresh* faces - the six arcs touching one original vertex, always
   hexagons, and always M0-alternating.
 
+The provenance of every image face is read off the construction: the image
+arc from an original arc to its successor lies on the heritable face of the
+original face, and the image arc from (u, v) to its reversal lies on the
+fresh face at v.  Both faces are then looked up in the image's face index.
+
 Around each heritable face sits its *territory*: the ring of fresh faces
 met across its boundary edges, listed in boundary order starting at the
 face's least boundary arc.  Flipping M0 around a choice of ring faces is
 what turns a heritable hexagon alternating; ``two_resonance_certificate``
 searches those flips to make any two disjoint image hexagons alternate at
-once.
+once, and checks each candidate on its two target hexagons only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GraphError
-from .matching import Matching, alternating_faces
+from .matching import Matching, face_alternates
 from .plane_graph import (
     Arc,
     EmbeddedGraph,
@@ -41,14 +46,6 @@ class LeapfrogResult:
     m0: Matching
     heritable: dict[int, int]  # image face id -> original face id
     fresh: dict[int, int]  # image face id -> original vertex
-    _heritable_inv: dict[int, int] = field(repr=False)
-    _fresh_inv: dict[int, int] = field(repr=False)
-
-    def heritable_face_of(self, original_face_id: int) -> int:
-        return self._heritable_inv[original_face_id]
-
-    def fresh_face_at(self, original_vertex: int) -> int:
-        return self._fresh_inv[original_vertex]
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,13 @@ class Territory:
 
 
 def leapfrog(f: FullereneGraph) -> LeapfrogResult:
-    """Construct the leapfrog image, its reversal matching, and provenance."""
+    """Construct the leapfrog image, its reversal matching, and provenance.
+
+    Raises:
+        RuntimeError: if the image faces do not split into one heritable face
+            of equal size per original face and one fresh hexagon per
+            original vertex.
+    """
     g = f.graph
     arcs = g.arcs()
     index = {a: i for i, a in enumerate(arcs)}
@@ -68,8 +71,7 @@ def leapfrog(f: FullereneGraph) -> LeapfrogResult:
     rotation = tuple(
         (index[g.prev_arc(a)], index[g.next_arc(a)], index[(a[1], a[0])]) for a in arcs
     )
-    image_graph = EmbeddedGraph(rotation)
-    image = validate_fullerene(image_graph)
+    image = validate_fullerene(EmbeddedGraph(rotation))
 
     m0 = Matching(
         frozenset(
@@ -78,53 +80,38 @@ def leapfrog(f: FullereneGraph) -> LeapfrogResult:
         image,
     )
 
-    heritable, fresh = classify_faces(f, image, arcs)
-    result = LeapfrogResult(
-        f,
-        image,
-        tuple(arcs),
-        m0,
-        heritable,
-        fresh,
-        {orig: img for img, orig in heritable.items()},
-        {v: img for img, v in fresh.items()},
-    )
-    assert len(heritable) == len(f.faces) and len(fresh) == f.n
-    assert all(image.faces[img].size == f.faces[orig].size for img, orig in heritable.items())
-    assert all(image.faces[img].size == 6 for img in fresh)
-    return result
-
-
-def classify_faces(
-    f: FullereneGraph, image: FullereneGraph, arcs: list[Arc] | tuple[Arc, ...]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Assign every image face to its original face or original vertex.
-
-    Works by vertex-set identity: a heritable face consists of the arcs of
-    one original face's boundary cycle; a fresh face of the six arcs
-    touching one original vertex.  Every image face must match exactly one
-    of these patterns.
-    """
-    index = {a: i for i, a in enumerate(arcs)}
-    by_vertexset: dict[frozenset[int], tuple[str, int]] = {}
-    for face in f.faces:
-        key = frozenset(index[a] for a in face.boundary_arcs())
-        by_vertexset[key] = ("heritable", face.index)
-    for v in range(f.n):
-        key = frozenset(
-            index[a] for w in f.graph.neighbors(v) for a in ((v, w), (w, v))
-        )
-        by_vertexset[key] = ("fresh", v)
-
+    face_of_arc = image.faces.face_of_arc
     heritable: dict[int, int] = {}
+    for face in f.faces:
+        a = face.boundary_arcs()[0]
+        heritable[face_of_arc((index[a], index[g.next_arc(a)]))] = face.index
     fresh: dict[int, int] = {}
-    for face in image.faces:
-        kind, ref = by_vertexset[frozenset(face.vertices)]
-        if kind == "heritable":
-            heritable[face.index] = ref
-        else:
-            fresh[face.index] = ref
-    return heritable, fresh
+    for v in range(f.n):
+        u = g.rotation[v][0]
+        fresh[face_of_arc((index[(u, v)], index[(v, u)]))] = v
+
+    if (
+        len(heritable) != len(f.faces)
+        or len(fresh) != f.n
+        or len(heritable.keys() | fresh.keys()) != len(image.faces)
+    ):
+        raise RuntimeError(
+            f"leapfrog provenance does not classify each of the {len(image.faces)} image "
+            f"faces exactly once: {len(heritable)} heritable, {len(fresh)} fresh"
+        )
+    for img, orig in heritable.items():
+        if image.faces[img].size != f.faces[orig].size:
+            raise RuntimeError(
+                f"heritable image face {img} has size {image.faces[img].size}, "
+                f"but its original face {orig} has size {f.faces[orig].size}"
+            )
+    for img, v in fresh.items():
+        if image.faces[img].size != 6:
+            raise RuntimeError(
+                f"fresh image face {img} at original vertex {v} has size "
+                f"{image.faces[img].size}, not 6"
+            )
+    return LeapfrogResult(f, image, tuple(arcs), m0, heritable, fresh)
 
 
 def territory(lf: LeapfrogResult, image_face_id: int) -> Territory:
@@ -136,12 +123,17 @@ def territory(lf: LeapfrogResult, image_face_id: int) -> Territory:
 
     Raises:
         GraphError: if the face is not heritable.
+        RuntimeError: if the ring repeats a face or holds a face that is not
+            fresh.
     """
     if image_face_id not in lf.heritable:
         raise GraphError(f"face {image_face_id} is not heritable; territories surround heritable faces")
     ring = lf.image.faces.across(image_face_id)
-    assert len(set(ring)) == len(ring)
-    assert all(r in lf.fresh for r in ring)
+    if len(set(ring)) != len(ring):
+        raise RuntimeError(f"territory of face {image_face_id} repeats a face: {ring}")
+    stale = [r for r in ring if r not in lf.fresh]
+    if stale:
+        raise RuntimeError(f"territory of face {image_face_id} holds faces that are not fresh: {stale}")
     return Territory(image_face_id, ring)
 
 
@@ -164,8 +156,8 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     Starts from the reversal matching M0 and flips a set of fresh hexagons
     chosen from the targets' territories.  Candidate flip sets are tried in
     a fixed order; each must be pairwise vertex-disjoint and, when a target
-    is fresh, must not share an edge with it.  The first candidate that
-    validates is returned.
+    is fresh, must not share an edge with it.  The first candidate that is
+    a perfect matching alternating on both targets is returned.
 
     Raises:
         GraphError: if the faces are not disjoint image hexagons.
@@ -191,11 +183,12 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
             for fid in flips:
                 edges.symmetric_difference_update(image.faces[fid].boundary_edges())
             candidate = Matching(frozenset(edges), image)
-            if 2 * candidate.size != image.n:
-                continue
-            if len(candidate.covered()) != image.n:
-                continue
-            if {h1, h2} <= set(alternating_faces(image, candidate)):
+            if (
+                2 * candidate.size == image.n
+                and len(candidate.covered()) == image.n
+                and face_alternates(image.faces[h1], candidate)
+                and face_alternates(image.faces[h2], candidate)
+            ):
                 return candidate
     raise RuntimeError(
         f"no territory flip makes hexagons {h1} and {h2} alternate together"

@@ -6,6 +6,10 @@ adds the Tutte-style witness search for graphs without perfect matchings,
 and provides the face-deletion test used throughout the resonance analysis:
 a face set is *central* when the graph minus those face vertices still has a
 perfect matching.
+
+``face_alternates`` is the one alternation test: ``alternating_faces``, the
+leapfrog 2-resonance certificate and the resonant-set certificate all decide
+through it whether a face alternates with a matching.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Iterable, Sequence
 
 from . import kernels
 from .errors import GraphError, GuardExceeded
-from .plane_graph import Edge, EmbeddedGraph, FullereneGraph, Subgraph
+from .plane_graph import Edge, EmbeddedGraph, Face, FullereneGraph, Subgraph
 
 DEFAULT_PM_CAP = 10**6
 _PM_CAP_ENV = "RESONANTK_PM_CAP"
@@ -66,14 +70,18 @@ class TutteWitness:
         return len(self.odd_components) - len(self.deleted)
 
 
-def _adjacency(x: object) -> tuple[int, list[list[int]]]:
-    """Vertex count and adjacency lists for any supported graph form."""
+def _adjacency(x: object) -> tuple[int, Sequence[Sequence[int]]]:
+    """Vertex count and adjacency lists for any supported graph form.
+
+    Stored graphs pass their own adjacency tuples through; a caller-supplied
+    sequence is copied and its vertex ids are range-checked.
+    """
     if isinstance(x, FullereneGraph):
         x = x.graph
     if isinstance(x, EmbeddedGraph):
-        return x.n, [list(x.rotation[v]) for v in range(x.n)]
+        return x.n, x.rotation
     if isinstance(x, Subgraph):
-        return x.n, [list(a) for a in x.adj]
+        return x.n, x.adj
     if isinstance(x, Sequence):
         adj = [list(row) for row in x]
         n = len(adj)
@@ -157,7 +165,7 @@ def tutte_witness(g: object, bound: int = 4) -> TutteWitness | None:
 
 
 def _components_without(
-    n: int, adj: list[list[int]], deleted: set[int]
+    n: int, adj: Sequence[Sequence[int]], deleted: set[int]
 ) -> list[tuple[int, ...]]:
     seen = [False] * n
     comps: list[tuple[int, ...]] = []
@@ -205,25 +213,24 @@ def symmetric_difference(m: Matching, cycle: Sequence[int]) -> Matching:
     return result
 
 
-def alternating_faces(f: FullereneGraph, m: Matching) -> tuple[int, ...]:
-    """Face ids whose boundaries alternate with a perfect matching.
+def face_alternates(face: Face, m: Matching) -> bool:
+    """Whether the face's boundary alternates with the matching.
 
     A face of size 2k alternates exactly when k of its boundary edges lie in
-    the matching; odd faces never alternate.
+    the matching; odd faces never alternate, as twice the count is even.
+    """
+    return 2 * sum(1 for e in face.boundary_edges() if e in m.edges) == face.size
+
+
+def alternating_faces(f: FullereneGraph, m: Matching) -> tuple[int, ...]:
+    """Face ids whose boundaries alternate with a perfect matching.
 
     Raises:
         GraphError: if the matching is not perfect on f.
     """
     if 2 * m.size != f.n or m.covered() != frozenset(range(f.n)):
         raise GraphError("alternating faces are defined against a perfect matching")
-    out = []
-    for face in f.faces:
-        if face.size % 2:
-            continue
-        hits = sum(1 for e in face.boundary_edges() if e in m.edges)
-        if hits == face.size // 2:
-            out.append(face.index)
-    return tuple(out)
+    return tuple(face.index for face in f.faces if face_alternates(face, m))
 
 
 def resolve_pm_cap(cap: int | None = None) -> int:

@@ -123,7 +123,6 @@ class FaceSet:
 
     faces: tuple[Face, ...]
     _arc_face: dict[Arc, int] = field(repr=False)
-    _vertex_faces: tuple[tuple[int, ...], ...] = field(repr=False)
     _across: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __len__(self) -> int:
@@ -138,10 +137,6 @@ class FaceSet:
     def face_of_arc(self, arc: Arc) -> int:
         """Id of the unique face whose boundary uses the directed edge."""
         return self._arc_face[arc]
-
-    def faces_at(self, v: int) -> tuple[int, ...]:
-        """Ids of the three faces incident with vertex v, ascending."""
-        return self._vertex_faces[v]
 
     def across(self, face_id: int) -> tuple[int, ...]:
         """The face beyond each boundary edge, in boundary order from the least arc.
@@ -161,12 +156,6 @@ class FaceSet:
             return None
         return self.faces[a].boundary_edges()[around.index(b)]
 
-    def sizes(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for f in self.faces:
-            out[f.size] = out.get(f.size, 0) + 1
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class FullereneGraph:
@@ -181,9 +170,6 @@ class FullereneGraph:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def face(self, face_id: int) -> Face:
-        return self.faces[face_id]
 
     def is_hexagon(self, face_id: int) -> bool:
         return self.faces[face_id].size == 6
@@ -207,9 +193,6 @@ class Subgraph:
 
     def to_parent(self, local: int) -> int:
         return self.vertices[local]
-
-    def edge_count(self) -> int:
-        return sum(len(a) for a in self.adj) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +332,14 @@ def faces(g: EmbeddedGraph) -> FaceSet:
     cycles = _trace_face_cycles(g)
     built: list[Face] = []
     arc_face: dict[Arc, int] = {}
-    at_vertex: list[set[int]] = [set() for _ in range(g.n)]
     for idx, cycle in enumerate(cycles):
         boundary = tuple(a[0] for a in cycle)
         edges = tuple((a, b) if a < b else (b, a) for a, b in cycle)
         built.append(Face(idx, boundary, frozenset(boundary), edges))
         for a in cycle:
             arc_face[a] = idx
-            at_vertex[a[0]].add(idx)
     across = tuple(tuple(arc_face[(b, a)] for a, b in cycle) for cycle in cycles)
-    return FaceSet(
-        tuple(built), arc_face, tuple(tuple(sorted(s)) for s in at_vertex), across
-    )
+    return FaceSet(tuple(built), arc_face, across)
 
 
 def validate_fullerene(g: EmbeddedGraph) -> FullereneGraph:
@@ -417,9 +396,9 @@ def is_bipartite(s: Subgraph | EmbeddedGraph) -> tuple[bool, tuple[int, ...] | N
     odd vertex cycle in parent ids (for subgraphs) or the graph's own ids.
     """
     if isinstance(s, EmbeddedGraph):
-        n, adj, labels = s.n, [list(s.rotation[v]) for v in range(s.n)], tuple(range(s.n))
+        n, adj, labels = s.n, s.rotation, range(s.n)
     else:
-        n, adj, labels = s.n, [list(a) for a in s.adj], s.vertices
+        n, adj, labels = s.n, s.adj, s.vertices
     color = [-1] * n
     parent = [-1] * n
     for root in range(n):

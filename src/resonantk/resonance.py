@@ -24,7 +24,7 @@ from .matching import (
     Matching,
     alternating_faces,
     enumerate_perfect_matchings,
-    maximum_matching,
+    face_alternates,
 )
 from .plane_graph import FullereneGraph, delete_vertices, is_bipartite
 
@@ -134,8 +134,11 @@ def is_resonant_pattern(
     """Decide resonance of a disjoint hexagon set; certificate on success.
 
     The certificate is a perfect matching of the whole graph that alternates
-    on every hexagon of the set: a perfect matching of the rest, completed
-    with three boundary edges in each deleted hexagon.
+    on every hexagon of the set: the kernel's maximum matching of the graph
+    with the hexagons' vertices masked out, which is perfect on the rest and
+    already in the graph's own vertex ids, closed with three boundary edges
+    in each hexagon.  It is checked once for perfectness and for alternation
+    on the set's hexagons.
 
     Raises:
         GraphError: if a face id is not a hexagon or two hexagons intersect.
@@ -143,29 +146,27 @@ def is_resonant_pattern(
     ids = _check_hexagon_set(f, hexagon_ids)
     if not _resonant(f, ids):
         return None
-    dropped = [v for h in ids for v in f.faces[h].vertices]
-    sub = delete_vertices(f, dropped)
-    rest = maximum_matching(sub)
-    if 2 * rest.size != sub.n:
-        raise RuntimeError(
-            f"hexagons {ids} were decided resonant, but the rest of the graph has "
-            f"a maximum matching of {rest.size} edges on {sub.n} vertices"
-        )
-    edges = {
-        (a, b) if a < b else (b, a)
-        for u, v in rest.edges
-        for a, b in [(sub.to_parent(u), sub.to_parent(v))]
-    }
+    excluded = [False] * f.n
+    for h in ids:
+        for v in f.faces[h].vertices:
+            excluded[v] = True
+    mate = kernels.mate_array(f.n, f.graph.rotation, excluded)
+    edges = {(v, w) for v, w in enumerate(mate) if v < w}
     for h in ids:
         b = f.faces[h].boundary
         for i in (0, 2, 4):
             u, v = b[i], b[i + 1]
             edges.add((u, v) if u < v else (v, u))
     cert = Matching(frozenset(edges), f)
-    missing = set(ids) - set(alternating_faces(f, cert))
+    if 2 * cert.size != f.n or len(cert.covered()) != f.n:
+        raise RuntimeError(
+            f"hexagons {ids} were decided resonant, but the certificate built from "
+            f"a maximum matching of the rest covers {len(cert.covered())} of {f.n} vertices"
+        )
+    missing = [h for h in ids if not face_alternates(f.faces[h], cert)]
     if missing:
         raise RuntimeError(
-            f"the certificate for {ids} does not alternate on hexagons {sorted(missing)}"
+            f"the certificate for {ids} does not alternate on hexagons {missing}"
         )
     return ResonantPattern(ids, cert)
 
@@ -301,16 +302,12 @@ def find_g_star(f: FullereneGraph) -> GStarWitness | None:
     isolates v, so they witness a non-resonant 3-set.  Vertices are scanned
     in ascending order; the first hit is returned.
     """
+    g = f.graph
     for v in range(f.n):
-        opposite = []
-        ok = True
-        for w in f.graph.neighbors(v):
-            fid = _face_avoiding(f, w, v)
-            if fid is None or not f.is_hexagon(fid):
-                ok = False
-                break
-            opposite.append(fid)
-        if not ok:
+        # The face along (w, x), x the neighbour before v at w, turns at w
+        # between the two edges other than wv; faces have no chords, so it misses v.
+        opposite = [f.faces.face_of_arc((w, g.cw_prev(v, w))) for w in g.neighbors(v)]
+        if not all(f.is_hexagon(fid) for fid in opposite):
             continue
         a, b, c = (f.faces[x].vertices for x in opposite)
         if a & b or a & c or b & c:
@@ -321,16 +318,6 @@ def find_g_star(f: FullereneGraph) -> GStarWitness | None:
             raise RuntimeError(f"G* witness {witness} isolates vertex {v} but was decided resonant")
         return witness
     return None
-
-
-def _face_avoiding(f: FullereneGraph, at: int, avoid: int) -> int | None:
-    """The unique face incident with ``at`` that misses ``avoid``."""
-    found = None
-    for fid in f.faces.faces_at(at):
-        if avoid not in f.faces[fid].vertices:
-            assert found is None
-            found = fid
-    return found
 
 
 def hexagon_dichotomy_report(f: FullereneGraph) -> tuple[HexagonReport, ...]:

@@ -88,3 +88,32 @@ def count_disjoint_hexagon_sets(hexagon_vertex_sets: list[frozenset[int]], k: in
         if ok:
             total += 1
     return total
+
+
+def leapfrog_provenance(
+    adj: list[list[int]],
+    face_boundaries: list[list[int]],
+    image_face_vertex_sets: list[frozenset[int]],
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Classify leapfrog image faces by vertex-set identity.
+
+    Image vertex i is the i-th arc of the original graph in sorted order.  A
+    heritable image face consists of the arcs of one original face's
+    boundary cycle, a fresh one of the six arcs touching one original
+    vertex.  Returns (image face -> original face, image face -> vertex).
+    """
+    arcs = sorted((v, w) for v in range(len(adj)) for w in adj[v])
+    index = {a: i for i, a in enumerate(arcs)}
+    by_vertex_set: dict[frozenset[int], tuple[str, int]] = {}
+    for fid, cycle in enumerate(face_boundaries):
+        key = frozenset(index[(cycle[i], cycle[(i + 1) % len(cycle)])] for i in range(len(cycle)))
+        by_vertex_set[key] = ("heritable", fid)
+    for v in range(len(adj)):
+        key = frozenset(index[a] for w in adj[v] for a in ((v, w), (w, v)))
+        by_vertex_set[key] = ("fresh", v)
+    heritable: dict[int, int] = {}
+    fresh: dict[int, int] = {}
+    for fid, vertex_set in enumerate(image_face_vertex_sets):
+        kind, ref = by_vertex_set[vertex_set]
+        (heritable if kind == "heritable" else fresh)[fid] = ref
+    return heritable, fresh

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -152,6 +153,35 @@ def test_leapfrog_outputs(f24_file, tmp_path):
     p = json.loads(prov.read_text())
     assert len(p["heritable"]) == 14
     assert len(p["fresh"]) == 24
+
+
+# SHA-256 of the image, M0 and provenance files written by
+# ``leapfrog -o/--emit-matching/--provenance``, concatenated, on each catalog
+# graph's emitted file.  Recorded before provenance was read off the arc
+# construction; the outputs must not change.
+LEAPFROG_OUTPUT_DIGESTS = {
+    "F20": "dad243a87073f0db610a9ad6843326a05a5e863d916613a6e5cd52f7ef7851ce",
+    "F24": "d2b7f7957200b5aba138926eb0dfa96eefcc9e5aa284aac90acc494b94f149cf",
+    "F28": "b86ca1ba64ff8d86a97c36682ed7f2a6b93233c3198c401c34d4caea6ce67bf2",
+    "F30": "7a902cd77fc0c0fa709eb3b4b2f1d6efb49ac721bee84e38561508f6789cb09b",
+    "F32": "3c208b8850532e160e662244d769c8e921e77032efdd662ada0a28b591377f78",
+    "F36_1": "7964d5464da2cf6d85de9d0c2c91dd11eba644ae78701b28805f6eb9468456ef",
+    "F36_2": "4a96ba6db641bab1f734aec0cdec47c66b850d6970809b1daf1a0a3fff3f5c8b",
+    "F40": "771aa0e906dae149b250227698bbf9e965808e6770692ecdeb40271b9efebecc",
+    "F48": "a3e8d2b5f6e12dbbd817ac3ae6a32f440acd0c8b87f331028791ce62d6038dd6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEAPFROG_OUTPUT_DIGESTS))
+def test_leapfrog_outputs_pinned(name, tmp_path):
+    src = tmp_path / "in.rot"
+    assert run(["catalog", "emit", name, "-o", str(src)]) == 0
+    paths = [tmp_path / "image.rot", tmp_path / "m0.txt", tmp_path / "prov.json"]
+    argv = ["leapfrog", str(src), "-o", str(paths[0])]
+    argv += ["--emit-matching", str(paths[1]), "--provenance", str(paths[2])]
+    assert run(argv) == 0
+    digest = hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+    assert digest == LEAPFROG_OUTPUT_DIGESTS[name]
 
 
 def test_rings_json(tmp_path, capsys):

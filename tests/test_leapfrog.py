@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+from itertools import combinations
+
 import pytest
+
+from oracles import leapfrog_provenance
 
 from resonantk.errors import GraphError
 from resonantk.leapfrog import leapfrog, territory, two_resonance_certificate
@@ -57,6 +63,18 @@ def test_heritable_faces_partition_vertices(lf20):
     assert seen == set(range(lf20.image.n))
 
 
+def test_provenance_matches_vertex_set_oracle(graphs):
+    for name, f in graphs.items():
+        lf = leapfrog(f)
+        heritable, fresh = leapfrog_provenance(
+            [list(row) for row in f.graph.rotation],
+            [list(face.boundary) for face in f.faces],
+            [face.vertices for face in lf.image.faces],
+        )
+        assert lf.heritable == heritable, name
+        assert lf.fresh == fresh, name
+
+
 def test_territory_ring(lf20):
     some_heritable = min(lf20.heritable)
     t = territory(lf20, some_heritable)
@@ -66,6 +84,16 @@ def test_territory_ring(lf20):
     fresh_id = min(lf20.fresh)
     with pytest.raises(GraphError):
         territory(lf20, fresh_id)
+
+
+def test_territory_rejects_ring_face_missing_from_fresh(lf20):
+    center = min(lf20.heritable)
+    ring = territory(lf20, center).ring
+    broken = dataclasses.replace(
+        lf20, fresh={k: v for k, v in lf20.fresh.items() if k != ring[0]}
+    )
+    with pytest.raises(RuntimeError, match="not fresh"):
+        territory(broken, center)
 
 
 def test_certificates_for_all_disjoint_pairs(lf20):
@@ -125,3 +153,25 @@ def test_leapfrog_of_leapfrog(graphs):
     lf2 = leapfrog(leapfrog(graphs["F20"]).image)
     assert lf2.image.n == 180
     assert len(lf2.image.pentagon_ids) == 12
+
+
+# SHA-256 over "a b: sorted certificate edges" lines for every disjoint
+# hexagon pair (a, b) of each leapfrog image, in combinations order.
+# Recorded before certificates were checked on their two targets only; the
+# certificates must not change.
+CERTIFICATE_DIGESTS = {
+    "F20": "ee2905b1a8929479219327323e4be2c51e3218d36a4c4f6df924040c0f7be842",
+    "F24": "4033c67f3fec31cbdb0d0c9200b3b0961be5b8f2a4cb8556137dc593a1120914",
+    "F28": "33750f4e9bd17954945171c76534e79d676d1532e3843cd34a9928d560c89b63",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_DIGESTS))
+def test_two_resonance_certificates_pinned(graphs, name):
+    lf = leapfrog(graphs[name])
+    faces = lf.image.faces
+    h = hashlib.sha256()
+    for a, b in combinations(lf.image.hexagon_ids, 2):
+        if not faces[a].vertices & faces[b].vertices:
+            h.update(f"{a} {b}: {sorted(two_resonance_certificate(lf, a, b).edges)}\n".encode())
+    assert h.hexdigest() == CERTIFICATE_DIGESTS[name]

@@ -12,6 +12,8 @@ from oracles import count_disjoint_hexagon_sets, resonant_by_brute_force
 from resonantk import kernels, matching
 from resonantk.catalog import catalog_graph, nanotube
 from resonantk.errors import GraphError, GuardExceeded
+from resonantk.matching import maximum_matching
+from resonantk.plane_graph import delete_vertices
 from resonantk.resonance import (
     ALL,
     clar,
@@ -58,6 +60,28 @@ def test_is_resonant_certificate_alternates(graphs):
     cycle = f.faces[h].boundary
     hits = sum(1 for i in range(6) if (cycle[i], cycle[(i + 1) % 6]) in m)
     assert hits == 3
+
+
+def test_resonant_certificate_matches_subgraph_construction(graphs):
+    # Reference: match the vertex-deleted subgraph on its own, map the edges
+    # back to parent ids and close each hexagon with its boundary edges 0, 2, 4.
+    for name, f in graphs.items():
+        if f.n > 48:
+            continue
+        for k in (1, 2):
+            for ids in disjoint_hexagon_sets(f, k):
+                pat = is_resonant_pattern(f, ids)
+                if pat is None:
+                    continue
+                sub = delete_vertices(f, [v for h in ids for v in f.faces[h].vertices])
+                edges = {
+                    tuple(sorted((sub.to_parent(u), sub.to_parent(v))))
+                    for u, v in maximum_matching(sub).edges
+                }
+                for h in ids:
+                    b = f.faces[h].boundary
+                    edges |= {tuple(sorted((b[i], b[i + 1]))) for i in (0, 2, 4)}
+                assert pat.matching.edges == edges, (name, ids)
 
 
 def test_is_resonant_rejections(graphs):
