@@ -74,7 +74,7 @@ def _adjacency(x: object) -> tuple[int, Sequence[Sequence[int]]]:
     """Vertex count and adjacency lists for any supported graph form.
 
     Stored graphs pass their own adjacency tuples through; a caller-supplied
-    sequence is copied and its vertex ids are range-checked.
+    sequence is copied and its vertex ids are checked to be integers in range.
     """
     if isinstance(x, FullereneGraph):
         x = x.graph
@@ -83,10 +83,15 @@ def _adjacency(x: object) -> tuple[int, Sequence[Sequence[int]]]:
     if isinstance(x, Subgraph):
         return x.n, x.adj
     if isinstance(x, Sequence):
-        adj = [list(row) for row in x]
-        n = len(adj)
-        for v, row in enumerate(adj):
-            for w in row:
+        n = len(x)
+        adj = []
+        for v, row in enumerate(x):
+            if not isinstance(row, Iterable):
+                raise GraphError(f"adjacency row {v} is {row!r}, not a sequence of vertex ids")
+            adj.append(list(row))
+            for w in adj[v]:
+                if not isinstance(w, int):
+                    raise GraphError(f"adjacency row {v} lists {w!r}, not an integer vertex id")
                 if not 0 <= w < n:
                     raise GraphError(f"adjacency row {v} lists vertex {w} outside 0..{n - 1}")
         return n, adj

@@ -17,6 +17,7 @@ edge-connectivity check.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -389,12 +390,16 @@ def delete_vertices(g: EmbeddedGraph | FullereneGraph, drop: Iterable[int]) -> S
     return Subgraph(g, kept, adj)
 
 
-def is_bipartite(s: Subgraph | EmbeddedGraph) -> tuple[bool, tuple[int, ...] | None]:
+def is_bipartite(
+    s: Subgraph | EmbeddedGraph | FullereneGraph,
+) -> tuple[bool, tuple[int, ...] | None]:
     """Two-colourability plus an odd-cycle witness.
 
     Returns ``(True, None)`` or ``(False, cycle)`` where ``cycle`` is an
     odd vertex cycle in parent ids (for subgraphs) or the graph's own ids.
     """
+    if isinstance(s, FullereneGraph):
+        s = s.graph
     if isinstance(s, EmbeddedGraph):
         n, adj, labels = s.n, s.rotation, range(s.n)
     else:
@@ -460,46 +465,66 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
     orientation. The code is the lexicographic minimum over all starts. Two
     graphs get equal codes iff some sphere homeomorphism (orientation
     preserving or reversing) maps one embedding onto the other.
+
+    Each candidate is compared with the best code so far as its labels are
+    produced. It is dropped at the first vertex whose three labels are larger
+    than the best code's at that position; once they are smaller, comparing
+    stops and the candidate is finished as the new best. Every candidate has
+    3n labels, so this is the exact minimum.
+
+    Encoding: for n <= 255 the byte n, then one byte per label. For larger n
+    a 0x00 marker (a one-byte code never starts with 0), n as two bytes, then
+    two bytes per label, all big-endian so byte order is numeric order.
+
+    Raises:
+        GuardExceeded: if the graph has more than 65,535 vertices, which two
+            bytes per label cannot hold.
     """
     base = g.graph if isinstance(g, FullereneGraph) else g
     n = base.n
-    if n > 255:
-        raise GuardExceeded(f"canonical code supports at most 255 vertices, got {n}")
+    if n > 0xFFFF:
+        raise GuardExceeded(f"canonical code supports at most 65535 vertices, got {n}")
     rotation = base.rotation
-    best: bytes | None = None
-    for u in range(n):
-        for v in rotation[u]:
-            for direction in (1, -1):
-                code = _code_from(rotation, n, u, v, direction)
-                if best is None or code < best:
-                    best = code
+    best: list[tuple[int, int, int]] | None = None
+    for direction in (1, -1):
+        # the two neighbours after each entry, in this orientation
+        if direction == 1:
+            after = [{a: (b, c), b: (c, a), c: (a, b)} for a, b, c in rotation]
+        else:
+            after = [{a: (c, b), b: (a, c), c: (b, a)} for a, b, c in rotation]
+        for u in range(n):
+            for v in rotation[u]:
+                label = [-1] * n
+                label[u] = 0
+                label[v] = 1
+                order = [(u, v), (v, u)]  # (vertex, entry neighbour) by label
+                code: list[tuple[int, int, int]] = []
+                tied = best is not None
+                for w, e in order:
+                    x1, x2 = after[w][e]
+                    l1 = label[x1]
+                    if l1 < 0:
+                        l1 = label[x1] = len(order)
+                        order.append((x1, w))
+                    l2 = label[x2]
+                    if l2 < 0:
+                        l2 = label[x2] = len(order)
+                        order.append((x2, w))
+                    triple = (label[e], l1, l2)
+                    if tied:
+                        other = best[len(code)]
+                        if triple > other:
+                            break
+                        tied = triple == other
+                    code.append(triple)
+                else:
+                    if not tied:
+                        best = code
     assert best is not None
-    return bytes([n]) + best
-
-
-def _code_from(
-    rotation: tuple[tuple[int, int, int], ...], n: int, u: int, v: int, direction: int
-) -> bytes:
-    label = [-1] * n
-    entry = [-1] * n
-    order = [u]
-    label[u] = 0
-    entry[u] = v
-    out = bytearray()
-    i = 0
-    while i < len(order):
-        w = order[i]
-        i += 1
-        ring = rotation[w]
-        k = ring.index(entry[w])
-        for j in range(3):
-            x = ring[(k + direction * j) % 3]
-            if label[x] < 0:
-                label[x] = len(order)
-                entry[x] = w
-                order.append(x)
-            out.append(label[x])
-    return bytes(out)
+    labels = [x for triple in best for x in triple]
+    if n <= 255:
+        return bytes([n, *labels])
+    return b"\0" + struct.pack(f">{len(labels) + 1}H", n, *labels)
 
 
 # ---------------------------------------------------------------------------

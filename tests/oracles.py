@@ -117,3 +117,41 @@ def leapfrog_provenance(
         kind, ref = by_vertex_set[vertex_set]
         (heritable if kind == "heritable" else fresh)[fid] = ref
     return heritable, fresh
+
+
+def canonical_code_by_full_build(rotation: list[tuple[int, int, int]]) -> bytes:
+    """The plane canonical code as the minimum over every candidate built in full.
+
+    One candidate per directed start arc and orientation: breadth-first
+    labels in discovery order, each vertex giving its three neighbour labels
+    from its entry arc onward.  Encoded as the byte n and one byte per label
+    up to 255 vertices, else a 0x00 marker, then n and every label as two
+    big-endian bytes.
+    """
+    n = len(rotation)
+    best: list[int] | None = None
+    for u in range(n):
+        for v in rotation[u]:
+            for direction in (1, -1):
+                label = [-1] * n
+                entry = [-1] * n
+                label[u] = 0
+                entry[u] = v
+                order = [u]
+                code: list[int] = []
+                for w in order:
+                    ring = rotation[w]
+                    k = ring.index(entry[w])
+                    for j in range(3):
+                        x = ring[(k + direction * j) % 3]
+                        if label[x] < 0:
+                            label[x] = len(order)
+                            entry[x] = w
+                            order.append(x)
+                        code.append(label[x])
+                if best is None or code < best:
+                    best = code
+    assert best is not None
+    if n <= 255:
+        return bytes([n, *best])
+    return b"\0" + b"".join(x.to_bytes(2, "big") for x in [n, *best])

@@ -155,6 +155,17 @@ def test_leapfrog_outputs(f24_file, tmp_path):
     assert len(p["fresh"]) == 24
 
 
+def test_leapfrog_past_255_vertices(tmp_path, capsys):
+    # the source identity line needs the two-byte canonical code
+    tube = tmp_path / "tube.rot"
+    image = tmp_path / "image.rot"
+    assert run(["nanotube", "--cap", "r6", "--rings", "25", "-o", str(tube)]) == 0
+    assert validate_fullerene(parse_graph(tube.read_text())).n == 324
+    assert run(["leapfrog", str(tube), "-o", str(image)]) == 0
+    assert validate_fullerene(parse_graph(image.read_text())).n == 972
+    assert "source identity: " in image.read_text()
+
+
 # SHA-256 of the image, M0 and provenance files written by
 # ``leapfrog -o/--emit-matching/--provenance``, concatenated, on each catalog
 # graph's emitted file.  Recorded before provenance was read off the arc

@@ -34,6 +34,20 @@ def _adj_from_edges(n, edges):
     return [sorted(a) for a in adj]
 
 
+@pytest.mark.parametrize(
+    "adj, message",
+    [
+        ("ab", "'a', not an integer vertex id"),
+        ([[1.0], [0]], "1.0, not an integer vertex id"),
+        ([1, 0], "row 0 is 1, not a sequence"),
+        ([[1], [2]], "vertex 2 outside 0..1"),
+    ],
+)
+def test_adjacency_rows_must_list_integer_ids(adj, message):
+    with pytest.raises(GraphError, match=message):
+        maximum_matching(adj)
+
+
 def test_paths_and_cycles():
     path4 = _adj_from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert maximum_matching(path4).size == 2

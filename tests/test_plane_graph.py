@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resonantk.errors import GraphError, NotFullereneError
+from resonantk.errors import GraphError, GuardExceeded, NotFullereneError
 from resonantk.plane_graph import (
     EmbeddedGraph,
     canonical_code,
@@ -110,15 +111,28 @@ def _reflect(g: EmbeddedGraph) -> EmbeddedGraph:
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_canonical_code_relabelling_invariant(rng):
-    from resonantk.catalog import catalog_graph
+def _shuffled(g: EmbeddedGraph, seed: int) -> EmbeddedGraph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return _relabel(g, perm)
 
-    f = catalog_graph("F24").graph
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["F20", "F24", "C60", "R6_3"]),
+    st.randoms(use_true_random=False),
+    st.booleans(),
+)
+def test_canonical_code_relabelling_invariant(name, rng, mirror):
+    from resonantk.catalog import catalog_graph, nanotube
+
+    f = nanotube("R6", 3) if name == "R6_3" else catalog_graph(name).graph
     perm = list(range(f.n))
     rng.shuffle(perm)
-    assert canonical_code(_relabel(f.graph, perm)) == canonical_code(f)
+    g = _relabel(f.graph, perm)
+    if mirror:
+        g = _reflect(g)
+    assert canonical_code(g) == canonical_code(f)
 
 
 def test_canonical_code_reflection_invariant(graphs):
@@ -130,6 +144,108 @@ def test_canonical_code_reflection_invariant(graphs):
 def test_canonical_code_separates_isomers(graphs):
     assert canonical_code(graphs["F36_1"]) != canonical_code(graphs["F36_2"])
     assert len({canonical_code(graphs[n]) for n in graphs}) == len(graphs)
+
+
+@pytest.fixture(scope="module")
+def coded(graphs):
+    """Catalog graphs, their leapfrog images, R5/R6 tubes k = 1..8 and
+    plane cubic non-fullerenes wound from spirals (prisms, K4, the cube and
+    three spirals mixing faces of 3 to 7 sides)."""
+    from resonantk._spiral import wind
+    from resonantk.catalog import nanotube
+    from resonantk.leapfrog import leapfrog
+
+    out = {name: f.graph for name, f in graphs.items()}
+    out.update({f"L({name})": leapfrog(f).image.graph for name, f in graphs.items()})
+    out.update({f"{cap}_{k}": nanotube(cap, k).graph for cap in ("R5", "R6") for k in range(1, 9)})
+    spirals = {f"prism{k}": [k] + [4] * k + [k] for k in range(3, 9)}
+    spirals["K4"] = [3] * 4
+    spirals["cube"] = [4] * 6
+    spirals["mixed7"] = [3, 7, 4, 4, 6, 3, 3]
+    spirals["mixed9"] = [7, 5, 3, 6, 3, 5, 4, 4, 5]
+    spirals["mixed10"] = [5, 3, 6, 6, 6, 5, 5, 4, 5, 3]
+    for name, seq in spirals.items():
+        g = wind(seq)
+        assert g is not None, name
+        out[name] = g
+    return out
+
+
+def test_canonical_code_matches_full_build(coded):
+    # The full build is label-invariant by construction, so one oracle code
+    # per graph checks the pruned code under relabelling and reflection too.
+    from oracles import canonical_code_by_full_build
+
+    for seed, (name, g) in enumerate(coded.items()):
+        expected = canonical_code_by_full_build(list(g.rotation))
+        assert canonical_code(g) == expected, name
+        assert canonical_code(_shuffled(g, seed)) == expected, name
+        assert canonical_code(_reflect(g)) == expected, name
+
+
+# SHA-256 of the canonical code of each catalog graph and of its leapfrog
+# image, recorded before the code was pruned; `analyze` prints the first as
+# the graph's identity.
+IDENTITIES = {
+    "F20": ("fff0a937c7a2ee3e1ed157d626b7be55607316117457f24678ee56bea4099a99",
+            "a4198041f7d47898ec125e05262998b5d8d918e19bfa5e5d826158dc6a723e38"),
+    "F24": ("556c45e9e38037d7fbe3acbc2213533a41b242299ccd7ed80976df76aca03017",
+            "719e8a8c15c02c9abf2a1704194356442d9c57d7244bfce313f79ac5a9de785a"),
+    "F28": ("85881b11e5e4cab510b960ace92eccf02dc0c667a67493c6a346dde5fceda1ff",
+            "22dd2c0659e5ec0830c6d0f5fece00e520290ea2951a6c6f4ebe6c396e4727f0"),
+    "F30": ("807760b0d11b6e355748aabee65009c2b1c4c206adb7c55327e635379f2f1cab",
+            "f9027b98e0964f800c999705a541461f79e34c15ccb3cf86fb050d0232ab31e2"),
+    "F32": ("ae953fbb80c8515de6a60e7f517444d99c242719fe6a149808ee23cf93f6b07c",
+            "0ecd95fd520213542240fdb483a1d9a4cffda44b5adbaad6c0d65532b1871754"),
+    "F36_1": ("ae0455760a63eabf1b1244d4d53afef4ef6a50ce478a20950669ae6f582b215b",
+              "1eed5e3d993ef08b2d1a686f55c2ecde2e0d75bc5bb7b07d1c23b660cce2c752"),
+    "F36_2": ("7414825d902605c153485f17c079a05d23830c00f2d12d00f4316c45000b4bc9",
+              "77e25ca43b442649a955c8804fd3db30f85e39ad6a3e9f6ed40f087373260e0d"),
+    "F40": ("67e04d86eae9d7b4930147f2d3af77d0578a87921ba37ed1bc0bbc24c585199e",
+            "eacff95b65096b114f11dcedce09c485f51fa7174053547fb1b742e8fe0e4cb2"),
+    "F48": ("a99c394c5ba0a566f4cd25716938162c6ca9b2350f71b2f946a303954bc6258c",
+            "8f5bd7aa093655fc01f6bc329754830b809c30312330f4847c5e3327d27c72df"),
+    "C60": ("a4198041f7d47898ec125e05262998b5d8d918e19bfa5e5d826158dc6a723e38",
+            "e7f88839281e916c3e8101224600c00d6b115d434542d7b8767283eca04d74be"),
+    "C70": ("6509768c434dedc042d935811e3404408aa30634e2cb31d6ff54c9ede25b6095",
+            "79b07f103df0d9dca696b10e8e404e1445ce44fccfdc6daf53caedf45e72ea41"),
+}
+
+
+def test_canonical_code_identities_frozen(graphs, coded):
+    assert set(IDENTITIES) == set(graphs)
+    for name, (own, image) in IDENTITIES.items():
+        assert hashlib.sha256(canonical_code(coded[name])).hexdigest() == own, name
+        assert hashlib.sha256(canonical_code(coded[f"L({name})"])).hexdigest() == image, name
+
+
+@pytest.fixture(scope="module")
+def wide(graphs):
+    """Graphs past the one-byte code: R6_25 and the second leapfrog images of
+    the two 36-vertex catalog isomers, 324 vertices each."""
+    from resonantk.catalog import nanotube
+    from resonantk.leapfrog import leapfrog
+
+    out = {"R6_25": nanotube("R6", 25).graph}
+    for name in ("F36_1", "F36_2"):
+        out[f"L2({name})"] = leapfrog(leapfrog(graphs[name]).image).image.graph
+    assert {g.n for g in out.values()} == {324}
+    return out
+
+
+def test_canonical_code_past_255_vertices(wide):
+    for seed, (name, g) in enumerate(wide.items()):
+        code = canonical_code(g)
+        # marker, then n and 3n labels as two big-endian bytes each
+        assert code[:3] == b"\x00\x01\x44" and len(code) == 1 + 2 * (1 + 3 * 324), name
+        labels = [int.from_bytes(code[i : i + 2], "big") for i in range(3, len(code), 2)]
+        assert labels[:3] == [1, 2, 3] and max(labels) == 323, name
+        assert canonical_code(_shuffled(g, seed)) == code, name
+        assert canonical_code(_reflect(g)) == code, name
+    assert canonical_code(wide["L2(F36_1)"]) != canonical_code(wide["L2(F36_2)"])
+    assert canonical_code(wide["R6_25"]) != canonical_code(wide["L2(F36_1)"])
+    with pytest.raises(GuardExceeded, match="65535"):
+        canonical_code(EmbeddedGraph(((1, 2, 3),) * 65536))
 
 
 def test_validate_fullerene_rejects_k4():
@@ -156,6 +272,15 @@ def test_delete_vertices_and_bipartite(graphs):
     assert odd is not None and len(odd) % 2 == 1
     whole, cyc = is_bipartite(f.graph)
     assert not whole and cyc is not None  # odd faces force odd cycles
+
+
+def test_is_bipartite_accepts_a_fullerene(graphs):
+    f = graphs["F24"]
+    ok, cycle = is_bipartite(f)
+    assert not ok and cycle is not None and len(cycle) % 2 == 1
+    assert len(set(cycle)) == len(cycle)
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert b in f.graph.rotation[a]
 
 
 def test_cyclic_edge_connectivity(graphs):

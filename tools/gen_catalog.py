@@ -37,7 +37,7 @@ from resonantk.rings_fragments import (  # noqa: E402
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "resonantk", "data")
 
 # published fullerene isomer tallies for the orders searched here
-KNOWN_COUNTS = {20: 1, 24: 1, 28: 2, 30: 3, 32: 6, 36: 15}
+KNOWN_COUNTS = {20: 1, 22: 0, 24: 1, 26: 1, 28: 2, 30: 3, 32: 6, 36: 15}
 
 
 def search_isomers(n: int) -> list[tuple[bytes, list[int]]]:
