@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Union
 
 from ._spiral import wind
-from .errors import GraphError
+from .errors import GraphError, check_int
 from .plane_graph import FullereneGraph, parse_graph, validate_fullerene
 from .resonance import ALL, resonance_order, sextet
 from .rings_fragments import tau
@@ -118,16 +118,13 @@ def nanotube(cap: str, hex_rings: int) -> FullereneGraph:
     caps; vertex count is 20 + 10k (R5) or 24 + 12k (R6).
 
     Raises:
-        GraphError: on an unknown cap or non-positive ring count.
+        GraphError: on an unknown cap or a ring count that is not an
+            integer >= 1.
     """
     kind = cap.upper()
     if kind not in ("R5", "R6"):
         raise GraphError(f"unknown cap {cap!r}; expected R5 or R6")
-    if not isinstance(hex_rings, int) or hex_rings < 1:
-        raise GraphError(
-            f"hex_rings must be a positive integer, got {hex_rings!r} "
-            "(the ring-free cases are the catalog graphs F20 and F24)"
-        )
+    check_int("hex_rings", hex_rings, 1)
     if kind == "R5":
         seq = [5] + [5] * 5 + [6] * (5 * hex_rings) + [5] * 5 + [5]
         expected_n = 20 + 10 * hex_rings

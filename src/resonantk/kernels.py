@@ -1,6 +1,7 @@
 """Computational kernels.
 
-The hot primitives used throughout the package:
+The hot primitives used throughout the package, and one brute force kept
+for the tests:
 
 * ``mate_array`` — maximum matching on a general graph (blossom contraction),
   with an optional excluded-vertex mask so callers can test matchings of
@@ -12,7 +13,10 @@ The hot primitives used throughout the package:
 * ``perfect_matchings`` — exhaustive perfect-matching enumeration by
   backtracking on the lowest unmatched vertex.
 * ``has_small_cyclic_cut`` — brute force over small edge subsets looking for a
-  cut that separates two cycle-containing components.
+  cut that separates two cycle-containing components.  The library no longer
+  calls it: ``plane_graph.verify_cyclic_edge_connectivity`` reads cuts off
+  dual cycles.  It stays as the tests' oracle for that check, under this
+  name, which the tracer in ``perfbench/spans.py`` looks up.
 
 All are deterministic: they scan vertices in ascending id and each
 vertex's neighbours in the order the caller lists them (callers pass rotation

@@ -21,7 +21,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from . import kernels
-from .errors import GraphError, GuardExceeded
+from .errors import GraphError, GuardExceeded, check_int
 from .plane_graph import Edge, EmbeddedGraph, Face, FullereneGraph, Subgraph
 
 DEFAULT_PM_CAP = 10**6
@@ -243,20 +243,19 @@ def resolve_pm_cap(cap: int | None = None) -> int:
 
     Priority: explicit argument, then the RESONANTK_PM_CAP environment
     variable, then the built-in default.
+
+    Raises:
+        GraphError: if the cap in use is not an integer >= 1.
     """
     if cap is not None:
-        if cap < 1:
-            raise GraphError(f"perfect matching cap must be positive, got {cap}")
-        return cap
+        return check_int("perfect matching cap", cap, 1)
     raw = os.environ.get(_PM_CAP_ENV)
     if raw:
         try:
             value = int(raw)
         except ValueError:
             raise GraphError(f"{_PM_CAP_ENV} must be an integer, got {raw!r}") from None
-        if value < 1:
-            raise GraphError(f"{_PM_CAP_ENV} must be positive, got {value}")
-        return value
+        return check_int(_PM_CAP_ENV, value, 1)
     return DEFAULT_PM_CAP
 
 

@@ -11,8 +11,11 @@ then certifies a sphere embedding.
 The module provides parsing/serialisation of the ``.rot`` text format,
 face tracing, fullerene validation, vertex deletion (induced subgraphs),
 bipartiteness with an odd-cycle witness, a canonical code deciding
-plane-isomorphism (reflections included), and a brute-force cyclic
-edge-connectivity check.
+plane-isomorphism (reflections included), and a cyclic edge-connectivity
+check.  That check reads cuts off short dual cycles: a graph has a cyclic
+cut of fewer than k edges exactly when its dual has a cycle of some length
+l < k with at least l vertices on each side.  It costs O(n) for each fixed
+k and has no size guard.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GraphError, GuardExceeded, NotFullereneError
-from . import kernels
+from .errors import GraphError, GuardExceeded, NotFullereneError, check_int
 
 Arc = tuple[int, int]
 Edge = tuple[int, int]
@@ -533,20 +535,84 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
 
 
 def verify_cyclic_edge_connectivity(g: EmbeddedGraph | FullereneGraph, k: int = 4) -> bool:
-    """Brute-force check that no edge cut of size < k separates two cycles.
+    """Whether no edge cut of fewer than k edges separates two cycles.
 
     True iff the graph is cyclically k-edge connected: removing any fewer than
-    k edges never leaves two components that each contain a cycle. Desk-scale
-    only.
+    k edges never leaves two components that each contain a cycle.
+
+    A smallest such cut is a bond (a minimal cut, both sides connected), and
+    the bonds of a connected plane graph are exactly the cycles of its dual.
+    A side with t vertices and l cut edges has (3t - l)/2 edges, so it holds
+    a cycle exactly when t >= l.  The check therefore walks dual cycles of
+    length l = 1, 2, ..., k - 1 and tests both sides of each with flood fills
+    that stop at l vertices; it stops at the first cut.  For each fixed k
+    this costs O(n), on any number of vertices.
 
     Raises:
-        GuardExceeded: if the graph has more than 100 vertices or k > 4.
+        GraphError: if k is not an integer.
     """
-    base = g.graph if isinstance(g, FullereneGraph) else g
-    if base.n > 100:
-        raise GuardExceeded(f"cyclic connectivity guard: {base.n} vertices exceeds the 100-vertex cap")
-    if k > 4:
-        raise GuardExceeded(f"cyclic connectivity guard: k={k} exceeds the brute-force bound 4")
-    if k <= 1:
-        return True
-    return not kernels.has_small_cyclic_cut(base.n, base.edges(), k - 1)
+    check_int("k", k)
+    if isinstance(g, FullereneGraph):
+        rotation, fs = g.graph.rotation, g.faces
+    else:
+        rotation, fs = g.rotation, faces(g)
+    for l in range(1, min(k - 1, len(fs)) + 1):
+        for root in range(len(fs)):
+            if _short_cyclic_cut(rotation, fs, root, l):
+                return False
+    return True
+
+
+def _short_cyclic_cut(
+    rotation: Sequence[tuple[int, int, int]], fs: FaceSet, root: int, l: int
+) -> bool:
+    """Whether some dual cycle of length l, with least face ``root``, is a cyclic cut.
+
+    A depth-first walk grows a path of distinct faces from ``root``, each
+    across an edge of the last one; the crossed edges are distinct and form
+    the cut.  A path of l faces closes back onto ``root``, so a loop (a
+    bridge) closes at l = 1 and two faces that share two edges at l = 2.
+    """
+    path = [root]
+    cut: list[Edge] = []
+    # One iterator per face of the path over its (edge, face across) pairs.
+    stack = [zip(fs[root].boundary_edges(), fs.across(root))]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            path.pop()
+            if cut:
+                cut.pop()
+            continue
+        e, x = step
+        if e in cut:
+            continue
+        if x == root:
+            if len(path) == l:
+                edges = {*cut, e}
+                if _side_reaches(rotation, edges, e[0], l) and _side_reaches(rotation, edges, e[1], l):
+                    return True
+        elif x > root and len(path) < l and x not in path:
+            # the last face of the path must close onto the root
+            if len(path) == l - 1 and root not in fs.across(x):
+                continue
+            path.append(x)
+            cut.append(e)
+            stack.append(zip(fs[x].boundary_edges(), fs.across(x)))
+    return False
+
+
+def _side_reaches(
+    rotation: Sequence[tuple[int, int, int]], cut: set[Edge], start: int, size: int
+) -> bool:
+    """Whether the side of ``cut`` that holds ``start`` has at least ``size`` vertices."""
+    seen = {start}
+    stack = [start]
+    while stack and len(seen) < size:
+        v = stack.pop()
+        for w in rotation[v]:
+            if w not in seen and ((v, w) if v < w else (w, v)) not in cut:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) >= size

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from . import kernels, matching
-from .errors import GraphError
+from .errors import GraphError, check_int
 from .matching import (
     Matching,
     alternating_faces,
@@ -279,7 +279,12 @@ def resonance_order(f: FullereneGraph, max_k: int | None = None) -> OrderReport:
     sweep with order "ALL" (every later size is empty too).  The first
     non-resonant set encountered - smallest size, lexicographically first -
     is reported as the failing witness.
+
+    Raises:
+        GraphError: if ``max_k`` is given and is not an integer >= 0.
     """
+    if max_k is not None:
+        check_int("max_k", max_k, 0)
     k = 1
     while True:
         if max_k is not None and k > max_k:

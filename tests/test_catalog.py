@@ -74,8 +74,9 @@ def test_nanotube_parameter_validation():
         nanotube("R5", 0)
     with pytest.raises(GraphError):
         nanotube("R7", 1)
-    with pytest.raises(GraphError):
-        nanotube("R5", "two")
+    for rings in ("two", True, 1.0, -1):
+        with pytest.raises(GraphError, match="hex_rings"):
+            nanotube("R5", rings)
 
 
 def test_nanotube_distinct_from_catalog_isomers(graphs, tubes):

@@ -119,6 +119,18 @@ def test_scalar_commands(f24_file, capsys):
     assert capsys.readouterr().out == "none\n"
 
 
+def test_invalid_integer_limits_exit_one(f24_file, tmp_path, capsys):
+    assert run(["order", str(f24_file), "--max-k", "-1"]) == 1
+    assert "max_k must be at least 0" in capsys.readouterr().err
+    assert run(["order", str(f24_file), "--max-k", "0"]) == 0
+    assert capsys.readouterr().out == ">= 0\n"
+    for cmd in (["fries"], ["analyze", "--fries"]):
+        assert run([*cmd, str(f24_file), "--pm-cap", "0"]) == 1
+        assert "perfect matching cap must be at least 1" in capsys.readouterr().err
+    assert run(["nanotube", "--cap", "r5", "--rings", "0", "-o", str(tmp_path / "t.rot")]) == 1
+    assert "hex_rings must be at least 1" in capsys.readouterr().err
+
+
 def test_guard_exit_code(tmp_path, capsys):
     c60 = tmp_path / "c60.rot"
     run(["catalog", "emit", "C60", "-o", str(c60)])

@@ -178,6 +178,16 @@ def test_pm_cap_resolution(monkeypatch):
     assert resolve_pm_cap() == 10**6
 
 
+def test_pm_cap_must_be_an_integer(graphs):
+    from resonantk.resonance import fries
+
+    for bad in (0, 2.5, True, "5"):
+        with pytest.raises(GraphError, match="perfect matching cap"):
+            resolve_pm_cap(bad)
+    with pytest.raises(GraphError, match="perfect matching cap"):
+        fries(graphs["F20"], cap=2.5)
+
+
 def test_symmetric_difference_flips_a_face(graphs):
     f = graphs["F24"]
     m = enumerate_perfect_matchings(f)[0]

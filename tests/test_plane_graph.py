@@ -283,10 +283,96 @@ def test_is_bipartite_accepts_a_fullerene(graphs):
         assert b in f.graph.rotation[a]
 
 
+# Two K4s with one edge subdivided each, the two new vertices joined by a
+# bridge (edge 4-9).
+BRIDGED_K4S = """10
+0: 4 3 2
+1: 4 2 3
+2: 0 3 1
+3: 0 1 2
+4: 0 1 9
+5: 9 8 7
+6: 9 7 8
+7: 5 8 6
+8: 5 6 7
+9: 5 6 4
+"""
+
+# Two cubes, each without one edge, joined by edges 0-8 and 1-9 into a
+# cyclic 2-edge cut.
+JOINED_CUBES = """16
+0: 3 4 8
+1: 2 9 5
+2: 1 6 3
+3: 2 7 0
+4: 5 0 7
+5: 4 6 1
+6: 5 7 2
+7: 6 4 3
+8: 11 12 0
+9: 10 1 13
+10: 9 14 11
+11: 10 15 8
+12: 13 8 15
+13: 12 14 9
+14: 13 15 10
+15: 14 12 11
+"""
+
+
 def test_cyclic_edge_connectivity(graphs):
-    # fullerene graphs are cyclically 5-edge-connected; check no cut below 4
+    bridged, cubes = parse_graph(BRIDGED_K4S), parse_graph(JOINED_CUBES)
+    assert verify_cyclic_edge_connectivity(bridged, 1)
+    assert not verify_cyclic_edge_connectivity(bridged, 2)
+    assert verify_cyclic_edge_connectivity(cubes, 2)
+    assert not verify_cyclic_edge_connectivity(cubes, 3)
     assert verify_cyclic_edge_connectivity(graphs["F20"], 4)
     assert verify_cyclic_edge_connectivity(graphs["F24"], 4)
+
+
+def test_cyclic_connectivity_matches_brute_force(coded):
+    from resonantk.kernels import has_small_cyclic_cut
+
+    small = {name: g for name, g in coded.items() if g.n <= 40}
+    small["bridged K4s"] = parse_graph(BRIDGED_K4S)
+    small["joined cubes"] = parse_graph(JOINED_CUBES)
+    for seed, (name, g) in enumerate(small.items()):
+        shuffled = _shuffled(g, seed)
+        for k in (2, 3, 4):
+            expected = not has_small_cyclic_cut(g.n, g.edges(), k - 1)
+            assert verify_cyclic_edge_connectivity(g, k) == expected, (name, k)
+            assert verify_cyclic_edge_connectivity(shuffled, k) == expected, (name, k)
+
+
+def test_doslic_cyclic_5_edge_connectivity(graphs, coded):
+    # Every fullerene is cyclically 5-edge-connected (Doslic 2003); none is
+    # cyclically 6-edge-connected, as the five edges leaving a pentagon cut
+    # it off.  Catalog graphs go in with their faces, the rest as bare graphs.
+    from resonantk.catalog import nanotube
+
+    fullerenes = dict(graphs)
+    fullerenes.update((name, g) for name, g in coded.items() if name.startswith(("L(", "R5_", "R6_")))
+    fullerenes["R6_200"] = nanotube("R6", 200)
+    assert fullerenes["R6_200"].n == 2424
+    for name, f in fullerenes.items():
+        assert verify_cyclic_edge_connectivity(f, 5), name
+        assert not verify_cyclic_edge_connectivity(f, 6), name
+
+
+def test_cyclic_connectivity_large_k(graphs, coded):
+    # the walk stops at the first cut, and no dual cycle is longer than the
+    # face count: K4 has no cyclic cut at all, the cube one of 4 edges
+    assert verify_cyclic_edge_connectivity(coded["K4"], 10**6)
+    assert not verify_cyclic_edge_connectivity(coded["cube"], 10**6)
+    assert not verify_cyclic_edge_connectivity(graphs["F20"], 10**6)
+
+
+def test_cyclic_connectivity_rejects_non_integer_k(graphs):
+    f = graphs["F20"]
+    for k in ("4", 2.5, True):
+        with pytest.raises(GraphError, match="k must be an integer"):
+            verify_cyclic_edge_connectivity(f, k)
+    assert all(verify_cyclic_edge_connectivity(f, k) for k in (1, 0, -3))
 
 
 @pytest.fixture(scope="module")

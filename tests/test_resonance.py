@@ -16,6 +16,7 @@ from resonantk.matching import maximum_matching
 from resonantk.plane_graph import delete_vertices
 from resonantk.resonance import (
     ALL,
+    OrderReport,
     clar,
     disjoint_hexagon_sets,
     find_g_star,
@@ -141,6 +142,14 @@ def test_resonance_order_capped(graphs):
     assert rep.capped
     assert rep.order == 2
     assert rep.failing is None
+
+
+def test_resonance_order_rejects_invalid_caps(graphs):
+    f = graphs["F24"]
+    assert resonance_order(f, max_k=0) == OrderReport(0, None, capped=True)
+    for bad in (-1, 2.5, True, "2"):
+        with pytest.raises(GraphError, match="max_k"):
+            resonance_order(f, max_k=bad)
 
 
 def test_g_star_c70_frozen(graphs):
