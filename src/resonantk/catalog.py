@@ -121,6 +121,8 @@ def nanotube(cap: str, hex_rings: int) -> FullereneGraph:
         GraphError: on an unknown cap or a ring count that is not an
             integer >= 1.
     """
+    if not isinstance(cap, str):
+        raise GraphError(f"cap must be a string, R5 or R6, got {cap!r}")
     kind = cap.upper()
     if kind not in ("R5", "R6"):
         raise GraphError(f"unknown cap {cap!r}; expected R5 or R6")

@@ -18,6 +18,7 @@ from typing import Sequence
 from . import catalog as _catalog
 from .errors import GraphError, GuardExceeded
 from .leapfrog import leapfrog
+from .matching import resolve_pm_cap
 from .plane_graph import (
     FullereneGraph,
     canonical_code,
@@ -296,10 +297,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         return status
 
     if cmd == "analyze":
+        # an explicit cap is checked even when fries does not run
+        pm_cap = None if args.pm_cap is None else resolve_pm_cap(args.pm_cap)
         reports = []
         for path in args.paths:
             f = _load(path)
-            reports.append(analyze_graph(f, with_fries=args.fries, pm_cap=args.pm_cap))
+            reports.append(analyze_graph(f, with_fries=args.fries, pm_cap=pm_cap))
         if args.json:
             payload = [r.as_dict() for r in reports]
             text = _dump_json(payload[0] if len(payload) == 1 else payload)

@@ -11,6 +11,8 @@ for the tests:
   holding a matching can repair it after freeing a few vertices (the sextet
   walk in ``resonance`` does this) instead of matching from scratch.
 * ``perfect_matchings`` — exhaustive perfect-matching enumeration by
+  backtracking on the most constrained unmatched vertex, so that the search
+  does not depend on the labelling; its output keeps the order of
   backtracking on the lowest unmatched vertex.
 * ``has_small_cyclic_cut`` — brute force over small edge subsets looking for a
   cut that separates two cycle-containing components.  The library no longer
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 # perfbench/run.py records this name with every run; it is the only backend.
 BACKEND = "pure"
@@ -145,49 +147,110 @@ def perfect_matchings(
 ) -> list[tuple[int, ...]]:
     """All perfect matchings as mate tuples, stopping after limit + 1.
 
-    Backtracks on the lowest unmatched vertex, trying its unmatched
-    neighbours in the order ``adj`` lists them, so the output order is a
-    fixed lexicographic order of the pairing choices.  A result longer than
-    ``limit`` signals to the caller that the cap was exceeded.
+    Backtracks on the most constrained unmatched vertex: the one with the
+    fewest unmatched neighbours, the lowest id among those.  Matching an
+    edge lowers its endpoints' neighbours' counts, and a branch ends as soon
+    as an unmatched vertex has none left, so the search does not depend on
+    how the vertices are labelled.  Each vertex tries its unmatched
+    neighbours in the order ``adj`` lists them.
+
+    The output order is that of backtracking on the lowest unmatched vertex:
+    the matchings are sorted by their choice key, which lists, for each
+    vertex v below its mate in ascending order, the position of the mate in
+    ``adj[v]``.  That walk matches every such v by choosing from it, and two
+    matchings first differ at a common chooser, whose choice orders them.
+    A result longer than ``limit`` signals to the caller that the cap was
+    exceeded; it holds ``limit + 1`` matchings in search order.
     """
-    out: list[tuple[int, ...]] = []
     if n % 2 or limit < 0:
-        return out
+        return []
     if n == 0:
         return [()]
+    # free[v]: unmatched neighbours of v; counts[c]: the unmatched vertices
+    # with c of them.  A loop is never a matching edge, so it is dropped.
+    rows = [[u for u in row if u != v] for v, row in enumerate(adj)]
+    free = [len(row) for row in rows]
+    counts: list[set[int]] = [set() for _ in range(max(free) + 1)]
+    for v in range(n):
+        counts[free[v]].add(v)
+    if counts[0]:
+        return []
+    nonzero = counts[1:]
+    # choice[v][i]: the choice key entry of the lower end of the edge from v
+    # to rows[v][i].  key[w] holds it for every matched lower end w and -1
+    # for every upper end, so that it is a function of the matching alone.
+    pos = [{u: k for k, u in enumerate(row)} for row in adj]
+    choice = [[pos[v][u] if v < u else pos[u][v] for u in row] for v, row in enumerate(rows)]
+    # around[v][i]: the neighbours of both ends of that edge, whose counts
+    # change when it is matched or unmatched.
+    around = [[(*row, *rows[u]) for u in row] for row in rows]
+    key = [-1] * n
     mate = [-1] * n
-    # The lowest unmatched vertex v and the iterator over its remaining
-    # choices; the stack holds the same pair for every vertex matched before
-    # it, so the depth is not bounded by the interpreter's recursion limit.
-    stack: list[tuple[int, Iterator[int]]] = []
-    v = 0
-    choices = iter(adj[0])
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    # The chooser v and the index of its next choice in rows[v]; the stack
+    # holds the same pair for every chooser matched so far, so the depth is
+    # not bounded by the interpreter's recursion limit.
+    stack: list[tuple[int, int]] = []
+    v = _most_constrained(nonzero)
+    i = 0
     while True:
-        for u in choices:
-            if mate[u] < 0:
-                break
-        else:
-            if not stack:
-                return out
-            v, choices = stack.pop()
-            mate[mate[v]] = -1
-            mate[v] = -1
-            continue
-        mate[u] = v
-        mate[v] = u
-        w = v + 1
-        while w < n and mate[w] >= 0:
-            w += 1
-        if w < n:
-            stack.append((v, choices))
-            v = w
-            choices = iter(adj[w])
-            continue
-        out.append(tuple(mate))
-        if len(out) > limit:
-            return out
-        mate[u] = -1
+        row = rows[v]
+        while i < len(row) and mate[row[i]] >= 0:
+            i += 1
+        if i < len(row):
+            u = row[i]
+            mate[v] = u
+            mate[u] = v
+            counts[free[v]].remove(v)
+            counts[free[u]].remove(u)
+            if v < u:
+                key[v], key[u] = choice[v][i], -1
+            else:
+                key[u], key[v] = choice[v][i], -1
+            stack.append((v, i))
+            alive = True
+            for w in around[v][i]:
+                c = free[w]
+                free[w] = c - 1
+                if mate[w] < 0:
+                    counts[c].remove(w)
+                    counts[c - 1].add(w)
+                    if c == 1:
+                        alive = False
+            if alive:
+                w = _most_constrained(nonzero)
+                if w >= 0:
+                    v = w
+                    i = 0
+                    continue
+                found.append((tuple(key), tuple(mate)))
+                if len(found) > limit:
+                    return [m for _, m in found]
+        if not stack:
+            break
+        v, i = stack.pop()
+        u = mate[v]
+        for w in around[v][i]:
+            c = free[w]
+            free[w] = c + 1
+            if mate[w] < 0:
+                counts[c].remove(w)
+                counts[c + 1].add(w)
         mate[v] = -1
+        mate[u] = -1
+        counts[free[v]].add(v)
+        counts[free[u]].add(u)
+        i += 1
+    found.sort()
+    return [m for _, m in found]
+
+
+def _most_constrained(nonzero: list[set[int]]) -> int:
+    """The lowest vertex in the first nonempty count set, or -1 if none is."""
+    for b in nonzero:
+        if b:
+            return min(b)
+    return -1
 
 
 def has_small_cyclic_cut(

@@ -7,9 +7,12 @@ and provides the face-deletion test used throughout the resonance analysis:
 a face set is *central* when the graph minus those face vertices still has a
 perfect matching.
 
-``face_alternates`` is the one alternation test: ``alternating_faces``, the
-leapfrog 2-resonance certificate and the resonant-set certificate all decide
-through it whether a face alternates with a matching.
+``face_alternates`` is the one alternation test on a ``Matching``:
+``alternating_faces``, the leapfrog 2-resonance certificate and the
+resonant-set certificate all decide through it whether a face alternates.
+``alternating_hexagon_count`` reads the same thing off a mate array, for
+callers that score many matchings; the Fries number checks its winner with
+``alternating_faces``.
 """
 
 from __future__ import annotations
@@ -227,6 +230,22 @@ def face_alternates(face: Face, m: Matching) -> bool:
     return 2 * sum(1 for e in face.boundary_edges() if e in m.edges) == face.size
 
 
+def alternating_hexagon_count(hexagons: Iterable[Sequence[int]], mate: Sequence[int]) -> int:
+    """How many of the hexagon boundaries alternate with a perfect matching.
+
+    The matching is given by its mate array.  A hexagon b0..b5 alternates
+    exactly when it holds the edges b0b1, b2b3, b4b5 or the edges b1b2,
+    b3b4, b5b0; this is ``face_alternates`` without building a ``Matching``.
+    """
+    count = 0
+    for b0, b1, b2, b3, b4, b5 in hexagons:
+        if (mate[b0] == b1 and mate[b2] == b3 and mate[b4] == b5) or (
+            mate[b1] == b2 and mate[b3] == b4 and mate[b5] == b0
+        ):
+            count += 1
+    return count
+
+
 def alternating_faces(f: FullereneGraph, m: Matching) -> tuple[int, ...]:
     """Face ids whose boundaries alternate with a perfect matching.
 
@@ -259,8 +278,12 @@ def resolve_pm_cap(cap: int | None = None) -> int:
     return DEFAULT_PM_CAP
 
 
-def enumerate_perfect_matchings(g: object, cap: int | None = None) -> tuple[Matching, ...]:
-    """All perfect matchings, in the enumeration's deterministic order.
+def perfect_mate_tuples(g: object, cap: int | None = None) -> list[tuple[int, ...]]:
+    """All perfect matchings as mate tuples, in the enumeration's order.
+
+    The one call into ``kernels.perfect_matchings`` (made through the module,
+    so that a tracer patching it sees every call); callers that only score
+    matchings use the tuples without building ``Matching`` objects.
 
     Raises:
         GuardExceeded: if the graph has more perfect matchings than the cap
@@ -269,11 +292,25 @@ def enumerate_perfect_matchings(g: object, cap: int | None = None) -> tuple[Matc
     limit = resolve_pm_cap(cap)
     n, adj = _adjacency(g)
     if n % 2:
-        return ()
+        return []
     found = kernels.perfect_matchings(n, adj, limit)
     if len(found) > limit:
         raise GuardExceeded(
             f"perfect matching count exceeds the cap of {limit}; "
             f"raise it via the cap argument or {_PM_CAP_ENV}"
         )
-    return tuple(_matching_from_mates(mates, g) for mates in found)
+    return found
+
+
+def enumerate_perfect_matchings(g: object, cap: int | None = None) -> tuple[Matching, ...]:
+    """All perfect matchings, in the enumeration's deterministic order.
+
+    The order is that of backtracking on the lowest unmatched vertex, each
+    vertex trying its neighbours in adjacency order; it does not depend on
+    how the search itself branches.
+
+    Raises:
+        GuardExceeded: if the graph has more perfect matchings than the cap
+            (no partial results are returned).
+    """
+    return tuple(_matching_from_mates(mates, g) for mates in perfect_mate_tuples(g, cap))

@@ -23,8 +23,9 @@ from .errors import GraphError, check_int
 from .matching import (
     Matching,
     alternating_faces,
-    enumerate_perfect_matchings,
+    alternating_hexagon_count,
     face_alternates,
+    perfect_mate_tuples,
 )
 from .plane_graph import FullereneGraph, delete_vertices, is_bipartite
 
@@ -263,13 +264,30 @@ def clar(f: FullereneGraph) -> int:
 def fries(f: FullereneGraph, cap: int | None = None) -> int:
     """Largest number of alternating hexagons over all perfect matchings.
 
+    Each matching is scored from its mate array; the best one is then
+    built and checked once against ``alternating_faces``.
+
     Raises:
         GuardExceeded: if the matching count exceeds the enumeration cap.
+        RuntimeError: if the check disagrees with the score.
     """
-    best = 0
-    for m in enumerate_perfect_matchings(f, cap):
-        best = max(best, len(alternating_faces(f, m)))
-    return best
+    hexagons = [f.faces[h].boundary for h in f.hexagon_ids]
+
+    def score(mate: tuple[int, ...]) -> int:
+        return alternating_hexagon_count(hexagons, mate)
+
+    best = max(perfect_mate_tuples(f, cap), key=score, default=None)
+    if best is None:
+        return 0
+    top = score(best)
+    winner = Matching(frozenset((v, w) for v, w in enumerate(best) if v < w), f)
+    count = len(alternating_faces(f, winner))
+    if count != top:
+        raise RuntimeError(
+            f"the best perfect matching scores {top} alternating hexagons "
+            f"from its mate array but {count} as a matching"
+        )
+    return top
 
 
 def resonance_order(f: FullereneGraph, max_k: int | None = None) -> OrderReport:

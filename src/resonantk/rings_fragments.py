@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Literal
 
-from .errors import GraphError
+from .errors import GraphError, check_int
 from .plane_graph import Edge, FaceSet, FullereneGraph
 
 PENTAGONS_ONLY = "PENTAGONS_ONLY"
@@ -102,7 +102,12 @@ def find_polygonal_rings(
     The scan anchors every ring at its least face id and canonicalises the
     direction, so each ring appears exactly once.  ``face_filter`` narrows
     candidate faces to pentagons (PENTAGONS_ONLY) or allows all (ANY).
+
+    Raises:
+        GraphError: if ``max_len`` is not an integer >= 0 or the filter is
+            unknown.
     """
+    check_int("max_len", max_len, 0)
     if face_filter not in (PENTAGONS_ONLY, ANY):
         raise GraphError(f"unknown face filter {face_filter!r}")
     if face_filter == PENTAGONS_ONLY:

@@ -8,9 +8,12 @@ check into RESULTS; the terminal-summary hook prints them as a block.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from resonantk.catalog import catalog_graph, catalog_names, nanotube
+from resonantk.plane_graph import EmbeddedGraph, FullereneGraph, validate_fullerene
 
 # check number -> (description, passed)
 RESULTS: dict[int, tuple[str, bool]] = {}
@@ -34,6 +37,29 @@ def tubes():
     return {
         (cap, k): nanotube(cap, k) for cap in ("R5", "R6") for k in (1, 2, 3)
     }
+
+
+def _relabelled(f: FullereneGraph, seed: int) -> FullereneGraph:
+    rng = random.Random(seed)
+    perm = list(range(f.n))
+    rng.shuffle(perm)
+    mirror = rng.random() < 0.5
+    rotation = [()] * f.n
+    for v, ring in enumerate(f.graph.rotation):
+        nbrs = [perm[w] for w in (reversed(ring) if mirror else ring)]
+        k = rng.randrange(3)
+        rotation[perm[v]] = tuple(nbrs[k:] + nbrs[:k])
+    return validate_fullerene(EmbeddedGraph(tuple(rotation)))
+
+
+@pytest.fixture(scope="session")
+def relabel():
+    """``relabel(f, seed)``: the same fullerene under a seeded random labelling.
+
+    As in the benchmark's inputs, the embedding may be mirrored and each
+    rotation starts at a random neighbour.
+    """
+    return _relabelled
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -2,14 +2,17 @@
 
 These deliberately share no code with the package: maximum matchings come
 from exhaustive search over edge subsets and perfect-matching counts from a
-textbook recursion on the lowest uncovered vertex.  They are only usable on
-small graphs, which is the point - package results on small inputs must agree
-with these, and frozen constants in the test-suite were produced by them.
+textbook recursion on the lowest uncovered vertex.  The package's former
+kernels are kept here, unchanged, as references for the faster ones that
+replaced them.  They are only usable on small graphs, which is the point -
+package results on small inputs must agree with these, and frozen constants
+in the test-suite were produced by them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 
 def brute_force_maximum_matching_size(n: int, edges: list[tuple[int, int]]) -> int:
@@ -59,6 +62,56 @@ def count_perfect_matchings(n: int, adj: list[list[int]]) -> int:
     result = count(0)
     count.cache_clear()
     return result
+
+
+def perfect_matchings_lowest_first(
+    n: int, adj: Sequence[Sequence[int]], limit: int
+) -> list[tuple[int, ...]]:
+    """All perfect matchings as mate tuples, stopping after limit + 1.
+
+    Backtracks on the lowest unmatched vertex, trying its unmatched
+    neighbours in the order ``adj`` lists them, so the output order is a
+    fixed lexicographic order of the pairing choices.  A result longer than
+    ``limit`` signals to the caller that the cap was exceeded.
+    """
+    out: list[tuple[int, ...]] = []
+    if n % 2 or limit < 0:
+        return out
+    if n == 0:
+        return [()]
+    mate = [-1] * n
+    # The lowest unmatched vertex v and the iterator over its remaining
+    # choices; the stack holds the same pair for every vertex matched before
+    # it, so the depth is not bounded by the interpreter's recursion limit.
+    stack: list[tuple[int, Iterator[int]]] = []
+    v = 0
+    choices = iter(adj[0])
+    while True:
+        for u in choices:
+            if mate[u] < 0:
+                break
+        else:
+            if not stack:
+                return out
+            v, choices = stack.pop()
+            mate[mate[v]] = -1
+            mate[v] = -1
+            continue
+        mate[u] = v
+        mate[v] = u
+        w = v + 1
+        while w < n and mate[w] >= 0:
+            w += 1
+        if w < n:
+            stack.append((v, choices))
+            v = w
+            choices = iter(adj[w])
+            continue
+        out.append(tuple(mate))
+        if len(out) > limit:
+            return out
+        mate[u] = -1
+        mate[v] = -1
 
 
 def resonant_by_brute_force(adj: list[list[int]], removed: set[int] | frozenset[int]) -> bool:

@@ -77,6 +77,9 @@ def test_nanotube_parameter_validation():
     for rings in ("two", True, 1.0, -1):
         with pytest.raises(GraphError, match="hex_rings"):
             nanotube("R5", rings)
+    for cap in (5, None, b"R5"):
+        with pytest.raises(GraphError, match="cap must be a string"):
+            nanotube(cap, 1)
 
 
 def test_nanotube_distinct_from_catalog_isomers(graphs, tubes):

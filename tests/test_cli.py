@@ -124,9 +124,13 @@ def test_invalid_integer_limits_exit_one(f24_file, tmp_path, capsys):
     assert "max_k must be at least 0" in capsys.readouterr().err
     assert run(["order", str(f24_file), "--max-k", "0"]) == 0
     assert capsys.readouterr().out == ">= 0\n"
-    for cmd in (["fries"], ["analyze", "--fries"]):
+    for cmd in (["fries"], ["analyze", "--fries"], ["analyze"], ["analyze", "--json"]):
         assert run([*cmd, str(f24_file), "--pm-cap", "0"]) == 1
         assert "perfect matching cap must be at least 1" in capsys.readouterr().err
+    assert run(["analyze", str(f24_file), "--pm-cap", "1"]) == 0  # fries does not run
+    capsys.readouterr()
+    assert run(["rings", str(f24_file), "--max-len", "-1"]) == 1
+    assert "max_len must be at least 0" in capsys.readouterr().err
     assert run(["nanotube", "--cap", "r5", "--rings", "0", "-o", str(tmp_path / "t.rot")]) == 1
     assert "hex_rings must be at least 1" in capsys.readouterr().err
 

@@ -14,6 +14,7 @@ from resonantk.errors import GraphError, GuardExceeded
 from resonantk.matching import (
     Matching,
     alternating_faces,
+    alternating_hexagon_count,
     enumerate_perfect_matchings,
     has_perfect_matching,
     is_central,
@@ -155,6 +156,20 @@ def test_enumerate_counts_frozen(graphs):
     assert count_perfect_matchings(20, adj) == 36
     f24 = graphs["F24"]
     assert len(enumerate_perfect_matchings(f24)) == 54
+
+
+def test_mate_array_score_counts_alternating_faces(graphs, relabel):
+    for f in (graphs["F24"], relabel(graphs["F24"], 3), graphs["F28"], relabel(graphs["F28"], 4)):
+        hexagons = [f.faces[h].boundary for h in f.hexagon_ids]
+        scores = set()
+        for m in enumerate_perfect_matchings(f):
+            mate = [-1] * f.n
+            for u, v in m.edges:
+                mate[u], mate[v] = v, u
+            score = alternating_hexagon_count(hexagons, mate)
+            assert score == len(alternating_faces(f, m))
+            scores.add(score)
+        assert len(scores) > 1  # the matchings do not all score alike
 
 
 def test_enumeration_cap(graphs):

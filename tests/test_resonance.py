@@ -9,7 +9,7 @@ import pytest
 
 from oracles import count_disjoint_hexagon_sets, resonant_by_brute_force
 
-from resonantk import kernels, matching
+from resonantk import kernels, matching, resonance
 from resonantk.catalog import catalog_graph, nanotube
 from resonantk.errors import GraphError, GuardExceeded
 from resonantk.matching import maximum_matching
@@ -117,6 +117,19 @@ def test_fries_values(graphs):
     assert fries(graphs["F20"]) == 0
     assert fries(graphs["F40"]) == 10
     assert fries(graphs["C60"]) == 20
+
+
+def test_fries_does_not_depend_on_labels(graphs, relabel):
+    # on this labelling of C60, backtracking on the lowest vertex id takes 49 s
+    assert fries(relabel(graphs["C60"], 2)) == 20
+    assert fries(relabel(graphs["F48"], 5)) == 12
+
+
+def test_fries_checks_its_winner(graphs, monkeypatch):
+    # a score that disagrees with alternating_faces must not pass silently
+    monkeypatch.setattr(resonance, "alternating_hexagon_count", lambda hexagons, mate: 99)
+    with pytest.raises(RuntimeError, match="scores 99"):
+        fries(graphs["F24"])
 
 
 def test_fries_cap(graphs):

@@ -11,6 +11,7 @@ from collections import Counter
 import pytest
 
 from resonantk.catalog import catalog_graph
+from resonantk.errors import GraphError
 from resonantk.plane_graph import EmbeddedGraph, emit_graph, parse_graph, validate_fullerene
 from resonantk.rings_fragments import (
     ANY,
@@ -34,6 +35,14 @@ def test_dodecahedron_ring_census(graphs):
         by_len[r.l] = by_len.get(r.l, 0) + 1
     # frozen census: 12 faces give 12 face-bounded 5-rings, the rest longer
     assert by_len[5] == 12
+
+
+def test_max_len_must_be_a_nonnegative_integer(graphs):
+    f = graphs["F20"]
+    for bad in (2.5, True, -1, "12"):
+        with pytest.raises(GraphError, match="max_len"):
+            find_polygonal_rings(f, max_len=bad)
+    assert find_polygonal_rings(f, max_len=0) == []
 
 
 def test_ring_structure_f20(graphs):
