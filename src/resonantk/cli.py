@@ -9,6 +9,7 @@ usage error, 2 enumeration guard exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -201,7 +202,9 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built once per process; parsing keeps no state."""
     p = _Parser(prog="resonantk", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

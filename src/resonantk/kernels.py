@@ -43,8 +43,9 @@ def mate_array(
     """Maximum matching; returns mate[v] (or -1) for every vertex.
 
     Excluded vertices (mask value 1) are treated as absent and always end
-    up with mate -1.  Greedy initialisation followed by an ``augment``
-    search from each remaining free vertex in ascending order.
+    up with mate -1, and a loop is never a matching edge.  Greedy
+    initialisation followed by an ``augment`` search from each remaining
+    free vertex in ascending order.
     """
     exc = [False] * n if excluded is None else [bool(x) for x in excluded]
     mate = [-1] * n
@@ -52,7 +53,7 @@ def mate_array(
     for v in range(n):
         if not exc[v] and mate[v] < 0:
             for u in adj[v]:
-                if not exc[u] and mate[u] < 0:
+                if u != v and not exc[u] and mate[u] < 0:
                     mate[v] = u
                     mate[u] = v
                     break

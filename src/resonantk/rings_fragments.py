@@ -30,7 +30,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import GraphError, check_int
 from .plane_graph import Edge, FaceSet, FullereneGraph
@@ -110,21 +110,23 @@ def find_polygonal_rings(
     check_int("max_len", max_len, 0)
     if face_filter not in (PENTAGONS_ONLY, ANY):
         raise GraphError(f"unknown face filter {face_filter!r}")
-    if face_filter == PENTAGONS_ONLY:
-        candidates = frozenset(f.pentagon_ids)
-    else:
-        candidates = frozenset(range(len(f.faces)))
+    fs = f.faces
+    roots = sorted(f.pentagon_ids) if face_filter == PENTAGONS_ONLY else range(len(fs))
+    candidate = [False] * len(fs)
+    for fid in roots:
+        candidate[fid] = True
+    masks = _face_masks(fs)
     rings = [
-        _build_ring(f, cycle)
-        for root in sorted(candidates)
-        for cycle in _ring_cycles(f.faces, candidates, max_len, root)
+        _build_ring(f, cycle, masks)
+        for root in roots
+        for cycle in _ring_cycles(fs, candidate, max_len, root)
     ]
     rings.sort(key=lambda r: (r.l, r.faces))
     return rings
 
 
 def _ring_cycles(
-    fs: FaceSet, candidates: frozenset[int], max_len: int, root: int
+    fs: FaceSet, candidate: list[bool], max_len: int, root: int
 ) -> list[tuple[int, ...]]:
     """The face cycles of the rings whose least face is ``root``.
 
@@ -133,9 +135,32 @@ def _ring_cycles(
     edge only; ``used`` holds the endpoints of the edges shared along the
     path.  A ring is reported in the direction whose second face is less
     than its last, so each ring appears once.
+
+    The walk is pruned by dual distance: ``dist[g]`` is the length of a
+    shortest dual path from g back to ``root`` over the candidates above it,
+    so a ring through g still needs at least ``dist[g] - 1`` faces after g,
+    and g is entered only when such a ring fits in ``max_len``.  The path's
+    state is kept incrementally: ``on_path`` marks its faces and ``near[g]``
+    counts the faces of ``seq[1:-1]`` that g is across.
     """
+    n_faces = len(fs)
+    dist = [max_len + 1] * n_faces  # max_len + 1 stands for out of reach
+    dist[root] = 0
+    layer = [root]
+    for d in range(1, max_len):
+        nxt = []
+        for x in layer:
+            for g in fs.across(x):
+                if g > root and candidate[g] and dist[g] > d:
+                    dist[g] = d
+                    nxt.append(g)
+        layer = nxt
+
     out: list[tuple[int, ...]] = []
     seq = [root]
+    on_path = [False] * n_faces
+    on_path[root] = True
+    near = [0] * n_faces
     used: set[int] = set()
     # Frames [(edge, far face) pairs of seq[-1] left to try, edge into seq[-1]].
     stack = [[zip(fs[root].boundary_edges(), fs.across(root)), ()]]
@@ -144,30 +169,55 @@ def _ring_cycles(
         step = next(frame[0], None)
         if step is None:
             stack.pop()
-            seq.pop()
+            on_path[seq.pop()] = False
             used.difference_update(frame[1])
+            if len(seq) >= 2:
+                for h in fs.across(seq[-1]):
+                    near[h] -= 1
             continue
         e, g = step
-        if g <= root or g not in candidates or g in seq or fs.across(seq[-1]).count(g) != 1:
+        if g <= root or not candidate[g] or on_path[g] or fs.across(seq[-1]).count(g) != 1:
             continue
         if e[0] in used or e[1] in used:
             continue
         # vertex-disjoint from every earlier non-consecutive face: faces
         # share a vertex exactly when one is across the other
-        if any(g in fs.across(x) for x in seq[1:-1]):
+        if near[g]:
             continue
-        # close the ring with g as its final face
-        if len(seq) >= 2 and len(seq) < max_len and seq[1] < g:
-            ce = fs.shared_edge(g, root)
-            if ce is not None and not {ce[0], ce[1]} & (used | {e[0], e[1]}):
-                out.append(tuple(seq) + (g,))
-        if len(seq) >= 2 and root in fs.across(g):
-            continue  # beyond position 1, touching the root means closing only
-        if len(seq) + 2 <= max_len:
+        if len(seq) >= 2 and dist[g] == 1:
+            # beyond position 1, touching the root means closing only:
+            # close the ring with g as its final face
+            if len(seq) < max_len and seq[1] < g:
+                ce = fs.shared_edge(g, root)
+                if ce is not None and used.isdisjoint(ce) and ce[0] not in e and ce[1] not in e:
+                    out.append(tuple(seq) + (g,))
+            continue
+        if len(seq) + max(dist[g], 2) <= max_len:
+            if len(seq) >= 2:
+                for h in fs.across(seq[-1]):
+                    near[h] += 1
             seq.append(g)
+            on_path[g] = True
             used.update(e)
             stack.append([zip(fs[g].boundary_edges(), fs.across(g)), e])
     return out
+
+
+class _FaceMasks(NamedTuple):
+    """Per-face bitmasks of one graph, shared by every ring built in a scan."""
+
+    across: list[int]  # bit g set when face g is across the face
+    vertices: list[int]  # bit v set when vertex v is on the face
+    pentagons: int
+    hexagons: int
+
+
+def _face_masks(fs: FaceSet) -> _FaceMasks:
+    across = [sum(1 << g for g in set(fs.across(fid))) for fid in range(len(fs))]
+    vertices = [sum(1 << v for v in face.vertices) for face in fs]
+    pentagons = sum(1 << face.index for face in fs if face.size == 5)
+    hexagons = sum(1 << face.index for face in fs if face.size == 6)
+    return _FaceMasks(across, vertices, pentagons, hexagons)
 
 
 def _check(ok: bool, identity: str, faces: tuple[int, ...]) -> None:
@@ -175,8 +225,14 @@ def _check(ok: bool, identity: str, faces: tuple[int, ...]) -> None:
         raise RuntimeError(f"ring {faces}: {identity} fails")
 
 
-def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...]) -> Ring:
+def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMasks) -> Ring:
     """Compute cycles, sides, and counts for a validated face cycle.
+
+    Face and vertex sets are int bitmasks (``masks`` holds one per face).
+    Each side is a flood fill over the faces' ``across`` masks, blocked by
+    the ring's mask, that ORs the vertex masks of the faces it reaches; r is
+    a popcount of that, and s one of the cycle's vertices on exactly one
+    ring face.
 
     Raises:
         RuntimeError: naming the ring structure or counting identity that
@@ -186,36 +242,52 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...]) -> Ring:
     l = len(faces_cycle)
     shared = [fs.shared_edge(faces_cycle[i], faces_cycle[(i + 1) % l]) for i in range(l)]
     _check(None not in shared, "consecutive faces meet in one edge", faces_cycle)
-    shared_vs = [frozenset(e) for e in shared]
-    _check(len(frozenset().union(*shared_vs)) == 2 * l, "shared edges form a matching", faces_cycle)
+    ends = 0
+    for u, v in shared:
+        ends |= 1 << u | 1 << v
+    _check(ends.bit_count() == 2 * l, "shared edges form a matching", faces_cycle)
 
-    ring_faces = set(faces_cycle)
-    cycles = _edge_cycles(_rim(fs, faces_cycle))
+    ring = 0
+    for fid in faces_cycle:
+        ring |= 1 << fid
+    rim: list[Edge] = []
+    beyond: list[int] = []  # the face across each rim edge
+    for fid in faces_cycle:
+        for e, g in zip(fs[fid].boundary_edges(), fs.across(fid)):
+            if not ring >> g & 1:
+                rim.append(e)
+                beyond.append(g)
+    cycles = _edge_cycles(rim)
     _check(len(cycles) == 2, "the boundary is two cycles", faces_cycle)
+    cycle_masks = [sum(1 << v for v in cyc) for cyc in cycles]
 
-    # rung structure: each shared edge has one endpoint on each cycle
-    for cyc in cycles:
-        on = set(cyc)
-        rungs = all(len(ev & on) == 1 for ev in shared_vs)
+    # rung structure: each shared edge has exactly one endpoint on each cycle
+    for cm in cycle_masks:
+        rungs = all((cm >> u & 1) + (cm >> v & 1) == 1 for u, v in shared)
         _check(rungs, "each shared edge is a rung", faces_cycle)
 
-    vertex_faces = _faces_per_vertex(fs, faces_cycle)
+    # the vertices on exactly one ring face
+    seen = twice = 0
+    for fid in faces_cycle:
+        twice |= seen & masks.vertices[fid]
+        seen |= masks.vertices[fid]
+    once = seen & ~twice
+
+    # the faces beyond each cycle's edges (every rim edge is on one cycle)
+    first = cycle_masks[0]
+    owners = [0, 0]
+    for (u, _), g in zip(rim, beyond):
+        owners[not first >> u & 1] |= 1 << g
 
     # the two sides: the faces reached from each cycle without crossing the ring
     sides = []
-    for cyc in cycles:
-        owners = {
-            fs.face_of_arc(arc)
-            for i in range(len(cyc))
-            for arc in ((cyc[i - 1], cyc[i]), (cyc[i], cyc[i - 1]))
-        } - ring_faces
-        side = _face_component(fs, min(owners), ring_faces)
-        _check(owners <= side, "one side owns each cycle", faces_cycle)
-        s = sum(1 for v in cyc if vertex_faces[v] == 1)
+    for cyc, cm, own in zip(cycles, cycle_masks, owners):
+        side, covered = _side(masks, own & -own, ring)
+        _check(not own & ~side, "one side owns each cycle", faces_cycle)
+        s = (cm & once).bit_count()
         _check(len(cyc) == l + s, "cycle length l + s", faces_cycle)
-        vertices = set().union(*(fs[fid].vertices for fid in side))
-        _check(vertices >= set(cyc), "the side holds its cycle", faces_cycle)
-        sides.append((s, len(vertices) - len(cyc), tuple(sorted(cyc)), cyc, side))
+        _check(not cm & ~covered, "the side holds its cycle", faces_cycle)
+        sides.append((s, covered.bit_count() - len(cyc), tuple(sorted(cyc)), cyc, side))
 
     # the inner side: smaller s, then fewer interior vertices r, then the
     # lexicographically smaller cycle
@@ -223,14 +295,14 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...]) -> Ring:
     s, r, _, inner_cyc, inner = inner_side
     s_prime, _, _, outer_cyc, outer = outer_side
     _check(
-        not inner & outer and len(inner) + len(outer) + l == len(fs),
+        not inner & outer and inner.bit_count() + outer.bit_count() + l == len(fs),
         "the ring splits the other faces into two sides",
         faces_cycle,
     )
-    n5 = sum(1 for fid in inner if fs[fid].size == 5)
-    n6 = sum(1 for fid in inner if fs[fid].size == 6)
+    n5 = (inner & masks.pentagons).bit_count()
+    n6 = (inner & masks.hexagons).bit_count()
 
-    all_pent = all(fs[fid].size == 5 for fid in faces_cycle)
+    all_pent = not ring & ~masks.pentagons
     _check(s != 1 and s_prime != 1, "s, s' != 1", faces_cycle)
     _check(r % 2 == s % 2, "r = s (mod 2)", faces_cycle)
     _check(2 * (n5 + n6) == s + r + 2, "n5 + n6 = (s + r + 2)/2", faces_cycle)
@@ -244,8 +316,8 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...]) -> Ring:
         tuple(shared),
         tuple(inner_cyc),
         tuple(outer_cyc),
-        tuple(sorted(inner)),
-        tuple(sorted(outer)),
+        _bits(inner),
+        _bits(outer),
         l,
         s,
         s_prime,
@@ -254,6 +326,34 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...]) -> Ring:
         n6,
         all_pent,
     )
+
+
+def _side(masks: _FaceMasks, start: int, blocked: int) -> tuple[int, int]:
+    """Flood fill from the face bit ``start`` across edges, never entering ``blocked``.
+
+    Returns the bitmasks of the faces reached and of the vertices on them.
+    """
+    side = frontier = start
+    covered = 0
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        fid = low.bit_length() - 1
+        covered |= masks.vertices[fid]
+        grow = masks.across[fid] & ~side & ~blocked
+        side |= grow
+        frontier |= grow
+    return side, covered
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _edge_cycles(edges: list[Edge]) -> list[tuple[int, ...]]:
@@ -316,7 +416,7 @@ def ring_stats(f: FullereneGraph, ring: Ring) -> Ring:
         RuntimeError: if a counting identity fails (scanner or embedding
             bug) or the recomputed (l, s, s', r, n5, n6) differ from the ring's.
     """
-    rebuilt = _build_ring(f, ring.faces)
+    rebuilt = _build_ring(f, ring.faces, _face_masks(f.faces))
     stats = ("l", "s", "s_prime", "r", "n5", "n6")
     differ = [k for k in stats if getattr(rebuilt, k) != getattr(ring, k)]
     if differ:
@@ -367,11 +467,13 @@ def detect_r5_r6(f: FullereneGraph) -> list[CapWitness]:
     """All R5/R6 caps: pentagonal rings of length 5 or 6 closing around one face.
 
     Also checks that every pentagonal ring of length 5 has s = 0 (they are
-    always caps), raising RuntimeError otherwise.
+    always caps), raising RuntimeError otherwise.  Reads the graph's one
+    pentagonal ring scan, which is sorted by (l, faces).
     """
-    rings = find_polygonal_rings(f, max_len=6, face_filter=PENTAGONS_ONLY)
     out = []
-    for ring in rings:
+    for ring in pentagonal_rings(f):
+        if ring.l > 6:
+            break
         if ring.l == 5:
             _check(ring.s == 0, "s = 0 on a pentagonal 5-ring", ring.faces)
         if ring.l in (5, 6) and ring.s == 0 and len(ring.inner_faces) == 1:

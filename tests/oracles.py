@@ -4,9 +4,10 @@ These deliberately share no code with the package: maximum matchings come
 from exhaustive search over edge subsets and perfect-matching counts from a
 textbook recursion on the lowest uncovered vertex.  The package's former
 kernels are kept here, unchanged, as references for the faster ones that
-replaced them.  They are only usable on small graphs, which is the point -
-package results on small inputs must agree with these, and frozen constants
-in the test-suite were produced by them.
+replaced them; only the former ring scan imports package code, the helpers
+it called that have not changed since.  They are only usable on small
+graphs, which is the point - package results on small inputs must agree
+with these, and frozen constants in the test-suite were produced by them.
 """
 
 from __future__ import annotations
@@ -208,3 +209,163 @@ def canonical_code_by_full_build(rotation: list[tuple[int, int, int]]) -> bytes:
     if n <= 255:
         return bytes([n, *best])
     return b"\0" + b"".join(x.to_bytes(2, "big") for x in [n, *best])
+
+
+def find_polygonal_rings_by_full_walk(f, max_len: int, face_filter: str) -> list:
+    """Every polygonal ring as the package found it before the dual-distance prune.
+
+    The scan and ring builder below are the package's former ``_ring_cycles``
+    (no distance bound, path tests by membership and ``any``) and
+    ``_build_ring`` (set flood fills and a ``Counter``), kept verbatim; the
+    helpers they call are unchanged in the package and imported from it.
+    """
+    from resonantk.rings_fragments import PENTAGONS_ONLY
+
+    if face_filter == PENTAGONS_ONLY:
+        candidates = frozenset(f.pentagon_ids)
+    else:
+        candidates = frozenset(range(len(f.faces)))
+    rings = [
+        _build_ring(f, cycle)
+        for root in sorted(candidates)
+        for cycle in _ring_cycles(f.faces, candidates, max_len, root)
+    ]
+    rings.sort(key=lambda r: (r.l, r.faces))
+    return rings
+
+
+def _ring_cycles(
+    fs, candidates: frozenset[int], max_len: int, root: int
+) -> list[tuple[int, ...]]:
+    """The face cycles of the rings whose least face is ``root``.
+
+    A depth-first walk grows a face path from ``root`` over the dual.  Each
+    step adds a face across one edge of the last face, meeting it in that
+    edge only; ``used`` holds the endpoints of the edges shared along the
+    path.  A ring is reported in the direction whose second face is less
+    than its last, so each ring appears once.
+    """
+    out: list[tuple[int, ...]] = []
+    seq = [root]
+    used: set[int] = set()
+    # Frames [(edge, far face) pairs of seq[-1] left to try, edge into seq[-1]].
+    stack = [[zip(fs[root].boundary_edges(), fs.across(root)), ()]]
+    while stack:
+        frame = stack[-1]
+        step = next(frame[0], None)
+        if step is None:
+            stack.pop()
+            seq.pop()
+            used.difference_update(frame[1])
+            continue
+        e, g = step
+        if g <= root or g not in candidates or g in seq or fs.across(seq[-1]).count(g) != 1:
+            continue
+        if e[0] in used or e[1] in used:
+            continue
+        # vertex-disjoint from every earlier non-consecutive face: faces
+        # share a vertex exactly when one is across the other
+        if any(g in fs.across(x) for x in seq[1:-1]):
+            continue
+        # close the ring with g as its final face
+        if len(seq) >= 2 and len(seq) < max_len and seq[1] < g:
+            ce = fs.shared_edge(g, root)
+            if ce is not None and not {ce[0], ce[1]} & (used | {e[0], e[1]}):
+                out.append(tuple(seq) + (g,))
+        if len(seq) >= 2 and root in fs.across(g):
+            continue  # beyond position 1, touching the root means closing only
+        if len(seq) + 2 <= max_len:
+            seq.append(g)
+            used.update(e)
+            stack.append([zip(fs[g].boundary_edges(), fs.across(g)), e])
+    return out
+
+
+def _build_ring(f, faces_cycle: tuple[int, ...]):
+    """Compute cycles, sides, and counts for a validated face cycle.
+
+    Raises:
+        RuntimeError: naming the ring structure or counting identity that
+            fails (a scanner or embedding bug).
+    """
+    from resonantk.rings_fragments import (
+        Ring,
+        _check,
+        _edge_cycles,
+        _face_component,
+        _faces_per_vertex,
+        _rim,
+    )
+
+    fs = f.faces
+    l = len(faces_cycle)
+    shared = [fs.shared_edge(faces_cycle[i], faces_cycle[(i + 1) % l]) for i in range(l)]
+    _check(None not in shared, "consecutive faces meet in one edge", faces_cycle)
+    shared_vs = [frozenset(e) for e in shared]
+    _check(len(frozenset().union(*shared_vs)) == 2 * l, "shared edges form a matching", faces_cycle)
+
+    ring_faces = set(faces_cycle)
+    cycles = _edge_cycles(_rim(fs, faces_cycle))
+    _check(len(cycles) == 2, "the boundary is two cycles", faces_cycle)
+
+    # rung structure: each shared edge has one endpoint on each cycle
+    for cyc in cycles:
+        on = set(cyc)
+        rungs = all(len(ev & on) == 1 for ev in shared_vs)
+        _check(rungs, "each shared edge is a rung", faces_cycle)
+
+    vertex_faces = _faces_per_vertex(fs, faces_cycle)
+
+    # the two sides: the faces reached from each cycle without crossing the ring
+    sides = []
+    for cyc in cycles:
+        owners = {
+            fs.face_of_arc(arc)
+            for i in range(len(cyc))
+            for arc in ((cyc[i - 1], cyc[i]), (cyc[i], cyc[i - 1]))
+        } - ring_faces
+        side = _face_component(fs, min(owners), ring_faces)
+        _check(owners <= side, "one side owns each cycle", faces_cycle)
+        s = sum(1 for v in cyc if vertex_faces[v] == 1)
+        _check(len(cyc) == l + s, "cycle length l + s", faces_cycle)
+        vertices = set().union(*(fs[fid].vertices for fid in side))
+        _check(vertices >= set(cyc), "the side holds its cycle", faces_cycle)
+        sides.append((s, len(vertices) - len(cyc), tuple(sorted(cyc)), cyc, side))
+
+    # the inner side: smaller s, then fewer interior vertices r, then the
+    # lexicographically smaller cycle
+    inner_side, outer_side = sorted(sides, key=lambda side: side[:3])
+    s, r, _, inner_cyc, inner = inner_side
+    s_prime, _, _, outer_cyc, outer = outer_side
+    _check(
+        not inner & outer and len(inner) + len(outer) + l == len(fs),
+        "the ring splits the other faces into two sides",
+        faces_cycle,
+    )
+    n5 = sum(1 for fid in inner if fs[fid].size == 5)
+    n6 = sum(1 for fid in inner if fs[fid].size == 6)
+
+    all_pent = all(fs[fid].size == 5 for fid in faces_cycle)
+    _check(s != 1 and s_prime != 1, "s, s' != 1", faces_cycle)
+    _check(r % 2 == s % 2, "r = s (mod 2)", faces_cycle)
+    _check(2 * (n5 + n6) == s + r + 2, "n5 + n6 = (s + r + 2)/2", faces_cycle)
+    _check(5 * n5 + 6 * n6 == 2 * s + 3 * r + l, "5 n5 + 6 n6 = 2s + 3r + l", faces_cycle)
+    _check(n5 == 6 + s - l, "n5 = 6 + s - l", faces_cycle)
+    _check(2 * n6 == 2 * l + (r - s) - 10, "n6 = l + (r - s)/2 - 5", faces_cycle)
+    _check(not all_pent or s + s_prime == l, "s + s' = l on a pentagonal ring", faces_cycle)
+
+    return Ring(
+        tuple(faces_cycle),
+        tuple(shared),
+        tuple(inner_cyc),
+        tuple(outer_cyc),
+        tuple(sorted(inner)),
+        tuple(sorted(outer)),
+        l,
+        s,
+        s_prime,
+        r,
+        n5,
+        n6,
+        all_pent,
+    )

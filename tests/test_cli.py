@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import resonantk
 
 from resonantk import rings_fragments
 from resonantk.cli import run
@@ -60,6 +66,58 @@ def test_usage_error_exits_one(capsys):
     assert run(["analyze"]) == 1
     assert run(["not-a-command"]) == 1
     assert run(["nanotube", "--cap", "r9", "--rings", "1"]) == 1
+
+
+def test_parser_built_once_keeps_no_state(f24_file, capsys, monkeypatch):
+    # the parser is built once per process: a usage error must not leak into
+    # later runs, whose output must equal that of fresh processes
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    src = str(Path(resonantk.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    assert run(["rings", str(f24_file), "--max-len", "x"]) == 1
+    assert "usage:" in capsys.readouterr().err
+    for argv in (
+        ["analyze", str(f24_file), "--json"],
+        ["rings", str(f24_file), "--max-len", "8", "--json"],
+        ["order", str(f24_file)],
+    ):
+        assert run(argv) == 0
+        fresh = subprocess.run(
+            [sys.executable, "-m", "resonantk.cli", *argv], env=env, capture_output=True, check=True
+        )
+        assert capsys.readouterr().out.encode() == fresh.stdout, argv[0]
+    fresh = subprocess.run(
+        [sys.executable, "-m", "resonantk.cli", "analyze"], env=env, capture_output=True
+    )
+    assert run(["analyze"]) == 1
+    assert (fresh.returncode, capsys.readouterr().err.encode()) == (1, fresh.stderr)
+
+
+RINGS_JSON_DIGESTS = {
+    # SHA-256 of `rings NAME.rot --max-len 9 --json`, recorded before the ring
+    # scan was pruned by dual distance and its sides measured with bitmasks
+    "F20": "4aef24caa22bdea88a8415e2451ddc43e9e9cc882579c777ac0d9189e03b9157",
+    "F24": "bf9c11b6c20d5f730c408dead3ddb0f078e2c26b679cca0e5bf5ffda33342800",
+    "F28": "36f1fc12247b2b8c7bb2d6399b6f96cc805baf486519191f1eb187878da8febe",
+    "F30": "66d0ea36c851fe7fc0c463f026b78e29aafc4c4259e33636e801ef36fb8fe011",
+    "F32": "a635ac2084e4c8c67910e80cc64046697b1344482489f35f7aeda0ecf7eac647",
+    "F36_1": "ea0009146212a1e38f9a77f308c1ba0353f4ff5d6de77f0536c07c6ee5313ff8",
+    "F36_2": "ff759a266e8397bd1a3a8593a3617f7fa6f6d4a16b1c05dfbc7c87992aa28ffd",
+    "F40": "6e2b4d2675ba42447497c20c2f734bfa68cf03ccb12e3e67ef9155548ff104cc",
+    "F48": "5dfe4b2d2bb4f1afe30596592aee932f61b3cefc1b821f9ded480efd949de400",
+    "C60": "ac31f6c6a9e43453d5fc5f051a34ba11acc91c97e62e9ac5ea1dfcc0e359d4e5",
+    "C70": "e2993cbc720dd58fd8e3d9076f51d50c94495116abdf23581afb53994715ee32",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RINGS_JSON_DIGESTS))
+def test_rings_json_pinned(name, tmp_path, capsys):
+    src = tmp_path / "in.rot"
+    assert run(["catalog", "emit", name, "-o", str(src)]) == 0
+    capsys.readouterr()
+    assert run(["rings", str(src), "--max-len", "9", "--json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == RINGS_JSON_DIGESTS[name]
 
 
 def test_analyze_json_deterministic(f24_file, capsys):

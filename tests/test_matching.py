@@ -83,6 +83,27 @@ def test_maximum_matching_matches_brute_force(data):
     )
 
 
+def test_a_loop_is_never_a_matching_edge():
+    # vertex 0 lists itself first; a greedy start that took the loop left 0-1 unmatched
+    m = maximum_matching([[0, 1], [0]])
+    assert m.size == 1 and (0, 1) in m
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_maximum_matching_ignores_loops(data):
+    n = data.draw(st.integers(min_value=2, max_value=10))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(possible), max_size=2 * n, unique=True))
+    looped = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), min_size=1))
+    adj = _adj_from_edges(n, edges)
+    for v in looped:
+        adj[v].insert(data.draw(st.integers(min_value=0, max_value=len(adj[v]))), v)
+    m = maximum_matching(adj)
+    assert m.size == brute_force_maximum_matching_size(n, edges)
+    assert all(u != v for u, v in m.edges)
+
+
 def test_matching_covers_and_contains(graphs):
     f = graphs["F20"]
     m = maximum_matching(f)

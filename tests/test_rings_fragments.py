@@ -10,15 +10,24 @@ from collections import Counter
 
 import pytest
 
-from resonantk.catalog import catalog_graph
+from oracles import find_polygonal_rings_by_full_walk
+
+from resonantk.catalog import catalog_graph, catalog_names, nanotube
 from resonantk.errors import GraphError
-from resonantk.plane_graph import EmbeddedGraph, emit_graph, parse_graph, validate_fullerene
+from resonantk.plane_graph import (
+    EmbeddedGraph,
+    FaceSet,
+    emit_graph,
+    parse_graph,
+    validate_fullerene,
+)
 from resonantk.rings_fragments import (
     ANY,
     PENTAGONS_ONLY,
     detect_r5_r6,
     find_polygonal_rings,
     maximal_pentagonal_fragments,
+    pentagonal_rings,
     psi,
     ring_stats,
     tau,
@@ -73,6 +82,37 @@ def test_ring_stats_recompute(graphs):
         ring_stats(f, dataclasses.replace(rings[0], n6=rings[0].n6 + 1))
 
 
+def test_rung_check_needs_exactly_one_endpoint_on_each_cycle(graphs, monkeypatch):
+    # Report an edge of each cycle, between two vertices on no shared edge,
+    # as the first two shared edges.  The shared edges still form a matching
+    # and each cycle still holds l of their endpoints, but each forged edge
+    # has both ends on one cycle, so the rung check must refuse them.
+    f = graphs["F28"]
+
+    def free_edge(ring, cyc):
+        ends = {v for e in ring.shared_edges for v in e}
+        for i in range(len(cyc)):
+            if cyc[i - 1] not in ends and cyc[i] not in ends:
+                return (min(cyc[i - 1], cyc[i]), max(cyc[i - 1], cyc[i]))
+        return None
+
+    ring = next(
+        r
+        for r in find_polygonal_rings(f, 6, ANY)
+        if free_edge(r, r.inner_cycle) and free_edge(r, r.outer_cycle)
+    )
+    forged = {
+        ring.faces[:2]: free_edge(ring, ring.inner_cycle),
+        ring.faces[1:3]: free_edge(ring, ring.outer_cycle),
+    }
+    shared_edge = FaceSet.shared_edge
+    monkeypatch.setattr(
+        FaceSet, "shared_edge", lambda fs, a, b: forged.get((a, b)) or shared_edge(fs, a, b)
+    )
+    with pytest.raises(RuntimeError, match="each shared edge is a rung"):
+        ring_stats(f, ring)
+
+
 def _ring_counts(f, max_len):
     return Counter(
         (r.l, r.s, r.s_prime, r.r, r.n5, r.n6) for r in find_polygonal_rings(f, max_len, ANY)
@@ -89,6 +129,46 @@ def test_ring_sides_do_not_depend_on_labels(graphs):
         rotation[perm[v]] = (perm[c], perm[b], perm[a])  # relabelled and mirrored
     mirror = validate_fullerene(parse_graph(emit_graph(EmbeddedGraph(tuple(rotation)))))
     assert _ring_counts(mirror, 9) == _ring_counts(f, 9)
+
+
+def _variants(f, relabel, seed):
+    """The graph as given, under a seeded relabelling, and reflected."""
+    reflected = EmbeddedGraph(tuple((c, b, a) for a, b, c in f.graph.rotation))
+    return {"given": f, "relabelled": relabel(f, seed), "reflected": validate_fullerene(reflected)}
+
+
+def _check_scan_against_full_walk(f, top, label):
+    for face_filter in (ANY, PENTAGONS_ONLY):
+        want = find_polygonal_rings_by_full_walk(f, top, face_filter)
+        for max_len in range(3, top + 1):
+            got = find_polygonal_rings(f, max_len, face_filter)
+            assert got == [r for r in want if r.l <= max_len], (label, face_filter, max_len)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_ring_scan_matches_full_walk(name, graphs, relabel):
+    # the pruned scan and the mask-built rings equal the former scan ring for
+    # ring, at every length bound and under relabelling and reflection
+    f = graphs[name]
+    top = 12 if f.n <= 48 else 9
+    for kind, g in _variants(f, relabel, f.n).items():
+        _check_scan_against_full_walk(g, top, (name, kind))
+
+
+@pytest.mark.parametrize("cap", ["R5", "R6"])
+def test_tube_ring_scan_matches_full_walk(cap, relabel):
+    for k in range(1, 7):
+        for kind, g in _variants(nanotube(cap, k), relabel, k).items():
+            want = find_polygonal_rings_by_full_walk(g, 9, ANY)
+            assert find_polygonal_rings(g, 9, ANY) == want, (cap, k, kind)
+
+
+def test_ring_appears_from_its_own_length(graphs, tubes):
+    # the dual-distance prune must not need a larger bound than the ring itself
+    for f in (graphs["F28"], graphs["F40"], graphs["C60"], tubes[("R6", 3)]):
+        scans = {max_len: set(find_polygonal_rings(f, max_len, ANY)) for max_len in range(2, 10)}
+        for ring in scans[9]:
+            assert ring in scans[ring.l] and ring not in scans[ring.l - 1], ring.faces
 
 
 def test_ring_scan_leaves_no_reference_cycles():
@@ -185,6 +265,17 @@ def test_cap_without_exempt_shape_forces_low_order(graphs, tubes):
         if detect_r5_r6(f) and canonical_code(f) not in exempt:
             rep = resonance_order(f)
             assert rep.order != ALL and rep.order <= 1
+
+
+def test_detect_caps_reads_the_pentagonal_scan(graphs):
+    # detect_r5_r6 takes the l <= 6 prefix of pentagonal_rings; it must equal
+    # a direct pentagonal scan to length 6
+    tubes = [nanotube(cap, k) for cap in ("R5", "R6") for k in range(1, 7)]
+    for f in list(graphs.values()) + tubes:
+        direct = find_polygonal_rings(f, max_len=6, face_filter=PENTAGONS_ONLY)
+        assert [r for r in pentagonal_rings(f) if r.l <= 6] == direct
+        caps = [w.ring for w in detect_r5_r6(f)]
+        assert caps == [r for r in direct if r.s == 0 and len(r.inner_faces) == 1]
 
 
 def test_detect_caps(graphs, tubes):
