@@ -13,7 +13,6 @@ import functools
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import catalog as _catalog
@@ -56,43 +55,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Everything `analyze` reports for one graph; JSON-ready."""
-
-    identity: str
-    counts: dict
-    sextet_descending: tuple[int, ...]
-    clar: int
-    order: dict
-    tau: int | None
-    psi: dict
-    rings: dict
-    fragments: tuple[dict, ...]
-    g_star: dict | None
-    dichotomy: dict
-    fries: int | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "schema": SCHEMA,
-            "identity": self.identity,
-            "counts": self.counts,
-            "sextet": list(self.sextet_descending),
-            "clar": self.clar,
-            "order": self.order,
-            "tau": self.tau,
-            "psi": self.psi,
-            "rings": self.rings,
-            "fragments": [dict(f) for f in self.fragments],
-            "g_star": self.g_star,
-            "dichotomy": self.dichotomy,
-        }
-        if self.fries is not None:
-            out["fries"] = self.fries
-        return out
-
-
 def graph_identity(f: FullereneGraph) -> str:
     return hashlib.sha256(canonical_code(f)).hexdigest()
 
@@ -108,89 +70,85 @@ def _load(path: str) -> FullereneGraph:
     return validate_fullerene(parse_graph(text))
 
 
-def analyze_graph(f: FullereneGraph, with_fries: bool = False, pm_cap: int | None = None) -> AnalysisReport:
+def analyze_graph(f: FullereneGraph, with_fries: bool = False, pm_cap: int | None = None) -> dict:
+    """Everything `analyze` reports for one graph, as the JSON-ready record."""
     poly = sextet(f)
     rep = resonance_order(f)
     pent_rings = pentagonal_rings(f)
     by_len: dict[str, int] = {}
     for ring in pent_rings:
         by_len[str(ring.l)] = by_len.get(str(ring.l), 0) + 1
-    frags = tuple(
-        {
-            "faces": list(fr.faces),
-            "shape": fr.shape,
-            "maximal": fr.maximal,
-            "gamma": fr.gamma,
-            "boundary_cycles": len(fr.boundary),
-        }
-        for fr in maximal_pentagonal_fragments(f)
-    )
     witness = find_g_star(f)
     dich = hexagon_dichotomy_report(f)
-    return AnalysisReport(
-        identity=graph_identity(f),
-        counts={
+    report = {
+        "schema": SCHEMA,
+        "identity": graph_identity(f),
+        "counts": {
             "vertices": f.n,
             "edges": 3 * f.n // 2,
             "faces": len(f.faces),
             "pentagons": len(f.pentagon_ids),
             "hexagons": len(f.hexagon_ids),
         },
-        sextet_descending=poly.descending(),
-        clar=poly.degree,
-        order={"order": rep.order, "failing": list(rep.failing) if rep.failing else None},
-        tau=tau(f),
-        psi={key: psi(f, int(key)) for key in by_len},
-        rings={"pentagonal_by_length": by_len, "pentagonal_total": len(pent_rings)},
-        fragments=frags,
-        g_star=(
+        "sextet": list(poly.descending()),
+        "clar": poly.degree,
+        "order": {"order": rep.order, "failing": list(rep.failing) if rep.failing else None},
+        "tau": tau(f),
+        "psi": {key: psi(f, int(key)) for key in by_len},
+        "rings": {"pentagonal_by_length": by_len, "pentagonal_total": len(pent_rings)},
+        "fragments": [
+            {
+                "faces": list(fr.faces),
+                "shape": fr.shape,
+                "maximal": fr.maximal,
+                "gamma": fr.gamma,
+                "boundary_cycles": len(fr.boundary),
+            }
+            for fr in maximal_pentagonal_fragments(f)
+        ],
+        "g_star": (
             {"vertex": witness.vertex, "hexagons": list(witness.hexagons)}
             if witness
             else None
         ),
-        dichotomy={
+        "dichotomy": {
             "hexagons": len(dich),
             "resonant": sum(1 for h in dich if h.resonant),
             "non_bipartite_deletions": sum(1 for h in dich if not h.deletion_bipartite),
         },
-        fries=fries(f, pm_cap) if with_fries else None,
-    )
+    }
+    if with_fries:
+        report["fries"] = fries(f, pm_cap)
+    return report
 
 
 def _dump_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _render_text(report: AnalysisReport) -> str:
+def _render_text(report: dict) -> str:
+    order, g_star, dich = report["order"], report["g_star"], report["dichotomy"]
     lines = [
-        f"identity: {report.identity}",
-        "counts: " + ", ".join(f"{k}={v}" for k, v in report.counts.items()),
-        "sextet (descending): " + " ".join(str(c) for c in report.sextet_descending),
-        f"clar: {report.clar}",
-        f"order: {report.order['order']}"
-        + (
-            f" (failing set: {' '.join(map(str, report.order['failing']))})"
-            if report.order["failing"]
-            else ""
-        ),
-        f"tau: {report.tau}",
-        f"pentagonal rings: {report.rings['pentagonal_total']}",
+        f"identity: {report['identity']}",
+        "counts: " + ", ".join(f"{k}={v}" for k, v in report["counts"].items()),
+        "sextet (descending): " + " ".join(str(c) for c in report["sextet"]),
+        f"clar: {report['clar']}",
+        f"order: {order['order']}"
+        + (f" (failing set: {' '.join(map(str, order['failing']))})" if order["failing"] else ""),
+        f"tau: {report['tau']}",
+        f"pentagonal rings: {report['rings']['pentagonal_total']}",
         f"fragments: "
         + (
-            ", ".join(f"{f['shape']}x{len(f['faces'])}" for f in report.fragments)
+            ", ".join(f"{f['shape']}x{len(f['faces'])}" for f in report["fragments"])
             or "none"
         ),
         f"g_star: "
-        + (
-            f"vertex {report.g_star['vertex']} hexagons {report.g_star['hexagons']}"
-            if report.g_star
-            else "none"
-        ),
-        f"dichotomy: {report.dichotomy['resonant']}/{report.dichotomy['hexagons']} hexagons resonant, "
-        f"{report.dichotomy['non_bipartite_deletions']} non-bipartite deletions",
+        + (f"vertex {g_star['vertex']} hexagons {g_star['hexagons']}" if g_star else "none"),
+        f"dichotomy: {dich['resonant']}/{dich['hexagons']} hexagons resonant, "
+        f"{dich['non_bipartite_deletions']} non-bipartite deletions",
     ]
-    if report.fries is not None:
-        lines.append(f"fries: {report.fries}")
+    if "fries" in report:
+        lines.append(f"fries: {report['fries']}")
     return "\n".join(lines) + "\n"
 
 
@@ -307,8 +265,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             f = _load(path)
             reports.append(analyze_graph(f, with_fries=args.fries, pm_cap=pm_cap))
         if args.json:
-            payload = [r.as_dict() for r in reports]
-            text = _dump_json(payload[0] if len(payload) == 1 else payload)
+            text = _dump_json(reports[0] if len(reports) == 1 else reports)
         else:
             text = "\n".join(_render_text(r) for r in reports)
         _write_output(text, args.output)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GraphError
+from .errors import GraphError, check_int
 from .matching import Matching, face_alternates
 from .plane_graph import (
     Arc,
@@ -165,6 +165,7 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     """
     image = lf.image
     for h in (h1, h2):
+        check_int("face id", h)
         if not 0 <= h < len(image.faces) or not image.is_hexagon(h):
             raise GraphError(f"face {h} is not a hexagon of the leapfrog image")
     if h1 == h2 or image.faces[h1].vertices & image.faces[h2].vertices:

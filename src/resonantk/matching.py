@@ -132,7 +132,10 @@ def is_central(f: FullereneGraph, face_ids: int | Iterable[int]) -> bool:
     the face vertices out of the matching kernel rather than rebuilding the
     graph.
     """
-    ids = {face_ids} if isinstance(face_ids, int) else set(face_ids)
+    ids = {
+        check_int("face id", fid)
+        for fid in (face_ids if isinstance(face_ids, Iterable) else [face_ids])
+    }
     for fid in ids:
         if not 0 <= fid < len(f.faces):
             raise GraphError(f"face id {fid} outside 0..{len(f.faces) - 1}")

@@ -380,7 +380,7 @@ def delete_vertices(g: EmbeddedGraph | FullereneGraph, drop: Iterable[int]) -> S
     yields a subgraph with the full vertex set and identical adjacency.
     """
     base = g.graph if isinstance(g, FullereneGraph) else g
-    dropped = set(drop)
+    dropped = {check_int("vertex id", v) for v in drop}
     for v in dropped:
         if not 0 <= v < base.n:
             raise GraphError(f"cannot delete vertex {v}: outside 0..{base.n - 1}")

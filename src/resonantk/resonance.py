@@ -102,7 +102,7 @@ class HexagonReport:
 
 
 def _check_hexagon_set(f: FullereneGraph, hexagon_ids: Iterable[int]) -> tuple[int, ...]:
-    ids = tuple(sorted(set(hexagon_ids)))
+    ids = tuple(sorted({check_int("face id", h) for h in hexagon_ids}))
     for h in ids:
         if not 0 <= h < len(f.faces):
             raise GraphError(f"face id {h} outside 0..{len(f.faces) - 1}")
@@ -134,24 +134,32 @@ def is_resonant_pattern(
 ) -> ResonantPattern | None:
     """Decide resonance of a disjoint hexagon set; certificate on success.
 
-    The certificate is a perfect matching of the whole graph that alternates
-    on every hexagon of the set: the kernel's maximum matching of the graph
-    with the hexagons' vertices masked out, which is perfect on the rest and
-    already in the graph's own vertex ids, closed with three boundary edges
-    in each hexagon.  It is checked once for perfectness and for alternation
-    on the set's hexagons.
+    One maximum matching of the graph with the hexagons' vertices masked
+    out decides the set, as ``matching.is_central`` would, and is written to
+    the resonance memo; a set the memo already holds non-resonant is not
+    matched again.  The certificate is a perfect matching of the whole graph
+    that alternates on every hexagon of the set: that maximum matching,
+    perfect on the rest and already in the graph's own vertex ids, closed
+    with three boundary edges in each hexagon.  It is checked once for
+    perfectness and for alternation on the set's hexagons.
 
     Raises:
-        GraphError: if a face id is not a hexagon or two hexagons intersect.
+        GraphError: if a face id is not an integer, not a hexagon, or two
+            hexagons intersect.
     """
     ids = _check_hexagon_set(f, hexagon_ids)
-    if not _resonant(f, ids):
+    memo = f._memo.setdefault("resonant", {})
+    key = frozenset(ids)
+    if memo.get(key) is False:
         return None
     excluded = [False] * f.n
     for h in ids:
         for v in f.faces[h].vertices:
             excluded[v] = True
     mate = kernels.mate_array(f.n, f.graph.rotation, excluded)
+    memo[key] = all(mate[v] >= 0 for v in range(f.n) if not excluded[v])
+    if not memo[key]:
+        return None
     edges = {(v, w) for v, w in enumerate(mate) if v < w}
     for h in ids:
         b = f.faces[h].boundary
@@ -178,8 +186,7 @@ def disjoint_hexagon_sets(f: FullereneGraph, k: int) -> Iterator[tuple[int, ...]
     Hexagons conflict when they share a vertex, that is when one is across
     an edge of the other.
     """
-    if k < 0:
-        raise GraphError(f"set size must be non-negative, got {k}")
+    check_int("set size", k, 0)
     if k == 0:
         yield ()
         return

@@ -21,26 +21,26 @@ A *pentagonal fragment* is a disk bounded by a cycle whose interior faces
 are all pentagons.  Connected pentagon clusters are grown by flood fill over
 shared edges; clusters whose union is not a disk (the whole sphere for the
 dodecahedron, or an annular pentagon belt) are reported with shape OTHER and
-not treated as maximal fragments.
+not treated as maximal fragments.  A six-pentagon disk is a TURTLE exactly
+when its faces meet 1, 1, 3, 3, 3 and 3 others of the cluster.
+
+Rings and fragments share one representation of a face region: per-face
+bitmasks of the faces across each face and of its vertices, built once per
+graph and kept in its memo.  The same flood fill (``_side``), rim walk
+(``_rim``) and "vertices on exactly one face" mask (``_once``) serve both.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Literal, NamedTuple
+from typing import Iterable, Literal, NamedTuple
 
 from .errors import GraphError, check_int
 from .plane_graph import Edge, FaceSet, FullereneGraph
 
 PENTAGONS_ONLY = "PENTAGONS_ONLY"
 ANY = "ANY"
-
-_TURTLE_EDGES = frozenset(
-    {(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)}
-)
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def find_polygonal_rings(
     candidate = [False] * len(fs)
     for fid in roots:
         candidate[fid] = True
-    masks = _face_masks(fs)
+    masks = _face_masks(f)
     rings = [
         _build_ring(f, cycle, masks)
         for root in roots
@@ -204,7 +204,7 @@ def _ring_cycles(
 
 
 class _FaceMasks(NamedTuple):
-    """Per-face bitmasks of one graph, shared by every ring built in a scan."""
+    """Per-face bitmasks of one graph, shared by its rings and fragments."""
 
     across: list[int]  # bit g set when face g is across the face
     vertices: list[int]  # bit v set when vertex v is on the face
@@ -212,12 +212,19 @@ class _FaceMasks(NamedTuple):
     hexagons: int
 
 
-def _face_masks(fs: FaceSet) -> _FaceMasks:
-    across = [sum(1 << g for g in set(fs.across(fid))) for fid in range(len(fs))]
-    vertices = [sum(1 << v for v in face.vertices) for face in fs]
-    pentagons = sum(1 << face.index for face in fs if face.size == 5)
-    hexagons = sum(1 << face.index for face in fs if face.size == 6)
-    return _FaceMasks(across, vertices, pentagons, hexagons)
+def _face_masks(f: FullereneGraph) -> _FaceMasks:
+    """The graph's face bitmasks, built on first use and kept in its memo."""
+    masks = f._memo.get("face_masks")
+    if masks is None:
+        fs = f.faces
+        masks = _FaceMasks(
+            [sum(1 << g for g in set(fs.across(fid))) for fid in range(len(fs))],
+            [sum(1 << v for v in face.vertices) for face in fs],
+            sum(1 << fid for fid in f.pentagon_ids),
+            sum(1 << fid for fid in f.hexagon_ids),
+        )
+        f._memo["face_masks"] = masks
+    return masks
 
 
 def _check(ok: bool, identity: str, faces: tuple[int, ...]) -> None:
@@ -230,9 +237,9 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
 
     Face and vertex sets are int bitmasks (``masks`` holds one per face).
     Each side is a flood fill over the faces' ``across`` masks, blocked by
-    the ring's mask, that ORs the vertex masks of the faces it reaches; r is
-    a popcount of that, and s one of the cycle's vertices on exactly one
-    ring face.
+    the ring's mask, that ORs the vertex masks of the faces it reaches (the
+    fill that also grows pentagon clusters); r is a popcount of that, and s
+    one of the cycle's vertices on exactly one ring face.
 
     Raises:
         RuntimeError: naming the ring structure or counting identity that
@@ -250,13 +257,7 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
     ring = 0
     for fid in faces_cycle:
         ring |= 1 << fid
-    rim: list[Edge] = []
-    beyond: list[int] = []  # the face across each rim edge
-    for fid in faces_cycle:
-        for e, g in zip(fs[fid].boundary_edges(), fs.across(fid)):
-            if not ring >> g & 1:
-                rim.append(e)
-                beyond.append(g)
+    rim, beyond = _rim(fs, faces_cycle, ring)
     cycles = _edge_cycles(rim)
     _check(len(cycles) == 2, "the boundary is two cycles", faces_cycle)
     cycle_masks = [sum(1 << v for v in cyc) for cyc in cycles]
@@ -266,12 +267,7 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
         rungs = all((cm >> u & 1) + (cm >> v & 1) == 1 for u, v in shared)
         _check(rungs, "each shared edge is a rung", faces_cycle)
 
-    # the vertices on exactly one ring face
-    seen = twice = 0
-    for fid in faces_cycle:
-        twice |= seen & masks.vertices[fid]
-        seen |= masks.vertices[fid]
-    once = seen & ~twice
+    once = _once(masks, faces_cycle)
 
     # the faces beyond each cycle's edges (every rim edge is on one cycle)
     first = cycle_masks[0]
@@ -328,6 +324,31 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
     )
 
 
+def _rim(fs: FaceSet, faces: Iterable[int], inside: int) -> tuple[list[Edge], list[int]]:
+    """The edges on exactly one of ``faces``, and the face across each.
+
+    ``inside`` is the bitmask of ``faces``.  The edges come in face then
+    boundary order, which fixes where ``_edge_cycles`` starts each cycle.
+    """
+    rim: list[Edge] = []
+    beyond: list[int] = []
+    for fid in faces:
+        for e, g in zip(fs[fid].boundary_edges(), fs.across(fid)):
+            if not inside >> g & 1:
+                rim.append(e)
+                beyond.append(g)
+    return rim, beyond
+
+
+def _once(masks: _FaceMasks, faces: Iterable[int]) -> int:
+    """The bitmask of the vertices on exactly one of ``faces``."""
+    seen = twice = 0
+    for fid in faces:
+        twice |= seen & masks.vertices[fid]
+        seen |= masks.vertices[fid]
+    return seen & ~twice
+
+
 def _side(masks: _FaceMasks, start: int, blocked: int) -> tuple[int, int]:
     """Flood fill from the face bit ``start`` across edges, never entering ``blocked``.
 
@@ -381,34 +402,6 @@ def _edge_cycles(edges: list[Edge]) -> list[tuple[int, ...]]:
     return cycles
 
 
-def _rim(fs: FaceSet, faces: tuple[int, ...]) -> list[Edge]:
-    """The edges on exactly one of ``faces``, in face then boundary order."""
-    inside = set(faces)
-    return [
-        e
-        for fid in faces
-        for e, g in zip(fs[fid].boundary_edges(), fs.across(fid))
-        if g not in inside
-    ]
-
-
-def _faces_per_vertex(fs: FaceSet, faces: tuple[int, ...]) -> Counter[int]:
-    """How many of ``faces`` each of their vertices lies on."""
-    return Counter(v for fid in faces for v in fs[fid].vertices)
-
-
-def _face_component(fs: FaceSet, start: int, blocked: set[int] | frozenset[int]) -> set[int]:
-    """The faces reached from ``start`` across edges, never entering ``blocked``."""
-    comp = {start}
-    stack = [start]
-    while stack:
-        for g in fs.across(stack.pop()):
-            if g not in comp and g not in blocked:
-                comp.add(g)
-                stack.append(g)
-    return comp
-
-
 def ring_stats(f: FullereneGraph, ring: Ring) -> Ring:
     """Recompute a ring's statistics from the embedding, checking the identities.
 
@@ -416,7 +409,7 @@ def ring_stats(f: FullereneGraph, ring: Ring) -> Ring:
         RuntimeError: if a counting identity fails (scanner or embedding
             bug) or the recomputed (l, s, s', r, n5, n6) differ from the ring's.
     """
-    rebuilt = _build_ring(f, ring.faces, _face_masks(f.faces))
+    rebuilt = _build_ring(f, ring.faces, _face_masks(f))
     stats = ("l", "s", "s_prime", "r", "n5", "n6")
     differ = [k for k in stats if getattr(rebuilt, k) != getattr(ring, k)]
     if differ:
@@ -489,77 +482,66 @@ def detect_r5_r6(f: FullereneGraph) -> list[CapWitness]:
 def maximal_pentagonal_fragments(f: FullereneGraph) -> list[Fragment]:
     """Classify every connected pentagon cluster of the graph.
 
-    Clusters are grown over pentagon-pentagon shared edges.  A cluster whose
-    union is a disk is a genuine fragment: its shape is PENTAGON (one face),
-    TURTLE (the six-pentagon pattern), or OTHER, and it is maximal exactly
-    when every face sharing an edge with it is a hexagon.  Non-disk clusters
-    (whole sphere, annular belts) are reported with shape OTHER, maximal
-    False, and their boundary cycles as found.
+    Clusters are grown over pentagon-pentagon shared edges, by the ring
+    scan's flood fill over the graph's face masks, blocked by the hexagons.
+    A cluster whose union is a disk is a genuine fragment: its shape is
+    PENTAGON (one face), TURTLE (the six-pentagon pattern), or OTHER, and it
+    is maximal exactly when every face sharing an edge with it is a hexagon.
+    Non-disk clusters (whole sphere, annular belts) are reported with shape
+    OTHER, maximal False, and their boundary cycles as found.
     """
-    hexagons = frozenset(f.hexagon_ids)
-    seen: set[int] = set()
+    masks = _face_masks(f)
+    seen = 0
     out: list[Fragment] = []
     for start in f.pentagon_ids:
-        if start in seen:
+        if seen >> start & 1:
             continue
-        cluster = _face_component(f.faces, start, hexagons)
+        cluster, _ = _side(masks, 1 << start, masks.hexagons)
         seen |= cluster
-        out.append(_classify_cluster(f, tuple(sorted(cluster))))
+        out.append(_classify_cluster(f, masks, cluster))
     out.sort(key=lambda fr: fr.faces)
     return out
 
 
-def _classify_cluster(f: FullereneGraph, cluster: tuple[int, ...]) -> Fragment:
-    fs = f.faces
-    members = set(cluster)
-    boundary_edges = _rim(fs, cluster)
+def _classify_cluster(f: FullereneGraph, masks: _FaceMasks, members: int) -> Fragment:
+    """Boundary, free vertices, gamma and shape of the cluster whose face mask is ``members``.
 
-    degrees: dict[int, int] = {}
-    for u, v in boundary_edges:
-        degrees[u] = degrees.get(u, 0) + 1
-        degrees[v] = degrees.get(v, 0) + 1
-    is_disk = False
-    cycles: tuple[tuple[int, ...], ...] = ()
-    if boundary_edges and all(d == 2 for d in degrees.values()):
-        cycles = tuple(_edge_cycles(boundary_edges))
-        is_disk = len(cycles) == 1
+    The rim of a face set in a cubic plane graph is always 2-regular (a rim
+    vertex lies on one or two of the set's three faces around it, and in
+    either case on exactly two rim edges), so ``_edge_cycles`` splits it
+    into cycles; a vertex on exactly one cluster face is always on the rim.
+    """
+    cluster = _bits(members)
+    rim, beyond = _rim(f.faces, cluster, members)
+    cycles = tuple(_edge_cycles(rim))
+    w = frozenset(_bits(_once(masks, cluster)))
+    # the number of cluster faces sharing an edge with each cluster face
+    degrees = [(masks.across[fid] & members).bit_count() for fid in cluster]
+    gamma = min(degrees)
 
-    # boundary vertices in exactly one cluster face
-    vertex_faces = _faces_per_vertex(fs, cluster)
-    w = frozenset(v for v in degrees if vertex_faces[v] == 1)
-
-    gamma = min(len(members.intersection(fs.across(fid))) for fid in cluster)
-
-    if not is_disk:
+    if len(cycles) != 1:
         return Fragment(cluster, cycles, w, gamma, True, False, "OTHER")
 
-    neighbours = {g for fid in cluster for g in fs.across(fid)} - members
-    maximal = all(fs[nb].size == 6 for nb in neighbours)
+    neighbours = 0
+    for g in beyond:
+        neighbours |= 1 << g
+    maximal = not neighbours & ~masks.hexagons
 
     if len(cluster) == 1:
         shape = "PENTAGON"
-    elif len(cluster) == 6 and _is_turtle(fs, cluster):
+    elif len(cluster) == 6 and _is_turtle(degrees):
         shape = "TURTLE"
     else:
         shape = "OTHER"
     return Fragment(cluster, cycles, w, gamma, True, maximal, shape)
 
 
-def _is_turtle(fs: FaceSet, cluster: tuple[int, ...]) -> bool:
-    """Whether six pentagons form the turtle adjacency pattern."""
-    adj = {
-        (i, j)
-        for i in range(6)
-        for j in range(i + 1, 6)
-        if fs.shared_edge(cluster[i], cluster[j]) is not None
-    }
-    if len(adj) != len(_TURTLE_EDGES):
-        return False
-    for perm in permutations(range(6)):
-        mapped = {
-            (perm[a], perm[b]) if perm[a] < perm[b] else (perm[b], perm[a])
-            for a, b in _TURTLE_EDGES
-        }
-        if mapped == adj:
-            return True
-    return False
+def _is_turtle(degrees: list[int]) -> bool:
+    """Whether six pentagons, with these cluster degrees, form the turtle pattern.
+
+    The turtle is K4 minus an edge with a pendant face on each end of the
+    missing edge.  A cluster is connected and two faces share at most one
+    edge, and the turtle is the one connected graph on six vertices with
+    degrees 1, 1, 3, 3, 3, 3.
+    """
+    return sorted(degrees) == [1, 1, 3, 3, 3, 3]

@@ -4,14 +4,16 @@ These deliberately share no code with the package: maximum matchings come
 from exhaustive search over edge subsets and perfect-matching counts from a
 textbook recursion on the lowest uncovered vertex.  The package's former
 kernels are kept here, unchanged, as references for the faster ones that
-replaced them; only the former ring scan imports package code, the helpers
-it called that have not changed since.  They are only usable on small
+replaced them; only the former ring scan imports package code: the ring
+type, its identity check, the boundary-cycle split and the face-filter name,
+none changed since.  They are only usable on small
 graphs, which is the point - package results on small inputs must agree
 with these, and frozen constants in the test-suite were produced by them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -216,8 +218,10 @@ def find_polygonal_rings_by_full_walk(f, max_len: int, face_filter: str) -> list
 
     The scan and ring builder below are the package's former ``_ring_cycles``
     (no distance bound, path tests by membership and ``any``) and
-    ``_build_ring`` (set flood fills and a ``Counter``), kept verbatim; the
-    helpers they call are unchanged in the package and imported from it.
+    ``_build_ring`` (set flood fills and a ``Counter``), kept verbatim, with
+    the set-based ``_rim``, ``_faces_per_vertex`` and ``_face_component`` it
+    called.  ``Ring``, ``_check``, ``_edge_cycles`` and ``PENTAGONS_ONLY`` are
+    unchanged in the package and imported from it.
     """
     from resonantk.rings_fragments import PENTAGONS_ONLY
 
@@ -288,14 +292,7 @@ def _build_ring(f, faces_cycle: tuple[int, ...]):
         RuntimeError: naming the ring structure or counting identity that
             fails (a scanner or embedding bug).
     """
-    from resonantk.rings_fragments import (
-        Ring,
-        _check,
-        _edge_cycles,
-        _face_component,
-        _faces_per_vertex,
-        _rim,
-    )
+    from resonantk.rings_fragments import Ring, _check, _edge_cycles
 
     fs = f.faces
     l = len(faces_cycle)
@@ -369,3 +366,31 @@ def _build_ring(f, faces_cycle: tuple[int, ...]):
         n6,
         all_pent,
     )
+
+
+def _rim(fs, faces: tuple[int, ...]) -> list:
+    """The edges on exactly one of ``faces``, in face then boundary order."""
+    inside = set(faces)
+    return [
+        e
+        for fid in faces
+        for e, g in zip(fs[fid].boundary_edges(), fs.across(fid))
+        if g not in inside
+    ]
+
+
+def _faces_per_vertex(fs, faces: tuple[int, ...]) -> Counter[int]:
+    """How many of ``faces`` each of their vertices lies on."""
+    return Counter(v for fid in faces for v in fs[fid].vertices)
+
+
+def _face_component(fs, start: int, blocked: set[int] | frozenset[int]) -> set[int]:
+    """The faces reached from ``start`` across edges, never entering ``blocked``."""
+    comp = {start}
+    stack = [start]
+    while stack:
+        for g in fs.across(stack.pop()):
+            if g not in comp and g not in blocked:
+                comp.add(g)
+                stack.append(g)
+    return comp

@@ -120,6 +120,43 @@ def test_rings_json_pinned(name, tmp_path, capsys):
     assert digest == RINGS_JSON_DIGESTS[name]
 
 
+FRAGMENTS_JSON_DIGESTS = {
+    # SHA-256 of `fragments NAME.rot --json`, recorded before fragments moved
+    # onto the ring scan's face masks
+    "F20": "65d1d14aa31263e4192c8dc864771f25e0f93aa69b86375fdaef550251fb5539",
+    "F24": "6f395085c35670cb0dd6ace45caeff1d07fe897b39f5088a889efe941d57509a",
+    "F28": "bcc164dbd6d7537d294707c36440e80938f6adb70adaa849403ae809a6437cd1",
+    "F30": "6b6896dbf462f08c913da2cda9f665a2d5ee9a29a46a643e5908a7205f7daa4f",
+    "F32": "39909649b0139d5aa1faa7d8b99f459eddfd3663e0b2f0e8eb3055629051301a",
+    "F36_1": "e300ff16106a4f729fb16a40d8be4f19d1c6584a4448b8d7712a9254ced7e17f",
+    "F36_2": "a5ebace18ba66dd6ec3c3c1059a6695803bcb367f9ec94b55435df01ccd2b67b",
+    "F40": "999e3cb2b21c4393681f270c27956c1aad4741aac40aa28999ddc621350d19ab",
+    "F48": "fd087730ab168f1291aadadc79044171cfdbabd64eb81845bbeaf16a1385cfbb",
+    "C60": "74a83babac96d504e8de666c7fdd2524c60b3656489a8f97540babebfdb40aec",
+    "C70": "4a15a8f7a6d5c67a822d73fa93da49ef84e3a63005e6214045a7bf48409bbb4a",
+    "R5_1": "9e74b0201474dcdd7a17feef094aebe92936e202d3d9e2b152a10da39492fd06",
+    "R5_2": "9602bc95a81b943273939b2ada9ea07f894c1aad96042b07b628dc11e29b58ec",
+    "R5_3": "0b7d7fd95e45b14b006f804d741d5f99385ee81d787f842d949a67c66484c3cb",
+    "R6_1": "cfc43bf260ca66fa7ed367a8cd22599c54daa1f67c9280d40813d5099f93e7ab",
+    "R6_2": "61c9e68f915f18ad3a7c511ea99bda764f40e2a3eea67d7ba0cd6aeced788729",
+    "R6_3": "c45a0972f5d9dcbfbb5f085adebb6fbfea2334712548fc6f41c748758ce73176",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FRAGMENTS_JSON_DIGESTS))
+def test_fragments_json_pinned(name, tmp_path, capsys):
+    src = tmp_path / "in.rot"
+    if name[:3] in ("R5_", "R6_"):
+        emit = ["nanotube", "--cap", name[:2].lower(), "--rings", name[3:], "-o", str(src)]
+    else:
+        emit = ["catalog", "emit", name, "-o", str(src)]
+    assert run(emit) == 0
+    capsys.readouterr()
+    assert run(["fragments", str(src), "--json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == FRAGMENTS_JSON_DIGESTS[name]
+
+
 def test_analyze_json_deterministic(f24_file, capsys):
     assert run(["analyze", str(f24_file), "--json"]) == 0
     first = capsys.readouterr().out

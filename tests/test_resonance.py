@@ -12,6 +12,7 @@ from oracles import count_disjoint_hexagon_sets, resonant_by_brute_force
 from resonantk import kernels, matching, resonance
 from resonantk.catalog import catalog_graph, nanotube
 from resonantk.errors import GraphError, GuardExceeded
+from resonantk.leapfrog import leapfrog, two_resonance_certificate
 from resonantk.matching import maximum_matching
 from resonantk.plane_graph import delete_vertices
 from resonantk.resonance import (
@@ -98,6 +99,50 @@ def test_is_resonant_rejections(graphs):
     b = next(x for x in c60.hexagon_ids if x != a and av & c60.faces[x].vertices)
     with pytest.raises(GraphError, match="share vertices"):
         is_resonant_pattern(c60, [a, b])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: is_resonant_pattern(f, [1.5]),
+        lambda f: matching.is_central(f, 2.0),
+        lambda f: matching.is_central(f, True),
+        lambda f: two_resonance_certificate(leapfrog(f), 1.5, 3),
+        lambda f: list(disjoint_hexagon_sets(f, 1.5)),
+        lambda f: delete_vertices(f, [1.5]),
+    ],
+    ids=["pattern", "central-float", "central-bool", "certificate", "sets", "delete"],
+)
+def test_ids_and_sizes_must_be_integers(graphs, call):
+    with pytest.raises(GraphError, match="must be an integer"):
+        call(graphs["F24"])
+
+
+def test_out_of_range_ids_keep_their_messages(graphs):
+    f = graphs["F24"]
+    with pytest.raises(GraphError, match="face id 26 outside 0..13"):
+        is_resonant_pattern(f, [26])
+    with pytest.raises(GraphError, match="face id 26 outside 0..13"):
+        matching.is_central(f, 26)
+    with pytest.raises(GraphError, match="not a hexagon of the leapfrog image"):
+        two_resonance_certificate(leapfrog(f), -1, 3)
+    with pytest.raises(GraphError, match="cannot delete vertex 24: outside 0..23"):
+        delete_vertices(f, [24])
+
+
+def test_is_resonant_pattern_matches_once(monkeypatch):
+    calls = []
+    mate_array = kernels.mate_array
+    monkeypatch.setattr(kernels, "mate_array", lambda *a: calls.append(1) or mate_array(*a))
+    failing = resonance_order(_fresh("C70")).failing
+    f = _fresh("C70")
+    calls.clear()
+    assert is_resonant_pattern(f, [f.hexagon_ids[0]]) is not None
+    assert len(calls) == 1
+    assert is_resonant_pattern(f, failing) is None
+    assert len(calls) == 2 and f._memo["resonant"][frozenset(failing)] is False
+    assert is_resonant_pattern(f, failing) is None
+    assert len(calls) == 2
 
 
 def test_non_resonant_set_returns_none(graphs):

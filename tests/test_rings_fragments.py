@@ -7,11 +7,13 @@ import gc
 import random
 import warnings
 from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
 from oracles import find_polygonal_rings_by_full_walk
 
+from resonantk import rings_fragments
 from resonantk.catalog import catalog_graph, catalog_names, nanotube
 from resonantk.errors import GraphError
 from resonantk.plane_graph import (
@@ -24,6 +26,7 @@ from resonantk.plane_graph import (
 from resonantk.rings_fragments import (
     ANY,
     PENTAGONS_ONLY,
+    _is_turtle,
     detect_r5_r6,
     find_polygonal_rings,
     maximal_pentagonal_fragments,
@@ -332,3 +335,38 @@ def test_ipr_c70(graphs):
     frags = maximal_pentagonal_fragments(graphs["C70"])
     assert len(frags) == 12
     assert all(fr.shape == "PENTAGON" for fr in frags)
+
+
+def test_turtle_is_the_connected_graph_with_degrees_1_1_3_3_3_3():
+    # Reference: the former permutation check, a graph on six faces is the
+    # turtle when some relabelling maps the turtle's seven edges onto its own.
+    turtle = {(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (4, 5)}
+    images = {
+        frozenset((min(p[a], p[b]), max(p[a], p[b])) for a, b in turtle)
+        for p in permutations(range(6))
+    }
+    pairs = list(combinations(range(6), 2))
+    by_degrees = set()
+    for bits in range(1 << len(pairs)):
+        edges = frozenset(e for i, e in enumerate(pairs) if bits >> i & 1)
+        reached = {0}
+        for _ in range(5):
+            reached |= {v for e in edges if reached & set(e) for v in e}
+        if len(reached) == 6 and _is_turtle([sum(v in e for e in edges) for v in range(6)]):
+            by_degrees.add(edges)
+    assert len(images) == 180
+    assert by_degrees == images
+
+
+def test_rings_and_fragments_build_the_face_masks_once(monkeypatch):
+    built = []
+    face_masks = rings_fragments._FaceMasks
+    monkeypatch.setattr(
+        rings_fragments, "_FaceMasks", lambda *fields: built.append(1) or face_masks(*fields)
+    )
+    f = nanotube("R6", 2)
+    rings = pentagonal_rings(f)
+    assert rings and maximal_pentagonal_fragments(f)
+    for ring in rings:
+        assert ring_stats(f, ring) == ring
+    assert len(built) == 1
