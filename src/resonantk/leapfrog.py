@@ -122,11 +122,12 @@ def territory(lf: LeapfrogResult, image_face_id: int) -> Territory:
     face is fresh.
 
     Raises:
-        GraphError: if the face is not heritable.
+        GraphError: if the face id is not an integer or the face is not
+            heritable.
         RuntimeError: if the ring repeats a face or holds a face that is not
             fresh.
     """
-    if image_face_id not in lf.heritable:
+    if check_int("face id", image_face_id) not in lf.heritable:
         raise GraphError(f"face {image_face_id} is not heritable; territories surround heritable faces")
     ring = lf.image.faces.across(image_face_id)
     if len(set(ring)) != len(ring):

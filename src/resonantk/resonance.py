@@ -9,14 +9,19 @@ number is its degree, k-resonance asks that all disjoint k-sets be resonant,
 and the resonance order is the largest such k (with "ALL" when every size is
 exhausted vacuously).
 
-Results per hexagon set are memoised on the graph, so computing the sextet
-polynomial, the resonance order, and spot checks in one process shares work.
+One walk over the resonant sets, ``_walk``, decides them all: the sextet
+polynomial, the Clar number, the resonance order with its failing set and
+the per-hexagon outcomes are read off it.  It keeps one mate array per
+resonant set on its path and per resonant child of the sets on that path,
+never a table of decided sets, so its memory stays flat however many sets
+it visits.  Only the full walk's summary (counts and failures per size) is
+kept on the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from . import kernels, matching
 from .errors import GraphError, check_int
@@ -118,26 +123,14 @@ def _check_hexagon_set(f: FullereneGraph, hexagon_ids: Iterable[int]) -> tuple[i
     return ids
 
 
-def _resonant(f: FullereneGraph, ids: tuple[int, ...]) -> bool:
-    """Memoised resonance decision for a validated disjoint hexagon set."""
-    memo = f._memo.setdefault("resonant", {})
-    key = frozenset(ids)
-    hit = memo.get(key)
-    if hit is None:
-        hit = matching.is_central(f, ids)
-        memo[key] = hit
-    return hit
-
-
 def is_resonant_pattern(
     f: FullereneGraph, hexagon_ids: Iterable[int]
 ) -> ResonantPattern | None:
     """Decide resonance of a disjoint hexagon set; certificate on success.
 
     One maximum matching of the graph with the hexagons' vertices masked
-    out decides the set, as ``matching.is_central`` would, and is written to
-    the resonance memo; a set the memo already holds non-resonant is not
-    matched again.  The certificate is a perfect matching of the whole graph
+    out decides the set, as ``matching.is_central`` would; each call runs
+    exactly one.  The certificate is a perfect matching of the whole graph
     that alternates on every hexagon of the set: that maximum matching,
     perfect on the rest and already in the graph's own vertex ids, closed
     with three boundary edges in each hexagon.  It is checked once for
@@ -148,17 +141,12 @@ def is_resonant_pattern(
             hexagons intersect.
     """
     ids = _check_hexagon_set(f, hexagon_ids)
-    memo = f._memo.setdefault("resonant", {})
-    key = frozenset(ids)
-    if memo.get(key) is False:
-        return None
     excluded = [False] * f.n
     for h in ids:
         for v in f.faces[h].vertices:
             excluded[v] = True
     mate = kernels.mate_array(f.n, f.graph.rotation, excluded)
-    memo[key] = all(mate[v] >= 0 for v in range(f.n) if not excluded[v])
-    if not memo[key]:
+    if any(mate[v] < 0 for v in range(f.n) if not excluded[v]):
         return None
     edges = {(v, w) for v, w in enumerate(mate) if v < w}
     for h in ids:
@@ -207,59 +195,109 @@ def disjoint_hexagon_sets(f: FullereneGraph, k: int) -> Iterator[tuple[int, ...]
             stack.append([ids + (h,), [c for c in cands[i + 1 :] if c not in bad], 0])
 
 
-def sextet(f: FullereneGraph) -> SextetPolynomial:
-    """The polynomial whose i-th coefficient counts resonant i-sets.
+class _Walk(NamedTuple):
+    """What ``_walk`` found, by set size k up to the largest size it tested.
 
-    One depth-first walk visits the resonant sets, each extended only by
-    hexagons later in ``f.hexagon_ids`` that miss it, so every set is reached
-    once, from the set without its last hexagon.  A node carries a perfect
-    matching of G - V(H) as a mate array.  A child H + h copies it, excludes
-    h's six vertices and frees their partners outside h, then runs one
-    ``kernels.augment`` search from each freed vertex still unmatched: if h
-    already alternates nothing is freed and no search runs.  A failed search
-    proves the child non-resonant (Edmonds), and its subtree is skipped,
-    since a resonant set's subsets are resonant.  Every child's outcome is
-    written to the resonance memo, which then holds every set the
-    size-then-lex sweep of ``resonance_order`` reaches.
+    ``counts[k]`` is the number of resonant k-sets reached and ``failed[k]``
+    the first non-resonant k-set tested, or None.  ``singles`` holds the
+    hexagons that are resonant on their own.
     """
-    memo = f._memo.setdefault("resonant", {})
+
+    counts: tuple[int, ...]
+    failed: tuple[tuple[int, ...] | None, ...]
+    singles: frozenset[int]
+
+
+def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
+    """Decide every disjoint hexagon set whose proper subsets are all resonant.
+
+    A node of the depth-first walk is a resonant set H with a perfect
+    matching of G - V(H) as a mate array.  At a node the walk first tests
+    each candidate child H + c: it copies the mate array, excludes c's six
+    vertices and frees their partners outside c, then runs one
+    ``kernels.augment`` search from each freed vertex still unmatched (if c
+    already alternates nothing is freed and no search runs).  A failed
+    search proves H + c non-resonant (Edmonds).  The walk then descends into
+    each resonant child H + h in ascending order; its candidates are the
+    later resonant children H + c whose c misses h, since a superset of the
+    failed H + c fails too.
+
+    So every set all of whose proper subsets are resonant is tested once,
+    as a child of the set without its largest hexagon, and every resonant
+    set is reached.  Nodes of one size are visited, and their children
+    tested, in lexicographic order: at the least size with a failure,
+    ``failed`` holds the lexicographically least failing set.  The walk
+    keeps no decided sets; besides its summary it holds the mate arrays of
+    the resonant children along its path.
+
+    With ``max_size`` (at least 1) no set larger is tested, and the walk
+    ends at its first failed set of that size, as a caller deepening the
+    bound needs nothing past it; the counts then cover only the sets before
+    it.  Every single hexagon is still tested, at the root.
+    """
     adj = f.graph.rotation
     n = f.n
     root = kernels.mate_array(n, adj)
     if -1 in root:
         raise RuntimeError("the graph has no perfect matching, so the empty set is not resonant")
-    memo[frozenset()] = True
-    coeffs = [1]
-    # Frames [H, mate of G - V(H), exclusion mask of V(H), hexagons that may
-    # extend H, index of the next one to try].
-    stack = [[(), root, [False] * n, f.hexagon_ids, 0]]
+    counts = [1]
+    failed: list[tuple[int, ...] | None] = [None]
+    singles: frozenset[int] = frozenset()
+    # Frames (H, mate of G - V(H), exclusion mask of V(H), candidate hexagons).
+    stack = [((), root, [False] * n, f.hexagon_ids)]
     while stack:
-        frame = stack[-1]
-        ids, mate, excluded, cands, i = frame
-        if i == len(cands):
-            stack.pop()
+        ids, mate, excluded, cands = stack.pop()
+        if not cands:
             continue
-        frame[4] = i + 1
-        h = cands[i]
-        ring = f.faces[h].boundary
-        exc = excluded[:]
-        for v in ring:
-            exc[v] = True
-        freed = [mate[v] for v in ring if not exc[mate[v]]]
-        child = mate[:]
-        for v in ring:
-            child[v] = -1
-        for u in freed:
-            child[u] = -1
-        ok = all(child[u] >= 0 or kernels.augment(n, adj, exc, child, u) for u in freed)
-        ids = ids + (h,)
-        memo[frozenset(ids)] = ok
-        if ok:
-            if len(ids) == len(coeffs):
-                coeffs.append(0)
-            coeffs[len(ids)] += 1
+        size = len(ids) + 1
+        if size == len(counts):
+            counts.append(0)
+            failed.append(None)
+        passed = []
+        for h in cands:
+            ring = f.faces[h].boundary
+            exc = excluded[:]
+            for v in ring:
+                exc[v] = True
+            freed = [mate[v] for v in ring if not exc[mate[v]]]
+            child = mate[:]
+            for v in ring:
+                child[v] = -1
+            for u in freed:
+                child[u] = -1
+            if all(child[u] >= 0 or kernels.augment(n, adj, exc, child, u) for u in freed):
+                passed.append((h, child, exc))
+            elif failed[size] is None:
+                failed[size] = ids + (h,)
+                if size == max_size and ids:
+                    break
+        counts[size] += len(passed)
+        if not ids:
+            singles = frozenset(h for h, _, _ in passed)
+        if size == max_size:
+            if failed[size] is not None:
+                break
+            continue
+        for i in range(len(passed) - 1, -1, -1):
+            h, child, exc = passed[i]
             bad = f.faces.across(h)
-            stack.append([ids, child, exc, [c for c in cands[i + 1 :] if c not in bad], 0])
+            later = [c for c, _, _ in passed[i + 1 :] if c not in bad]
+            stack.append((ids + (h,), child, exc, later))
+    return _Walk(tuple(counts), tuple(failed), singles)
+
+
+def sextet(f: FullereneGraph) -> SextetPolynomial:
+    """The polynomial whose i-th coefficient counts resonant i-sets.
+
+    The counts of the full ``_walk``, whose summary is kept on the graph for
+    ``resonance_order`` and ``hexagon_dichotomy_report``.
+    """
+    walk = f._memo.get("walk")
+    if walk is None:
+        walk = f._memo["walk"] = _walk(f)
+    coeffs = list(walk.counts)
+    while coeffs[-1] == 0:
+        coeffs.pop()
     return SextetPolynomial(tuple(coeffs))
 
 
@@ -300,27 +338,35 @@ def fries(f: FullereneGraph, cap: int | None = None) -> int:
 def resonance_order(f: FullereneGraph, max_k: int | None = None) -> OrderReport:
     """Largest k such that every disjoint k-set of hexagons is resonant.
 
-    Sizes are swept upward.  A size with no disjoint sets at all ends the
-    sweep with order "ALL" (every later size is empty too).  The first
-    non-resonant set encountered - smallest size, lexicographically first -
-    is reported as the failing witness.
+    Sizes are taken upward.  A size with no disjoint sets at all ends with
+    order "ALL" (every later size is empty too).  The first non-resonant
+    set - smallest size, lexicographically first - is reported as the
+    failing witness.  A non-resonant set of the least failing size has only
+    resonant proper subsets, so ``_walk`` tests it.  The sizes are read off
+    the full walk if ``sextet`` has run on the graph; otherwise the walk is
+    run bounded to 2, 3, ... sets, each run ending at its first failure, so
+    that a small order costs only the small sets.
 
     Raises:
         GraphError: if ``max_k`` is given and is not an integer >= 0.
     """
     if max_k is not None:
         check_int("max_k", max_k, 0)
+    walk = f._memo.get("walk")
+    bounded = walk is None
     k = 1
     while True:
         if max_k is not None and k > max_k:
             return OrderReport(max_k, None, capped=True)
-        any_set = False
-        for ids in disjoint_hexagon_sets(f, k):
-            any_set = True
-            if not _resonant(f, ids):
-                return OrderReport(k - 1, ids)
-        if not any_set:
+        # The walk bounded to two sets tests every single hexagon at its
+        # root, so it answers sizes 1 and 2 at once.
+        if bounded and k != 2:
+            walk = _walk(f, 1 if max_k == 1 else max(k, 2))
+        counts, failed, _ = walk
+        if k == len(counts):
             return OrderReport(ALL, None)
+        if failed[k] is not None:
+            return OrderReport(k - 1, failed[k])
         k += 1
 
 
@@ -343,8 +389,7 @@ def find_g_star(f: FullereneGraph) -> GStarWitness | None:
         if a & b or a & c or b & c:
             continue
         witness = GStarWitness(v, tuple(sorted(opposite)))
-        ids = _check_hexagon_set(f, witness.hexagons)
-        if _resonant(f, ids):
+        if matching.is_central(f, witness.hexagons):
             raise RuntimeError(f"G* witness {witness} isolates vertex {v} but was decided resonant")
         return witness
     return None
@@ -354,11 +399,14 @@ def hexagon_dichotomy_report(f: FullereneGraph) -> tuple[HexagonReport, ...]:
     """Per-hexagon record: is it resonant, and is the graph minus it bipartite?
 
     For fullerene graphs the expected pattern is resonant=True with a
-    non-bipartite remainder (witnessed by an odd cycle).
+    non-bipartite remainder (witnessed by an odd cycle).  Resonance is read
+    off the full walk if ``sextet`` has run on the graph, else off a walk
+    bounded to single hexagons.
     """
+    singles = (f._memo.get("walk") or _walk(f, 1)).singles
     out = []
     for h in f.hexagon_ids:
-        resonant = _resonant(f, (h,))
+        resonant = h in singles
         sub = delete_vertices(f, f.faces[h].vertices)
         bip, cycle = is_bipartite(sub)
         out.append(HexagonReport(h, resonant, bip, cycle))

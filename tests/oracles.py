@@ -146,6 +146,81 @@ def count_disjoint_hexagon_sets(hexagon_vertex_sets: list[frozenset[int]], k: in
     return total
 
 
+def resonance_order_by_sweep(f, max_k: int | None = None):
+    """The resonance order as the package found it before the single walk.
+
+    The package's former ``resonance_order``, kept verbatim: sizes swept
+    upward over ``disjoint_hexagon_sets`` in lexicographic order, each set
+    decided by ``matching.is_central`` (which the package's former resonance
+    memo called, once per set).
+    """
+    from resonantk.errors import check_int
+    from resonantk.matching import is_central
+    from resonantk.resonance import ALL, OrderReport, disjoint_hexagon_sets
+
+    if max_k is not None:
+        check_int("max_k", max_k, 0)
+    k = 1
+    while True:
+        if max_k is not None and k > max_k:
+            return OrderReport(max_k, None, capped=True)
+        any_set = False
+        for ids in disjoint_hexagon_sets(f, k):
+            any_set = True
+            if not is_central(f, ids):
+                return OrderReport(k - 1, ids)
+        if not any_set:
+            return OrderReport(ALL, None)
+        k += 1
+
+
+def sextet_by_unpruned_walk(f) -> tuple[int, ...]:
+    """Sextet coefficients as the package's former walk counted them.
+
+    Its former ``sextet`` without the memo writes: each resonant set is
+    extended by every later hexagon that misses it, whether or not that
+    hexagon extends the set's parent.
+    """
+    from resonantk import kernels
+
+    adj = f.graph.rotation
+    n = f.n
+    root = kernels.mate_array(n, adj)
+    if -1 in root:
+        raise RuntimeError("the graph has no perfect matching, so the empty set is not resonant")
+    coeffs = [1]
+    # Frames [H, mate of G - V(H), exclusion mask of V(H), hexagons that may
+    # extend H, index of the next one to try].
+    stack = [[(), root, [False] * n, f.hexagon_ids, 0]]
+    while stack:
+        frame = stack[-1]
+        ids, mate, excluded, cands, i = frame
+        if i == len(cands):
+            stack.pop()
+            continue
+        frame[4] = i + 1
+        h = cands[i]
+        ring = f.faces[h].boundary
+        exc = excluded[:]
+        for v in ring:
+            exc[v] = True
+        freed = [mate[v] for v in ring if not exc[mate[v]]]
+        child = mate[:]
+        for v in ring:
+            child[v] = -1
+        for u in freed:
+            child[u] = -1
+        ok = all(child[u] >= 0 or kernels.augment(n, adj, exc, child, u) for u in freed)
+        ids = ids + (h,)
+        if ok:
+            if len(ids) == len(coeffs):
+                coeffs.append(0)
+            coeffs[len(ids)] += 1
+            bad = f.faces.across(h)
+            stack.append([ids, child, exc, [c for c in cands[i + 1 :] if c not in bad], 0])
+    return tuple(coeffs)
+
+
 def leapfrog_provenance(
     adj: list[list[int]],
     face_boundaries: list[list[int]],

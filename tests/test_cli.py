@@ -143,18 +143,58 @@ FRAGMENTS_JSON_DIGESTS = {
 }
 
 
+def _emit(name, path):
+    """Write a catalog graph or an R5_k/R6_k tube to ``path``."""
+    if name[:3] in ("R5_", "R6_"):
+        emit = ["nanotube", "--cap", name[:2].lower(), "--rings", name[3:], "-o", str(path)]
+    else:
+        emit = ["catalog", "emit", name, "-o", str(path)]
+    assert run(emit) == 0
+    return path
+
+
 @pytest.mark.parametrize("name", sorted(FRAGMENTS_JSON_DIGESTS))
 def test_fragments_json_pinned(name, tmp_path, capsys):
-    src = tmp_path / "in.rot"
-    if name[:3] in ("R5_", "R6_"):
-        emit = ["nanotube", "--cap", name[:2].lower(), "--rings", name[3:], "-o", str(src)]
-    else:
-        emit = ["catalog", "emit", name, "-o", str(src)]
-    assert run(emit) == 0
+    src = _emit(name, tmp_path / "in.rot")
     capsys.readouterr()
     assert run(["fragments", str(src), "--json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == FRAGMENTS_JSON_DIGESTS[name]
+
+
+ANALYZE_JSON_DIGESTS = {
+    # SHA-256 of `analyze NAME.rot --json`, recorded before the resonance
+    # walk dropped its memo of decided sets
+    "F20": "31aaf0ecf5551669c43d07e65b44ae5a16701c6bcc06e950cc7288cff5e8df2d",
+    "F24": "decdd492a49cd51041237ae1de4fc45ca7d9f1c0af03f1a7e2e79318ccafd291",
+    "F28": "484fb4556e7c925921927527880ee3e9216b62207a18c6ecbe0effb12b265096",
+    "F30": "c28c139c657e6cd5dbea00d3e938a56b1f9eb7f119c5ee9a6ba197e1c28a3cf5",
+    "F32": "8728a4098e40a68b06809c164c313a2b8d90c0be0a24de25dd7f0179b7a045f2",
+    "F36_1": "fba30df621619749ecb36fbd288b7b7aeb782b85bd00a12060aec54a85391700",
+    "F36_2": "60b4401f6133adbdf293aa62aa0e39df6304940423d6e0fd27e4e4c431080074",
+    "F40": "7cc8e4c8fb40f8b6d4b529172d6884471d5cc1e41d3ced242f2cdc1d177f2789",
+    "F48": "a9a48e29e31f79eea4bacdde55b695250875705d7f03dc61f61e69ecc17a94a3",
+    "C60": "cd96ccd62202eb94bef2207379a28fd1d9a17cb0d964298cb9bf98d12300d1b9",
+    "C70": "45915d1a3fd2f2a6e84e180cb1e4f984488fe39b7471a928446018ec3bfc8aae",
+    "R5_1": "bf62ec50663e767e42ac17a5acc83fff30dfa257b6a0bf9e25719d4d803bb2cd",
+    "R5_2": "0de97612c369506bce5f1cf31b3ff43801c8ac83a2519299c4c2678cfd28249b",
+    "R5_3": "240af28fbdcf93acc2f31345b26efac646f405843fa42066d0999ca0e6cc90f8",
+    "R5_4": "88bcf4c094d572edb14de51d060e7315135aa6a703baa3bf01bfb142bf84a224",
+    "R5_5": "9354feff86df96cd10350c4be2aa8539d10821162f21e19b55bc0bfd30d5fc0b",
+    "R6_1": "5dde77e8e6223211b4bb23192abfefa395403e4cff565ec1bba864d717e7b01b",
+    "R6_2": "40949d778712b67bed79f6c50b060d441b57250077ddb895ef8fd1b7302d7657",
+    "R6_3": "a25150a68976be24c1c2c3aaf2fb68497007fe68fa74b45f5a4338383e35849e",
+    "R6_4": "c8a498c5585c9a43154b6668d4fa328b2ff87738ecca44b5698f6cda36010ea8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_JSON_DIGESTS))
+def test_analyze_json_pinned(name, tmp_path, capsys):
+    src = _emit(name, tmp_path / "in.rot")
+    capsys.readouterr()
+    assert run(["analyze", str(src), "--json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == ANALYZE_JSON_DIGESTS[name]
 
 
 def test_analyze_json_deterministic(f24_file, capsys):

@@ -86,6 +86,14 @@ def test_territory_ring(lf20):
         territory(lf20, fresh_id)
 
 
+@pytest.mark.parametrize("face_id", [True, 1.0, [1]], ids=["bool", "float", "list"])
+def test_territory_face_id_must_be_an_integer(graphs, face_id):
+    lf = leapfrog(graphs["F24"])
+    assert 1 in lf.heritable
+    with pytest.raises(GraphError, match="face id must be an integer"):
+        territory(lf, face_id)
+
+
 def test_territory_rejects_ring_face_missing_from_fresh(lf20):
     center = min(lf20.heritable)
     ring = territory(lf20, center).ring

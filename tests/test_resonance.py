@@ -3,18 +3,25 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 from itertools import combinations
 
 import pytest
 
-from oracles import count_disjoint_hexagon_sets, resonant_by_brute_force
+from oracles import (
+    count_disjoint_hexagon_sets,
+    resonance_order_by_sweep,
+    resonant_by_brute_force,
+    sextet_by_unpruned_walk,
+)
 
 from resonantk import kernels, matching, resonance
-from resonantk.catalog import catalog_graph, nanotube
+from resonantk.catalog import catalog_graph, catalog_names, nanotube
+from resonantk.cli import analyze_graph
 from resonantk.errors import GraphError, GuardExceeded
 from resonantk.leapfrog import leapfrog, two_resonance_certificate
 from resonantk.matching import maximum_matching
-from resonantk.plane_graph import delete_vertices
+from resonantk.plane_graph import EmbeddedGraph, delete_vertices, validate_fullerene
 from resonantk.resonance import (
     ALL,
     OrderReport,
@@ -134,15 +141,15 @@ def test_is_resonant_pattern_matches_once(monkeypatch):
     calls = []
     mate_array = kernels.mate_array
     monkeypatch.setattr(kernels, "mate_array", lambda *a: calls.append(1) or mate_array(*a))
-    failing = resonance_order(_fresh("C70")).failing
     f = _fresh("C70")
+    failing = resonance_order(f).failing
     calls.clear()
     assert is_resonant_pattern(f, [f.hexagon_ids[0]]) is not None
     assert len(calls) == 1
     assert is_resonant_pattern(f, failing) is None
-    assert len(calls) == 2 and f._memo["resonant"][frozenset(failing)] is False
-    assert is_resonant_pattern(f, failing) is None
     assert len(calls) == 2
+    assert is_resonant_pattern(f, failing) is None
+    assert len(calls) == 3
 
 
 def test_non_resonant_set_returns_none(graphs):
@@ -273,12 +280,86 @@ def test_sextet_matches_brute_force_oracle(graphs, tubes):
 
 @pytest.mark.parametrize("name", ["F48", "R6_2"])
 def test_walk_memo_agrees_with_is_central(name):
+    # the walk keeps no sets, only counts: they add up to the disjoint sets
+    # of every size that is_central accepts
     f = _fresh(name)
-    poly = sextet(f)
-    memo = f._memo["resonant"]
-    assert sum(memo.values()) == sum(poly.coefficients)
-    for key, resonant in memo.items():
-        assert resonant == matching.is_central(f, key), sorted(key)
+    accepted = 0
+    for k in range(len(f.hexagon_ids) + 1):
+        sets = list(disjoint_hexagon_sets(f, k))
+        if not sets:
+            break
+        accepted += sum(matching.is_central(f, ids) for ids in sets)
+    assert sum(sextet(f).coefficients) == accepted
+    assert sum(f._memo["walk"].counts) == accepted
+
+
+WALKED = catalog_names() + tuple(f"R5_{k}" for k in range(1, 7)) + tuple(
+    f"R6_{k}" for k in range(1, 5)
+)
+
+
+def _reflected(f):
+    return validate_fullerene(EmbeddedGraph(tuple((c, b, a) for a, b, c in f.graph.rotation)))
+
+
+@pytest.mark.parametrize("name", WALKED)
+def test_walk_matches_the_sweep(name, relabel):
+    # The order and failing set of the former size-then-lex sweep, both from
+    # the bounded walks and from the full walk that sextet keeps, and the
+    # coefficients of the former unpruned walk; as given, relabelled, and
+    # relabelled and reflected.
+    seed = WALKED.index(name)
+    caps = (None, 0, 1, 2) if name in ("C60", "C70") else (None,)
+    coefficients = set()
+    for g in (_fresh(name), relabel(_fresh(name), seed), _reflected(relabel(_fresh(name), seed + 50))):
+        expected = [resonance_order_by_sweep(g, cap) for cap in caps]
+        assert [resonance_order(g, cap) for cap in caps] == expected
+        assert "walk" not in g._memo
+        coefficients.add(sextet(g).coefficients)
+        assert coefficients == {sextet_by_unpruned_walk(g)}
+        assert [resonance_order(g, cap) for cap in caps] == expected
+
+
+def test_walk_skips_supersets_of_failed_siblings(monkeypatch):
+    # On R6_4 the walk runs 4,709 augment searches, the unpruned walk 9,525.
+    calls = []
+    augment = kernels.augment
+    monkeypatch.setattr(kernels, "augment", lambda *a: calls.append(1) or augment(*a))
+    f = _fresh("R6_4")
+    resonance._walk(f)
+    pruned = len(calls)
+    calls.clear()
+    sextet_by_unpruned_walk(f)
+    assert pruned < 0.6 * len(calls)
+
+
+def test_memo_keeps_no_resonant_sets():
+    f = _fresh("C70")
+    resonance_order(f)
+    hexagon_dichotomy_report(f)
+    find_g_star(f)
+    assert f._memo == {}
+    sextet(f)
+    assert set(f._memo) == {"walk"}
+    f = _fresh("C70")
+    analyze_graph(f)
+    assert set(f._memo) == {"walk", "face_masks", "pentagonal_rings"}
+    walk = f._memo["walk"]
+    assert walk.counts == (1, 25, 255, 1355, 3940, 5958, 4715, 2065, 375, 25)
+    assert len(walk.failed) == len(walk.counts)
+
+
+def test_sextet_memory_stays_flat():
+    # 46.6 MB at the former per-set memo, 0.21 MB measured for the walk
+    f = nanotube("R6", 5)
+    tracemalloc.start()
+    try:
+        poly = sextet(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert poly.coefficients == (1, 32, 358, 2124, 6672, 10866, 8694, 3252, 585, 54, 3)
+    assert peak < 1_000_000, f"sextet(R6_5) peaked at {peak / 1e6:.2f} MB"
 
 
 @pytest.mark.parametrize("name", ["C60", "C70", "R6_3"])
