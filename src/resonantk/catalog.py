@@ -1,10 +1,12 @@
 """Built-in graphs: the named fullerenes and capped nanotube families.
 
-Eleven named graphs ship with the package.  The three barrels (F20, F24,
-F40) and the nanotube families are generated from face spirals on demand;
-the rest were pinned once by an exhaustive isomer search (see
-tools/gen_catalog.py) and frozen under data/ as rotation-system files whose
-header comments record the winding spiral and the pinning invariants.
+Eleven named graphs ship with the package, each wound on demand from its
+face spiral.  A spiral is named, as in Fowler & Manolopoulos, *An Atlas of
+Fullerenes* (1995), by the positions of its 12 pentagons among the n/2 + 2
+faces in winding order; every other face is a hexagon.  The spirals of the
+isomers pinned by invariants rather than by shape are reproduced by an
+exhaustive isomer search in tools/gen_catalog.py.  The nanotube families
+are wound from spirals too.
 
 Every entry carries its expected facts - sextet polynomial, minimum
 pentagonal-ring length, resonance order, hexagon count - which the test
@@ -14,12 +16,11 @@ suite and ``catalog verify`` recompute from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from typing import Union
 
 from ._spiral import wind
 from .errors import GraphError, check_int
-from .plane_graph import FullereneGraph, parse_graph, validate_fullerene
+from .plane_graph import FullereneGraph, validate_fullerene
 from .resonance import ALL, resonance_order, sextet
 from .rings_fragments import tau
 
@@ -44,32 +45,78 @@ class CatalogEntry:
 # The members whose every disjoint hexagon set is resonant.
 THE_NINE = ("F20", "F24", "F28", "F32", "F36_1", "F36_2", "F40", "F48", "C60")
 
-_EXPECTED: dict[str, ExpectedFacts] = {
-    "F20": ExpectedFacts((1,), 5, ALL, 0),
-    "F24": ExpectedFacts((1, 2, 1), 6, ALL, 2),
-    "F28": ExpectedFacts((1, 4, 4), 8, ALL, 4),
-    "F30": ExpectedFacts((1, 5, 4), 6, 1, 5),
-    "F32": ExpectedFacts((1, 6, 9), 9, ALL, 6),
-    "F36_1": ExpectedFacts((1, 8, 20, 16, 2), None, ALL, 8),
-    "F36_2": ExpectedFacts((1, 8, 18, 8, 1), 10, ALL, 8),
-    "F40": ExpectedFacts((1, 10, 35, 50, 25), 10, ALL, 10),
-    "F48": ExpectedFacts((1, 14, 67, 130, 109, 36, 4), 12, ALL, 14),
-    "C60": ExpectedFacts((1, 20, 160, 660, 1510, 1912, 1240, 320, 5), None, ALL, 20),
-    "C70": ExpectedFacts(
-        (1, 25, 255, 1355, 3940, 5958, 4715, 2065, 375, 25), None, 2, 25
+# name -> (vertex count, spiral positions of the 12 pentagons from 1, facts)
+_CATALOG: dict[str, tuple[int, tuple[int, ...], ExpectedFacts]] = {
+    # the dodecahedron
+    "F20": (20, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), ExpectedFacts((1,), 5, ALL, 0)),
+    # a belt of twelve pentagons closed by two hexagons
+    "F24": (24, (2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13), ExpectedFacts((1, 2, 1), 6, ALL, 2)),
+    # pinned by sextet polynomial (1,4,4) and min pentagonal ring 8
+    "F28": (28, (1, 2, 3, 4, 5, 7, 10, 12, 13, 14, 15, 16), ExpectedFacts((1, 4, 4), 8, ALL, 4)),
+    # pinned among the three 30-vertex isomers: has a pentagonal cap and
+    # a vertex whose three opposite faces are pairwise disjoint hexagons
+    "F30": (30, (1, 2, 3, 4, 7, 10, 11, 12, 13, 14, 15, 16), ExpectedFacts((1, 5, 4), 6, 1, 5)),
+    # pinned by sextet polynomial (1,6,9) and min pentagonal ring 9
+    "F32": (32, (1, 2, 3, 4, 7, 10, 11, 13, 14, 16, 17, 18), ExpectedFacts((1, 6, 9), 9, ALL, 6)),
+    # pinned by sextet polynomial (1,8,20,16,2), no pentagonal ring,
+    # and exactly two turtle-shaped maximal pentagonal fragments
+    "F36_1": (
+        36, (1, 2, 3, 4, 7, 10, 12, 15, 17, 18, 19, 20),
+        ExpectedFacts((1, 8, 20, 16, 2), None, ALL, 8),
     ),
-}
-
-_BARRELS: dict[str, list[int]] = {
-    "F20": [5] * 12,
-    "F24": [6] + [5] * 12 + [6],
-    "F40": [5] + [6] * 5 + [5] * 10 + [6] * 5 + [5],
+    # pinned by sextet polynomial (1,8,18,8,1) and min pentagonal ring 10
+    "F36_2": (
+        36, (1, 2, 3, 4, 7, 10, 11, 14, 17, 18, 19, 20),
+        ExpectedFacts((1, 8, 18, 8, 1), 10, ALL, 8),
+    ),
+    # two pentagonal caps, each ringed by five hexagons, joined by ten pentagons
+    "F40": (
+        40, (1, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 22),
+        ExpectedFacts((1, 10, 35, 50, 25), 10, ALL, 10),
+    ),
+    # a belt of twelve pentagons between two hexagonal caps, each ringed by
+    # six hexagons; pinned by sextet polynomial (1,14,67,130,109,36,4) and
+    # min pentagonal ring 12
+    "F48": (
+        48, (8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19),
+        ExpectedFacts((1, 14, 67, 130, 109, 36, 4), 12, ALL, 14),
+    ),
+    # the icosahedral isomer; its graph is the leapfrog image of F20
+    # (checked by canonical code in tools/gen_catalog.py)
+    "C60": (
+        60, (1, 7, 9, 11, 13, 15, 18, 20, 22, 24, 26, 32),
+        ExpectedFacts((1, 20, 160, 660, 1510, 1912, 1240, 320, 5), None, ALL, 20),
+    ),
+    # the isolated-pentagon 70-vertex isomer (five-fold barrel); pinned by
+    # having no pentagonal ring and resonance order exactly 2
+    "C70": (
+        70, (1, 7, 9, 11, 13, 15, 27, 29, 31, 33, 35, 37),
+        ExpectedFacts((1, 25, 255, 1355, 3940, 5958, 4715, 2065, 375, 25), None, 2, 25),
+    ),
 }
 
 
 def catalog_names() -> tuple[str, ...]:
     """All entry names, smallest graph first."""
-    return tuple(_EXPECTED)
+    return tuple(_CATALOG)
+
+
+def _key(name: str) -> str:
+    key = name.upper() if isinstance(name, str) else None
+    if key not in _CATALOG:
+        known = ", ".join(_CATALOG)
+        raise GraphError(f"unknown catalog name {name!r}; expected one of: {known}")
+    return key
+
+
+def catalog_spiral(name: str) -> list[int]:
+    """A named entry's face spiral: the sizes of its faces in winding order.
+
+    Raises:
+        GraphError: if the name is unknown.
+    """
+    n, pentagons, _ = _CATALOG[_key(name)]
+    return [5 if i in pentagons else 6 for i in range(1, n // 2 + 3)]
 
 
 def catalog_graph(name: str) -> CatalogEntry:
@@ -78,17 +125,10 @@ def catalog_graph(name: str) -> CatalogEntry:
     Raises:
         GraphError: if the name is unknown.
     """
-    key = name.upper()
-    if key not in _EXPECTED:
-        known = ", ".join(_EXPECTED)
-        raise GraphError(f"unknown catalog name {name!r}; expected one of: {known}")
-    if key in _BARRELS:
-        g = wind(_BARRELS[key])
-        assert g is not None
-    else:
-        text = (resources.files("resonantk.data") / f"{key.lower()}.rot").read_text()
-        g = parse_graph(text)
-    return CatalogEntry(key, validate_fullerene(g), _EXPECTED[key])
+    key = _key(name)
+    g = wind(catalog_spiral(key))
+    assert g is not None
+    return CatalogEntry(key, validate_fullerene(g), _CATALOG[key][2])
 
 
 def verify_entry(entry: CatalogEntry) -> dict[str, tuple[object, object, bool]]:

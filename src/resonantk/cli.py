@@ -154,8 +154,11 @@ def _render_text(report: dict) -> str:
 
 def _write_output(text: str, path: str | None) -> None:
     if path and path != "-":
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise GraphError(f"cannot write {path}: {e.strerror}") from None
     else:
         sys.stdout.write(text)
 

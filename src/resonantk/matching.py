@@ -201,17 +201,23 @@ def symmetric_difference(m: Matching, cycle: Sequence[int]) -> Matching:
     """Flip a matching along an alternating cycle of vertices.
 
     ``cycle`` lists the vertices in order; the closing edge is implicit.
-    Every other cycle edge must lie in the matching, else GraphError.
+    Every step must be an edge of the matching's host graph and every other
+    cycle edge must lie in the matching, else GraphError.
     """
+    if m.host is None:
+        raise GraphError("matching has no host graph to check the cycle against")
+    n, adj = _adjacency(m.host)
     length = len(cycle)
     if length < 4 or length % 2:
         raise GraphError(f"alternating cycle must have even length >= 4, got {length}")
-    if len(set(cycle)) != length:
-        raise GraphError("alternating cycle repeats a vertex")
     cyc_edges = []
     for i in range(length):
-        u, v = cycle[i], cycle[(i + 1) % length]
+        u, v = check_int("cycle vertex", cycle[i]), cycle[(i + 1) % length]
+        if not (0 <= u < n and v in adj[u]):
+            raise GraphError(f"cycle step {u}-{v} is not an edge of the graph")
         cyc_edges.append((u, v) if u < v else (v, u))
+    if len(set(cycle)) != length:
+        raise GraphError("alternating cycle repeats a vertex")
     inside = [e in m.edges for e in cyc_edges]
     if not all(inside[i] != inside[i - 1] for i in range(length)):
         raise GraphError("cycle does not alternate with the matching")

@@ -211,11 +211,13 @@ def parse_graph(text: str) -> EmbeddedGraph:
     clockwise order (0-based, listed in ascending i).
 
     Raises:
-        GraphError: on malformed text, a non-cubic vertex, asymmetric
-            adjacency, loops or repeated neighbours (multi-edges), a
-            disconnected graph, or an arc partition failing Euler's formula
-            (not a sphere embedding).
+        GraphError: on input that is not a ``str``, malformed text, a
+            non-cubic vertex, asymmetric adjacency, loops or repeated
+            neighbours (multi-edges), a disconnected graph, or an arc
+            partition failing Euler's formula (not a sphere embedding).
     """
+    if not isinstance(text, str):
+        raise GraphError(f"graph text must be a str, got {type(text).__name__}")
     lines: list[str] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

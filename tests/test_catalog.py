@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from resonantk.catalog import (
     THE_NINE,
     catalog_graph,
     catalog_names,
+    catalog_spiral,
     nanotube,
     verify_entry,
 )
 from resonantk.errors import GraphError
-from resonantk.plane_graph import canonical_code
+from resonantk.plane_graph import canonical_code, emit_graph
 
 
 def test_names_frozen():
@@ -49,6 +52,29 @@ def test_vertex_counts(graphs):
         assert graphs[name].n == n
 
 
+# SHA-256 of emit_graph(entry.graph.graph): each entry's vertex labelling, so a
+# mistyped spiral fails here by name.
+EMIT_SHA256 = {
+    "F20": "643b7ae589ef9e88c734c9ea08b29732726727d938003b56204db3f8d0f376ba",
+    "F24": "057a8d0dda66a3982c13006044c78d9f24293dd141d34bd7ba4c8ffdcf5e9a58",
+    "F28": "c959967500de7ab12e90bbf58598a9d02e713ad1bdfa57c22af27aafadcad7c3",
+    "F30": "631981a542d2ebd340684bfac3943bf333f7530cf9bea9c685d3066a1f2e0aaf",
+    "F32": "3b86fe847f61173230aadb81b4ac47d4e3e9c398e527fdc317e763354bb443bf",
+    "F36_1": "103d5fcc288254f05eb564bf26991680361d8a5b117cec2fdd93d1c625cda788",
+    "F36_2": "77d855e65ba7ad99e60c5ae410f5f0d6f49b9fba25e89ac66c8be69e164596dd",
+    "F40": "7015d402e3de7b90d1836761daa95505d21869f2c157da529a1f12e5458247ca",
+    "F48": "9119bbe385f219cd22033df94c0e5194e861c5d86072e8ab955cb55236ae5950",
+    "C60": "5e7b9ac489b3b647f5594ecb117ad12cc158d0432408188b13d631be903d1045",
+    "C70": "56933dc5923cba2772083abc2d3a037c35f0d435dd176007e6fe11f221e0b863",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMIT_SHA256))
+def test_labelling_pinned(name, catalog):
+    text = emit_graph(catalog[name].graph.graph)
+    assert hashlib.sha256(text.encode()).hexdigest() == EMIT_SHA256[name]
+
+
 def test_lookup_is_case_insensitive():
     assert canonical_code(catalog_graph("f24").graph) == canonical_code(
         catalog_graph("F24").graph
@@ -58,6 +84,11 @@ def test_lookup_is_case_insensitive():
 def test_unknown_name_rejected():
     with pytest.raises(GraphError, match="unknown"):
         catalog_graph("F99")
+    for bad in (None, 20, b"F20"):
+        with pytest.raises(GraphError, match="unknown"):
+            catalog_graph(bad)
+        with pytest.raises(GraphError, match="unknown"):
+            catalog_spiral(bad)
 
 
 def test_nanotube_counts(tubes):

@@ -306,6 +306,24 @@ def test_leapfrog_outputs(f24_file, tmp_path):
     assert len(p["fresh"]) == 24
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{f24}", "-o", "{out}"],
+        ["leapfrog", "{f24}", "-o", "{out}"],
+        ["leapfrog", "{f24}", "-o", "{tmp}/image.rot", "--emit-matching", "{out}"],
+        ["catalog", "emit", "F24", "-o", "{out}"],
+        ["nanotube", "--cap", "r5", "--rings", "1", "-o", "{out}"],
+    ],
+)
+def test_unwritable_output_is_a_graph_error(argv, target, f24_file, tmp_path, capsys):
+    out = tmp_path / "absent" / "x.out" if target == "missing" else tmp_path
+    args = [a.format(f24=f24_file, out=out, tmp=tmp_path) for a in argv]
+    assert run(args) == 1
+    assert f"error: cannot write {out}:" in capsys.readouterr().err
+
+
 def test_leapfrog_past_255_vertices(tmp_path, capsys):
     # the source identity line needs the two-byte canonical code
     tube = tmp_path / "tube.rot"

@@ -257,6 +257,16 @@ def test_symmetric_difference_rejects_non_alternating(graphs):
     if non_alt is not None:
         with pytest.raises(GraphError):
             symmetric_difference(m, non_alt)
+    # 0-1 and 10-11 are matched, but 1-10 and 11-0 are not edges of F20
+    m20 = maximum_matching(graphs["F20"])
+    assert (0, 1) in m20 and (10, 11) in m20
+    with pytest.raises(GraphError, match="not an edge"):
+        symmetric_difference(m20, [0, 1, 10, 11])
+    for bad in ([[0], 1, 2, 3], [True, 2, 3, 4], [10.0, 11, 0, 1]):
+        with pytest.raises(GraphError, match="must be an integer"):
+            symmetric_difference(m20, bad)
+    with pytest.raises(GraphError, match="no host graph"):
+        symmetric_difference(Matching(m20.edges, None), [0, 1, 10, 11])
 
 
 def test_alternating_faces_requires_perfect(graphs):

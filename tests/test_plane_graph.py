@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resonantk.catalog import catalog_names
 from resonantk.errors import GraphError, GuardExceeded, NotFullereneError
 from resonantk.plane_graph import (
     EmbeddedGraph,
@@ -75,11 +76,37 @@ def test_non_sphere_rotation_rejected():
         ("4\n0: 0 2 3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1", "lists itself"),
         ("4\n0: 1 2 3\n1: 0 3 2\n2: 1 0 3\n3: 9 2 1", "outside"),
         ("4\n0: 1 2 3\n1: 0 3 2\n2: 0 1 3\n3: 1 2 0\n# t", None),
+        (b"4\n", "must be a str, got bytes"),
+        (None, "must be a str, got NoneType"),
+        (5, "must be a str, got int"),
     ],
 )
 def test_parse_rejections(text, message):
     with pytest.raises(GraphError, match=message):
         parse_graph(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.binary(),
+        # mostly digits and separators, so more draws reach the vertex lines
+        st.text(alphabet="0123456789 :#-\n", max_size=80),
+    )
+)
+def test_parse_raises_only_graph_error(text):
+    try:
+        parse_graph(text)
+    except GraphError:
+        pass
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(catalog_names()), st.integers(0, 2**32))
+def test_emit_parse_round_trip_relabelled(graphs, relabel, name, seed):
+    g = relabel(graphs[name], seed).graph
+    assert parse_graph(emit_graph(g, ["a comment line"])).rotation == g.rotation
 
 
 def test_asymmetric_adjacency_rejected():

@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""One-off generator for the frozen catalog data files.
+"""Reproduce the catalog's face spirals from an exhaustive isomer search.
 
 Winds every face spiral with 12 pentagons for the small vertex counts,
 deduplicates isomers by canonical code, cross-checks the isomer tallies
 against the published counts, then pins each named catalog target by its
-invariant signature (sextet polynomial, minimum pentagonal-ring length,
-fragment shapes, cap/obstruction structure).  Pinned graphs are written to
-src/resonantk/data/*.rot with construction notes.
+invariants (the catalog's expected facts: sextet polynomial, minimum
+pentagonal-ring length, resonance order; for F30 its cap/obstruction
+structure) and checks that the pinned isomer's spiral is the one the
+catalog winds for that name.  The larger members (F48, C60, C70) are wound
+from the catalog's spirals and checked against their expected facts, C60
+also against leapfrog(F20) and C70 for isolated pentagons.  Writes no
+file; exits non-zero on any mismatch.
 
 Run from the repository root:  python3 tools/gen_catalog.py
 """
@@ -21,11 +25,8 @@ from itertools import combinations
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from resonantk._spiral import wind  # noqa: E402
-from resonantk.plane_graph import (  # noqa: E402
-    canonical_code,
-    emit_graph,
-    validate_fullerene,
-)
+from resonantk.catalog import ExpectedFacts, catalog_graph, catalog_spiral  # noqa: E402
+from resonantk.plane_graph import canonical_code, validate_fullerene  # noqa: E402
 from resonantk.leapfrog import leapfrog  # noqa: E402
 from resonantk.resonance import find_g_star, resonance_order, sextet  # noqa: E402
 from resonantk.rings_fragments import (  # noqa: E402
@@ -34,10 +35,14 @@ from resonantk.rings_fragments import (  # noqa: E402
     tau,
 )
 
-DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "resonantk", "data")
-
 # published fullerene isomer tallies for the orders searched here
 KNOWN_COUNTS = {20: 1, 22: 0, 24: 1, 26: 1, 28: 2, 30: 3, 32: 6, 36: 15}
+
+
+def require(ok: bool, message: str) -> None:
+    """Stop with a non-zero exit when a check fails (also under python -O)."""
+    if not ok:
+        sys.exit(f"gen_catalog: {message}")
 
 
 def search_isomers(n: int) -> list[tuple[bytes, list[int]]]:
@@ -84,30 +89,18 @@ def describe(seq: list[int]) -> dict:
     }
 
 
-def emit(name: str, seq: list[int], notes: list[str]) -> None:
-    g = wind(seq)
-    f = validate_fullerene(g)
-    spiral = " ".join(str(s) for s in seq)
-    comments = [
-        f"{name}: fullerene rotation system, {g.n} vertices, "
-        f"{len(f.pentagon_ids)} pentagons / {len(f.hexagon_ids)} hexagons",
-        f"wound from face spiral: {spiral}",
-        *notes,
-    ]
-    path = os.path.join(DATA_DIR, f"{name.lower()}.rot")
-    with open(path, "w") as fh:
-        fh.write(emit_graph(g, comments))
-    print(f"  wrote {path}")
+def facts(d: dict) -> ExpectedFacts:
+    """A described isomer's facts, in the catalog's ``ExpectedFacts`` form."""
+    return ExpectedFacts(d["poly"], d["tau"], d["order"], len(d["f"].hexagon_ids))
 
 
 def main() -> None:
-    os.makedirs(DATA_DIR, exist_ok=True)
-
     # --- calibration: the searcher must see exactly the known tallies -----
     iso = {n: search_isomers(n) for n in (20, 24, 28, 30, 32, 36)}
     for n, entries in iso.items():
-        assert len(entries) == KNOWN_COUNTS[n], (
-            f"isomer search for n={n} found {len(entries)}, expected {KNOWN_COUNTS[n]}"
+        require(
+            len(entries) == KNOWN_COUNTS[n],
+            f"isomer search for n={n} found {len(entries)}, expected {KNOWN_COUNTS[n]}",
         )
     print("isomer tallies match the published counts\n")
 
@@ -124,91 +117,72 @@ def main() -> None:
             )
         print()
 
-    # --- pin the named targets -------------------------------------------
-    def pin(n: int, predicate, label: str) -> dict:
-        hits = [d for d in details[n] if predicate(d)]
-        assert len(hits) == 1, f"{label}: {len(hits)} isomers match the pin"
-        print(f"pinned {label}: spiral {' '.join(map(str, hits[0]['seq']))}")
+    # --- the one isomer of orders 20 and 24 is the catalog's -------------
+    for name, n in (("F20", 20), ("F24", 24)):
+        require(
+            iso[n][0][0] == canonical_code(catalog_graph(name).graph),
+            f"{name}: the catalog's spiral does not wind the only {n}-vertex isomer",
+        )
+
+    def check_facts(d: dict, label: str) -> None:
+        want = catalog_graph(label).expected
+        require(facts(d) == want, f"{label}: computed {facts(d)}, catalog has {want}")
+
+    # --- pin the named targets to the catalog's spirals -------------------
+    def pin(n: int, label: str, predicate=None) -> dict:
+        want = catalog_graph(label).expected
+        hits = [
+            d for d in details[n]
+            if (predicate(d) if predicate else facts(d) == want)
+        ]
+        require(len(hits) == 1, f"{label}: {len(hits)} isomers match the pin")
+        check_facts(hits[0], label)
+        spiral = " ".join(map(str, hits[0]["seq"]))
+        require(
+            hits[0]["seq"] == catalog_spiral(label),
+            f"{label}: pinned isomer has spiral {spiral}, not the catalog's",
+        )
+        print(f"pinned {label}: spiral {spiral} (the catalog's)")
         return hits[0]
 
-    f28 = pin(28, lambda d: d["poly"] == (1, 4, 4) and d["tau"] == 8, "F28")
-    f32 = pin(32, lambda d: d["poly"] == (1, 6, 9) and d["tau"] == 9, "F32")
-    f36_1 = pin(
-        36,
-        lambda d: d["poly"] == (1, 8, 20, 16, 2) and d["tau"] is None,
-        "F36_1",
+    # F28, F32, F36_1, F36_2: the one isomer of their order with the
+    # catalog's sextet polynomial, min pentagonal ring and resonance order
+    for label, n in (("F28", 28), ("F32", 32), ("F36_2", 36)):
+        pin(n, label)
+    f36_1 = pin(36, "F36_1")
+    require(
+        f36_1["maximal_shapes"] == ["TURTLE", "TURTLE"],
+        f"F36_1 maximal fragments: {f36_1['maximal_shapes']}",
     )
-    f36_2 = pin(
-        36,
-        lambda d: d["poly"] == (1, 8, 18, 8, 1) and d["tau"] == 10,
-        "F36_2",
-    )
-    assert f36_1["maximal_shapes"] == ["TURTLE", "TURTLE"], f36_1["maximal_shapes"]
 
     # F30: the isomer that carries a cap AND the three-disjoint-hexagon
     # obstruction around a vertex (the tube's five-hexagon belt cannot).
-    f30 = pin(
-        30,
-        lambda d: d["ncaps"] > 0 and d["gstar"] is not None,
-        "F30",
+    pin(30, "F30", lambda d: d["ncaps"] > 0 and d["gstar"] is not None)
+
+    # --- the larger fixed members, wound from the catalog's spirals -------
+    for label in ("F48", "C60"):
+        check_facts(describe(catalog_spiral(label)), label)
+    lf = leapfrog(catalog_graph("F20").graph)
+    require(
+        canonical_code(lf.image) == canonical_code(catalog_graph("C60").graph),
+        "C60 != leapfrog(F20)",
     )
-
-    emit("F28", f28["seq"], ["pinned by sextet polynomial (1,4,4) and min pentagonal ring 8"])
-    emit("F30", f30["seq"], [
-        "pinned among the three 30-vertex isomers: has a pentagonal cap and",
-        "a vertex whose three opposite faces are pairwise disjoint hexagons",
-    ])
-    emit("F32", f32["seq"], ["pinned by sextet polynomial (1,6,9) and min pentagonal ring 9"])
-    emit("F36_1", f36_1["seq"], [
-        "pinned by sextet polynomial (1,8,20,16,2), no pentagonal ring,",
-        "and exactly two turtle-shaped maximal pentagonal fragments",
-    ])
-    emit("F36_2", f36_2["seq"], ["pinned by sextet polynomial (1,8,18,8,1) and min pentagonal ring 10"])
-
-    # --- the larger fixed members ----------------------------------------
-    f48_seq = [6] + [6] * 6 + [5] * 12 + [6] * 6 + [6]
-    d48 = describe(f48_seq)
-    assert d48["poly"] == (1, 14, 67, 130, 109, 36, 4) and d48["tau"] == 12, d48
-    emit("F48", f48_seq, ["pinned by sextet polynomial (1,14,67,130,109,36,4) and min pentagonal ring 12"])
-
-    c60_seq = [5 if (i + 1) in {1, 7, 9, 11, 13, 15, 18, 20, 22, 24, 26, 32} else 6 for i in range(32)]
-    d60 = describe(c60_seq)
-    assert d60["poly"] == (1, 20, 160, 660, 1510, 1912, 1240, 320, 5) and d60["tau"] is None
-    lf = leapfrog(validate_fullerene(wind([5] * 12)))
-    assert canonical_code(lf.image) == canonical_code(wind(c60_seq)), "C60 != leapfrog(F20)"
     print("cross-check: wound C60 is plane-isomorphic to leapfrog(F20)")
-    emit("C60", c60_seq, [
-        "icosahedral isomer; matches the image of the 20-vertex dodecahedral",
-        "graph under the leapfrog construction (verified by canonical code)",
-    ])
 
-    c70_seq = [5 if (i + 1) in {1, 7, 9, 11, 13, 15, 27, 29, 31, 33, 35, 37} else 6 for i in range(37)]
     t0 = time.time()
-    d70 = describe(c70_seq)
-    f70 = d70["f"]
+    d70 = describe(catalog_spiral("C70"))
     print(f"C70 described in {time.time() - t0:.1f}s")
-    assert f70.n == 70 and len(f70.hexagon_ids) == 25
-    assert d70["order"] == 2 and d70["failing"] is not None and len(d70["failing"]) == 3
-    assert all(len(fr.faces) == 1 for fr in maximal_pentagonal_fragments(f70)), "C70 must be isolated-pentagon"
-    assert d70["tau"] is None
-    print(f"C70 sextet polynomial (ascending): {d70['poly']}")
+    check_facts(d70, "C70")
+    require(
+        d70["failing"] is not None and len(d70["failing"]) == 3,
+        f"C70: failing set {d70['failing']}",
+    )
+    require(
+        all(len(fr.faces) == 1 for fr in maximal_pentagonal_fragments(d70["f"])),
+        "C70 must be isolated-pentagon",
+    )
     print(f"C70 failing 3-set: {d70['failing']}; gstar: {d70['gstar']}")
-    emit("C70", c70_seq, [
-        "isolated-pentagon 70-vertex isomer (five-fold barrel); pinned by",
-        "having no pentagonal ring and resonance order exactly 2",
-    ])
-
-    # --- report the empirical pins for the expected-facts table ----------
-    print("\n=== expected-facts table entries (ascending sextet coefficients) ===")
-    for label, d in (
-        ("F28", f28), ("F30", f30), ("F32", f32),
-        ("F36_1", f36_1), ("F36_2", f36_2), ("C70", d70),
-    ):
-        print(
-            f"{label}: poly={d['poly']} tau={d['tau']} order={d['order']} "
-            f"hexagons={len(d['f'].hexagon_ids)}"
-        )
-
+    print("every catalog entry's facts match its wound spiral")
 
 if __name__ == "__main__":
     main()
