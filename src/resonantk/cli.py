@@ -9,9 +9,11 @@ usage error, 2 enumeration guard exceeded.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -163,6 +165,19 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_destination(path: str | None) -> None:
+    """Refuse, before anything is written, a file path that cannot be opened.
+
+    A command that writes several files checks them all first, so that a
+    bad later path does not leave the earlier files behind.
+    """
+    if path and path != "-":
+        if os.path.isdir(path):
+            raise GraphError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise GraphError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     """The command-line parser, built once per process; parsing keeps no state."""
@@ -310,6 +325,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if cmd == "leapfrog":
         f = _load(args.path)
+        for path in (args.output, args.emit_matching, args.provenance):
+            _check_destination(path)
         lf = leapfrog(f)
         comments = [
             f"leapfrog image: {lf.image.n} vertices from a {f.n}-vertex fullerene",

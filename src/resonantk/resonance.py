@@ -11,16 +11,22 @@ exhausted vacuously).
 
 One walk over the resonant sets, ``_walk``, decides them all: the sextet
 polynomial, the Clar number, the resonance order with its failing set and
-the per-hexagon outcomes are read off it.  It keeps one mate array per
-resonant set on its path and per resonant child of the sets on that path,
-never a table of decided sets, so its memory stays flat however many sets
-it visits.  Only the full walk's summary (counts and failures per size) is
-kept on the graph.
+the per-hexagon outcomes are read off it.  It starts from a perfect matching
+in which a greedy Clar structure (a maximal set of disjoint hexagons that
+alternate together) alternates, and records how each resonant child's
+matching differs from its parent's; children whose differences touch
+disjoint vertices combine with no new matching search.  It keeps the mate
+arrays of the sets on its path and those differences, never a table of
+decided sets, so its memory stays flat however many sets it visits.  Only
+the full walk's summary (counts and failures per size) is kept on the
+graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
+from operator import ne
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from . import kernels, matching
@@ -208,81 +214,153 @@ class _Walk(NamedTuple):
     singles: frozenset[int]
 
 
+def _repaired(
+    f: FullereneGraph, mate: list[int], excluded: list[bool], h: int
+) -> list[int] | None:
+    """A perfect matching of the rest once h's ring is excluded too, or None.
+
+    ``mate`` is a perfect matching of the vertices ``excluded`` leaves, and
+    h's ring lies among them.  The copy frees h's ring and the ring's
+    partners outside it, then runs one ``kernels.augment`` search from each
+    freed vertex still unmatched; a failed search proves that no perfect
+    matching is left (Edmonds).  If h alternates in ``mate``, nothing is
+    freed and no search runs.  ``excluded`` is marked for h's ring during
+    the searches and given back unchanged.
+    """
+    adj = f.graph.rotation
+    n = len(mate)
+    ring = f.faces[h].boundary
+    for v in ring:
+        excluded[v] = True
+    freed = [mate[v] for v in ring if not excluded[mate[v]]]
+    child = mate[:]
+    for v in ring:
+        child[v] = -1
+    for u in freed:
+        child[u] = -1
+    ok = all(child[u] >= 0 or kernels.augment(n, adj, excluded, child, u) for u in freed)
+    for v in ring:
+        excluded[v] = False
+    return child if ok else None
+
+
+def _clar_root(f: FullereneGraph, mate: list[int]) -> list[int]:
+    """A perfect matching in which a maximal set of disjoint hexagons alternates.
+
+    The greedy Clar structure of ``mate``: hexagons are taken in ascending
+    id, and h joins the set S when S + h is resonant, decided by
+    ``_repaired``.  Each hexagon of S is then closed with three of its own
+    ring edges, so that it alternates and its test at the walk's root frees
+    nothing.
+    """
+    excluded = [False] * f.n
+    structure = []
+    for h in f.hexagon_ids:
+        ring = f.faces[h].boundary
+        if any(excluded[v] for v in ring):
+            continue
+        child = _repaired(f, mate, excluded, h)
+        if child is not None:
+            mate = child
+            for v in ring:
+                excluded[v] = True
+            structure.append(h)
+    for h in structure:
+        b = f.faces[h].boundary
+        for i in (0, 2, 4):
+            mate[b[i]], mate[b[i + 1]] = b[i + 1], b[i]
+    return mate
+
+
 def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
     """Decide every disjoint hexagon set whose proper subsets are all resonant.
 
     A node of the depth-first walk is a resonant set H with a perfect
-    matching of G - V(H) as a mate array.  At a node the walk first tests
-    each candidate child H + c: it copies the mate array, excludes c's six
-    vertices and frees their partners outside c, then runs one
-    ``kernels.augment`` search from each freed vertex still unmatched (if c
-    already alternates nothing is freed and no search runs).  A failed
-    search proves H + c non-resonant (Edmonds).  The walk then descends into
+    matching of G - V(H) as a mate array.  The root's is ``_clar_root``'s,
+    in which a greedy Clar structure alternates.  At a node the walk first
+    tests each candidate child H + c and keeps the *repair* of each
+    resonant one: the vertices whose mate entry differs between H + c's
+    matching and H's, with their new entries.  The walk then descends into
     each resonant child H + h in ascending order; its candidates are the
     later resonant children H + c whose c misses h, since a superset of the
     failed H + c fails too.
+
+    At the node H + h, a candidate c whose repair misses h's is resonant
+    with no search: matched pairs never cross a repair's boundary, so
+    overlaying c's entries on H + h's matching gives a perfect matching of
+    G - V(H + h + c), and c's repair is still its repair.  Any other
+    candidate, and every candidate at the root, is decided by
+    ``_repaired`` from the node's matching.  A hexagon of the Clar
+    structure alternates at the root, so its repair is its own ring, and
+    the sets inside the structure need no search at all.
 
     So every set all of whose proper subsets are resonant is tested once,
     as a child of the set without its largest hexagon, and every resonant
     set is reached.  Nodes of one size are visited, and their children
     tested, in lexicographic order: at the least size with a failure,
     ``failed`` holds the lexicographically least failing set.  The walk
-    keeps no decided sets; besides its summary it holds the mate arrays of
-    the resonant children along its path.
+    keeps no decided sets; besides its summary it holds the repairs of the
+    resonant children along its path and the matching of each node's
+    parent.  A resonant child with no candidates is only counted.
 
     With ``max_size`` (at least 1) no set larger is tested, and the walk
     ends at its first failed set of that size, as a caller deepening the
     bound needs nothing past it; the counts then cover only the sets before
     it.  Every single hexagon is still tested, at the root.
     """
-    adj = f.graph.rotation
-    n = f.n
-    root = kernels.mate_array(n, adj)
+    root = kernels.mate_array(f.n, f.graph.rotation)
     if -1 in root:
         raise RuntimeError("the graph has no perfect matching, so the empty set is not resonant")
     counts = [1]
     failed: list[tuple[int, ...] | None] = [None]
     singles: frozenset[int] = frozenset()
-    # Frames (H, mate of G - V(H), exclusion mask of V(H), candidate hexagons).
-    stack = [((), root, [False] * n, f.hexagon_ids)]
+    # Frames (H, the parent's mate array, the repair of H's last hexagon h,
+    # candidates with their repairs); a repair is (vertex bitmask,
+    # [(vertex, mate)]) relative to the parent's array, or None where it is
+    # not known.  The root has no parent and no h.
+    cands = [(h, None) for h in f.hexagon_ids]
+    stack = [((), _clar_root(f, root), (0, []), cands)] if cands else []
     while stack:
-        ids, mate, excluded, cands = stack.pop()
-        if not cands:
-            continue
+        ids, mate, (hmask, entries), cands = stack.pop()
+        mate = mate[:]
+        for v, w in entries:
+            mate[v] = w
         size = len(ids) + 1
         if size == len(counts):
             counts.append(0)
             failed.append(None)
+        excluded = None
         passed = []
-        for h in cands:
-            ring = f.faces[h].boundary
-            exc = excluded[:]
-            for v in ring:
-                exc[v] = True
-            freed = [mate[v] for v in ring if not exc[mate[v]]]
-            child = mate[:]
-            for v in ring:
-                child[v] = -1
-            for u in freed:
-                child[u] = -1
-            if all(child[u] >= 0 or kernels.augment(n, adj, exc, child, u) for u in freed):
-                passed.append((h, child, exc))
+        for c, repair in cands:
+            if repair is not None and not repair[0] & hmask:
+                passed.append((c, repair))
+                continue
+            if excluded is None:
+                excluded = [w < 0 for w in mate]
+            child = _repaired(f, mate, excluded, c)
+            if child is not None:
+                diff = [(v, child[v]) for v in compress(count(), map(ne, child, mate))]
+                mask = 0
+                for v, _ in diff:
+                    mask |= 1 << v
+                passed.append((c, (mask, diff)))
             elif failed[size] is None:
-                failed[size] = ids + (h,)
+                failed[size] = ids + (c,)
                 if size == max_size and ids:
                     break
         counts[size] += len(passed)
         if not ids:
-            singles = frozenset(h for h, _, _ in passed)
+            singles = frozenset(c for c, _ in passed)
         if size == max_size:
             if failed[size] is not None:
                 break
             continue
-        for i in range(len(passed) - 1, -1, -1):
-            h, child, exc = passed[i]
-            bad = f.faces.across(h)
-            later = [c for c, _, _ in passed[i + 1 :] if c not in bad]
-            stack.append((ids + (h,), child, exc, later))
+        for i in range(len(passed) - 2, -1, -1):
+            c, repair = passed[i]
+            bad = f.faces.across(c)
+            later = [d for d in passed[i + 1 :] if d[0] not in bad]
+            if later:
+                stack.append((ids + (c,), mate, repair, later))
     return _Walk(tuple(counts), tuple(failed), singles)
 
 

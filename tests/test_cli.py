@@ -324,6 +324,19 @@ def test_unwritable_output_is_a_graph_error(argv, target, f24_file, tmp_path, ca
     assert f"error: cannot write {out}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("flag", ["-o", "--emit-matching", "--provenance"])
+def test_failed_leapfrog_leaves_no_output(flag, target, f24_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {"-o": out / "image.rot", "--emit-matching": out / "m0.txt", "--provenance": out / "p.json"}
+    paths[flag] = out / "absent" / "x.out" if target == "missing" else out
+    argv = ["leapfrog", str(f24_file)] + [a for item in paths.items() for a in map(str, item)]
+    assert run(argv) == 1
+    assert f"error: cannot write {paths[flag]}:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_leapfrog_past_255_vertices(tmp_path, capsys):
     # the source identity line needs the two-byte canonical code
     tube = tmp_path / "tube.rot"

@@ -7,6 +7,8 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     count_disjoint_hexagon_sets,
@@ -321,7 +323,9 @@ def test_walk_matches_the_sweep(name, relabel):
 
 
 def test_walk_skips_supersets_of_failed_siblings(monkeypatch):
-    # On R6_4 the walk runs 4,709 augment searches, the unpruned walk 9,525.
+    # On R6_4 the walk runs 2,896 augment searches (4,709 before it started
+    # from a Clar structure and composed disjoint repairs), the unpruned
+    # walk 9,525.
     calls = []
     augment = kernels.augment
     monkeypatch.setattr(kernels, "augment", lambda *a: calls.append(1) or augment(*a))
@@ -331,6 +335,57 @@ def test_walk_skips_supersets_of_failed_siblings(monkeypatch):
     calls.clear()
     sextet_by_unpruned_walk(f)
     assert pruned < 0.6 * len(calls)
+
+
+@pytest.mark.parametrize("name, most", [("C60", 200), ("C70", 5000), ("R6_4", 3500)])
+def test_walk_search_count(name, most, monkeypatch):
+    # The full walk's augment searches: 51, 3,957 and 2,896 with the Clar
+    # root and composed repairs; 3,670, 14,738 and 4,709 without them.
+    calls = []
+    augment = kernels.augment
+    monkeypatch.setattr(kernels, "augment", lambda *a: calls.append(1) or augment(*a))
+    resonance._walk(_fresh(name))
+    assert len(calls) <= most
+
+
+def test_walk_hands_augment_matchings_of_the_rest(relabel, monkeypatch):
+    # Every mate array a search starts from, composed or not, is a matching
+    # of the graph minus the excluded vertices, with the search's root free.
+    names = list(catalog_names()) + [f"{cap}_{k}" for cap in ("R5", "R6") for k in (1, 2, 3)]
+    augment = kernels.augment
+    searches = 0
+
+    def checked(n, adj, excluded, mate, root):
+        nonlocal searches
+        searches += 1
+        assert mate[root] == -1 and not excluded[root]
+        for v, w in enumerate(mate):
+            if w >= 0:
+                assert mate[w] == v and w in adj[v] and not excluded[v]
+        return augment(n, adj, excluded, mate, root)
+
+    monkeypatch.setattr(kernels, "augment", checked)
+    for i, name in enumerate(names):
+        resonance._walk(relabel(_fresh(name), 700 + i))
+    assert searches > 1000
+
+
+# catalog_names() runs from the smallest graph up
+SMALL = catalog_names()[: catalog_names().index("F48") + 1] + ("R5_1", "R5_2", "R6_1", "R6_2")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL), st.integers(0, 2**32), st.booleans())
+def test_walk_does_not_depend_on_labels(relabel, name, seed, reflect):
+    # The Clar root depends on the labelling; the walk's answers must not.
+    g = relabel(_fresh(name), seed)
+    if reflect:
+        g = _reflected(g)
+    caps = (None, 1, 2)
+    assert [resonance_order(g, cap) for cap in caps] == [
+        resonance_order_by_sweep(g, cap) for cap in caps
+    ]
+    assert sextet(g).coefficients == sextet_by_unpruned_walk(g)
 
 
 def test_memo_keeps_no_resonant_sets():
