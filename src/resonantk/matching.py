@@ -2,7 +2,7 @@
 
 The heavy lifting (blossom maximum matching, perfect-matching enumeration)
 lives in ``resonantk.kernels``; this module wraps those in graph-aware types,
-adds the Tutte-style witness search for graphs without perfect matchings,
+adds the exact Tutte witness for graphs without perfect matchings,
 and provides the face-deletion test used throughout the resonance analysis:
 a face set is *central* when the graph minus those face vertices still has a
 perfect matching.
@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -29,7 +27,6 @@ from .plane_graph import Edge, EmbeddedGraph, Face, FullereneGraph, Subgraph
 
 DEFAULT_PM_CAP = 10**6
 _PM_CAP_ENV = "RESONANTK_PM_CAP"
-_WITNESS_WORK_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ def _adjacency(x: object) -> tuple[int, Sequence[Sequence[int]]]:
                 raise GraphError(f"adjacency row {v} is {row!r}, not a sequence of vertex ids")
             adj.append(list(row))
             for w in adj[v]:
-                if not isinstance(w, int):
+                if isinstance(w, bool) or not isinstance(w, int):
                     raise GraphError(f"adjacency row {v} lists {w!r}, not an integer vertex id")
                 if not 0 <= w < n:
                     raise GraphError(f"adjacency row {v} lists vertex {w} outside 0..{n - 1}")
@@ -148,31 +145,34 @@ def is_central(f: FullereneGraph, face_ids: int | Iterable[int]) -> bool:
     return all(mates[v] >= 0 for v in range(n) if not excluded[v])
 
 
-def tutte_witness(g: object, bound: int = 4) -> TutteWitness | None:
-    """Search for a small vertex set certifying that no perfect matching exists.
+def tutte_witness(g: object) -> TutteWitness | None:
+    """The Gallai–Edmonds barrier, or None exactly when a perfect matching exists.
 
-    Tries deletion sets in order of size (then lexicographically) up to
-    ``bound`` vertices and returns the first whose removal leaves more odd
-    components than deleted vertices.  Returns None if no witness that small
-    exists - which is inconclusive on its own, but the usual callers pair it
-    with a failed matching attempt.
-
-    Raises:
-        GuardExceeded: if the subset search would be too large.
+    D holds the vertices that some maximum matching misses, and the barrier
+    every vertex outside D with a neighbour in D.  The odd components left
+    without the barrier are D's, and they outnumber it by the exposed
+    vertices of any maximum matching (Lovász & Plummer, *Matching Theory*,
+    1986, ch. 3).  A matched v is in D when a search from its freed mate u,
+    v excluded, augments: the matching was maximum, so paths end at u.
     """
     n, adj = _adjacency(g)
-    work = sum(comb(n, k) for k in range(min(bound, n) + 1))
-    if work > _WITNESS_WORK_CAP:
-        raise GuardExceeded(
-            f"tutte witness guard: ~{work} deletion sets exceeds {_WITNESS_WORK_CAP}"
+    mate = kernels.mate_array(n, adj)
+    exposed = mate.count(-1)
+    if not exposed:
+        return None
+    in_d = [u < 0 for u in mate]
+    for v, u in enumerate(mate):
+        if u >= 0:
+            trial = list(mate)
+            trial[v] = trial[u] = -1
+            in_d[v] = kernels.augment(n, adj, [w == v for w in range(n)], trial, u)
+    barrier = tuple(v for v in range(n) if not in_d[v] and any(in_d[w] for w in adj[v]))
+    odd = tuple(c for c in _components_without(n, adj, set(barrier)) if len(c) % 2)
+    if len(odd) - len(barrier) != exposed:
+        raise RuntimeError(
+            f"barrier {barrier} leaves {len(odd)} odd components; {exposed} vertices are exposed"
         )
-    for k in range(min(bound, n) + 1):
-        for deleted in combinations(range(n), k):
-            comps = _components_without(n, adj, set(deleted))
-            odd = tuple(c for c in comps if len(c) % 2)
-            if len(odd) > k:
-                return TutteWitness(deleted, odd)
-    return None
+    return TutteWitness(barrier, odd)
 
 
 def _components_without(

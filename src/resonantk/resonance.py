@@ -62,6 +62,7 @@ class SextetPolynomial:
         return len(self.coefficients) - 1
 
     def sigma(self, i: int) -> int:
+        check_int("sextet coefficient index", i)
         return self.coefficients[i] if 0 <= i < len(self.coefficients) else 0
 
     def __call__(self, x: float) -> float:

@@ -452,6 +452,7 @@ def tau(f: FullereneGraph) -> int | None:
 
 def psi(f: FullereneGraph, l: int) -> int | None:
     """Minimum s over pentagonal rings of length l, or None when none exist."""
+    check_int("ring length", l)
     values = [r.s for r in pentagonal_rings(f) if r.l == l]
     return min(values) if values else None
 

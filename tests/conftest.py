@@ -57,7 +57,8 @@ def relabel():
     """``relabel(f, seed)``: the same fullerene under a seeded random labelling.
 
     As in the benchmark's inputs, the embedding may be mirrored and each
-    rotation starts at a random neighbour.
+    rotation starts at a random neighbour.  Vertex v becomes ``perm[v]``,
+    where ``perm`` is ``list(range(f.n))`` shuffled by ``random.Random(seed)``.
     """
     return _relabelled
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator, Sequence
 
 
@@ -126,10 +127,53 @@ def resonant_by_brute_force(adj: list[list[int]], removed: set[int] | frozenset[
     return count_perfect_matchings(len(keep), sub) > 0
 
 
+def odd_components_without(
+    n: int, adj: Sequence[Sequence[int]], deleted: set[int] | frozenset[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The odd components of the graph minus ``deleted``, each sorted, by least vertex."""
+
+    seen = [False] * n
+    comps: list[list[int]] = []
+    for root in range(n):
+        if root in deleted or seen[root]:
+            continue
+        seen[root] = True
+        comp, frontier = [root], [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if w not in deleted and not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+                        nxt.append(w)
+            frontier = nxt
+        comps.append(comp)
+    return tuple(tuple(sorted(c)) for c in comps if len(c) % 2)
+
+
+def tutte_witness_by_subsets(
+    n: int, adj: Sequence[Sequence[int]], bound: int = 4
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+    """The former ``matching.tutte_witness``: the first small Tutte set, or None.
+
+    Tries deletion sets in order of size (then lexicographically) up to
+    ``bound`` vertices and returns the first ``(deleted, odd components)``
+    whose removal leaves more odd components than deleted vertices.  None
+    is inconclusive: a witness may need more than ``bound`` vertices.  Its
+    work cap is dropped; callers pass small graphs.
+    """
+
+    for k in range(min(bound, n) + 1):
+        for deleted in combinations(range(n), k):
+            odd = odd_components_without(n, adj, set(deleted))
+            if len(odd) > k:
+                return deleted, odd
+    return None
+
+
 def count_disjoint_hexagon_sets(hexagon_vertex_sets: list[frozenset[int]], k: int) -> int:
     """Number of k-element sets of pairwise vertex-disjoint hexagons."""
-
-    from itertools import combinations
 
     total = 0
     for combo in combinations(hexagon_vertex_sets, k):

@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_maximum_matching_size, count_perfect_matchings
+from oracles import (
+    brute_force_maximum_matching_size,
+    count_perfect_matchings,
+    odd_components_without,
+    tutte_witness_by_subsets,
+)
 
+from resonantk.catalog import catalog_names, nanotube
 from resonantk.errors import GraphError, GuardExceeded
 from resonantk.matching import (
     Matching,
@@ -24,7 +30,7 @@ from resonantk.matching import (
     tutte_witness,
 )
 from resonantk.plane_graph import delete_vertices
-from resonantk.resonance import find_g_star
+from resonantk.resonance import find_g_star, resonance_order
 
 
 def _adj_from_edges(n, edges):
@@ -42,6 +48,7 @@ def _adj_from_edges(n, edges):
         ([[1.0], [0]], "1.0, not an integer vertex id"),
         ([1, 0], "row 0 is 1, not a sequence"),
         ([[1], [2]], "vertex 2 outside 0..1"),
+        ([[True], [False]], "True, not an integer vertex id"),
     ],
 )
 def test_adjacency_rows_must_list_integer_ids(adj, message):
@@ -152,20 +159,87 @@ def test_no_witness_for_any_two_disjoint_hexagons_of_f28(graphs):
     assert pairs_seen == 4
 
 
+def _deleting_hexagons(f, hexagons):
+    return delete_vertices(f, set().union(*(f.faces[h].vertices for h in hexagons)))
+
+
+def _checked_deficit(n, adj, w):
+    """A witness's deficit, recounted: its odd components must be G - A's."""
+    assert list(w.deleted) == sorted(set(w.deleted)) and all(0 <= a < n for a in w.deleted)
+    odd = odd_components_without(n, adj, set(w.deleted))
+    assert sorted(w.odd_components) == sorted(odd)
+    return len(odd) - len(w.deleted)
+
+
 def test_witness_isolated_vertex_after_obstruction_deletion(graphs):
     # deleting the three hexagons around the obstruction vertex strands it
     f = graphs["F30"]
     gs = find_g_star(f)
     assert gs is not None
-    drop: set[int] = set()
-    for h in gs.hexagons:
-        drop |= f.faces[h].vertices
-    sub = delete_vertices(f, drop)
+    sub = _deleting_hexagons(f, gs.hexagons)
     assert not has_perfect_matching(sub)
     w = tutte_witness(sub)
     assert w is not None
-    singles = [c for c in w.odd_components if len(c) == 1]
-    assert [sub.vertices[c[0]] for c in singles] == [gs.vertex]
+    assert (sub.vertices.index(gs.vertex),) in w.odd_components
+    assert w.deficit == sub.n - 2 * maximum_matching(sub).size
+
+
+def test_every_failing_set_has_a_witness(graphs):
+    tubes = {f"{cap}_{k}": nanotube(cap, k) for cap in ("R5", "R6") for k in (2, 4, 6, 8)}
+    failing = []
+    for name, f in [*((name, graphs[name]) for name in catalog_names()), *tubes.items()]:
+        report = resonance_order(f)
+        if report.failing is None:
+            continue
+        failing.append(name)
+        sub = _deleting_hexagons(f, report.failing)
+        w = tutte_witness(sub)
+        deficit = _checked_deficit(sub.n, sub.adj, w)
+        assert deficit % 2 == 0 and deficit >= 2, name
+        gs = find_g_star(f)
+        if gs is not None:
+            sub = _deleting_hexagons(f, gs.hexagons)
+            assert (sub.vertices.index(gs.vertex),) in tutte_witness(sub).odd_components, name
+    assert failing == ["F30", "C70", *tubes]
+
+
+def test_witness_is_exact_on_small_graphs():
+    rng = random.Random(15)
+    found = 0
+    for _ in range(2000):
+        n = rng.randint(1, 10)
+        p = rng.random()
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        adj = _adj_from_edges(n, edges)
+        w = tutte_witness(adj)
+        assert (w is None) == has_perfect_matching(adj)
+        deficit = 0 if w is None else _checked_deficit(n, adj, w)
+        assert deficit == n - 2 * maximum_matching(adj).size
+        small = tutte_witness_by_subsets(n, adj)
+        if small is not None:
+            found += 1
+            assert deficit >= len(small[1]) - len(small[0])
+    assert found > 500
+
+
+@pytest.mark.parametrize("name, seed", [("F30", 3), ("F30", 4), ("C70", 5)])
+def test_witness_does_not_depend_on_labels(graphs, relabel, name, seed):
+    f = graphs[name]
+    g = relabel(f, seed)
+    perm = list(range(f.n))
+    random.Random(seed).shuffle(perm)  # the relabel fixture's vertex map
+
+    def parents(sub, vs):
+        return frozenset(sub.vertices[v] for v in vs)
+
+    for hexagons in (resonance_order(f).failing, find_g_star(f).hexagons):
+        drop = set().union(*(f.faces[h].vertices for h in hexagons))
+        sub, moved = delete_vertices(f, drop), delete_vertices(g, {perm[v] for v in drop})
+        w, mw = tutte_witness(sub), tutte_witness(moved)
+        assert {perm[v] for v in parents(sub, w.deleted)} == parents(moved, mw.deleted)
+        assert {frozenset(perm[v] for v in parents(sub, c)) for c in w.odd_components} == {
+            parents(moved, c) for c in mw.odd_components
+        }
 
 
 def test_enumerate_counts_frozen(graphs):

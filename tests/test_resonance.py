@@ -24,6 +24,7 @@ from resonantk.errors import GraphError, GuardExceeded
 from resonantk.leapfrog import leapfrog, two_resonance_certificate
 from resonantk.matching import maximum_matching
 from resonantk.plane_graph import EmbeddedGraph, delete_vertices, validate_fullerene
+from resonantk.rings_fragments import psi
 from resonantk.resonance import (
     ALL,
     OrderReport,
@@ -119,8 +120,15 @@ def test_is_resonant_rejections(graphs):
         lambda f: two_resonance_certificate(leapfrog(f), 1.5, 3),
         lambda f: list(disjoint_hexagon_sets(f, 1.5)),
         lambda f: delete_vertices(f, [1.5]),
+        lambda f: psi(f, 1.5),
+        lambda f: psi(f, True),
+        lambda f: sextet(f).sigma(True),
+        lambda f: sextet(f).sigma(1.0),
     ],
-    ids=["pattern", "central-float", "central-bool", "certificate", "sets", "delete"],
+    ids=[
+        "pattern", "central-float", "central-bool", "certificate", "sets", "delete",
+        "psi-float", "psi-bool", "sigma-bool", "sigma-float",
+    ],
 )
 def test_ids_and_sizes_must_be_integers(graphs, call):
     with pytest.raises(GraphError, match="must be an integer"):

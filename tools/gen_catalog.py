@@ -7,10 +7,12 @@ against the published counts, then pins each named catalog target by its
 invariants (the catalog's expected facts: sextet polynomial, minimum
 pentagonal-ring length, resonance order; for F30 its cap/obstruction
 structure) and checks that the pinned isomer's spiral is the one the
-catalog winds for that name.  The larger members (F48, C60, C70) are wound
-from the catalog's spirals and checked against their expected facts, C60
-also against leapfrog(F20) and C70 for isolated pentagons.  Writes no
-file; exits non-zero on any mismatch.
+catalog winds for that name.  The larger members (F48, C60, C70) are
+wound from the catalog's spirals and checked against their expected
+facts, C60 also against leapfrog(F20) and C70 for isolated pentagons.
+Every described isomer with a finite resonance order must have a Tutte
+witness for the graph its failing set leaves.  Writes no file; exits
+non-zero on any mismatch.
 
 Run from the repository root:  python3 tools/gen_catalog.py
 """
@@ -26,7 +28,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from resonantk._spiral import wind  # noqa: E402
 from resonantk.catalog import ExpectedFacts, catalog_graph, catalog_spiral  # noqa: E402
-from resonantk.plane_graph import canonical_code, validate_fullerene  # noqa: E402
+from resonantk.matching import tutte_witness  # noqa: E402
+from resonantk.plane_graph import canonical_code, delete_vertices, validate_fullerene  # noqa: E402
 from resonantk.leapfrog import leapfrog  # noqa: E402
 from resonantk.resonance import find_g_star, resonance_order, sextet  # noqa: E402
 from resonantk.rings_fragments import (  # noqa: E402
@@ -72,6 +75,14 @@ def describe(seq: list[int]) -> dict:
     f = validate_fullerene(wind(seq))
     poly = sextet(f).coefficients
     order = resonance_order(f)
+    if order.failing is not None:
+        # the failing set is certified by a Tutte barrier of what it leaves
+        rest = delete_vertices(f, set().union(*(f.faces[h].vertices for h in order.failing)))
+        w = tutte_witness(rest)
+        require(
+            w is not None and w.deficit > 0,
+            f"spiral {seq}: no Tutte witness for the failing set {order.failing}",
+        )
     caps = detect_r5_r6(f)
     frs = maximal_pentagonal_fragments(f)
     return {
