@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GraphError, GuardExceeded, NotFullereneError, check_int
 
@@ -460,6 +460,17 @@ def _odd_cycle(v: int, w: int, parent: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+class Automorphism(NamedTuple):
+    """A map of the embedding onto itself: vertex v goes to ``perm[v]``.
+
+    ``reverses`` marks a reflection, which maps each clockwise rotation onto
+    the counter-clockwise rotation of the image vertex.
+    """
+
+    perm: tuple[int, ...]
+    reverses: bool
+
+
 def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
     """A canonical byte string deciding plane-isomorphism, reflections included.
 
@@ -480,22 +491,79 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
     a 0x00 marker (a one-byte code never starts with 0), n as two bytes, then
     two bytes per label, all big-endian so byte order is numeric order.
 
+    The pass is shared with :func:`automorphisms` and kept on a
+    ``FullereneGraph``, so either one runs it at most once per graph.
+
     Raises:
         GuardExceeded: if the graph has more than 65,535 vertices, which two
             bytes per label cannot hold.
     """
+    return _canonical(g)[0]
+
+
+def automorphisms(g: EmbeddedGraph | FullereneGraph) -> tuple[Automorphism, ...]:
+    """Every automorphism of the embedding, reflections included; identity first.
+
+    The starts of the canonical pass whose code ties with the minimum are
+    exactly the automorphisms: labelling breadth-first from the first such
+    start and from another one gives the same code, so sending each vertex
+    to the vertex of the same label in the other order keeps every rotation
+    (reversed when the two starts have opposite orientations).  A map of a
+    3-connected plane graph is fixed by the image of one arc and the
+    orientation, so no automorphism is counted twice.
+
+    Raises:
+        GuardExceeded: as :func:`canonical_code`.
+    """
     base = g.graph if isinstance(g, FullereneGraph) else g
+    n = base.n
+    code, starts = _canonical(g)
+    labels = code[1:] if n <= 255 else struct.unpack(f">{3 * n}H", code[3:])
+    # entry by label: (label of the entry neighbour, labels of the two after it)
+    steps = list(zip(labels[0::3], labels[1::3], labels[2::3]))
+    tables = _after_tables(base.rotation)
+    out = []
+    for d, u, v in starts:
+        after = tables[d]
+        vertex = [0] * n
+        vertex[0], vertex[1] = u, v
+        for w, (e, a, b) in enumerate(steps):
+            vertex[a], vertex[b] = after[vertex[w]][vertex[e]]
+        if not out:
+            d0, label = d, [0] * n
+            for i, w in enumerate(vertex):
+                label[w] = i
+        out.append(Automorphism(tuple(map(vertex.__getitem__, label)), d != d0))
+    return tuple(out)
+
+
+def _after_tables(rotation: Sequence[tuple[int, int, int]]) -> tuple[list[dict], list[dict]]:
+    """Per orientation and vertex, the two neighbours after each entry neighbour."""
+    return (
+        [{a: (b, c), b: (c, a), c: (a, b)} for a, b, c in rotation],
+        [{a: (c, b), b: (a, c), c: (b, a)} for a, b, c in rotation],
+    )
+
+
+def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[tuple[int, int, int], ...]]:
+    """The canonical code and the starts that tie with it, kept on a FullereneGraph."""
+    if not isinstance(g, FullereneGraph):
+        return _canonical_pass(g)
+    got = g._memo.get("canonical")
+    if got is None:
+        got = g._memo["canonical"] = _canonical_pass(g.graph)
+    return got
+
+
+def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[tuple[int, int, int], ...]]:
+    """The canonical code and its tied starts (orientation index, u, v), best first."""
     n = base.n
     if n > 0xFFFF:
         raise GuardExceeded(f"canonical code supports at most 65535 vertices, got {n}")
     rotation = base.rotation
     best: list[tuple[int, int, int]] | None = None
-    for direction in (1, -1):
-        # the two neighbours after each entry, in this orientation
-        if direction == 1:
-            after = [{a: (b, c), b: (c, a), c: (a, b)} for a, b, c in rotation]
-        else:
-            after = [{a: (c, b), b: (a, c), c: (b, a)} for a, b, c in rotation]
+    ties: list[tuple[int, int, int]] = []
+    for d, after in enumerate(_after_tables(rotation)):
         for u in range(n):
             for v in rotation[u]:
                 label = [-1] * n
@@ -522,13 +590,16 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
                         tied = triple == other
                     code.append(triple)
                 else:
-                    if not tied:
+                    if tied:
+                        ties.append((d, u, v))
+                    else:
                         best = code
+                        ties = [(d, u, v)]
     assert best is not None
     labels = [x for triple in best for x in triple]
     if n <= 255:
-        return bytes([n, *labels])
-    return b"\0" + struct.pack(f">{len(labels) + 1}H", n, *labels)
+        return bytes([n, *labels]), tuple(ties)
+    return b"\0" + struct.pack(f">{len(labels) + 1}H", n, *labels), tuple(ties)
 
 
 # ---------------------------------------------------------------------------

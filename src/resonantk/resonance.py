@@ -20,6 +20,13 @@ arrays of the sets on its path and those differences, never a table of
 decided sets, so its memory stays flat however many sets it visits.  Only
 the full walk's summary (counts and failures per size) is kept on the
 graph.
+
+The full walk, which ``sextet`` runs, also uses the graph's symmetry: it
+descends only into resonant sets that are lexicographically least in their
+orbit under the automorphism group (read off the canonical-code pass), and
+counts each with its orbit size.  A walk bounded to a few sizes, as
+``resonance_order`` and ``hexagon_dichotomy_report`` run on a fresh graph,
+takes no group: it stops too early to win back the group's cost.
 """
 
 from __future__ import annotations
@@ -38,7 +45,13 @@ from .matching import (
     face_alternates,
     perfect_mate_tuples,
 )
-from .plane_graph import FullereneGraph, delete_vertices, is_bipartite
+from .plane_graph import (
+    Automorphism,
+    FullereneGraph,
+    automorphisms,
+    delete_vertices,
+    is_bipartite,
+)
 
 ALL = "ALL"
 
@@ -65,8 +78,9 @@ class SextetPolynomial:
         check_int("sextet coefficient index", i)
         return self.coefficients[i] if 0 <= i < len(self.coefficients) else 0
 
-    def __call__(self, x: float) -> float:
-        total = 0.0
+    def __call__(self, x: int | float) -> int | float:
+        """The polynomial's value at x; exact (an int) when x is an int."""
+        total = 0
         for c in reversed(self.coefficients):
             total = total * x + c
         return total
@@ -206,8 +220,11 @@ class _Walk(NamedTuple):
     """What ``_walk`` found, by set size k up to the largest size it tested.
 
     ``counts[k]`` is the number of resonant k-sets reached and ``failed[k]``
-    the first non-resonant k-set tested, or None.  ``singles`` holds the
-    hexagons that are resonant on their own.
+    the first non-resonant k-set tested, or None.  At the least size with a
+    failure that is the lexicographically least failing set; past it, the
+    full walk tests only the children of orbit representatives, so a later
+    entry need not be the least failing set of its size, and nothing reads
+    it.  ``singles`` holds the hexagons that are resonant on their own.
     """
 
     counts: tuple[int, ...]
@@ -273,6 +290,84 @@ def _clar_root(f: FullereneGraph, mate: list[int]) -> list[int]:
     return mate
 
 
+def _hexagon_maps(f: FullereneGraph, group: Iterable[Automorphism]) -> list[list[int]]:
+    """Each automorphism as a map of hexagon ids, a list indexed by face id.
+
+    A hexagon goes to the face of its least arc's image, read backwards
+    when the automorphism reverses the rotation (the face then lies on the
+    image arc's left).
+    """
+    face_of_arc = f.faces.face_of_arc
+    arcs = [(h, f.faces[h].boundary[0], f.faces[h].boundary[1]) for h in f.hexagon_ids]
+    maps = []
+    for perm, reverses in group:
+        m = [-1] * len(f.faces)
+        for h, u, v in arcs:
+            m[h] = face_of_arc((perm[v], perm[u]) if reverses else (perm[u], perm[v]))
+        maps.append(m)
+    return maps
+
+
+# The group's action on a least set S, as ``_least`` reads it: the maps that
+# fix S, and each other map with its *rise* on S, the element of S at the
+# first position where the sorted image of S exceeds S.
+_Action = tuple[list[list[int]], list[tuple[list[int], int]]]
+
+
+def _rise(s: tuple[int, ...], m: list[int]) -> int | None:
+    """The rise of m on s: None if m fixes s, -1 if the sorted image is below s."""
+    for a, b in zip(s, sorted([m[x] for x in s])):
+        if a != b:
+            return a if b > a else -1
+    return None
+
+
+def _least(ids: tuple[int, ...], c: int, action: _Action) -> int:
+    """The stabiliser order of ids + (c,) if it is least in its orbit, else 0.
+
+    ``ids`` is least in its orbit, ``action`` is the group's action on it
+    and every hexagon of it is below c.  A map m that fixes ``ids`` sends
+    the extended set below itself exactly when m[c] < c, and fixes it when
+    m[c] = c.  For any other map, m[c] below its rise sends the set below
+    itself and m[c] above it sends the set above, with the same rise; only
+    m[c] equal to the rise needs the whole image.  The order counts the
+    identity.
+    """
+    stab = 1
+    fixers, moved = action
+    for m in fixers:
+        x = m[c]
+        if x <= c:
+            if x < c:
+                return 0
+            stab += 1
+    for m, t in moved:
+        x = m[c]
+        if x <= t:
+            if x < t:
+                return 0
+            rise = _rise(ids + (c,), m)
+            if rise == -1:
+                return 0
+            if rise is None:
+                stab += 1
+    return stab
+
+
+def _extended(ids: tuple[int, ...], c: int, action: _Action) -> _Action:
+    """The group's action on ids + (c,), a least set, from its action on ids."""
+    fixers, moved = action
+    child_fixers = [m for m in fixers if m[c] == c]
+    child_moved = [(m, c) for m in fixers if m[c] != c]
+    for m, t in moved:
+        rise = t if m[c] != t else _rise(ids + (c,), m)
+        if rise is None:
+            child_fixers.append(m)
+        else:
+            child_moved.append((m, rise))
+    return child_fixers, child_moved
+
+
 def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
     """Decide every disjoint hexagon set whose proper subsets are all resonant.
 
@@ -295,34 +390,54 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
     structure alternates at the root, so its repair is its own ring, and
     the sets inside the structure need no search at all.
 
-    So every set all of whose proper subsets are resonant is tested once,
-    as a child of the set without its largest hexagon, and every resonant
-    set is reached.  Nodes of one size are visited, and their children
-    tested, in lexicographic order: at the least size with a failure,
-    ``failed`` holds the lexicographically least failing set.  The walk
-    keeps no decided sets; besides its summary it holds the repairs of the
-    resonant children along its path and the matching of each node's
-    parent.  A resonant child with no candidates is only counted.
+    The full walk (no ``max_size``) visits one set per orbit of the
+    automorphism group A: it descends only into a resonant child that is
+    lexicographically least among its images (decided by ``_least``), and
+    counts it |A| / |stabiliser| times, its orbit's size.  Automorphisms
+    keep resonance, and a prefix of a least set is least, so every orbit is
+    reached through its least member, which is tested as a child of a
+    visited set.  Every child of a visited set is still tested, least or
+    not, so the candidates and repairs below it are as without the group.
+
+    So a set whose proper subsets are all resonant is tested once, as a
+    child of the set without its largest hexagon, whenever that set is
+    visited, and every resonant set is counted.  Nodes of one size are
+    visited, and their children tested, in lexicographic order, and the
+    least failing set is least in its orbit: at the least size with a
+    failure, ``failed`` holds the lexicographically least failing set.
+    Past that size, ``failed`` depends on which sets were visited (see
+    ``_Walk``).  The walk keeps no decided sets; besides its summary it
+    holds the repairs of the resonant children along its path, the
+    matching of each node's parent and the group's action on each pending
+    node.  A resonant child with no candidates is only counted.
 
     With ``max_size`` (at least 1) no set larger is tested, and the walk
     ends at its first failed set of that size, as a caller deepening the
     bound needs nothing past it; the counts then cover only the sets before
-    it.  Every single hexagon is still tested, at the root.
+    it.  Every single hexagon is still tested, at the root.  A bounded walk
+    takes no group and visits every resonant set: it ends after two or
+    three sizes, where building the group costs more than it saves.
     """
     root = kernels.mate_array(f.n, f.graph.rotation)
     if -1 in root:
         raise RuntimeError("the graph has no perfect matching, so the empty set is not resonant")
+    cands = [(h, None) for h in f.hexagon_ids]
+    if max_size is None and cands:
+        group = automorphisms(f)
+        order = len(group)
+        action: _Action = (_hexagon_maps(f, group[1:]), [])
+    else:
+        order, action = 1, ([], [])
     counts = [1]
     failed: list[tuple[int, ...] | None] = [None]
     singles: frozenset[int] = frozenset()
     # Frames (H, the parent's mate array, the repair of H's last hexagon h,
-    # candidates with their repairs); a repair is (vertex bitmask,
-    # [(vertex, mate)]) relative to the parent's array, or None where it is
-    # not known.  The root has no parent and no h.
-    cands = [(h, None) for h in f.hexagon_ids]
-    stack = [((), _clar_root(f, root), (0, []), cands)] if cands else []
+    # candidates with their repairs, the group's action on H); a repair is
+    # (vertex bitmask, [(vertex, mate)]) relative to the parent's array, or
+    # None where it is not known.  The root has no parent and no h.
+    stack = [((), _clar_root(f, root), (0, []), cands, action)] if cands else []
     while stack:
-        ids, mate, (hmask, entries), cands = stack.pop()
+        ids, mate, (hmask, entries), cands, action = stack.pop()
         mate = mate[:]
         for v, w in entries:
             mate[v] = w
@@ -349,19 +464,24 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
                 failed[size] = ids + (c,)
                 if size == max_size and ids:
                     break
-        counts[size] += len(passed)
         if not ids:
             singles = frozenset(c for c, _ in passed)
+        least = []
+        for i, (c, _) in enumerate(passed):
+            stab = _least(ids, c, action)
+            if stab:
+                counts[size] += order // stab
+                least.append(i)
         if size == max_size:
             if failed[size] is not None:
                 break
             continue
-        for i in range(len(passed) - 2, -1, -1):
+        for i in reversed(least):
             c, repair = passed[i]
             bad = f.faces.across(c)
             later = [d for d in passed[i + 1 :] if d[0] not in bad]
             if later:
-                stack.append((ids + (c,), mate, repair, later))
+                stack.append((ids + (c,), mate, repair, later, _extended(ids, c, action)))
     return _Walk(tuple(counts), tuple(failed), singles)
 
 

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from resonantk.catalog import catalog_names
 from resonantk.errors import GraphError, GuardExceeded, NotFullereneError
+from resonantk import plane_graph
 from resonantk.plane_graph import (
+    Automorphism,
     EmbeddedGraph,
+    automorphisms,
     canonical_code,
     delete_vertices,
     emit_graph,
@@ -210,6 +213,63 @@ def test_canonical_code_matches_full_build(coded):
         assert canonical_code(_reflect(g)) == expected, name
 
 
+def _check_automorphism(g: EmbeddedGraph, a: Automorphism) -> None:
+    """The map sends each rotation onto the image vertex's, reversed for a reflection."""
+    assert sorted(a.perm) == list(range(g.n))
+    for v, ring in enumerate(g.rotation):
+        image = [a.perm[w] for w in (reversed(ring) if a.reverses else ring)]
+        target = g.rotation[a.perm[v]]
+        k = target.index(image[0])
+        assert target[k:] + target[:k] == tuple(image), (a, v)
+
+
+# Point-group orders (Fowler & Manolopoulos, An Atlas of Fullerenes): F20 and
+# C60 are Ih, F24 D6d and C70 D5h; the R5 tubes (D5h or D5d) have 20
+# automorphisms, the R6 tubes (D6h or D6d) 24.
+SYMMETRY = {"F20": 120, "F24": 24, "C60": 120, "C70": 20}
+SYMMETRY.update({f"R5_{k}": 20 for k in range(1, 6)})
+SYMMETRY.update({f"R6_{k}": 24 for k in range(1, 5)})
+
+
+@pytest.mark.parametrize("name", list(SYMMETRY))
+def test_automorphisms_are_the_point_group(name, relabel):
+    from resonantk.catalog import catalog_graph, nanotube
+
+    f = nanotube(name[:2], int(name[3:])) if name[:3] in ("R5_", "R6_") else catalog_graph(name).graph
+    group = automorphisms(f)
+    assert len(group) == SYMMETRY[name]
+    assert group[0] == Automorphism(tuple(range(f.n)), False)
+    perms = {a.perm for a in group}
+    assert len(perms) == len(group)
+    for a in group:
+        _check_automorphism(f.graph, a)
+    # closed under composition, with as many reflections as rotations
+    for p in perms:
+        for q in perms:
+            assert tuple(map(p.__getitem__, q)) in perms
+    assert 2 * sum(a.reverses for a in group) == len(group)
+    seed = list(SYMMETRY).index(name)
+    assert len(automorphisms(relabel(f, seed))) == len(group)
+    assert len(automorphisms(_reflect(f.graph))) == len(group)
+
+
+def test_automorphisms_share_the_canonical_pass(graphs, monkeypatch):
+    from oracles import canonical_code_by_full_build
+
+    passes = []
+    canonical_pass = plane_graph._canonical_pass
+    monkeypatch.setattr(plane_graph, "_canonical_pass", lambda g: passes.append(1) or canonical_pass(g))
+    for name in ("F28", "C70"):
+        f = validate_fullerene(graphs[name].graph)
+        group = automorphisms(f)
+        code = canonical_code(f)
+        assert f._memo["canonical"][0] == code
+        assert len(f._memo["canonical"][1]) == len(group)
+        assert len(passes) == 1
+        assert code == canonical_code(f.graph) == canonical_code_by_full_build(list(f.graph.rotation))
+        passes.clear()
+
+
 # SHA-256 of the canonical code of each catalog graph and of its leapfrog
 # image, recorded before the code was pruned; `analyze` prints the first as
 # the graph's identity.
@@ -269,6 +329,12 @@ def test_canonical_code_past_255_vertices(wide):
         assert labels[:3] == [1, 2, 3] and max(labels) == 323, name
         assert canonical_code(_shuffled(g, seed)) == code, name
         assert canonical_code(_reflect(g)) == code, name
+    # leapfrogging keeps the symmetry: R6_25 is D6h, F36_1 D2d and F36_2 D2
+    for name, order in (("R6_25", 24), ("L2(F36_1)", 8), ("L2(F36_2)", 4)):
+        group = automorphisms(wide[name])
+        assert len(group) == order, name
+        for a in group:
+            _check_automorphism(wide[name], a)
     assert canonical_code(wide["L2(F36_1)"]) != canonical_code(wide["L2(F36_2)"])
     assert canonical_code(wide["R6_25"]) != canonical_code(wide["L2(F36_1)"])
     with pytest.raises(GuardExceeded, match="65535"):

@@ -17,13 +17,13 @@ from oracles import (
     sextet_by_unpruned_walk,
 )
 
-from resonantk import kernels, matching, resonance
+from resonantk import kernels, matching, plane_graph, resonance
 from resonantk.catalog import catalog_graph, catalog_names, nanotube
 from resonantk.cli import analyze_graph
 from resonantk.errors import GraphError, GuardExceeded
 from resonantk.leapfrog import leapfrog, two_resonance_certificate
 from resonantk.matching import maximum_matching
-from resonantk.plane_graph import EmbeddedGraph, delete_vertices, validate_fullerene
+from resonantk.plane_graph import Automorphism, EmbeddedGraph, delete_vertices, validate_fullerene
 from resonantk.rings_fragments import psi
 from resonantk.resonance import (
     ALL,
@@ -330,10 +330,65 @@ def test_walk_matches_the_sweep(name, relabel):
         assert [resonance_order(g, cap) for cap in caps] == expected
 
 
+def _least_failure(walk):
+    k = next((k for k, ids in enumerate(walk.failed) if ids is not None), None)
+    return k, walk.failed[k] if k is not None else None
+
+
+def _nonzero_counts(walk):
+    # A walk may test a size at which every set fails; visiting fewer sets,
+    # the orbit walk may not reach such a size.
+    counts = list(walk.counts)
+    while counts[-1] == 0:
+        counts.pop()
+    return counts
+
+
+@pytest.mark.parametrize("name", WALKED)
+def test_orbit_walk_matches_the_unreduced_walk(name, relabel, monkeypatch):
+    # The full walk with the group cut down to the identity visits every
+    # resonant set; as given, relabelled, and relabelled and reflected.
+    seed = 300 + WALKED.index(name)
+    graphs = (_fresh(name), relabel(_fresh(name), seed), _reflected(relabel(_fresh(name), seed + 50)))
+    orbit = [resonance._walk(g) for g in graphs]
+    monkeypatch.setattr(
+        resonance, "automorphisms", lambda f: (Automorphism(tuple(range(f.n)), False),)
+    )
+    for g, walk in zip(graphs, orbit):
+        plain = resonance._walk(g)
+        assert _nonzero_counts(walk) == _nonzero_counts(plain)
+        assert walk.singles == plain.singles
+        assert _least_failure(walk) == _least_failure(plain)
+
+
+def test_canonical_pass_only_for_the_full_walk(monkeypatch):
+    # Bounded walks take no group; analyze shares one pass between the
+    # orbit walk and the graph's identity.
+    passes = []
+    canonical_pass = plane_graph._canonical_pass
+    monkeypatch.setattr(plane_graph, "_canonical_pass", lambda g: passes.append(1) or canonical_pass(g))
+    f = _fresh("C70")
+    resonance_order(f)
+    hexagon_dichotomy_report(f)
+    find_g_star(f)
+    assert passes == []
+    analyze_graph(_fresh("C70"))
+    assert len(passes) == 1
+
+
+def test_sextet_polynomial_evaluates_exactly(graphs):
+    # C70's value at 1000 is about 2.5e28, far past a float's 53 bits.
+    poly = sextet(graphs["C70"])
+    value = poly(1000)
+    assert type(value) is int
+    assert value == sum(c * 1000**i for i, c in enumerate(poly.coefficients))
+    assert poly(0.5) == sum(c * 0.5**i for i, c in enumerate(poly.coefficients))
+
+
 def test_walk_skips_supersets_of_failed_siblings(monkeypatch):
-    # On R6_4 the walk runs 2,896 augment searches (4,709 before it started
-    # from a Clar structure and composed disjoint repairs), the unpruned
-    # walk 9,525.
+    # On R6_4 the walk runs 324 augment searches (2,896 when it visited every
+    # member of each symmetry orbit, 4,709 before it started from a Clar
+    # structure and composed disjoint repairs), the unpruned walk 9,525.
     calls = []
     augment = kernels.augment
     monkeypatch.setattr(kernels, "augment", lambda *a: calls.append(1) or augment(*a))
@@ -345,9 +400,10 @@ def test_walk_skips_supersets_of_failed_siblings(monkeypatch):
     assert pruned < 0.6 * len(calls)
 
 
-@pytest.mark.parametrize("name, most", [("C60", 200), ("C70", 5000), ("R6_4", 3500)])
+@pytest.mark.parametrize("name, most", [("C60", 50), ("C70", 600), ("R6_4", 450)])
 def test_walk_search_count(name, most, monkeypatch):
-    # The full walk's augment searches: 51, 3,957 and 2,896 with the Clar
+    # The full walk's augment searches: 22, 437 and 324 visiting one set per
+    # symmetry orbit; 51, 3,957 and 2,896 visiting every set, with the Clar
     # root and composed repairs; 3,670, 14,738 and 4,709 without them.
     calls = []
     augment = kernels.augment
@@ -359,7 +415,7 @@ def test_walk_search_count(name, most, monkeypatch):
 def test_walk_hands_augment_matchings_of_the_rest(relabel, monkeypatch):
     # Every mate array a search starts from, composed or not, is a matching
     # of the graph minus the excluded vertices, with the search's root free.
-    names = list(catalog_names()) + [f"{cap}_{k}" for cap in ("R5", "R6") for k in (1, 2, 3)]
+    names = list(catalog_names()) + [f"{cap}_{k}" for cap in ("R5", "R6") for k in (1, 2, 3, 4, 5)]
     augment = kernels.augment
     searches = 0
 
@@ -403,10 +459,14 @@ def test_memo_keeps_no_resonant_sets():
     find_g_star(f)
     assert f._memo == {}
     sextet(f)
-    assert set(f._memo) == {"walk"}
+    assert set(f._memo) == {"walk", "canonical"}
     f = _fresh("C70")
     analyze_graph(f)
-    assert set(f._memo) == {"walk", "face_masks", "pentagonal_rings"}
+    assert set(f._memo) == {"walk", "canonical", "face_masks", "pentagonal_rings"}
+    # the canonical pass keeps its code and the 20 starts that tie with it
+    code, starts = f._memo["canonical"]
+    assert isinstance(code, bytes) and len(starts) == 20
+    assert all(len(start) == 3 and all(type(x) is int for x in start) for start in starts)
     walk = f._memo["walk"]
     assert walk.counts == (1, 25, 255, 1355, 3940, 5958, 4715, 2065, 375, 25)
     assert len(walk.failed) == len(walk.counts)
