@@ -12,8 +12,8 @@ for the tests:
   walk in ``resonance`` does this) instead of matching from scratch.
 * ``perfect_matchings`` — exhaustive perfect-matching enumeration by
   backtracking on the most constrained unmatched vertex, so that the search
-  does not depend on the labelling; its output keeps the order of
-  backtracking on the lowest unmatched vertex.
+  does not depend on the labelling; it returns the matchings in search
+  order (``matching.enumerate_perfect_matchings`` sorts them).
 * ``has_small_cyclic_cut`` — brute force over small edge subsets looking for a
   cut that separates two cycle-containing components.  The library no longer
   calls it: ``plane_graph.verify_cyclic_edge_connectivity`` reads cuts off
@@ -146,22 +146,16 @@ def _mark_path(
 def perfect_matchings(
     n: int, adj: Sequence[Sequence[int]], limit: int
 ) -> list[tuple[int, ...]]:
-    """All perfect matchings as mate tuples, stopping after limit + 1.
+    """All perfect matchings as mate tuples in search order, stopping after limit + 1.
 
     Backtracks on the most constrained unmatched vertex: the one with the
     fewest unmatched neighbours, the lowest id among those.  Matching an
     edge lowers its endpoints' neighbours' counts, and a branch ends as soon
     as an unmatched vertex has none left, so the search does not depend on
     how the vertices are labelled.  Each vertex tries its unmatched
-    neighbours in the order ``adj`` lists them.
-
-    The output order is that of backtracking on the lowest unmatched vertex:
-    the matchings are sorted by their choice key, which lists, for each
-    vertex v below its mate in ascending order, the position of the mate in
-    ``adj[v]``.  That walk matches every such v by choosing from it, and two
-    matchings first differ at a common chooser, whose choice orders them.
+    neighbours in the order ``adj`` lists them.  Each matching appears once.
     A result longer than ``limit`` signals to the caller that the cap was
-    exceeded; it holds ``limit + 1`` matchings in search order.
+    exceeded.
     """
     if n % 2 or limit < 0:
         return []
@@ -177,17 +171,11 @@ def perfect_matchings(
     if counts[0]:
         return []
     nonzero = counts[1:]
-    # choice[v][i]: the choice key entry of the lower end of the edge from v
-    # to rows[v][i].  key[w] holds it for every matched lower end w and -1
-    # for every upper end, so that it is a function of the matching alone.
-    pos = [{u: k for k, u in enumerate(row)} for row in adj]
-    choice = [[pos[v][u] if v < u else pos[u][v] for u in row] for v, row in enumerate(rows)]
-    # around[v][i]: the neighbours of both ends of that edge, whose counts
-    # change when it is matched or unmatched.
+    # around[v][i]: the neighbours of both ends of the edge from v to
+    # rows[v][i], whose counts change when it is matched or unmatched.
     around = [[(*row, *rows[u]) for u in row] for row in rows]
-    key = [-1] * n
     mate = [-1] * n
-    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    found: list[tuple[int, ...]] = []
     # The chooser v and the index of its next choice in rows[v]; the stack
     # holds the same pair for every chooser matched so far, so the depth is
     # not bounded by the interpreter's recursion limit.
@@ -204,10 +192,6 @@ def perfect_matchings(
             mate[u] = v
             counts[free[v]].remove(v)
             counts[free[u]].remove(u)
-            if v < u:
-                key[v], key[u] = choice[v][i], -1
-            else:
-                key[u], key[v] = choice[v][i], -1
             stack.append((v, i))
             alive = True
             for w in around[v][i]:
@@ -224,9 +208,9 @@ def perfect_matchings(
                     v = w
                     i = 0
                     continue
-                found.append((tuple(key), tuple(mate)))
+                found.append(tuple(mate))
                 if len(found) > limit:
-                    return [m for _, m in found]
+                    return found
         if not stack:
             break
         v, i = stack.pop()
@@ -242,8 +226,7 @@ def perfect_matchings(
         counts[free[v]].add(v)
         counts[free[u]].add(u)
         i += 1
-    found.sort()
-    return [m for _, m in found]
+    return found
 
 
 def _most_constrained(nonzero: list[set[int]]) -> int:

@@ -201,8 +201,9 @@ def symmetric_difference(m: Matching, cycle: Sequence[int]) -> Matching:
     """Flip a matching along an alternating cycle of vertices.
 
     ``cycle`` lists the vertices in order; the closing edge is implicit.
-    Every step must be an edge of the matching's host graph and every other
-    cycle edge must lie in the matching, else GraphError.
+    Every step must be an edge of the matching's host graph, every other
+    cycle edge must lie in the matching, and the flipped edges must still
+    form a matching (they do whenever the input is one), else GraphError.
     """
     if m.host is None:
         raise GraphError("matching has no host graph to check the cycle against")
@@ -222,12 +223,9 @@ def symmetric_difference(m: Matching, cycle: Sequence[int]) -> Matching:
     if not all(inside[i] != inside[i - 1] for i in range(length)):
         raise GraphError("cycle does not alternate with the matching")
     flipped = m.edges.symmetric_difference(cyc_edges)
-    result = Matching(frozenset(flipped), m.host)
-    touched: set[int] = set()
-    for u, v in result.edges:
-        assert u not in touched and v not in touched
-        touched.update((u, v))
-    return result
+    if len({v for e in flipped for v in e}) != 2 * len(flipped):
+        raise GraphError("the flipped edges share a vertex, so the input is not a matching")
+    return Matching(flipped, m.host)
 
 
 def face_alternates(face: Face, m: Matching) -> bool:
@@ -288,11 +286,12 @@ def resolve_pm_cap(cap: int | None = None) -> int:
 
 
 def perfect_mate_tuples(g: object, cap: int | None = None) -> list[tuple[int, ...]]:
-    """All perfect matchings as mate tuples, in the enumeration's order.
+    """All perfect matchings as mate tuples, in the kernel's search order.
 
     The one call into ``kernels.perfect_matchings`` (made through the module,
     so that a tracer patching it sees every call); callers that only score
-    matchings use the tuples without building ``Matching`` objects.
+    matchings use the tuples without building ``Matching`` objects, and
+    need no order.
 
     Raises:
         GuardExceeded: if the graph has more perfect matchings than the cap
@@ -312,14 +311,22 @@ def perfect_mate_tuples(g: object, cap: int | None = None) -> list[tuple[int, ..
 
 
 def enumerate_perfect_matchings(g: object, cap: int | None = None) -> tuple[Matching, ...]:
-    """All perfect matchings, in the enumeration's deterministic order.
+    """All perfect matchings, lowest first.
 
     The order is that of backtracking on the lowest unmatched vertex, each
     vertex trying its neighbours in adjacency order; it does not depend on
-    how the search itself branches.
+    how the search itself branches.  The matchings are sorted by a key that
+    lists, for each vertex v in ascending order, the position of its mate in
+    v's adjacency row if v is below its mate, else -1: the backtracking
+    matches each such v by choosing from it, and two matchings first differ
+    at a common chooser, whose choice orders them.
 
     Raises:
         GuardExceeded: if the graph has more perfect matchings than the cap
             (no partial results are returned).
     """
-    return tuple(_matching_from_mates(mates, g) for mates in perfect_mate_tuples(g, cap))
+    found = perfect_mate_tuples(g, cap)
+    _, adj = _adjacency(g)
+    pos = [{u: i for i, u in enumerate(row)} for row in adj]
+    found.sort(key=lambda mates: tuple(pos[v][w] if v < w else -1 for v, w in enumerate(mates)))
+    return tuple(_matching_from_mates(mates, g) for mates in found)

@@ -507,33 +507,23 @@ def automorphisms(g: EmbeddedGraph | FullereneGraph) -> tuple[Automorphism, ...]
     The starts of the canonical pass whose code ties with the minimum are
     exactly the automorphisms: labelling breadth-first from the first such
     start and from another one gives the same code, so sending each vertex
-    to the vertex of the same label in the other order keeps every rotation
-    (reversed when the two starts have opposite orientations).  A map of a
-    3-connected plane graph is fixed by the image of one arc and the
-    orientation, so no automorphism is counted twice.
+    to the vertex of the same label in the other labelling keeps every
+    rotation (reversed when the two starts have opposite orientations).  The
+    pass keeps each tied labelling, so each map is read straight off two of
+    them.  A map of a 3-connected plane graph is fixed by the image of one
+    arc and the orientation, so no automorphism is counted twice.
 
     Raises:
         GuardExceeded: as :func:`canonical_code`.
     """
-    base = g.graph if isinstance(g, FullereneGraph) else g
-    n = base.n
-    code, starts = _canonical(g)
-    labels = code[1:] if n <= 255 else struct.unpack(f">{3 * n}H", code[3:])
-    # entry by label: (label of the entry neighbour, labels of the two after it)
-    steps = list(zip(labels[0::3], labels[1::3], labels[2::3]))
-    tables = _after_tables(base.rotation)
+    ties = _canonical(g)[1]
+    d0, first = ties[0]
     out = []
-    for d, u, v in starts:
-        after = tables[d]
-        vertex = [0] * n
-        vertex[0], vertex[1] = u, v
-        for w, (e, a, b) in enumerate(steps):
-            vertex[a], vertex[b] = after[vertex[w]][vertex[e]]
-        if not out:
-            d0, label = d, [0] * n
-            for i, w in enumerate(vertex):
-                label[w] = i
-        out.append(Automorphism(tuple(map(vertex.__getitem__, label)), d != d0))
+    for d, vertices in ties:
+        perm = [0] * len(first)
+        for v, w in zip(first, vertices):
+            perm[v] = w
+        out.append(Automorphism(tuple(perm), d != d0))
     return tuple(out)
 
 
@@ -545,8 +535,12 @@ def _after_tables(rotation: Sequence[tuple[int, int, int]]) -> tuple[list[dict],
     )
 
 
-def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[tuple[int, int, int], ...]]:
-    """The canonical code and the starts that tie with it, kept on a FullereneGraph."""
+# The orientation index of a start and its vertices in label order.
+_Labelling = tuple[int, tuple[int, ...]]
+
+
+def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[_Labelling, ...]]:
+    """The canonical code and the labellings that tie with it, kept on a FullereneGraph."""
     if not isinstance(g, FullereneGraph):
         return _canonical_pass(g)
     got = g._memo.get("canonical")
@@ -555,14 +549,14 @@ def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[tuple[in
     return got
 
 
-def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[tuple[int, int, int], ...]]:
-    """The canonical code and its tied starts (orientation index, u, v), best first."""
+def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[_Labelling, ...]]:
+    """The canonical code and the labellings of its tied starts, best first."""
     n = base.n
     if n > 0xFFFF:
         raise GuardExceeded(f"canonical code supports at most 65535 vertices, got {n}")
     rotation = base.rotation
     best: list[tuple[int, int, int]] | None = None
-    ties: list[tuple[int, int, int]] = []
+    ties: list[_Labelling] = []
     for d, after in enumerate(_after_tables(rotation)):
         for u in range(n):
             for v in rotation[u]:
@@ -590,11 +584,12 @@ def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[tuple[int, int, i
                         tied = triple == other
                     code.append(triple)
                 else:
+                    labelling = (d, tuple(w for w, _ in order))
                     if tied:
-                        ties.append((d, u, v))
+                        ties.append(labelling)
                     else:
                         best = code
-                        ties = [(d, u, v)]
+                        ties = [labelling]
     assert best is not None
     labels = [x for triple in best for x in triple]
     if n <= 255:

@@ -18,8 +18,8 @@ matching differs from its parent's; children whose differences touch
 disjoint vertices combine with no new matching search.  It keeps the mate
 arrays of the sets on its path and those differences, never a table of
 decided sets, so its memory stays flat however many sets it visits.  Only
-the full walk's summary (counts and failures per size) is kept on the
-graph.
+the full walk's summary (counts per size and the least failing set) is
+kept on the graph.
 
 The full walk, which ``sextet`` runs, also uses the graph's symmetry: it
 descends only into resonant sets that are lexicographically least in their
@@ -217,18 +217,17 @@ def disjoint_hexagon_sets(f: FullereneGraph, k: int) -> Iterator[tuple[int, ...]
 
 
 class _Walk(NamedTuple):
-    """What ``_walk`` found, by set size k up to the largest size it tested.
+    """What ``_walk`` found.
 
-    ``counts[k]`` is the number of resonant k-sets reached and ``failed[k]``
-    the first non-resonant k-set tested, or None.  At the least size with a
-    failure that is the lexicographically least failing set; past it, the
-    full walk tests only the children of orbit representatives, so a later
-    entry need not be the least failing set of its size, and nothing reads
-    it.  ``singles`` holds the hexagons that are resonant on their own.
+    ``counts[k]`` is the number of resonant k-sets reached, for every size
+    k up to the largest size it tested.  ``failed`` is the least failing
+    set: of the least size with a non-resonant set, the lexicographically
+    least one; None if no tested set failed.  ``singles`` holds the
+    hexagons that are resonant on their own.
     """
 
     counts: tuple[int, ...]
-    failed: tuple[tuple[int, ...] | None, ...]
+    failed: tuple[int, ...] | None
     singles: frozenset[int]
 
 
@@ -403,20 +402,21 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
     child of the set without its largest hexagon, whenever that set is
     visited, and every resonant set is counted.  Nodes of one size are
     visited, and their children tested, in lexicographic order, and the
-    least failing set is least in its orbit: at the least size with a
-    failure, ``failed`` holds the lexicographically least failing set.
-    Past that size, ``failed`` depends on which sets were visited (see
-    ``_Walk``).  The walk keeps no decided sets; besides its summary it
-    holds the repairs of the resonant children along its path, the
-    matching of each node's parent and the group's action on each pending
-    node.  A resonant child with no candidates is only counted.
+    least failing set is least in its orbit, so the first failure of the
+    least failing size is the least failing set.  The walk keeps it and
+    replaces it only by a failure of a smaller size.  It keeps no decided
+    sets; besides its summary it holds the repairs of the resonant children
+    along its path, the matching of each node's parent and the group's
+    action on each pending node.  A resonant child with no candidates is
+    only counted.
 
     With ``max_size`` (at least 1) no set larger is tested, and the walk
-    ends at its first failed set of that size, as a caller deepening the
-    bound needs nothing past it; the counts then cover only the sets before
-    it.  Every single hexagon is still tested, at the root.  A bounded walk
-    takes no group and visits every resonant set: it ends after two or
-    three sizes, where building the group costs more than it saves.
+    ends at its first failure past the root (every single hexagon is still
+    tested there); the counts then cover only the sets before it.  A caller
+    that deepens the bound one size at a time, each run clean below its
+    bound, so gets the least failing set.  A bounded walk takes no group and
+    visits every resonant set: it ends after two or three sizes, where
+    building the group costs more than it saves.
     """
     root = kernels.mate_array(f.n, f.graph.rotation)
     if -1 in root:
@@ -429,7 +429,7 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
     else:
         order, action = 1, ([], [])
     counts = [1]
-    failed: list[tuple[int, ...] | None] = [None]
+    failed: tuple[int, ...] | None = None
     singles: frozenset[int] = frozenset()
     # Frames (H, the parent's mate array, the repair of H's last hexagon h,
     # candidates with their repairs, the group's action on H); a repair is
@@ -444,7 +444,6 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
         size = len(ids) + 1
         if size == len(counts):
             counts.append(0)
-            failed.append(None)
         excluded = None
         passed = []
         for c, repair in cands:
@@ -460,9 +459,9 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
                 for v, _ in diff:
                     mask |= 1 << v
                 passed.append((c, (mask, diff)))
-            elif failed[size] is None:
-                failed[size] = ids + (c,)
-                if size == max_size and ids:
+            elif failed is None or size < len(failed):
+                failed = ids + (c,)
+                if max_size and ids:
                     break
         if not ids:
             singles = frozenset(c for c, _ in passed)
@@ -472,9 +471,9 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
             if stab:
                 counts[size] += order // stab
                 least.append(i)
+        if max_size and failed:
+            break
         if size == max_size:
-            if failed[size] is not None:
-                break
             continue
         for i in reversed(least):
             c, repair = passed[i]
@@ -482,7 +481,7 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
             later = [d for d in passed[i + 1 :] if d[0] not in bad]
             if later:
                 stack.append((ids + (c,), mate, repair, later, _extended(ids, c, action)))
-    return _Walk(tuple(counts), tuple(failed), singles)
+    return _Walk(tuple(counts), failed, singles)
 
 
 def sextet(f: FullereneGraph) -> SextetPolynomial:
@@ -537,13 +536,15 @@ def fries(f: FullereneGraph, cap: int | None = None) -> int:
 def resonance_order(f: FullereneGraph, max_k: int | None = None) -> OrderReport:
     """Largest k such that every disjoint k-set of hexagons is resonant.
 
-    Sizes are taken upward.  A size with no disjoint sets at all ends with
-    order "ALL" (every later size is empty too).  The first non-resonant
-    set - smallest size, lexicographically first - is reported as the
-    failing witness.  A non-resonant set of the least failing size has only
-    resonant proper subsets, so ``_walk`` tests it.  The sizes are read off
-    the full walk if ``sextet`` has run on the graph; otherwise the walk is
-    run bounded to 2, 3, ... sets, each run ending at its first failure, so
+    The order ends at the least size with a non-resonant set or with no
+    disjoint sets at all.  In the first case the order is one less and the
+    walk's least failing set - smallest size, lexicographically first - is
+    the witness; a non-resonant set of that size has only resonant proper
+    subsets, so ``_walk`` tests it.  In the second the order is "ALL"
+    (every later size is empty too).  A size past ``max_k`` gives
+    ``max_k`` as a capped lower bound.  The sizes are read off the full
+    walk if ``sextet`` has run on the graph; otherwise the walk is run
+    bounded to 2, 3, ... sets, each run ending at its first failure, so
     that a small order costs only the small sets.
 
     Raises:
@@ -553,20 +554,21 @@ def resonance_order(f: FullereneGraph, max_k: int | None = None) -> OrderReport:
         check_int("max_k", max_k, 0)
     walk = f._memo.get("walk")
     bounded = walk is None
-    k = 1
+    bound = 2
     while True:
-        if max_k is not None and k > max_k:
-            return OrderReport(max_k, None, capped=True)
-        # The walk bounded to two sets tests every single hexagon at its
-        # root, so it answers sizes 1 and 2 at once.
-        if bounded and k != 2:
-            walk = _walk(f, 1 if max_k == 1 else max(k, 2))
+        if bounded:
+            walk = _walk(f, bound)
         counts, failed, _ = walk
-        if k == len(counts):
+        # The least size that fails or is empty; a bounded walk that ends
+        # clean only shows that it lies past the bound.
+        end = len(failed) if failed else len(counts)
+        if max_k is not None and end > max_k:
+            return OrderReport(max_k, None, capped=True)
+        if failed:
+            return OrderReport(end - 1, failed)
+        if not bounded or end <= bound:
             return OrderReport(ALL, None)
-        if failed[k] is not None:
-            return OrderReport(k - 1, failed[k])
-        k += 1
+        bound += 1
 
 
 def find_g_star(f: FullereneGraph) -> GStarWitness | None:

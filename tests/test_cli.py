@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 
 import resonantk
 
+from resonantk import catalog as _catalog
 from resonantk import rings_fragments
 from resonantk.cli import run
 from resonantk.plane_graph import parse_graph, validate_fullerene
@@ -402,6 +404,21 @@ def test_catalog_commands(capsys):
     out = capsys.readouterr().out
     assert out.splitlines()[0].startswith("F20:")
     assert len(out.splitlines()) == 11
+
+
+def test_catalog_verify(capsys, monkeypatch):
+    names = _catalog.catalog_names()
+    assert run(["catalog", "verify"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"{name}: ok" for name in names]
+    # one wrong fact fails that entry alone, and the exit code
+    n, pentagons, facts = _catalog._CATALOG["F30"]
+    wrong = dataclasses.replace(facts, order=2)
+    monkeypatch.setitem(_catalog._CATALOG, "F30", (n, pentagons, wrong))
+    assert run(["catalog", "verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "F30: FAIL (order: expected 2, got 1)" if name == "F30" else f"{name}: ok" for name in names
+    ]
 
 
 def test_nanotube_emit(tmp_path, capsys):

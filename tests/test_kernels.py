@@ -9,6 +9,8 @@ import pytest
 from oracles import perfect_matchings_lowest_first
 
 from resonantk import kernels
+from resonantk.errors import GuardExceeded
+from resonantk.matching import enumerate_perfect_matchings
 
 # Small graphs, adjacency in an arbitrary but fixed order.
 C6 = [[1, 5], [0, 2], [1, 3], [2, 4], [3, 5], [0, 4]]
@@ -74,6 +76,10 @@ def _relabelled(adj, seed):
     return out
 
 
+def _edge_sets(mate_tuples):
+    return [frozenset((v, w) for v, w in enumerate(m) if v < w) for m in mate_tuples]
+
+
 def _variants(adj):
     """The adjacency as given, relabelled with a fixed seed, and reflected."""
     return {
@@ -87,10 +93,15 @@ def _variants(adj):
     "name", ["F20", "F24", "F28", "F30", "F32", "F36_1", "F36_2", "F40", "F48"]
 )
 def test_perfect_matchings_keep_the_lowest_first_order(graphs, name):
+    # The kernel returns its search order; enumerate_perfect_matchings sorts
+    # it into the order of backtracking on the lowest unmatched vertex.
     rotation = [list(row) for row in graphs[name].graph.rotation]
     for label, adj in _variants(rotation).items():
+        full = perfect_matchings_lowest_first(len(adj), adj, 10**6)
+        enumerated = enumerate_perfect_matchings(adj, cap=10**6)
+        assert [m.edges for m in enumerated] == _edge_sets(full), label
         found = kernels.perfect_matchings(len(adj), adj, 10**6)
-        assert found == perfect_matchings_lowest_first(len(adj), adj, 10**6), label
+        assert len(found) == len(set(found)) and set(found) == set(full), label
 
 
 @pytest.mark.parametrize("adj", [C6, K4, CUBE, PRISM5], ids=["C6", "K4", "cube", "prism5"])
@@ -98,8 +109,14 @@ def test_perfect_matchings_small_graphs_and_caps(adj):
     n = len(adj)
     for label, g in _variants(adj).items():
         full = perfect_matchings_lowest_first(n, g, 10**6)
-        assert kernels.perfect_matchings(n, g, 10**6) == full, label
-        assert kernels.perfect_matchings(n, g, len(full)) == full, label
+        enumerated = enumerate_perfect_matchings(g, cap=len(full))
+        assert [m.edges for m in enumerated] == _edge_sets(full), label
+        if len(full) > 1:
+            with pytest.raises(GuardExceeded):
+                enumerate_perfect_matchings(g, cap=len(full) - 1)
+        for limit in (10**6, len(full)):
+            found = kernels.perfect_matchings(n, g, limit)
+            assert len(found) == len(set(found)) and set(found) == set(full), (label, limit)
         for limit in range(len(full)):
             # over the cap: limit + 1 distinct matchings, in any order
             over = kernels.perfect_matchings(n, g, limit)

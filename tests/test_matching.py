@@ -22,6 +22,7 @@ from resonantk.matching import (
     alternating_faces,
     alternating_hexagon_count,
     enumerate_perfect_matchings,
+    face_alternates,
     has_perfect_matching,
     is_central,
     maximum_matching,
@@ -313,6 +314,20 @@ def test_symmetric_difference_flips_a_face(graphs):
             break
     else:
         pytest.fail("no alternating hexagon found in the first matching")
+
+
+def test_symmetric_difference_rejects_a_non_matching(graphs):
+    # An extra edge at a vertex of an alternating hexagon: the flip would put
+    # that vertex in two edges.  Raised as GraphError, so also under python -O.
+    f = graphs["F24"]
+    m = enumerate_perfect_matchings(f)[0]
+    ring = next(f.faces[h].boundary for h in f.hexagon_ids if face_alternates(f.faces[h], m))
+    c = ring[0]
+    x = next(w for w in f.graph.neighbors(c) if w not in ring)
+    extra = Matching(m.edges | {(min(c, x), max(c, x))}, f)
+    with pytest.raises(GraphError, match="share a vertex, so the input is not a matching"):
+        symmetric_difference(extra, ring)
+    assert symmetric_difference(m, ring).size == m.size
 
 
 def test_symmetric_difference_rejects_non_alternating(graphs):

@@ -314,12 +314,13 @@ def _reflected(f):
 
 @pytest.mark.parametrize("name", WALKED)
 def test_walk_matches_the_sweep(name, relabel):
-    # The order and failing set of the former size-then-lex sweep, both from
-    # the bounded walks and from the full walk that sextet keeps, and the
+    # The order and failing set of the former size-then-lex sweep, uncapped
+    # and capped at 0 to 3, both from the bounded walks (deepened from
+    # bound 2) and from the full walk that sextet keeps, and the
     # coefficients of the former unpruned walk; as given, relabelled, and
     # relabelled and reflected.
     seed = WALKED.index(name)
-    caps = (None, 0, 1, 2) if name in ("C60", "C70") else (None,)
+    caps = (None, 0, 1, 2, 3)
     coefficients = set()
     for g in (_fresh(name), relabel(_fresh(name), seed), _reflected(relabel(_fresh(name), seed + 50))):
         expected = [resonance_order_by_sweep(g, cap) for cap in caps]
@@ -328,11 +329,6 @@ def test_walk_matches_the_sweep(name, relabel):
         coefficients.add(sextet(g).coefficients)
         assert coefficients == {sextet_by_unpruned_walk(g)}
         assert [resonance_order(g, cap) for cap in caps] == expected
-
-
-def _least_failure(walk):
-    k = next((k for k, ids in enumerate(walk.failed) if ids is not None), None)
-    return k, walk.failed[k] if k is not None else None
 
 
 def _nonzero_counts(walk):
@@ -358,7 +354,7 @@ def test_orbit_walk_matches_the_unreduced_walk(name, relabel, monkeypatch):
         plain = resonance._walk(g)
         assert _nonzero_counts(walk) == _nonzero_counts(plain)
         assert walk.singles == plain.singles
-        assert _least_failure(walk) == _least_failure(plain)
+        assert walk.failed == plain.failed
 
 
 def test_canonical_pass_only_for_the_full_walk(monkeypatch):
@@ -463,13 +459,16 @@ def test_memo_keeps_no_resonant_sets():
     f = _fresh("C70")
     analyze_graph(f)
     assert set(f._memo) == {"walk", "canonical", "face_masks", "pentagonal_rings"}
-    # the canonical pass keeps its code and the 20 starts that tie with it
-    code, starts = f._memo["canonical"]
-    assert isinstance(code, bytes) and len(starts) == 20
-    assert all(len(start) == 3 and all(type(x) is int for x in start) for start in starts)
+    # the canonical pass keeps its code and the labellings of the 20 starts
+    # that tie with it: an orientation index and the 70 vertices in label order
+    code, ties = f._memo["canonical"]
+    assert isinstance(code, bytes) and len(ties) == 20
+    assert all(d in (0, 1) and sorted(vertices) == list(range(70)) for d, vertices in ties)
+    assert all(type(vertices) is tuple for _, vertices in ties)
+    # the walk keeps its counts and one least failing set
     walk = f._memo["walk"]
     assert walk.counts == (1, 25, 255, 1355, 3940, 5958, 4715, 2065, 375, 25)
-    assert len(walk.failed) == len(walk.counts)
+    assert walk.failed == (1, 10, 18)
 
 
 def test_sextet_memory_stays_flat():
