@@ -10,12 +10,14 @@ are wound from spirals too.
 
 Every entry carries its expected facts - sextet polynomial, minimum
 pentagonal-ring length, resonance order, hexagon count - which the test
-suite and ``catalog verify`` recompute from scratch.
+suite and ``catalog verify`` recompute from scratch.  ``_facts`` is the one
+computation of those facts from a graph: ``verify_entry`` compares its
+result with the entry's, and tools/gen_catalog.py pins isomers by it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Union
 
 from ._spiral import wind
@@ -131,22 +133,18 @@ def catalog_graph(name: str) -> CatalogEntry:
     return CatalogEntry(key, validate_fullerene(g), _CATALOG[key][2])
 
 
+def _facts(f: FullereneGraph) -> ExpectedFacts:
+    """The facts a catalog entry records, computed from its graph."""
+    return ExpectedFacts(
+        sextet(f).coefficients, tau(f), resonance_order(f).order, len(f.hexagon_ids)
+    )
+
+
 def verify_entry(entry: CatalogEntry) -> dict[str, tuple[object, object, bool]]:
     """Recompute each expected fact; returns {fact: (expected, computed, ok)}."""
-    f = entry.graph
-    computed: dict[str, object] = {
-        "sextet": sextet(f).coefficients,
-        "tau": tau(f),
-        "order": resonance_order(f).order,
-        "hexagons": len(f.hexagon_ids),
-    }
-    want = {
-        "sextet": entry.expected.sextet,
-        "tau": entry.expected.tau,
-        "order": entry.expected.order,
-        "hexagons": entry.expected.hexagons,
-    }
-    return {k: (want[k], computed[k], want[k] == computed[k]) for k in want}
+    names = (k.name for k in fields(ExpectedFacts))
+    pairs = zip(astuple(entry.expected), astuple(_facts(entry.graph)))
+    return {k: (want, got, want == got) for k, (want, got) in zip(names, pairs)}
 
 
 def nanotube(cap: str, hex_rings: int) -> FullereneGraph:

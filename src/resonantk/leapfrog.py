@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GraphError, check_int
-from .matching import Matching, face_alternates
+from .matching import Matching, _matching_from_mates, face_alternates
 from .plane_graph import (
     Arc,
     EmbeddedGraph,
@@ -68,17 +68,12 @@ def leapfrog(f: FullereneGraph) -> LeapfrogResult:
     arcs = g.arcs()
     index = {a: i for i, a in enumerate(arcs)}
 
+    reversal = [index[(a[1], a[0])] for a in arcs]
     rotation = tuple(
-        (index[g.prev_arc(a)], index[g.next_arc(a)], index[(a[1], a[0])]) for a in arcs
+        (index[g.prev_arc(a)], index[g.next_arc(a)], r) for a, r in zip(arcs, reversal)
     )
     image = validate_fullerene(EmbeddedGraph(rotation))
-
-    m0 = Matching(
-        frozenset(
-            (i, index[(a[1], a[0])]) for i, a in enumerate(arcs) if i < index[(a[1], a[0])]
-        ),
-        image,
-    )
+    m0 = _matching_from_mates(reversal, image)
 
     face_of_arc = image.faces.face_of_arc
     heritable: dict[int, int] = {}

@@ -13,6 +13,11 @@ resonant-set certificate all decide through it whether a face alternates.
 ``alternating_hexagon_count`` reads the same thing off a mate array, for
 callers that score many matchings; the Fries number checks its winner with
 ``alternating_faces``.
+
+``_matching_from_mates`` is the one conversion of a mate array into a
+``Matching``, for the leapfrog and resonance modules too; ``_rest_mates``
+is the one maximum matching with faces masked out, which ``is_central``
+and ``resonance.is_resonant_pattern`` share.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import Iterable, Sequence
 
 from . import kernels
 from .errors import GraphError, GuardExceeded, check_int
-from .plane_graph import Edge, EmbeddedGraph, Face, FullereneGraph, Subgraph
+from .plane_graph import Edge, EmbeddedGraph, Face, FullereneGraph, Subgraph, _components_without
 
 DEFAULT_PM_CAP = 10**6
 _PM_CAP_ENV = "RESONANTK_PM_CAP"
@@ -99,10 +104,8 @@ def _adjacency(x: object) -> tuple[int, Sequence[Sequence[int]]]:
 
 
 def _matching_from_mates(mates: Sequence[int], host: object) -> Matching:
-    edges = frozenset(
-        (v, mates[v]) for v in range(len(mates)) if 0 <= mates[v] and v < mates[v]
-    )
-    return Matching(edges, host)
+    """The matching a mate array describes; a vertex with mate -1 is exposed."""
+    return Matching(frozenset((v, w) for v, w in enumerate(mates) if v < w), host)
 
 
 def maximum_matching(g: object) -> Matching:
@@ -136,13 +139,20 @@ def is_central(f: FullereneGraph, face_ids: int | Iterable[int]) -> bool:
     for fid in ids:
         if not 0 <= fid < len(f.faces):
             raise GraphError(f"face id {fid} outside 0..{len(f.faces) - 1}")
+    return _rest_mates(f, ids) is not None
+
+
+def _rest_mates(f: FullereneGraph, face_ids: Iterable[int]) -> list[int] | None:
+    """One maximum matching of f minus the (valid) faces' vertices, as a mate array.
+
+    The face vertices keep mate -1; None if any other vertex is exposed.
+    """
     excluded = [False] * f.n
-    for fid in ids:
+    for fid in face_ids:
         for v in f.faces[fid].vertices:
             excluded[v] = True
-    n, adj = _adjacency(f)
-    mates = kernels.mate_array(n, adj, excluded)
-    return all(mates[v] >= 0 for v in range(n) if not excluded[v])
+    mates = kernels.mate_array(f.n, f.graph.rotation, excluded)
+    return mates if all(m >= 0 or x for m, x in zip(mates, excluded)) else None
 
 
 def tutte_witness(g: object) -> TutteWitness | None:
@@ -173,28 +183,6 @@ def tutte_witness(g: object) -> TutteWitness | None:
             f"barrier {barrier} leaves {len(odd)} odd components; {exposed} vertices are exposed"
         )
     return TutteWitness(barrier, odd)
-
-
-def _components_without(
-    n: int, adj: Sequence[Sequence[int]], deleted: set[int]
-) -> list[tuple[int, ...]]:
-    seen = [False] * n
-    comps: list[tuple[int, ...]] = []
-    for root in range(n):
-        if seen[root] or root in deleted:
-            continue
-        stack = [root]
-        seen[root] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w] and w not in deleted:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
 
 
 def symmetric_difference(m: Matching, cycle: Sequence[int]) -> Matching:
@@ -257,10 +245,15 @@ def alternating_faces(f: FullereneGraph, m: Matching) -> tuple[int, ...]:
     """Face ids whose boundaries alternate with a perfect matching.
 
     Raises:
-        GraphError: if the matching is not perfect on f.
+        GraphError: if the matching is not perfect on f, or holds a pair
+            that is not an edge of f stored as (u, v) with u < v.
     """
     if 2 * m.size != f.n or m.covered() != frozenset(range(f.n)):
         raise GraphError("alternating faces are defined against a perfect matching")
+    rotation = f.graph.rotation
+    bad = min((e for e in m.edges if not (e[0] < e[1] and e[1] in rotation[e[0]])), default=None)
+    if bad:
+        raise GraphError(f"matching pair {bad} is not an edge of the graph stored with u < v")
     return tuple(face.index for face in f.faces if face_alternates(face, m))
 
 

@@ -16,6 +16,10 @@ check.  That check reads cuts off short dual cycles: a graph has a cyclic
 cut of fewer than k edges exactly when its dual has a cycle of some length
 l < k with at least l vertices on each side.  It costs O(n) for each fixed
 k and has no size guard.
+
+``_components_without`` is the one connected-component flood fill:
+``_check_connected`` reads its first component, and
+``matching.tutte_witness`` the odd components a barrier leaves.
 """
 
 from __future__ import annotations
@@ -278,18 +282,31 @@ def emit_graph(g: EmbeddedGraph, comments: Sequence[str] = ()) -> str:
     return "\n".join(out) + "\n"
 
 
+def _components_without(
+    n: int, adj: Sequence[Sequence[int]], deleted: set[int]
+) -> list[tuple[int, ...]]:
+    """The connected components left without ``deleted``, each sorted, by least vertex."""
+    seen = [False] * n
+    comps: list[tuple[int, ...]] = []
+    for root in range(n):
+        if seen[root] or root in deleted:
+            continue
+        stack = [root]
+        seen[root] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if not seen[w] and w not in deleted:
+                    seen[w] = True
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
 def _check_connected(g: EmbeddedGraph) -> None:
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in g.rotation[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
+    count = len(_components_without(g.n, g.rotation, set())[0])
     if count != g.n:
         raise GraphError(f"graph is disconnected ({count} of {g.n} vertices reachable)")
 
@@ -353,6 +370,7 @@ def validate_fullerene(g: EmbeddedGraph) -> FullereneGraph:
     Raises:
         NotFullereneError: if any face is not a pentagon or hexagon, or the
             pentagon count differs from 12.
+        GraphError: if the graph is disconnected.
     """
     fs = faces(g)
     for f in fs:
@@ -364,6 +382,7 @@ def validate_fullerene(g: EmbeddedGraph) -> FullereneGraph:
     hexagons = tuple(f.index for f in fs if f.size == 6)
     if len(pentagons) != 12:
         raise NotFullereneError(f"found {len(pentagons)} pentagonal faces; a fullerene has exactly 12")
+    _check_connected(g)
     # Implied by Euler's formula once all faces are 5s and 6s:
     assert len(hexagons) == g.n // 2 - 10
     assert g.n >= 20 and g.n % 2 == 0

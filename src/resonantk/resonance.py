@@ -34,12 +34,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from . import kernels, matching
 from .errors import GraphError, check_int
 from .matching import (
     Matching,
+    _matching_from_mates,
+    _rest_mates,
     alternating_faces,
     alternating_hexagon_count,
     face_alternates,
@@ -149,12 +151,11 @@ def is_resonant_pattern(
 ) -> ResonantPattern | None:
     """Decide resonance of a disjoint hexagon set; certificate on success.
 
-    One maximum matching of the graph with the hexagons' vertices masked
-    out decides the set, as ``matching.is_central`` would; each call runs
-    exactly one.  The certificate is a perfect matching of the whole graph
-    that alternates on every hexagon of the set: that maximum matching,
-    perfect on the rest and already in the graph's own vertex ids, closed
-    with three boundary edges in each hexagon.  It is checked once for
+    One maximum matching with the hexagons' vertices masked out
+    (``matching._rest_mates``, shared with ``is_central``) decides the set;
+    each call runs exactly one.  The certificate, a perfect matching of the
+    whole graph that alternates on every hexagon of the set, is that
+    matching with each hexagon closed by ``_close``; it is checked once for
     perfectness and for alternation on the set's hexagons.
 
     Raises:
@@ -162,20 +163,12 @@ def is_resonant_pattern(
             hexagons intersect.
     """
     ids = _check_hexagon_set(f, hexagon_ids)
-    excluded = [False] * f.n
-    for h in ids:
-        for v in f.faces[h].vertices:
-            excluded[v] = True
-    mate = kernels.mate_array(f.n, f.graph.rotation, excluded)
-    if any(mate[v] < 0 for v in range(f.n) if not excluded[v]):
+    mate = _rest_mates(f, ids)
+    if mate is None:
         return None
-    edges = {(v, w) for v, w in enumerate(mate) if v < w}
     for h in ids:
-        b = f.faces[h].boundary
-        for i in (0, 2, 4):
-            u, v = b[i], b[i + 1]
-            edges.add((u, v) if u < v else (v, u))
-    cert = Matching(frozenset(edges), f)
+        _close(mate, f.faces[h].boundary)
+    cert = _matching_from_mates(mate, f)
     if 2 * cert.size != f.n or len(cert.covered()) != f.n:
         raise RuntimeError(
             f"hexagons {ids} were decided resonant, but the certificate built from "
@@ -261,14 +254,19 @@ def _repaired(
     return child if ok else None
 
 
+def _close(mate: list[int], ring: Sequence[int]) -> None:
+    """Match the hexagon b0..b5 by its edges b0b1, b2b3 and b4b5, in place."""
+    b0, b1, b2, b3, b4, b5 = ring
+    mate[b0], mate[b1], mate[b2], mate[b3], mate[b4], mate[b5] = b1, b0, b3, b2, b5, b4
+
+
 def _clar_root(f: FullereneGraph, mate: list[int]) -> list[int]:
     """A perfect matching in which a maximal set of disjoint hexagons alternates.
 
     The greedy Clar structure of ``mate``: hexagons are taken in ascending
     id, and h joins the set S when S + h is resonant, decided by
-    ``_repaired``.  Each hexagon of S is then closed with three of its own
-    ring edges, so that it alternates and its test at the walk's root frees
-    nothing.
+    ``_repaired``.  Each hexagon of S is then closed by ``_close``, so
+    that it alternates and its test at the walk's root frees nothing.
     """
     excluded = [False] * f.n
     structure = []
@@ -283,9 +281,7 @@ def _clar_root(f: FullereneGraph, mate: list[int]) -> list[int]:
                 excluded[v] = True
             structure.append(h)
     for h in structure:
-        b = f.faces[h].boundary
-        for i in (0, 2, 4):
-            mate[b[i]], mate[b[i + 1]] = b[i + 1], b[i]
+        _close(mate, f.faces[h].boundary)
     return mate
 
 
@@ -523,8 +519,7 @@ def fries(f: FullereneGraph, cap: int | None = None) -> int:
     if best is None:
         return 0
     top = score(best)
-    winner = Matching(frozenset((v, w) for v, w in enumerate(best) if v < w), f)
-    count = len(alternating_faces(f, winner))
+    count = len(alternating_faces(f, _matching_from_mates(best, f)))
     if count != top:
         raise RuntimeError(
             f"the best perfect matching scores {top} alternating hexagons "

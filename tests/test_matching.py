@@ -31,7 +31,7 @@ from resonantk.matching import (
     tutte_witness,
 )
 from resonantk.plane_graph import delete_vertices
-from resonantk.resonance import find_g_star, resonance_order
+from resonantk.resonance import find_g_star, is_resonant_pattern, resonance_order
 
 
 def _adj_from_edges(n, edges):
@@ -362,6 +362,24 @@ def test_alternating_faces_requires_perfect(graphs):
     f = graphs["F24"]
     with pytest.raises(GraphError):
         alternating_faces(f, Matching(frozenset(), f))
+
+
+def test_alternating_faces_rejects_pairs_that_are_not_edges(graphs):
+    # the pairs (2i, 2i + 1) cover all 60 vertices, but 12 are not edges
+    f = graphs["C60"]
+    pairs = frozenset((2 * i, 2 * i + 1) for i in range(30))
+    assert len(pairs - set(f.graph.edges())) == 12
+    with pytest.raises(GraphError, match="not an edge"):
+        alternating_faces(f, Matching(pairs, f))
+
+
+def test_alternating_faces_rejects_pairs_stored_high_first(graphs):
+    f = graphs["C60"]
+    cert = is_resonant_pattern(f, [f.hexagon_ids[0]]).matching
+    assert len(alternating_faces(f, cert)) == 5
+    reversed_pairs = frozenset((v, u) for u, v in cert.edges)
+    with pytest.raises(GraphError, match="u < v"):
+        alternating_faces(f, Matching(reversed_pairs, f))
 
 
 def test_serialize_frozen():

@@ -354,6 +354,31 @@ def test_validate_fullerene_f20(graphs):
     assert len(f.faces) == 12
 
 
+def _f20_plus_k33(graphs):
+    """F20 beside a K3,3 on vertices 20..25 embedded on the torus.
+
+    Its faces are 12 pentagons and 3 hexagons, so every face count of a
+    26-vertex fullerene holds, and only connectivity tells it apart.
+    """
+    k33 = ((23, 24, 25),) * 3 + ((20, 21, 22),) * 3
+    return EmbeddedGraph(graphs["F20"].graph.rotation + k33)
+
+
+DISCONNECTED = r"graph is disconnected \(20 of 26 vertices reachable\)"
+
+
+def test_validate_fullerene_rejects_a_disconnected_graph(graphs):
+    g = _f20_plus_k33(graphs)
+    assert sorted(face.size for face in faces(g)) == [5] * 12 + [6] * 3
+    with pytest.raises(GraphError, match=DISCONNECTED):
+        validate_fullerene(g)
+
+
+def test_parse_rejects_a_disconnected_graph(graphs):
+    with pytest.raises(GraphError, match=DISCONNECTED):
+        parse_graph(emit_graph(_f20_plus_k33(graphs)))
+
+
 def test_delete_vertices_and_bipartite(graphs):
     f = graphs["F24"]
     # dropping one hexagon's vertices leaves an odd-cycle (pentagons survive)

@@ -27,16 +27,12 @@ from itertools import combinations
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from resonantk._spiral import wind  # noqa: E402
-from resonantk.catalog import ExpectedFacts, catalog_graph, catalog_spiral  # noqa: E402
+from resonantk.catalog import _facts, catalog_graph, catalog_spiral  # noqa: E402
 from resonantk.matching import tutte_witness  # noqa: E402
 from resonantk.plane_graph import canonical_code, delete_vertices, validate_fullerene  # noqa: E402
 from resonantk.leapfrog import leapfrog  # noqa: E402
-from resonantk.resonance import find_g_star, resonance_order, sextet  # noqa: E402
-from resonantk.rings_fragments import (  # noqa: E402
-    detect_r5_r6,
-    maximal_pentagonal_fragments,
-    tau,
-)
+from resonantk.resonance import find_g_star, resonance_order  # noqa: E402
+from resonantk.rings_fragments import detect_r5_r6, maximal_pentagonal_fragments  # noqa: E402
 
 # published fullerene isomer tallies for the orders searched here
 KNOWN_COUNTS = {20: 1, 22: 0, 24: 1, 26: 1, 28: 2, 30: 3, 32: 6, 36: 15}
@@ -73,7 +69,7 @@ def search_isomers(n: int) -> list[tuple[bytes, list[int]]]:
 
 def describe(seq: list[int]) -> dict:
     f = validate_fullerene(wind(seq))
-    poly = sextet(f).coefficients
+    facts = _facts(f)
     order = resonance_order(f)
     if order.failing is not None:
         # the failing set is certified by a Tutte barrier of what it leaves
@@ -88,9 +84,7 @@ def describe(seq: list[int]) -> dict:
     return {
         "seq": seq,
         "f": f,
-        "poly": poly,
-        "tau": tau(f),
-        "order": order.order,
+        "facts": facts,
         "failing": order.failing,
         "caps": sorted(set(w.kind for w in caps)),
         "ncaps": len(caps),
@@ -98,11 +92,6 @@ def describe(seq: list[int]) -> dict:
         "shapes": sorted(fr.shape for fr in frs),
         "maximal_shapes": sorted(fr.shape for fr in frs if fr.maximal),
     }
-
-
-def facts(d: dict) -> ExpectedFacts:
-    """A described isomer's facts, in the catalog's ``ExpectedFacts`` form."""
-    return ExpectedFacts(d["poly"], d["tau"], d["order"], len(d["f"].hexagon_ids))
 
 
 def main() -> None:
@@ -121,8 +110,9 @@ def main() -> None:
         details[n] = [describe(seq) for _, seq in iso[n]]
         print(f"--- n={n} ---")
         for i, d in enumerate(details[n]):
+            facts = d["facts"]
             print(
-                f"  [{i}] poly={d['poly']} tau={d['tau']} order={d['order']} "
+                f"  [{i}] poly={facts.sextet} tau={facts.tau} order={facts.order} "
                 f"caps={d['caps']}x{d['ncaps']} gstar={'yes' if d['gstar'] else 'no'} "
                 f"maximal_shapes={d['maximal_shapes']}"
             )
@@ -137,14 +127,14 @@ def main() -> None:
 
     def check_facts(d: dict, label: str) -> None:
         want = catalog_graph(label).expected
-        require(facts(d) == want, f"{label}: computed {facts(d)}, catalog has {want}")
+        require(d["facts"] == want, f"{label}: computed {d['facts']}, catalog has {want}")
 
     # --- pin the named targets to the catalog's spirals -------------------
     def pin(n: int, label: str, predicate=None) -> dict:
         want = catalog_graph(label).expected
         hits = [
             d for d in details[n]
-            if (predicate(d) if predicate else facts(d) == want)
+            if (predicate(d) if predicate else d["facts"] == want)
         ]
         require(len(hits) == 1, f"{label}: {len(hits)} isomers match the pin")
         check_facts(hits[0], label)
