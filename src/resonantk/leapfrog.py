@@ -19,17 +19,29 @@ met across its boundary edges, listed in boundary order starting at the
 face's least boundary arc.  Flipping M0 around a choice of ring faces is
 what turns a heritable hexagon alternating; ``two_resonance_certificate``
 searches those flips to make any two disjoint image hexagons alternate at
-once, and checks each candidate on its two target hexagons only.
+once.
+
+The certificate splits its checks in two.  Once per image (kept in the
+result's private memo, which ``dataclasses.replace`` starts afresh), it
+checks that M0 is perfect, and once per hexagon that each candidate's
+faces are pairwise disjoint and each alternates with M0.  Per pair it only
+tests that the two candidates' faces stay disjoint, that no flip touches a
+fresh target, and that both targets alternate.  The matching that passes
+is still perfect: flipping pairwise disjoint M0-alternating cycles of a
+perfect matching gives a perfect matching, and the per-image checks drop
+exactly the candidates whose flips would not (a flipped hexagon holding
+k < 3 M0 edges changes the size by 6 - 2k).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import GraphError, check_int
 from .matching import Matching, _matching_from_mates, face_alternates
 from .plane_graph import (
     Arc,
+    Edge,
     EmbeddedGraph,
     FullereneGraph,
     validate_fullerene,
@@ -46,6 +58,7 @@ class LeapfrogResult:
     m0: Matching
     heritable: dict[int, int]  # image face id -> original face id
     fresh: dict[int, int]  # image face id -> original vertex
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -146,14 +159,60 @@ def _flip_candidates(lf: LeapfrogResult, image_face_id: int) -> list[frozenset[i
     return [frozenset((ring[1], ring[3], ring[5])), frozenset((ring[0], ring[2], ring[4]))]
 
 
+# A flip candidate: its faces, their vertices and their boundary edges.
+_Flip = tuple[frozenset[int], frozenset[int], frozenset[Edge]]
+
+
+def _checked_flips(lf: LeapfrogResult, h: int) -> list[_Flip]:
+    """The candidates of ``_flip_candidates`` whose flip keeps M0 perfect.
+
+    Built once per hexagon and kept in ``lf._memo``, with the one check
+    that M0 is perfect.  A candidate is dropped when two of its faces share
+    a vertex or one of them does not alternate with M0; every candidate is
+    dropped when M0 is not perfect.
+    """
+    memo = lf._memo
+    if not memo:
+        m0, n = lf.m0, lf.image.n
+        memo["m0_perfect"] = 2 * m0.size == n and len(m0.covered()) == n
+        memo["flips"] = {}
+    table = memo["flips"]
+    kept = table.get(h)
+    if kept is None:
+        faces = lf.image.faces
+        kept = []
+        for flips in _flip_candidates(lf, h):
+            verts = frozenset().union(*(faces[x].vertices for x in flips))
+            if (
+                memo["m0_perfect"]
+                and len(verts) == sum(faces[x].size for x in flips)
+                and all(face_alternates(faces[x], lf.m0) for x in flips)
+            ):
+                edges = frozenset(e for x in flips for e in faces[x].boundary_edges())
+                kept.append((flips, verts, edges))
+        table[h] = kept
+    return kept
+
+
 def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     """A perfect matching of the image alternating on two disjoint hexagons.
 
     Starts from the reversal matching M0 and flips a set of fresh hexagons
     chosen from the targets' territories.  Candidate flip sets are tried in
     a fixed order; each must be pairwise vertex-disjoint and, when a target
-    is fresh, must not share an edge with it.  The first candidate that is
-    a perfect matching alternating on both targets is returned.
+    is fresh, must not share an edge with it.  The first candidate that
+    alternates on both targets is returned.
+
+    What does not depend on the pair is checked once per image: M0 is
+    perfect, and each hexagon's candidates have pairwise disjoint faces
+    that alternate with M0 (``_checked_flips``).  Per pair, the two
+    candidates' faces must cover as many vertices as they hold, so they are
+    pairwise disjoint (two fullerene faces share a vertex exactly when they
+    share an edge), and each target must hold three edges of M0 with the
+    flipped edges toggled.  Only the winner is built.  It is perfect:
+    flipping pairwise disjoint M0-alternating cycles keeps every vertex
+    matched once, while a flipped hexagon holding k < 3 M0 edges would
+    change the size by 6 - 2k, and those candidates are never kept.
 
     Raises:
         GraphError: if the faces are not disjoint image hexagons.
@@ -169,24 +228,21 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
 
     across = image.faces.across
     fresh_targets = [h for h in (h1, h2) if h in lf.fresh]
-    for a_set in _flip_candidates(lf, h1):
-        for b_set in _flip_candidates(lf, h2):
+    targets = [image.faces[h1].boundary_edges(), image.faces[h2].boundary_edges()]
+    m0 = lf.m0.edges
+    for a_set, a_verts, a_edges in _checked_flips(lf, h1):
+        for b_set, b_verts, b_edges in _checked_flips(lf, h2):
             flips = a_set | b_set
-            if any(b in across(a) for a in flips for b in flips):
+            # every kept face alternates with M0, so it is a hexagon
+            if len(a_verts | b_verts) != 6 * len(flips):
                 continue  # two flipped faces share a vertex
             if any(flip in across(t) for t in fresh_targets for flip in flips):
                 continue
-            edges = set(lf.m0.edges)
-            for fid in flips:
-                edges.symmetric_difference_update(image.faces[fid].boundary_edges())
-            candidate = Matching(frozenset(edges), image)
-            if (
-                2 * candidate.size == image.n
-                and len(candidate.covered()) == image.n
-                and face_alternates(image.faces[h1], candidate)
-                and face_alternates(image.faces[h2], candidate)
-            ):
-                return candidate
+            flipped = a_edges | b_edges
+            if all(sum((e in m0) != (e in flipped) for e in t) == 3 for t in targets):
+                edges = set(m0)
+                edges.symmetric_difference_update(flipped)
+                return Matching(frozenset(edges), image)
     raise RuntimeError(
         f"no territory flip makes hexagons {h1} and {h2} alternate together"
     )

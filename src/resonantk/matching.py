@@ -8,8 +8,10 @@ a face set is *central* when the graph minus those face vertices still has a
 perfect matching.
 
 ``face_alternates`` is the one alternation test on a ``Matching``:
-``alternating_faces``, the leapfrog 2-resonance certificate and the
+``alternating_faces``, the leapfrog certificate's flip table and the
 resonant-set certificate all decide through it whether a face alternates.
+The 2-resonance certificate then tests its two targets against M0 with
+the flipped edges toggled, without building a ``Matching`` per candidate.
 ``alternating_hexagon_count`` reads the same thing off a mate array, for
 callers that score many matchings; the Fries number checks its winner with
 ``alternating_faces``.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 from . import kernels
@@ -46,7 +49,7 @@ class Matching:
         return len(self.edges)
 
     def covered(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
+        return frozenset(chain.from_iterable(self.edges))
 
     def covers(self, v: int) -> bool:
         return any(v in e for e in self.edges)

@@ -238,35 +238,22 @@ def parse_graph(text: str) -> EmbeddedGraph:
     if len(lines) - 1 != n:
         raise GraphError(f"expected {n} vertex lines, found {len(lines) - 1}")
 
-    rotation: list[tuple[int, int, int]] = []
+    rotation: list[tuple[int, ...]] = []
     for i, line in enumerate(lines[1:]):
         head, _, tail = line.partition(":")
         if not _:
             raise GraphError(f"vertex line {line!r} lacks the 'i:' prefix")
         try:
             idx = int(head)
-            nbrs = [int(tok) for tok in tail.split()]
+            nbrs = tuple(int(tok) for tok in tail.split())
         except ValueError:
             raise GraphError(f"unparseable vertex line {line!r}") from None
         if idx != i:
             raise GraphError(f"vertex lines out of order: expected {i}, got {idx}")
-        if len(nbrs) != 3:
-            raise GraphError(f"vertex {i} lists {len(nbrs)} neighbours; the graph must be cubic")
-        for w in nbrs:
-            if not 0 <= w < n:
-                raise GraphError(f"vertex {i} lists neighbour {w} outside 0..{n - 1}")
-            if w == i:
-                raise GraphError(f"vertex {i} lists itself (loops are not allowed)")
-        if len(set(nbrs)) != 3:
-            raise GraphError(f"vertex {i} repeats a neighbour (multi-edges are not allowed)")
-        rotation.append((nbrs[0], nbrs[1], nbrs[2]))
-
-    for v in range(n):
-        for w in rotation[v]:
-            if v not in rotation[w]:
-                raise GraphError(f"asymmetric adjacency: {v} lists {w} but {w} does not list {v}")
+        rotation.append(nbrs)
 
     g = EmbeddedGraph(tuple(rotation))
+    _check_rotation(g.rotation)
     _check_connected(g)
     _check_euler(g)
     return g
@@ -280,6 +267,34 @@ def emit_graph(g: EmbeddedGraph, comments: Sequence[str] = ()) -> str:
         a, b, c = g.rotation[v]
         out.append(f"{v}: {a} {b} {c}")
     return "\n".join(out) + "\n"
+
+
+def _check_rotation(rotation: Sequence[Sequence[int]]) -> None:
+    """Raise GraphError unless the rotation is of a simple cubic graph.
+
+    Every vertex must list three distinct neighbours in range, none of them
+    itself, and every neighbour must list it back.  Run on every graph that
+    enters through :func:`parse_graph`, :func:`validate_fullerene` or
+    :func:`canonical_code`, since an ``EmbeddedGraph`` can also be built
+    directly.
+    """
+    n = len(rotation)
+    if n < 4:
+        raise GraphError(f"vertex count {n} too small for a cubic graph")
+    for i, nbrs in enumerate(rotation):
+        if len(nbrs) != 3:
+            raise GraphError(f"vertex {i} lists {len(nbrs)} neighbours; the graph must be cubic")
+        for w in nbrs:
+            if not 0 <= w < n:
+                raise GraphError(f"vertex {i} lists neighbour {w} outside 0..{n - 1}")
+            if w == i:
+                raise GraphError(f"vertex {i} lists itself (loops are not allowed)")
+        if len(set(nbrs)) != 3:
+            raise GraphError(f"vertex {i} repeats a neighbour (multi-edges are not allowed)")
+    for v in range(n):
+        for w in rotation[v]:
+            if v not in rotation[w]:
+                raise GraphError(f"asymmetric adjacency: {v} lists {w} but {w} does not list {v}")
 
 
 def _components_without(
@@ -370,8 +385,10 @@ def validate_fullerene(g: EmbeddedGraph) -> FullereneGraph:
     Raises:
         NotFullereneError: if any face is not a pentagon or hexagon, or the
             pentagon count differs from 12.
-        GraphError: if the graph is disconnected.
+        GraphError: if the rotation is not of a simple cubic graph (as
+            :func:`parse_graph` checks it) or the graph is disconnected.
     """
+    _check_rotation(g.rotation)
     fs = faces(g)
     for f in fs:
         if f.size not in (5, 6):
@@ -516,6 +533,8 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
     Raises:
         GuardExceeded: if the graph has more than 65,535 vertices, which two
             bytes per label cannot hold.
+        GraphError: if a bare ``EmbeddedGraph`` is not simple and cubic
+            with a symmetric rotation (the checks of :func:`parse_graph`).
     """
     return _canonical(g)[0]
 
@@ -533,7 +552,7 @@ def automorphisms(g: EmbeddedGraph | FullereneGraph) -> tuple[Automorphism, ...]
     arc and the orientation, so no automorphism is counted twice.
 
     Raises:
-        GuardExceeded: as :func:`canonical_code`.
+        GuardExceeded, GraphError: as :func:`canonical_code`.
     """
     ties = _canonical(g)[1]
     d0, first = ties[0]
@@ -559,8 +578,15 @@ _Labelling = tuple[int, tuple[int, ...]]
 
 
 def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[_Labelling, ...]]:
-    """The canonical code and the labellings that tie with it, kept on a FullereneGraph."""
+    """The canonical code and the labellings that tie with it, kept on a FullereneGraph.
+
+    A bare ``EmbeddedGraph`` has its rotation checked first; a
+    ``FullereneGraph`` was checked when it was validated.
+    """
+    if g.n > 0xFFFF:
+        raise GuardExceeded(f"canonical code supports at most 65535 vertices, got {g.n}")
     if not isinstance(g, FullereneGraph):
+        _check_rotation(g.rotation)
         return _canonical_pass(g)
     got = g._memo.get("canonical")
     if got is None:
@@ -571,8 +597,6 @@ def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[_Labelli
 def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[_Labelling, ...]]:
     """The canonical code and the labellings of its tied starts, best first."""
     n = base.n
-    if n > 0xFFFF:
-        raise GuardExceeded(f"canonical code supports at most 65535 vertices, got {n}")
     rotation = base.rotation
     best: list[tuple[int, int, int]] | None = None
     ties: list[_Labelling] = []

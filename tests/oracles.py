@@ -4,10 +4,10 @@ These deliberately share no code with the package: maximum matchings come
 from exhaustive search over edge subsets and perfect-matching counts from a
 textbook recursion on the lowest uncovered vertex.  The package's former
 kernels are kept here, unchanged, as references for the faster ones that
-replaced them; only the former ring scan imports package code: the ring
-type, its identity check, the boundary-cycle split and the face-filter name,
-none changed since.  They are only usable on small
-graphs, which is the point - package results on small inputs must agree
+replaced them; those that call package code (the former ring scan,
+resonance sweep, resonance walk and 2-resonance certificate) import only
+parts that have not changed since.  They are only usable on small graphs,
+which is the point - package results on small inputs must agree
 with these, and frozen constants in the test-suite were produced by them.
 """
 
@@ -513,3 +513,48 @@ def _face_component(fs, start: int, blocked: set[int] | frozenset[int]) -> set[i
                 comp.add(g)
                 stack.append(g)
     return comp
+
+
+def two_resonance_certificate_by_rebuild(lf, h1: int, h2: int):
+    """A 2-resonance certificate as the package found it before its flip table.
+
+    The package's former ``two_resonance_certificate``, kept verbatim: for
+    every candidate pair it rebuilds M0 with the flips applied as a
+    ``Matching`` and checks the whole matching for perfection before the two
+    targets.  ``_flip_candidates`` is unchanged in the package and imported.
+    """
+    from resonantk.errors import GraphError, check_int
+    from resonantk.leapfrog import _flip_candidates
+    from resonantk.matching import Matching, face_alternates
+
+    image = lf.image
+    for h in (h1, h2):
+        check_int("face id", h)
+        if not 0 <= h < len(image.faces) or not image.is_hexagon(h):
+            raise GraphError(f"face {h} is not a hexagon of the leapfrog image")
+    if h1 == h2 or image.faces[h1].vertices & image.faces[h2].vertices:
+        raise GraphError(f"hexagons {h1} and {h2} must be vertex-disjoint")
+
+    across = image.faces.across
+    fresh_targets = [h for h in (h1, h2) if h in lf.fresh]
+    for a_set in _flip_candidates(lf, h1):
+        for b_set in _flip_candidates(lf, h2):
+            flips = a_set | b_set
+            if any(b in across(a) for a in flips for b in flips):
+                continue  # two flipped faces share a vertex
+            if any(flip in across(t) for t in fresh_targets for flip in flips):
+                continue
+            edges = set(lf.m0.edges)
+            for fid in flips:
+                edges.symmetric_difference_update(image.faces[fid].boundary_edges())
+            candidate = Matching(frozenset(edges), image)
+            if (
+                2 * candidate.size == image.n
+                and len(candidate.covered()) == image.n
+                and face_alternates(image.faces[h1], candidate)
+                and face_alternates(image.faces[h2], candidate)
+            ):
+                return candidate
+    raise RuntimeError(
+        f"no territory flip makes hexagons {h1} and {h2} alternate together"
+    )

@@ -379,6 +379,32 @@ def test_parse_rejects_a_disconnected_graph(graphs):
         parse_graph(emit_graph(_f20_plus_k33(graphs)))
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((1, 2, 3), "asymmetric adjacency: 0 lists 2"),
+        ((0, 1, 4), "vertex 0 lists itself"),
+        ((1, 7, 99), "neighbour 99 outside 0..19"),
+    ],
+    ids=["asymmetric", "loop", "out-of-range"],
+)
+def test_a_directly_built_rotation_is_checked_as_parsed(graphs, row, message):
+    # F20 with vertex 0's rotation (1, 7, 4) replaced
+    rotation = graphs["F20"].graph.rotation
+    assert rotation[0] == (1, 7, 4)
+    g = EmbeddedGraph((row,) + rotation[1:])
+    for check in (lambda: parse_graph(emit_graph(g)), lambda: validate_fullerene(g),
+                  lambda: canonical_code(g), lambda: automorphisms(g)):
+        with pytest.raises(GraphError, match=message):
+            check()
+
+
+def test_an_empty_rotation_is_too_small():
+    for check in (validate_fullerene, canonical_code):
+        with pytest.raises(GraphError, match="vertex count 0 too small"):
+            check(EmbeddedGraph(()))
+
+
 def test_delete_vertices_and_bipartite(graphs):
     f = graphs["F24"]
     # dropping one hexagon's vertices leaves an odd-cycle (pentagons survive)
