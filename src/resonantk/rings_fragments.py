@@ -26,8 +26,19 @@ when its faces meet 1, 1, 3, 3, 3 and 3 others of the cluster.
 
 Rings and fragments share one representation of a face region: per-face
 bitmasks of the faces across each face and of its vertices, built once per
-graph and kept in its memo.  The same flood fill (``_side``), rim walk
-(``_rim``) and "vertices on exactly one face" mask (``_once``) serve both.
+graph and kept in its memo.  The same flood fill (``_side``) and "vertices
+on exactly one face" mask (``_once``) serve both.
+
+The ring scan steps from face to face over a per-graph step table: the
+(edge, far face) pairs of each face whose far face lies across that edge
+only.  A ring's two boundary cycles are read off its faces: each face's
+boundary splits, at its edges to the previous and next ring face, into one
+arc of each cycle, and the arcs of one side, taken in ring order, make that
+cycle.  The arcs of each (previous, face, next) triple are kept in the memo,
+since the rings of a graph pass through the same triples many times.
+Fragments find their boundary cycles by the rim walk (``_rim``) and
+``_edge_cycles``, which also fix the direction each ring cycle is reported
+in.
 """
 
 from __future__ import annotations
@@ -45,7 +56,14 @@ ANY = "ANY"
 
 @dataclass(frozen=True)
 class Ring:
-    """A polygonal ring with its cycles and verified counting data."""
+    """A polygonal ring with its cycles and verified counting data.
+
+    ``faces`` starts at the ring's least face, then goes to the smaller of
+    its two neighbours in the ring.  Each cycle starts at its least vertex
+    and leaves it along that vertex's rim edge (an edge on exactly one ring
+    face) that comes first in rim order: by the position of its face in
+    ``faces``, then by its index in that face's boundary.
+    """
 
     faces: tuple[int, ...]
     shared_edges: tuple[Edge, ...]
@@ -119,29 +137,35 @@ def find_polygonal_rings(
     rings = [
         _build_ring(f, cycle, masks)
         for root in roots
-        for cycle in _ring_cycles(fs, candidate, max_len, root)
+        for cycle in _ring_cycles(fs, masks.steps, candidate, max_len, root)
     ]
     rings.sort(key=lambda r: (r.l, r.faces))
     return rings
 
 
 def _ring_cycles(
-    fs: FaceSet, candidate: list[bool], max_len: int, root: int
+    fs: FaceSet,
+    steps: list[tuple[tuple[Edge, int], ...]],
+    candidate: list[bool],
+    max_len: int,
+    root: int,
 ) -> list[tuple[int, ...]]:
     """The face cycles of the rings whose least face is ``root``.
 
     A depth-first walk grows a face path from ``root`` over the dual.  Each
     step adds a face across one edge of the last face, meeting it in that
-    edge only; ``used`` holds the endpoints of the edges shared along the
-    path.  A ring is reported in the direction whose second face is less
-    than its last, so each ring appears once.
+    edge only (``steps`` lists those per face); ``used`` holds the endpoints
+    of the edges shared along the path.  A ring is reported in the direction
+    whose second face is less than its last, so each ring appears once.
 
     The walk is pruned by dual distance: ``dist[g]`` is the length of a
     shortest dual path from g back to ``root`` over the candidates above it,
     so a ring through g still needs at least ``dist[g] - 1`` faces after g,
-    and g is entered only when such a ring fits in ``max_len``.  The path's
-    state is kept incrementally: ``on_path`` marks its faces and ``near[g]``
-    counts the faces of ``seq[1:-1]`` that g is across.
+    and g is entered only when such a ring fits in ``max_len``; a face out
+    of reach (below the root, no candidate, or too far) is passed over
+    before any other test.  The path's state is kept incrementally:
+    ``on_path`` marks its faces and ``near[g]`` counts the faces of
+    ``seq[1:-1]`` that g is across.
     """
     n_faces = len(fs)
     dist = [max_len + 1] * n_faces  # max_len + 1 stands for out of reach
@@ -163,7 +187,7 @@ def _ring_cycles(
     near = [0] * n_faces
     used: set[int] = set()
     # Frames [(edge, far face) pairs of seq[-1] left to try, edge into seq[-1]].
-    stack = [[zip(fs[root].boundary_edges(), fs.across(root)), ()]]
+    stack = [[iter(steps[root]), ()]]
     while stack:
         frame = stack[-1]
         step = next(frame[0], None)
@@ -176,7 +200,7 @@ def _ring_cycles(
                     near[h] -= 1
             continue
         e, g = step
-        if g <= root or not candidate[g] or on_path[g] or fs.across(seq[-1]).count(g) != 1:
+        if g <= root or dist[g] > max_len or on_path[g]:
             continue
         if e[0] in used or e[1] in used:
             continue
@@ -199,21 +223,30 @@ def _ring_cycles(
             seq.append(g)
             on_path[g] = True
             used.update(e)
-            stack.append([zip(fs[g].boundary_edges(), fs.across(g)), e])
+            stack.append([iter(steps[g]), e])
     return out
 
 
 class _FaceMasks(NamedTuple):
-    """Per-face bitmasks of one graph, shared by its rings and fragments."""
+    """Derived face structure of one graph, shared by its rings and fragments.
+
+    Per-face bitmasks, the ring scan's step table, and the ring face arcs
+    met so far (filled in by ``_arc``); kept in the graph's memo.
+    """
 
     across: list[int]  # bit g set when face g is across the face
     vertices: list[int]  # bit v set when vertex v is on the face
     pentagons: int
     hexagons: int
+    # per face the (edge, far face) pairs of its boundary whose far face is
+    # across that edge only: the steps the ring scan may take from the face
+    steps: list[tuple[tuple[Edge, int], ...]]
+    # (previous, face, next) -> the face's two arcs between them; see _arc
+    arcs: dict[tuple[int, int, int], tuple]
 
 
 def _face_masks(f: FullereneGraph) -> _FaceMasks:
-    """The graph's face bitmasks, built on first use and kept in its memo."""
+    """The graph's derived face structure, built on first use and kept in its memo."""
     masks = f._memo.get("face_masks")
     if masks is None:
         fs = f.faces
@@ -222,6 +255,15 @@ def _face_masks(f: FullereneGraph) -> _FaceMasks:
             [sum(1 << v for v in face.vertices) for face in fs],
             sum(1 << fid for fid in f.pentagon_ids),
             sum(1 << fid for fid in f.hexagon_ids),
+            [
+                tuple(
+                    (e, g)
+                    for e, g in zip(face.boundary_edges(), fs.across(fid))
+                    if fs.across(fid).count(g) == 1
+                )
+                for fid, face in enumerate(fs)
+            ],
+            {},
         )
         f._memo["face_masks"] = masks
     return masks
@@ -235,11 +277,14 @@ def _check(ok: bool, identity: str, faces: tuple[int, ...]) -> None:
 def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMasks) -> Ring:
     """Compute cycles, sides, and counts for a validated face cycle.
 
-    Face and vertex sets are int bitmasks (``masks`` holds one per face).
-    Each side is a flood fill over the faces' ``across`` masks, blocked by
-    the ring's mask, that ORs the vertex masks of the faces it reaches (the
-    fill that also grows pentagon clusters); r is a popcount of that, and s
-    one of the cycle's vertices on exactly one ring face.
+    The two boundary cycles are walked along the ring faces' arcs (see the
+    module docstring): the boundary is two cycles when neither walk meets a
+    vertex twice and they share none.  Face and vertex sets are int
+    bitmasks (``masks`` holds one per face).  Each side is a flood fill
+    over the faces' ``across`` masks, blocked by the ring's mask, that ORs
+    the vertex masks of the faces it reaches (the fill that also grows
+    pentagon clusters); r is a popcount of that, and s one of the cycle's
+    vertices on exactly one ring face.
 
     Raises:
         RuntimeError: naming the ring structure or counting identity that
@@ -257,10 +302,36 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
     ring = 0
     for fid in faces_cycle:
         ring |= 1 << fid
-    rim, beyond = _rim(fs, faces_cycle, ring)
-    cycles = _edge_cycles(rim)
-    _check(len(cycles) == 2, "the boundary is two cycles", faces_cycle)
-    cycle_masks = [sum(1 << v for v in cyc) for cyc in cycles]
+    # Each ring face's boundary between its two shared edges: the edges after
+    # the one to the previous face form an arc of cycle A, the edges after
+    # the one to the next face an arc of cycle B.  Both walks take the arcs
+    # in ring order, A running each arc forward and B backward.
+    a_vs: list[int] = []
+    b_vs: list[int] = []
+    a_cm = b_cm = a_own = b_own = firsts = 0
+    arcs = masks.arcs
+    prev = faces_cycle[-1]
+    for fid, nxt in zip(faces_cycle, faces_cycle[1:] + faces_cycle[:1]):
+        a_arc, b_arc, a_bits, b_bits, a_far, b_far, first = arcs.get(
+            (prev, fid, nxt)
+        ) or _arc(fs, arcs, prev, fid, nxt)
+        prev = fid
+        a_vs += a_arc
+        b_vs += b_arc
+        a_cm |= a_bits
+        b_cm |= b_bits
+        a_own |= a_far
+        b_own |= b_far
+        firsts |= first
+    # a vertex in two arcs of one walk loses a bit of its mask
+    _check(
+        a_cm.bit_count() == len(a_vs) and b_cm.bit_count() == len(b_vs) and not a_cm & b_cm,
+        "the boundary is two cycles",
+        faces_cycle,
+    )
+    cycles = (_oriented(a_vs, True, ends, firsts), _oriented(b_vs, False, ends, firsts))
+    cycle_masks = (a_cm, b_cm)
+    owners = (a_own, b_own)
 
     # rung structure: each shared edge has exactly one endpoint on each cycle
     for cm in cycle_masks:
@@ -268,12 +339,6 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
         _check(rungs, "each shared edge is a rung", faces_cycle)
 
     once = _once(masks, faces_cycle)
-
-    # the faces beyond each cycle's edges (every rim edge is on one cycle)
-    first = cycle_masks[0]
-    owners = [0, 0]
-    for (u, _), g in zip(rim, beyond):
-        owners[not first >> u & 1] |= 1 << g
 
     # the two sides: the faces reached from each cycle without crossing the ring
     sides = []
@@ -324,11 +389,71 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
     )
 
 
+def _arc(
+    fs: FaceSet, arcs: dict, prev: int, fid: int, nxt: int
+) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int, int, int]:
+    """Face ``fid``'s two arcs between its edges to ``prev`` and ``nxt``, kept in ``arcs``.
+
+    Returns the A arc's vertices (edges p + 1 .. q - 1 of the face, p and q
+    the positions of ``prev`` and ``nxt`` in ``fs.across(fid)``), the B
+    arc's vertices (edges q + 1 .. p - 1, run backward), the vertex mask of
+    each, the mask of the faces across the edges of each, and the bit of
+    the face's first boundary vertex.  A walk lists the first vertex of each
+    of its edges, so an arc's last edge ends where the next face's arc
+    starts.
+    """
+    vs2 = fs[fid].boundary * 2
+    far2 = fs.across(fid) * 2
+    size = len(vs2) >> 1
+    p = far2.index(prev)
+    q = far2.index(nxt)
+    qa = q + size if q < p else q
+    pb = p + size if p < q else p
+    a_vs, b_vs = vs2[p + 1 : qa], vs2[pb : q + 1 : -1]
+    arc = arcs[prev, fid, nxt] = (
+        a_vs,
+        b_vs,
+        sum(1 << v for v in a_vs),
+        sum(1 << v for v in b_vs),
+        sum(1 << g for g in set(far2[p + 1 : qa])),
+        sum(1 << g for g in set(far2[q + 1 : pb])),
+        1 << vs2[0],
+    )
+    return arc
+
+
+def _oriented(vs: list[int], forward: bool, ends: int, firsts: int) -> tuple[int, ...]:
+    """The closed walk ``vs`` in the direction ``_edge_cycles`` gives it on the rim.
+
+    ``_edge_cycles`` starts at the least vertex m and leaves it along the
+    rim edge of m that comes first in rim order: by the position i of its
+    face in the ring, then by its index j in the face boundary (key
+    8 * i + j).  The walk's edge t runs from ``vs[t]`` to ``vs[t + 1]``;
+    it runs each face arc ``forward`` in boundary order or against it, face
+    0's arc first.  So at m = ``vs[t]``:
+
+    - t = 0: m starts face 0's arc, and its outgoing edge comes first;
+    - m ends a shared edge (a bit of ``ends``): it joins two arcs, and its
+      incoming edge lies in the earlier face and comes first;
+    - otherwise both edges lie in the one ring face m is on, at consecutive
+      indices, and the edge leaving m in boundary order comes first only at
+      the face's first boundary vertex (then a bit of ``firsts``), where the
+      other edge has the last index.
+    """
+    t = vs.index(min(vs))
+    m = vs[t]
+    if t == 0 or (not ends >> m & 1 and bool(firsts >> m & 1) == forward):
+        return tuple(vs[t:] + vs[:t])
+    return tuple(vs[t::-1] + vs[:t:-1])
+
+
 def _rim(fs: FaceSet, faces: Iterable[int], inside: int) -> tuple[list[Edge], list[int]]:
     """The edges on exactly one of ``faces``, and the face across each.
 
     ``inside`` is the bitmask of ``faces``.  The edges come in face then
-    boundary order, which fixes where ``_edge_cycles`` starts each cycle.
+    boundary order, which fixes the direction ``_edge_cycles`` gives each
+    fragment boundary cycle; ``_build_ring`` orients ring cycles by the same
+    order without building the rim.
     """
     rim: list[Edge] = []
     beyond: list[int] = []

@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resonantk
 
 from resonantk import catalog as _catalog
 from resonantk import rings_fragments
-from resonantk.cli import run
+from resonantk.cli import _dump_json, run
 from resonantk.plane_graph import parse_graph, validate_fullerene
 
 
@@ -120,6 +125,39 @@ def test_rings_json_pinned(name, tmp_path, capsys):
     assert run(["rings", str(src), "--max-len", "9", "--json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == RINGS_JSON_DIGESTS[name]
+
+
+RINGS_JSON_MORE_DIGESTS = {
+    # SHA-256 of `rings SOURCE.rot --max-len L --json`, recorded before the
+    # ring builder walked the cycles off the face arcs: the catalog graphs at
+    # the benchmark's length 12 (F28 and F30 give their length-9 bytes
+    # there), and the first three tubes of each cap at length 9
+    ("F32", 12): "f705ec7f9da5dde199bde93d3c9ad1081ce3f31b069a83a18078e01bc17095a8",
+    ("F36_1", 12): "07f42b718d32609d2d721a3b5d7f101617a72d586efe4666a804d79007dc731f",
+    ("F36_2", 12): "bf976b90e530aa739ec1027615f22279ac7db7a4007d7e4451c038bc687c4614",
+    ("F40", 12): "c62a2496a47a0f3512e8a1d50cd5005533e15a6ecbdb28ff60a988fa012811c7",
+    ("F48", 12): "b819997b3fc90bc6ba67ae66f511c66b0524f4dbf048906c2ddf9f04c3c39267",
+    ("R5_1", 9): "0de8a539487bd900281fe189b0cfab5789b3c8747bb4bc2b87e4ac328177416b",
+    ("R5_2", 9): "8b12ec19b25568d850663c7e51d1d684f0e95fbd9c86251d87340933bf2cf339",
+    ("R5_3", 9): "7eb0903c7067ad4f702fe730a20517fba8012c6b0803dedd2b83b304ec9529a1",
+    ("R6_1", 9): "107b87f8d6b3bb79fff3f02cfc163ea5bcf09317d98055200f6c86b5abfe08ab",
+    ("R6_2", 9): "1e594aee98d8b7bb54d1357b918b2e41ff292d45b37b3517c3f7ee15497e20e8",
+    ("R6_3", 9): "cfbd3da78d8d436932a349d2824a471bd1319a3c26bf36d7d2c3ec93c2852167",
+}
+
+
+@pytest.mark.parametrize("name, max_len", sorted(RINGS_JSON_MORE_DIGESTS))
+def test_rings_json_pinned_more(name, max_len, tmp_path, capsys):
+    src = tmp_path / "in.rot"
+    if name.startswith("R"):
+        cap, k = name.lower().split("_")
+        assert run(["nanotube", "--cap", cap, "--rings", k, "-o", str(src)]) == 0
+    else:
+        assert run(["catalog", "emit", name, "-o", str(src)]) == 0
+    capsys.readouterr()
+    assert run(["rings", str(src), "--max-len", str(max_len), "--json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == RINGS_JSON_MORE_DIGESTS[name, max_len]
 
 
 FRAGMENTS_JSON_DIGESTS = {
@@ -397,6 +435,70 @@ def test_fragments_json(tmp_path, capsys):
     assert run(["fragments", str(f36), "--json"]) == 0
     frags = json.loads(capsys.readouterr().out)
     assert [fr["shape"] for fr in frags] == ["TURTLE", "TURTLE"]
+
+
+def _stdlib_json(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_writer_matches_the_stdlib(value):
+    assert _dump_json(value) == _stdlib_json(value)
+
+
+class _Kind(enum.IntEnum):
+    SEVEN = 7
+
+
+class _Count(int):
+    def __str__(self):
+        return "a count"
+
+
+class _Items(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        OrderedDict([("b", [2, 1]), ("a", OrderedDict([("d", 1), ("c", None)]))]),
+        _Items([3, _Items([1, 2]), "x"]),
+        (1, (2, "t"), ()),
+        [_Kind.SEVEN, 1],
+        [_Count(3), _Count(4)],
+        {"kind": _Kind.SEVEN, "kinds": (_Kind.SEVEN,)},
+        [1, True, None],
+        [math.nan, math.inf, -math.inf, -0.0, 1e300, 0.1],
+        ["h\u00e9 \u2603 \U0001f600", "\x00\x1f\t\n", '"quoted" back\\slash'],
+        {"\u00e9": 1, "a\nb": "\"", "": ""},
+        [],
+        {},
+        [[], {}, [[]], [{}], {"a": []}, {"b": {}}],
+        {"a": {"b": {"c": [[], {}]}}},
+        "top",
+        1.5,
+        None,
+    ],
+)
+def test_json_writer_matches_the_stdlib_on_edge_cases(value):
+    assert _dump_json(value) == _stdlib_json(value)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{"a": 1, 2.5: 2}]])
+def test_json_writer_refuses_keys_that_are_not_str(value):
+    with pytest.raises(TypeError):
+        _dump_json(value)
 
 
 def test_catalog_commands(capsys):

@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from oracles import _build_ring as build_ring_by_sets
 from oracles import find_polygonal_rings_by_full_walk
 
 from resonantk import rings_fragments
@@ -114,6 +115,46 @@ def test_rung_check_needs_exactly_one_endpoint_on_each_cycle(graphs, monkeypatch
     )
     with pytest.raises(RuntimeError, match="each shared edge is a rung"):
         ring_stats(f, ring)
+
+
+def _closed_face_walks(fs, shortest, longest):
+    """Every dual cycle of shortest..longest faces, least face first, in both directions."""
+    out = []
+
+    def grow(seq):
+        if len(seq) >= shortest and seq[0] in fs.across(seq[-1]):
+            out.append(tuple(seq))
+        if len(seq) < longest:
+            for g in sorted(set(fs.across(seq[-1]))):
+                if g > seq[0] and g not in seq:
+                    grow(seq + [g])
+
+    for root in range(len(fs)):
+        grow([root])
+    return out
+
+
+def test_face_walks_that_are_no_rings_fail_as_in_the_oracle(graphs):
+    # The scan hands the builder only rings, so the scan comparisons never
+    # see a face cycle whose shared edges or boundary are wrong.  Every
+    # closed face walk must give the set-built oracle's Ring or its error.
+    f = graphs["F28"]
+    masks = rings_fragments._face_masks(f)
+    outcomes = Counter()
+    for walk in _closed_face_walks(f.faces, 3, 9):
+        results = []
+        for build in (rings_fragments._build_ring, lambda f, walk, _: build_ring_by_sets(f, walk)):
+            try:
+                results.append(build(f, walk, masks))
+            except RuntimeError as e:
+                results.append(str(e))
+        assert results[0] == results[1], walk
+        outcomes[results[1].split(": ")[-1] if isinstance(results[1], str) else "ring"] += 1
+    assert outcomes == {
+        "ring": 340,
+        "shared edges form a matching fails": 26404,
+        "the boundary is two cycles fails": 12,
+    }
 
 
 def _ring_counts(f, max_len):
