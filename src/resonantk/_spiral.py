@@ -12,8 +12,8 @@ boundary exactly.
 Each edge ends up traversed once in each direction over all recorded face
 cycles, so a rotation system can be synthesised from the local constraint
 "in the cycle ... a -> b -> d ..., d follows a in the rotation at b".  The
-synthesised embedding is re-verified (single 3-cycle per vertex, connected,
-Euler formula) before being returned.
+synthesised embedding is re-verified (single 3-cycle per vertex, then the
+embedding check of ``parse_graph``) before being returned, with its faces.
 
 ``wind`` returns None whenever the sequence does not wind to a valid sphere
 embedding; callers treat that as "this spiral does not exist", which is the
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import GraphError
-from .plane_graph import EmbeddedGraph, _check_connected, _check_euler
+from .plane_graph import EmbeddedGraph, _embedding
 
 
 def wind(sequence: Sequence[int]) -> EmbeddedGraph | None:
@@ -155,8 +155,7 @@ def _assemble(nv: int, face_cycles: list[list[int]]) -> EmbeddedGraph | None:
         rotation.append((a0, a1, a2))
     g = EmbeddedGraph(tuple(rotation))
     try:
-        _check_connected(g)
-        _check_euler(g)
+        _embedding(g)
     except GraphError:
         return None
     return g

@@ -25,12 +25,12 @@ The certificate splits its checks in two.  Once per image (kept in the
 result's private memo, which ``dataclasses.replace`` starts afresh), it
 checks that M0 is perfect, and once per hexagon that each candidate's
 faces are pairwise disjoint and each alternates with M0.  Per pair it only
-tests that the two candidates' faces stay disjoint, that no flip touches a
-fresh target, and that both targets alternate.  The matching that passes
-is still perfect: flipping pairwise disjoint M0-alternating cycles of a
-perfect matching gives a perfect matching, and the per-image checks drop
-exactly the candidates whose flips would not (a flipped hexagon holding
-k < 3 M0 edges changes the size by 6 - 2k).
+tests that the two candidates' faces stay disjoint and that both targets
+alternate.  The matching that passes is still perfect: flipping pairwise
+disjoint M0-alternating cycles of a perfect matching gives a perfect
+matching, and the per-image checks drop exactly the candidates whose flips
+would not (a flipped hexagon holding k < 3 M0 edges changes the size by
+6 - 2k).
 """
 
 from __future__ import annotations
@@ -199,9 +199,8 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
 
     Starts from the reversal matching M0 and flips a set of fresh hexagons
     chosen from the targets' territories.  Candidate flip sets are tried in
-    a fixed order; each must be pairwise vertex-disjoint and, when a target
-    is fresh, must not share an edge with it.  The first candidate that
-    alternates on both targets is returned.
+    a fixed order; each must be pairwise vertex-disjoint.  The first
+    candidate that alternates on both targets is returned.
 
     What does not depend on the pair is checked once per image: M0 is
     perfect, and each hexagon's candidates have pairwise disjoint faces
@@ -213,6 +212,12 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     flipping pairwise disjoint M0-alternating cycles keeps every vertex
     matched once, while a flipped hexagon holding k < 3 M0 edges would
     change the size by 6 - 2k, and those candidates are never kept.
+
+    No winner flips a face sharing an edge with a fresh target: both faces
+    alternate with M0, so each end of the shared edge is matched along both,
+    and as they share no other edge, it is an M0 edge.  The flip removes it
+    and, by the same argument, adds no target edge, so the target fails the
+    alternation test.
 
     Raises:
         GraphError: if the faces are not disjoint image hexagons.
@@ -226,8 +231,6 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     if h1 == h2 or image.faces[h1].vertices & image.faces[h2].vertices:
         raise GraphError(f"hexagons {h1} and {h2} must be vertex-disjoint")
 
-    across = image.faces.across
-    fresh_targets = [h for h in (h1, h2) if h in lf.fresh]
     targets = [image.faces[h1].boundary_edges(), image.faces[h2].boundary_edges()]
     m0 = lf.m0.edges
     for a_set, a_verts, a_edges in _checked_flips(lf, h1):
@@ -236,8 +239,6 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
             # every kept face alternates with M0, so it is a hexagon
             if len(a_verts | b_verts) != 6 * len(flips):
                 continue  # two flipped faces share a vertex
-            if any(flip in across(t) for t in fresh_targets for flip in flips):
-                continue
             flipped = a_edges | b_edges
             if all(sum((e in m0) != (e in flipped) for e in t) == 3 for t in targets):
                 edges = set(m0)

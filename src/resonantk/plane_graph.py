@@ -17,8 +17,11 @@ cut of fewer than k edges exactly when its dual has a cycle of some length
 l < k with at least l vertices on each side.  It costs O(n) for each fixed
 k and has no size guard.
 
+``_embedding`` decides once per graph that a rotation system is a connected
+plane cubic graph on the sphere, and keeps the faces it traced on the graph.
+
 ``_components_without`` is the one connected-component flood fill:
-``_check_connected`` reads its first component, and
+``_embedding`` reads its first component, and
 ``matching.tutte_witness`` the odd components a barrier leaves.
 """
 
@@ -41,14 +44,16 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class EmbeddedGraph:
-    """A connected plane cubic simple graph, stored as a rotation system.
+    """A plane cubic simple graph, stored as a rotation system.
 
     ``rotation[v]`` lists the three neighbours of v in clockwise order.
-    Instances are produced by :func:`parse_graph` (or trusted internal
-    constructions) and are immutable.
+    Instances come from :func:`parse_graph` or are built directly; the
+    rotation is immutable, and ``_faces`` is set once, when the graph passes
+    ``_embedding``.
     """
 
     rotation: tuple[tuple[int, int, int], ...]
+    _faces: FaceSet | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -253,9 +258,7 @@ def parse_graph(text: str) -> EmbeddedGraph:
         rotation.append(nbrs)
 
     g = EmbeddedGraph(tuple(rotation))
-    _check_rotation(g.rotation)
-    _check_connected(g)
-    _check_euler(g)
+    _embedding(g)
     return g
 
 
@@ -320,20 +323,26 @@ def _components_without(
     return comps
 
 
-def _check_connected(g: EmbeddedGraph) -> None:
-    count = len(_components_without(g.n, g.rotation, set())[0])
-    if count != g.n:
-        raise GraphError(f"graph is disconnected ({count} of {g.n} vertices reachable)")
+def _embedding(g: EmbeddedGraph) -> FaceSet:
+    """The faces of g, once it is checked to be a connected plane cubic graph on the sphere.
 
-
-def _check_euler(g: EmbeddedGraph) -> None:
-    n_faces = len(_trace_face_cycles(g))
-    v, e = g.n, 3 * g.n // 2
-    chi = v - e + n_faces
-    if chi != 2:
-        raise GraphError(
-            f"rotation system is not a sphere embedding: V-E+F = {v}-{e}+{n_faces} = {chi}"
-        )
+    The rotation check, connectivity and Euler's formula run in that order,
+    each raising GraphError, on one face trace, which is kept on g.
+    """
+    fs = g._faces
+    if fs is None:
+        fs = faces(g)
+        count = len(_components_without(g.n, g.rotation, set())[0])
+        if count != g.n:
+            raise GraphError(f"graph is disconnected ({count} of {g.n} vertices reachable)")
+        v, e, n_faces = g.n, 3 * g.n // 2, len(fs)
+        chi = v - e + n_faces
+        if chi != 2:
+            raise GraphError(
+                f"rotation system is not a sphere embedding: V-E+F = {v}-{e}+{n_faces} = {chi}"
+            )
+        object.__setattr__(g, "_faces", fs)
+    return fs
 
 
 # ---------------------------------------------------------------------------
@@ -341,41 +350,34 @@ def _check_euler(g: EmbeddedGraph) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _trace_face_cycles(g: EmbeddedGraph) -> list[tuple[Arc, ...]]:
-    """Partition all arcs into face cycles, each rotated to start at its least arc."""
-    seen: set[Arc] = set()
-    cycles: list[tuple[Arc, ...]] = []
-    for start in g.arcs():
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        arc = g.next_arc(start)
-        while arc != start:
-            cycle.append(arc)
-            seen.add(arc)
-            arc = g.next_arc(arc)
-        k = cycle.index(min(cycle))
-        cycles.append(tuple(cycle[k:] + cycle[:k]))
-    cycles.sort(key=lambda c: c[0])
-    return cycles
-
-
 def faces(g: EmbeddedGraph) -> FaceSet:
     """Trace all faces of the embedding and index which faces meet.
 
-    Face ids follow the order of each face's least boundary arc.
+    Arcs are scanned in sorted order, so each face starts at its least arc
+    and face ids follow those arcs.  A graph that passed ``_embedding`` gets
+    its kept faces; any other has its rotation checked first (GraphError),
+    but may be disconnected or off the sphere.
     """
-    cycles = _trace_face_cycles(g)
+    if g._faces is not None:
+        return g._faces
+    _check_rotation(g.rotation)
     built: list[Face] = []
     arc_face: dict[Arc, int] = {}
-    for idx, cycle in enumerate(cycles):
-        boundary = tuple(a[0] for a in cycle)
+    for start in g.arcs():
+        if start in arc_face:
+            continue
+        idx = len(built)
+        cycle = [start]
+        arc_face[start] = idx
+        arc = g.next_arc(start)
+        while arc != start:
+            cycle.append(arc)
+            arc_face[arc] = idx
+            arc = g.next_arc(arc)
+        boundary = tuple(a for a, _ in cycle)
         edges = tuple((a, b) if a < b else (b, a) for a, b in cycle)
         built.append(Face(idx, boundary, frozenset(boundary), edges))
-        for a in cycle:
-            arc_face[a] = idx
-    across = tuple(tuple(arc_face[(b, a)] for a, b in cycle) for cycle in cycles)
+    across = tuple(tuple(arc_face[(b, a)] for a, b in f.boundary_arcs()) for f in built)
     return FaceSet(tuple(built), arc_face, across)
 
 
@@ -383,13 +385,12 @@ def validate_fullerene(g: EmbeddedGraph) -> FullereneGraph:
     """Check the fullerene face condition and wrap the graph.
 
     Raises:
+        GraphError: as :func:`parse_graph` and in its order, before any face
+            size is read, so a bare graph off the sphere raises this.
         NotFullereneError: if any face is not a pentagon or hexagon, or the
             pentagon count differs from 12.
-        GraphError: if the rotation is not of a simple cubic graph (as
-            :func:`parse_graph` checks it) or the graph is disconnected.
     """
-    _check_rotation(g.rotation)
-    fs = faces(g)
+    fs = _embedding(g)
     for f in fs:
         if f.size not in (5, 6):
             raise NotFullereneError(
@@ -399,7 +400,6 @@ def validate_fullerene(g: EmbeddedGraph) -> FullereneGraph:
     hexagons = tuple(f.index for f in fs if f.size == 6)
     if len(pentagons) != 12:
         raise NotFullereneError(f"found {len(pentagons)} pentagonal faces; a fullerene has exactly 12")
-    _check_connected(g)
     # Implied by Euler's formula once all faces are 5s and 6s:
     assert len(hexagons) == g.n // 2 - 10
     assert g.n >= 20 and g.n % 2 == 0
@@ -533,8 +533,8 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
     Raises:
         GuardExceeded: if the graph has more than 65,535 vertices, which two
             bytes per label cannot hold.
-        GraphError: if a bare ``EmbeddedGraph`` is not simple and cubic
-            with a symmetric rotation (the checks of :func:`parse_graph`).
+        GraphError: if a bare ``EmbeddedGraph`` is not a connected plane
+            cubic graph on the sphere (the checks of :func:`parse_graph`).
     """
     return _canonical(g)[0]
 
@@ -580,13 +580,13 @@ _Labelling = tuple[int, tuple[int, ...]]
 def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[_Labelling, ...]]:
     """The canonical code and the labellings that tie with it, kept on a FullereneGraph.
 
-    A bare ``EmbeddedGraph`` has its rotation checked first; a
-    ``FullereneGraph`` was checked when it was validated.
+    A bare ``EmbeddedGraph`` goes through ``_embedding`` first; a
+    ``FullereneGraph`` passed it when it was validated.
     """
     if g.n > 0xFFFF:
         raise GuardExceeded(f"canonical code supports at most 65535 vertices, got {g.n}")
     if not isinstance(g, FullereneGraph):
-        _check_rotation(g.rotation)
+        _embedding(g)
         return _canonical_pass(g)
     got = g._memo.get("canonical")
     if got is None:
@@ -660,13 +660,14 @@ def verify_cyclic_edge_connectivity(g: EmbeddedGraph | FullereneGraph, k: int = 
     this costs O(n), on any number of vertices.
 
     Raises:
-        GraphError: if k is not an integer.
+        GraphError: if k is not an integer, or a bare ``EmbeddedGraph``
+            fails the checks of :func:`parse_graph`.
     """
     check_int("k", k)
     if isinstance(g, FullereneGraph):
         rotation, fs = g.graph.rotation, g.faces
     else:
-        rotation, fs = g.rotation, faces(g)
+        rotation, fs = g.rotation, _embedding(g)
     for l in range(1, min(k - 1, len(fs)) + 1):
         for root in range(len(fs)):
             if _short_cyclic_cut(rotation, fs, root, l):

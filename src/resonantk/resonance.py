@@ -47,13 +47,7 @@ from .matching import (
     face_alternates,
     perfect_mate_tuples,
 )
-from .plane_graph import (
-    Automorphism,
-    FullereneGraph,
-    automorphisms,
-    delete_vertices,
-    is_bipartite,
-)
+from .plane_graph import Automorphism, FullereneGraph, automorphisms
 
 ALL = "ALL"
 
@@ -598,12 +592,16 @@ def hexagon_dichotomy_report(f: FullereneGraph) -> tuple[HexagonReport, ...]:
     non-bipartite remainder (witnessed by an odd cycle).  Resonance is read
     off the full walk if ``sextet`` has run on the graph, else off a walk
     bounded to single hexagons.
+
+    F - V(h) is never bipartite, by the validated faces: two fullerene faces
+    share a vertex exactly when each is across the other (``FaceSet``), so h
+    meets at most 6 faces and at least 6 of the 12 pentagons miss it.  The
+    odd cycle reported is the boundary of the least pentagon id not across
+    h, a 5-cycle of F - V(h) in parent ids.
     """
     singles = (f._memo.get("walk") or _walk(f, 1)).singles
     out = []
     for h in f.hexagon_ids:
-        resonant = h in singles
-        sub = delete_vertices(f, f.faces[h].vertices)
-        bip, cycle = is_bipartite(sub)
-        out.append(HexagonReport(h, resonant, bip, cycle))
+        p = next(p for p in f.pentagon_ids if p not in f.faces.across(h))
+        out.append(HexagonReport(h, h in singles, False, f.faces[p].boundary))
     return tuple(out)

@@ -39,17 +39,22 @@ def tubes():
     }
 
 
-def _relabelled(f: FullereneGraph, seed: int) -> FullereneGraph:
+def relabelled_rotation(g: EmbeddedGraph, seed: int) -> EmbeddedGraph:
+    """``relabel(f, seed).graph`` for ``g = f.graph``, built unchecked, so g may be any rotation."""
     rng = random.Random(seed)
-    perm = list(range(f.n))
+    perm = list(range(g.n))
     rng.shuffle(perm)
     mirror = rng.random() < 0.5
-    rotation = [()] * f.n
-    for v, ring in enumerate(f.graph.rotation):
+    rotation = [()] * g.n
+    for v, ring in enumerate(g.rotation):
         nbrs = [perm[w] for w in (reversed(ring) if mirror else ring)]
         k = rng.randrange(3)
         rotation[perm[v]] = tuple(nbrs[k:] + nbrs[:k])
-    return validate_fullerene(EmbeddedGraph(tuple(rotation)))
+    return EmbeddedGraph(tuple(rotation))
+
+
+def _relabelled(f: FullereneGraph, seed: int) -> FullereneGraph:
+    return validate_fullerene(relabelled_rotation(f.graph, seed))
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,8 @@ from exhaustive search over edge subsets and perfect-matching counts from a
 textbook recursion on the lowest uncovered vertex.  The package's former
 kernels are kept here, unchanged, as references for the faster ones that
 replaced them; those that call package code (the former ring scan,
-resonance sweep, resonance walk and 2-resonance certificate) import only
-parts that have not changed since.  They are only usable on small graphs,
+resonance sweep, resonance walk, 2-resonance certificate and face trace)
+import only parts that have not changed since.  They are only usable on small graphs,
 which is the point - package results on small inputs must agree
 with these, and frozen constants in the test-suite were produced by them.
 """
@@ -16,7 +16,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from resonantk.plane_graph import Arc, EmbeddedGraph, FaceSet
 
 
 def brute_force_maximum_matching_size(n: int, edges: list[tuple[int, int]]) -> int:
@@ -558,3 +561,47 @@ def two_resonance_certificate_by_rebuild(lf, h1: int, h2: int):
     raise RuntimeError(
         f"no territory flip makes hexagons {h1} and {h2} alternate together"
     )
+
+
+
+def _trace_face_cycles(g: EmbeddedGraph) -> list[tuple[Arc, ...]]:
+    """Partition all arcs into face cycles, each rotated to start at its least arc."""
+    seen: set[Arc] = set()
+    cycles: list[tuple[Arc, ...]] = []
+    for start in g.arcs():
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        arc = g.next_arc(start)
+        while arc != start:
+            cycle.append(arc)
+            seen.add(arc)
+            arc = g.next_arc(arc)
+        k = cycle.index(min(cycle))
+        cycles.append(tuple(cycle[k:] + cycle[:k]))
+    cycles.sort(key=lambda c: c[0])
+    return cycles
+
+
+def faces_by_sorted_trace(g: EmbeddedGraph) -> FaceSet:
+    """The package's former ``faces``, on the former trace above.
+
+    Each cycle is rotated to start at its least arc and the cycles are
+    sorted, steps the package's one-pass trace does without.  The graph
+    methods it calls and the ``Face``/``FaceSet`` types are unchanged in
+    the package and imported from it; the rotation is not checked.
+    """
+    from resonantk.plane_graph import Face, FaceSet
+
+    cycles = _trace_face_cycles(g)
+    built: list[Face] = []
+    arc_face: dict[Arc, int] = {}
+    for idx, cycle in enumerate(cycles):
+        boundary = tuple(a[0] for a in cycle)
+        edges = tuple((a, b) if a < b else (b, a) for a, b in cycle)
+        built.append(Face(idx, boundary, frozenset(boundary), edges))
+        for a in cycle:
+            arc_face[a] = idx
+    across = tuple(tuple(arc_face[(b, a)] for a, b in cycle) for cycle in cycles)
+    return FaceSet(tuple(built), arc_face, across)

@@ -22,7 +22,7 @@ import resonantk
 from resonantk import catalog as _catalog
 from resonantk import rings_fragments
 from resonantk.cli import _dump_json, run
-from resonantk.plane_graph import parse_graph, validate_fullerene
+from resonantk.plane_graph import EmbeddedGraph, emit_graph, parse_graph, validate_fullerene
 
 
 @pytest.fixture()
@@ -54,6 +54,33 @@ def test_non_utf8_file_is_a_graph_error(tmp_path, capsys):
     assert run(["analyze", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+FILE_COMMANDS = (
+    "validate", "analyze", "order", "sextet", "clar", "fries", "gstar", "leapfrog", "rings", "fragments",
+)
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_malformed_graphs_are_graph_errors(command, tmp_path, capsys):
+    # Off the sphere, disconnected, asymmetric, and a plane graph that is no
+    # fullerene: each ends in exit 1 with a message, never a traceback.
+    from test_plane_graph import K4, K4_TORUS, _f20_plus_k33
+
+    f20 = _catalog.catalog_graph("F20").graph
+    texts = {
+        "K4 on the torus": K4_TORUS,
+        "F20 + K3,3": emit_graph(_f20_plus_k33({"F20": f20})),
+        "asymmetric F20": emit_graph(EmbeddedGraph(((1, 2, 3),) + f20.graph.rotation[1:])),
+        "K4": K4,
+    }
+    path = tmp_path / "in.rot"
+    for name, text in texts.items():
+        path.write_text(text)
+        assert run([command, str(path)]) == 1, name
+        out, err = capsys.readouterr()
+        assert err.startswith("error:") or f"{path}: INVALID:" in out, name
+        assert "Traceback" not in out + err, name
 
 
 def test_analyze_scans_pentagonal_rings_once(f24_file, capsys, monkeypatch):

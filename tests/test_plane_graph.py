@@ -394,9 +394,80 @@ def test_a_directly_built_rotation_is_checked_as_parsed(graphs, row, message):
     assert rotation[0] == (1, 7, 4)
     g = EmbeddedGraph((row,) + rotation[1:])
     for check in (lambda: parse_graph(emit_graph(g)), lambda: validate_fullerene(g),
-                  lambda: canonical_code(g), lambda: automorphisms(g)):
+                  lambda: canonical_code(g), lambda: automorphisms(g), lambda: faces(g),
+                  lambda: verify_cyclic_edge_connectivity(g)):
         with pytest.raises(GraphError, match=message):
             check()
+
+
+def _k33_plus_two_prisms():
+    """K3,3 on the torus beside two pentagonal prisms: 26 vertices, like F20 + K3,3."""
+    from resonantk._spiral import wind
+
+    prism = wind([5] + [4] * 5 + [5]).rotation
+    k33 = ((3, 4, 5),) * 3 + ((0, 1, 2),) * 3
+    return EmbeddedGraph(
+        k33 + tuple(tuple(w + shift for w in ring) for shift in (6, 16) for ring in prism)
+    )
+
+
+def test_canonical_code_rejects_a_disconnected_graph(graphs):
+    # The two are not isomorphic but share their smallest component, K3,3,
+    # so no code of one component can tell them apart.
+    for g in (_f20_plus_k33(graphs), _k33_plus_two_prisms()):
+        assert g.n == 26
+        for check in (canonical_code, automorphisms):
+            with pytest.raises(GraphError, match=r"graph is disconnected \((20|6) of 26"):
+                check(g)
+
+
+def test_a_loaded_graph_is_checked_and_traced_once(graphs, monkeypatch):
+    # validate_fullerene(parse_graph(text)) and catalog_graph check the
+    # rotation, flood-fill the graph and trace its faces once each.
+    from resonantk.catalog import catalog_graph
+
+    calls = []
+    for name in ("_check_rotation", "_components_without", "faces"):
+        real = getattr(plane_graph, name)
+        monkeypatch.setattr(plane_graph, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    once = ["_check_rotation", "_components_without", "faces"]
+    for name in ("F20", "C70"):
+        text = emit_graph(graphs[name].graph)
+        for load in (lambda: validate_fullerene(parse_graph(text)), lambda: catalog_graph(name).graph):
+            f = load()
+            assert sorted(calls) == once, name
+            assert f.faces is f.graph._faces
+            assert canonical_code(f.graph) == canonical_code(graphs[name])
+            verify_cyclic_edge_connectivity(f.graph)
+            assert sorted(calls) == once, name
+            calls.clear()
+
+
+def test_faces_match_the_sorted_trace(graphs):
+    # The one-pass trace against the former one, which rotated each cycle to
+    # its least arc and sorted the cycles: catalog graphs, R5/R6 tubes
+    # k = 1..6, prisms, K4, the cube and the disconnected F20 + K3,3; as
+    # given, relabelled and reflected.
+    from conftest import relabelled_rotation
+    from oracles import faces_by_sorted_trace
+    from resonantk._spiral import wind
+    from resonantk.catalog import nanotube
+
+    traced = {name: f.graph for name, f in graphs.items()}
+    traced.update({f"{cap}_{k}": nanotube(cap, k).graph for cap in ("R5", "R6") for k in range(1, 7)})
+    traced.update({f"prism{k}": wind([k] + [4] * k + [k]) for k in range(3, 9)})
+    traced.update(K4=wind([3] * 4), cube=wind([4] * 6), F20_K33=_f20_plus_k33(graphs))
+    for seed, (name, g) in enumerate(traced.items()):
+        reflected = EmbeddedGraph(tuple(ring[::-1] for ring in g.rotation))
+        for variant in (g, relabelled_rotation(g, seed), reflected):
+            got, want = faces(variant), faces_by_sorted_trace(variant)
+            assert [(f.index, f.boundary, f.vertices, f.boundary_edges()) for f in got] == [
+                (f.index, f.boundary, f.vertices, f.boundary_edges()) for f in want
+            ], name
+            assert [got.across(i) for i in range(len(got))] == [
+                want.across(i) for i in range(len(want))
+            ], name
+            assert got._arc_face == want._arc_face, name
 
 
 def test_an_empty_rotation_is_too_small():

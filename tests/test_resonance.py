@@ -23,7 +23,13 @@ from resonantk.cli import analyze_graph
 from resonantk.errors import GraphError, GuardExceeded
 from resonantk.leapfrog import leapfrog, two_resonance_certificate
 from resonantk.matching import maximum_matching
-from resonantk.plane_graph import Automorphism, EmbeddedGraph, delete_vertices, validate_fullerene
+from resonantk.plane_graph import (
+    Automorphism,
+    EmbeddedGraph,
+    delete_vertices,
+    is_bipartite,
+    validate_fullerene,
+)
 from resonantk.rings_fragments import psi
 from resonantk.resonance import (
     ALL,
@@ -251,6 +257,23 @@ def test_hexagon_dichotomy(graphs):
         assert rep.resonant
         assert not rep.deletion_bipartite
         assert rep.odd_cycle is not None and len(rep.odd_cycle) % 2 == 1
+
+
+def test_dichotomy_odd_cycles_lie_off_each_hexagon(graphs, relabel):
+    # The odd cycle is read off a pentagon that misses the hexagon; it must
+    # agree with a breadth-first search of F - V(h) and be an odd cycle there.
+    fullerenes = dict(graphs)
+    fullerenes.update((f"{cap}_{k}", nanotube(cap, k)) for cap in ("R5", "R6") for k in range(1, 7))
+    for seed, (name, f) in enumerate(fullerenes.items()):
+        for g in (f, relabel(f, seed)):
+            for rep in hexagon_dichotomy_report(g):
+                hexagon = g.faces[rep.face_id].vertices
+                assert rep.deletion_bipartite == is_bipartite(delete_vertices(g, hexagon))[0], name
+                cycle = rep.odd_cycle
+                assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle), name
+                assert not hexagon & set(cycle), name
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    assert b in g.graph.rotation[a], name
 
 
 def test_disjoint_hexagon_sets_lex_order(graphs):
