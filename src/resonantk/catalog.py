@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, fields
 from typing import Union
 
 from ._spiral import wind
-from .errors import GraphError, check_int
+from .errors import GraphError, GuardExceeded, check_int
 from .plane_graph import FullereneGraph, validate_fullerene
 from .resonance import ALL, resonance_order, sextet
 from .rings_fragments import tau
@@ -158,6 +158,9 @@ def nanotube(cap: str, hex_rings: int) -> FullereneGraph:
     Raises:
         GraphError: on an unknown cap or a ring count that is not an
             integer >= 1.
+        GuardExceeded: if the tube would have more than 65,535 vertices,
+            the most a canonical code holds; checked before winding.
+        RuntimeError: if the spiral does not wind to that vertex count.
     """
     if not isinstance(cap, str):
         raise GraphError(f"cap must be a string, R5 or R6, got {cap!r}")
@@ -165,12 +168,17 @@ def nanotube(cap: str, hex_rings: int) -> FullereneGraph:
     if kind not in ("R5", "R6"):
         raise GraphError(f"unknown cap {cap!r}; expected R5 or R6")
     check_int("hex_rings", hex_rings, 1)
-    if kind == "R5":
-        seq = [5] + [5] * 5 + [6] * (5 * hex_rings) + [5] * 5 + [5]
-        expected_n = 20 + 10 * hex_rings
-    else:
-        seq = [6] + [5] * 6 + [6] * (6 * hex_rings) + [5] * 6 + [6]
-        expected_n = 24 + 12 * hex_rings
+    k = 5 if kind == "R5" else 6  # the cap face's size and its ring of pentagons
+    expected_n = 4 * k + 2 * k * hex_rings
+    if expected_n > 0xFFFF:
+        raise GuardExceeded(
+            f"an {kind} tube with {hex_rings} hexagon rings has {expected_n} vertices; "
+            "the canonical code holds at most 65535"
+        )
+    seq = [k] + [5] * k + [6] * (k * hex_rings) + [5] * k + [k]
     g = wind(seq)
-    assert g is not None and g.n == expected_n
+    if g is None or g.n != expected_n:
+        raise RuntimeError(
+            f"the {kind} tube spiral with {hex_rings} hexagon rings does not wind to {expected_n} vertices"
+        )
     return validate_fullerene(g)

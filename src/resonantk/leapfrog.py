@@ -21,21 +21,26 @@ what turns a heritable hexagon alternating; ``two_resonance_certificate``
 searches those flips to make any two disjoint image hexagons alternate at
 once.
 
-The certificate splits its checks in two.  Once per image (kept in the
-result's private memo, which ``dataclasses.replace`` starts afresh), it
-checks that M0 is perfect, and once per hexagon that each candidate's
-faces are pairwise disjoint and each alternates with M0.  Per pair it only
-tests that the two candidates' faces stay disjoint and that both targets
-alternate.  The matching that passes is still perfect: flipping pairwise
-disjoint M0-alternating cycles of a perfect matching gives a perfect
-matching, and the per-image checks drop exactly the candidates whose flips
-would not (a flipped hexagon holding k < 3 M0 edges changes the size by
-6 - 2k).
+The certificate splits its checks in two.  Once per image it builds a
+table, kept in the result's private memo (which ``dataclasses.replace``
+starts afresh): M0 as a bitmask over the image's sorted edges, each face's
+vertex and edge bitmasks, and the check that M0 is perfect.  Once per
+hexagon it checks that each candidate's faces are pairwise disjoint and
+each alternates with M0, and keeps the candidate as face, vertex and edge
+bitmasks.  Per pair it only tests, by popcounts, that the two candidates'
+faces stay disjoint and that both targets alternate.  The matching that
+passes is still perfect: flipping pairwise disjoint M0-alternating cycles
+of a perfect matching gives a perfect matching, and the per-image checks
+drop exactly the candidates whose flips would not (a flipped hexagon
+holding k < 3 M0 edges changes the size by 6 - 2k).  The winning edge set
+is built once per set of flipped faces and shared by every certificate
+that flips them; with no flip it is M0's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import GraphError, check_int
 from .matching import Matching, _matching_from_mates, face_alternates
@@ -159,39 +164,86 @@ def _flip_candidates(lf: LeapfrogResult, image_face_id: int) -> list[frozenset[i
     return [frozenset((ring[1], ring[3], ring[5])), frozenset((ring[0], ring[2], ring[4]))]
 
 
-# A flip candidate: its faces, their vertices and their boundary edges.
-_Flip = tuple[frozenset[int], frozenset[int], frozenset[Edge]]
+# A flip candidate as bitmasks: its faces, their vertices and their boundary edges.
+_Flip = tuple[int, int, int]
 
 
-def _checked_flips(lf: LeapfrogResult, h: int) -> list[_Flip]:
+class _Table(NamedTuple):
+    """What certificates read of one image, built once and kept in ``lf._memo``.
+
+    Edge i is the i-th of ``image.graph.edges()``.
+    """
+
+    m0_perfect: bool
+    m0: int  # bit i set when edge i is in M0
+    vertices: list[int]  # per face, bit v set when vertex v is on it
+    edges: list[int]  # per face, bit i set when edge i bounds it
+    flips: dict[int, list[_Flip]]  # per hexagon, its checked candidates
+    winners: dict[int, frozenset[Edge]]  # per flipped-face mask, the certificate's edges
+
+
+def _table(lf: LeapfrogResult) -> _Table:
+    """The image's certificate table, built on first use, with the one check that M0 is perfect."""
+    table = lf._memo.get("table")
+    if table is None:
+        image, m0 = lf.image, lf.m0
+        bit = {e: i for i, e in enumerate(image.graph.edges())}
+        table = lf._memo["table"] = _Table(
+            2 * m0.size == image.n and len(m0.covered()) == image.n,
+            sum(1 << bit[e] for e in m0.edges),
+            [sum(1 << v for v in face.vertices) for face in image.faces],
+            [sum(1 << bit[e] for e in face.boundary_edges()) for face in image.faces],
+            {},
+            {},
+        )
+    return table
+
+
+def _checked_flips(lf: LeapfrogResult, table: _Table, h: int) -> list[_Flip]:
     """The candidates of ``_flip_candidates`` whose flip keeps M0 perfect.
 
-    Built once per hexagon and kept in ``lf._memo``, with the one check
-    that M0 is perfect.  A candidate is dropped when two of its faces share
-    a vertex or one of them does not alternate with M0; every candidate is
-    dropped when M0 is not perfect.
+    Built once per hexagon and kept in the image's table.  A candidate is
+    dropped when two of its faces share a vertex or one of them does not
+    alternate with M0; every candidate is dropped when M0 is not perfect.
     """
-    memo = lf._memo
-    if not memo:
-        m0, n = lf.m0, lf.image.n
-        memo["m0_perfect"] = 2 * m0.size == n and len(m0.covered()) == n
-        memo["flips"] = {}
-    table = memo["flips"]
-    kept = table.get(h)
+    kept = table.flips.get(h)
     if kept is None:
         faces = lf.image.faces
         kept = []
         for flips in _flip_candidates(lf, h):
-            verts = frozenset().union(*(faces[x].vertices for x in flips))
+            verts = 0
+            for x in flips:
+                verts |= table.vertices[x]
             if (
-                memo["m0_perfect"]
-                and len(verts) == sum(faces[x].size for x in flips)
+                table.m0_perfect
+                and verts.bit_count() == sum(faces[x].size for x in flips)
                 and all(face_alternates(faces[x], lf.m0) for x in flips)
             ):
-                edges = frozenset(e for x in flips for e in faces[x].boundary_edges())
-                kept.append((flips, verts, edges))
-        table[h] = kept
+                edges = 0
+                for x in flips:
+                    edges |= table.edges[x]
+                kept.append((sum(1 << x for x in flips), verts, edges))
+        table.flips[h] = kept
     return kept
+
+
+def _winner(lf: LeapfrogResult, table: _Table, flips: int) -> frozenset[Edge]:
+    """The edges of M0 with the faces of the mask ``flips`` flipped, built once per mask."""
+    edges = table.winners.get(flips)
+    if edges is None:
+        if not flips:
+            edges = lf.m0.edges
+        else:
+            faces = lf.image.faces
+            toggled = set(lf.m0.edges)
+            rest = flips
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                toggled.symmetric_difference_update(faces[low.bit_length() - 1].boundary_edges())
+            edges = frozenset(toggled)
+        table.winners[flips] = edges
+    return edges
 
 
 def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
@@ -204,14 +256,17 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
 
     What does not depend on the pair is checked once per image: M0 is
     perfect, and each hexagon's candidates have pairwise disjoint faces
-    that alternate with M0 (``_checked_flips``).  Per pair, the two
-    candidates' faces must cover as many vertices as they hold, so they are
-    pairwise disjoint (two fullerene faces share a vertex exactly when they
-    share an edge), and each target must hold three edges of M0 with the
-    flipped edges toggled.  Only the winner is built.  It is perfect:
-    flipping pairwise disjoint M0-alternating cycles keeps every vertex
-    matched once, while a flipped hexagon holding k < 3 M0 edges would
-    change the size by 6 - 2k, and those candidates are never kept.
+    that alternate with M0 (``_checked_flips``).  Per pair, on the image's
+    bitmasks (``_table``), the two candidates' faces must cover six
+    vertices for each face they flip, so they are pairwise disjoint (two
+    fullerene faces share a vertex exactly when they share an edge), and
+    each target must hold three edges of M0 with the flipped edges toggled.
+    Only the winner is built, once per set of flipped faces, and every
+    certificate that flips the same faces shares its edge set; flipping
+    nothing gives M0's own.  It is perfect: flipping pairwise disjoint
+    M0-alternating cycles keeps every vertex matched once, while a flipped
+    hexagon holding k < 3 M0 edges would change the size by 6 - 2k, and
+    those candidates are never kept.
 
     No winner flips a face sharing an edge with a fresh target: both faces
     alternate with M0, so each end of the shared edge is matched along both,
@@ -223,27 +278,27 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
         GraphError: if the faces are not disjoint image hexagons.
         RuntimeError: if no candidate flip set produces a valid matching.
     """
-    image = lf.image
+    table = _table(lf)
+    verts = table.vertices
     for h in (h1, h2):
         check_int("face id", h)
-        if not 0 <= h < len(image.faces) or not image.is_hexagon(h):
+        # a fullerene face is a hexagon exactly when it has six vertices
+        if not 0 <= h < len(verts) or verts[h].bit_count() != 6:
             raise GraphError(f"face {h} is not a hexagon of the leapfrog image")
-    if h1 == h2 or image.faces[h1].vertices & image.faces[h2].vertices:
+    if h1 == h2 or verts[h1] & verts[h2]:
         raise GraphError(f"hexagons {h1} and {h2} must be vertex-disjoint")
 
-    targets = [image.faces[h1].boundary_edges(), image.faces[h2].boundary_edges()]
-    m0 = lf.m0.edges
-    for a_set, a_verts, a_edges in _checked_flips(lf, h1):
-        for b_set, b_verts, b_edges in _checked_flips(lf, h2):
-            flips = a_set | b_set
+    t1, t2 = table.edges[h1], table.edges[h2]
+    m0 = table.m0
+    for a_faces, a_verts, a_edges in _checked_flips(lf, table, h1):
+        for b_faces, b_verts, b_edges in _checked_flips(lf, table, h2):
+            flips = a_faces | b_faces
             # every kept face alternates with M0, so it is a hexagon
-            if len(a_verts | b_verts) != 6 * len(flips):
+            if (a_verts | b_verts).bit_count() != 6 * flips.bit_count():
                 continue  # two flipped faces share a vertex
-            flipped = a_edges | b_edges
-            if all(sum((e in m0) != (e in flipped) for e in t) == 3 for t in targets):
-                edges = set(m0)
-                edges.symmetric_difference_update(flipped)
-                return Matching(frozenset(edges), image)
+            toggled = m0 ^ (a_edges | b_edges)
+            if (toggled & t1).bit_count() == 3 and (toggled & t2).bit_count() == 3:
+                return Matching(_winner(lf, table, flips), lf.image)
     raise RuntimeError(
         f"no territory flip makes hexagons {h1} and {h2} alternate together"
     )

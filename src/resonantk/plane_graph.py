@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GraphError, GuardExceeded, NotFullereneError, check_int
@@ -523,6 +524,13 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
     stops and the candidate is finished as the new best. Every candidate has
     3n labels, so this is the exact minimum.
 
+    Starts are labelled one per orbit of the automorphisms found so far: an
+    automorphism maps the labelling from one start onto the labelling from
+    its image, so the image's code is known and its start is skipped (the
+    argument is on ``_canonical_pass``).  Under ten random labellings C60
+    labelled 7-13 of its 360 starts and its leapfrog image 13-51 of 1,080;
+    a graph with no symmetry labels every start.
+
     Encoding: for n <= 255 the byte n, then one byte per label. For larger n
     a 0x00 marker (a one-byte code never starts with 0), n as two bytes, then
     two bytes per label, all big-endian so byte order is numeric order.
@@ -548,8 +556,11 @@ def automorphisms(g: EmbeddedGraph | FullereneGraph) -> tuple[Automorphism, ...]
     to the vertex of the same label in the other labelling keeps every
     rotation (reversed when the two starts have opposite orientations).  The
     pass keeps each tied labelling, so each map is read straight off two of
-    them.  A map of a 3-connected plane graph is fixed by the image of one
-    arc and the orientation, so no automorphism is counted twice.
+    them; a tied start that the pass skipped gets the labelling of the
+    labelled tie it is the image of, mapped by the automorphism that takes
+    one start to the other.  A map of a connected plane map is fixed by the
+    image of one arc and the orientation, so no automorphism is counted
+    twice.  The order is that of the starts: identity first.
 
     Raises:
         GuardExceeded, GraphError: as :func:`canonical_code`.
@@ -595,14 +606,65 @@ def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[_Labelli
 
 
 def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[_Labelling, ...]]:
-    """The canonical code and the labellings of its tied starts, best first."""
+    """The canonical code and the labellings of its tied starts, best first.
+
+    Starts are taken in a fixed order: orientation, then vertex u, then each
+    neighbour v of u in rotation order.  A start is labelled only when no
+    automorphism found so far maps an earlier labelled start onto it.  That
+    skips nothing the full pass would keep: an automorphism a sends the
+    labelling from start t to the labelling from a(t) (vertex by vertex,
+    with the orientation reversed when a is a reflection), so the two codes
+    are equal.  A skipped start is rejected when its source was, or when
+    its source tied with a best that has since been replaced (the best only
+    goes down); otherwise it ties, and its labelling is its source's mapped
+    by a, appended at its own place in start order.
+
+    Each labelled tie gives a new automorphism, the map from the first
+    labelling to it; no known one can send the first start there, or the
+    start would have been skipped.  The known automorphisms are kept closed
+    under composition (``_close``), and only labelled starts have their
+    images marked: a skipped start's orbit is its source's.  An automorphism
+    of a connected plane map is fixed by the image of one start, so each
+    skipped start has one source and one map.
+    """
     n = base.n
     rotation = base.rotation
     best: list[tuple[int, int, int]] | None = None
     ties: list[_Labelling] = []
+    # Replacements of the best so far; a completed start keeps the epoch it
+    # tied or led in, with its vertices in label order.
+    epoch = 0
+    done: dict[int, tuple[int, tuple[int, ...]]] = {}
+    # Start s is (d * n + u) * 3 + i for v = rotation[u][i]; a skipped start
+    # keeps its source and the automorphism that maps the source onto it.
+    source: list[tuple[int, Automorphism] | None] = [None] * (6 * n)
+    group = [Automorphism(tuple(range(n)), False)]
+    gens: list[Automorphism] = []
+
+    def mark(starts: Iterable[int], maps: Sequence[Automorphism], after: int) -> None:
+        """Record each start's image under each map, where it comes after ``after``."""
+        for t in starts:
+            d, i = divmod(t, 3)
+            d, u = divmod(d, n)
+            v = rotation[u][i]
+            for a in maps:
+                pu = a.perm[u]
+                image = ((d ^ a.reverses) * n + pu) * 3 + rotation[pu].index(a.perm[v])
+                if image > after and source[image] is None:
+                    source[image] = (t, a)
+
+    s = -1
     for d, after in enumerate(_after_tables(rotation)):
         for u in range(n):
             for v in rotation[u]:
+                s += 1
+                skipped = source[s]
+                if skipped is not None:
+                    t, a = skipped
+                    tied_in, vertices = done.get(t, (0, ()))
+                    if tied_in == epoch:
+                        ties.append((d, itemgetter(*vertices)(a.perm)))
+                    continue
                 label = [-1] * n
                 label[u] = 0
                 label[v] = 1
@@ -629,15 +691,53 @@ def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[_Labelling, ...]]
                 else:
                     labelling = (d, tuple(w for w, _ in order))
                     if tied:
+                        d0, first = ties[0]
+                        perm = [0] * n
+                        for x, y in zip(first, labelling[1]):
+                            perm[x] = y
+                        added = _close(group, gens, Automorphism(tuple(perm), d != d0))
+                        # earlier labelled starts gain images under the new maps
+                        mark((t for t in range(s) if source[t] is None), added, s)
                         ties.append(labelling)
                     else:
+                        epoch += 1
                         best = code
                         ties = [labelling]
+                    done[s] = (epoch, labelling[1])
+                if len(group) > 1:
+                    mark((s,), group[1:], s)
     assert best is not None
     labels = [x for triple in best for x in triple]
     if n <= 255:
         return bytes([n, *labels]), tuple(ties)
     return b"\0" + struct.pack(f">{len(labels) + 1}H", n, *labels), tuple(ties)
+
+
+def _close(group: list[Automorphism], gens: list[Automorphism], new: Automorphism) -> list[Automorphism]:
+    """Grow ``group``, generated by ``gens``, by ``new``; return what was added.
+
+    Dimino's coset method: the grown group is a union of right cosets H r of
+    the old group H, and it is closed once r g falls in a known coset for
+    every coset representative r and every generator g; the identity's
+    coset is H itself.  ``itemgetter(*q)(p)`` is the map p after q.
+    """
+    old = list(group)
+    known = {a.perm for a in old}
+    gens.append(new)
+    steps = [(itemgetter(*g.perm), g.reverses) for g in gens]
+    reps = [old[0]]
+    for r in reps:
+        for step, flip in steps:
+            perm = step(r.perm)
+            if perm not in known:
+                x = Automorphism(perm, r.reverses != flip)
+                reps.append(x)
+                take = itemgetter(*perm)
+                for h in old:
+                    y = Automorphism(take(h.perm), h.reverses != x.reverses)
+                    known.add(y.perm)
+                    group.append(y)
+    return group[len(old):]
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,8 @@ def _ring_cycles(
     dist[root] = 0
     layer = [root]
     for d in range(1, max_len):
+        if not layer:
+            break  # every reachable face has its distance
         nxt = []
         for x in layer:
             for g in fs.across(x):

@@ -5,7 +5,8 @@ from exhaustive search over edge subsets and perfect-matching counts from a
 textbook recursion on the lowest uncovered vertex.  The package's former
 kernels are kept here, unchanged, as references for the faster ones that
 replaced them; those that call package code (the former ring scan,
-resonance sweep, resonance walk, 2-resonance certificate and face trace)
+resonance sweep, resonance walk, 2-resonance certificate, face trace and
+canonical pass)
 import only parts that have not changed since.  They are only usable on small graphs,
 which is the point - package results on small inputs must agree
 with these, and frozen constants in the test-suite were produced by them.
@@ -333,6 +334,63 @@ def canonical_code_by_full_build(rotation: list[tuple[int, int, int]]) -> bytes:
     if n <= 255:
         return bytes([n, *best])
     return b"\0" + b"".join(x.to_bytes(2, "big") for x in [n, *best])
+
+
+def canonical_pass_by_every_start(base: EmbeddedGraph):
+    """The canonical code and its tied labellings, labelling from every start.
+
+    The package's former ``_canonical_pass``, kept verbatim: it runs the
+    pruned breadth-first labelling from all 6n (orientation, arc) starts,
+    where the package skips the starts that an automorphism found so far
+    maps from an earlier start.  ``_after_tables`` is unchanged in the
+    package and imported.
+    """
+    import struct
+
+    from resonantk.plane_graph import _after_tables
+
+    n = base.n
+    rotation = base.rotation
+    best: list[tuple[int, int, int]] | None = None
+    ties: list[tuple[int, tuple[int, ...]]] = []
+    for d, after in enumerate(_after_tables(rotation)):
+        for u in range(n):
+            for v in rotation[u]:
+                label = [-1] * n
+                label[u] = 0
+                label[v] = 1
+                order = [(u, v), (v, u)]  # (vertex, entry neighbour) by label
+                code: list[tuple[int, int, int]] = []
+                tied = best is not None
+                for w, e in order:
+                    x1, x2 = after[w][e]
+                    l1 = label[x1]
+                    if l1 < 0:
+                        l1 = label[x1] = len(order)
+                        order.append((x1, w))
+                    l2 = label[x2]
+                    if l2 < 0:
+                        l2 = label[x2] = len(order)
+                        order.append((x2, w))
+                    triple = (label[e], l1, l2)
+                    if tied:
+                        other = best[len(code)]
+                        if triple > other:
+                            break
+                        tied = triple == other
+                    code.append(triple)
+                else:
+                    labelling = (d, tuple(w for w, _ in order))
+                    if tied:
+                        ties.append(labelling)
+                    else:
+                        best = code
+                        ties = [labelling]
+    assert best is not None
+    labels = [x for triple in best for x in triple]
+    if n <= 255:
+        return bytes([n, *labels]), tuple(ties)
+    return b"\0" + struct.pack(f">{len(labels) + 1}H", n, *labels), tuple(ties)
 
 
 def find_polygonal_rings_by_full_walk(f, max_len: int, face_filter: str) -> list:

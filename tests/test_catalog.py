@@ -14,7 +14,8 @@ from resonantk.catalog import (
     nanotube,
     verify_entry,
 )
-from resonantk.errors import GraphError
+from resonantk import catalog as _catalog
+from resonantk.errors import GraphError, GuardExceeded
 from resonantk.plane_graph import canonical_code, emit_graph
 
 
@@ -111,6 +112,22 @@ def test_nanotube_parameter_validation():
     for cap in (5, None, b"R5"):
         with pytest.raises(GraphError, match="cap must be a string"):
             nanotube(cap, 1)
+
+
+def test_nanotube_refuses_more_vertices_than_a_code_holds(monkeypatch):
+    # 20 + 10k (R5) or 24 + 12k (R6) past 65,535 is refused before the
+    # spiral is built or wound; the largest tubes that fit reach the winding
+    wound = []
+    monkeypatch.setattr(_catalog, "wind", lambda seq: wound.append(len(seq)))
+    for cap, rings, n in (("R5", 6552, 65540), ("R6", 5460, 65544), ("r5", 10**9, 10**10 + 20)):
+        with pytest.raises(GuardExceeded, match=f"{rings} hexagon rings has {n} vertices; .* 65535"):
+            nanotube(cap, rings)
+    assert wound == []
+    for cap, rings, n in (("R5", 6551, 65530), ("R6", 5459, 65532)):
+        # the spiral has one face per vertex pair and two more
+        with pytest.raises(RuntimeError, match=f"does not wind to {n} vertices"):
+            nanotube(cap, rings)
+    assert wound == [65530 // 2 + 2, 65532 // 2 + 2]
 
 
 def test_nanotube_distinct_from_catalog_isomers(graphs, tubes):

@@ -154,6 +154,17 @@ def test_rings_json_pinned(name, tmp_path, capsys):
     assert digest == RINGS_JSON_DIGESTS[name]
 
 
+def test_rings_max_len_past_the_face_count(tmp_path, capsys):
+    src = tmp_path / "f20.rot"
+    assert run(["catalog", "emit", "F20", "-o", str(src)]) == 0
+    capsys.readouterr()
+    outputs = []
+    for max_len in ("12", "1000000000"):
+        assert run(["rings", str(src), "--max-len", max_len, "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and len(outputs[0]) == 21183
+
+
 RINGS_JSON_MORE_DIGESTS = {
     # SHA-256 of `rings SOURCE.rot --max-len L --json`, recorded before the
     # ring builder walked the cycles off the face arcs: the catalog graphs at
@@ -555,3 +566,13 @@ def test_nanotube_emit(tmp_path, capsys):
     assert run(["nanotube", "--cap", "r6", "--rings", "2", "-o", str(out)]) == 0
     f = validate_fullerene(parse_graph(out.read_text()))
     assert f.n == 48
+
+
+def test_nanotube_past_the_code_limit_is_a_guard_trip(tmp_path, capsys, monkeypatch):
+    # refused before the spiral is built or wound
+    monkeypatch.setattr(_catalog, "wind", lambda seq: pytest.fail("the tube was wound"))
+    out = tmp_path / "tube.rot"
+    assert run(["nanotube", "--cap", "r5", "--rings", "1000000000", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("guard exceeded:") and "10000000020 vertices" in err and "65535" in err
+    assert not out.exists()

@@ -193,9 +193,11 @@ def test_an_edited_result_builds_its_own_flip_table(graphs):
 
 def test_certificates_stay_small_in_memory(graphs):
     # Each certificate is kept, as a caller listing them all keeps them.
-    # 12.5 MiB when each is built as a set of M0 with the flips toggled in
+    # 12.5 MiB when each builds its own set of M0 with the flips toggled in
     # place; growing it from the flip set (frozenset.symmetric_difference)
-    # doubles every hash table and measured 19.6 MiB (CPython 3.11).
+    # doubles every hash table and measured 19.6 MiB.  Sharing one edge set
+    # per set of flipped faces keeps 231 sets for the 2,950 certificates,
+    # and measured 1.3 MiB (CPython 3.11).
     lf = leapfrog(graphs["C60"])
     pairs = _disjoint_pairs(lf.image)
     assert len(pairs) == 2950
@@ -206,7 +208,8 @@ def test_certificates_stay_small_in_memory(graphs):
     finally:
         tracemalloc.stop()
     assert len(certificates) == len(pairs)
-    assert peak <= 14 * 2**20
+    assert len({id(m.edges) for m in certificates}) == 231
+    assert peak <= 2 * 2**20
 
 
 def test_fresh_fresh_certificate_is_m0(lf20):
@@ -217,6 +220,17 @@ def test_fresh_fresh_certificate_is_m0(lf20):
     b = next(h for h in fresh[1:] if not av & image.faces[h].vertices)
     m = two_resonance_certificate(lf20, a, b)
     assert set(m.edges) == set(lf20.m0.edges)
+
+
+@pytest.mark.parametrize("name", ["F20", "F24", "C70"])
+def test_two_fresh_targets_get_m0_itself(graphs, relabel, name):
+    # fresh faces flip nothing, so the certificate shares M0's edge set
+    for f in (graphs[name], relabel(graphs[name], 3)):
+        lf = leapfrog(f)
+        pairs = [(a, b) for a, b in _disjoint_pairs(lf.image) if a in lf.fresh and b in lf.fresh]
+        assert pairs
+        for a, b in pairs:
+            assert two_resonance_certificate(lf, a, b).edges is lf.m0.edges, (name, a, b)
 
 
 def test_territories_share_at_most_two_adjacent_faces(graphs, lf20):

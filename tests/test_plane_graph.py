@@ -213,6 +213,26 @@ def test_canonical_code_matches_full_build(coded):
         assert canonical_code(_reflect(g)) == expected, name
 
 
+def test_canonical_pass_matches_every_start(coded):
+    # The pass labels only starts that no automorphism found so far maps
+    # from an earlier start; the former pass, which labels all 6n starts,
+    # must give the same code and the same tied labellings in the same
+    # order, so the same automorphisms.  Each graph as given, relabelled
+    # with each rotation turned, and reflected.
+    from conftest import relabelled_rotation
+    from oracles import canonical_pass_by_every_start
+
+    orders = set()
+    for seed, (name, g) in enumerate(coded.items()):
+        reflected = EmbeddedGraph(tuple(ring[::-1] for ring in g.rotation))
+        for variant in (g, relabelled_rotation(g, seed), reflected):
+            expected = canonical_pass_by_every_start(variant)
+            assert plane_graph._canonical_pass(variant) == expected, name
+            orders.add(len(expected[1]))
+    # trivial groups (mixed10), order 2 (mixed7, mixed9) up to Ih (F20, C60)
+    assert {1, 2, 120} <= orders
+
+
 def _check_automorphism(g: EmbeddedGraph, a: Automorphism) -> None:
     """The map sends each rotation onto the image vertex's, reversed for a reflection."""
     assert sorted(a.perm) == list(range(g.n))

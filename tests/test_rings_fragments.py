@@ -58,6 +58,16 @@ def test_max_len_must_be_a_nonnegative_integer(graphs):
     assert find_polygonal_rings(f, max_len=0) == []
 
 
+@pytest.mark.parametrize("face_filter", [ANY, PENTAGONS_ONLY])
+def test_max_len_past_the_face_count_changes_nothing(graphs, face_filter):
+    # no ring has more faces than the graph; the distance search stops when
+    # its layer empties, so a huge bound costs no more than the face count
+    for name in ("F20", "C60"):
+        f = graphs[name]
+        expected = find_polygonal_rings(f, len(f.faces), face_filter)
+        assert find_polygonal_rings(f, 10**9, face_filter) == expected, name
+
+
 def test_ring_structure_f20(graphs):
     f = graphs["F20"]
     rings = find_polygonal_rings(f, max_len=5, face_filter=ANY)
