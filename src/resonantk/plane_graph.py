@@ -524,19 +524,20 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
     stops and the candidate is finished as the new best. Every candidate has
     3n labels, so this is the exact minimum.
 
-    Starts are labelled one per orbit of the automorphisms found so far: an
-    automorphism maps the labelling from one start onto the labelling from
-    its image, so the image's code is known and its start is skipped (the
-    argument is on ``_canonical_pass``).  Under ten random labellings C60
-    labelled 7-13 of its 360 starts and its leapfrog image 13-51 of 1,080;
-    a graph with no symmetry labels every start.
+    A start is skipped when an automorphism found so far maps an earlier
+    labelled start onto it: the automorphism maps one labelling onto the
+    other, so the two codes are equal (the argument is on
+    ``_canonical_pass``).  Under ten random labellings C60 labelled 12-17 of
+    its 360 starts and its leapfrog image 27-68 of 1,080; a graph with no
+    symmetry labels every start.
 
     Encoding: for n <= 255 the byte n, then one byte per label. For larger n
     a 0x00 marker (a one-byte code never starts with 0), n as two bytes, then
     two bytes per label, all big-endian so byte order is numeric order.
 
-    The pass is shared with :func:`automorphisms` and kept on a
-    ``FullereneGraph``, so either one runs it at most once per graph.
+    The pass also closes the automorphism group, which :func:`automorphisms`
+    returns; both are kept on a ``FullereneGraph``, so the pass runs at most
+    once per graph.
 
     Raises:
         GuardExceeded: if the graph has more than 65,535 vertices, which two
@@ -550,30 +551,16 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
 def automorphisms(g: EmbeddedGraph | FullereneGraph) -> tuple[Automorphism, ...]:
     """Every automorphism of the embedding, reflections included; identity first.
 
-    The starts of the canonical pass whose code ties with the minimum are
-    exactly the automorphisms: labelling breadth-first from the first such
-    start and from another one gives the same code, so sending each vertex
-    to the vertex of the same label in the other labelling keeps every
-    rotation (reversed when the two starts have opposite orientations).  The
-    pass keeps each tied labelling, so each map is read straight off two of
-    them; a tied start that the pass skipped gets the labelling of the
-    labelled tie it is the image of, mapped by the automorphism that takes
-    one start to the other.  A map of a connected plane map is fixed by the
-    image of one arc and the orientation, so no automorphism is counted
-    twice.  The order is that of the starts: identity first.
+    The group is the one the canonical pass closes while it labels its
+    starts (see ``_canonical_pass`` for why it is the whole group), so each
+    automorphism appears exactly once.  After the identity the maps come in
+    the order ``_close`` adds them, which is fixed for a given rotation
+    system but means nothing more.
 
     Raises:
         GuardExceeded, GraphError: as :func:`canonical_code`.
     """
-    ties = _canonical(g)[1]
-    d0, first = ties[0]
-    out = []
-    for d, vertices in ties:
-        perm = [0] * len(first)
-        for v, w in zip(first, vertices):
-            perm[v] = w
-        out.append(Automorphism(tuple(perm), d != d0))
-    return tuple(out)
+    return _canonical(g)[1]
 
 
 def _after_tables(rotation: Sequence[tuple[int, int, int]]) -> tuple[list[dict], list[dict]]:
@@ -584,12 +571,8 @@ def _after_tables(rotation: Sequence[tuple[int, int, int]]) -> tuple[list[dict],
     )
 
 
-# The orientation index of a start and its vertices in label order.
-_Labelling = tuple[int, tuple[int, ...]]
-
-
-def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[_Labelling, ...]]:
-    """The canonical code and the labellings that tie with it, kept on a FullereneGraph.
+def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[Automorphism, ...]]:
+    """The canonical code and the automorphism group, kept on a FullereneGraph.
 
     A bare ``EmbeddedGraph`` goes through ``_embedding`` first; a
     ``FullereneGraph`` passed it when it was validated.
@@ -605,65 +588,46 @@ def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[_Labelli
     return got
 
 
-def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[_Labelling, ...]]:
-    """The canonical code and the labellings of its tied starts, best first.
+def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[Automorphism, ...]]:
+    """The canonical code and the automorphism group, identity first.
 
     Starts are taken in a fixed order: orientation, then vertex u, then each
-    neighbour v of u in rotation order.  A start is labelled only when no
-    automorphism found so far maps an earlier labelled start onto it.  That
-    skips nothing the full pass would keep: an automorphism a sends the
+    neighbour v of u in rotation order.  An automorphism a sends the
     labelling from start t to the labelling from a(t) (vertex by vertex,
     with the orientation reversed when a is a reflection), so the two codes
-    are equal.  A skipped start is rejected when its source was, or when
-    its source tied with a best that has since been replaced (the best only
-    goes down); otherwise it ties, and its labelling is its source's mapped
-    by a, appended at its own place in start order.
+    are equal.  A start is labelled only when no automorphism found so far
+    maps an earlier labelled start onto it.  The result is exact:
 
-    Each labelled tie gives a new automorphism, the map from the first
-    labelling to it; no known one can send the first start there, or the
-    start would have been skipped.  The known automorphisms are kept closed
-    under composition (``_close``), and only labelled starts have their
-    images marked: a skipped start's orbit is its source's.  An automorphism
-    of a connected plane map is fixed by the image of one start, so each
-    skipped start has one source and one map.
+    - A skipped start has the code of an earlier start, and the best only
+      goes down, so a skipped start never beats the best and is dropped
+      with no outcome kept.
+    - A labelled start that ties with the best gives the map from the
+      best's first labelling (``first``: that start's orientation and its
+      vertices in label order) to its own, and that map goes through
+      ``_close``, which keeps the group closed under composition.
+    - Every automorphism maps the first start of the final best onto a
+      start that ties with it.  A labelled tie's map is in the group; a
+      skipped tie is the image of an earlier tie under a known map, so its
+      map is a composition of maps in the group.  So the closed group is the
+      whole group: an automorphism of a connected plane map is fixed by the
+      image of one start, and each tie gives one.
+
+    After the identity the maps come in the order ``_close`` adds them.
     """
     n = base.n
     rotation = base.rotation
     best: list[tuple[int, int, int]] | None = None
-    ties: list[_Labelling] = []
-    # Replacements of the best so far; a completed start keeps the epoch it
-    # tied or led in, with its vertices in label order.
-    epoch = 0
-    done: dict[int, tuple[int, tuple[int, ...]]] = {}
-    # Start s is (d * n + u) * 3 + i for v = rotation[u][i]; a skipped start
-    # keeps its source and the automorphism that maps the source onto it.
-    source: list[tuple[int, Automorphism] | None] = [None] * (6 * n)
+    first: tuple[int, tuple[int, ...]] = (0, ())
+    # Start s is (d * n + u) * 3 + i for v = rotation[u][i]; set when skipped.
+    skip = bytearray(6 * n)
     group = [Automorphism(tuple(range(n)), False)]
     gens: list[Automorphism] = []
-
-    def mark(starts: Iterable[int], maps: Sequence[Automorphism], after: int) -> None:
-        """Record each start's image under each map, where it comes after ``after``."""
-        for t in starts:
-            d, i = divmod(t, 3)
-            d, u = divmod(d, n)
-            v = rotation[u][i]
-            for a in maps:
-                pu = a.perm[u]
-                image = ((d ^ a.reverses) * n + pu) * 3 + rotation[pu].index(a.perm[v])
-                if image > after and source[image] is None:
-                    source[image] = (t, a)
-
     s = -1
     for d, after in enumerate(_after_tables(rotation)):
         for u in range(n):
             for v in rotation[u]:
                 s += 1
-                skipped = source[s]
-                if skipped is not None:
-                    t, a = skipped
-                    tied_in, vertices = done.get(t, (0, ()))
-                    if tied_in == epoch:
-                        ties.append((d, itemgetter(*vertices)(a.perm)))
+                if skip[s]:
                     continue
                 label = [-1] * n
                 label[u] = 0
@@ -689,32 +653,28 @@ def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[_Labelling, ...]]
                         tied = triple == other
                     code.append(triple)
                 else:
-                    labelling = (d, tuple(w for w, _ in order))
                     if tied:
-                        d0, first = ties[0]
                         perm = [0] * n
-                        for x, y in zip(first, labelling[1]):
+                        for x, (y, _) in zip(first[1], order):
                             perm[x] = y
-                        added = _close(group, gens, Automorphism(tuple(perm), d != d0))
-                        # earlier labelled starts gain images under the new maps
-                        mark((t for t in range(s) if source[t] is None), added, s)
-                        ties.append(labelling)
+                        _close(group, gens, Automorphism(tuple(perm), d != first[0]))
                     else:
-                        epoch += 1
                         best = code
-                        ties = [labelling]
-                    done[s] = (epoch, labelling[1])
-                if len(group) > 1:
-                    mark((s,), group[1:], s)
+                        first = (d, tuple(w for w, _ in order))
+                for a in group[1:]:
+                    pu = a.perm[u]
+                    image = ((d ^ a.reverses) * n + pu) * 3 + rotation[pu].index(a.perm[v])
+                    if image > s:
+                        skip[image] = 1
     assert best is not None
     labels = [x for triple in best for x in triple]
     if n <= 255:
-        return bytes([n, *labels]), tuple(ties)
-    return b"\0" + struct.pack(f">{len(labels) + 1}H", n, *labels), tuple(ties)
+        return bytes([n, *labels]), tuple(group)
+    return b"\0" + struct.pack(f">{len(labels) + 1}H", n, *labels), tuple(group)
 
 
-def _close(group: list[Automorphism], gens: list[Automorphism], new: Automorphism) -> list[Automorphism]:
-    """Grow ``group``, generated by ``gens``, by ``new``; return what was added.
+def _close(group: list[Automorphism], gens: list[Automorphism], new: Automorphism) -> None:
+    """Grow ``group``, generated by ``gens``, by ``new``, in place.
 
     Dimino's coset method: the grown group is a union of right cosets H r of
     the old group H, and it is closed once r g falls in a known coset for
@@ -737,7 +697,6 @@ def _close(group: list[Automorphism], gens: list[Automorphism], new: Automorphis
                     y = Automorphism(take(h.perm), h.reverses != x.reverses)
                     known.add(y.perm)
                     group.append(y)
-    return group[len(old):]
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,25 @@ def tubes():
     }
 
 
+@pytest.fixture(scope="session")
+def gen_catalog():
+    """``tools/gen_catalog.py`` loaded as a module, for its isomer search."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_catalog.py"
+    spec = importlib.util.spec_from_file_location("gen_catalog", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def isomers(gen_catalog):
+    """Every fullerene isomer with 20..30 vertices, by n: (canonical code, spiral) pairs."""
+    return {n: gen_catalog.search_isomers(n) for n in range(20, 31, 2)}
+
+
 def relabelled_rotation(g: EmbeddedGraph, seed: int) -> EmbeddedGraph:
     """``relabel(f, seed).graph`` for ``g = f.graph``, built unchecked, so g may be any rotation."""
     rng = random.Random(seed)

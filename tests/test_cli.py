@@ -332,6 +332,48 @@ def test_scalar_commands(f24_file, capsys):
     assert capsys.readouterr().out == "none\n"
 
 
+TEXT_DIGESTS = {
+    # SHA-256 of the text (not --json) output of each command on a catalog graph
+    ("rings", "F24", "--pentagonal", "--max-len", "8"):
+        "3ba0a8c651ac51d6d940dc6faab9c46eefcfbb0b39044e39883fb72a8e194f8c",
+    ("fragments", "F36_1"): "ec5b064536ed21fc324962af6aa894b8c71a67f82c88af6c3e78d4ec782b6c8c",
+    ("gstar", "F30"): "4b0c41fba251d37b221e8f091f531cea52265d98f8e663c23cffbe1c409993a7",
+    ("analyze", "F28", "--fries"): "e2124433044d61e97ad93af18113d57fe071eb9081a4f2516d148e071e455000",
+}
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_DIGESTS))
+def test_text_outputs_pinned(command, tmp_path, capsys):
+    cmd, name, *flags = command
+    src = _emit(name, tmp_path / "in.rot")
+    capsys.readouterr()
+    assert run([cmd, str(src), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_DIGESTS[command]
+    if cmd == "gstar":
+        assert out == "vertex 18: hexagons 2 6 16\n"
+    if cmd == "analyze":
+        assert out.endswith("\nfries: 4\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("4\n0 1 2 3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1\n", "vertex line '0 1 2 3' lacks the 'i:' prefix"),
+        ("4\n0: 1 x 3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1\n", "unparseable vertex line '0: 1 x 3'"),
+        ("4\n1: 0 3 2\n0: 1 2 3\n2: 0 1 3\n3: 0 2 1\n", "vertex lines out of order: expected 0, got 1"),
+        ("4\n0: 1 2\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1\n", "vertex 0 lists 2 neighbours; the graph must be cubic"),
+    ],
+)
+def test_validate_names_the_malformed_line(text, message, tmp_path, capsys):
+    bad = tmp_path / "bad.rot"
+    bad.write_text(text)
+    assert run(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"{bad}: INVALID: {message}\n"
+    assert "Traceback" not in captured.err
+
+
 def test_invalid_integer_limits_exit_one(f24_file, tmp_path, capsys):
     assert run(["order", str(f24_file), "--max-k", "-1"]) == 1
     assert "max_k must be at least 0" in capsys.readouterr().err

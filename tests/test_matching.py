@@ -358,6 +358,28 @@ def test_symmetric_difference_rejects_non_alternating(graphs):
         symmetric_difference(Matching(m20.edges, None), [0, 1, 10, 11])
 
 
+def test_symmetric_difference_names_a_repeat_and_a_non_alternating_cycle():
+    square = [[1, 3], [0, 2], [1, 3], [0, 2]]
+    m = Matching(frozenset({(0, 1)}), square)
+    with pytest.raises(GraphError, match="alternating cycle repeats a vertex"):
+        symmetric_difference(m, [0, 1, 0, 1])
+    with pytest.raises(GraphError, match="cycle does not alternate with the matching"):
+        symmetric_difference(m, [0, 1, 2, 3])
+    assert symmetric_difference(Matching(frozenset({(0, 1), (2, 3)}), square), [0, 1, 2, 3]).edges == {
+        (1, 2),
+        (0, 3),
+    }
+
+
+def test_an_odd_vertex_count_has_no_perfect_matching():
+    assert enumerate_perfect_matchings([[1, 2], [0, 2], [0, 1]]) == ()
+
+
+def test_maximum_matching_rejects_an_unsupported_form():
+    with pytest.raises(GraphError, match="unsupported graph form: dict"):
+        maximum_matching({0: [1], 1: [0]})
+
+
 def test_alternating_faces_requires_perfect(graphs):
     f = graphs["F24"]
     with pytest.raises(GraphError):

@@ -79,6 +79,10 @@ def test_non_sphere_rotation_rejected():
         ("4\n0: 0 2 3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1", "lists itself"),
         ("4\n0: 1 2 3\n1: 0 3 2\n2: 1 0 3\n3: 9 2 1", "outside"),
         ("4\n0: 1 2 3\n1: 0 3 2\n2: 0 1 3\n3: 1 2 0\n# t", None),
+        ("4\n0 1 2 3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1", "vertex line '0 1 2 3' lacks the 'i:' prefix"),
+        ("4\n0: 1 x 3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1", "unparseable vertex line '0: 1 x 3'"),
+        ("4\n1: 0 3 2\n0: 1 2 3\n2: 0 1 3\n3: 0 2 1", "vertex lines out of order: expected 0, got 1"),
+        ("4\n0: 1 2\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1", "vertex 0 lists 2 neighbours; the graph must be cubic"),
         (b"4\n", "must be a str, got bytes"),
         (None, "must be a str, got NoneType"),
         (5, "must be a str, got int"),
@@ -213,24 +217,52 @@ def test_canonical_code_matches_full_build(coded):
         assert canonical_code(_reflect(g)) == expected, name
 
 
-def test_canonical_pass_matches_every_start(coded):
-    # The pass labels only starts that no automorphism found so far maps
-    # from an earlier start; the former pass, which labels all 6n starts,
-    # must give the same code and the same tied labellings in the same
-    # order, so the same automorphisms.  Each graph as given, relabelled
-    # with each rotation turned, and reflected.
+def _matches_every_start(graphs: dict[str, EmbeddedGraph]) -> set[int]:
+    """Check the pass against the every-start oracle on each graph as given,
+    relabelled with each rotation turned, and reflected; return the group orders.
+
+    The oracle's tied starts are one per automorphism.  So a group of as many
+    distinct automorphisms, identity first, is the whole group.
+    """
     from conftest import relabelled_rotation
     from oracles import canonical_pass_by_every_start
 
     orders = set()
-    for seed, (name, g) in enumerate(coded.items()):
+    for seed, (name, g) in enumerate(graphs.items()):
         reflected = EmbeddedGraph(tuple(ring[::-1] for ring in g.rotation))
         for variant in (g, relabelled_rotation(g, seed), reflected):
-            expected = canonical_pass_by_every_start(variant)
-            assert plane_graph._canonical_pass(variant) == expected, name
-            orders.add(len(expected[1]))
-    # trivial groups (mixed10), order 2 (mixed7, mixed9) up to Ih (F20, C60)
-    assert {1, 2, 120} <= orders
+            code, ties = canonical_pass_by_every_start(variant)
+            got, group = plane_graph._canonical_pass(variant)
+            assert got == code, name
+            assert len(group) == len(ties), name
+            assert group[0] == Automorphism(tuple(range(variant.n)), False), name
+            assert len({a.perm for a in group}) == len(group), name
+            for a in group:
+                _check_automorphism(variant, a)
+            orders.add(len(group))
+    return orders
+
+
+def test_canonical_pass_matches_every_start(coded):
+    # The pass labels only starts that no automorphism found so far maps
+    # from an earlier start, and returns the group it closes; the former
+    # pass labels all 6n starts.  Trivial groups (mixed10), order 2 (mixed7,
+    # mixed9) up to Ih (F20, C60).
+    assert {1, 2, 120} <= _matches_every_start(coded)
+
+
+def test_canonical_pass_matches_every_start_on_isomers(isomers):
+    # Every isomer with 20..30 vertices: C20 Ih, C24 D6d, C26 D3h, C28 Td
+    # and D2, C30 D5h and two C2v (Fowler & Manolopoulos, An Atlas of
+    # Fullerenes), so orders the catalog corpus lacks.
+    from resonantk._spiral import wind
+
+    wound = {}
+    for n, found in isomers.items():
+        for i, (code, seq) in enumerate(found):
+            g = wound[f"C{n}:{i}"] = wind(seq)
+            assert canonical_code(g) == code
+    assert _matches_every_start(wound) == {4, 12, 20, 24, 120}
 
 
 def _check_automorphism(g: EmbeddedGraph, a: Automorphism) -> None:
@@ -507,6 +539,27 @@ def test_delete_vertices_and_bipartite(graphs):
     assert odd is not None and len(odd) % 2 == 1
     whole, cyc = is_bipartite(f.graph)
     assert not whole and cyc is not None  # odd faces force odd cycles
+
+
+def test_is_bipartite_two_colours_the_cube_and_an_even_prism():
+    from resonantk._spiral import wind
+
+    for seq in ([4] * 6, [6] + [4] * 6 + [6]):
+        assert is_bipartite(wind(seq)) == (True, None)
+
+
+def test_is_bipartite_finds_an_odd_cycle_past_the_first_component(graphs):
+    # Without its neighbours, vertex 0 of F20 is a component of its own
+    # (bipartite) ahead of the rest, which keeps six whole pentagons.
+    f = graphs["F20"]
+    dropped = set(f.graph.rotation[0])
+    sub = delete_vertices(f, dropped)
+    assert sub.to_parent(0) == 0 and sub.adj[0] == ()
+    ok, cycle = is_bipartite(sub)
+    assert not ok and len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle)
+    assert 0 not in cycle and not dropped & set(cycle)
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert b in f.graph.rotation[a]
 
 
 def test_is_bipartite_accepts_a_fullerene(graphs):

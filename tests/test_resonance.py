@@ -482,12 +482,12 @@ def test_memo_keeps_no_resonant_sets():
     f = _fresh("C70")
     analyze_graph(f)
     assert set(f._memo) == {"walk", "canonical", "face_masks", "pentagonal_rings"}
-    # the canonical pass keeps its code and the labellings of the 20 starts
-    # that tie with it: an orientation index and the 70 vertices in label order
-    code, ties = f._memo["canonical"]
-    assert isinstance(code, bytes) and len(ties) == 20
-    assert all(d in (0, 1) and sorted(vertices) == list(range(70)) for d, vertices in ties)
-    assert all(type(vertices) is tuple for _, vertices in ties)
+    # the canonical pass keeps its code and the 20 automorphisms it closes,
+    # identity first, and nothing else
+    code, group = f._memo["canonical"]
+    assert isinstance(code, bytes) and type(group) is tuple and len(group) == 20
+    assert all(type(a) is Automorphism for a in group)
+    assert group[0] == Automorphism(tuple(range(70)), False)
     # the walk keeps its counts and one least failing set
     walk = f._memo["walk"]
     assert walk.counts == (1, 25, 255, 1355, 3940, 5958, 4715, 2065, 375, 25)
