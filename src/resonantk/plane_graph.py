@@ -524,9 +524,9 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
     stops and the candidate is finished as the new best. Every candidate has
     3n labels, so this is the exact minimum.
 
-    A start is skipped when an automorphism found so far maps an earlier
-    labelled start onto it: the automorphism maps one labelling onto the
-    other, so the two codes are equal (the argument is on
+    A start is skipped when an orientation-preserving automorphism found
+    so far maps an earlier labelled start onto it: the automorphism maps
+    one labelling onto the other, so the two codes are equal (the argument is on
     ``_canonical_pass``).  Under ten random labellings C60 labelled 12-17 of
     its 360 starts and its leapfrog image 27-68 of 1,080; a graph with no
     symmetry labels every start.
@@ -595,8 +595,9 @@ def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[Automorphism, ...
     neighbour v of u in rotation order.  An automorphism a sends the
     labelling from start t to the labelling from a(t) (vertex by vertex,
     with the orientation reversed when a is a reflection), so the two codes
-    are equal.  A start is labelled only when no automorphism found so far
-    maps an earlier labelled start onto it.  The result is exact:
+    are equal.  A start is labelled only when no orientation-preserving
+    automorphism found so far maps an earlier labelled start onto it.  The
+    result is exact:
 
     - A skipped start has the code of an earlier start, and the best only
       goes down, so a skipped start never beats the best and is dropped
@@ -611,6 +612,12 @@ def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[Automorphism, ...
       map is a composition of maps in the group.  So the closed group is the
       whole group: an automorphism of a connected plane map is fixed by the
       image of one start, and each tie gives one.
+    - No reflection could skip a start.  A reflection joins the group only
+      at a tie in orientation 1 while the best is in orientation 0 (a best
+      found in orientation 1 beats every orientation-0 code, and then no
+      reflection exists, since it would give an orientation-0 start the
+      same code).  From then on every start is in orientation 1, and a
+      reflection maps it into orientation 0, behind the current start.
 
     After the identity the maps come in the order ``_close`` adds them.
     """
@@ -661,11 +668,12 @@ def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[Automorphism, ...
                     else:
                         best = code
                         first = (d, tuple(w for w, _ in order))
-                for a in group[1:]:
-                    pu = a.perm[u]
-                    image = ((d ^ a.reverses) * n + pu) * 3 + rotation[pu].index(a.perm[v])
-                    if image > s:
-                        skip[image] = 1
+                for perm, reverses in group[1:]:
+                    if not reverses:
+                        pu = perm[u]
+                        image = (d * n + pu) * 3 + rotation[pu].index(perm[v])
+                        if image > s:
+                            skip[image] = 1
     assert best is not None
     labels = [x for triple in best for x in triple]
     if n <= 255:
@@ -743,34 +751,29 @@ def _short_cyclic_cut(
     across an edge of the last one; the crossed edges are distinct and form
     the cut.  A path of l faces closes back onto ``root``, so a loop (a
     bridge) closes at l = 1 and two faces that share two edges at l = 2.
+    Each frame holds its path and its crossed edges as tuples, built on push
+    and dropped on pop.
     """
-    path = [root]
-    cut: list[Edge] = []
-    # One iterator per face of the path over its (edge, face across) pairs.
-    stack = [zip(fs[root].boundary_edges(), fs.across(root))]
+    # Frames (the (edge, face across) pairs of path[-1] left to try, the
+    # path's faces, the edges crossed along it).
+    stack = [(zip(fs[root].boundary_edges(), fs.across(root)), (root,), ())]
     while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            path.pop()
-            if cut:
-                cut.pop()
-            continue
-        e, x = step
-        if e in cut:
-            continue
-        if x == root:
-            if len(path) == l:
-                edges = {*cut, e}
-                if _side_reaches(rotation, edges, e[0], l) and _side_reaches(rotation, edges, e[1], l):
-                    return True
-        elif x > root and len(path) < l and x not in path:
-            # the last face of the path must close onto the root
-            if len(path) == l - 1 and root not in fs.across(x):
+        todo, path, cut = stack[-1]
+        for e, x in todo:
+            if e in cut:
                 continue
-            path.append(x)
-            cut.append(e)
-            stack.append(zip(fs[x].boundary_edges(), fs.across(x)))
+            if x == root and len(path) == l:
+                edges = {*cut, e}
+                if all(_side_reaches(rotation, edges, v, l) for v in e):
+                    return True
+            elif x > root and len(path) < l and x not in path:
+                # the last face of the path must close onto the root
+                if len(path) == l - 1 and root not in fs.across(x):
+                    continue
+                stack.append((zip(fs[x].boundary_edges(), fs.across(x)), path + (x,), cut + (e,)))
+                break
+        else:
+            stack.pop()
     return False
 
 

@@ -297,10 +297,10 @@ def _hexagon_maps(f: FullereneGraph, group: Iterable[Automorphism]) -> list[list
     return maps
 
 
-# The group's action on a least set S, as ``_least`` reads it: the maps that
-# fix S, and each other map with its *rise* on S, the element of S at the
-# first position where the sorted image of S exceeds S.
-_Action = tuple[list[list[int]], list[tuple[list[int], int]]]
+# The group's action on a least set S, as ``_least`` reads it: each map other
+# than the identity with its *rise* on S, the element of S at the first
+# position where the sorted image of S exceeds S, or None if the map fixes S.
+_Action = list[tuple[list[int], int | None]]
 
 
 def _rise(s: tuple[int, ...], m: list[int]) -> int | None:
@@ -311,50 +311,40 @@ def _rise(s: tuple[int, ...], m: list[int]) -> int | None:
     return None
 
 
-def _least(ids: tuple[int, ...], c: int, action: _Action) -> int:
-    """The stabiliser order of ids + (c,) if it is least in its orbit, else 0.
+def _least(ids: tuple[int, ...], c: int, action: _Action) -> tuple[int, _Action] | None:
+    """The stabiliser order of ids + (c,) and the group's action on it, or None.
 
-    ``ids`` is least in its orbit, ``action`` is the group's action on it
-    and every hexagon of it is below c.  A map m that fixes ``ids`` sends
-    the extended set below itself exactly when m[c] < c, and fixes it when
-    m[c] = c.  For any other map, m[c] below its rise sends the set below
-    itself and m[c] above it sends the set above, with the same rise; only
-    m[c] equal to the rise needs the whole image.  The order counts the
+    None means that ids + (c,) is not least in its orbit.  ``ids`` is least
+    in its orbit, ``action`` is the group's action on it and every hexagon
+    of it is below c.  A map m that fixes ``ids`` sends the extended set
+    below itself exactly when m[c] < c, fixes it when m[c] = c, and has the
+    rise c otherwise.  For any other map, m[c] below its rise sends the set
+    below itself and m[c] above it sends the set above, with the same rise;
+    only m[c] equal to the rise needs the whole image.  One pass over the
+    maps decides the set and builds its action; the order counts the
     identity.
     """
     stab = 1
-    fixers, moved = action
-    for m in fixers:
+    child: _Action = []
+    for m, t in action:
         x = m[c]
-        if x <= c:
+        if t is None:
             if x < c:
-                return 0
-            stab += 1
-    for m, t in moved:
-        x = m[c]
-        if x <= t:
-            if x < t:
-                return 0
-            rise = _rise(ids + (c,), m)
-            if rise == -1:
-                return 0
-            if rise is None:
+                return None
+            if x == c:
                 stab += 1
-    return stab
-
-
-def _extended(ids: tuple[int, ...], c: int, action: _Action) -> _Action:
-    """The group's action on ids + (c,), a least set, from its action on ids."""
-    fixers, moved = action
-    child_fixers = [m for m in fixers if m[c] == c]
-    child_moved = [(m, c) for m in fixers if m[c] != c]
-    for m, t in moved:
-        rise = t if m[c] != t else _rise(ids + (c,), m)
-        if rise is None:
-            child_fixers.append(m)
-        else:
-            child_moved.append((m, rise))
-    return child_fixers, child_moved
+            else:
+                t = c
+        elif x <= t:
+            if x < t:
+                return None
+            t = _rise(ids + (c,), m)
+            if t == -1:
+                return None
+            if t is None:
+                stab += 1
+        child.append((m, t))
+    return stab, child
 
 
 def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
@@ -396,9 +386,10 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
     least failing size is the least failing set.  The walk keeps it and
     replaces it only by a failure of a smaller size.  It keeps no decided
     sets; besides its summary it holds the repairs of the resonant children
-    along its path, the matching of each node's parent and the group's
-    action on each pending node.  A resonant child with no candidates is
-    only counted.
+    along its path, the matching of each node's parent and, with each
+    pending node, the group's action on it, built by the ``_least`` pass
+    that found it least.  A resonant child with no candidates is only
+    counted.
 
     With ``max_size`` (at least 1) no set larger is tested, and the walk
     ends at its first failure past the root (every single hexagon is still
@@ -415,9 +406,9 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
     if max_size is None and cands:
         group = automorphisms(f)
         order = len(group)
-        action: _Action = (_hexagon_maps(f, group[1:]), [])
+        action: _Action = [(m, None) for m in _hexagon_maps(f, group[1:])]
     else:
-        order, action = 1, ([], [])
+        order, action = 1, []
     counts = [1]
     failed: tuple[int, ...] | None = None
     singles: frozenset[int] = frozenset()
@@ -457,20 +448,20 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
             singles = frozenset(c for c, _ in passed)
         least = []
         for i, (c, _) in enumerate(passed):
-            stab = _least(ids, c, action)
-            if stab:
-                counts[size] += order // stab
-                least.append(i)
+            found = _least(ids, c, action)
+            if found:
+                counts[size] += order // found[0]
+                least.append((i, found[1]))
         if max_size and failed:
             break
         if size == max_size:
             continue
-        for i in reversed(least):
+        for i, child_action in reversed(least):
             c, repair = passed[i]
             bad = f.faces.across(c)
             later = [d for d in passed[i + 1 :] if d[0] not in bad]
             if later:
-                stack.append((ids + (c,), mate, repair, later, _extended(ids, c, action)))
+                stack.append((ids + (c,), mate, repair, later, child_action))
     return _Walk(tuple(counts), failed, singles)
 
 

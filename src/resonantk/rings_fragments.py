@@ -137,7 +137,7 @@ def find_polygonal_rings(
     rings = [
         _build_ring(f, cycle, masks)
         for root in roots
-        for cycle in _ring_cycles(fs, masks.steps, candidate, max_len, root)
+        for cycle in _ring_cycles(fs, masks, candidate, max_len, root)
     ]
     rings.sort(key=lambda r: (r.l, r.faces))
     return rings
@@ -145,30 +145,32 @@ def find_polygonal_rings(
 
 def _ring_cycles(
     fs: FaceSet,
-    steps: list[tuple[tuple[Edge, int], ...]],
+    masks: _FaceMasks,
     candidate: list[bool],
     max_len: int,
     root: int,
 ) -> list[tuple[int, ...]]:
     """The face cycles of the rings whose least face is ``root``.
 
-    A depth-first walk grows a face path from ``root`` over the dual.  Each
-    step adds a face across one edge of the last face, meeting it in that
-    edge only (``steps`` lists those per face); ``used`` holds the endpoints
-    of the edges shared along the path.  A ring is reported in the direction
-    whose second face is less than its last, so each ring appears once.
+    A depth-first walk grows a face path ``seq`` from ``root`` over the
+    dual.  Each step adds a face across one edge of the last face, meeting
+    it in that edge only (``masks.steps`` lists those per face).  A ring is
+    reported in the direction whose second face is less than its last, so
+    each ring appears once.
 
     The walk is pruned by dual distance: ``dist[g]`` is the length of a
     shortest dual path from g back to ``root`` over the candidates above it,
     so a ring through g still needs at least ``dist[g] - 1`` faces after g,
     and g is entered only when such a ring fits in ``max_len``; a face out
     of reach (below the root, no candidate, or too far) is passed over
-    before any other test.  The path's state is kept incrementally:
-    ``on_path`` marks its faces and ``near[g]`` counts the faces of
-    ``seq[1:-1]`` that g is across.
+    before any other test.  Each frame holds the path's state as three
+    bitmasks, built on push and dropped on pop: the faces of ``seq``, the
+    endpoints of the edges shared along it (which must stay a matching),
+    and the vertices of ``seq[1:-1]``.  A step must miss the last of these:
+    two faces share a vertex exactly when one is across the other, so this
+    keeps non-consecutive faces vertex-disjoint.
     """
-    n_faces = len(fs)
-    dist = [max_len + 1] * n_faces  # max_len + 1 stands for out of reach
+    dist = [max_len + 1] * len(fs)  # max_len + 1 stands for out of reach
     dist[root] = 0
     layer = [root]
     for d in range(1, max_len):
@@ -182,50 +184,36 @@ def _ring_cycles(
                     nxt.append(g)
         layer = nxt
 
+    steps, vertices = masks.steps, masks.vertices
     out: list[tuple[int, ...]] = []
     seq = [root]
-    on_path = [False] * n_faces
-    on_path[root] = True
-    near = [0] * n_faces
-    used: set[int] = set()
-    # Frames [(edge, far face) pairs of seq[-1] left to try, edge into seq[-1]].
-    stack = [[iter(steps[root]), ()]]
+    # Frames (steps of seq[-1] left to try, faces of seq, endpoints of the
+    # edges shared along seq, vertices of seq[1:-1]).
+    stack = [(iter(steps[root]), 1 << root, 0, 0)]
     while stack:
-        frame = stack[-1]
-        step = next(frame[0], None)
-        if step is None:
+        todo, path, used, inner = stack[-1]
+        for e, g in todo:
+            if g <= root or dist[g] > max_len or path >> g & 1:
+                continue
+            ends = 1 << e[0] | 1 << e[1]
+            if used & ends or vertices[g] & inner:
+                continue
+            if len(seq) >= 2 and dist[g] == 1:
+                # beyond position 1, touching the root means closing only:
+                # close the ring with g as its final face
+                if len(seq) < max_len and seq[1] < g:
+                    ce = fs.shared_edge(g, root)
+                    if ce is not None and not (1 << ce[0] | 1 << ce[1]) & (used | ends):
+                        out.append(tuple(seq) + (g,))
+                continue
+            if len(seq) + max(dist[g], 2) <= max_len:
+                child_inner = inner | vertices[seq[-1]] if len(seq) >= 2 else 0
+                stack.append((iter(steps[g]), path | 1 << g, used | ends, child_inner))
+                seq.append(g)
+                break
+        else:
             stack.pop()
-            on_path[seq.pop()] = False
-            used.difference_update(frame[1])
-            if len(seq) >= 2:
-                for h in fs.across(seq[-1]):
-                    near[h] -= 1
-            continue
-        e, g = step
-        if g <= root or dist[g] > max_len or on_path[g]:
-            continue
-        if e[0] in used or e[1] in used:
-            continue
-        # vertex-disjoint from every earlier non-consecutive face: faces
-        # share a vertex exactly when one is across the other
-        if near[g]:
-            continue
-        if len(seq) >= 2 and dist[g] == 1:
-            # beyond position 1, touching the root means closing only:
-            # close the ring with g as its final face
-            if len(seq) < max_len and seq[1] < g:
-                ce = fs.shared_edge(g, root)
-                if ce is not None and used.isdisjoint(ce) and ce[0] not in e and ce[1] not in e:
-                    out.append(tuple(seq) + (g,))
-            continue
-        if len(seq) + max(dist[g], 2) <= max_len:
-            if len(seq) >= 2:
-                for h in fs.across(seq[-1]):
-                    near[h] += 1
-            seq.append(g)
-            on_path[g] = True
-            used.update(e)
-            stack.append([iter(steps[g]), e])
+            seq.pop()
     return out
 
 
@@ -533,9 +521,18 @@ def ring_stats(f: FullereneGraph, ring: Ring) -> Ring:
     """Recompute a ring's statistics from the embedding, checking the identities.
 
     Raises:
+        GraphError: naming the face id that is not an integer face of ``f``,
+            or if the ring has fewer than 3 faces.
         RuntimeError: if a counting identity fails (scanner or embedding
             bug) or the recomputed (l, s, s', r, n5, n6) differ from the ring's.
     """
+    if len(ring.faces) < 3:
+        raise GraphError(f"a ring has at least 3 faces, got {len(ring.faces)}")
+    for fid in ring.faces:
+        if check_int("ring face", fid, 0) >= len(f.faces):
+            raise GraphError(
+                f"ring face {fid} is not a face of the graph, which has {len(f.faces)} faces"
+            )
     rebuilt = _build_ring(f, ring.faces, _face_masks(f))
     stats = ("l", "s", "s_prime", "r", "n5", "n6")
     differ = [k for k in stats if getattr(rebuilt, k) != getattr(ring, k)]

@@ -380,6 +380,37 @@ def test_orbit_walk_matches_the_unreduced_walk(name, relabel, monkeypatch):
         assert walk.failed == plain.failed
 
 
+@pytest.mark.parametrize("name", ["C60", "C70", "F48", "R5_3", "R6_2"])
+def test_orbit_pass_matches_brute_force_per_set(name, relabel, monkeypatch):
+    # Every child the full walk decides, checked against the sorted image of
+    # the set under every hexagon map, identity included: not least exactly
+    # when some image is below the set, else the stabiliser order and each
+    # rise of the child's action as computed from scratch.
+    least = resonance._least
+    decided = 0
+
+    def checked(ids, c, action):
+        nonlocal decided
+        decided += 1
+        s = ids + (c,)
+        images = [tuple(sorted(m[x] for x in s)) for m in maps]
+        found = least(ids, c, action)
+        assert (found is None) == any(image < s for image in images)
+        if found is not None:
+            stab, child = found
+            assert stab == images.count(s)
+            assert [m for m, _ in child] == [m for m, _ in action]
+            assert all(t == resonance._rise(s, m) for m, t in child)
+        return found
+
+    monkeypatch.setattr(resonance, "_least", checked)
+    for g in (_fresh(name), relabel(_fresh(name), 900 + len(name))):
+        maps = resonance._hexagon_maps(g, plane_graph.automorphisms(g))
+        before = decided
+        resonance._walk(g)
+        assert decided > before
+
+
 def test_canonical_pass_only_for_the_full_walk(monkeypatch):
     # Bounded walks take no group; analyze shares one pass between the
     # orbit walk and the graph's identity.

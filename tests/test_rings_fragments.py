@@ -96,6 +96,25 @@ def test_ring_stats_recompute(graphs):
         ring_stats(f, dataclasses.replace(rings[0], n6=rings[0].n6 + 1))
 
 
+def test_ring_stats_names_a_face_id_off_the_graph(graphs):
+    # These ended in IndexError, or read -1 as the last face.
+    c60, f20 = graphs["C60"], graphs["F20"]
+    ring = max(find_polygonal_rings(c60, 9), key=lambda r: max(r.faces))
+    off = next(fid for fid in ring.faces if fid >= len(f20.faces))
+    cases = [
+        (f20, ring.faces, f"ring face {off} is not a face of the graph, which has 12 faces"),
+        (c60, (), "at least 3 faces, got 0"),
+        (c60, (0, -1, 3), "ring face must be at least 0, got -1"),
+        (c60, (0, True, 3), "ring face must be an integer, got True"),
+    ]
+    for f, faces, message in cases:
+        with pytest.raises(GraphError, match=message):
+            ring_stats(f, dataclasses.replace(ring, faces=faces))
+    # a face sequence that is no ring keeps its RuntimeError
+    with pytest.raises(RuntimeError, match="consecutive faces meet in one edge"):
+        ring_stats(c60, dataclasses.replace(ring, faces=(0, 0, 3)))
+
+
 def test_rung_check_needs_exactly_one_endpoint_on_each_cycle(graphs, monkeypatch):
     # Report an edge of each cycle, between two vertices on no shared edge,
     # as the first two shared edges.  The shared edges still form a matching
