@@ -12,8 +12,13 @@ boundary exactly.
 Each edge ends up traversed once in each direction over all recorded face
 cycles, so a rotation system can be synthesised from the local constraint
 "in the cycle ... a -> b -> d ..., d follows a in the rotation at b".  The
-synthesised embedding is re-verified (single 3-cycle per vertex, then the
-embedding check of ``parse_graph``) before being returned, with its faces.
+winding checks only what it needs to go on; ``_assemble`` re-verifies the
+synthesised embedding before it is returned, with its faces.  Its
+repeated-arc check rejects a repeated edge (a face glued along an edge the
+patch already has puts one arc into two face cycles).  Its rotation check
+rejects a vertex that is not one 3-cycle, such as one the closing face
+leaves at degree 2, with two rotation entries.  The embedding check of
+``parse_graph`` does the rest.
 
 ``wind`` returns None whenever the sequence does not wind to a valid sphere
 embedding; callers treat that as "this spiral does not exist", which is the
@@ -45,7 +50,6 @@ def wind(sequence: Sequence[int]) -> EmbeddedGraph | None:
     deg = [2] * m0
     nxt: dict[int, int] = {}
     prv: dict[int, int] = {}
-    edges: set[tuple[int, int]] = set()
     first = list(range(m0))
     face_cycles = [first]
     for i in range(m0):
@@ -53,8 +57,6 @@ def wind(sequence: Sequence[int]) -> EmbeddedGraph | None:
         # the face consumed arc (a, b); the opposite arc stays free
         nxt[b] = a
         prv[a] = b
-        edges.add((a, b) if a < b else (b, a))
-    blen = m0
     cur = 0
 
     # --- middle faces -----------------------------------------------------
@@ -66,7 +68,7 @@ def wind(sequence: Sequence[int]) -> EmbeddedGraph | None:
         while deg[start] == 3:
             start = prv[start]
             steps += 1
-            if steps > blen:
+            if steps > len(nxt):
                 return None  # boundary saturated before the last face
 
         path = [start]
@@ -78,27 +80,14 @@ def wind(sequence: Sequence[int]) -> EmbeddedGraph | None:
                 return None  # single degree-2 vertex left: cannot glue
         path.append(x)
 
-        k = len(path)
-        fresh = m - k
+        fresh = m - len(path)
         if fresh < 0:
             return None  # face smaller than the pocket it must cover
         v1, vk = path[0], path[-1]
-        if fresh == 0:
-            e = (v1, vk) if v1 < vk else (vk, v1)
-            if v1 == vk or e in edges:
-                return None
-            edges.add(e)
-        else:
-            newvs = list(range(nv, nv + fresh))
-            nv += fresh
-            deg.extend([2] * fresh)
-            chain = [vk] + newvs + [v1]
-            for i in range(len(chain) - 1):
-                a, b = chain[i], chain[i + 1]
-                edges.add((a, b) if a < b else (b, a))
-
-        cycle = path + (newvs if fresh else [])
-        face_cycles.append(cycle)
+        newvs = list(range(nv, nv + fresh))
+        nv += fresh
+        deg.extend([2] * fresh)
+        face_cycles.append(path + newvs)
 
         deg[v1] += 1
         deg[vk] += 1
@@ -106,26 +95,22 @@ def wind(sequence: Sequence[int]) -> EmbeddedGraph | None:
         # relink the boundary: v1 -> w_last -> ... -> w_1 -> vk
         for p in path[1:-1]:
             del nxt[p], prv[p]
-        if fresh:
-            seq = [v1] + list(reversed(newvs)) + [vk]
-        else:
-            seq = [v1, vk]
+        seq = [v1] + newvs[::-1] + [vk]
         for i in range(len(seq) - 1):
             nxt[seq[i]] = seq[i + 1]
             prv[seq[i + 1]] = seq[i]
-        blen += fresh - (k - 2)
         cur = vk
 
     # --- closing face -----------------------------------------------------
     m = sizes[-1]
-    if blen != m or nv != n_expected:
+    if nv != n_expected:
         return None
     cycle = [cur]
     x = nxt[cur]
     while x != cur:
         cycle.append(x)
         x = nxt[x]
-    if len(cycle) != m or any(deg[v] != 3 for v in cycle):
+    if len(cycle) != m:
         return None
     face_cycles.append(cycle)
 

@@ -82,7 +82,8 @@ def _adjacency(x: object) -> tuple[int, Sequence[Sequence[int]]]:
     """Vertex count and adjacency lists for any supported graph form.
 
     Stored graphs pass their own adjacency tuples through; a caller-supplied
-    sequence is copied and its vertex ids are checked to be integers in range.
+    sequence is copied, its vertex ids are checked to be integers in range,
+    and every neighbour must list the vertex back (a loop lists itself).
     """
     if isinstance(x, FullereneGraph):
         x = x.graph
@@ -102,6 +103,12 @@ def _adjacency(x: object) -> tuple[int, Sequence[Sequence[int]]]:
                     raise GraphError(f"adjacency row {v} lists {w!r}, not an integer vertex id")
                 if not 0 <= w < n:
                     raise GraphError(f"adjacency row {v} lists vertex {w} outside 0..{n - 1}")
+        for v, row in enumerate(adj):
+            for w in row:
+                if v not in adj[w]:
+                    raise GraphError(
+                        f"asymmetric adjacency: {v} lists {w} but {w} does not list {v}"
+                    )
         return n, adj
     raise GraphError(f"unsupported graph form: {type(x).__name__}")
 

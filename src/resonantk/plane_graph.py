@@ -264,8 +264,12 @@ def parse_graph(text: str) -> EmbeddedGraph:
 
 
 def emit_graph(g: EmbeddedGraph, comments: Sequence[str] = ()) -> str:
-    """Serialise to the ``.rot`` format (inverse of :func:`parse_graph`)."""
-    out = [f"# {c}" for c in comments]
+    """Serialise to the ``.rot`` format (inverse of :func:`parse_graph`).
+
+    Each line of a comment becomes its own ``#`` line, so a comment with
+    line breaks cannot leak a data line; an empty comment is one ``#`` line.
+    """
+    out = [f"# {line}" for c in comments for line in c.splitlines() or [""]]
     out.append(str(g.n))
     for v in range(g.n):
         a, b, c = g.rotation[v]

@@ -29,12 +29,12 @@ bitmasks of the faces across each face and of its vertices, built once per
 graph and kept in its memo.  The same flood fill (``_side``) and "vertices
 on exactly one face" mask (``_once``) serve both.
 
-The ring scan steps from face to face over a per-graph step table: the
-(edge, far face) pairs of each face whose far face lies across that edge
-only.  A ring's two boundary cycles are read off its faces: each face's
-boundary splits, at its edges to the previous and next ring face, into one
-arc of each cycle, and the arcs of one side, taken in ring order, make that
-cycle.  The arcs of each (previous, face, next) triple are kept in the memo,
+The ring scan steps from face to face across the edges of the last face;
+two fullerene faces share at most one edge, so a step meets the last face
+in that edge only.  A ring's two boundary cycles are read off its faces:
+each face's boundary splits, at its edges to the previous and next ring
+face, into one arc of each cycle, and the arcs of one side, taken in ring
+order, make that cycle.  The arcs of each (previous, face, next) triple are kept in the memo,
 since the rings of a graph pass through the same triples many times.
 Fragments find their boundary cycles by the rim walk (``_rim``) and
 ``_edge_cycles``, which also fix the direction each ring cycle is reported
@@ -153,22 +153,31 @@ def _ring_cycles(
     """The face cycles of the rings whose least face is ``root``.
 
     A depth-first walk grows a face path ``seq`` from ``root`` over the
-    dual.  Each step adds a face across one edge of the last face, meeting
-    it in that edge only (``masks.steps`` lists those per face).  A ring is
-    reported in the direction whose second face is less than its last, so
-    each ring appears once.
+    dual.  Each step adds a face across one edge of the last face.  A
+    fullerene is cyclically 5-edge-connected (Došlić 2003), so two faces
+    share at most one edge: the step meets the last face in that edge only.
+    A ring is reported in the direction whose second face is less than its
+    last, so each ring appears once.
 
     The walk is pruned by dual distance: ``dist[g]`` is the length of a
     shortest dual path from g back to ``root`` over the candidates above it,
     so a ring through g still needs at least ``dist[g] - 1`` faces after g,
     and g is entered only when such a ring fits in ``max_len``; a face out
     of reach (below the root, no candidate, or too far) is passed over
-    before any other test.  Each frame holds the path's state as three
-    bitmasks, built on push and dropped on pop: the faces of ``seq``, the
-    endpoints of the edges shared along it (which must stay a matching),
-    and the vertices of ``seq[1:-1]``.  A step must miss the last of these:
-    two faces share a vertex exactly when one is across the other, so this
+    before any other test.  Each frame holds its whole path, built on push
+    and dropped on pop: ``seq`` as a tuple, and two bitmasks, the endpoints
+    of the edges shared along it (which must stay a matching) and the
+    vertices of ``seq[1:-1]``.  A step must miss the last of these: two
+    faces share a vertex exactly when one is across the other, so this
     keeps non-consecutive faces vertex-disjoint.
+
+    No face of ``seq`` is entered again: the root fails ``g <= root``, the
+    face before the last has its one edge to the last face among the shared
+    edges, and a face of ``seq[1:-1]`` meets the vertex mask.  The closing
+    edge is checked against the shared edges alone: were it to meet the
+    edge into g, the third edge at their common vertex would join the root
+    to the last face, which is then ``seq[1]`` (beyond position 1 a face
+    across the root only closes), so that edge is among the shared edges.
     """
     dist = [max_len + 1] * len(fs)  # max_len + 1 stands for out of reach
     dist[root] = 0
@@ -184,16 +193,15 @@ def _ring_cycles(
                     nxt.append(g)
         layer = nxt
 
-    steps, vertices = masks.steps, masks.vertices
+    vertices = masks.vertices
     out: list[tuple[int, ...]] = []
-    seq = [root]
-    # Frames (steps of seq[-1] left to try, faces of seq, endpoints of the
-    # edges shared along seq, vertices of seq[1:-1]).
-    stack = [(iter(steps[root]), 1 << root, 0, 0)]
+    # Frames (the (edge, far face) pairs of seq[-1] left to try, the faces of
+    # seq, endpoints of the edges shared along seq, vertices of seq[1:-1]).
+    stack = [(zip(fs[root].boundary_edges(), fs.across(root)), (root,), 0, 0)]
     while stack:
-        todo, path, used, inner = stack[-1]
+        todo, seq, used, inner = stack[-1]
         for e, g in todo:
-            if g <= root or dist[g] > max_len or path >> g & 1:
+            if g <= root or dist[g] > max_len:
                 continue
             ends = 1 << e[0] | 1 << e[1]
             if used & ends or vertices[g] & inner:
@@ -203,34 +211,31 @@ def _ring_cycles(
                 # close the ring with g as its final face
                 if len(seq) < max_len and seq[1] < g:
                     ce = fs.shared_edge(g, root)
-                    if ce is not None and not (1 << ce[0] | 1 << ce[1]) & (used | ends):
-                        out.append(tuple(seq) + (g,))
+                    if not (1 << ce[0] | 1 << ce[1]) & used:
+                        out.append(seq + (g,))
                 continue
             if len(seq) + max(dist[g], 2) <= max_len:
                 child_inner = inner | vertices[seq[-1]] if len(seq) >= 2 else 0
-                stack.append((iter(steps[g]), path | 1 << g, used | ends, child_inner))
-                seq.append(g)
+                stack.append(
+                    (zip(fs[g].boundary_edges(), fs.across(g)), seq + (g,), used | ends, child_inner)
+                )
                 break
         else:
             stack.pop()
-            seq.pop()
     return out
 
 
 class _FaceMasks(NamedTuple):
     """Derived face structure of one graph, shared by its rings and fragments.
 
-    Per-face bitmasks, the ring scan's step table, and the ring face arcs
-    met so far (filled in by ``_arc``); kept in the graph's memo.
+    Per-face bitmasks and the ring face arcs met so far (filled in by
+    ``_arc``); kept in the graph's memo.
     """
 
     across: list[int]  # bit g set when face g is across the face
     vertices: list[int]  # bit v set when vertex v is on the face
     pentagons: int
     hexagons: int
-    # per face the (edge, far face) pairs of its boundary whose far face is
-    # across that edge only: the steps the ring scan may take from the face
-    steps: list[tuple[tuple[Edge, int], ...]]
     # (previous, face, next) -> the face's two arcs between them; see _arc
     arcs: dict[tuple[int, int, int], tuple]
 
@@ -245,14 +250,6 @@ def _face_masks(f: FullereneGraph) -> _FaceMasks:
             [sum(1 << v for v in face.vertices) for face in fs],
             sum(1 << fid for fid in f.pentagon_ids),
             sum(1 << fid for fid in f.hexagon_ids),
-            [
-                tuple(
-                    (e, g)
-                    for e, g in zip(face.boundary_edges(), fs.across(fid))
-                    if fs.across(fid).count(g) == 1
-                )
-                for fid, face in enumerate(fs)
-            ],
             {},
         )
         f._memo["face_masks"] = masks

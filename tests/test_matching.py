@@ -26,6 +26,7 @@ from resonantk.matching import (
     has_perfect_matching,
     is_central,
     maximum_matching,
+    perfect_mate_tuples,
     resolve_pm_cap,
     symmetric_difference,
     tutte_witness,
@@ -55,6 +56,24 @@ def _adj_from_edges(n, edges):
 def test_adjacency_rows_must_list_integer_ids(adj, message):
     with pytest.raises(GraphError, match=message):
         maximum_matching(adj)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        maximum_matching,
+        has_perfect_matching,
+        tutte_witness,
+        perfect_mate_tuples,
+        lambda adj: enumerate_perfect_matchings(adj, cap=5),
+    ],
+)
+def test_asymmetric_adjacency_rejected(entry):
+    # 0 lists 1 but 1 lists nothing: a perfect matching by one reading, none by the other
+    with pytest.raises(GraphError, match="asymmetric adjacency: 0 lists 1 but 1 does not list 0"):
+        entry([[1], []])
+    with pytest.raises(GraphError, match="asymmetric adjacency: 2 lists 0 but 0 does not list 2"):
+        entry([[1], [0], [0, 3], [2]])
 
 
 def test_paths_and_cycles():

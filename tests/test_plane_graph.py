@@ -61,6 +61,14 @@ def test_parse_round_trip():
     g = parse_graph(K4)
     again = parse_graph(emit_graph(g, ["a comment line"]))
     assert again.rotation == g.rotation
+    # each line of a comment is its own comment line; an empty one stays one line
+    for comment in ["a\nb", "a\rb", "a\r\nb", "", "a\n\nb\n"]:
+        text = emit_graph(g, [comment, "last"])
+        assert parse_graph(text) == g
+        head = text.splitlines()[: -g.n - 1]
+        assert all(line.startswith("#") for line in head)
+        assert head[-1] == "# last"
+        assert len(head) == 1 + max(1, len(comment.splitlines()))
 
 
 def test_non_sphere_rotation_rejected():
