@@ -132,9 +132,11 @@ def _dump_json(obj: object) -> str:
     one small chunk string per token: most of a ``rings --json`` report's
     encoding time.  This writer gives the same bytes for every value whose
     dict keys are all str, as every report's are: plain ints are written by
-    ``str`` (a list of them in one join), strings by json's C escaper, and
-    every other leaf (bool, None, float, int subclasses) by ``json.dumps``.
-    Dicts, lists and tuples are recognised by ``isinstance``, as json does.
+    ``str`` (a list of them in one join, a dict value inline), True, False
+    and None as the literals ``true``, ``false`` and ``null``, strings by
+    json's C escaper, and every other leaf (float, int subclasses) by
+    ``json.dumps``, which builds an encoder on each call.  Dicts, lists and
+    tuples are recognised by ``isinstance``, as json does.
     Unlike ``json.dumps`` it refuses int, float, bool and None keys, and it
     does not look for circular references.
 
@@ -149,6 +151,12 @@ def _json_text(obj: object, pad: str) -> str:
     """``obj`` as indented JSON; ``pad`` is a newline and the indent of its first line."""
     if type(obj) is int:
         return str(obj)
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if obj is None:
+        return "null"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
@@ -156,7 +164,9 @@ def _json_text(obj: object, pad: str) -> str:
             return "{}"
         inner = pad + "  "
         items = [
-            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            encode_basestring_ascii(key)
+            + ": "
+            + (str(value) if type(value) is int else _json_text(value, inner))
             for key, value in sorted(obj.items())
         ]
         return "{" + inner + ("," + inner).join(items) + pad + "}"

@@ -35,7 +35,11 @@ in that edge only.  A ring's two boundary cycles are read off its faces:
 each face's boundary splits, at its edges to the previous and next ring
 face, into one arc of each cycle, and the arcs of one side, taken in ring
 order, make that cycle.  The arcs of each (previous, face, next) triple are kept in the memo,
-since the rings of a graph pass through the same triples many times.
+since the rings of a graph pass through the same triples many times; the
+face's edge to the next face, the edge the two share, is fixed by the same
+triple, so it is kept with them and a ring looks up no shared edge.  A
+ring keeps its two sides as face bitmasks and lists their faces only when
+asked.
 Fragments find their boundary cycles by the rim walk (``_rim``) and
 ``_edge_cycles``, which also fix the direction each ring cycle is reported
 in.
@@ -63,14 +67,18 @@ class Ring:
     and leaves it along that vertex's rim edge (an edge on exactly one ring
     face) that comes first in rim order: by the position of its face in
     ``faces``, then by its index in that face's boundary.
+
+    The faces of each side are kept as a bitmask (bit g set when face g
+    lies on that side); ``inner_faces`` and ``outer_faces`` list them in
+    ascending order.  Equality and hashing compare the masks.
     """
 
     faces: tuple[int, ...]
     shared_edges: tuple[Edge, ...]
     inner_cycle: tuple[int, ...]
     outer_cycle: tuple[int, ...]
-    inner_faces: tuple[int, ...]
-    outer_faces: tuple[int, ...]
+    inner_face_mask: int
+    outer_face_mask: int
     l: int
     s: int
     s_prime: int
@@ -78,6 +86,16 @@ class Ring:
     n5: int
     n6: int
     all_pentagons: bool
+
+    @property
+    def inner_faces(self) -> tuple[int, ...]:
+        """The faces strictly inside the inner cycle, ascending."""
+        return _bits(self.inner_face_mask)
+
+    @property
+    def outer_faces(self) -> tuple[int, ...]:
+        """The faces strictly beyond the outer cycle, ascending."""
+        return _bits(self.outer_face_mask)
 
 
 @dataclass(frozen=True)
@@ -236,7 +254,7 @@ class _FaceMasks(NamedTuple):
     vertices: list[int]  # bit v set when vertex v is on the face
     pentagons: int
     hexagons: int
-    # (previous, face, next) -> the face's two arcs between them; see _arc
+    # (previous, face, next) -> the face's two arcs and its edge to next; see _arc
     arcs: dict[tuple[int, int, int], tuple]
 
 
@@ -264,14 +282,21 @@ def _check(ok: bool, identity: str, faces: tuple[int, ...]) -> None:
 def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMasks) -> Ring:
     """Compute cycles, sides, and counts for a validated face cycle.
 
-    The two boundary cycles are walked along the ring faces' arcs (see the
+    One pass over the (previous, face, next) triples reads each face's arcs
+    and its edge to the next face from ``_arc``'s memo.  The first triple
+    not yet in the memo has every consecutive pair checked for adjacency
+    before any arc is cut; a triple in the memo passed that check when it
+    was stored.  The two boundary cycles are walked along the arcs (see the
     module docstring): the boundary is two cycles when neither walk meets a
-    vertex twice and they share none.  Face and vertex sets are int
+    vertex twice and they share none.  Each shared edge is a rung when its
+    end that ``_arc`` puts on cycle A (a bit of ``xs``) lies on A and its
+    other end (a bit of ``ys``) on B.  Face and vertex sets are int
     bitmasks (``masks`` holds one per face).  Each side is a flood fill
     over the faces' ``across`` masks, blocked by the ring's mask, that ORs
     the vertex masks of the faces it reaches (the fill that also grows
     pentagon clusters); r is a popcount of that, and s one of the cycle's
-    vertices on exactly one ring face.
+    vertices on exactly one ring face.  The cycles are sorted only when s
+    and r tie, to pick the inner side.
 
     Raises:
         RuntimeError: naming the ring structure or counting identity that
@@ -279,30 +304,29 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
     """
     fs = f.faces
     l = len(faces_cycle)
-    shared = [fs.shared_edge(faces_cycle[i], faces_cycle[(i + 1) % l]) for i in range(l)]
-    _check(None not in shared, "consecutive faces meet in one edge", faces_cycle)
-    ends = 0
-    for u, v in shared:
-        ends |= 1 << u | 1 << v
-    _check(ends.bit_count() == 2 * l, "shared edges form a matching", faces_cycle)
-
-    ring = 0
-    for fid in faces_cycle:
-        ring |= 1 << fid
+    nexts = faces_cycle[1:] + faces_cycle[:1]
     # Each ring face's boundary between its two shared edges: the edges after
     # the one to the previous face form an arc of cycle A, the edges after
     # the one to the next face an arc of cycle B.  Both walks take the arcs
     # in ring order, A running each arc forward and B backward.
+    shared: list[Edge] = []
     a_vs: list[int] = []
     b_vs: list[int] = []
-    a_cm = b_cm = a_own = b_own = firsts = 0
+    a_cm = b_cm = a_own = b_own = firsts = xs = ys = ring = 0
     arcs = masks.arcs
+    adjacent = False
     prev = faces_cycle[-1]
-    for fid, nxt in zip(faces_cycle, faces_cycle[1:] + faces_cycle[:1]):
-        a_arc, b_arc, a_bits, b_bits, a_far, b_far, first = arcs.get(
-            (prev, fid, nxt)
-        ) or _arc(fs, arcs, prev, fid, nxt)
+    for fid, nxt in zip(faces_cycle, nexts):
+        arc = arcs.get((prev, fid, nxt))
+        if arc is None:
+            if not adjacent:
+                # two fullerene faces meet in one edge exactly when each is across the other
+                adjacent = all(masks.across[a] >> b & 1 for a, b in zip(faces_cycle, nexts))
+                _check(adjacent, "consecutive faces meet in one edge", faces_cycle)
+            arc = _arc(fs, arcs, prev, fid, nxt)
+        a_arc, b_arc, a_bits, b_bits, a_far, b_far, first, edge, x, y = arc
         prev = fid
+        shared.append(edge)
         a_vs += a_arc
         b_vs += b_arc
         a_cm |= a_bits
@@ -310,6 +334,11 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
         a_own |= a_far
         b_own |= b_far
         firsts |= first
+        xs |= x
+        ys |= y
+        ring |= 1 << fid
+    ends = xs | ys
+    _check(ends.bit_count() == 2 * l, "shared edges form a matching", faces_cycle)
     # a vertex in two arcs of one walk loses a bit of its mask
     _check(
         a_cm.bit_count() == len(a_vs) and b_cm.bit_count() == len(b_vs) and not a_cm & b_cm,
@@ -317,31 +346,34 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
         faces_cycle,
     )
     cycles = (_oriented(a_vs, True, ends, firsts), _oriented(b_vs, False, ends, firsts))
-    cycle_masks = (a_cm, b_cm)
-    owners = (a_own, b_own)
-
-    # rung structure: each shared edge has exactly one endpoint on each cycle
-    for cm in cycle_masks:
-        rungs = all((cm >> u & 1) + (cm >> v & 1) == 1 for u, v in shared)
-        _check(rungs, "each shared edge is a rung", faces_cycle)
+    # rung structure: each shared edge has one endpoint on each cycle
+    _check(
+        not (xs & ~a_cm | ys & a_cm | ys & ~b_cm | xs & b_cm),
+        "each shared edge is a rung",
+        faces_cycle,
+    )
 
     once = _once(masks, faces_cycle)
 
     # the two sides: the faces reached from each cycle without crossing the ring
     sides = []
-    for cyc, cm, own in zip(cycles, cycle_masks, owners):
+    for cyc, cm, own in zip(cycles, (a_cm, b_cm), (a_own, b_own)):
         side, covered = _side(masks, own & -own, ring)
         _check(not own & ~side, "one side owns each cycle", faces_cycle)
         s = (cm & once).bit_count()
         _check(len(cyc) == l + s, "cycle length l + s", faces_cycle)
         _check(not cm & ~covered, "the side holds its cycle", faces_cycle)
-        sides.append((s, covered.bit_count() - len(cyc), tuple(sorted(cyc)), cyc, side))
+        sides.append((s, covered.bit_count() - len(cyc), cyc, side))
 
     # the inner side: smaller s, then fewer interior vertices r, then the
-    # lexicographically smaller cycle
-    inner_side, outer_side = sorted(sides, key=lambda side: side[:3])
-    s, r, _, inner_cyc, inner = inner_side
-    s_prime, _, _, outer_cyc, outer = outer_side
+    # lexicographically smaller sorted cycle (two disjoint cycles never tie)
+    inner_side, outer_side = sides
+    if outer_side[:2] < inner_side[:2] or (
+        outer_side[:2] == inner_side[:2] and sorted(outer_side[2]) < sorted(inner_side[2])
+    ):
+        inner_side, outer_side = outer_side, inner_side
+    s, r, inner_cyc, inner = inner_side
+    s_prime, _, outer_cyc, outer = outer_side
     _check(
         not inner & outer and inner.bit_count() + outer.bit_count() + l == len(fs),
         "the ring splits the other faces into two sides",
@@ -360,12 +392,12 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
     _check(not all_pent or s + s_prime == l, "s + s' = l on a pentagonal ring", faces_cycle)
 
     return Ring(
-        tuple(faces_cycle),
+        faces_cycle,
         tuple(shared),
-        tuple(inner_cyc),
-        tuple(outer_cyc),
-        _bits(inner),
-        _bits(outer),
+        inner_cyc,
+        outer_cyc,
+        inner,
+        outer,
         l,
         s,
         s_prime,
@@ -376,18 +408,19 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
     )
 
 
-def _arc(
-    fs: FaceSet, arcs: dict, prev: int, fid: int, nxt: int
-) -> tuple[tuple[int, ...], tuple[int, ...], int, int, int, int, int]:
+def _arc(fs: FaceSet, arcs: dict, prev: int, fid: int, nxt: int) -> tuple:
     """Face ``fid``'s two arcs between its edges to ``prev`` and ``nxt``, kept in ``arcs``.
 
-    Returns the A arc's vertices (edges p + 1 .. q - 1 of the face, p and q
-    the positions of ``prev`` and ``nxt`` in ``fs.across(fid)``), the B
-    arc's vertices (edges q + 1 .. p - 1, run backward), the vertex mask of
-    each, the mask of the faces across the edges of each, and the bit of
-    the face's first boundary vertex.  A walk lists the first vertex of each
-    of its edges, so an arc's last edge ends where the next face's arc
-    starts.
+    The caller has checked that ``fid`` meets both faces.  Returns the A
+    arc's vertices (edges p + 1 .. q - 1 of the face, p and q the positions
+    of ``prev`` and ``nxt`` in ``fs.across(fid)``), the B arc's vertices
+    (edges q + 1 .. p - 1, run backward), the vertex mask of each, the mask
+    of the faces across the edges of each, the bit of the face's first
+    boundary vertex, the edge q that ``fid`` shares with ``nxt``, and the
+    bits of that edge's ends: ``1 << vs[q]``, where the A arc ends, and
+    ``1 << vs[q + 1]``, where the B arc ends (``vs`` the boundary).  A walk
+    lists the first vertex of each of its edges, so an arc's last edge ends
+    where the next face's arc starts.
     """
     vs2 = fs[fid].boundary * 2
     far2 = fs.across(fid) * 2
@@ -405,6 +438,9 @@ def _arc(
         sum(1 << g for g in set(far2[p + 1 : qa])),
         sum(1 << g for g in set(far2[q + 1 : pb])),
         1 << vs2[0],
+        fs[fid].boundary_edges()[q],
+        1 << vs2[q],
+        1 << vs2[q + 1],
     )
     return arc
 
@@ -517,6 +553,10 @@ def _edge_cycles(edges: list[Edge]) -> list[tuple[int, ...]]:
 def ring_stats(f: FullereneGraph, ring: Ring) -> Ring:
     """Recompute a ring's statistics from the embedding, checking the identities.
 
+    The faces are first put in the scan's order (least face first, then the
+    smaller of its two neighbours), so a rotated or reversed face order of a
+    ring gives back the ring in its documented form.
+
     Raises:
         GraphError: naming the face id that is not an integer face of ``f``,
             or if the ring has fewer than 3 faces.
@@ -530,7 +570,12 @@ def ring_stats(f: FullereneGraph, ring: Ring) -> Ring:
             raise GraphError(
                 f"ring face {fid} is not a face of the graph, which has {len(f.faces)} faces"
             )
-    rebuilt = _build_ring(f, ring.faces, _face_masks(f))
+    faces = tuple(ring.faces)
+    least = faces.index(min(faces))
+    faces = faces[least:] + faces[:least]
+    if faces[-1] < faces[1]:
+        faces = faces[:1] + faces[:0:-1]
+    rebuilt = _build_ring(f, faces, _face_masks(f))
     stats = ("l", "s", "s_prime", "r", "n5", "n6")
     differ = [k for k in stats if getattr(rebuilt, k) != getattr(ring, k)]
     if differ:
@@ -591,7 +636,7 @@ def detect_r5_r6(f: FullereneGraph) -> list[CapWitness]:
             break
         if ring.l == 5:
             _check(ring.s == 0, "s = 0 on a pentagonal 5-ring", ring.faces)
-        if ring.l in (5, 6) and ring.s == 0 and len(ring.inner_faces) == 1:
+        if ring.l in (5, 6) and ring.s == 0 and ring.inner_face_mask.bit_count() == 1:
             out.append(CapWitness("R5" if ring.l == 5 else "R6", ring))
     return out
 

@@ -400,8 +400,10 @@ def find_polygonal_rings_by_full_walk(f, max_len: int, face_filter: str) -> list
     (no distance bound, path tests by membership and ``any``) and
     ``_build_ring`` (set flood fills and a ``Counter``), kept verbatim, with
     the set-based ``_rim``, ``_faces_per_vertex`` and ``_face_component`` it
-    called.  ``Ring``, ``_check``, ``_edge_cycles`` and ``PENTAGONS_ONLY`` are
-    unchanged in the package and imported from it.
+    called.  ``_check``, ``_edge_cycles`` and ``PENTAGONS_ONLY`` are
+    unchanged in the package and imported from it.  ``Ring`` is too; it now
+    keeps each side as a face bitmask, which the builder makes from its side
+    sets.
     """
     from resonantk.rings_fragments import PENTAGONS_ONLY
 
@@ -536,8 +538,8 @@ def _build_ring(f, faces_cycle: tuple[int, ...]):
         tuple(shared),
         tuple(inner_cyc),
         tuple(outer_cyc),
-        tuple(sorted(inner)),
-        tuple(sorted(outer)),
+        sum(1 << fid for fid in inner),
+        sum(1 << fid for fid in outer),
         l,
         s,
         s_prime,

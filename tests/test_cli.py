@@ -569,6 +569,9 @@ class _Items(list):
         "top",
         1.5,
         None,
+        {"yes": True, "no": False, "none": None, "zero": 0, "one": 1},
+        True,
+        False,
     ],
 )
 def test_json_writer_matches_the_stdlib_on_edge_cases(value):

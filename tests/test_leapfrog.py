@@ -16,7 +16,7 @@ from resonantk.errors import GraphError
 from resonantk.leapfrog import leapfrog, territory, two_resonance_certificate
 from resonantk.matching import Matching, alternating_faces
 from resonantk.plane_graph import canonical_code
-from resonantk.resonance import is_resonant_pattern
+from resonantk.resonance import is_resonant_pattern, resonance_order
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +255,26 @@ def test_certificate_rejects_overlapping_pair(lf20):
     b = next(h for h in image.hexagon_ids if h != a and av & image.faces[h].vertices)
     with pytest.raises(GraphError):
         two_resonance_certificate(lf20, a, b)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_leapfrog_images_are_exactly_2_resonant(graphs, name):
+    # The paper proves every leapfrog image 2-resonant, and every 3-resonant
+    # fullerene has at most 60 vertices, so among the images only C60 =
+    # Le(F20) can be 3-resonant.
+    image = leapfrog(graphs[name]).image
+    report = resonance_order(image, max_k=3)
+    if name == "F20":
+        assert (report.order, report.failing, report.capped) == (3, None, True)
+        assert canonical_code(image) == canonical_code(graphs["C60"])
+        return
+    assert (report.order, report.capped) == (2, False)
+    failing = report.failing
+    assert len(failing) == 3
+    assert all(image.is_hexagon(h) for h in failing)
+    faces = image.faces
+    assert all(not faces[a].vertices & faces[b].vertices for a, b in combinations(failing, 2))
+    assert is_resonant_pattern(image, failing) is None
 
 
 def test_leapfrog_of_leapfrog(graphs):

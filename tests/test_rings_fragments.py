@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import random
 import warnings
 from collections import Counter
@@ -96,6 +97,19 @@ def test_ring_stats_recompute(graphs):
         ring_stats(f, dataclasses.replace(rings[0], n6=rings[0].n6 + 1))
 
 
+@pytest.mark.parametrize("name", ["C60", "F48"])
+def test_ring_stats_gives_back_the_ring_from_any_rotation_or_reversal(graphs, name):
+    # ring_stats puts the faces in the scan's order before building, so the
+    # faces, shared edges and cycle directions come back as the scan made them
+    f = graphs[name]
+    for ring in find_polygonal_rings(f, 9, ANY):
+        faces = ring.faces
+        for turned in (faces, faces[::-1]):
+            for i in range(ring.l):
+                again = ring_stats(f, dataclasses.replace(ring, faces=turned[i:] + turned[:i]))
+                assert again == ring, (faces, turned[i:] + turned[:i])
+
+
 def test_ring_stats_names_a_face_id_off_the_graph(graphs):
     # These ended in IndexError, or read -1 as the last face.
     c60, f20 = graphs["C60"], graphs["F20"]
@@ -110,16 +124,27 @@ def test_ring_stats_names_a_face_id_off_the_graph(graphs):
     for f, faces, message in cases:
         with pytest.raises(GraphError, match=message):
             ring_stats(f, dataclasses.replace(ring, faces=faces))
-    # a face sequence that is no ring keeps its RuntimeError
-    with pytest.raises(RuntimeError, match="consecutive faces meet in one edge"):
-        ring_stats(c60, dataclasses.replace(ring, faces=(0, 0, 3)))
+    # a face sequence that is no ring keeps its RuntimeError, raised before
+    # any of its (previous, face, next) triples gets arcs in the memo
+    arcs = rings_fragments._face_masks(c60).arcs
+    before = dict(arcs)
+    first = ring.faces[:2]
+    away = next(g for g in range(len(c60.faces)) if g not in c60.faces.across(first[1]))
+    for faces in ((0, 0, 3), first + (away,)):
+        with pytest.raises(RuntimeError, match="consecutive faces meet in one edge"):
+            ring_stats(c60, dataclasses.replace(ring, faces=faces))
+    assert arcs == before
 
 
 def test_rung_check_needs_exactly_one_endpoint_on_each_cycle(graphs, monkeypatch):
-    # Report an edge of each cycle, between two vertices on no shared edge,
-    # as the first two shared edges.  The shared edges still form a matching
-    # and each cycle still holds l of their endpoints, but each forged edge
-    # has both ends on one cycle, so the rung check must refuse them.
+    # _build_ring reads each shared edge from the arc memo: the entry of a
+    # (previous, face, next) triple ends with the face's edge to the next
+    # face and the bits of its two ends, the first on cycle A and the second
+    # on cycle B.  Report an edge of each cycle, between two vertices on no
+    # shared edge, as the first two shared edges.  The shared edges still
+    # form a matching and each cycle still holds l of their endpoints, but
+    # each forged edge has both ends on one cycle, so the rung check must
+    # refuse them.
     f = graphs["F28"]
 
     def free_edge(ring, cyc):
@@ -134,14 +159,28 @@ def test_rung_check_needs_exactly_one_endpoint_on_each_cycle(graphs, monkeypatch
         for r in find_polygonal_rings(f, 6, ANY)
         if free_edge(r, r.inner_cycle) and free_edge(r, r.outer_cycle)
     )
-    forged = {
-        ring.faces[:2]: free_edge(ring, ring.inner_cycle),
-        ring.faces[1:3]: free_edge(ring, ring.outer_cycle),
-    }
-    shared_edge = FaceSet.shared_edge
-    monkeypatch.setattr(
-        FaceSet, "shared_edge", lambda fs, a, b: forged.get((a, b)) or shared_edge(fs, a, b)
-    )
+    assert ring_stats(f, ring) == ring
+    arcs = rings_fragments._face_masks(f).arcs
+    faces = ring.faces
+    for i, cyc in ((0, ring.inner_cycle), (1, ring.outer_cycle)):
+        key = (faces[i - 1], faces[i], faces[i + 1])
+        u, v = free_edge(ring, cyc)
+        monkeypatch.setitem(arcs, key, arcs[key][:7] + ((u, v), 1 << u, 1 << v))
+    with pytest.raises(RuntimeError, match="each shared edge is a rung"):
+        ring_stats(f, ring)
+
+
+def test_rung_check_fixes_which_end_lies_on_which_cycle(graphs, monkeypatch):
+    # A true shared edge whose A end and B end are swapped still has one end
+    # on each cycle, but not the end the arcs put there: the memo is wrong,
+    # so the rung check must refuse it.
+    f = graphs["F28"]
+    ring = find_polygonal_rings(f, 6, ANY)[0]
+    assert ring_stats(f, ring) == ring
+    arcs = rings_fragments._face_masks(f).arcs
+    key = (ring.faces[-1], ring.faces[0], ring.faces[1])
+    entry = arcs[key]
+    monkeypatch.setitem(arcs, key, entry[:8] + (entry[9], entry[8]))
     with pytest.raises(RuntimeError, match="each shared edge is a rung"):
         ring_stats(f, ring)
 
@@ -349,6 +388,36 @@ def test_detect_caps_reads_the_pentagonal_scan(graphs):
         assert [r for r in pentagonal_rings(f) if r.l <= 6] == direct
         caps = [w.ring for w in detect_r5_r6(f)]
         assert caps == [r for r in direct if r.s == 0 and len(r.inner_faces) == 1]
+
+
+def test_side_faces_are_the_sorted_sides(graphs, tubes):
+    # Ring keeps each side as a face bitmask; inner_faces and outer_faces
+    # list it ascending, equal to the side grown as a set from the face
+    # beyond the cycle's first edge
+    from oracles import _face_component
+
+    for f in list(graphs.values()) + list(tubes.values()):
+        fs = f.faces
+        for r in find_polygonal_rings(f, 9, ANY):
+            ring_faces = set(r.faces)
+            sides = []
+            for cyc in (r.inner_cycle, r.outer_cycle):
+                (start,) = {fs.face_of_arc(cyc[:2]), fs.face_of_arc(cyc[1::-1])} - ring_faces
+                sides.append(tuple(sorted(_face_component(fs, start, ring_faces))))
+            assert (r.inner_faces, r.outer_faces) == tuple(sides), r.faces
+            assert r.inner_face_mask == sum(1 << g for g in sides[0])
+            assert r.outer_face_mask == sum(1 << g for g in sides[1])
+
+
+def test_cap_witnesses_pinned(graphs, tubes):
+    # SHA-256 over "name: kind faces inner_faces outer_faces" lines of every
+    # cap, recorded while detect_r5_r6 still counted the listed inner faces
+    h = hashlib.sha256()
+    for name, f in list(graphs.items()) + [(f"{c}_{k}", g) for (c, k), g in tubes.items()]:
+        for w in detect_r5_r6(f):
+            r = w.ring
+            h.update(f"{name}: {w.kind} {r.faces} {r.inner_faces} {r.outer_faces}\n".encode())
+    assert h.hexdigest() == "ccc14a5cb45edac36ef41797439aa8d0aac20497acc8f35c3f8c3f223f8d03b1"
 
 
 def test_detect_caps(graphs, tubes):
