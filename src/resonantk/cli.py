@@ -131,7 +131,8 @@ def _dump_json(obj: object) -> str:
     With ``indent`` set, ``json`` always encodes on its pure-Python path,
     one small chunk string per token: most of a ``rings --json`` report's
     encoding time.  This writer gives the same bytes for every value whose
-    dict keys are all str, as every report's are: plain ints are written by
+    dict keys are all str, as every report's are: each tuple of dict keys
+    is sorted and escaped once (``_key_heads``), plain ints are written by
     ``str`` (a list of them in one join, a dict value inline), True, False
     and None as the literals ``true``, ``false`` and ``null``, strings by
     json's C escaper, and every other leaf (float, int subclasses) by
@@ -163,12 +164,10 @@ def _json_text(obj: object, pad: str) -> str:
         if not obj:
             return "{}"
         inner = pad + "  "
-        items = [
-            encode_basestring_ascii(key)
-            + ": "
-            + (str(value) if type(value) is int else _json_text(value, inner))
-            for key, value in sorted(obj.items())
-        ]
+        items = []
+        for key, head in _key_heads(tuple(obj)):
+            value = obj[key]
+            items.append(head + (str(value) if type(value) is int else _json_text(value, inner)))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -180,6 +179,17 @@ def _json_text(obj: object, pad: str) -> str:
             body = ("," + inner).join([_json_text(x, inner) for x in obj])
         return "[" + inner + body + pad + "]"
     return json.dumps(obj)
+
+
+@functools.lru_cache(maxsize=256)
+def _key_heads(keys: tuple) -> tuple[tuple[str, str], ...]:
+    """A dict's keys, sorted, each with its escaped ``"key": `` head.
+
+    A report repeats a few key tuples many times (ten keys for every ring),
+    so each tuple is sorted and escaped once.  A key that is not a str
+    raises TypeError, in ``sorted`` or in the escaper, and nothing is cached.
+    """
+    return tuple((key, encode_basestring_ascii(key) + ": ") for key in sorted(keys))
 
 
 def _render_text(report: dict) -> str:

@@ -29,20 +29,21 @@ bitmasks of the faces across each face and of its vertices, built once per
 graph and kept in its memo.  The same flood fill (``_side``) and "vertices
 on exactly one face" mask (``_once``) serve both.
 
-The ring scan steps from face to face across the edges of the last face;
-two fullerene faces share at most one edge, so a step meets the last face
-in that edge only.  A ring's two boundary cycles are read off its faces:
-each face's boundary splits, at its edges to the previous and next ring
-face, into one arc of each cycle, and the arcs of one side, taken in ring
-order, make that cycle.  The arcs of each (previous, face, next) triple are kept in the memo,
-since the rings of a graph pass through the same triples many times; the
-face's edge to the next face, the edge the two share, is fixed by the same
-triple, so it is kept with them and a ring looks up no shared edge.  A
-ring keeps its two sides as face bitmasks and lists their faces only when
-asked.
-Fragments find their boundary cycles by the rim walk (``_rim``) and
-``_edge_cycles``, which also fix the direction each ring cycle is reported
-in.
+The ring scan steps from face to face across the edges of the last face,
+reading each face's steps (far face, edge ends) from a table built once per
+graph; two fullerene faces share at most one edge, so a step meets the last
+face in that edge only.  It walks each ring once, from its least face and
+in the direction it is reported in.  A ring's two boundary cycles are read
+off its faces: each face's boundary splits, at its edges to the previous
+and next ring face, into one arc of each cycle, and the arcs of one side,
+taken in ring order, make that cycle.  The arcs of each (previous, face,
+next) triple are kept in the memo, since the rings of a graph pass through
+the same triples many times; the face's edge to the next face, the edge the
+two share, is fixed by the same triple, so it is kept with them and a ring
+looks up no shared edge.  A ring keeps its two sides as face bitmasks and
+lists their faces only when asked.  Fragments find their boundary cycles by
+the rim walk (``_rim``) and ``_edge_cycles``, which also fix the direction
+each ring cycle is reported in.
 """
 
 from __future__ import annotations
@@ -155,91 +156,94 @@ def find_polygonal_rings(
     rings = [
         _build_ring(f, cycle, masks)
         for root in roots
-        for cycle in _ring_cycles(fs, masks, candidate, max_len, root)
+        for cycle in _ring_cycles(masks, candidate, max_len, root)
     ]
     rings.sort(key=lambda r: (r.l, r.faces))
     return rings
 
 
 def _ring_cycles(
-    fs: FaceSet,
-    masks: _FaceMasks,
-    candidate: list[bool],
-    max_len: int,
-    root: int,
+    masks: _FaceMasks, candidate: list[bool], max_len: int, root: int
 ) -> list[tuple[int, ...]]:
-    """The face cycles of the rings whose least face is ``root``.
+    """The face cycles of the rings whose least face is ``root``, each once.
 
     A depth-first walk grows a face path ``seq`` from ``root`` over the
-    dual.  Each step adds a face across one edge of the last face.  A
-    fullerene is cyclically 5-edge-connected (Došlić 2003), so two faces
-    share at most one edge: the step meets the last face in that edge only.
-    A ring is reported in the direction whose second face is less than its
-    last, so each ring appears once.
+    dual, one step to a face across an edge of the last face.  A fullerene
+    is cyclically 5-edge-connected (Došlić 2003), so two faces share at
+    most one edge: the step meets the last face in that edge only, and a
+    face's ``steps`` list one entry per face across it.
+
+    A ring is reported in the one direction whose second face is less than
+    its last, and only that direction is walked.  Let ``near`` be the
+    candidates above the root that are across it, with the ends of their
+    edge to the root.  Two faces of a ring share a vertex only when they
+    are consecutive, so a face of ``near`` can only be the second or the
+    last face of a ring through the root.  For each second face a in
+    ``near``, ascending, the walk starts at ``(root, a)``: the faces of
+    ``near`` above a are its closers, and those at or below a are out of
+    reach (a itself, or a last face that would report the ring the other
+    way round).  The root, the faces below it and the non-candidates are
+    out of reach too.
 
     The walk is pruned by dual distance: ``dist[g]`` is the length of a
-    shortest dual path from g back to ``root`` over the candidates above it,
-    so a ring through g still needs at least ``dist[g] - 1`` faces after g,
-    and g is entered only when such a ring fits in ``max_len``; a face out
-    of reach (below the root, no candidate, or too far) is passed over
-    before any other test.  Each frame holds its whole path, built on push
-    and dropped on pop: ``seq`` as a tuple, and two bitmasks, the endpoints
-    of the edges shared along it (which must stay a matching) and the
-    vertices of ``seq[1:-1]``.  A step must miss the last of these: two
-    faces share a vertex exactly when one is across the other, so this
-    keeps non-consecutive faces vertex-disjoint.
+    shortest dual path from g to a closer, counting the closer, over the
+    candidates above the root that are not in ``near``.  A ring through g
+    still needs at least ``dist[g] - 1`` faces after g, so g is entered
+    only when such a ring fits in ``max_len``; a face out of reach has a
+    distance past any bound.  A closer (distance 1) only closes the ring.
+    Each frame holds its whole path, built on push and dropped on pop:
+    ``seq`` as a tuple, and two bitmasks, the endpoints of the edges shared
+    along it (which must stay a matching) and the vertices of
+    ``seq[1:-1]``.  A step must miss the last of these: two faces share a
+    vertex exactly when one is across the other, so this keeps
+    non-consecutive faces vertex-disjoint.
 
-    No face of ``seq`` is entered again: the root fails ``g <= root``, the
-    face before the last has its one edge to the last face among the shared
-    edges, and a face of ``seq[1:-1]`` meets the vertex mask.  The closing
-    edge is checked against the shared edges alone: were it to meet the
-    edge into g, the third edge at their common vertex would join the root
-    to the last face, which is then ``seq[1]`` (beyond position 1 a face
-    across the root only closes), so that edge is among the shared edges.
+    No face of ``seq`` is entered again: the root and a are out of reach,
+    the face before the last has its one edge to the last face among the
+    shared edges, and a face of ``seq[1:-1]`` meets the vertex mask.  A
+    closer g closes when its edge to the root misses the shared edges.
     """
-    dist = [max_len + 1] * len(fs)  # max_len + 1 stands for out of reach
-    dist[root] = 0
-    layer = [root]
-    for d in range(1, max_len):
-        if not layer:
-            break  # every reachable face has its distance
-        nxt = []
-        for x in layer:
-            for g in fs.across(x):
-                if g > root and candidate[g] and dist[g] > d:
-                    dist[g] = d
-                    nxt.append(g)
-        layer = nxt
-
+    steps = masks.steps
     vertices = masks.vertices
+    out_of_reach = max_len + 1
+    near = {g: ends for g, ends in steps[root] if g > root and candidate[g]}
+    middle = [g > root and candidate[g] and g not in near for g in range(len(steps))]
+    order = sorted(near)
     out: list[tuple[int, ...]] = []
-    # Frames (the (edge, far face) pairs of seq[-1] left to try, the faces of
-    # seq, endpoints of the edges shared along seq, vertices of seq[1:-1]).
-    stack = [(zip(fs[root].boundary_edges(), fs.across(root)), (root,), 0, 0)]
-    while stack:
-        todo, seq, used, inner = stack[-1]
-        for e, g in todo:
-            if g <= root or dist[g] > max_len:
-                continue
-            ends = 1 << e[0] | 1 << e[1]
-            if used & ends or vertices[g] & inner:
-                continue
-            if len(seq) >= 2 and dist[g] == 1:
-                # beyond position 1, touching the root means closing only:
-                # close the ring with g as its final face
-                if len(seq) < max_len and seq[1] < g:
-                    ce = fs.shared_edge(g, root)
-                    if not (1 << ce[0] | 1 << ce[1]) & used:
+    for i, a in enumerate(order[:-1]):
+        layer = order[i + 1 :]
+        dist = [out_of_reach] * len(steps)
+        for b in layer:
+            dist[b] = 1
+        for d in range(2, max_len - 1):
+            if not layer:
+                break  # every face in reach has its distance
+            nxt = []
+            for x in layer:
+                for g, _ in steps[x]:
+                    if middle[g] and dist[g] > d:
+                        dist[g] = d
+                        nxt.append(g)
+            layer = nxt
+
+        # Frames (the (far face, edge ends) steps of seq[-1] left to try, the
+        # faces of seq, endpoints of the edges shared along seq, vertices of
+        # seq[1:-1]).
+        stack = [(iter(steps[a]), (root, a), near[a], 0)]
+        while stack:
+            todo, seq, used, inner = stack[-1]
+            room = max_len - len(seq)
+            for g, ends in todo:
+                if dist[g] > room or used & ends or vertices[g] & inner:
+                    continue
+                if dist[g] == 1:
+                    if not near[g] & used:
                         out.append(seq + (g,))
-                continue
-            if len(seq) + max(dist[g], 2) <= max_len:
-                child_inner = inner | vertices[seq[-1]] if len(seq) >= 2 else 0
-                stack.append(
-                    (zip(fs[g].boundary_edges(), fs.across(g)), seq + (g,), used | ends, child_inner)
-                )
+                    continue
+                stack.append((iter(steps[g]), seq + (g,), used | ends, inner | vertices[seq[-1]]))
                 break
-        else:
-            stack.pop()
+            else:
+                stack.pop()
     return out
 
 
@@ -252,6 +256,8 @@ class _FaceMasks(NamedTuple):
 
     across: list[int]  # bit g set when face g is across the face
     vertices: list[int]  # bit v set when vertex v is on the face
+    # per boundary edge (u, v), in boundary order: (far face, 1 << u | 1 << v)
+    steps: list[tuple[tuple[int, int], ...]]
     pentagons: int
     hexagons: int
     # (previous, face, next) -> the face's two arcs and its edge to next; see _arc
@@ -266,6 +272,13 @@ def _face_masks(f: FullereneGraph) -> _FaceMasks:
         masks = _FaceMasks(
             [sum(1 << g for g in set(fs.across(fid))) for fid in range(len(fs))],
             [sum(1 << v for v in face.vertices) for face in fs],
+            [
+                tuple(
+                    (g, 1 << u | 1 << v)
+                    for (u, v), g in zip(face.boundary_edges(), fs.across(fid))
+                )
+                for fid, face in enumerate(fs)
+            ],
             sum(1 << fid for fid in f.pentagon_ids),
             sum(1 << fid for fid in f.hexagon_ids),
             {},

@@ -56,7 +56,10 @@ def test_max_len_must_be_a_nonnegative_integer(graphs):
     for bad in (2.5, True, -1, "12"):
         with pytest.raises(GraphError, match="max_len"):
             find_polygonal_rings(f, max_len=bad)
-    assert find_polygonal_rings(f, max_len=0) == []
+    # no ring has fewer than three faces
+    for face_filter in (ANY, PENTAGONS_ONLY):
+        for max_len in (0, 1, 2):
+            assert find_polygonal_rings(f, max_len, face_filter) == [], (face_filter, max_len)
 
 
 @pytest.mark.parametrize("face_filter", [ANY, PENTAGONS_ONLY])
@@ -244,35 +247,87 @@ def test_ring_sides_do_not_depend_on_labels(graphs):
 
 
 def _variants(f, relabel, seed):
-    """The graph as given, under a seeded relabelling, and reflected."""
+    """The graph as given, under a seeded relabelling, and reflected, each with its vertex map."""
+    perm = list(range(f.n))
+    random.Random(seed).shuffle(perm)  # the relabel fixture's vertex map
+    same = list(range(f.n))
     reflected = EmbeddedGraph(tuple((c, b, a) for a, b, c in f.graph.rotation))
-    return {"given": f, "relabelled": relabel(f, seed), "reflected": validate_fullerene(reflected)}
+    return {
+        "given": (f, same),
+        "relabelled": (relabel(f, seed), perm),
+        "reflected": (validate_fullerene(reflected), same),
+    }
 
 
-def _check_scan_against_full_walk(f, top, label):
-    for face_filter in (ANY, PENTAGONS_ONLY):
-        want = find_polygonal_rings_by_full_walk(f, top, face_filter)
-        for max_len in range(3, top + 1):
-            got = find_polygonal_rings(f, max_len, face_filter)
-            assert got == [r for r in want if r.l <= max_len], (label, face_filter, max_len)
+def _mapped_rings(rings, f, g, vertex_map):
+    """The oracle's rings of f carried to g, rebuilt there by the oracle's own builder.
+
+    Each face goes to the face of g on the mapped vertex set.  The mapped
+    face cycle is put in the scan's order (least face first, then the
+    smaller of its two neighbours) and the list in the oracle's (l, faces)
+    order.
+    """
+    by_vertices = {face.vertices: face.index for face in g.faces}
+    face_map = [by_vertices[frozenset(vertex_map[v] for v in face.vertices)] for face in f.faces]
+    out = []
+    for ring in rings:
+        faces = [face_map[fid] for fid in ring.faces]
+        least = faces.index(min(faces))
+        faces = faces[least:] + faces[:least]
+        if faces[-1] < faces[1]:
+            faces = faces[:1] + faces[:0:-1]
+        out.append(build_ring_by_sets(g, tuple(faces)))
+    out.sort(key=lambda r: (r.l, r.faces))
+    return out
 
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_ring_scan_matches_full_walk(name, graphs, relabel):
     # the pruned scan and the mask-built rings equal the former scan ring for
-    # ring, at every length bound and under relabelling and reflection
+    # ring, at every length bound and under relabelling and reflection; the
+    # former scan walks the source graph once and its rings are carried over
     f = graphs[name]
     top = 12 if f.n <= 48 else 9
-    for kind, g in _variants(f, relabel, f.n).items():
-        _check_scan_against_full_walk(g, top, (name, kind))
+    variants = _variants(f, relabel, f.n)
+    for face_filter in (ANY, PENTAGONS_ONLY):
+        found = find_polygonal_rings_by_full_walk(f, top, face_filter)
+        for kind, (g, vertex_map) in variants.items():
+            want = _mapped_rings(found, f, g, vertex_map) if g is not f else found
+            for max_len in range(3, top + 1):
+                got = find_polygonal_rings(g, max_len, face_filter)
+                label = (name, kind, face_filter, max_len)
+                assert got == [r for r in want if r.l <= max_len], label
 
 
 @pytest.mark.parametrize("cap", ["R5", "R6"])
 def test_tube_ring_scan_matches_full_walk(cap, relabel):
     for k in range(1, 7):
-        for kind, g in _variants(nanotube(cap, k), relabel, k).items():
-            want = find_polygonal_rings_by_full_walk(g, 9, ANY)
+        f = nanotube(cap, k)
+        found = find_polygonal_rings_by_full_walk(f, 9, ANY)
+        for kind, (g, vertex_map) in _variants(f, relabel, k).items():
+            want = _mapped_rings(found, f, g, vertex_map) if g is not f else found
             assert find_polygonal_rings(g, 9, ANY) == want, (cap, k, kind)
+
+
+@pytest.mark.parametrize("face_filter", [ANY, PENTAGONS_ONLY])
+def test_ring_scan_reaches_each_ring_once_in_its_reported_direction(graphs, tubes, face_filter):
+    # _ring_cycles walks a ring only from its least face, and only in the
+    # direction whose second face is less than its last: no face set comes
+    # twice, not even turned or reversed
+    for f in list(graphs.values()) + list(tubes.values()):
+        pentagons = set(f.pentagon_ids)
+        candidate = [face_filter == ANY or fid in pentagons for fid in range(len(f.faces))]
+        masks = rings_fragments._face_masks(f)
+        seen = set()
+        for root in range(len(f.faces)):
+            if not candidate[root]:
+                continue
+            for cycle in rings_fragments._ring_cycles(masks, candidate, 9, root):
+                assert cycle[0] == root == min(cycle) and cycle[1] < cycle[-1], cycle
+                assert all(candidate[fid] for fid in cycle), cycle
+                assert frozenset(cycle) not in seen, cycle
+                seen.add(frozenset(cycle))
+        assert seen == {frozenset(r.faces) for r in find_polygonal_rings(f, 9, face_filter)}
 
 
 def test_ring_appears_from_its_own_length(graphs, tubes):
