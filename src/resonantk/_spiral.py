@@ -18,30 +18,38 @@ repeated-arc check rejects a repeated edge (a face glued along an edge the
 patch already has puts one arc into two face cycles).  Its rotation check
 rejects a vertex that is not one 3-cycle, such as one the closing face
 leaves at degree 2, with two rotation entries.  The embedding check of
-``parse_graph`` does the rest.
+``parse_graph`` does the rest.  No vertex count is checked: the sizes sum
+to 3(2F - 4) for F faces, and the closing face has its size, so the face
+cycles hold 3(2F - 4) arcs; with each vertex in three rotation entries and
+no arc repeated, there are 2F - 4 vertices.
 
-``wind`` returns None whenever the sequence does not wind to a valid sphere
-embedding; callers treat that as "this spiral does not exist", which is the
-right semantics both for parameterised constructions (where the sequence is
-known good) and for exhaustive isomer searches (where most sequences fail).
+``wind`` returns None whenever an integer sequence does not wind to a valid
+sphere embedding; callers treat that as "this spiral does not exist", which
+is the right semantics both for parameterised constructions (where the
+sequence is known good) and for exhaustive isomer searches (where most
+sequences fail).  A size that is not an integer is a ``GraphError``.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import GraphError
+from .errors import GraphError, check_int
 from .plane_graph import EmbeddedGraph, _embedding
 
 
 def wind(sequence: Sequence[int]) -> EmbeddedGraph | None:
-    """Wind a spiral of face sizes into an embedded graph, or return None."""
+    """Wind a spiral of face sizes into an embedded graph, or return None.
+
+    Raises:
+        GraphError: naming a size that is not an integer, a bool included.
+    """
     sizes = list(sequence)
+    for size in sizes:
+        check_int("face size", size)
     n_faces = len(sizes)
-    if n_faces < 4 or any(s < 3 for s in sizes):
-        return None
-    n_expected = 2 * n_faces - 4
-    if sum(sizes) != 3 * n_expected:
+    # a cubic sphere with F faces has V = 2F - 4 vertices, and its sizes sum to 2E = 3V
+    if n_faces < 4 or min(sizes) < 3 or sum(sizes) != 3 * (2 * n_faces - 4):
         return None
 
     # --- first face -------------------------------------------------------
@@ -102,15 +110,12 @@ def wind(sequence: Sequence[int]) -> EmbeddedGraph | None:
         cur = vk
 
     # --- closing face -----------------------------------------------------
-    m = sizes[-1]
-    if nv != n_expected:
-        return None
     cycle = [cur]
     x = nxt[cur]
     while x != cur:
         cycle.append(x)
         x = nxt[x]
-    if len(cycle) != m:
+    if len(cycle) != sizes[-1]:
         return None
     face_cycles.append(cycle)
 

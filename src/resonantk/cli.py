@@ -65,7 +65,9 @@ def graph_identity(f: FullereneGraph) -> str:
 def _load(path: str) -> FullereneGraph:
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            # a leading byte order mark is no part of the text; "utf-8-sig"
+            # would drop it too, but count a bad byte's offset from past it
+            text = fh.read().removeprefix("\ufeff")
     except OSError as e:
         raise GraphError(f"cannot read {path}: {e.strerror}") from None
     except UnicodeDecodeError as e:

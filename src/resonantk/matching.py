@@ -125,14 +125,13 @@ def maximum_matching(g: object) -> Matching:
 
 
 def has_perfect_matching(g: object) -> bool:
-    """Whether every vertex can be matched; the empty graph counts as matched."""
+    """Whether every vertex can be matched.
+
+    A maximum matching leaves no vertex exposed exactly then: the empty
+    graph counts as matched, and a graph of odd order always has one exposed.
+    """
     n, adj = _adjacency(g)
-    if n == 0:
-        return True
-    if n % 2:
-        return False
-    mates = kernels.mate_array(n, adj)
-    return all(m >= 0 for m in mates)
+    return -1 not in kernels.mate_array(n, adj)
 
 
 def is_central(f: FullereneGraph, face_ids: int | Iterable[int]) -> bool:
@@ -294,7 +293,7 @@ def perfect_mate_tuples(g: object, cap: int | None = None) -> list[tuple[int, ..
     The one call into ``kernels.perfect_matchings`` (made through the module,
     so that a tracer patching it sees every call); callers that only score
     matchings use the tuples without building ``Matching`` objects, and
-    need no order.
+    need no order.  The kernel itself returns none for a graph of odd order.
 
     Raises:
         GuardExceeded: if the graph has more perfect matchings than the cap
@@ -302,8 +301,6 @@ def perfect_mate_tuples(g: object, cap: int | None = None) -> list[tuple[int, ..
     """
     limit = resolve_pm_cap(cap)
     n, adj = _adjacency(g)
-    if n % 2:
-        return []
     found = kernels.perfect_matchings(n, adj, limit)
     if len(found) > limit:
         raise GuardExceeded(

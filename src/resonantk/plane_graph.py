@@ -442,6 +442,11 @@ def is_bipartite(
 
     Returns ``(True, None)`` or ``(False, cycle)`` where ``cycle`` is an
     odd vertex cycle in parent ids (for subgraphs) or the graph's own ids.
+    A breadth-first search from each unreached vertex in turn records
+    depths; the first edge found between two vertices of equal depth closes
+    the cycle.  Both ends climb their BFS parents in step to their common
+    ancestor, and the cycle runs from the scanned end up to it and down to
+    the other end.
     """
     if isinstance(s, FullereneGraph):
         s = s.graph
@@ -449,51 +454,26 @@ def is_bipartite(
         n, adj, labels = s.n, s.rotation, range(s.n)
     else:
         n, adj, labels = s.n, s.adj, s.vertices
-    color = [-1] * n
+    depth = [-1] * n
     parent = [-1] * n
     for root in range(n):
-        if color[root] >= 0:
+        if depth[root] >= 0:
             continue
-        color[root] = 0
+        depth[root] = 0
         queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
+        for v in queue:
             for w in adj[v]:
-                if color[w] < 0:
-                    color[w] = color[v] ^ 1
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
                     parent[w] = v
                     queue.append(w)
-                elif color[w] == color[v]:
-                    cycle = _odd_cycle(v, w, parent)
-                    return False, tuple(labels[x] for x in cycle)
+                elif depth[w] == depth[v]:
+                    up, down = [v], [w]
+                    while up[-1] != down[-1]:
+                        up.append(parent[up[-1]])
+                        down.append(parent[down[-1]])
+                    return False, tuple(labels[x] for x in up + down[-2::-1])
     return True, None
-
-
-def _odd_cycle(v: int, w: int, parent: list[int]) -> list[int]:
-    seen_at = {}
-    x = v
-    while x != -1:
-        seen_at[x] = True
-        x = parent[x]
-    x = w
-    while x not in seen_at:
-        x = parent[x]
-    meet = x
-    path_v = []
-    x = v
-    while x != meet:
-        path_v.append(x)
-        x = parent[x]
-    path_w = []
-    x = w
-    while x != meet:
-        path_w.append(x)
-        x = parent[x]
-    cycle = path_v + [meet] + list(reversed(path_w))
-    assert len(cycle) % 2 == 1
-    return cycle
 
 
 # ---------------------------------------------------------------------------

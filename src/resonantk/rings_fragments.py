@@ -201,7 +201,12 @@ def _ring_cycles(
     No face of ``seq`` is entered again: the root and a are out of reach,
     the face before the last has its one edge to the last face among the
     shared edges, and a face of ``seq[1:-1]`` meets the vertex mask.  A
-    closer g closes when its edge to the root misses the shared edges.
+    closer g that passes both tests closes the ring with no test of its edge
+    to the root.  Its ends lie on the root, and of the faces of ``seq`` only
+    the root and a are across the root, so it could meet a shared edge only
+    at the root's edge to a, at a vertex of root, a and g.  Then g is across
+    a, and a is either the last face (its edge to g meets the shared edges)
+    or a face of ``seq[1:-1]`` (g meets the vertex mask): g was refused.
     """
     steps = masks.steps
     vertices = masks.vertices
@@ -237,8 +242,7 @@ def _ring_cycles(
                 if dist[g] > room or used & ends or vertices[g] & inner:
                     continue
                 if dist[g] == 1:
-                    if not near[g] & used:
-                        out.append(seq + (g,))
+                    out.append(seq + (g,))
                     continue
                 stack.append((iter(steps[g]), seq + (g,), used | ends, inner | vertices[seq[-1]]))
                 break
@@ -483,22 +487,20 @@ def _oriented(vs: list[int], forward: bool, ends: int, firsts: int) -> tuple[int
     return tuple(vs[t::-1] + vs[:t:-1])
 
 
-def _rim(fs: FaceSet, faces: Iterable[int], inside: int) -> tuple[list[Edge], list[int]]:
-    """The edges on exactly one of ``faces``, and the face across each.
+def _rim(fs: FaceSet, faces: Iterable[int], inside: int) -> list[Edge]:
+    """The edges on exactly one of ``faces``.
 
     ``inside`` is the bitmask of ``faces``.  The edges come in face then
     boundary order, which fixes the direction ``_edge_cycles`` gives each
     fragment boundary cycle; ``_build_ring`` orients ring cycles by the same
     order without building the rim.
     """
-    rim: list[Edge] = []
-    beyond: list[int] = []
-    for fid in faces:
-        for e, g in zip(fs[fid].boundary_edges(), fs.across(fid)):
-            if not inside >> g & 1:
-                rim.append(e)
-                beyond.append(g)
-    return rim, beyond
+    return [
+        e
+        for fid in faces
+        for e, g in zip(fs[fid].boundary_edges(), fs.across(fid))
+        if not inside >> g & 1
+    ]
 
 
 def _once(masks: _FaceMasks, faces: Iterable[int]) -> int:
@@ -690,10 +692,11 @@ def _classify_cluster(f: FullereneGraph, masks: _FaceMasks, members: int) -> Fra
     vertex lies on one or two of the set's three faces around it, and in
     either case on exactly two rim edges), so ``_edge_cycles`` splits it
     into cycles; a vertex on exactly one cluster face is always on the rim.
+    A disk is maximal when every face across one of its faces, and outside
+    it, is a hexagon, which the faces' ``across`` masks give.
     """
     cluster = _bits(members)
-    rim, beyond = _rim(f.faces, cluster, members)
-    cycles = tuple(_edge_cycles(rim))
+    cycles = tuple(_edge_cycles(_rim(f.faces, cluster, members)))
     w = frozenset(_bits(_once(masks, cluster)))
     # the number of cluster faces sharing an edge with each cluster face
     degrees = [(masks.across[fid] & members).bit_count() for fid in cluster]
@@ -703,9 +706,9 @@ def _classify_cluster(f: FullereneGraph, masks: _FaceMasks, members: int) -> Fra
         return Fragment(cluster, cycles, w, gamma, True, False, "OTHER")
 
     neighbours = 0
-    for g in beyond:
-        neighbours |= 1 << g
-    maximal = not neighbours & ~masks.hexagons
+    for fid in cluster:
+        neighbours |= masks.across[fid]
+    maximal = not neighbours & ~members & ~masks.hexagons
 
     if len(cluster) == 1:
         shape = "PENTAGON"

@@ -56,6 +56,32 @@ def test_non_utf8_file_is_a_graph_error(tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_a_leading_byte_order_mark_is_read_past(tmp_path, capsys):
+    plain = tmp_path / "f20.rot"
+    assert run(["catalog", "emit", "F20", "-o", str(plain)]) == 0
+    text = plain.read_bytes()
+    marked = tmp_path / "f20-bom.rot"
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    capsys.readouterr()
+    assert run(["validate", str(marked)]) == 0
+    assert "20 vertices" in capsys.readouterr().out
+    reports = []
+    for path in (plain, marked):
+        assert run(["analyze", str(path), "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    # a mark anywhere past the start is no part of the format
+    late = tmp_path / "f20-late.rot"
+    late.write_bytes(text.replace(b"\n0:", b"\n\xef\xbb\xbf0:", 1))
+    assert run(["validate", str(late)]) == 1
+    assert "INVALID" in capsys.readouterr().out
+    # a byte that does not decode is counted from the start of the file
+    broken = tmp_path / "broken.rot"
+    broken.write_bytes(b"\xef\xbb\xbf4\n\xff")
+    assert run(["validate", str(broken)]) == 1
+    assert "byte 5 cannot be decoded" in capsys.readouterr().out
+
+
 FILE_COMMANDS = (
     "validate", "analyze", "order", "sextet", "clar", "fries", "gstar", "leapfrog", "rings", "fragments",
 )

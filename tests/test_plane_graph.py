@@ -570,6 +570,22 @@ def test_is_bipartite_finds_an_odd_cycle_past_the_first_component(graphs):
         assert b in f.graph.rotation[a]
 
 
+def test_is_bipartite_witnesses_pinned(graphs):
+    # the exact witness of every catalog graph, of it without each face, and
+    # of it without seeded random vertex sets, hashed in order
+    digest = hashlib.sha256()
+    rng = random.Random(28)
+    for name in catalog_names():
+        f = graphs[name]
+        digest.update(repr(is_bipartite(f)).encode())
+        for face in f.faces:
+            digest.update(repr(is_bipartite(delete_vertices(f, face.vertices))).encode())
+        for _ in range(20):
+            drop = rng.sample(range(f.n), rng.randrange(1, f.n // 2))
+            digest.update(repr(is_bipartite(delete_vertices(f, drop))).encode())
+    assert digest.hexdigest() == "bd341c7a2a6b9deaf3acf0dd1fdf094856600e946357f3bf3740bf45f7fab46a"
+
+
 def test_is_bipartite_accepts_a_fullerene(graphs):
     f = graphs["F24"]
     ok, cycle = is_bipartite(f)

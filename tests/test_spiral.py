@@ -5,10 +5,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resonantk.catalog import catalog_graph
+from resonantk.errors import GraphError
 from resonantk.plane_graph import canonical_code, faces, validate_fullerene
 from resonantk._spiral import wind
 
@@ -51,6 +53,21 @@ def test_rejects_unwindable():
     assert wind([]) is None
     # right totals, wrong order: all hexagons first strands the pentagons
     assert wind([6] * 20 + [5] * 12) is None
+
+
+@pytest.mark.parametrize(
+    "seq, bad",
+    [
+        ([5.0] * 12, "5.0"),
+        (["5"] * 12, "'5'"),
+        ([5] * 11 + [5.0], "5.0"),
+        ([True] * 4, "True"),
+        ([5] * 3 + [None], "None"),
+    ],
+)
+def test_non_integer_sizes_are_graph_errors(seq, bad):
+    with pytest.raises(GraphError, match=f"face size must be an integer, got {bad}"):
+        wind(seq)
 
 
 def test_winding_spirals_pinned():
