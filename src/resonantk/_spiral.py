@@ -27,7 +27,8 @@ no arc repeated, there are 2F - 4 vertices.
 sphere embedding; callers treat that as "this spiral does not exist", which
 is the right semantics both for parameterised constructions (where the
 sequence is known good) and for exhaustive isomer searches (where most
-sequences fail).  A size that is not an integer is a ``GraphError``.
+sequences fail).  A size that is not an integer is a ``GraphError``, and so
+is an argument that is not iterable.
 """
 
 from __future__ import annotations
@@ -42,9 +43,13 @@ def wind(sequence: Sequence[int]) -> EmbeddedGraph | None:
     """Wind a spiral of face sizes into an embedded graph, or return None.
 
     Raises:
-        GraphError: naming a size that is not an integer, a bool included.
+        GraphError: naming a size that is not an integer, a bool included,
+            or an argument that is not iterable.
     """
-    sizes = list(sequence)
+    try:
+        sizes = list(sequence)
+    except TypeError:
+        raise GraphError(f"face sizes must be an iterable of integers, got {sequence!r}") from None
     for size in sizes:
         check_int("face size", size)
     n_faces = len(sizes)

@@ -24,17 +24,18 @@ once.
 The certificate splits its checks in two.  Once per image it builds a
 table, kept in the result's private memo (which ``dataclasses.replace``
 starts afresh): M0 as a bitmask over the image's sorted edges, each face's
-vertex and edge bitmasks, and the check that M0 is perfect.  Once per
-hexagon it checks that each candidate's faces are pairwise disjoint and
-each alternates with M0, and keeps the candidate as face, vertex and edge
-bitmasks.  Per pair it only tests, by popcounts, that the two candidates'
-faces stay disjoint and that both targets alternate.  The matching that
-passes is still perfect: flipping pairwise disjoint M0-alternating cycles
-of a perfect matching gives a perfect matching, and the per-image checks
-drop exactly the candidates whose flips would not (a flipped hexagon
-holding k < 3 M0 edges changes the size by 6 - 2k).  The winning edge set
-is built once per set of flipped faces and shared by every certificate
-that flips them; with no flip it is M0's own.
+edge bitmask, and the check that M0 is perfect; the faces' vertex bitmasks
+are the image ``FaceSet``'s.  Once per hexagon it checks that each
+candidate's faces are pairwise disjoint and each alternates with M0, and
+keeps the candidate as face, vertex and edge bitmasks.  Per pair it only
+tests, by popcounts, that the two candidates' faces stay disjoint and that
+both targets alternate.  The matching that passes is still perfect:
+flipping pairwise disjoint M0-alternating cycles of a perfect matching
+gives a perfect matching, and the per-image checks drop exactly the
+candidates whose flips would not (a flipped hexagon holding k < 3 M0 edges
+changes the size by 6 - 2k).  The winning edge set is built once per set of
+flipped faces and shared by every certificate that flips them; with no
+flip it is M0's own.
 """
 
 from __future__ import annotations
@@ -176,7 +177,6 @@ class _Table(NamedTuple):
 
     m0_perfect: bool
     m0: int  # bit i set when edge i is in M0
-    vertices: list[int]  # per face, bit v set when vertex v is on it
     edges: list[int]  # per face, bit i set when edge i bounds it
     flips: dict[int, list[_Flip]]  # per hexagon, its checked candidates
     winners: dict[int, frozenset[Edge]]  # per flipped-face mask, the certificate's edges
@@ -191,7 +191,6 @@ def _table(lf: LeapfrogResult) -> _Table:
         table = lf._memo["table"] = _Table(
             2 * m0.size == image.n and len(m0.covered()) == image.n,
             sum(1 << bit[e] for e in m0.edges),
-            [sum(1 << v for v in face.vertices) for face in image.faces],
             [sum(1 << bit[e] for e in face.boundary_edges()) for face in image.faces],
             {},
             {},
@@ -213,7 +212,7 @@ def _checked_flips(lf: LeapfrogResult, table: _Table, h: int) -> list[_Flip]:
         for flips in _flip_candidates(lf, h):
             verts = 0
             for x in flips:
-                verts |= table.vertices[x]
+                verts |= faces.vertex_masks[x]
             if (
                 table.m0_perfect
                 and verts.bit_count() == sum(faces[x].size for x in flips)
@@ -257,10 +256,11 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     What does not depend on the pair is checked once per image: M0 is
     perfect, and each hexagon's candidates have pairwise disjoint faces
     that alternate with M0 (``_checked_flips``).  Per pair, on the image's
-    bitmasks (``_table``), the two candidates' faces must cover six
-    vertices for each face they flip, so they are pairwise disjoint (two
-    fullerene faces share a vertex exactly when they share an edge), and
-    each target must hold three edges of M0 with the flipped edges toggled.
+    bitmasks (``_table`` and ``FaceSet.vertex_masks``), the two candidates'
+    faces must cover six vertices for each face they flip, so they are
+    pairwise disjoint (two fullerene faces share a vertex exactly when they
+    share an edge), and each target must hold three edges of M0 with the
+    flipped edges toggled.
     Only the winner is built, once per set of flipped faces, and every
     certificate that flips the same faces shares its edge set; flipping
     nothing gives M0's own.  It is perfect: flipping pairwise disjoint
@@ -279,7 +279,7 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
         RuntimeError: if no candidate flip set produces a valid matching.
     """
     table = _table(lf)
-    verts = table.vertices
+    verts = lf.image.faces.vertex_masks
     for h in (h1, h2):
         check_int("face id", h)
         # a fullerene face is a hexagon exactly when it has six vertices

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -132,6 +133,10 @@ class FaceSet:
     cubic plane graph whose faces are simple cycles (every fullerene), the
     three faces at a vertex pairwise share an edge there, so two distinct
     faces share a vertex exactly when each is across the other.
+
+    It also keeps three per-face bitmask tables, each built on first use and
+    then read by the ring scan, the fragments, the leapfrog certificates and
+    the resonance walks: ``vertex_masks``, ``across_masks`` and ``steps``.
     """
 
     faces: tuple[Face, ...]
@@ -168,6 +173,36 @@ class FaceSet:
         if around.count(b) != 1:
             return None
         return self.faces[a].boundary_edges()[around.index(b)]
+
+    @cached_property
+    def vertex_masks(self) -> tuple[int, ...]:
+        """Per face, the bitmask of its vertices (bit v set when v is on it)."""
+        return tuple([_bitmask(face.boundary) for face in self.faces])
+
+    @cached_property
+    def across_masks(self) -> tuple[int, ...]:
+        """Per face, the bitmask of :meth:`across` (bit g set when face g is across it)."""
+        return tuple(map(_bitmask, self._across))
+
+    @cached_property
+    def steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per face, ``(far face, 1 << u | 1 << v)`` for each boundary edge (u, v).
+
+        The steps come in boundary order: the far face of boundary edge i is
+        ``across(face)[i]``.
+        """
+        return tuple(
+            tuple((g, 1 << u | 1 << v) for (u, v), g in zip(face.boundary_edges(), around))
+            for face, around in zip(self.faces, self._across)
+        )
+
+
+def _bitmask(bits: Iterable[int]) -> int:
+    """The int with exactly the given bits set."""
+    mask = 0
+    for b in bits:
+        mask |= 1 << b
+    return mask
 
 
 @dataclass(frozen=True, eq=False)

@@ -186,6 +186,7 @@ def disjoint_hexagon_sets(f: FullereneGraph, k: int) -> Iterator[tuple[int, ...]
     if k == 0:
         yield ()
         return
+    across = f.faces.across_masks
     # Frames [set so far, hexagons that may extend it, index of the next one to try].
     stack = [[(), f.hexagon_ids, 0]]
     while stack:
@@ -199,8 +200,8 @@ def disjoint_hexagon_sets(f: FullereneGraph, k: int) -> Iterator[tuple[int, ...]
         if len(ids) + 1 == k:
             yield ids + (h,)
         else:
-            bad = f.faces.across(h)
-            stack.append([ids + (h,), [c for c in cands[i + 1 :] if c not in bad], 0])
+            bad = across[h]
+            stack.append([ids + (h,), [c for c in cands[i + 1 :] if not bad >> c & 1], 0])
 
 
 class _Walk(NamedTuple):
@@ -409,6 +410,7 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
         action: _Action = [(m, None) for m in _hexagon_maps(f, group[1:])]
     else:
         order, action = 1, []
+    across = f.faces.across_masks
     counts = [1]
     failed: tuple[int, ...] | None = None
     singles: frozenset[int] = frozenset()
@@ -458,8 +460,8 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
             continue
         for i, child_action in reversed(least):
             c, repair = passed[i]
-            bad = f.faces.across(c)
-            later = [d for d in passed[i + 1 :] if d[0] not in bad]
+            bad = across[c]
+            later = [d for d in passed[i + 1 :] if not bad >> d[0] & 1]
             if later:
                 stack.append((ids + (c,), mate, repair, later, child_action))
     return _Walk(tuple(counts), failed, singles)
@@ -560,13 +562,14 @@ def find_g_star(f: FullereneGraph) -> GStarWitness | None:
     in ascending order; the first hit is returned.
     """
     g = f.graph
+    vertices = f.faces.vertex_masks
     for v in range(f.n):
         # The face along (w, x), x the neighbour before v at w, turns at w
         # between the two edges other than wv; faces have no chords, so it misses v.
         opposite = [f.faces.face_of_arc((w, g.cw_prev(v, w))) for w in g.neighbors(v)]
         if not all(f.is_hexagon(fid) for fid in opposite):
             continue
-        a, b, c = (f.faces[x].vertices for x in opposite)
+        a, b, c = (vertices[x] for x in opposite)
         if a & b or a & c or b & c:
             continue
         witness = GStarWitness(v, tuple(sorted(opposite)))
@@ -591,8 +594,9 @@ def hexagon_dichotomy_report(f: FullereneGraph) -> tuple[HexagonReport, ...]:
     h, a 5-cycle of F - V(h) in parent ids.
     """
     singles = (f._memo.get("walk") or _walk(f, 1)).singles
+    across = f.faces.across_masks
     out = []
     for h in f.hexagon_ids:
-        p = next(p for p in f.pentagon_ids if p not in f.faces.across(h))
+        p = next(p for p in f.pentagon_ids if not across[h] >> p & 1)
         out.append(HexagonReport(h, h in singles, False, f.faces[p].boundary))
     return tuple(out)

@@ -24,33 +24,34 @@ dodecahedron, or an annular pentagon belt) are reported with shape OTHER and
 not treated as maximal fragments.  A six-pentagon disk is a TURTLE exactly
 when its faces meet 1, 1, 3, 3, 3 and 3 others of the cluster.
 
-Rings and fragments share one representation of a face region: per-face
-bitmasks of the faces across each face and of its vertices, built once per
-graph and kept in its memo.  The same flood fill (``_side``) and "vertices
-on exactly one face" mask (``_once``) serve both.
+Rings and fragments share one representation of a face region: the
+bitmasks of the faces across each face and of its vertices, which the
+graph's ``FaceSet`` builds once.  The same flood fill (``_side``) and
+"vertices on exactly one face" mask (``_once``) serve both.
 
 The ring scan steps from face to face across the edges of the last face,
-reading each face's steps (far face, edge ends) from a table built once per
-graph; two fullerene faces share at most one edge, so a step meets the last
-face in that edge only.  It walks each ring once, from its least face and
-in the direction it is reported in.  A ring's two boundary cycles are read
-off its faces: each face's boundary splits, at its edges to the previous
-and next ring face, into one arc of each cycle, and the arcs of one side,
-taken in ring order, make that cycle.  The arcs of each (previous, face,
-next) triple are kept in the memo, since the rings of a graph pass through
-the same triples many times; the face's edge to the next face, the edge the
-two share, is fixed by the same triple, so it is kept with them and a ring
-looks up no shared edge.  A ring keeps its two sides as face bitmasks and
-lists their faces only when asked.  Fragments find their boundary cycles by
-the rim walk (``_rim``) and ``_edge_cycles``, which also fix the direction
-each ring cycle is reported in.
+reading each face's steps (far face, edge ends) from the ``FaceSet``'s
+step table; two fullerene faces share at most one edge, so a step meets
+the last face in that edge only.  It walks each ring once, from its least
+face and in the direction it is reported in.  A ring's two boundary cycles
+are read off its faces: each face's boundary splits, at its edges to the
+previous and next ring face, into one arc of each cycle, and the arcs of
+one side, taken in ring order, make that cycle.  The arcs of each
+(previous, face, next) triple are kept in the graph's memo, since the rings
+of a graph pass through the same triples many times; the face's edge to
+the next face, the edge the two share, is fixed by the same triple, so it
+is kept with them and a ring looks up no shared edge.  A ring keeps its
+two sides as face bitmasks and lists their faces only when asked.
+Fragments find their boundary cycles by the rim walk (``_rim``) and
+``_edge_cycles``, which also fix the direction each ring cycle is reported
+in.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Literal, NamedTuple
+from typing import Iterable, Literal
 
 from .errors import GraphError, check_int
 from .plane_graph import Edge, FaceSet, FullereneGraph
@@ -152,18 +153,18 @@ def find_polygonal_rings(
     candidate = [False] * len(fs)
     for fid in roots:
         candidate[fid] = True
-    masks = _face_masks(f)
+    pentagons = sum(1 << p for p in f.pentagon_ids)
     rings = [
-        _build_ring(f, cycle, masks)
+        _build_ring(f, cycle, pentagons)
         for root in roots
-        for cycle in _ring_cycles(masks, candidate, max_len, root)
+        for cycle in _ring_cycles(fs, candidate, max_len, root)
     ]
     rings.sort(key=lambda r: (r.l, r.faces))
     return rings
 
 
 def _ring_cycles(
-    masks: _FaceMasks, candidate: list[bool], max_len: int, root: int
+    fs: FaceSet, candidate: list[bool], max_len: int, root: int
 ) -> list[tuple[int, ...]]:
     """The face cycles of the rings whose least face is ``root``, each once.
 
@@ -171,7 +172,7 @@ def _ring_cycles(
     dual, one step to a face across an edge of the last face.  A fullerene
     is cyclically 5-edge-connected (Došlić 2003), so two faces share at
     most one edge: the step meets the last face in that edge only, and a
-    face's ``steps`` list one entry per face across it.
+    face's ``fs.steps`` list one entry per face across it.
 
     A ring is reported in the one direction whose second face is less than
     its last, and only that direction is walked.  Let ``near`` be the
@@ -208,8 +209,8 @@ def _ring_cycles(
     a, and a is either the last face (its edge to g meets the shared edges)
     or a face of ``seq[1:-1]`` (g meets the vertex mask): g was refused.
     """
-    steps = masks.steps
-    vertices = masks.vertices
+    steps = fs.steps
+    vertices = fs.vertex_masks
     out_of_reach = max_len + 1
     near = {g: ends for g, ends in steps[root] if g > root and candidate[g]}
     middle = [g > root and candidate[g] and g not in near for g in range(len(steps))]
@@ -251,69 +252,32 @@ def _ring_cycles(
     return out
 
 
-class _FaceMasks(NamedTuple):
-    """Derived face structure of one graph, shared by its rings and fragments.
-
-    Per-face bitmasks and the ring face arcs met so far (filled in by
-    ``_arc``); kept in the graph's memo.
-    """
-
-    across: list[int]  # bit g set when face g is across the face
-    vertices: list[int]  # bit v set when vertex v is on the face
-    # per boundary edge (u, v), in boundary order: (far face, 1 << u | 1 << v)
-    steps: list[tuple[tuple[int, int], ...]]
-    pentagons: int
-    hexagons: int
-    # (previous, face, next) -> the face's two arcs and its edge to next; see _arc
-    arcs: dict[tuple[int, int, int], tuple]
-
-
-def _face_masks(f: FullereneGraph) -> _FaceMasks:
-    """The graph's derived face structure, built on first use and kept in its memo."""
-    masks = f._memo.get("face_masks")
-    if masks is None:
-        fs = f.faces
-        masks = _FaceMasks(
-            [sum(1 << g for g in set(fs.across(fid))) for fid in range(len(fs))],
-            [sum(1 << v for v in face.vertices) for face in fs],
-            [
-                tuple(
-                    (g, 1 << u | 1 << v)
-                    for (u, v), g in zip(face.boundary_edges(), fs.across(fid))
-                )
-                for fid, face in enumerate(fs)
-            ],
-            sum(1 << fid for fid in f.pentagon_ids),
-            sum(1 << fid for fid in f.hexagon_ids),
-            {},
-        )
-        f._memo["face_masks"] = masks
-    return masks
-
-
 def _check(ok: bool, identity: str, faces: tuple[int, ...]) -> None:
     if not ok:
         raise RuntimeError(f"ring {faces}: {identity} fails")
 
 
-def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMasks) -> Ring:
+def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], pentagons: int) -> Ring:
     """Compute cycles, sides, and counts for a validated face cycle.
 
+    ``pentagons`` is the bitmask of the graph's pentagons; the caller builds
+    it once for all the rings it builds.
+
     One pass over the (previous, face, next) triples reads each face's arcs
-    and its edge to the next face from ``_arc``'s memo.  The first triple
-    not yet in the memo has every consecutive pair checked for adjacency
-    before any arc is cut; a triple in the memo passed that check when it
-    was stored.  The two boundary cycles are walked along the arcs (see the
-    module docstring): the boundary is two cycles when neither walk meets a
-    vertex twice and they share none.  Each shared edge is a rung when its
-    end that ``_arc`` puts on cycle A (a bit of ``xs``) lies on A and its
-    other end (a bit of ``ys``) on B.  Face and vertex sets are int
-    bitmasks (``masks`` holds one per face).  Each side is a flood fill
-    over the faces' ``across`` masks, blocked by the ring's mask, that ORs
-    the vertex masks of the faces it reaches (the fill that also grows
-    pentagon clusters); r is a popcount of that, and s one of the cycle's
-    vertices on exactly one ring face.  The cycles are sorted only when s
-    and r tie, to pick the inner side.
+    and its edge to the next face from ``_arc``'s memo, the graph's
+    ``"ring_arcs"`` entry.  The first triple not yet in the memo has every
+    consecutive pair checked for adjacency before any arc is cut; a triple
+    in the memo passed that check when it was stored.  The two boundary
+    cycles are walked along the arcs (see the module docstring): the
+    boundary is two cycles when neither walk meets a vertex twice and they
+    share none.  Each shared edge is a rung when its end that ``_arc`` puts
+    on cycle A (a bit of ``xs``) lies on A and its other end (a bit of
+    ``ys``) on B.  Face and vertex sets are int bitmasks (``f.faces`` holds
+    one per face).  Each side is a flood fill over the faces' across masks,
+    blocked by the ring's mask, that ORs the vertex masks of the faces it
+    reaches (the fill that also grows pentagon clusters); r is a popcount
+    of that, and s one of the cycle's vertices on exactly one ring face.
+    The cycles are sorted only when s and r tie, to pick the inner side.
 
     Raises:
         RuntimeError: naming the ring structure or counting identity that
@@ -330,7 +294,7 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
     a_vs: list[int] = []
     b_vs: list[int] = []
     a_cm = b_cm = a_own = b_own = firsts = xs = ys = ring = 0
-    arcs = masks.arcs
+    arcs = f._memo.setdefault("ring_arcs", {})
     adjacent = False
     prev = faces_cycle[-1]
     for fid, nxt in zip(faces_cycle, nexts):
@@ -338,7 +302,7 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
         if arc is None:
             if not adjacent:
                 # two fullerene faces meet in one edge exactly when each is across the other
-                adjacent = all(masks.across[a] >> b & 1 for a, b in zip(faces_cycle, nexts))
+                adjacent = all(fs.across_masks[a] >> b & 1 for a, b in zip(faces_cycle, nexts))
                 _check(adjacent, "consecutive faces meet in one edge", faces_cycle)
             arc = _arc(fs, arcs, prev, fid, nxt)
         a_arc, b_arc, a_bits, b_bits, a_far, b_far, first, edge, x, y = arc
@@ -370,12 +334,12 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
         faces_cycle,
     )
 
-    once = _once(masks, faces_cycle)
+    once = _once(fs, faces_cycle)
 
     # the two sides: the faces reached from each cycle without crossing the ring
     sides = []
     for cyc, cm, own in zip(cycles, (a_cm, b_cm), (a_own, b_own)):
-        side, covered = _side(masks, own & -own, ring)
+        side, covered = _side(fs, own & -own, ring)
         _check(not own & ~side, "one side owns each cycle", faces_cycle)
         s = (cm & once).bit_count()
         _check(len(cyc) == l + s, "cycle length l + s", faces_cycle)
@@ -396,10 +360,10 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], masks: _FaceMas
         "the ring splits the other faces into two sides",
         faces_cycle,
     )
-    n5 = (inner & masks.pentagons).bit_count()
-    n6 = (inner & masks.hexagons).bit_count()
+    n5 = (inner & pentagons).bit_count()
+    n6 = inner.bit_count() - n5
 
-    all_pent = not ring & ~masks.pentagons
+    all_pent = not ring & ~pentagons
     _check(s != 1 and s_prime != 1, "s, s' != 1", faces_cycle)
     _check(r % 2 == s % 2, "r = s (mod 2)", faces_cycle)
     _check(2 * (n5 + n6) == s + r + 2, "n5 + n6 = (s + r + 2)/2", faces_cycle)
@@ -503,28 +467,30 @@ def _rim(fs: FaceSet, faces: Iterable[int], inside: int) -> list[Edge]:
     ]
 
 
-def _once(masks: _FaceMasks, faces: Iterable[int]) -> int:
+def _once(fs: FaceSet, faces: Iterable[int]) -> int:
     """The bitmask of the vertices on exactly one of ``faces``."""
+    vertices = fs.vertex_masks
     seen = twice = 0
     for fid in faces:
-        twice |= seen & masks.vertices[fid]
-        seen |= masks.vertices[fid]
+        twice |= seen & vertices[fid]
+        seen |= vertices[fid]
     return seen & ~twice
 
 
-def _side(masks: _FaceMasks, start: int, blocked: int) -> tuple[int, int]:
+def _side(fs: FaceSet, start: int, blocked: int) -> tuple[int, int]:
     """Flood fill from the face bit ``start`` across edges, never entering ``blocked``.
 
     Returns the bitmasks of the faces reached and of the vertices on them.
     """
+    vertices, across = fs.vertex_masks, fs.across_masks
     side = frontier = start
     covered = 0
     while frontier:
         low = frontier & -frontier
         frontier ^= low
         fid = low.bit_length() - 1
-        covered |= masks.vertices[fid]
-        grow = masks.across[fid] & ~side & ~blocked
+        covered |= vertices[fid]
+        grow = across[fid] & ~side & ~blocked
         side |= grow
         frontier |= grow
     return side, covered
@@ -590,7 +556,7 @@ def ring_stats(f: FullereneGraph, ring: Ring) -> Ring:
     faces = faces[least:] + faces[:least]
     if faces[-1] < faces[1]:
         faces = faces[:1] + faces[:0:-1]
-    rebuilt = _build_ring(f, faces, _face_masks(f))
+    rebuilt = _build_ring(f, faces, sum(1 << p for p in f.pentagon_ids))
     stats = ("l", "s", "s_prime", "r", "n5", "n6")
     differ = [k for k in stats if getattr(rebuilt, k) != getattr(ring, k)]
     if differ:
@@ -665,50 +631,44 @@ def maximal_pentagonal_fragments(f: FullereneGraph) -> list[Fragment]:
     """Classify every connected pentagon cluster of the graph.
 
     Clusters are grown over pentagon-pentagon shared edges, by the ring
-    scan's flood fill over the graph's face masks, blocked by the hexagons.
+    scan's flood fill over the ``FaceSet``'s masks, blocked by the hexagons.
     A cluster whose union is a disk is a genuine fragment: its shape is
     PENTAGON (one face), TURTLE (the six-pentagon pattern), or OTHER, and it
     is maximal exactly when every face sharing an edge with it is a hexagon.
     Non-disk clusters (whole sphere, annular belts) are reported with shape
     OTHER, maximal False, and their boundary cycles as found.
     """
-    masks = _face_masks(f)
+    hexagons = sum(1 << h for h in f.hexagon_ids)
     seen = 0
     out: list[Fragment] = []
     for start in f.pentagon_ids:
         if seen >> start & 1:
             continue
-        cluster, _ = _side(masks, 1 << start, masks.hexagons)
+        cluster, _ = _side(f.faces, 1 << start, hexagons)
         seen |= cluster
-        out.append(_classify_cluster(f, masks, cluster))
+        out.append(_classify_cluster(f, cluster))
     out.sort(key=lambda fr: fr.faces)
     return out
 
 
-def _classify_cluster(f: FullereneGraph, masks: _FaceMasks, members: int) -> Fragment:
+def _classify_cluster(f: FullereneGraph, members: int) -> Fragment:
     """Boundary, free vertices, gamma and shape of the cluster whose face mask is ``members``.
 
     The rim of a face set in a cubic plane graph is always 2-regular (a rim
     vertex lies on one or two of the set's three faces around it, and in
     either case on exactly two rim edges), so ``_edge_cycles`` splits it
     into cycles; a vertex on exactly one cluster face is always on the rim.
-    A disk is maximal when every face across one of its faces, and outside
-    it, is a hexagon, which the faces' ``across`` masks give.
     """
+    fs = f.faces
     cluster = _bits(members)
-    cycles = tuple(_edge_cycles(_rim(f.faces, cluster, members)))
-    w = frozenset(_bits(_once(masks, cluster)))
+    cycles = tuple(_edge_cycles(_rim(fs, cluster, members)))
+    w = frozenset(_bits(_once(fs, cluster)))
     # the number of cluster faces sharing an edge with each cluster face
-    degrees = [(masks.across[fid] & members).bit_count() for fid in cluster]
+    degrees = [(fs.across_masks[fid] & members).bit_count() for fid in cluster]
     gamma = min(degrees)
 
     if len(cycles) != 1:
         return Fragment(cluster, cycles, w, gamma, True, False, "OTHER")
-
-    neighbours = 0
-    for fid in cluster:
-        neighbours |= masks.across[fid]
-    maximal = not neighbours & ~members & ~masks.hexagons
 
     if len(cluster) == 1:
         shape = "PENTAGON"
@@ -716,7 +676,8 @@ def _classify_cluster(f: FullereneGraph, masks: _FaceMasks, members: int) -> Fra
         shape = "TURTLE"
     else:
         shape = "OTHER"
-    return Fragment(cluster, cycles, w, gamma, True, maximal, shape)
+    # maximal: _side grows the cluster until only hexagons are across it
+    return Fragment(cluster, cycles, w, gamma, True, True, shape)
 
 
 def _is_turtle(degrees: list[int]) -> bool:

@@ -698,6 +698,10 @@ def indexed(graphs, tubes):
     return out
 
 
+def _set_bits(mask):
+    return {i for i in range(mask.bit_length()) if mask >> i & 1}
+
+
 def test_across_reverses_each_boundary_arc(indexed):
     for name, f in indexed.items():
         fs = f.faces
@@ -705,12 +709,20 @@ def test_across_reverses_each_boundary_arc(indexed):
             assert fs.across(face.index) == tuple(
                 fs.face_of_arc((b, a)) for a, b in face.boundary_arcs()
             ), name
+            # the ring scan's steps: the face across each boundary edge, with its ends
+            steps = fs.steps[face.index]
+            assert [g for g, _ in steps] == list(fs.across(face.index)), name
+            assert [_set_bits(ends) for _, ends in steps] == [
+                set(e) for e in face.boundary_edges()
+            ], name
 
 
 def test_faces_meet_exactly_when_across(indexed):
     for name, f in indexed.items():
         fs = f.faces
         for a in fs:
+            assert _set_bits(fs.vertex_masks[a.index]) == a.vertices, (name, a.index)
+            assert _set_bits(fs.across_masks[a.index]) == set(fs.across(a.index)), (name, a.index)
             for b in fs:
                 if a.index == b.index:
                     continue

@@ -115,6 +115,11 @@ def test_is_resonant_rejections(graphs):
     b = next(x for x in c60.hexagon_ids if x != a and av & c60.faces[x].vertices)
     with pytest.raises(GraphError, match="share vertices"):
         is_resonant_pattern(c60, [a, b])
+    # of several conflicting pairs, the lexicographically least is named
+    for ids in ((1, 3, 4, 7), (7, 4, 3, 1)):
+        with pytest.raises(GraphError) as raised:
+            is_resonant_pattern(c60, ids)
+        assert str(raised.value) == "hexagons 1 and 7 share vertices; the set must be disjoint"
 
 
 @pytest.mark.parametrize(
@@ -512,7 +517,8 @@ def test_memo_keeps_no_resonant_sets():
     assert set(f._memo) == {"walk", "canonical"}
     f = _fresh("C70")
     analyze_graph(f)
-    assert set(f._memo) == {"walk", "canonical", "face_masks", "pentagonal_rings"}
+    # C70 has no pentagonal ring, so the ring scan builds no ring and keeps no arcs
+    assert set(f._memo) == {"walk", "canonical", "pentagonal_rings"}
     # the canonical pass keeps its code and the 20 automorphisms it closes,
     # identity first, and nothing else
     code, group = f._memo["canonical"]

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import hashlib
 import random
+import sys
+import threading
 import warnings
 from collections import Counter
 from itertools import combinations, permutations
@@ -129,7 +132,7 @@ def test_ring_stats_names_a_face_id_off_the_graph(graphs):
             ring_stats(f, dataclasses.replace(ring, faces=faces))
     # a face sequence that is no ring keeps its RuntimeError, raised before
     # any of its (previous, face, next) triples gets arcs in the memo
-    arcs = rings_fragments._face_masks(c60).arcs
+    arcs = c60._memo["ring_arcs"]
     before = dict(arcs)
     first = ring.faces[:2]
     away = next(g for g in range(len(c60.faces)) if g not in c60.faces.across(first[1]))
@@ -163,7 +166,7 @@ def test_rung_check_needs_exactly_one_endpoint_on_each_cycle(graphs, monkeypatch
         if free_edge(r, r.inner_cycle) and free_edge(r, r.outer_cycle)
     )
     assert ring_stats(f, ring) == ring
-    arcs = rings_fragments._face_masks(f).arcs
+    arcs = f._memo["ring_arcs"]
     faces = ring.faces
     for i, cyc in ((0, ring.inner_cycle), (1, ring.outer_cycle)):
         key = (faces[i - 1], faces[i], faces[i + 1])
@@ -180,7 +183,7 @@ def test_rung_check_fixes_which_end_lies_on_which_cycle(graphs, monkeypatch):
     f = graphs["F28"]
     ring = find_polygonal_rings(f, 6, ANY)[0]
     assert ring_stats(f, ring) == ring
-    arcs = rings_fragments._face_masks(f).arcs
+    arcs = f._memo["ring_arcs"]
     key = (ring.faces[-1], ring.faces[0], ring.faces[1])
     entry = arcs[key]
     monkeypatch.setitem(arcs, key, entry[:8] + (entry[9], entry[8]))
@@ -210,13 +213,16 @@ def test_face_walks_that_are_no_rings_fail_as_in_the_oracle(graphs):
     # see a face cycle whose shared edges or boundary are wrong.  Every
     # closed face walk must give the set-built oracle's Ring or its error.
     f = graphs["F28"]
-    masks = rings_fragments._face_masks(f)
+    pentagons = sum(1 << p for p in f.pentagon_ids)
     outcomes = Counter()
     for walk in _closed_face_walks(f.faces, 3, 9):
         results = []
-        for build in (rings_fragments._build_ring, lambda f, walk, _: build_ring_by_sets(f, walk)):
+        for build in (
+            lambda f, walk: rings_fragments._build_ring(f, walk, pentagons),
+            build_ring_by_sets,
+        ):
             try:
-                results.append(build(f, walk, masks))
+                results.append(build(f, walk))
             except RuntimeError as e:
                 results.append(str(e))
         assert results[0] == results[1], walk
@@ -317,12 +323,11 @@ def test_ring_scan_reaches_each_ring_once_in_its_reported_direction(graphs, tube
     for f in list(graphs.values()) + list(tubes.values()):
         pentagons = set(f.pentagon_ids)
         candidate = [face_filter == ANY or fid in pentagons for fid in range(len(f.faces))]
-        masks = rings_fragments._face_masks(f)
         seen = set()
         for root in range(len(f.faces)):
             if not candidate[root]:
                 continue
-            for cycle in rings_fragments._ring_cycles(masks, candidate, 9, root):
+            for cycle in rings_fragments._ring_cycles(f.faces, candidate, 9, root):
                 assert cycle[0] == root == min(cycle) and cycle[1] < cycle[-1], cycle
                 assert all(candidate[fid] for fid in cycle), cycle
                 assert frozenset(cycle) not in seen, cycle
@@ -553,14 +558,55 @@ def test_turtle_is_the_connected_graph_with_degrees_1_1_3_3_3_3():
 
 
 def test_rings_and_fragments_build_the_face_masks_once(monkeypatch):
-    built = []
-    face_masks = rings_fragments._FaceMasks
-    monkeypatch.setattr(
-        rings_fragments, "_FaceMasks", lambda *fields: built.append(1) or face_masks(*fields)
-    )
+    # the ring scan, the fragments and ring_stats read the FaceSet's tables,
+    # each built once, and keep only the ring scan and its arcs in the memo
+    built = Counter()
+    for name in ("vertex_masks", "across_masks", "steps"):
+
+        def counted(fs, build=getattr(FaceSet, name).func, name=name):
+            built[name] += 1
+            return build(fs)
+
+        table = functools.cached_property(counted)
+        table.__set_name__(FaceSet, name)
+        monkeypatch.setattr(FaceSet, name, table)
+    once = {"vertex_masks": 1, "across_masks": 1, "steps": 1}
     f = nanotube("R6", 2)
     rings = pentagonal_rings(f)
-    assert rings and maximal_pentagonal_fragments(f)
+    assert rings and built == once
+    assert maximal_pentagonal_fragments(f)
     for ring in rings:
         assert ring_stats(f, ring) == ring
-    assert len(built) == 1
+    assert built == once
+    assert set(f._memo) == {"pentagonal_rings", "ring_arcs"}
+
+
+def test_threads_that_race_to_build_the_face_tables_agree():
+    # cached_property fills without a lock from Python 3.12 on, and the memo
+    # is filled check-then-set, so threads on a fresh graph may each build a
+    # table or ring scan; each must still get what one thread gets alone
+    def report(f):
+        pentagonal = pentagonal_rings(f)
+        return pentagonal, maximal_pentagonal_fragments(f), find_polygonal_rings(f, 6, ANY)
+
+    want = report(nanotube("R6", 2))
+    f = nanotube("R6", 2)
+    got = [None] * 6
+    start = threading.Barrier(len(got), timeout=60)
+
+    def work(i):
+        start.wait()
+        got[i] = report(f)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(got))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [want] * len(got)

@@ -70,6 +70,12 @@ def test_non_integer_sizes_are_graph_errors(seq, bad):
         wind(seq)
 
 
+@pytest.mark.parametrize("seq", [5, None])
+def test_non_iterable_spirals_are_graph_errors(seq):
+    with pytest.raises(GraphError, match=f"face sizes must be an iterable of integers, got {seq}"):
+        wind(seq)
+
+
 def test_winding_spirals_pinned():
     # every spiral of 5s and 6s for n = 20...30 (8,568 sequences): which wind,
     # and the rotation each winds to, hashed in order
