@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer-limit check."""
+"""Exception types shared across the package, and the integer checks."""
 
 from __future__ import annotations
+
+from typing import Iterable
 
 
 class GraphError(ValueError):
@@ -32,3 +34,19 @@ def check_int(name: str, value: object, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise GraphError(f"{name} must be at least {minimum}, got {value}")
     return value
+
+
+def check_ints(name: str, values: Iterable[object]) -> list[int]:
+    """Return the items of ``values``, each checked by :func:`check_int`.
+
+    Raises:
+        GraphError: naming ``name`` if ``values`` is not iterable or an item
+            is not an integer.
+    """
+    try:
+        items = list(values)
+    except TypeError:
+        raise GraphError(f"{name}s must be an iterable of integers, got {values!r}") from None
+    for item in items:
+        check_int(name, item)
+    return items

@@ -33,7 +33,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import GraphError, GuardExceeded, NotFullereneError, check_int
+from .errors import GraphError, GuardExceeded, NotFullereneError, check_int, check_ints
 
 Arc = tuple[int, int]
 Edge = tuple[int, int]
@@ -303,8 +303,17 @@ def emit_graph(g: EmbeddedGraph, comments: Sequence[str] = ()) -> str:
 
     Each line of a comment becomes its own ``#`` line, so a comment with
     line breaks cannot leak a data line; an empty comment is one ``#`` line.
+
+    Raises:
+        GraphError: if ``comments`` is not a sequence of strings.
     """
-    out = [f"# {line}" for c in comments for line in c.splitlines() or [""]]
+    if isinstance(comments, str) or not isinstance(comments, Iterable):
+        raise GraphError(f"comments must be a sequence of strings, got {comments!r}")
+    notes = list(comments)
+    for c in notes:
+        if not isinstance(c, str):
+            raise GraphError(f"comment must be a string, got {c!r}")
+    out = [f"# {line}" for c in notes for line in c.splitlines() or [""]]
     out.append(str(g.n))
     for v in range(g.n):
         a, b, c = g.rotation[v]
@@ -456,9 +465,12 @@ def delete_vertices(g: EmbeddedGraph | FullereneGraph, drop: Iterable[int]) -> S
 
     Neighbour order is inherited from the parent rotation. Deleting nothing
     yields a subgraph with the full vertex set and identical adjacency.
+
+    Raises:
+        GraphError: if ``drop`` is not an iterable of vertex ids in range.
     """
     base = g.graph if isinstance(g, FullereneGraph) else g
-    dropped = {check_int("vertex id", v) for v in drop}
+    dropped = set(check_ints("vertex id", drop))
     for v in dropped:
         if not 0 <= v < base.n:
             raise GraphError(f"cannot delete vertex {v}: outside 0..{base.n - 1}")

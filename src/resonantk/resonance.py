@@ -37,7 +37,7 @@ from operator import ne
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from . import kernels, matching
-from .errors import GraphError, check_int
+from .errors import GraphError, check_int, check_ints
 from .matching import (
     Matching,
     _matching_from_mates,
@@ -124,7 +124,7 @@ class HexagonReport:
 
 
 def _check_hexagon_set(f: FullereneGraph, hexagon_ids: Iterable[int]) -> tuple[int, ...]:
-    ids = tuple(sorted({check_int("face id", h) for h in hexagon_ids}))
+    ids = tuple(sorted(set(check_ints("face id", hexagon_ids))))
     for h in ids:
         if not 0 <= h < len(f.faces):
             raise GraphError(f"face id {h} outside 0..{len(f.faces) - 1}")
@@ -153,8 +153,8 @@ def is_resonant_pattern(
     perfectness and for alternation on the set's hexagons.
 
     Raises:
-        GraphError: if a face id is not an integer, not a hexagon, or two
-            hexagons intersect.
+        GraphError: if the ids are not iterable, a face id is not an
+            integer or not a hexagon, or two hexagons intersect.
     """
     ids = _check_hexagon_set(f, hexagon_ids)
     mate = _rest_mates(f, ids)

@@ -27,6 +27,7 @@ from resonantk.plane_graph import (
     Automorphism,
     EmbeddedGraph,
     delete_vertices,
+    emit_graph,
     is_bipartite,
     validate_fullerene,
 )
@@ -144,6 +145,24 @@ def test_is_resonant_rejections(graphs):
 def test_ids_and_sizes_must_be_integers(graphs, call):
     with pytest.raises(GraphError, match="must be an integer"):
         call(graphs["F24"])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f: is_resonant_pattern(f, 5), "face ids must be an iterable of integers, got 5"),
+        (lambda f: is_resonant_pattern(f, None), "face ids must be an iterable of integers, got None"),
+        (lambda f: delete_vertices(f, 5), "vertex ids must be an iterable of integers, got 5"),
+        (lambda f: emit_graph(f.graph, 5), "comments must be a sequence of strings, got 5"),
+        (lambda f: emit_graph(f.graph, None), "comments must be a sequence of strings, got None"),
+        (lambda f: emit_graph(f.graph, "abc"), "comments must be a sequence of strings, got 'abc'"),
+        (lambda f: emit_graph(f.graph, [5]), "comment must be a string, got 5"),
+    ],
+    ids=["pattern-int", "pattern-none", "delete-int", "emit-int", "emit-none", "emit-str", "emit-item"],
+)
+def test_collection_arguments_are_checked(graphs, call, message):
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        call(graphs["C60"])
 
 
 def test_out_of_range_ids_keep_their_messages(graphs):

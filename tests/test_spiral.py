@@ -9,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from resonantk.catalog import catalog_graph
+from resonantk.catalog import catalog_graph, catalog_names, catalog_spiral
 from resonantk.errors import GraphError
 from resonantk.plane_graph import canonical_code, faces, validate_fullerene
-from resonantk._spiral import wind
+from resonantk._spiral import _spirals, wind
 
 F20_SPIRAL = [5] * 12
 F24_SPIRAL = [6] + [5] * 12 + [6]
@@ -95,6 +95,32 @@ def test_winding_spirals_pinned():
         counts.append(wound)
     assert counts == [1, 0, 6, 13, 48, 93]
     assert digest.hexdigest() == "5184a09b9c3e4b7760c93a7de71e0c8c78428f154c6b4ff79ccb2d88b9512d51"
+
+
+def test_spiral_search_winds_as_wind_does():
+    # the prefix search yields test_winding_spirals_pinned's spirals, in the
+    # same order and with the same rotations
+    digest = hashlib.sha256()
+    counts = []
+    for n in range(20, 31, 2):
+        found = list(_spirals(n))
+        counts.append(len(found))
+        for seq, g in found:
+            digest.update(repr((tuple(seq), g.rotation)).encode())
+    assert counts == [1, 0, 6, 13, 48, 93]
+    assert digest.hexdigest() == "5184a09b9c3e4b7760c93a7de71e0c8c78428f154c6b4ff79ccb2d88b9512d51"
+
+
+def test_catalog_and_tube_rotations_pinned():
+    # vertex numbering past n = 30: every catalog spiral (up to C70) and the
+    # R5/R6 tubes with 1...8 hexagon rings (up to 120 vertices)
+    spirals = [catalog_spiral(name) for name in catalog_names()]
+    for k in (5, 6):
+        spirals += [[k] + [5] * k + [6] * (k * rings) + [5] * k + [k] for rings in range(1, 9)]
+    digest = hashlib.sha256()
+    for seq in spirals:
+        digest.update(repr(wind(seq).rotation).encode())
+    assert digest.hexdigest() == "98f9004d860505e98ccf78d057a12c5eefe33e6e89d4a6433da0e118cbe565e2"
 
 
 @st.composite
