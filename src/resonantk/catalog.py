@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, fields
 from typing import Union
 
 from ._spiral import wind
-from .errors import GraphError, GuardExceeded, check_int
+from .errors import GraphError, GuardExceeded, check_int, check_type
 from .plane_graph import FullereneGraph, validate_fullerene
 from .resonance import ALL, resonance_order, sextet
 from .rings_fragments import tau
@@ -141,7 +141,12 @@ def _facts(f: FullereneGraph) -> ExpectedFacts:
 
 
 def verify_entry(entry: CatalogEntry) -> dict[str, tuple[object, object, bool]]:
-    """Recompute each expected fact; returns {fact: (expected, computed, ok)}."""
+    """Recompute each expected fact; returns {fact: (expected, computed, ok)}.
+
+    Raises:
+        GraphError: if entry is not a ``CatalogEntry``.
+    """
+    check_type("catalog entry", entry, CatalogEntry)
     names = (k.name for k in fields(ExpectedFacts))
     pairs = zip(astuple(entry.expected), astuple(_facts(entry.graph)))
     return {k: (want, got, want == got) for k, (want, got) in zip(names, pairs)}

@@ -325,6 +325,9 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     cmd = args.command
+    # every file a command writes is checked before any work
+    for name in ("output", "emit_matching", "provenance"):
+        _check_destination(getattr(args, name, None))
 
     if cmd == "validate":
         status = 0
@@ -391,8 +394,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if cmd == "leapfrog":
         f = _load(args.path)
-        for path in (args.output, args.emit_matching, args.provenance):
-            _check_destination(path)
         lf = leapfrog(f)
         comments = [
             f"leapfrog image: {lf.image.n} vertices from a {f.n}-vertex fullerene",

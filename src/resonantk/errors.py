@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the integer checks."""
+"""Exception types shared across the package, and the argument checks."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, TypeVar
+
+_T = TypeVar("_T")
 
 
 class GraphError(ValueError):
@@ -33,6 +35,21 @@ def check_int(name: str, value: object, minimum: int | None = None) -> int:
         raise GraphError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise GraphError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def check_type(name: str, value: object, kind: type[_T]) -> _T:
+    """Return ``value`` if it is an instance of ``kind``.
+
+    The one type check of a ``FullereneGraph``, ``Matching``, ``Ring``,
+    ``LeapfrogResult`` or ``CatalogEntry`` argument; either graph type is
+    resolved by ``plane_graph._embedded`` instead.
+
+    Raises:
+        GraphError: naming ``name``, ``kind`` and the type given otherwise.
+    """
+    if not isinstance(value, kind):
+        raise GraphError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
     return value
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import GraphError, check_int
+from .errors import GraphError, check_int, check_type
 from .matching import Matching, _matching_from_mates, face_alternates
 from .plane_graph import (
     Arc,
@@ -79,11 +79,12 @@ def leapfrog(f: FullereneGraph) -> LeapfrogResult:
     """Construct the leapfrog image, its reversal matching, and provenance.
 
     Raises:
+        GraphError: if f is not a ``FullereneGraph``.
         RuntimeError: if the image faces do not split into one heritable face
             of equal size per original face and one fresh hexagon per
             original vertex.
     """
-    g = f.graph
+    g = check_type("graph", f, FullereneGraph).graph
     arcs = g.arcs()
     index = {a: i for i, a in enumerate(arcs)}
 
@@ -136,11 +137,12 @@ def territory(lf: LeapfrogResult, image_face_id: int) -> Territory:
     face is fresh.
 
     Raises:
-        GraphError: if the face id is not an integer or the face is not
-            heritable.
+        GraphError: if lf is not a ``LeapfrogResult``, the face id is not an
+            integer or the face is not heritable.
         RuntimeError: if the ring repeats a face or holds a face that is not
             fresh.
     """
+    check_type("leapfrog result", lf, LeapfrogResult)
     if check_int("face id", image_face_id) not in lf.heritable:
         raise GraphError(f"face {image_face_id} is not heritable; territories surround heritable faces")
     ring = lf.image.faces.across(image_face_id)
@@ -275,10 +277,11 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     alternation test.
 
     Raises:
-        GraphError: if the faces are not disjoint image hexagons.
+        GraphError: if lf is not a ``LeapfrogResult`` or the faces are not
+            disjoint image hexagons.
         RuntimeError: if no candidate flip set produces a valid matching.
     """
-    table = _table(lf)
+    table = _table(check_type("leapfrog result", lf, LeapfrogResult))
     verts = lf.image.faces.vertex_masks
     for h in (h1, h2):
         check_int("face id", h)

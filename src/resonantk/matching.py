@@ -30,8 +30,8 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 from . import kernels
-from .errors import GraphError, GuardExceeded, check_int
-from .plane_graph import Edge, EmbeddedGraph, Face, FullereneGraph, Subgraph, _components_without
+from .errors import GraphError, GuardExceeded, check_int, check_ints, check_type
+from .plane_graph import Edge, Face, FullereneGraph, Subgraph, _components_without, _embedded
 
 DEFAULT_PM_CAP = 10**6
 _PM_CAP_ENV = "RESONANTK_PM_CAP"
@@ -81,14 +81,12 @@ class TutteWitness:
 def _adjacency(x: object) -> tuple[int, Sequence[Sequence[int]]]:
     """Vertex count and adjacency lists for any supported graph form.
 
-    Stored graphs pass their own adjacency tuples through; a caller-supplied
-    sequence is copied, its vertex ids are checked to be integers in range,
-    and every neighbour must list the vertex back (a loop lists itself).
+    Stored graphs (either graph type, through ``plane_graph._embedded``, or
+    a ``Subgraph``) pass their own adjacency tuples through; a
+    caller-supplied sequence is copied, its vertex ids are checked to be
+    integers in range, and every neighbour must list the vertex back (a
+    loop lists itself).
     """
-    if isinstance(x, FullereneGraph):
-        x = x.graph
-    if isinstance(x, EmbeddedGraph):
-        return x.n, x.rotation
     if isinstance(x, Subgraph):
         return x.n, x.adj
     if isinstance(x, Sequence):
@@ -110,7 +108,8 @@ def _adjacency(x: object) -> tuple[int, Sequence[Sequence[int]]]:
                         f"asymmetric adjacency: {v} lists {w} but {w} does not list {v}"
                     )
         return n, adj
-    raise GraphError(f"unsupported graph form: {type(x).__name__}")
+    base, _ = _embedded(x)
+    return base.n, base.rotation
 
 
 def _matching_from_mates(mates: Sequence[int], host: object) -> Matching:
@@ -140,11 +139,13 @@ def is_central(f: FullereneGraph, face_ids: int | Iterable[int]) -> bool:
     Accepts a single face id or any iterable of them.  Implemented by masking
     the face vertices out of the matching kernel rather than rebuilding the
     graph.
+
+    Raises:
+        GraphError: if f is not a ``FullereneGraph`` or a face id is not an
+            integer face of f.
     """
-    ids = {
-        check_int("face id", fid)
-        for fid in (face_ids if isinstance(face_ids, Iterable) else [face_ids])
-    }
+    check_type("graph", f, FullereneGraph)
+    ids = set(check_ints("face id", face_ids if isinstance(face_ids, Iterable) else [face_ids]))
     for fid in ids:
         if not 0 <= fid < len(f.faces):
             raise GraphError(f"face id {fid} outside 0..{len(f.faces) - 1}")
@@ -200,17 +201,20 @@ def symmetric_difference(m: Matching, cycle: Sequence[int]) -> Matching:
     ``cycle`` lists the vertices in order; the closing edge is implicit.
     Every step must be an edge of the matching's host graph, every other
     cycle edge must lie in the matching, and the flipped edges must still
-    form a matching (they do whenever the input is one), else GraphError.
+    form a matching (they do whenever the input is one), else GraphError;
+    so too if m is not a ``Matching`` or the cycle not one of integers.
     """
+    check_type("matching", m, Matching)
     if m.host is None:
         raise GraphError("matching has no host graph to check the cycle against")
     n, adj = _adjacency(m.host)
+    cycle = check_ints("cycle vertex id", cycle)
     length = len(cycle)
     if length < 4 or length % 2:
         raise GraphError(f"alternating cycle must have even length >= 4, got {length}")
     cyc_edges = []
     for i in range(length):
-        u, v = check_int("cycle vertex", cycle[i]), cycle[(i + 1) % length]
+        u, v = cycle[i], cycle[(i + 1) % length]
         if not (0 <= u < n and v in adj[u]):
             raise GraphError(f"cycle step {u}-{v} is not an edge of the graph")
         cyc_edges.append((u, v) if u < v else (v, u))
@@ -254,9 +258,12 @@ def alternating_faces(f: FullereneGraph, m: Matching) -> tuple[int, ...]:
     """Face ids whose boundaries alternate with a perfect matching.
 
     Raises:
-        GraphError: if the matching is not perfect on f, or holds a pair
-            that is not an edge of f stored as (u, v) with u < v.
+        GraphError: if f is not a ``FullereneGraph``, m is not a
+            ``Matching``, the matching is not perfect on f, or it holds a
+            pair that is not an edge of f stored as (u, v) with u < v.
     """
+    check_type("graph", f, FullereneGraph)
+    check_type("matching", m, Matching)
     if 2 * m.size != f.n or m.covered() != frozenset(range(f.n)):
         raise GraphError("alternating faces are defined against a perfect matching")
     rotation = f.graph.rotation

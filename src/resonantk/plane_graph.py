@@ -17,6 +17,17 @@ cut of fewer than k edges exactly when its dual has a cycle of some length
 l < k with at least l vertices on each side.  It costs O(n) for each fixed
 k and has no size guard.
 
+``_embedded`` is the one resolver of a graph argument, and the one place
+that tells the two graph types apart.  A function whose meaning holds for
+any plane cubic graph (``emit_graph``, ``faces``, ``validate_fullerene``,
+``canonical_code``, ``automorphisms``, ``delete_vertices``,
+``is_bipartite``, ``verify_cyclic_edge_connectivity``, and the
+``maximum_matching``, ``has_perfect_matching``, ``tutte_witness`` and
+``enumerate_perfect_matchings`` of ``matching``) takes an ``EmbeddedGraph``
+or a ``FullereneGraph`` through it, and any other value raises GraphError.
+Every other public function that takes a graph takes a ``FullereneGraph``
+only, checked by ``errors.check_type``.
+
 ``_embedding`` decides once per graph that a rotation system is a connected
 plane cubic graph on the sphere, and keeps the faces it traced on the graph.
 
@@ -243,6 +254,23 @@ class Subgraph:
         return self.vertices[local]
 
 
+def _embedded(g: object) -> tuple[EmbeddedGraph, FullereneGraph | None]:
+    """The rotation system of either graph type, and the ``FullereneGraph`` if g is one.
+
+    The one resolver of a graph argument that may be either type.
+
+    Raises:
+        GraphError: naming both types if g is neither.
+    """
+    if isinstance(g, FullereneGraph):
+        return g.graph, g
+    if isinstance(g, EmbeddedGraph):
+        return g, None
+    raise GraphError(
+        f"unsupported graph form: {type(g).__name__}; expected an EmbeddedGraph or a FullereneGraph"
+    )
+
+
 # ---------------------------------------------------------------------------
 # parsing and serialisation (.rot format)
 # ---------------------------------------------------------------------------
@@ -298,15 +326,18 @@ def parse_graph(text: str) -> EmbeddedGraph:
     return g
 
 
-def emit_graph(g: EmbeddedGraph, comments: Sequence[str] = ()) -> str:
+def emit_graph(g: EmbeddedGraph | FullereneGraph, comments: Sequence[str] = ()) -> str:
     """Serialise to the ``.rot`` format (inverse of :func:`parse_graph`).
 
-    Each line of a comment becomes its own ``#`` line, so a comment with
-    line breaks cannot leak a data line; an empty comment is one ``#`` line.
+    A ``FullereneGraph`` is written as its ``graph``.  Each line of a comment
+    becomes its own ``#`` line, so a comment with line breaks cannot leak a
+    data line; an empty comment is one ``#`` line.
 
     Raises:
-        GraphError: if ``comments`` is not a sequence of strings.
+        GraphError: if g is neither graph type, or ``comments`` is not a
+            sequence of strings.
     """
+    g, _ = _embedded(g)
     if isinstance(comments, str) or not isinstance(comments, Iterable):
         raise GraphError(f"comments must be a sequence of strings, got {comments!r}")
     notes = list(comments)
@@ -399,14 +430,16 @@ def _embedding(g: EmbeddedGraph) -> FaceSet:
 # ---------------------------------------------------------------------------
 
 
-def faces(g: EmbeddedGraph) -> FaceSet:
+def faces(g: EmbeddedGraph | FullereneGraph) -> FaceSet:
     """Trace all faces of the embedding and index which faces meet.
 
     Arcs are scanned in sorted order, so each face starts at its least arc
-    and face ids follow those arcs.  A graph that passed ``_embedding`` gets
-    its kept faces; any other has its rotation checked first (GraphError),
-    but may be disconnected or off the sphere.
+    and face ids follow those arcs.  A graph that passed ``_embedding``, as
+    every ``FullereneGraph``'s did, gets its kept faces; any other has its
+    rotation checked first (GraphError), but may be disconnected or off the
+    sphere.
     """
+    g, _ = _embedded(g)
     if g._faces is not None:
         return g._faces
     _check_rotation(g.rotation)
@@ -430,15 +463,20 @@ def faces(g: EmbeddedGraph) -> FaceSet:
     return FaceSet(tuple(built), arc_face, across)
 
 
-def validate_fullerene(g: EmbeddedGraph) -> FullereneGraph:
+def validate_fullerene(g: EmbeddedGraph | FullereneGraph) -> FullereneGraph:
     """Check the fullerene face condition and wrap the graph.
 
+    A ``FullereneGraph`` is checked again and returned unchanged, memo and
+    all.
+
     Raises:
-        GraphError: as :func:`parse_graph` and in its order, before any face
-            size is read, so a bare graph off the sphere raises this.
+        GraphError: if g is neither graph type; else as :func:`parse_graph`
+            and in its order, before any face size is read, so a bare graph
+            off the sphere raises this.
         NotFullereneError: if any face is not a pentagon or hexagon, or the
             pentagon count differs from 12.
     """
+    g, fullerene = _embedded(g)
     fs = _embedding(g)
     for f in fs:
         if f.size not in (5, 6):
@@ -452,7 +490,7 @@ def validate_fullerene(g: EmbeddedGraph) -> FullereneGraph:
     # Implied by Euler's formula once all faces are 5s and 6s:
     assert len(hexagons) == g.n // 2 - 10
     assert g.n >= 20 and g.n % 2 == 0
-    return FullereneGraph(g, fs, pentagons, hexagons)
+    return fullerene or FullereneGraph(g, fs, pentagons, hexagons)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +505,10 @@ def delete_vertices(g: EmbeddedGraph | FullereneGraph, drop: Iterable[int]) -> S
     yields a subgraph with the full vertex set and identical adjacency.
 
     Raises:
-        GraphError: if ``drop`` is not an iterable of vertex ids in range.
+        GraphError: if g is neither graph type, or ``drop`` is not an
+            iterable of vertex ids in range.
     """
-    base = g.graph if isinstance(g, FullereneGraph) else g
+    base, _ = _embedded(g)
     dropped = set(check_ints("vertex id", drop))
     for v in dropped:
         if not 0 <= v < base.n:
@@ -494,13 +533,15 @@ def is_bipartite(
     the cycle.  Both ends climb their BFS parents in step to their common
     ancestor, and the cycle runs from the scanned end up to it and down to
     the other end.
+
+    Raises:
+        GraphError: if s is not a ``Subgraph`` or either graph type.
     """
-    if isinstance(s, FullereneGraph):
-        s = s.graph
-    if isinstance(s, EmbeddedGraph):
-        n, adj, labels = s.n, s.rotation, range(s.n)
-    else:
+    if isinstance(s, Subgraph):
         n, adj, labels = s.n, s.adj, s.vertices
+    else:
+        base, _ = _embedded(s)
+        n, adj, labels = base.n, base.rotation, range(base.n)
     depth = [-1] * n
     parent = [-1] * n
     for root in range(n):
@@ -573,8 +614,9 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
     Raises:
         GuardExceeded: if the graph has more than 65,535 vertices, which two
             bytes per label cannot hold.
-        GraphError: if a bare ``EmbeddedGraph`` is not a connected plane
-            cubic graph on the sphere (the checks of :func:`parse_graph`).
+        GraphError: if g is neither graph type, or a bare ``EmbeddedGraph``
+            is not a connected plane cubic graph on the sphere (the checks
+            of :func:`parse_graph`).
     """
     return _canonical(g)[0]
 
@@ -605,18 +647,17 @@ def _after_tables(rotation: Sequence[tuple[int, int, int]]) -> tuple[list[dict],
 def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[Automorphism, ...]]:
     """The canonical code and the automorphism group, kept on a FullereneGraph.
 
-    A bare ``EmbeddedGraph`` goes through ``_embedding`` first; a
-    ``FullereneGraph`` passed it when it was validated.
+    The pass runs after ``_embedding``, which a ``FullereneGraph`` passed
+    when it was validated, so it returns at once there.
     """
+    g, f = _embedded(g)
     if g.n > 0xFFFF:
         raise GuardExceeded(f"canonical code supports at most 65535 vertices, got {g.n}")
-    if not isinstance(g, FullereneGraph):
+    memo = {} if f is None else f._memo
+    if "canonical" not in memo:
         _embedding(g)
-        return _canonical_pass(g)
-    got = g._memo.get("canonical")
-    if got is None:
-        got = g._memo["canonical"] = _canonical_pass(g.graph)
-    return got
+        memo["canonical"] = _canonical_pass(g)
+    return memo["canonical"]
 
 
 def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[Automorphism, ...]]:
@@ -758,14 +799,12 @@ def verify_cyclic_edge_connectivity(g: EmbeddedGraph | FullereneGraph, k: int = 
     this costs O(n), on any number of vertices.
 
     Raises:
-        GraphError: if k is not an integer, or a bare ``EmbeddedGraph``
-            fails the checks of :func:`parse_graph`.
+        GraphError: if g is neither graph type, k is not an integer, or a
+            bare ``EmbeddedGraph`` fails the checks of :func:`parse_graph`.
     """
+    g, _ = _embedded(g)
     check_int("k", k)
-    if isinstance(g, FullereneGraph):
-        rotation, fs = g.graph.rotation, g.faces
-    else:
-        rotation, fs = g.rotation, _embedding(g)
+    rotation, fs = g.rotation, _embedding(g)
     for l in range(1, min(k - 1, len(fs)) + 1):
         for root in range(len(fs)):
             if _short_cyclic_cut(rotation, fs, root, l):

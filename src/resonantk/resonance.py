@@ -37,7 +37,7 @@ from operator import ne
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from . import kernels, matching
-from .errors import GraphError, check_int, check_ints
+from .errors import GraphError, check_int, check_ints, check_type
 from .matching import (
     Matching,
     _matching_from_mates,
@@ -124,6 +124,7 @@ class HexagonReport:
 
 
 def _check_hexagon_set(f: FullereneGraph, hexagon_ids: Iterable[int]) -> tuple[int, ...]:
+    check_type("graph", f, FullereneGraph)
     ids = tuple(sorted(set(check_ints("face id", hexagon_ids))))
     for h in ids:
         if not 0 <= h < len(f.faces):
@@ -153,8 +154,9 @@ def is_resonant_pattern(
     perfectness and for alternation on the set's hexagons.
 
     Raises:
-        GraphError: if the ids are not iterable, a face id is not an
-            integer or not a hexagon, or two hexagons intersect.
+        GraphError: if f is not a ``FullereneGraph``, the ids are not
+            iterable, a face id is not an integer or not a hexagon, or two
+            hexagons intersect.
     """
     ids = _check_hexagon_set(f, hexagon_ids)
     mate = _rest_mates(f, ids)
@@ -181,8 +183,16 @@ def disjoint_hexagon_sets(f: FullereneGraph, k: int) -> Iterator[tuple[int, ...]
 
     Hexagons conflict when they share a vertex, that is when one is across
     an edge of the other.
+
+    Raises:
+        GraphError: when called, not at the first set, if f is not a
+            ``FullereneGraph`` or k is not an integer >= 0.
     """
-    check_int("set size", k, 0)
+    return _disjoint_hexagon_sets(check_type("graph", f, FullereneGraph), check_int("set size", k, 0))
+
+
+def _disjoint_hexagon_sets(f: FullereneGraph, k: int) -> Iterator[tuple[int, ...]]:
+    """The sets of :func:`disjoint_hexagon_sets`, for checked arguments."""
     if k == 0:
         yield ()
         return
@@ -472,8 +482,12 @@ def sextet(f: FullereneGraph) -> SextetPolynomial:
 
     The counts of the full ``_walk``, whose summary is kept on the graph for
     ``resonance_order`` and ``hexagon_dichotomy_report``.
+
+    Raises:
+        GraphError: if f is not a ``FullereneGraph``, as every function of
+            this module does.
     """
-    walk = f._memo.get("walk")
+    walk = check_type("graph", f, FullereneGraph)._memo.get("walk")
     if walk is None:
         walk = f._memo["walk"] = _walk(f)
     coeffs = list(walk.counts)
@@ -497,6 +511,7 @@ def fries(f: FullereneGraph, cap: int | None = None) -> int:
         GuardExceeded: if the matching count exceeds the enumeration cap.
         RuntimeError: if the check disagrees with the score.
     """
+    check_type("graph", f, FullereneGraph)
     hexagons = [f.faces[h].boundary for h in f.hexagon_ids]
 
     def score(mate: tuple[int, ...]) -> int:
@@ -534,7 +549,7 @@ def resonance_order(f: FullereneGraph, max_k: int | None = None) -> OrderReport:
     """
     if max_k is not None:
         check_int("max_k", max_k, 0)
-    walk = f._memo.get("walk")
+    walk = check_type("graph", f, FullereneGraph)._memo.get("walk")
     bounded = walk is None
     bound = 2
     while True:
@@ -561,7 +576,7 @@ def find_g_star(f: FullereneGraph) -> GStarWitness | None:
     isolates v, so they witness a non-resonant 3-set.  Vertices are scanned
     in ascending order; the first hit is returned.
     """
-    g = f.graph
+    g = check_type("graph", f, FullereneGraph).graph
     vertices = f.faces.vertex_masks
     for v in range(f.n):
         # The face along (w, x), x the neighbour before v at w, turns at w
@@ -593,6 +608,7 @@ def hexagon_dichotomy_report(f: FullereneGraph) -> tuple[HexagonReport, ...]:
     odd cycle reported is the boundary of the least pentagon id not across
     h, a 5-cycle of F - V(h) in parent ids.
     """
+    check_type("graph", f, FullereneGraph)
     singles = (f._memo.get("walk") or _walk(f, 1)).singles
     across = f.faces.across_masks
     out = []

@@ -53,7 +53,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .errors import GraphError, check_int
+from .errors import GraphError, check_int, check_ints, check_type
 from .plane_graph import Edge, FaceSet, FullereneGraph
 
 PENTAGONS_ONLY = "PENTAGONS_ONLY"
@@ -142,9 +142,11 @@ def find_polygonal_rings(
     candidate faces to pentagons (PENTAGONS_ONLY) or allows all (ANY).
 
     Raises:
-        GraphError: if ``max_len`` is not an integer >= 0 or the filter is
-            unknown.
+        GraphError: if f is not a ``FullereneGraph``, as every function of
+            this module does, ``max_len`` is not an integer >= 0 or the
+            filter is unknown.
     """
+    check_type("graph", f, FullereneGraph)
     check_int("max_len", max_len, 0)
     if face_filter not in (PENTAGONS_ONLY, ANY):
         raise GraphError(f"unknown face filter {face_filter!r}")
@@ -263,11 +265,10 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], pentagons: int)
     ``pentagons`` is the bitmask of the graph's pentagons; the caller builds
     it once for all the rings it builds.
 
-    One pass over the (previous, face, next) triples reads each face's arcs
-    and its edge to the next face from ``_arc``'s memo, the graph's
-    ``"ring_arcs"`` entry.  The first triple not yet in the memo has every
-    consecutive pair checked for adjacency before any arc is cut; a triple
-    in the memo passed that check when it was stored.  The two boundary
+    The faces must be a cycle of faces each across the next, as the scan
+    and ``ring_stats`` give them.  One pass over the (previous, face, next)
+    triples reads each face's arcs and its edge to the next face from
+    ``_arc``'s memo, the graph's ``"ring_arcs"`` entry.  The two boundary
     cycles are walked along the arcs (see the module docstring): the
     boundary is two cycles when neither walk meets a vertex twice and they
     share none.  Each shared edge is a rung when its end that ``_arc`` puts
@@ -295,15 +296,10 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], pentagons: int)
     b_vs: list[int] = []
     a_cm = b_cm = a_own = b_own = firsts = xs = ys = ring = 0
     arcs = f._memo.setdefault("ring_arcs", {})
-    adjacent = False
     prev = faces_cycle[-1]
     for fid, nxt in zip(faces_cycle, nexts):
         arc = arcs.get((prev, fid, nxt))
         if arc is None:
-            if not adjacent:
-                # two fullerene faces meet in one edge exactly when each is across the other
-                adjacent = all(fs.across_masks[a] >> b & 1 for a, b in zip(faces_cycle, nexts))
-                _check(adjacent, "consecutive faces meet in one edge", faces_cycle)
             arc = _arc(fs, arcs, prev, fid, nxt)
         a_arc, b_arc, a_bits, b_bits, a_far, b_far, first, edge, x, y = arc
         prev = fid
@@ -534,24 +530,43 @@ def _edge_cycles(edges: list[Edge]) -> list[tuple[int, ...]]:
 def ring_stats(f: FullereneGraph, ring: Ring) -> Ring:
     """Recompute a ring's statistics from the embedding, checking the identities.
 
-    The faces are first put in the scan's order (least face first, then the
-    smaller of its two neighbours), so a rotated or reversed face order of a
-    ring gives back the ring in its documented form.
+    The faces must make a polygonal ring as the module docstring defines
+    it, checked on the face masks before any ring structure is built: each
+    is across the next, faces that are not consecutive share no vertex
+    (which keeps the faces distinct, as no face is across itself), and the
+    edges consecutive faces share form a matching (two fullerene faces
+    across each other share exactly one edge's ends).  They are then put in
+    the scan's order (least face first, then the smaller of its two
+    neighbours), so a rotated or reversed face order of a ring gives back
+    the ring in its documented form.
 
     Raises:
-        GraphError: naming the face id that is not an integer face of ``f``,
-            or if the ring has fewer than 3 faces.
+        GraphError: if f is not a ``FullereneGraph`` or ring not a
+            ``Ring``, naming the face id that is not an integer face of
+            ``f``, or if the faces are fewer than 3 or make no polygonal ring.
         RuntimeError: if a counting identity fails (scanner or embedding
             bug) or the recomputed (l, s, s', r, n5, n6) differ from the ring's.
     """
-    if len(ring.faces) < 3:
-        raise GraphError(f"a ring has at least 3 faces, got {len(ring.faces)}")
-    for fid in ring.faces:
+    check_type("graph", f, FullereneGraph)
+    faces = tuple(check_ints("ring face", check_type("ring", ring, Ring).faces))
+    if len(faces) < 3:
+        raise GraphError(f"a ring has at least 3 faces, got {len(faces)}")
+    for fid in faces:
         if check_int("ring face", fid, 0) >= len(f.faces):
             raise GraphError(
                 f"ring face {fid} is not a face of the graph, which has {len(f.faces)} faces"
             )
-    faces = tuple(ring.faces)
+    vertices, across = f.faces.vertex_masks, f.faces.across_masks
+    ends = 0
+    for i, a in enumerate(faces):
+        if not across[a] >> faces[i - 1] & 1:
+            raise GraphError(f"ring faces {faces[i - 1]} and {a} are consecutive but share no edge")
+        ends |= vertices[a] & vertices[faces[i - 1]]
+        # the faces after a that are not consecutive to it
+        if any(vertices[a] & vertices[c] for c in faces[i + 2 : len(faces) - (i == 0)]):
+            raise GraphError(f"ring faces {faces}: two that are not consecutive share a vertex")
+    if ends.bit_count() != 2 * len(faces):
+        raise GraphError(f"ring faces {faces}: their shared edges do not form a matching")
     least = faces.index(min(faces))
     faces = faces[least:] + faces[:least]
     if faces[-1] < faces[1]:
@@ -570,13 +585,13 @@ def pentagonal_rings(f: FullereneGraph) -> tuple[Ring, ...]:
     """All pentagonal rings of length at most 12, scanned once per graph.
 
     A fullerene has 12 pentagons, so this is every pentagonal ring; ``tau``,
-    ``psi`` and the CLI report share the one scan.
+    ``psi``, ``detect_r5_r6`` and the CLI report share the one scan, and its
+    check of f.
     """
-    rings = f._memo.get("pentagonal_rings")
-    if rings is None:
-        rings = tuple(find_polygonal_rings(f, max_len=12, face_filter=PENTAGONS_ONLY))
-        f._memo["pentagonal_rings"] = rings
-    return rings
+    memo = check_type("graph", f, FullereneGraph)._memo
+    if "pentagonal_rings" not in memo:
+        memo["pentagonal_rings"] = tuple(find_polygonal_rings(f, 12, PENTAGONS_ONLY))
+    return memo["pentagonal_rings"]
 
 
 def tau(f: FullereneGraph) -> int | None:
@@ -638,6 +653,7 @@ def maximal_pentagonal_fragments(f: FullereneGraph) -> list[Fragment]:
     Non-disk clusters (whole sphere, annular belts) are reported with shape
     OTHER, maximal False, and their boundary cycles as found.
     """
+    check_type("graph", f, FullereneGraph)
     hexagons = sum(1 << h for h in f.hexagon_ids)
     seen = 0
     out: list[Fragment] = []

@@ -471,6 +471,20 @@ def test_unwritable_output_is_a_graph_error(argv, target, f24_file, tmp_path, ca
 
 
 @pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_output_is_refused_before_the_analysis(
+    target, f24_file, tmp_path, capsys, monkeypatch
+):
+    # analyze ran the whole analysis before it refused the path
+    def sextet(f):
+        raise AssertionError("the analysis ran")
+
+    monkeypatch.setattr(resonantk.cli, "sextet", sextet)
+    out = tmp_path / "absent" / "x.out" if target == "missing" else tmp_path
+    assert run(["analyze", str(f24_file), "-o", str(out)]) == 1
+    assert f"error: cannot write {out}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing", "directory"])
 @pytest.mark.parametrize("flag", ["-o", "--emit-matching", "--provenance"])
 def test_failed_leapfrog_leaves_no_output(flag, target, f24_file, tmp_path, capsys):
     out = tmp_path / "out"

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import resonantk
 from resonantk.catalog import catalog_names
 from resonantk.errors import GraphError, GuardExceeded, NotFullereneError
 from resonantk import plane_graph
@@ -747,3 +749,146 @@ def test_hexagon_conflicts_are_shared_vertices(indexed):
             if not f.faces[a].vertices & f.faces[b].vertices
         ]
         assert list(disjoint_hexagon_sets(f, 2)) == disjoint, name
+
+
+# ---------------------------------------------------------------------------
+# one rule for graph arguments
+# ---------------------------------------------------------------------------
+
+# The public functions whose meaning holds for any plane cubic graph: they
+# take an EmbeddedGraph or a FullereneGraph, and every other public function
+# that takes a graph takes a FullereneGraph only.
+EITHER_GRAPH_TYPE = {
+    "emit_graph", "faces", "validate_fullerene", "canonical_code", "automorphisms",
+    "delete_vertices", "is_bipartite", "verify_cyclic_edge_connectivity",
+    "maximum_matching", "has_perfect_matching", "tutte_witness", "enumerate_perfect_matchings",
+}
+
+# Parameter names of a graph, and of a Matching, Ring, LeapfrogResult or CatalogEntry.
+GRAPH_PARAMS = {"f", "g", "s"}
+CHECKED_PARAMS = GRAPH_PARAMS | {"m", "ring", "lf", "entry"}
+
+
+@pytest.fixture(scope="module")
+def good_arguments(graphs, catalog):
+    """Documented arguments for each public function that takes a checked argument, on F24."""
+    rk = resonantk
+    f = graphs["F24"]
+    lf = rk.leapfrog(f)
+    verts = lf.image.faces.vertex_masks
+    h1, h2 = next(
+        (a, b) for a in lf.image.hexagon_ids for b in lf.image.hexagon_ids
+        if a < b and not verts[a] & verts[b]
+    )
+    m = next(m for m in rk.enumerate_perfect_matchings(f) if rk.alternating_faces(f, m))
+    face = f.faces[rk.alternating_faces(f, m)[0]]
+    h = f.hexagon_ids[0]
+    return {
+        "alternating_faces": [f, m],
+        "automorphisms": [f],
+        "canonical_code": [f],
+        "clar": [f],
+        "delete_vertices": [f, [0]],
+        "detect_r5_r6": [f],
+        "disjoint_hexagon_sets": [f, 1],
+        "emit_graph": [f],
+        "enumerate_perfect_matchings": [f],
+        "faces": [f],
+        "find_g_star": [f],
+        "find_polygonal_rings": [f, 6],
+        "fries": [f],
+        "has_perfect_matching": [f],
+        "hexagon_dichotomy_report": [f],
+        "is_bipartite": [f],
+        "is_central": [f, [h]],
+        "is_resonant_pattern": [f, [h]],
+        "leapfrog": [f],
+        "maximal_pentagonal_fragments": [f],
+        "maximum_matching": [f],
+        "psi": [f, 6],
+        "resonance_order": [f],
+        "ring_stats": [f, rk.find_polygonal_rings(f, 6)[0]],
+        "sextet": [f],
+        "symmetric_difference": [m, list(face.boundary)],
+        "tau": [f],
+        "territory": [lf, next(iter(lf.heritable))],
+        "tutte_witness": [f],
+        "two_resonance_certificate": [lf, h1, h2],
+        "validate_fullerene": [f],
+        "verify_cyclic_edge_connectivity": [f],
+        "verify_entry": [catalog["F24"]],
+    }
+
+
+def _checked_positions():
+    """(function name, position, parameter) of every checked argument of a public function."""
+    out = []
+    for name in resonantk.__all__:
+        fn = getattr(resonantk, name)
+        if inspect.isfunction(fn):
+            for i, param in enumerate(inspect.signature(fn).parameters):
+                if param in CHECKED_PARAMS:
+                    out.append((name, i, param))
+    return out
+
+
+_CASES = [
+    (name, i, param, kind)
+    for name, i, param in _checked_positions()
+    for kind in ("None", "5") + (("fullerene", "embedded") if param in GRAPH_PARAMS else ())
+]
+
+
+def test_the_argument_table_covers_every_public_function(good_arguments):
+    names = {name for name, _, _ in _checked_positions()}
+    assert names == set(good_arguments)
+    assert len(names) == 33
+    assert EITHER_GRAPH_TYPE <= names
+
+
+@pytest.mark.parametrize(
+    "name, position, param, kind", _CASES, ids=[f"{n}-{p}-{k}" for n, _, p, k in _CASES]
+)
+def test_a_public_argument_ends_in_a_result_or_a_graph_error(
+    good_arguments, name, position, param, kind
+):
+    # None, 5 and the other graph type ended in an AttributeError or a
+    # TypeError in most of these functions.  A generator is advanced once,
+    # so that a check it left to its first set would show.
+    args = list(good_arguments[name])
+    if kind in ("None", "5"):
+        args[position] = None if kind == "None" else 5
+    elif kind == "embedded":
+        args[position] = args[position].graph
+    accepted = kind == "fullerene" or (kind == "embedded" and name in EITHER_GRAPH_TYPE)
+
+    def call():
+        out = getattr(resonantk, name)(*args)
+        if inspect.isgenerator(out):
+            next(out, None)
+
+    if accepted:
+        call()
+    else:
+        with pytest.raises(GraphError):
+            call()
+
+
+def test_either_graph_type_gives_the_same_answer(graphs):
+    f = graphs["C60"]
+    assert validate_fullerene(f) is f
+    assert emit_graph(f, ["c"]) == emit_graph(f.graph, ["c"])
+    assert faces(f) is faces(f.graph) is f.faces
+    assert canonical_code(f) == canonical_code(f.graph)
+    assert automorphisms(f) == automorphisms(f.graph)
+    assert is_bipartite(f) == is_bipartite(f.graph)
+    assert delete_vertices(f, [0]).adj == delete_vertices(f.graph, [0]).adj
+    assert verify_cyclic_edge_connectivity(f, 5) == verify_cyclic_edge_connectivity(f.graph, 5)
+
+
+def test_a_graph_argument_names_the_types_it_takes(graphs):
+    with pytest.raises(GraphError, match="^graph must be a FullereneGraph, got EmbeddedGraph$"):
+        resonantk.sextet(graphs["F20"].graph)
+    message = "^unsupported graph form: NoneType; expected an EmbeddedGraph or a FullereneGraph$"
+    with pytest.raises(GraphError, match=message):
+        emit_graph(None)

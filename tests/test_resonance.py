@@ -22,7 +22,7 @@ from resonantk.catalog import catalog_graph, catalog_names, nanotube
 from resonantk.cli import analyze_graph
 from resonantk.errors import GraphError, GuardExceeded
 from resonantk.leapfrog import leapfrog, two_resonance_certificate
-from resonantk.matching import maximum_matching
+from resonantk.matching import maximum_matching, symmetric_difference
 from resonantk.plane_graph import (
     Automorphism,
     EmbeddedGraph,
@@ -157,12 +157,38 @@ def test_ids_and_sizes_must_be_integers(graphs, call):
         (lambda f: emit_graph(f.graph, None), "comments must be a sequence of strings, got None"),
         (lambda f: emit_graph(f.graph, "abc"), "comments must be a sequence of strings, got 'abc'"),
         (lambda f: emit_graph(f.graph, [5]), "comment must be a string, got 5"),
+        (
+            lambda f: symmetric_difference(maximum_matching(f), 5),
+            "cycle vertex ids must be an iterable of integers, got 5",
+        ),
+        (
+            lambda f: symmetric_difference(maximum_matching(f), None),
+            "cycle vertex ids must be an iterable of integers, got None",
+        ),
     ],
-    ids=["pattern-int", "pattern-none", "delete-int", "emit-int", "emit-none", "emit-str", "emit-item"],
+    ids=[
+        "pattern-int", "pattern-none", "delete-int", "emit-int", "emit-none", "emit-str",
+        "emit-item", "cycle-int", "cycle-none",
+    ],
 )
 def test_collection_arguments_are_checked(graphs, call, message):
     with pytest.raises(GraphError, match=f"^{message}$"):
         call(graphs["C60"])
+
+
+@pytest.mark.parametrize(
+    "f, k, message",
+    [
+        ("C60", -1, "set size must be at least 0, got -1"),
+        ("C60", "a", "set size must be an integer, got 'a'"),
+        (None, 2, "graph must be a FullereneGraph, got NoneType"),
+    ],
+    ids=["negative", "string", "none"],
+)
+def test_disjoint_hexagon_sets_checks_its_arguments_when_called(graphs, f, k, message):
+    # a generator would raise only at its first set
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        disjoint_hexagon_sets(graphs.get(f), k)
 
 
 def test_out_of_range_ids_keep_their_messages(graphs):

@@ -126,20 +126,54 @@ def test_ring_stats_names_a_face_id_off_the_graph(graphs):
         (c60, (), "at least 3 faces, got 0"),
         (c60, (0, -1, 3), "ring face must be at least 0, got -1"),
         (c60, (0, True, 3), "ring face must be an integer, got True"),
+        (c60, None, "ring faces must be an iterable of integers, got None"),
     ]
     for f, faces, message in cases:
         with pytest.raises(GraphError, match=message):
             ring_stats(f, dataclasses.replace(ring, faces=faces))
-    # a face sequence that is no ring keeps its RuntimeError, raised before
-    # any of its (previous, face, next) triples gets arcs in the memo
+    # a face sequence that is no ring is a GraphError, raised before any of
+    # its (previous, face, next) triples gets arcs in the memo
     arcs = c60._memo["ring_arcs"]
     before = dict(arcs)
     first = ring.faces[:2]
     away = next(g for g in range(len(c60.faces)) if g not in c60.faces.across(first[1]))
     for faces in ((0, 0, 3), first + (away,)):
-        with pytest.raises(RuntimeError, match="consecutive faces meet in one edge"):
+        with pytest.raises(GraphError, match="are consecutive but share no edge"):
             ring_stats(c60, dataclasses.replace(ring, faces=faces))
     assert arcs == before
+
+
+@pytest.mark.parametrize(
+    "faces, message",
+    [
+        ((0, 10, 20, 30), "ring faces 30 and 0 are consecutive but share no edge"),
+        ((1, 1, 1), "ring faces 1 and 1 are consecutive but share no edge"),
+        ((0, 1, 2), r"ring faces \(0, 1, 2\): their shared edges do not form a matching"),
+    ],
+    ids=["apart", "repeated", "around-a-vertex"],
+)
+def test_ring_stats_refuses_faces_that_make_no_ring(graphs, faces, message):
+    # These raised the RuntimeError kept for a scanner or embedding bug.
+    c60 = graphs["C60"]
+    ring = find_polygonal_rings(c60, 9)[0]
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        ring_stats(c60, dataclasses.replace(ring, faces=faces))
+
+
+def test_ring_stats_refuses_non_consecutive_faces_that_meet(graphs):
+    # four faces, each across the next, where the first and third meet too
+    c60 = graphs["C60"]
+    ring = find_polygonal_rings(c60, 9)[0]
+    fs = c60.faces
+    for a in range(len(fs)):
+        for b in fs.across(a):
+            for c in set(fs.across(b)) & set(fs.across(a)):
+                d = next((d for d in fs.across(c) if d not in (a, b) and a in fs.across(d)), None)
+                if d is not None:
+                    with pytest.raises(GraphError, match="two that are not consecutive share a vertex"):
+                        ring_stats(c60, dataclasses.replace(ring, faces=(a, b, c, d)))
+                    return
+    raise AssertionError("no such four faces")
 
 
 def test_rung_check_needs_exactly_one_endpoint_on_each_cycle(graphs, monkeypatch):
