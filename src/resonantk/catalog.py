@@ -144,11 +144,13 @@ def verify_entry(entry: CatalogEntry) -> dict[str, tuple[object, object, bool]]:
     """Recompute each expected fact; returns {fact: (expected, computed, ok)}.
 
     Raises:
-        GraphError: if entry is not a ``CatalogEntry``.
+        GraphError: if entry is not a ``CatalogEntry``, or its expected facts
+            are not ``ExpectedFacts`` or its graph not a ``FullereneGraph``.
     """
     check_type("catalog entry", entry, CatalogEntry)
+    expected = check_type("expected facts", entry.expected, ExpectedFacts)
     names = (k.name for k in fields(ExpectedFacts))
-    pairs = zip(astuple(entry.expected), astuple(_facts(entry.graph)))
+    pairs = zip(astuple(expected), astuple(_facts(entry.graph)))
     return {k: (want, got, want == got) for k, (want, got) in zip(names, pairs)}
 
 

@@ -4,6 +4,18 @@ All machine output is JSON with sorted keys and a fixed enumeration order,
 so identical inputs produce byte-identical bytes; the human-readable text is
 a rendering of the same record.  Exit codes: 0 success, 1 validation or
 usage error, 2 enumeration guard exceeded.
+
+Each command has one handler, set on its parser as the ``handler``
+default.  A handler takes the parsed arguments and returns the text the
+command writes; ``validate`` and ``catalog verify`` return their exit
+status with it.  :func:`run` checks every file the command writes before
+any work, calls the handler, and writes its text through ``_write_output``,
+the one writer of command output: the help and the files ``leapfrog``
+writes beside its image go through it too.  A standard output that its
+reader closed early, or that was never open, is an error (exit 1), not a
+traceback.  :func:`main` then points file descriptor 1 at devnull, so that
+Python's flush at exit stays quiet; in-process callers of ``run`` keep
+their file descriptors as they are.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import catalog as _catalog
 from .errors import GraphError, GuardExceeded
@@ -51,11 +63,20 @@ SCHEMA = "resonantk-report/1"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage errors exit with status 1, not 2."""
+    """argparse variant whose usage errors exit with status 1, not 2.
+
+    Its help is command output, written by ``_write_output``.
+    """
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def print_help(self, file=None) -> None:  # type: ignore[override]
+        if file is None:
+            _write_output(self.format_help(), None)
+        else:
+            super().print_help(file)
 
 
 def graph_identity(f: FullereneGraph) -> str:
@@ -220,15 +241,177 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_output(text: str, path: str | None) -> None:
-    if path and path != "-":
+def _lines(items: Iterable[object]) -> str:
+    """Each item on a line of its own."""
+    return "".join(f"{item}\n" for item in items)
+
+
+def _ids(ids: Iterable[int]) -> str:
+    return " ".join(map(str, ids))
+
+
+def _record(obj: object, fields: tuple[str, ...]) -> dict:
+    """The JSON record of ``obj``: each field by its attribute name."""
+    return {key: getattr(obj, key) for key in fields}
+
+
+# The command handlers, one for each subcommand; see the module docstring.
+
+
+def _validate(args: argparse.Namespace) -> tuple[str, int]:
+    lines, status = [], 0
+    for path in args.paths:
         try:
+            f = _load(path)
+        except GraphError as e:
+            lines.append(f"{path}: INVALID: {e}")
+            status = 1
+            continue
+        lines.append(
+            f"{path}: fullerene graph, {f.n} vertices, "
+            f"{len(f.pentagon_ids)} pentagons, {len(f.hexagon_ids)} hexagons"
+        )
+    return _lines(lines), status
+
+
+def _analyze(args: argparse.Namespace) -> str:
+    # an explicit cap is checked even when fries does not run
+    pm_cap = None if args.pm_cap is None else resolve_pm_cap(args.pm_cap)
+    reports = [analyze_graph(_load(path), args.fries, pm_cap) for path in args.paths]
+    if args.json:
+        return _dump_json(reports[0] if len(reports) == 1 else reports)
+    return "\n".join(map(_render_text, reports))
+
+
+def _order(args: argparse.Namespace) -> str:
+    rep = resonance_order(_load(args.path), max_k=args.max_k)
+    lines = [f">= {rep.order}" if rep.capped else rep.order]
+    if rep.failing:
+        lines.append(f"failing set: {_ids(rep.failing)}")
+    return _lines(lines)
+
+
+def _sextet(args: argparse.Namespace) -> str:
+    poly = sextet(_load(args.path))
+    coefficients = _ids(poly.descending())
+    return _lines([f"degree: {poly.degree}", f"coefficients (descending): {coefficients}"])
+
+
+def _clar(args: argparse.Namespace) -> str:
+    return _lines([clar(_load(args.path))])
+
+
+def _fries(args: argparse.Namespace) -> str:
+    return _lines([fries(_load(args.path), cap=args.pm_cap)])
+
+
+def _gstar(args: argparse.Namespace) -> str:
+    w = find_g_star(_load(args.path))
+    return _lines([f"vertex {w.vertex}: hexagons {_ids(w.hexagons)}" if w else "none"])
+
+
+def _leapfrog(args: argparse.Namespace) -> str:
+    f = _load(args.path)
+    lf = leapfrog(f)
+    if args.emit_matching:
+        _write_output(lf.m0.serialize() + "\n", args.emit_matching)
+    if args.provenance:
+        tables = {"heritable": lf.heritable, "fresh": lf.fresh}
+        prov = {key: {str(k): v for k, v in sorted(t.items())} for key, t in tables.items()}
+        _write_output(_dump_json(prov), args.provenance)
+    comments = [
+        f"leapfrog image: {lf.image.n} vertices from a {f.n}-vertex fullerene",
+        f"source identity: {graph_identity(f)}",
+    ]
+    return emit_graph(lf.image.graph, comments)
+
+
+# the fields of each record in ``rings --json`` and ``fragments --json``;
+# a fragment's record also lists its w_vertices, sorted
+_RING_FIELDS = (
+    "faces", "l", "s", "s_prime", "r", "n5", "n6", "all_pentagons", "inner_cycle", "outer_cycle",
+)
+_FRAGMENT_FIELDS = ("faces", "shape", "maximal", "gamma", "pentagonal", "boundary")
+
+
+def _rings(args: argparse.Namespace) -> str:
+    face_filter = PENTAGONS_ONLY if args.pentagonal else ANY
+    rings = find_polygonal_rings(_load(args.path), max_len=args.max_len, face_filter=face_filter)
+    if args.json:
+        return _dump_json([_record(r, _RING_FIELDS) for r in rings])
+    return _lines(
+        f"l={r.l} s={r.s} s'={r.s_prime} r={r.r} n5={r.n5} n6={r.n6} "
+        f"({'pentagonal' if r.all_pentagons else 'mixed'}) faces: {_ids(r.faces)}"
+        for r in rings
+    ) + f"total: {len(rings)}\n"
+
+
+def _fragments(args: argparse.Namespace) -> str:
+    frags = maximal_pentagonal_fragments(_load(args.path))
+    if args.json:
+        return _dump_json(
+            [{**_record(fr, _FRAGMENT_FIELDS), "w_vertices": sorted(fr.w_vertices)} for fr in frags]
+        )
+    return _lines(
+        f"{fr.shape}: {len(fr.faces)} faces, maximal={fr.maximal}, "
+        f"gamma={fr.gamma}, boundary cycles={len(fr.boundary)}"
+        for fr in frags
+    )
+
+
+def _catalog_list(args: argparse.Namespace) -> str:
+    return _lines(
+        f"{e.name}: {e.graph.n} vertices, {len(e.graph.hexagon_ids)} hexagons"
+        for e in map(_catalog.catalog_graph, _catalog.catalog_names())
+    )
+
+
+def _catalog_emit(args: argparse.Namespace) -> str:
+    entry = _catalog.catalog_graph(args.name)
+    comments = [f"catalog entry {entry.name}", f"identity: {graph_identity(entry.graph)}"]
+    return emit_graph(entry.graph.graph, comments)
+
+
+def _catalog_verify(args: argparse.Namespace) -> tuple[str, int]:
+    lines, status = [], 0
+    for entry in map(_catalog.catalog_graph, _catalog.catalog_names()):
+        bad = {k: v for k, v in _catalog.verify_entry(entry).items() if not v[2]}
+        if bad:
+            status = 1
+            detail = "; ".join(f"{k}: expected {v[0]}, got {v[1]}" for k, v in bad.items())
+            lines.append(f"{entry.name}: FAIL ({detail})")
+        else:
+            lines.append(f"{entry.name}: ok")
+    return _lines(lines), status
+
+
+def _nanotube(args: argparse.Namespace) -> str:
+    cap = args.cap.upper()
+    f = _catalog.nanotube(cap, args.rings)
+    comment = f"nanotube: {cap} caps, {args.rings} hexagon rings, {f.n} vertices"
+    return emit_graph(f.graph, [comment])
+
+
+def _write_output(text: str, path: str | None) -> None:
+    """Write ``text`` to the file at ``path``, or to standard output if there is none or it is "-".
+
+    The one writer of command output, help included.  Standard output is
+    flushed at once, so that a reader that closed it early is a GraphError
+    whether or not the stream is buffered.
+    """
+    to_file = path and path != "-"
+    try:
+        if to_file:
             with open(path, "w") as fh:
                 fh.write(text)
-        except OSError as e:
-            raise GraphError(f"cannot write {path}: {e.strerror}") from None
-    else:
-        sys.stdout.write(text)
+        elif sys.stdout is None:  # Python found no file descriptor 1 at start-up
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as e:
+        where = path if to_file else "standard output"
+        raise GraphError(f"cannot write {where}: {e.strerror}") from None
 
 
 def _check_destination(path: str | None) -> None:
@@ -246,75 +429,88 @@ def _check_destination(path: str | None) -> None:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The command-line parser, built once per process; parsing keeps no state."""
+    """The command-line parser, built once per process; parsing keeps no state.
+
+    Each command's parser carries its handler as the ``handler`` default.
+    """
     p = _Parser(prog="resonantk", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("validate", help="parse and check a rotation-system file")
-    sp.add_argument("paths", nargs="+")
+    def command(name: str, handler: Callable, *positional: str, parent=sub, **kw) -> _Parser:
+        """A command's parser; a positional named "paths" takes one or more."""
+        sp = parent.add_parser(name, **kw)
+        sp.set_defaults(handler=handler)
+        for arg in positional:
+            sp.add_argument(arg, nargs="+" if arg == "paths" else None)
+        return sp
 
-    sp = sub.add_parser("analyze", help="full structural report")
-    sp.add_argument("paths", nargs="+")
+    def output(sp: _Parser) -> None:
+        sp.add_argument("-o", "--output")
+
+    command("validate", _validate, "paths", help="parse and check a rotation-system file")
+
+    sp = command("analyze", _analyze, "paths", help="full structural report")
     sp.add_argument("--json", action="store_true")
-    sp.add_argument("--fries", action="store_true", help="include the enumeration-heavy fries number")
-    sp.add_argument("--pm-cap", type=int, default=None, metavar="N")
-    sp.add_argument("-o", "--output", default=None)
+    sp.add_argument(
+        "--fries", action="store_true", help="include the enumeration-heavy fries number"
+    )
+    sp.add_argument("--pm-cap", type=int, metavar="N")
+    output(sp)
 
-    sp = sub.add_parser("order", help="resonance order with a failing witness")
-    sp.add_argument("path")
-    sp.add_argument("--max-k", type=int, default=None, metavar="K")
+    sp = command("order", _order, "path", help="resonance order with a failing witness")
+    sp.add_argument("--max-k", type=int, metavar="K")
 
-    for name, help_text in (
-        ("sextet", "resonant-set counting polynomial"),
-        ("clar", "largest resonant set size"),
-        ("fries", "most alternating hexagons over all perfect matchings"),
-        ("gstar", "three-disjoint-hexagon obstruction at a vertex"),
-    ):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("path")
-        if name == "fries":
-            sp.add_argument("--pm-cap", type=int, default=None, metavar="N")
+    command("sextet", _sextet, "path", help="resonant-set counting polynomial")
+    command("clar", _clar, "path", help="largest resonant set size")
+    sp = command(
+        "fries", _fries, "path", help="most alternating hexagons over all perfect matchings"
+    )
+    sp.add_argument("--pm-cap", type=int, metavar="N")
+    command("gstar", _gstar, "path", help="three-disjoint-hexagon obstruction at a vertex")
 
-    sp = sub.add_parser("leapfrog", help="leapfrog image, matching, and provenance")
-    sp.add_argument("path")
-    sp.add_argument("-o", "--output", default=None)
-    sp.add_argument("--emit-matching", default=None, metavar="FILE")
-    sp.add_argument("--provenance", default=None, metavar="FILE")
+    sp = command("leapfrog", _leapfrog, "path", help="leapfrog image, matching, and provenance")
+    output(sp)
+    sp.add_argument("--emit-matching", metavar="FILE")
+    sp.add_argument("--provenance", metavar="FILE")
 
-    sp = sub.add_parser("rings", help="polygonal ring scan")
-    sp.add_argument("path")
+    sp = command("rings", _rings, "path", help="polygonal ring scan")
     sp.add_argument("--max-len", type=int, default=12)
     sp.add_argument("--pentagonal", action="store_true")
     sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("fragments", help="pentagon cluster classification")
-    sp.add_argument("path")
+    sp = command("fragments", _fragments, "path", help="pentagon cluster classification")
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("catalog", help="built-in graphs")
     csub = sp.add_subparsers(dest="catalog_command", required=True)
-    csub.add_parser("list")
-    sp2 = csub.add_parser("emit")
-    sp2.add_argument("name")
-    sp2.add_argument("-o", "--output", default=None)
-    csub.add_parser("verify")
+    command("list", _catalog_list, parent=csub)
+    output(command("emit", _catalog_emit, "name", parent=csub))
+    command("verify", _catalog_verify, parent=csub)
 
-    sp = sub.add_parser("nanotube", help="capped tube construction")
+    sp = command("nanotube", _nanotube, help="capped tube construction")
     sp.add_argument("--cap", choices=["r5", "r6"], required=True)
     sp.add_argument("--rings", type=int, required=True, metavar="K")
-    sp.add_argument("-o", "--output", default=None)
+    output(sp)
 
     return p
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Execute one command line; returns the exit status."""
+    """Execute one command line; returns the exit status.
+
+    Every file the command writes is checked before any work; then its
+    handler runs, and the text it returns goes through ``_write_output``.
+    """
     try:
         args = _build_parser().parse_args(argv)
+        for name in ("output", "emit_matching", "provenance"):
+            _check_destination(getattr(args, name, None))
+        result = args.handler(args)
+        text, status = result if isinstance(result, tuple) else (result, 0)
+        _write_output(text, getattr(args, "output", None))
+        return status
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
-    try:
-        return _dispatch(args)
     except GuardExceeded as e:
         print(f"guard exceeded: {e}", file=sys.stderr)
         return 2
@@ -323,200 +519,18 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    cmd = args.command
-    # every file a command writes is checked before any work
-    for name in ("output", "emit_matching", "provenance"):
-        _check_destination(getattr(args, name, None))
-
-    if cmd == "validate":
-        status = 0
-        for path in args.paths:
-            try:
-                f = _load(path)
-            except GraphError as e:
-                print(f"{path}: INVALID: {e}")
-                status = 1
-                continue
-            print(
-                f"{path}: fullerene graph, {f.n} vertices, "
-                f"{len(f.pentagon_ids)} pentagons, {len(f.hexagon_ids)} hexagons"
-            )
-        return status
-
-    if cmd == "analyze":
-        # an explicit cap is checked even when fries does not run
-        pm_cap = None if args.pm_cap is None else resolve_pm_cap(args.pm_cap)
-        reports = []
-        for path in args.paths:
-            f = _load(path)
-            reports.append(analyze_graph(f, with_fries=args.fries, pm_cap=pm_cap))
-        if args.json:
-            text = _dump_json(reports[0] if len(reports) == 1 else reports)
-        else:
-            text = "\n".join(_render_text(r) for r in reports)
-        _write_output(text, args.output)
-        return 0
-
-    if cmd == "order":
-        f = _load(args.path)
-        rep = resonance_order(f, max_k=args.max_k)
-        if rep.capped:
-            print(f">= {rep.order}")
-        else:
-            print(rep.order)
-        if rep.failing:
-            print(f"failing set: {' '.join(map(str, rep.failing))}")
-        return 0
-
-    if cmd == "sextet":
-        f = _load(args.path)
-        poly = sextet(f)
-        print(f"degree: {poly.degree}")
-        print("coefficients (descending): " + " ".join(str(c) for c in poly.descending()))
-        return 0
-
-    if cmd == "clar":
-        print(clar(_load(args.path)))
-        return 0
-
-    if cmd == "fries":
-        print(fries(_load(args.path), cap=args.pm_cap))
-        return 0
-
-    if cmd == "gstar":
-        witness = find_g_star(_load(args.path))
-        if witness is None:
-            print("none")
-        else:
-            print(f"vertex {witness.vertex}: hexagons {' '.join(map(str, witness.hexagons))}")
-        return 0
-
-    if cmd == "leapfrog":
-        f = _load(args.path)
-        lf = leapfrog(f)
-        comments = [
-            f"leapfrog image: {lf.image.n} vertices from a {f.n}-vertex fullerene",
-            f"source identity: {graph_identity(f)}",
-        ]
-        _write_output(emit_graph(lf.image.graph, comments), args.output)
-        if args.emit_matching:
-            _write_output(lf.m0.serialize() + "\n", args.emit_matching)
-        if args.provenance:
-            prov = {
-                "heritable": {str(k): v for k, v in sorted(lf.heritable.items())},
-                "fresh": {str(k): v for k, v in sorted(lf.fresh.items())},
-            }
-            _write_output(_dump_json(prov), args.provenance)
-        return 0
-
-    if cmd == "rings":
-        f = _load(args.path)
-        rings = find_polygonal_rings(
-            f,
-            max_len=args.max_len,
-            face_filter=PENTAGONS_ONLY if args.pentagonal else ANY,
-        )
-        if args.json:
-            payload = [
-                {
-                    "faces": list(r.faces),
-                    "l": r.l,
-                    "s": r.s,
-                    "s_prime": r.s_prime,
-                    "r": r.r,
-                    "n5": r.n5,
-                    "n6": r.n6,
-                    "all_pentagons": r.all_pentagons,
-                    "inner_cycle": list(r.inner_cycle),
-                    "outer_cycle": list(r.outer_cycle),
-                }
-                for r in rings
-            ]
-            sys.stdout.write(_dump_json(payload))
-        else:
-            for r in rings:
-                kind = "pentagonal" if r.all_pentagons else "mixed"
-                print(
-                    f"l={r.l} s={r.s} s'={r.s_prime} r={r.r} n5={r.n5} n6={r.n6} "
-                    f"({kind}) faces: {' '.join(map(str, r.faces))}"
-                )
-            print(f"total: {len(rings)}")
-        return 0
-
-    if cmd == "fragments":
-        f = _load(args.path)
-        frags = maximal_pentagonal_fragments(f)
-        if args.json:
-            payload = [
-                {
-                    "faces": list(fr.faces),
-                    "shape": fr.shape,
-                    "maximal": fr.maximal,
-                    "gamma": fr.gamma,
-                    "pentagonal": fr.pentagonal,
-                    "boundary": [list(c) for c in fr.boundary],
-                    "w_vertices": sorted(fr.w_vertices),
-                }
-                for fr in frags
-            ]
-            sys.stdout.write(_dump_json(payload))
-        else:
-            for fr in frags:
-                print(
-                    f"{fr.shape}: {len(fr.faces)} faces, maximal={fr.maximal}, "
-                    f"gamma={fr.gamma}, boundary cycles={len(fr.boundary)}"
-                )
-        return 0
-
-    if cmd == "catalog":
-        if args.catalog_command == "list":
-            for name in _catalog.catalog_names():
-                entry = _catalog.catalog_graph(name)
-                print(f"{name}: {entry.graph.n} vertices, {len(entry.graph.hexagon_ids)} hexagons")
-            return 0
-        if args.catalog_command == "emit":
-            entry = _catalog.catalog_graph(args.name)
-            _write_output(
-                emit_graph(
-                    entry.graph.graph,
-                    [f"catalog entry {entry.name}", f"identity: {graph_identity(entry.graph)}"],
-                ),
-                args.output,
-            )
-            return 0
-        # verify
-        status = 0
-        for name in _catalog.catalog_names():
-            entry = _catalog.catalog_graph(name)
-            results = _catalog.verify_entry(entry)
-            bad = {k: v for k, v in results.items() if not v[2]}
-            if bad:
-                status = 1
-                detail = "; ".join(f"{k}: expected {v[0]}, got {v[1]}" for k, v in bad.items())
-                print(f"{name}: FAIL ({detail})")
-            else:
-                print(f"{name}: ok")
-        return status
-
-    if cmd == "nanotube":
-        f = _catalog.nanotube(args.cap.upper(), args.rings)
-        _write_output(
-            emit_graph(
-                f.graph,
-                [
-                    f"nanotube: {args.cap.upper()} caps, {args.rings} hexagon rings, {f.n} vertices"
-                ],
-            ),
-            args.output,
-        )
-        return 0
-
-    raise AssertionError(f"unhandled command {cmd}")
-
-
 def main() -> None:
-    sys.exit(run())
+    """The ``resonantk`` script: exits with the status of :func:`run`."""
+    status = run()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        # The reader closed standard output, which run has reported.  Point
+        # file descriptor 1 at devnull, so that Python's flush at exit does
+        # not report the unwritten rest again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":

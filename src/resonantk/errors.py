@@ -42,14 +42,16 @@ def check_type(name: str, value: object, kind: type[_T]) -> _T:
     """Return ``value`` if it is an instance of ``kind``.
 
     The one type check of a ``FullereneGraph``, ``Matching``, ``Ring``,
-    ``LeapfrogResult`` or ``CatalogEntry`` argument; either graph type is
-    resolved by ``plane_graph._embedded`` instead.
+    ``LeapfrogResult`` or ``CatalogEntry`` argument, and of the fields of
+    such a value where they are first read; either graph type is resolved
+    by ``plane_graph._embedded`` instead.
 
     Raises:
         GraphError: naming ``name``, ``kind`` and the type given otherwise.
     """
     if not isinstance(value, kind):
-        raise GraphError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise GraphError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
     return value
 
 

@@ -259,11 +259,14 @@ def alternating_faces(f: FullereneGraph, m: Matching) -> tuple[int, ...]:
 
     Raises:
         GraphError: if f is not a ``FullereneGraph``, m is not a
-            ``Matching``, the matching is not perfect on f, or it holds a
-            pair that is not an edge of f stored as (u, v) with u < v.
+            ``Matching`` whose edges are a frozenset of pairs of vertex
+            ids, the matching is not perfect on f, or it holds a pair that
+            is not an edge of f stored as (u, v) with u < v.
     """
     check_type("graph", f, FullereneGraph)
-    check_type("matching", m, Matching)
+    for e in check_type("matching edges", check_type("matching", m, Matching).edges, frozenset):
+        if len(check_ints("matching vertex id", e)) != 2:
+            raise GraphError(f"matching edge {e!r} is not a pair of vertex ids")
     if 2 * m.size != f.n or m.covered() != frozenset(range(f.n)):
         raise GraphError("alternating faces are defined against a perfect matching")
     rotation = f.graph.rotation

@@ -44,7 +44,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import GraphError, GuardExceeded, NotFullereneError, check_int, check_ints
+from .errors import GraphError, GuardExceeded, NotFullereneError, check_int, check_ints, check_type
 
 Arc = tuple[int, int]
 Edge = tuple[int, int]
@@ -263,7 +263,7 @@ def _embedded(g: object) -> tuple[EmbeddedGraph, FullereneGraph | None]:
         GraphError: naming both types if g is neither.
     """
     if isinstance(g, FullereneGraph):
-        return g.graph, g
+        return check_type("FullereneGraph graph", g.graph, EmbeddedGraph), g
     if isinstance(g, EmbeddedGraph):
         return g, None
     raise GraphError(
@@ -467,12 +467,14 @@ def validate_fullerene(g: EmbeddedGraph | FullereneGraph) -> FullereneGraph:
     """Check the fullerene face condition and wrap the graph.
 
     A ``FullereneGraph`` is checked again and returned unchanged, memo and
-    all.
+    all, once its faces are the ones its graph traces and its pentagon and
+    hexagon ids the ones those faces give.
 
     Raises:
         GraphError: if g is neither graph type; else as :func:`parse_graph`
             and in its order, before any face size is read, so a bare graph
-            off the sphere raises this.
+            off the sphere raises this; or if a ``FullereneGraph``'s fields
+            disagree with its graph.
         NotFullereneError: if any face is not a pentagon or hexagon, or the
             pentagon count differs from 12.
     """
@@ -490,7 +492,13 @@ def validate_fullerene(g: EmbeddedGraph | FullereneGraph) -> FullereneGraph:
     # Implied by Euler's formula once all faces are 5s and 6s:
     assert len(hexagons) == g.n // 2 - 10
     assert g.n >= 20 and g.n % 2 == 0
-    return fullerene or FullereneGraph(g, fs, pentagons, hexagons)
+    out = fullerene or FullereneGraph(g, fs, pentagons, hexagons)
+    if (out.faces, out.pentagon_ids, out.hexagon_ids) != (fs, pentagons, hexagons):
+        # a FaceSet equals only itself
+        raise GraphError(
+            "a FullereneGraph's faces, pentagon_ids and hexagon_ids must be those its graph traces"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

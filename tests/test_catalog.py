@@ -8,6 +8,7 @@ import pytest
 
 from resonantk.catalog import (
     THE_NINE,
+    CatalogEntry,
     catalog_graph,
     catalog_names,
     catalog_spiral,
@@ -42,6 +43,18 @@ def test_every_entry_verifies(catalog):
         results = verify_entry(entry)
         bad = {k: v for k, v in results.items() if not v[2]}
         assert not bad, f"{name}: {bad}"
+
+
+def test_verify_entry_reads_a_hand_built_entry(catalog):
+    entry = catalog["F24"]
+    cases = [
+        (CatalogEntry("x", None, None), "^expected facts must be an ExpectedFacts, got NoneType$"),
+        (CatalogEntry("x", entry.graph, ()), "^expected facts must be an ExpectedFacts, got tuple$"),
+        (CatalogEntry("x", None, entry.expected), "^graph must be a FullereneGraph, got NoneType$"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(GraphError, match=message):
+            verify_entry(bad)
 
 
 def test_vertex_counts(graphs):

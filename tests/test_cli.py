@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import enum
+import errno
 import hashlib
 import json
 import math
@@ -21,7 +23,7 @@ import resonantk
 
 from resonantk import catalog as _catalog
 from resonantk import rings_fragments
-from resonantk.cli import _dump_json, run
+from resonantk.cli import _build_parser, _dump_json, run
 from resonantk.plane_graph import EmbeddedGraph, emit_graph, parse_graph, validate_fullerene
 
 
@@ -82,8 +84,26 @@ def test_a_leading_byte_order_mark_is_read_past(tmp_path, capsys):
     assert "byte 5 cannot be decoded" in capsys.readouterr().out
 
 
-FILE_COMMANDS = (
-    "validate", "analyze", "order", "sextet", "clar", "fries", "gstar", "leapfrog", "rings", "fragments",
+def _commands(parser=None, prefix=()):
+    """(argv prefix, parser) of every command, read off the parser's subcommands."""
+    parser = parser or _build_parser()
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        yield prefix, parser
+    for action in subparsers:
+        for name, sp in action.choices.items():
+            yield from _commands(sp, (*prefix, name))
+
+
+def _dests(parser):
+    return {action.dest for action in parser._actions}
+
+
+COMMANDS = dict(_commands())
+
+# the commands that read a graph file
+FILE_COMMANDS = tuple(
+    " ".join(prefix) for prefix, sp in COMMANDS.items() if _dests(sp) & {"path", "paths"}
 )
 
 
@@ -122,6 +142,74 @@ def test_analyze_scans_pentagonal_rings_once(f24_file, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def _argv_on_f24(prefix, parser, f24_file):
+    """A command line that runs the command on F24, with one value for each required argument."""
+    argv = list(prefix)
+    for action in parser._actions:
+        if not action.option_strings:
+            argv.append({"path": str(f24_file), "paths": str(f24_file), "name": "F24"}[action.dest])
+        elif action.required:
+            argv += [action.option_strings[0], action.choices[0] if action.choices else "1"]
+    return argv
+
+
+@pytest.mark.parametrize("prefix", COMMANDS, ids=" ".join)
+def test_every_command_runs_on_f24(prefix, f24_file, tmp_path, capsys):
+    parser = COMMANDS[prefix]
+    argv = _argv_on_f24(prefix, parser, f24_file)
+    capsys.readouterr()
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed
+    if "output" in _dests(parser):
+        out = tmp_path / "out"
+        assert run([*argv, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == printed
+
+
+def _cli_env():
+    """The environment of a fresh ``python -m resonantk.cli`` that imports this source tree."""
+    src = str(Path(resonantk.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv", [["clar", "{c60}"], ["rings", "{c60}", "--json"], ["--help"]], ids=" ".join
+)
+def test_a_closed_standard_output_is_exit_one(argv, unbuffered, tmp_path):
+    c60 = _emit("C60", tmp_path / "c60.rot")
+    env = _cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    # the reader of the pipe is gone before the command writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "resonantk.cli", *(a.format(c60=c60) for a in argv)],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    expected = f"error: cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+    assert (done.returncode, done.stderr.decode()) == (1, expected)
+
+
+def test_no_standard_output_is_exit_one(tmp_path):
+    # file descriptor 1 closed before Python starts
+    c60 = _emit("C60", tmp_path / "c60.rot")
+    script = 'exec "$0" -m resonantk.cli clar "$1" >&-'
+    argv = ["sh", "-c", script, sys.executable, str(c60)]
+    done = subprocess.run(argv, env=_cli_env(), capture_output=True)
+    expected = f"error: cannot write standard output: {os.strerror(errno.EBADF)}\n"
+    assert (done.returncode, done.stderr.decode()) == (1, expected)
+
+
 def test_usage_error_exits_one(capsys):
     assert run(["analyze"]) == 1
     assert run(["not-a-command"]) == 1
@@ -132,8 +220,7 @@ def test_parser_built_once_keeps_no_state(f24_file, capsys, monkeypatch):
     # the parser is built once per process: a usage error must not leak into
     # later runs, whose output must equal that of fresh processes
     monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
-    src = str(Path(resonantk.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env = _cli_env()
     assert run(["rings", str(f24_file), "--max-len", "x"]) == 1
     assert "usage:" in capsys.readouterr().err
     for argv in (

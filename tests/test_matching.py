@@ -423,6 +423,23 @@ def test_alternating_faces_rejects_pairs_stored_high_first(graphs):
         alternating_faces(f, Matching(reversed_pairs, f))
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (None, "^matching edges must be a frozenset, got NoneType$"),
+        ([(0, 1)], "^matching edges must be a frozenset, got list$"),
+        (frozenset({(0, 1, 2)}), r"^matching edge \(0, 1, 2\) is not a pair of vertex ids$"),
+        (frozenset({5}), "^matching vertex ids must be an iterable of integers, got 5$"),
+        (frozenset({(0, "1")}), "^matching vertex id must be an integer, got '1'$"),
+        (frozenset({(0, 1.0)}), "^matching vertex id must be an integer, got 1.0$"),
+    ],
+)
+def test_alternating_faces_reads_a_hand_built_matching(edges, message, graphs):
+    f = graphs["F24"]
+    with pytest.raises(GraphError, match=message):
+        alternating_faces(f, Matching(edges, f))
+
+
 def test_serialize_frozen():
     m = Matching(frozenset({(1, 3), (0, 2)}), None)
     assert m.serialize() == "0-2\n1-3"

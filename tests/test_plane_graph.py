@@ -17,6 +17,7 @@ from resonantk import plane_graph
 from resonantk.plane_graph import (
     Automorphism,
     EmbeddedGraph,
+    FullereneGraph,
     automorphisms,
     canonical_code,
     delete_vertices,
@@ -884,6 +885,25 @@ def test_either_graph_type_gives_the_same_answer(graphs):
     assert is_bipartite(f) == is_bipartite(f.graph)
     assert delete_vertices(f, [0]).adj == delete_vertices(f.graph, [0]).adj
     assert verify_cyclic_edge_connectivity(f, 5) == verify_cyclic_edge_connectivity(f.graph, 5)
+
+
+def test_validate_fullerene_refuses_fields_that_disagree_with_the_graph(graphs):
+    f = graphs["C60"]
+    other = graphs["F20"]
+    for bad in (
+        FullereneGraph(f.graph, f.faces, (), ()),
+        FullereneGraph(f.graph, other.faces, f.pentagon_ids, f.hexagon_ids),
+        FullereneGraph(f.graph, f.faces, f.hexagon_ids[:12], f.pentagon_ids + f.hexagon_ids[12:]),
+        FullereneGraph(f.graph, f.faces, list(f.pentagon_ids), f.hexagon_ids),
+    ):
+        with pytest.raises(GraphError, match="must be those its graph traces"):
+            validate_fullerene(bad)
+    with pytest.raises(GraphError, match="^FullereneGraph graph must be an EmbeddedGraph, got NoneType$"):
+        validate_fullerene(FullereneGraph(None, f.faces, f.pentagon_ids, f.hexagon_ids))
+    # a consistent one comes back as itself, memo and all
+    rebuilt = FullereneGraph(f.graph, f.faces, f.pentagon_ids, f.hexagon_ids)
+    rebuilt._memo["kept"] = True
+    assert validate_fullerene(rebuilt) is rebuilt and rebuilt._memo["kept"]
 
 
 def test_a_graph_argument_names_the_types_it_takes(graphs):
