@@ -25,17 +25,17 @@ The certificate splits its checks in two.  Once per image it builds a
 table, kept in the result's private memo (which ``dataclasses.replace``
 starts afresh): M0 as a bitmask over the image's sorted edges, each face's
 edge bitmask, and the check that M0 is perfect; the faces' vertex bitmasks
-are the image ``FaceSet``'s.  Once per hexagon it checks that each
-candidate's faces are pairwise disjoint and each alternates with M0, and
-keeps the candidate as face, vertex and edge bitmasks.  Per pair it only
+are the image ``FaceSet``'s.  Once per hexagon it checks, by popcounts on
+those masks, that each candidate's faces are pairwise disjoint and each
+alternates with M0, and keeps the candidate as face, vertex and edge bitmasks.  Per pair it only
 tests, by popcounts, that the two candidates' faces stay disjoint and that
 both targets alternate.  The matching that passes is still perfect:
 flipping pairwise disjoint M0-alternating cycles of a perfect matching
 gives a perfect matching, and the per-image checks drop exactly the
 candidates whose flips would not (a flipped hexagon holding k < 3 M0 edges
-changes the size by 6 - 2k).  The winning edge set is built once per set of
-flipped faces and shared by every certificate that flips them; with no
-flip it is M0's own.
+changes the size by 6 - 2k).  The winning ``Matching`` is built once per
+set of flipped faces and is the one immutable object that every
+certificate flipping them returns; with no flip it is M0 itself.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import GraphError, check_int, check_type
-from .matching import Matching, _matching_from_mates, face_alternates
+from .matching import Matching, _matching_from_mates
 from .plane_graph import (
     Arc,
     Edge,
@@ -174,77 +174,68 @@ _Flip = tuple[int, int, int]
 class _Table(NamedTuple):
     """What certificates read of one image, built once and kept in ``lf._memo``.
 
-    Edge i is the i-th of ``image.graph.edges()``.
+    Edge i is the i-th of ``image.graph.edges()``.  ``winners`` holds the
+    certificates themselves, one immutable ``Matching`` per set of flipped
+    faces, built on first use; flipping nothing gives ``lf.m0`` itself.
     """
 
     m0_perfect: bool
     m0: int  # bit i set when edge i is in M0
     edges: list[int]  # per face, bit i set when edge i bounds it
     flips: dict[int, list[_Flip]]  # per hexagon, its checked candidates
-    winners: dict[int, frozenset[Edge]]  # per flipped-face mask, the certificate's edges
+    winners: dict[int, Matching]  # per flipped-face mask, the certificate
 
 
 def _table(lf: LeapfrogResult) -> _Table:
-    """The image's certificate table, built on first use, with the one check that M0 is perfect."""
-    table = lf._memo.get("table")
-    if table is None:
-        image, m0 = lf.image, lf.m0
-        bit = {e: i for i, e in enumerate(image.graph.edges())}
-        table = lf._memo["table"] = _Table(
-            2 * m0.size == image.n and len(m0.covered()) == image.n,
-            sum(1 << bit[e] for e in m0.edges),
-            [sum(1 << bit[e] for e in face.boundary_edges()) for face in image.faces],
-            {},
-            {},
-        )
+    """Build the image's certificate table into ``lf._memo``, with the one check that M0 is perfect."""
+    image, m0 = lf.image, lf.m0
+    bit = {e: i for i, e in enumerate(image.graph.edges())}
+    table = lf._memo["table"] = _Table(
+        2 * m0.size == image.n and len(m0.covered()) == image.n,
+        sum(1 << bit[e] for e in m0.edges),
+        [sum(1 << bit[e] for e in face.boundary_edges()) for face in image.faces],
+        {},
+        {0: m0},
+    )
     return table
 
 
 def _checked_flips(lf: LeapfrogResult, table: _Table, h: int) -> list[_Flip]:
-    """The candidates of ``_flip_candidates`` whose flip keeps M0 perfect.
+    """Build into the table the candidates of ``_flip_candidates`` whose flip keeps M0 perfect.
 
-    Built once per hexagon and kept in the image's table.  A candidate is
-    dropped when two of its faces share a vertex or one of them does not
-    alternate with M0; every candidate is dropped when M0 is not perfect.
+    A candidate is dropped when two of its faces share a vertex or one of
+    them does not alternate with M0, that is holds fewer than half its
+    boundary edges in M0 (read off the table's edge masks); every candidate
+    is dropped when M0 is not perfect.
     """
-    kept = table.flips.get(h)
-    if kept is None:
-        faces = lf.image.faces
-        kept = []
-        for flips in _flip_candidates(lf, h):
-            verts = 0
-            for x in flips:
-                verts |= faces.vertex_masks[x]
-            if (
-                table.m0_perfect
-                and verts.bit_count() == sum(faces[x].size for x in flips)
-                and all(face_alternates(faces[x], lf.m0) for x in flips)
-            ):
-                edges = 0
-                for x in flips:
-                    edges |= table.edges[x]
-                kept.append((sum(1 << x for x in flips), verts, edges))
-        table.flips[h] = kept
+    masks = lf.image.faces.vertex_masks
+    kept = []
+    for flips in _flip_candidates(lf, h):
+        verts = edges = 0
+        for x in flips:
+            verts |= masks[x]
+            edges |= table.edges[x]
+        if (
+            table.m0_perfect
+            and verts.bit_count() == sum(masks[x].bit_count() for x in flips)
+            and all(2 * (table.edges[x] & table.m0).bit_count() == masks[x].bit_count() for x in flips)
+        ):
+            kept.append((sum(1 << x for x in flips), verts, edges))
+    table.flips[h] = kept
     return kept
 
 
-def _winner(lf: LeapfrogResult, table: _Table, flips: int) -> frozenset[Edge]:
-    """The edges of M0 with the faces of the mask ``flips`` flipped, built once per mask."""
-    edges = table.winners.get(flips)
-    if edges is None:
-        if not flips:
-            edges = lf.m0.edges
-        else:
-            faces = lf.image.faces
-            toggled = set(lf.m0.edges)
-            rest = flips
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                toggled.symmetric_difference_update(faces[low.bit_length() - 1].boundary_edges())
-            edges = frozenset(toggled)
-        table.winners[flips] = edges
-    return edges
+def _winner(lf: LeapfrogResult, table: _Table, flips: int) -> Matching:
+    """M0 with the faces of the non-empty mask ``flips`` flipped, built once per mask."""
+    faces = lf.image.faces
+    toggled = set(lf.m0.edges)
+    rest = flips
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        toggled.symmetric_difference_update(faces[low.bit_length() - 1].boundary_edges())
+    winner = table.winners[flips] = Matching(frozenset(toggled), lf.image)
+    return winner
 
 
 def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
@@ -263,12 +254,12 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     pairwise disjoint (two fullerene faces share a vertex exactly when they
     share an edge), and each target must hold three edges of M0 with the
     flipped edges toggled.
-    Only the winner is built, once per set of flipped faces, and every
-    certificate that flips the same faces shares its edge set; flipping
-    nothing gives M0's own.  It is perfect: flipping pairwise disjoint
-    M0-alternating cycles keeps every vertex matched once, while a flipped
-    hexagon holding k < 3 M0 edges would change the size by 6 - 2k, and
-    those candidates are never kept.
+    The certificate is built once per set of flipped faces and kept in the
+    image's table: every pair that flips the same faces gets the same
+    immutable ``Matching``, and flipping nothing gives ``lf.m0`` itself.  It
+    is perfect: flipping pairwise disjoint M0-alternating cycles keeps every
+    vertex matched once, while a flipped hexagon holding k < 3 M0 edges
+    would change the size by 6 - 2k, and those candidates are never kept.
 
     No winner flips a face sharing an edge with a fresh target: both faces
     alternate with M0, so each end of the shared edge is matched along both,
@@ -281,27 +272,42 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
             disjoint image hexagons.
         RuntimeError: if no candidate flip set produces a valid matching.
     """
-    table = _table(check_type("leapfrog result", lf, LeapfrogResult))
+    # Called once per pair, so the exact types skip the general checks (which
+    # they would pass), and the two targets are checked one after the other.
+    if type(lf) is not LeapfrogResult:
+        check_type("leapfrog result", lf, LeapfrogResult)
+    table = lf._memo.get("table") or _table(lf)
     verts = lf.image.faces.vertex_masks
-    for h in (h1, h2):
-        check_int("face id", h)
-        # a fullerene face is a hexagon exactly when it has six vertices
-        if not 0 <= h < len(verts) or verts[h].bit_count() != 6:
-            raise GraphError(f"face {h} is not a hexagon of the leapfrog image")
+    # a fullerene face is a hexagon exactly when it has six vertices
+    if type(h1) is not int:
+        check_int("face id", h1)
+    if not 0 <= h1 < len(verts) or verts[h1].bit_count() != 6:
+        raise GraphError(f"face {h1} is not a hexagon of the leapfrog image")
+    if type(h2) is not int:
+        check_int("face id", h2)
+    if not 0 <= h2 < len(verts) or verts[h2].bit_count() != 6:
+        raise GraphError(f"face {h2} is not a hexagon of the leapfrog image")
     if h1 == h2 or verts[h1] & verts[h2]:
         raise GraphError(f"hexagons {h1} and {h2} must be vertex-disjoint")
 
     t1, t2 = table.edges[h1], table.edges[h2]
     m0 = table.m0
-    for a_faces, a_verts, a_edges in _checked_flips(lf, table, h1):
-        for b_faces, b_verts, b_edges in _checked_flips(lf, table, h2):
+    first = table.flips.get(h1)
+    if first is None:
+        first = _checked_flips(lf, table, h1)
+    # h2's territory is read only when some pair would use it
+    second = table.flips.get(h2) if first else []
+    if second is None:
+        second = _checked_flips(lf, table, h2)
+    for a_faces, a_verts, a_edges in first:
+        for b_faces, b_verts, b_edges in second:
             flips = a_faces | b_faces
             # every kept face alternates with M0, so it is a hexagon
             if (a_verts | b_verts).bit_count() != 6 * flips.bit_count():
                 continue  # two flipped faces share a vertex
             toggled = m0 ^ (a_edges | b_edges)
             if (toggled & t1).bit_count() == 3 and (toggled & t2).bit_count() == 3:
-                return Matching(_winner(lf, table, flips), lf.image)
+                return table.winners.get(flips) or _winner(lf, table, flips)
     raise RuntimeError(
         f"no territory flip makes hexagons {h1} and {h2} alternate together"
     )

@@ -8,14 +8,17 @@ a face set is *central* when the graph minus those face vertices still has a
 perfect matching.
 
 ``face_alternates`` is the one alternation test on a ``Matching``:
-``alternating_faces``, the leapfrog certificate's flip table and the
-resonant-set certificate all decide through it whether a face alternates.
-The 2-resonance certificate then tests its two targets against M0 with
-the flipped edges toggled, without building a ``Matching`` per candidate.
+``alternating_faces`` and the resonant-set certificate decide through it
+whether a face alternates.  The 2-resonance certificate reads the same
+count off edge bitmasks, for M0's flip candidates and for its two targets
+with the flipped edges toggled, without building a ``Matching`` per
+candidate.
 ``alternating_hexagon_count`` reads the same thing off a mate array, for
 callers that score many matchings; the Fries number checks its winner with
 ``alternating_faces``.
 
+``_checked_edges`` is the one read of a caller's ``Matching`` edges,
+shared by ``alternating_faces`` and ``symmetric_difference``.
 ``_matching_from_mates`` is the one conversion of a mate array into a
 ``Matching``, for the leapfrog and resonance modules too; ``_rest_mates``
 is the one maximum matching with faces masked out, which ``is_central``
@@ -195,6 +198,19 @@ def tutte_witness(g: object) -> TutteWitness | None:
     return TutteWitness(barrier, odd)
 
 
+def _checked_edges(m: Matching) -> frozenset[Edge]:
+    """The edges of m, once m is a ``Matching`` and they a frozenset of pairs of integers.
+
+    Raises:
+        GraphError: naming the matching, its edges or the first bad edge.
+    """
+    edges = check_type("matching edges", check_type("matching", m, Matching).edges, frozenset)
+    for e in edges:
+        if len(check_ints("matching vertex id", e)) != 2:
+            raise GraphError(f"matching edge {e!r} is not a pair of vertex ids")
+    return edges
+
+
 def symmetric_difference(m: Matching, cycle: Sequence[int]) -> Matching:
     """Flip a matching along an alternating cycle of vertices.
 
@@ -202,9 +218,10 @@ def symmetric_difference(m: Matching, cycle: Sequence[int]) -> Matching:
     Every step must be an edge of the matching's host graph, every other
     cycle edge must lie in the matching, and the flipped edges must still
     form a matching (they do whenever the input is one), else GraphError;
-    so too if m is not a ``Matching`` or the cycle not one of integers.
+    so too if m is not a ``Matching`` whose edges are a frozenset of pairs
+    of vertex ids, or the cycle not one of integers.
     """
-    check_type("matching", m, Matching)
+    edges = _checked_edges(m)
     if m.host is None:
         raise GraphError("matching has no host graph to check the cycle against")
     n, adj = _adjacency(m.host)
@@ -220,10 +237,10 @@ def symmetric_difference(m: Matching, cycle: Sequence[int]) -> Matching:
         cyc_edges.append((u, v) if u < v else (v, u))
     if len(set(cycle)) != length:
         raise GraphError("alternating cycle repeats a vertex")
-    inside = [e in m.edges for e in cyc_edges]
+    inside = [e in edges for e in cyc_edges]
     if not all(inside[i] != inside[i - 1] for i in range(length)):
         raise GraphError("cycle does not alternate with the matching")
-    flipped = m.edges.symmetric_difference(cyc_edges)
+    flipped = edges.symmetric_difference(cyc_edges)
     if len({v for e in flipped for v in e}) != 2 * len(flipped):
         raise GraphError("the flipped edges share a vertex, so the input is not a matching")
     return Matching(flipped, m.host)
@@ -264,9 +281,7 @@ def alternating_faces(f: FullereneGraph, m: Matching) -> tuple[int, ...]:
             is not an edge of f stored as (u, v) with u < v.
     """
     check_type("graph", f, FullereneGraph)
-    for e in check_type("matching edges", check_type("matching", m, Matching).edges, frozenset):
-        if len(check_ints("matching vertex id", e)) != 2:
-            raise GraphError(f"matching edge {e!r} is not a pair of vertex ids")
+    _checked_edges(m)
     if 2 * m.size != f.n or m.covered() != frozenset(range(f.n)):
         raise GraphError("alternating faces are defined against a perfect matching")
     rotation = f.graph.rotation

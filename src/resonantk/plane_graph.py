@@ -218,13 +218,32 @@ def _bitmask(bits: Iterable[int]) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FullereneGraph:
-    """A validated fullerene graph: cubic, plane, 12 pentagons, rest hexagons."""
+    """A validated fullerene graph: cubic, plane, 12 pentagons, rest hexagons.
+
+    Checked when built, however it is built: ``graph`` must be an
+    ``EmbeddedGraph`` that passes :func:`validate_fullerene`, and the other
+    fields must be the ones that function derives from it (``_fullerene_fields``).
+
+    Raises:
+        GraphError: if ``graph`` is not an ``EmbeddedGraph`` or is not a
+            plane cubic graph (as :func:`parse_graph`), or if a field
+            disagrees with it.
+        NotFullereneError: if the graph is not a fullerene.
+    """
 
     graph: EmbeddedGraph
     faces: FaceSet
     pentagon_ids: tuple[int, ...]
     hexagon_ids: tuple[int, ...]
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        fields = _fullerene_fields(check_type("FullereneGraph graph", self.graph, EmbeddedGraph))
+        if (self.faces, self.pentagon_ids, self.hexagon_ids) != fields:
+            # a FaceSet equals only itself
+            raise GraphError(
+                "a FullereneGraph's faces, pentagon_ids and hexagon_ids must be those its graph traces"
+            )
 
     @property
     def n(self) -> int:
@@ -263,7 +282,7 @@ def _embedded(g: object) -> tuple[EmbeddedGraph, FullereneGraph | None]:
         GraphError: naming both types if g is neither.
     """
     if isinstance(g, FullereneGraph):
-        return check_type("FullereneGraph graph", g.graph, EmbeddedGraph), g
+        return g.graph, g
     if isinstance(g, EmbeddedGraph):
         return g, None
     raise GraphError(
@@ -463,42 +482,54 @@ def faces(g: EmbeddedGraph | FullereneGraph) -> FaceSet:
     return FaceSet(tuple(built), arc_face, across)
 
 
-def validate_fullerene(g: EmbeddedGraph | FullereneGraph) -> FullereneGraph:
-    """Check the fullerene face condition and wrap the graph.
+def _fullerene_fields(g: EmbeddedGraph) -> tuple[FaceSet, tuple[int, ...], tuple[int, ...]]:
+    """The faces, pentagon ids and hexagon ids of a fullerene graph.
 
-    A ``FullereneGraph`` is checked again and returned unchanged, memo and
-    all, once its faces are the ones its graph traces and its pentagon and
-    hexagon ids the ones those faces give.
+    The one derivation of a ``FullereneGraph``'s fields, for
+    :func:`validate_fullerene` and for the check made when one is built.
 
     Raises:
-        GraphError: if g is neither graph type; else as :func:`parse_graph`
-            and in its order, before any face size is read, so a bare graph
-            off the sphere raises this; or if a ``FullereneGraph``'s fields
-            disagree with its graph.
+        GraphError: as :func:`parse_graph` and in its order, before any face
+            size is read, so a graph off the sphere raises this.
         NotFullereneError: if any face is not a pentagon or hexagon, or the
             pentagon count differs from 12.
     """
-    g, fullerene = _embedded(g)
     fs = _embedding(g)
+    pentagons: list[int] = []
+    hexagons: list[int] = []
     for f in fs:
-        if f.size not in (5, 6):
+        size = len(f.boundary)
+        if size == 5:
+            pentagons.append(f.index)
+        elif size == 6:
+            hexagons.append(f.index)
+        else:
             raise NotFullereneError(
-                f"face {f.index} has size {f.size}; fullerene faces are pentagons and hexagons"
+                f"face {f.index} has size {size}; fullerene faces are pentagons and hexagons"
             )
-    pentagons = tuple(f.index for f in fs if f.size == 5)
-    hexagons = tuple(f.index for f in fs if f.size == 6)
     if len(pentagons) != 12:
         raise NotFullereneError(f"found {len(pentagons)} pentagonal faces; a fullerene has exactly 12")
     # Implied by Euler's formula once all faces are 5s and 6s:
     assert len(hexagons) == g.n // 2 - 10
     assert g.n >= 20 and g.n % 2 == 0
-    out = fullerene or FullereneGraph(g, fs, pentagons, hexagons)
-    if (out.faces, out.pentagon_ids, out.hexagon_ids) != (fs, pentagons, hexagons):
-        # a FaceSet equals only itself
-        raise GraphError(
-            "a FullereneGraph's faces, pentagon_ids and hexagon_ids must be those its graph traces"
-        )
-    return out
+    return fs, tuple(pentagons), tuple(hexagons)
+
+
+def validate_fullerene(g: EmbeddedGraph | FullereneGraph) -> FullereneGraph:
+    """Check the fullerene face condition and wrap the graph.
+
+    A ``FullereneGraph`` was checked when it was built, and is returned
+    unchanged, memo and all.
+
+    Raises:
+        GraphError: if g is neither graph type; else as :func:`parse_graph`
+            and in its order, before any face size is read, so a bare graph
+            off the sphere raises this.
+        NotFullereneError: if any face is not a pentagon or hexagon, or the
+            pentagon count differs from 12.
+    """
+    g, fullerene = _embedded(g)
+    return fullerene or FullereneGraph(g, *_fullerene_fields(g))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 These deliberately share no code with the package: maximum matchings come
 from exhaustive search over edge subsets and perfect-matching counts from a
-textbook recursion on the lowest uncovered vertex.  The package's former
+textbook recursion on the lowest uncovered vertex, or from Kasteleyn's
+Pfaffian on graphs too large for it.  The package's former
 kernels are kept here, unchanged, as references for the faster ones that
 replaced them; those that call package code (the former ring scan,
 resonance sweep, resonance walk, 2-resonance certificate, face trace and
@@ -17,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -70,6 +72,87 @@ def count_perfect_matchings(n: int, adj: list[list[int]]) -> int:
     result = count(0)
     count.cache_clear()
     return result
+
+
+def perfect_matching_count_by_pfaffian(rotation: Sequence[Sequence[int]], root: int = 0) -> int:
+    """The number of perfect matchings of a plane graph, by Kasteleyn's theorem.
+
+    ``rotation[v]`` lists the neighbours of v clockwise, as in the ``.rot``
+    format.  The faces are traced here, the successor of arc (u, v) being
+    (v, w) with w the neighbour after u at v, and numbered by their least
+    arc, as the package numbers them.  The edges are oriented so that every
+    face but ``root`` has an odd number of edges along its boundary order
+    (a Kasteleyn orientation, with ``root`` as the outer face): the edges
+    off a spanning tree of the dual, grown breadth first from ``root``,
+    point from the lower vertex to the higher, and then each face, from the
+    leaves of the tree up, orients its edge to its parent face so that its
+    count is odd.  The determinant of the signed adjacency matrix is the
+    square of its Pfaffian, whose absolute value is the count (P. W.
+    Kasteleyn, *J. Math. Phys.* 4, 1963); it is taken by Bareiss
+    elimination over Python ints and must be a perfect square.
+    """
+    n = len(rotation)
+    face_of: dict[tuple[int, int], int] = {}
+    cycles: list[list[tuple[int, int]]] = []
+    for start in sorted((v, w) for v in range(n) for w in rotation[v]):
+        if start in face_of:
+            continue
+        cycle = []
+        arc = start
+        while arc not in face_of:
+            face_of[arc] = len(cycles)
+            cycle.append(arc)
+            u, v = arc
+            ring = list(rotation[v])
+            arc = (v, ring[(ring.index(u) + 1) % len(ring)])
+        cycles.append(cycle)
+
+    # the dual tree: each face but the root keeps its boundary arc on the
+    # edge it was first reached across
+    to_parent: dict[int, tuple[int, int]] = {}
+    order = [root]
+    for face in order:  # breadth first; the list grows as faces are reached
+        for u, v in cycles[face]:
+            beyond = face_of[(v, u)]
+            if beyond != root and beyond not in to_parent:
+                to_parent[beyond] = (v, u)
+                order.append(beyond)
+    tree = {frozenset(arc) for arc in to_parent.values()}
+    forward = {(u, v) for u in range(n) for v in rotation[u] if u < v and frozenset((u, v)) not in tree}
+    for face in reversed(order[1:]):
+        along = sum(1 for arc in cycles[face] if arc in forward)
+        u, v = to_parent[face]
+        forward.add((u, v) if along % 2 == 0 else (v, u))
+
+    matrix = [[0] * n for _ in range(n)]
+    for u, v in forward:
+        matrix[u][v], matrix[v][u] = 1, -1
+    det = _bareiss_determinant(matrix)
+    count = isqrt(det) if det >= 0 else -1
+    if count * count != det:
+        raise ValueError(f"the Kasteleyn determinant {det} is not a perfect square")
+    return count
+
+
+def _bareiss_determinant(matrix: list[list[int]]) -> int:
+    """The determinant of a square integer matrix, by fraction-free elimination (in place)."""
+    n = len(matrix)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        if not matrix[k][k]:
+            swap = next((i for i in range(k + 1, n) if matrix[i][k]), None)
+            if swap is None:
+                return 0
+            matrix[k], matrix[swap] = matrix[swap], matrix[k]
+            sign = -sign
+        pivot_row = matrix[k]
+        pivot = pivot_row[k]
+        for row in matrix[k + 1 :]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - factor * pivot_row[j]) // previous
+        previous = pivot
+    return sign * matrix[-1][-1] if n else 1
 
 
 def perfect_matchings_lowest_first(

@@ -135,7 +135,8 @@ def _disjoint_pairs(image):
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_certificates_match_the_rebuild_oracle(graphs, relabel, name):
-    for f in (graphs[name], relabel(graphs[name], 19)):
+    # every catalog image, as given and under two labellings
+    for f in (graphs[name], relabel(graphs[name], 19), relabel(graphs[name], 20)):
         lf = leapfrog(f)
         for a, b in _disjoint_pairs(lf.image):
             got = two_resonance_certificate(lf, a, b)
@@ -197,7 +198,7 @@ def test_certificates_stay_small_in_memory(graphs):
     # place; growing it from the flip set (frozenset.symmetric_difference)
     # doubles every hash table and measured 19.6 MiB.  Sharing one edge set
     # per set of flipped faces keeps 231 sets for the 2,950 certificates,
-    # and measured 1.3 MiB (CPython 3.11).
+    # and measured 1.3 MiB; sharing the Matching itself, 1.1 MiB (CPython 3.11).
     lf = leapfrog(graphs["C60"])
     pairs = _disjoint_pairs(lf.image)
     assert len(pairs) == 2950
@@ -208,7 +209,10 @@ def test_certificates_stay_small_in_memory(graphs):
     finally:
         tracemalloc.stop()
     assert len(certificates) == len(pairs)
+    # one shared Matching per distinct edge set, and so per set of flipped faces
+    assert len({id(m) for m in certificates}) == 231
     assert len({id(m.edges) for m in certificates}) == 231
+    assert len({m.edges for m in certificates}) == 231
     assert peak <= 2 * 2**20
 
 
@@ -246,6 +250,50 @@ def test_territories_share_at_most_two_adjacent_faces(graphs, lf20):
                     e1 = set(lf.image.faces[f1].boundary_edges())
                     e2 = set(lf.image.faces[f2].boundary_edges())
                     assert e1 & e2, "shared territory faces must be adjacent"
+
+
+def test_certificate_errors_keep_their_messages_and_order(graphs):
+    lf = leapfrog(graphs["F24"])
+    image = lf.image
+    a, b = _disjoint_pairs(image)[0]
+    near = next(h for h in image.hexagon_ids if h != a and image.faces[a].vertices & image.faces[h].vertices)
+    p = image.pentagon_ids[0]
+    cases = [
+        ((image.graph, a, b), "leapfrog result must be a LeapfrogResult, got EmbeddedGraph"),
+        ((image.graph, True, b), "leapfrog result must be a LeapfrogResult, got EmbeddedGraph"),
+        ((lf, True, b), "face id must be an integer, got True"),
+        ((lf, a, False), "face id must be an integer, got False"),
+        ((lf, float(a), b), f"face id must be an integer, got {float(a)}"),
+        ((lf, a, float(b)), f"face id must be an integer, got {float(b)}"),
+        ((lf, -1, b), "face -1 is not a hexagon of the leapfrog image"),
+        ((lf, a, len(image.faces)), f"face {len(image.faces)} is not a hexagon of the leapfrog image"),
+        ((lf, p, b), f"face {p} is not a hexagon of the leapfrog image"),
+        ((lf, p, True), f"face {p} is not a hexagon of the leapfrog image"),
+        ((lf, a, near), f"hexagons {a} and {near} must be vertex-disjoint"),
+        ((lf, a, a), f"hexagons {a} and {a} must be vertex-disjoint"),
+    ]
+    for args, message in cases:
+        with pytest.raises(GraphError) as caught:
+            two_resonance_certificate(*args)
+        assert str(caught.value) == message, args
+    assert two_resonance_certificate(lf, a, b) is two_resonance_certificate(lf, a, b)
+
+
+def test_certificate_errors_on_a_broken_result_come_in_order(graphs):
+    lf = leapfrog(graphs["F24"])
+    image = lf.image
+    c1, c2 = [h for h in sorted(lf.heritable) if image.is_hexagon(h)]
+    stale = {territory(lf, c).ring[0] for c in (c1, c2)}
+    broken = dataclasses.replace(lf, fresh={k: v for k, v in lf.fresh.items() if k not in stale})
+    for a, b in ((c1, c2), (c2, c1), (c1, c2)):  # and again, once a table exists
+        with pytest.raises(RuntimeError, match=f"^territory of face {a} holds faces that are not fresh"):
+            two_resonance_certificate(broken, a, b)
+    # with M0 not perfect a fresh first target keeps no candidate, and the
+    # second target's territory is never read
+    h = next(h for h in sorted(broken.fresh) if not image.faces[h].vertices & image.faces[c2].vertices)
+    short = dataclasses.replace(broken, m0=Matching(lf.m0.edges - {min(lf.m0.edges)}, image))
+    with pytest.raises(RuntimeError, match="^no territory flip"):
+        two_resonance_certificate(short, h, c2)
 
 
 def test_certificate_rejects_overlapping_pair(lf20):

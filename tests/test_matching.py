@@ -12,11 +12,14 @@ from oracles import (
     brute_force_maximum_matching_size,
     count_perfect_matchings,
     odd_components_without,
+    perfect_matching_count_by_pfaffian,
     tutte_witness_by_subsets,
 )
 
+from resonantk._spiral import wind
 from resonantk.catalog import catalog_names, nanotube
 from resonantk.errors import GraphError, GuardExceeded
+from resonantk.leapfrog import leapfrog
 from resonantk.matching import (
     Matching,
     alternating_faces,
@@ -31,7 +34,7 @@ from resonantk.matching import (
     symmetric_difference,
     tutte_witness,
 )
-from resonantk.plane_graph import delete_vertices
+from resonantk.plane_graph import delete_vertices, validate_fullerene
 from resonantk.resonance import find_g_star, is_resonant_pattern, resonance_order
 
 
@@ -273,6 +276,63 @@ def test_enumerate_counts_frozen(graphs):
     assert len(enumerate_perfect_matchings(f24)) == 54
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_pfaffian_count_equals_enumeration(graphs, name):
+    # Building a Matching for each of C60's 12,500 and C70's 52,168 matchings
+    # takes hundreds of MiB; their mate tuples are the same enumeration.
+    f = graphs[name]
+    count = perfect_matching_count_by_pfaffian(f.graph.rotation)
+    if f.n <= 48:
+        assert count == len(enumerate_perfect_matchings(f))
+    else:
+        assert count == len(perfect_mate_tuples(f))
+    if name == "C60":
+        # Klein, Schmalz, Hite & Seitz, J. Am. Chem. Soc. 108 (1986)
+        assert count == 12500
+
+
+def test_pfaffian_count_on_leapfrog_images(graphs):
+    # the images of up to 84 vertices; Le(F28)'s 504,691 matchings are counted
+    # by the independent recursion, as enumerating them takes about 370 MiB
+    counts = []
+    for name in ("F20", "F24", "F28"):
+        image = leapfrog(graphs[name]).image
+        count = perfect_matching_count_by_pfaffian(image.graph.rotation)
+        if image.n <= 72:
+            assert count == len(perfect_mate_tuples(image)), name
+        else:
+            assert count == count_perfect_matchings(image.n, image.graph.rotation), name
+        counts.append(count)
+    assert counts == [12500, 77400, 504691]
+
+
+def test_pfaffian_count_equals_enumeration_on_isomers(isomers, relabel):
+    # every isomer with 20..30 vertices, as wound and under a labelling
+    checked = 0
+    for n, found in isomers.items():
+        for i, (_, seq) in enumerate(found):
+            f = validate_fullerene(wind(seq))
+            for g in (f, relabel(f, n + i)):
+                count = perfect_matching_count_by_pfaffian(g.graph.rotation)
+                assert count == len(enumerate_perfect_matchings(g)), (n, i)
+            checked += 1
+    assert checked == 8
+
+
+@pytest.mark.parametrize("name", ["F24", "F36_1", "C60"])
+def test_pfaffian_count_ignores_labels_reflection_and_root(graphs, relabel, name):
+    f = graphs[name]
+    count = perfect_matching_count_by_pfaffian(f.graph.rotation)
+    for root in range(len(f.faces)):
+        assert perfect_matching_count_by_pfaffian(f.graph.rotation, root) == count, root
+    mirrored = [tuple(reversed(ring)) for ring in f.graph.rotation]
+    assert perfect_matching_count_by_pfaffian(mirrored) == count
+    assert perfect_matching_count_by_pfaffian(mirrored, len(f.faces) - 1) == count
+    for seed in (1, 2):
+        moved = relabel(f, seed).graph.rotation
+        assert perfect_matching_count_by_pfaffian(moved, seed) == count, seed
+
+
 def test_mate_array_score_counts_alternating_faces(graphs, relabel):
     for f in (graphs["F24"], relabel(graphs["F24"], 3), graphs["F28"], relabel(graphs["F28"], 4)):
         hexagons = [f.faces[h].boundary for h in f.hexagon_ids]
@@ -423,21 +483,31 @@ def test_alternating_faces_rejects_pairs_stored_high_first(graphs):
         alternating_faces(f, Matching(reversed_pairs, f))
 
 
-@pytest.mark.parametrize(
-    "edges, message",
-    [
-        (None, "^matching edges must be a frozenset, got NoneType$"),
-        ([(0, 1)], "^matching edges must be a frozenset, got list$"),
-        (frozenset({(0, 1, 2)}), r"^matching edge \(0, 1, 2\) is not a pair of vertex ids$"),
-        (frozenset({5}), "^matching vertex ids must be an iterable of integers, got 5$"),
-        (frozenset({(0, "1")}), "^matching vertex id must be an integer, got '1'$"),
-        (frozenset({(0, 1.0)}), "^matching vertex id must be an integer, got 1.0$"),
-    ],
-)
+HAND_BUILT_EDGES = [
+    (None, "^matching edges must be a frozenset, got NoneType$"),
+    ([(0, 1)], "^matching edges must be a frozenset, got list$"),
+    ({(0, 1)}, "^matching edges must be a frozenset, got set$"),
+    (frozenset({(0, 1, 2)}), r"^matching edge \(0, 1, 2\) is not a pair of vertex ids$"),
+    (frozenset({5}), "^matching vertex ids must be an iterable of integers, got 5$"),
+    (frozenset({(0, "1")}), "^matching vertex id must be an integer, got '1'$"),
+    (frozenset({(0, 1.0)}), "^matching vertex id must be an integer, got 1.0$"),
+]
+
+
+@pytest.mark.parametrize("edges, message", HAND_BUILT_EDGES)
 def test_alternating_faces_reads_a_hand_built_matching(edges, message, graphs):
     f = graphs["F24"]
     with pytest.raises(GraphError, match=message):
         alternating_faces(f, Matching(edges, f))
+
+
+@pytest.mark.parametrize("edges, message", HAND_BUILT_EDGES)
+def test_symmetric_difference_reads_a_hand_built_matching(edges, message, graphs):
+    # the edges are read before the cycle: F24's first hexagon is a valid
+    # cycle, on which a set of edges used to give "cycle does not alternate"
+    f = graphs["F24"]
+    with pytest.raises(GraphError, match=message):
+        symmetric_difference(Matching(edges, f), f.faces[f.hexagon_ids[0]].boundary)
 
 
 def test_serialize_frozen():

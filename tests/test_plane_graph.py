@@ -891,15 +891,22 @@ def test_validate_fullerene_refuses_fields_that_disagree_with_the_graph(graphs):
     f = graphs["C60"]
     other = graphs["F20"]
     for bad in (
-        FullereneGraph(f.graph, f.faces, (), ()),
-        FullereneGraph(f.graph, other.faces, f.pentagon_ids, f.hexagon_ids),
-        FullereneGraph(f.graph, f.faces, f.hexagon_ids[:12], f.pentagon_ids + f.hexagon_ids[12:]),
-        FullereneGraph(f.graph, f.faces, list(f.pentagon_ids), f.hexagon_ids),
+        (f.graph, f.faces, (), ()),
+        (f.graph, other.faces, f.pentagon_ids, f.hexagon_ids),
+        (f.graph, f.faces, f.hexagon_ids[:12], f.pentagon_ids + f.hexagon_ids[12:]),
+        (f.graph, f.faces, list(f.pentagon_ids), f.hexagon_ids),
     ):
         with pytest.raises(GraphError, match="must be those its graph traces"):
-            validate_fullerene(bad)
+            FullereneGraph(*bad)
     with pytest.raises(GraphError, match="^FullereneGraph graph must be an EmbeddedGraph, got NoneType$"):
-        validate_fullerene(FullereneGraph(None, f.faces, f.pentagon_ids, f.hexagon_ids))
+        FullereneGraph(None, f.faces, f.pentagon_ids, f.hexagon_ids)
+    k4 = parse_graph(K4)
+    with pytest.raises(NotFullereneError, match="face 0 has size 3"):
+        FullereneGraph(k4, faces(k4), (), ())
+    # no function that takes a FullereneGraph sees one whose ids are wrong
+    f24 = graphs["F24"]
+    with pytest.raises(GraphError, match="must be those its graph traces"):
+        resonantk.sextet(FullereneGraph(f24.graph, f24.faces, (), ()))
     # a consistent one comes back as itself, memo and all
     rebuilt = FullereneGraph(f.graph, f.faces, f.pentagon_ids, f.hexagon_ids)
     rebuilt._memo["kept"] = True
