@@ -1,8 +1,10 @@
 """The leapfrog construction and its induced matching and face structure.
 
 The leapfrog image of a plane cubic graph has one vertex per directed edge
-(arc).  An arc keeps three image neighbours: its face-tracing successor, its
-face-tracing predecessor, and its own reversal.  The reversal pairs form a
+(arc).  An arc keeps three image neighbours, in clockwise order: its
+face-tracing predecessor, its face-tracing successor, and its own reversal.
+Both are read off ``plane_graph._turns``, the one reading of the clockwise
+order, as the face trace reads them.  The reversal pairs form a
 perfect matching M0 of the image.  Image faces come in exactly two kinds:
 
 * *heritable* faces - the arc cycle of an original face, same size;
@@ -10,9 +12,10 @@ perfect matching M0 of the image.  Image faces come in exactly two kinds:
   hexagons, and always M0-alternating.
 
 The provenance of every image face is read off the construction: the image
-arc from an original arc to its successor lies on the heritable face of the
-original face, and the image arc from (u, v) to its reversal lies on the
-fresh face at v.  Both faces are then looked up in the image's face index.
+arc from an original face's first boundary arc to its second lies on the
+heritable face of that face, and the image arc from (u, v) to its reversal
+lies on the fresh face at v.  Both faces are then looked up in the image's
+face index.
 
 Around each heritable face sits its *territory*: the ring of fresh faces
 met across its boundary edges, listed in boundary order starting at the
@@ -44,19 +47,31 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import GraphError, check_int, check_type
-from .matching import Matching, _matching_from_mates
+from .matching import Matching, _checked_edges, _matching_from_mates
 from .plane_graph import (
     Arc,
     Edge,
     EmbeddedGraph,
     FullereneGraph,
+    _turns,
     validate_fullerene,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class LeapfrogResult:
-    """The image graph with its reversal matching and face provenance maps."""
+    """The image graph with its reversal matching and face provenance maps.
+
+    Checked when built, however it is built, for what the certificates read
+    without checking: ``original`` and ``image`` must be ``FullereneGraph``s
+    and ``arc_of`` a tuple; ``m0`` a ``Matching`` whose every edge is an
+    image edge stored as (u, v) with u < v; ``heritable`` and ``fresh``
+    dicts from image face ids to ints.  That M0 is perfect and the faces are
+    classified right is checked where a territory or certificate needs it.
+
+    Raises:
+        GraphError: naming the field that fails.
+    """
 
     original: FullereneGraph
     image: FullereneGraph
@@ -65,6 +80,31 @@ class LeapfrogResult:
     heritable: dict[int, int]  # image face id -> original face id
     fresh: dict[int, int]  # image face id -> original vertex
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        check_type("LeapfrogResult original", self.original, FullereneGraph)
+        image = check_type("LeapfrogResult image", self.image, FullereneGraph)
+        check_type("LeapfrogResult arc_of", self.arc_of, tuple)
+        try:
+            edges = _checked_edges(self.m0)
+        except GraphError as e:
+            raise GraphError(f"LeapfrogResult m0: {e}") from None
+        rotation = image.graph.rotation
+        n = len(rotation)
+        for u, v in edges:
+            if not (0 <= u < v < n and v in rotation[u]):
+                raise GraphError(
+                    f"LeapfrogResult m0 edge {(u, v)} is not an edge of its image "
+                    "stored as (u, v) with u < v"
+                )
+        for name, provenance in (("heritable", self.heritable), ("fresh", self.fresh)):
+            check_type(f"LeapfrogResult {name}", provenance, dict)
+            if (
+                {*map(type, provenance), *map(type, provenance.values())} - {int}
+                or min(provenance, default=0) < 0
+                or max(provenance, default=0) >= len(image.faces)
+            ):
+                raise GraphError(f"LeapfrogResult {name} must map image face ids to ints")
 
 
 @dataclass(frozen=True)
@@ -88,9 +128,12 @@ def leapfrog(f: FullereneGraph) -> LeapfrogResult:
     arcs = g.arcs()
     index = {a: i for i, a in enumerate(arcs)}
 
+    turns = _turns(g.rotation)
     reversal = [index[(a[1], a[0])] for a in arcs]
+    # the face-tracing predecessor and successor of (u, v), then its reversal
     rotation = tuple(
-        (index[g.prev_arc(a)], index[g.next_arc(a)], r) for a, r in zip(arcs, reversal)
+        (index[(turns[u][v][1], u)], index[(v, turns[v][u][0])], r)
+        for (u, v), r in zip(arcs, reversal)
     )
     image = validate_fullerene(EmbeddedGraph(rotation))
     m0 = _matching_from_mates(reversal, image)
@@ -98,8 +141,8 @@ def leapfrog(f: FullereneGraph) -> LeapfrogResult:
     face_of_arc = image.faces.face_of_arc
     heritable: dict[int, int] = {}
     for face in f.faces:
-        a = face.boundary_arcs()[0]
-        heritable[face_of_arc((index[a], index[g.next_arc(a)]))] = face.index
+        a, b, c = face.boundary[:3]
+        heritable[face_of_arc((index[(a, b)], index[(b, c)]))] = face.index
     fresh: dict[int, int] = {}
     for v in range(f.n):
         u = g.rotation[v][0]

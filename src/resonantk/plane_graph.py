@@ -17,6 +17,11 @@ cut of fewer than k edges exactly when its dual has a cycle of some length
 l < k with at least l vertices on each side.  It costs O(n) for each fixed
 k and has no size guard.
 
+``_turns`` is the one reading of the clockwise order: per vertex, each
+neighbour mapped to the next and the previous one after it.  The face
+trace, both orientations of the canonical pass, the leapfrog image and
+the G* scan of ``resonance`` all step round a vertex through it.
+
 ``_embedded`` is the one resolver of a graph argument, and the one place
 that tells the two graph types apart.  A function whose meaning holds for
 any plane cubic graph (``emit_graph``, ``faces``, ``validate_fullerene``,
@@ -41,6 +46,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -63,10 +69,30 @@ class EmbeddedGraph:
     Instances come from :func:`parse_graph` or are built directly; the
     rotation is immutable, and ``_faces`` is set once, when the graph passes
     ``_embedding``.
+
+    Checked when built for its shape only: ``rotation`` must be a tuple of
+    tuples of ints (a bool is not one).  That it is a simple cubic graph is
+    checked by ``_check_rotation`` where it is first traced.
+
+    Raises:
+        GraphError: naming the types found that are not a tuple of tuples
+            of ints.
     """
 
     rotation: tuple[tuple[int, int, int], ...]
     _faces: FaceSet | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        rows = self.rotation
+        # the outer type first, so the rows are read only from a tuple
+        found = (
+            {type(rows)} - {tuple}
+            or set(map(type, rows)) - {tuple}
+            or set(map(type, chain.from_iterable(rows))) - {int}
+        )
+        if found:
+            names = ", ".join(sorted(t.__name__ for t in found))
+            raise GraphError(f"an EmbeddedGraph's rotation must be a tuple of tuples of ints, found {names}")
 
     @property
     def n(self) -> int:
@@ -87,26 +113,6 @@ class EmbeddedGraph:
     def arcs(self) -> list[Arc]:
         """All 3V directed edges, sorted."""
         return sorted((v, w) for v in range(self.n) for w in self.rotation[v])
-
-    def cw_next(self, u: int, v: int) -> int:
-        """The neighbour of v immediately following u in clockwise order."""
-        ring = self.rotation[v]
-        return ring[(ring.index(u) + 1) % 3]
-
-    def cw_prev(self, u: int, v: int) -> int:
-        """The neighbour of v immediately preceding u in clockwise order."""
-        ring = self.rotation[v]
-        return ring[(ring.index(u) - 1) % 3]
-
-    def next_arc(self, arc: Arc) -> Arc:
-        """Face-tracing successor of ``arc``; the face stays on the right."""
-        u, v = arc
-        return (v, self.cw_next(u, v))
-
-    def prev_arc(self, arc: Arc) -> Arc:
-        """Face-tracing predecessor of ``arc``."""
-        u, v = arc
-        return (self.cw_prev(v, u), u)
 
 
 @dataclass(frozen=True)
@@ -449,6 +455,11 @@ def _embedding(g: EmbeddedGraph) -> FaceSet:
 # ---------------------------------------------------------------------------
 
 
+def _turns(rotation: Sequence[tuple[int, int, int]]) -> list[dict[int, tuple[int, int]]]:
+    """Per vertex v, each neighbour u mapped to (the next, the previous) after u clockwise at v."""
+    return [{a: (b, c), b: (c, a), c: (a, b)} for a, b, c in rotation]
+
+
 def faces(g: EmbeddedGraph | FullereneGraph) -> FaceSet:
     """Trace all faces of the embedding and index which faces meet.
 
@@ -462,23 +473,29 @@ def faces(g: EmbeddedGraph | FullereneGraph) -> FaceSet:
     if g._faces is not None:
         return g._faces
     _check_rotation(g.rotation)
+    turns = _turns(g.rotation)
     built: list[Face] = []
+    cycles: list[list[Arc]] = []
     arc_face: dict[Arc, int] = {}
     for start in g.arcs():
         if start in arc_face:
             continue
         idx = len(built)
-        cycle = [start]
-        arc_face[start] = idx
-        arc = g.next_arc(start)
-        while arc != start:
+        cycle = []
+        arc = start
+        # a face may pass a vertex twice, but each arc once
+        while True:
             cycle.append(arc)
             arc_face[arc] = idx
-            arc = g.next_arc(arc)
+            u, v = arc
+            arc = (v, turns[v][u][0])
+            if arc == start:
+                break
+        cycles.append(cycle)
         boundary = tuple(a for a, _ in cycle)
         edges = tuple((a, b) if a < b else (b, a) for a, b in cycle)
         built.append(Face(idx, boundary, frozenset(boundary), edges))
-    across = tuple(tuple(arc_face[(b, a)] for a, b in f.boundary_arcs()) for f in built)
+    across = tuple(tuple(arc_face[(b, a)] for a, b in cycle) for cycle in cycles)
     return FaceSet(tuple(built), arc_face, across)
 
 
@@ -675,14 +692,6 @@ def automorphisms(g: EmbeddedGraph | FullereneGraph) -> tuple[Automorphism, ...]
     return _canonical(g)[1]
 
 
-def _after_tables(rotation: Sequence[tuple[int, int, int]]) -> tuple[list[dict], list[dict]]:
-    """Per orientation and vertex, the two neighbours after each entry neighbour."""
-    return (
-        [{a: (b, c), b: (c, a), c: (a, b)} for a, b, c in rotation],
-        [{a: (c, b), b: (a, c), c: (b, a)} for a, b, c in rotation],
-    )
-
-
 def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[Automorphism, ...]]:
     """The canonical code and the automorphism group, kept on a FullereneGraph.
 
@@ -741,7 +750,7 @@ def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[Automorphism, ...
     group = [Automorphism(tuple(range(n)), False)]
     gens: list[Automorphism] = []
     s = -1
-    for d, after in enumerate(_after_tables(rotation)):
+    for d, after in enumerate((_turns(rotation), _turns([row[::-1] for row in rotation]))):
         for u in range(n):
             for v in rotation[u]:
                 s += 1

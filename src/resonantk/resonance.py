@@ -47,7 +47,7 @@ from .matching import (
     face_alternates,
     perfect_mate_tuples,
 )
-from .plane_graph import Automorphism, FullereneGraph, automorphisms
+from .plane_graph import Automorphism, FullereneGraph, _turns, automorphisms
 
 ALL = "ALL"
 
@@ -576,12 +576,13 @@ def find_g_star(f: FullereneGraph) -> GStarWitness | None:
     isolates v, so they witness a non-resonant 3-set.  Vertices are scanned
     in ascending order; the first hit is returned.
     """
-    g = check_type("graph", f, FullereneGraph).graph
+    rotation = check_type("graph", f, FullereneGraph).graph.rotation
+    turns = _turns(rotation)
     vertices = f.faces.vertex_masks
     for v in range(f.n):
         # The face along (w, x), x the neighbour before v at w, turns at w
         # between the two edges other than wv; faces have no chords, so it misses v.
-        opposite = [f.faces.face_of_arc((w, g.cw_prev(v, w))) for w in g.neighbors(v)]
+        opposite = [f.faces.face_of_arc((w, turns[w][v][1])) for w in rotation[v]]
         if not all(f.is_hexagon(fid) for fid in opposite):
             continue
         a, b, c = (vertices[x] for x in opposite)

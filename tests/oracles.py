@@ -6,11 +6,14 @@ textbook recursion on the lowest uncovered vertex, or from Kasteleyn's
 Pfaffian on graphs too large for it.  The package's former
 kernels are kept here, unchanged, as references for the faster ones that
 replaced them; those that call package code (the former ring scan,
-resonance sweep, resonance walk, 2-resonance certificate, face trace and
-canonical pass)
-import only parts that have not changed since.  They are only usable on small graphs,
-which is the point - package results on small inputs must agree
-with these, and frozen constants in the test-suite were produced by them.
+resonance sweep, resonance walk, 2-resonance certificate and face trace)
+import only parts that have not changed since.  The face trace takes the
+``Face``/``FaceSet`` types and ``EmbeddedGraph.arcs`` but steps round the
+rotation by its own ``ring.index``, and the former canonical pass spells
+out its own turn tables, so neither shares the package's ``_turns``.  They
+are only usable on small graphs, which is the point - package results on
+small inputs must agree with these, and frozen constants in the
+test-suite were produced by them.
 """
 
 from __future__ import annotations
@@ -425,18 +428,20 @@ def canonical_pass_by_every_start(base: EmbeddedGraph):
     The package's former ``_canonical_pass``, kept verbatim: it runs the
     pruned breadth-first labelling from all 6n (orientation, arc) starts,
     where the package skips the starts that an automorphism found so far
-    maps from an earlier start.  ``_after_tables`` is unchanged in the
-    package and imported.
+    maps from an earlier start.  Its two tables, the two neighbours after
+    each entry neighbour in either orientation, are spelt out here.
     """
     import struct
 
-    from resonantk.plane_graph import _after_tables
-
     n = base.n
     rotation = base.rotation
+    after_tables = (
+        [{a: (b, c), b: (c, a), c: (a, b)} for a, b, c in rotation],
+        [{a: (c, b), b: (a, c), c: (b, a)} for a, b, c in rotation],
+    )
     best: list[tuple[int, int, int]] | None = None
     ties: list[tuple[int, tuple[int, ...]]] = []
-    for d, after in enumerate(_after_tables(rotation)):
+    for d, after in enumerate(after_tables):
         for u in range(n):
             for v in rotation[u]:
                 label = [-1] * n
@@ -714,13 +719,16 @@ def _trace_face_cycles(g: EmbeddedGraph) -> list[tuple[Arc, ...]]:
     for start in g.arcs():
         if start in seen:
             continue
-        cycle = [start]
-        seen.add(start)
-        arc = g.next_arc(start)
-        while arc != start:
+        cycle = []
+        arc = start
+        while True:
             cycle.append(arc)
             seen.add(arc)
-            arc = g.next_arc(arc)
+            u, v = arc
+            ring = g.rotation[v]
+            arc = (v, ring[(ring.index(u) + 1) % 3])
+            if arc == start:
+                break
         k = cycle.index(min(cycle))
         cycles.append(tuple(cycle[k:] + cycle[:k]))
     cycles.sort(key=lambda c: c[0])
@@ -731,9 +739,10 @@ def faces_by_sorted_trace(g: EmbeddedGraph) -> FaceSet:
     """The package's former ``faces``, on the former trace above.
 
     Each cycle is rotated to start at its least arc and the cycles are
-    sorted, steps the package's one-pass trace does without.  The graph
-    methods it calls and the ``Face``/``FaceSet`` types are unchanged in
-    the package and imported from it; the rotation is not checked.
+    sorted, steps the package's one-pass trace does without.  Each step
+    finds the next neighbour clockwise by its own ``ring.index``; only the
+    ``Face``/``FaceSet`` types and ``EmbeddedGraph.arcs`` come from the
+    package, and the rotation is not checked.
     """
     from resonantk.plane_graph import Face, FaceSet
 

@@ -296,6 +296,43 @@ def test_certificate_errors_on_a_broken_result_come_in_order(graphs):
         two_resonance_certificate(short, h, c2)
 
 
+# A field replaced in F24's result, and the field the GraphError names.  The
+# first six ended in a traceback from a certificate (AttributeError,
+# TypeError or KeyError); another fullerene as the image fails on M0, whose
+# edges are not its edges.
+FORGED = {
+    "m0 None": ("m0", lambda lf, graphs: {"m0": None}),
+    "image None": ("image", lambda lf, graphs: {"image": None}),
+    "fresh None": ("fresh", lambda lf, graphs: {"fresh": None}),
+    "m0 edges None": ("m0", lambda lf, graphs: {"m0": Matching(None, lf.image)}),
+    "m0 pair of one": ("m0", lambda lf, graphs: {"m0": Matching(lf.m0.edges | {(1,)}, lf.image)}),
+    "another image": ("m0", lambda lf, graphs: {"image": graphs["C70"]}),
+    "m0 pair reversed": (
+        "m0",
+        lambda lf, graphs: {"m0": Matching(frozenset((v, u) for u, v in lf.m0.edges), lf.image)},
+    ),
+    "original None": ("original", lambda lf, graphs: {"original": None}),
+    "arc_of list": ("arc_of", lambda lf, graphs: {"arc_of": list(lf.arc_of)}),
+    "heritable str keys": ("heritable", lambda lf, graphs: {"heritable": {str(k): 0 for k in lf.heritable}}),
+    "fresh bool values": ("fresh", lambda lf, graphs: {"fresh": dict.fromkeys(lf.fresh, True)}),
+    "fresh face out of range": ("fresh", lambda lf, graphs: {"fresh": {**lf.fresh, len(lf.image.faces): 0}}),
+}
+
+
+@pytest.mark.parametrize("call", [territory, two_resonance_certificate], ids=["territory", "certificate"])
+@pytest.mark.parametrize("case", list(FORGED))
+def test_a_forged_result_is_refused_when_built(graphs, case, call):
+    lf = leapfrog(graphs["F24"])
+    image = lf.image
+    if call is territory:
+        args = (next(h for h in sorted(lf.heritable) if image.is_hexagon(h)),)
+    else:
+        args = _disjoint_pairs(image)[0]
+    field, edit = FORGED[case]
+    with pytest.raises(GraphError, match=f"^LeapfrogResult {field}"):
+        call(dataclasses.replace(lf, **edit(lf, graphs)), *args)
+
+
 def test_certificate_rejects_overlapping_pair(lf20):
     image = lf20.image
     a = image.hexagon_ids[0]

@@ -509,8 +509,11 @@ def test_a_loaded_graph_is_checked_and_traced_once(graphs, monkeypatch):
 def test_faces_match_the_sorted_trace(graphs):
     # The one-pass trace against the former one, which rotated each cycle to
     # its least arc and sorted the cycles: catalog graphs, R5/R6 tubes
-    # k = 1..6, prisms, K4, the cube and the disconnected F20 + K3,3; as
-    # given, relabelled and reflected.
+    # k = 1..6, prisms, K4, the cube, the disconnected F20 + K3,3, and two
+    # graphs whose faces meet a vertex twice; as given, relabelled and
+    # reflected.  The bridged K4s' 10-face crosses the bridge both ways, so
+    # a trace that stopped at its start vertex, not its start arc, would
+    # cut that face short.
     from conftest import relabelled_rotation
     from oracles import faces_by_sorted_trace
     from resonantk._spiral import wind
@@ -520,6 +523,7 @@ def test_faces_match_the_sorted_trace(graphs):
     traced.update({f"{cap}_{k}": nanotube(cap, k).graph for cap in ("R5", "R6") for k in range(1, 7)})
     traced.update({f"prism{k}": wind([k] + [4] * k + [k]) for k in range(3, 9)})
     traced.update(K4=wind([3] * 4), cube=wind([4] * 6), F20_K33=_f20_plus_k33(graphs))
+    traced.update(bridged_K4s=parse_graph(BRIDGED_K4S), joined_cubes=parse_graph(JOINED_CUBES))
     for seed, (name, g) in enumerate(traced.items()):
         reflected = EmbeddedGraph(tuple(ring[::-1] for ring in g.rotation))
         for variant in (g, relabelled_rotation(g, seed), reflected):
@@ -531,6 +535,27 @@ def test_faces_match_the_sorted_trace(graphs):
                 want.across(i) for i in range(len(want))
             ], name
             assert got._arc_face == want._arc_face, name
+
+
+@pytest.mark.parametrize(
+    "name, shape, found",
+    [
+        # faces, canonical_code, emit_graph and is_bipartite ended in a TypeError
+        ("F20", lambda rows: None, "NoneType"),
+        # validate_fullerene ended in a TypeError inside the face trace
+        ("F24", lambda rows: tuple(tuple(map(float, row)) for row in rows), "float"),
+        ("F24", lambda rows: ((True, 2, 3),) + rows[1:], "bool"),
+        # rows kept as lists could be edited under the faces traced from
+        # them: F20 with two entries of row 0 swapped, off the sphere, went
+        # on returning the sphere's faces
+        ("F20", lambda rows: tuple(map(list, rows)), "list"),
+        ("F20", list, "list"),
+    ],
+    ids=["none", "floats", "bools", "list rows", "list of rows"],
+)
+def test_a_rotation_is_a_tuple_of_tuples_of_ints_when_built(graphs, name, shape, found):
+    with pytest.raises(GraphError, match=f"rotation must be a tuple of tuples of ints, found {found}$"):
+        EmbeddedGraph(shape(graphs[name].graph.rotation))
 
 
 def test_an_empty_rotation_is_too_small():
