@@ -34,7 +34,15 @@ from typing import Iterable, Sequence
 
 from . import kernels
 from .errors import GraphError, GuardExceeded, check_int, check_ints, check_type
-from .plane_graph import Edge, Face, FullereneGraph, Subgraph, _components_without, _embedded
+from .plane_graph import (
+    Edge,
+    Face,
+    FullereneGraph,
+    Subgraph,
+    _check_adjacency,
+    _components_without,
+    _embedded,
+)
 
 DEFAULT_PM_CAP = 10**6
 _PM_CAP_ENV = "RESONANTK_PM_CAP"
@@ -102,14 +110,7 @@ def _adjacency(x: object) -> tuple[int, Sequence[Sequence[int]]]:
             for w in adj[v]:
                 if isinstance(w, bool) or not isinstance(w, int):
                     raise GraphError(f"adjacency row {v} lists {w!r}, not an integer vertex id")
-                if not 0 <= w < n:
-                    raise GraphError(f"adjacency row {v} lists vertex {w} outside 0..{n - 1}")
-        for v, row in enumerate(adj):
-            for w in row:
-                if v not in adj[w]:
-                    raise GraphError(
-                        f"asymmetric adjacency: {v} lists {w} but {w} does not list {v}"
-                    )
+        _check_adjacency("adjacency", adj)
         return n, adj
     base, _ = _embedded(x)
     return base.n, base.rotation

@@ -61,6 +61,30 @@ Edge = tuple[int, int]
 # ---------------------------------------------------------------------------
 
 
+def _stray_types(rows: object) -> str:
+    """The names of the types that keep ``rows`` from being a tuple of tuples of ints, or ""."""
+    # the outer type first, so the rows are read only from a tuple
+    found = (
+        {type(rows)} - {tuple}
+        or set(map(type, rows)) - {tuple}
+        or set(map(type, chain.from_iterable(rows))) - {int}
+    )
+    return ", ".join(sorted(t.__name__ for t in found))
+
+
+def _check_adjacency(name: str, rows: Sequence[Sequence[int]]) -> None:
+    """Raise GraphError naming ``name`` unless every neighbour is in range and lists the vertex back."""
+    n = len(rows)
+    for v, row in enumerate(rows):
+        for w in row:
+            if not 0 <= w < n:
+                raise GraphError(f"{name} row {v} lists vertex {w} outside 0..{n - 1}")
+    for v, row in enumerate(rows):
+        for w in row:
+            if v not in rows[w]:
+                raise GraphError(f"asymmetric {name}: {v} lists {w} but {w} does not list {v}")
+
+
 @dataclass(frozen=True)
 class EmbeddedGraph:
     """A plane cubic simple graph, stored as a rotation system.
@@ -83,16 +107,9 @@ class EmbeddedGraph:
     _faces: FaceSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows = self.rotation
-        # the outer type first, so the rows are read only from a tuple
-        found = (
-            {type(rows)} - {tuple}
-            or set(map(type, rows)) - {tuple}
-            or set(map(type, chain.from_iterable(rows))) - {int}
-        )
+        found = _stray_types(self.rotation)
         if found:
-            names = ", ".join(sorted(t.__name__ for t in found))
-            raise GraphError(f"an EmbeddedGraph's rotation must be a tuple of tuples of ints, found {names}")
+            raise GraphError(f"an EmbeddedGraph's rotation must be a tuple of tuples of ints, found {found}")
 
     @property
     def n(self) -> int:
@@ -265,11 +282,32 @@ class Subgraph:
 
     ``vertices[i]`` is the parent id of local vertex i; ``adj[i]`` lists local
     neighbour indices in the order inherited from the parent rotation.
+
+    Checked when built, since the matching kernels read ``adj`` as it is:
+    ``vertices`` must be a tuple of ints, and ``adj`` a tuple of as many
+    tuples of local ids in range, each neighbour listing the vertex back (a
+    bool is not an int).  ``parent`` is not read.
+
+    Raises:
+        GraphError: naming the field that fails.
     """
 
     parent: object
     vertices: tuple[int, ...]
     adj: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        # vertices as the one row of a tuple of rows
+        found = _stray_types((self.vertices,))
+        if found:
+            raise GraphError(f"a Subgraph's vertices must be a tuple of ints, found {found}")
+        rows = self.adj
+        found = _stray_types(rows)
+        if found:
+            raise GraphError(f"a Subgraph's adj must be a tuple of tuples of ints, found {found}")
+        if len(rows) != len(self.vertices):
+            raise GraphError(f"a Subgraph's adj has {len(rows)} rows for {len(self.vertices)} vertices")
+        _check_adjacency("Subgraph adj", rows)
 
     @property
     def n(self) -> int:

@@ -503,6 +503,15 @@ def test_invalid_integer_limits_exit_one(f24_file, tmp_path, capsys):
     assert "hex_rings must be at least 1" in capsys.readouterr().err
 
 
+def test_fries_on_c60_at_its_matching_count(tmp_path, capsys):
+    # C60 has 12,500 perfect matchings: a cap of exactly that passes
+    c60 = _emit("C60", tmp_path / "c60.rot")
+    assert run(["fries", str(c60), "--pm-cap", "12500"]) == 0
+    assert capsys.readouterr().out == "20\n"
+    assert run(["fries", str(c60), "--pm-cap", "12499"]) == 2
+    assert "guard exceeded" in capsys.readouterr().err
+
+
 def test_guard_exit_code(tmp_path, capsys):
     c60 = tmp_path / "c60.rot"
     run(["catalog", "emit", "C60", "-o", str(c60)])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from resonantk.plane_graph import (
     Automorphism,
     EmbeddedGraph,
     FullereneGraph,
+    Subgraph,
     automorphisms,
     canonical_code,
     delete_vertices,
@@ -575,6 +577,38 @@ def test_delete_vertices_and_bipartite(graphs):
     assert odd is not None and len(odd) % 2 == 1
     whole, cyc = is_bipartite(f.graph)
     assert not whole and cyc is not None  # odd faces force odd cycles
+
+
+@pytest.mark.parametrize(
+    "vertices, adj, message",
+    [
+        # is_bipartite, maximum_matching and enumerate_perfect_matchings
+        # ended in a TypeError on the first and an IndexError on the eighth
+        (None, None, "a Subgraph's vertices must be a tuple of ints, found NoneType"),
+        ((0, True), ((1,), (0,)), "a Subgraph's vertices must be a tuple of ints, found bool"),
+        ([0, 1], ((1,), (0,)), "a Subgraph's vertices must be a tuple of ints, found list"),
+        ((0, 1), None, "a Subgraph's adj must be a tuple of tuples of ints, found NoneType"),
+        ((0, 1), ([1], (0,)), "a Subgraph's adj must be a tuple of tuples of ints, found list"),
+        ((0, 1), ((1.0,), (0,)), "a Subgraph's adj must be a tuple of tuples of ints, found float"),
+        ((0, 1), ((1,),), "a Subgraph's adj has 1 rows for 2 vertices"),
+        ((0, 1), ((5,), (0,)), "Subgraph adj row 0 lists vertex 5 outside 0..1"),
+        ((0, 1), ((-1,), (0,)), "Subgraph adj row 0 lists vertex -1 outside 0..1"),
+        ((0, 1), ((1,), ()), "asymmetric Subgraph adj: 0 lists 1 but 1 does not list 0"),
+    ],
+)
+def test_a_subgraph_is_checked_when_built(vertices, adj, message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        Subgraph(None, vertices, adj)
+
+
+def test_a_subgraph_built_by_hand_is_used_as_given(graphs):
+    f = graphs["F24"]
+    sub = delete_vertices(f, f.faces[f.hexagon_ids[0]].vertices)
+    again = Subgraph(None, sub.vertices, sub.adj)
+    assert is_bipartite(again) == is_bipartite(sub)
+    assert resonantk.maximum_matching(again).edges == resonantk.maximum_matching(sub).edges
+    pair = Subgraph(None, (7, 3), ((1, 1), (0, 0)))
+    assert [m.edges for m in resonantk.enumerate_perfect_matchings(pair)] == [frozenset({(0, 1)})]
 
 
 def test_is_bipartite_two_colours_the_cube_and_an_even_prism():
