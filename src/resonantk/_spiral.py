@@ -55,7 +55,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .errors import GraphError, check_ints
-from .plane_graph import EmbeddedGraph, _embedding
+from .plane_graph import EmbeddedGraph
 
 # (boundary, growth point index, degree-3 bitmask, next vertex id, face cycles)
 _Patch = tuple[list[int], int, int, int, tuple | None]
@@ -179,7 +179,7 @@ def _assemble(nv: int, face_cycles: list[list[int]]) -> EmbeddedGraph | None:
         rotation.append((a0, a1, a2))
     g = EmbeddedGraph(tuple(rotation))
     try:
-        _embedding(g)
+        g._faces
     except GraphError:
         return None
     return g

@@ -25,8 +25,8 @@ searches those flips to make any two disjoint image hexagons alternate at
 once.
 
 The certificate splits its checks in two.  Once per image it builds a
-table, kept in the result's private memo (which ``dataclasses.replace``
-starts afresh): M0 as a bitmask over the image's sorted edges, each face's
+table, ``LeapfrogResult._table`` (which ``dataclasses.replace`` starts
+afresh): M0 as a bitmask over the image's sorted edges, each face's
 edge bitmask, and the check that M0 is perfect; the faces' vertex bitmasks
 are the image ``FaceSet``'s.  Once per hexagon it checks, by popcounts on
 those masks, that each candidate's faces are pairwise disjoint and each
@@ -43,7 +43,7 @@ certificate flipping them returns; with no flip it is M0 itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import GraphError, check_int, check_type
@@ -53,6 +53,7 @@ from .plane_graph import (
     Edge,
     EmbeddedGraph,
     FullereneGraph,
+    _derived,
     _turns,
     validate_fullerene,
 )
@@ -79,7 +80,6 @@ class LeapfrogResult:
     m0: Matching
     heritable: dict[int, int]  # image face id -> original face id
     fresh: dict[int, int]  # image face id -> original vertex
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_type("LeapfrogResult original", self.original, FullereneGraph)
@@ -105,6 +105,19 @@ class LeapfrogResult:
                 or max(provenance, default=0) >= len(image.faces)
             ):
                 raise GraphError(f"LeapfrogResult {name} must map image face ids to ints")
+
+    @_derived
+    def _table(self) -> _Table:
+        """The image's certificate table, with the one check that M0 is perfect."""
+        image, m0 = self.image, self.m0
+        bit = {e: i for i, e in enumerate(image.graph.edges())}
+        return _Table(
+            2 * m0.size == image.n and len(m0.covered()) == image.n,
+            sum(1 << bit[e] for e in m0.edges),
+            [sum(1 << bit[e] for e in face.boundary_edges()) for face in image.faces],
+            {},
+            {0: m0},
+        )
 
 
 @dataclass(frozen=True)
@@ -215,7 +228,7 @@ _Flip = tuple[int, int, int]
 
 
 class _Table(NamedTuple):
-    """What certificates read of one image, built once and kept in ``lf._memo``.
+    """What certificates read of one image, built once as ``LeapfrogResult._table``.
 
     Edge i is the i-th of ``image.graph.edges()``.  ``winners`` holds the
     certificates themselves, one immutable ``Matching`` per set of flipped
@@ -227,20 +240,6 @@ class _Table(NamedTuple):
     edges: list[int]  # per face, bit i set when edge i bounds it
     flips: dict[int, list[_Flip]]  # per hexagon, its checked candidates
     winners: dict[int, Matching]  # per flipped-face mask, the certificate
-
-
-def _table(lf: LeapfrogResult) -> _Table:
-    """Build the image's certificate table into ``lf._memo``, with the one check that M0 is perfect."""
-    image, m0 = lf.image, lf.m0
-    bit = {e: i for i, e in enumerate(image.graph.edges())}
-    table = lf._memo["table"] = _Table(
-        2 * m0.size == image.n and len(m0.covered()) == image.n,
-        sum(1 << bit[e] for e in m0.edges),
-        [sum(1 << bit[e] for e in face.boundary_edges()) for face in image.faces],
-        {},
-        {0: m0},
-    )
-    return table
 
 
 def _checked_flips(lf: LeapfrogResult, table: _Table, h: int) -> list[_Flip]:
@@ -292,7 +291,7 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     What does not depend on the pair is checked once per image: M0 is
     perfect, and each hexagon's candidates have pairwise disjoint faces
     that alternate with M0 (``_checked_flips``).  Per pair, on the image's
-    bitmasks (``_table`` and ``FaceSet.vertex_masks``), the two candidates'
+    bitmasks (``lf._table`` and ``FaceSet.vertex_masks``), the two candidates'
     faces must cover six vertices for each face they flip, so they are
     pairwise disjoint (two fullerene faces share a vertex exactly when they
     share an edge), and each target must hold three edges of M0 with the
@@ -319,7 +318,7 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     # they would pass), and the two targets are checked one after the other.
     if type(lf) is not LeapfrogResult:
         check_type("leapfrog result", lf, LeapfrogResult)
-    table = lf._memo.get("table") or _table(lf)
+    table = lf._table
     verts = lf.image.faces.vertex_masks
     # a fullerene face is a hexagon exactly when it has six vertices
     if type(h1) is not int:

@@ -33,12 +33,10 @@ or a ``FullereneGraph`` through it, and any other value raises GraphError.
 Every other public function that takes a graph takes a ``FullereneGraph``
 only, checked by ``errors.check_type``.
 
-``_embedding`` decides once per graph that a rotation system is a connected
-plane cubic graph on the sphere, and keeps the faces it traced on the graph.
-
-``_components_without`` is the one connected-component flood fill:
-``_embedding`` reads its first component, and
-``matching.tutte_witness`` the odd components a barrier leaves.
+``EmbeddedGraph._faces`` decides once per graph that a rotation system is a
+connected plane cubic graph on the sphere, and keeps the faces it traced.
+It reads the first component of ``_components_without``, the one flood
+fill, and ``matching.tutte_witness`` the odd components a barrier leaves.
 """
 
 from __future__ import annotations
@@ -48,9 +46,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import GraphError, GuardExceeded, NotFullereneError, check_int, check_ints, check_type
+
+if TYPE_CHECKING:
+    from .resonance import _Walk
+    from .rings_fragments import Ring
 
 Arc = tuple[int, int]
 Edge = tuple[int, int]
@@ -85,14 +87,32 @@ def _check_adjacency(name: str, rows: Sequence[Sequence[int]]) -> None:
                 raise GraphError(f"asymmetric {name}: {v} lists {w} but {w} does not list {v}")
 
 
+class _derived(cached_property):
+    """A table derived from an object's fields, built on first read into the object's dict.
+
+    A build that raises keeps nothing.  No lock is taken (on 3.10 and 3.11 ``cached_property``
+    shares one per attribute among all instances); threads racing on one object get the first kept.
+    """
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        return vars(obj).setdefault(self.attrname, self.func(obj))
+
+
+def _built(obj: object, name: str):
+    """The ``_derived`` table ``name`` if obj has built it, else None; builds nothing."""
+    return vars(obj).get(name)
+
+
 @dataclass(frozen=True)
 class EmbeddedGraph:
     """A plane cubic simple graph, stored as a rotation system.
 
     ``rotation[v]`` lists the three neighbours of v in clockwise order.
     Instances come from :func:`parse_graph` or are built directly; the
-    rotation is immutable, and ``_faces`` is set once, when the graph passes
-    ``_embedding``.
+    rotation is immutable, and the tables derived from it (``_faces``,
+    ``_canonical``) are built on first use and kept.
 
     Checked when built for its shape only: ``rotation`` must be a tuple of
     tuples of ints (a bool is not one).  That it is a simple cubic graph is
@@ -104,12 +124,34 @@ class EmbeddedGraph:
     """
 
     rotation: tuple[tuple[int, int, int], ...]
-    _faces: FaceSet | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         found = _stray_types(self.rotation)
         if found:
             raise GraphError(f"an EmbeddedGraph's rotation must be a tuple of tuples of ints, found {found}")
+
+    @_derived
+    def _faces(self) -> FaceSet:
+        """The faces, once the rotation check, connectivity and Euler's formula pass (GraphError)."""
+        fs = faces(self)
+        count = len(_components_without(self.n, self.rotation, set())[0])
+        if count != self.n:
+            raise GraphError(f"graph is disconnected ({count} of {self.n} vertices reachable)")
+        v, e, n_faces = self.n, 3 * self.n // 2, len(fs)
+        chi = v - e + n_faces
+        if chi != 2:
+            raise GraphError(
+                f"rotation system is not a sphere embedding: V-E+F = {v}-{e}+{n_faces} = {chi}"
+            )
+        return fs
+
+    @_derived
+    def _canonical(self) -> tuple[bytes, tuple[Automorphism, ...]]:
+        """The code and the group of ``_canonical_pass``; GuardExceeded first past 65,535 vertices."""
+        if self.n > 0xFFFF:
+            raise GuardExceeded(f"canonical code supports at most 65535 vertices, got {self.n}")
+        self._faces  # checks the embedding
+        return _canonical_pass(self)
 
     @property
     def n(self) -> int:
@@ -208,17 +250,17 @@ class FaceSet:
             return None
         return self.faces[a].boundary_edges()[around.index(b)]
 
-    @cached_property
+    @_derived
     def vertex_masks(self) -> tuple[int, ...]:
         """Per face, the bitmask of its vertices (bit v set when v is on it)."""
         return tuple([_bitmask(face.boundary) for face in self.faces])
 
-    @cached_property
+    @_derived
     def across_masks(self) -> tuple[int, ...]:
         """Per face, the bitmask of :meth:`across` (bit g set when face g is across it)."""
         return tuple(map(_bitmask, self._across))
 
-    @cached_property
+    @_derived
     def steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per face, ``(far face, 1 << u | 1 << v)`` for each boundary edge (u, v).
 
@@ -258,7 +300,6 @@ class FullereneGraph:
     faces: FaceSet
     pentagon_ids: tuple[int, ...]
     hexagon_ids: tuple[int, ...]
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         fields = _fullerene_fields(check_type("FullereneGraph graph", self.graph, EmbeddedGraph))
@@ -274,6 +315,24 @@ class FullereneGraph:
 
     def is_hexagon(self, face_id: int) -> bool:
         return self.faces[face_id].size == 6
+
+    # Derived tables (see ``_derived``); the builders import modules that import this one.
+    @_derived
+    def _walk(self) -> _Walk:
+        """The full resonance walk's summary, which ``sextet`` reads."""
+        from .resonance import _walk
+        return _walk(self)
+
+    @_derived
+    def _ring_arcs(self) -> dict[tuple[int, int, int], tuple]:
+        """The ring scan's arcs per (previous, face, next) triple, filled by ``rings_fragments._arc``."""
+        return {}
+
+    @_derived
+    def _pentagonal_rings(self) -> tuple[Ring, ...]:
+        """Every pentagonal ring, which ``pentagonal_rings`` returns."""
+        from .rings_fragments import PENTAGONS_ONLY, find_polygonal_rings
+        return tuple(find_polygonal_rings(self, 12, PENTAGONS_ONLY))
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,7 +444,7 @@ def parse_graph(text: str) -> EmbeddedGraph:
         rotation.append(nbrs)
 
     g = EmbeddedGraph(tuple(rotation))
-    _embedding(g)
+    g._faces  # checks the embedding
     return g
 
 
@@ -466,28 +525,6 @@ def _components_without(
     return comps
 
 
-def _embedding(g: EmbeddedGraph) -> FaceSet:
-    """The faces of g, once it is checked to be a connected plane cubic graph on the sphere.
-
-    The rotation check, connectivity and Euler's formula run in that order,
-    each raising GraphError, on one face trace, which is kept on g.
-    """
-    fs = g._faces
-    if fs is None:
-        fs = faces(g)
-        count = len(_components_without(g.n, g.rotation, set())[0])
-        if count != g.n:
-            raise GraphError(f"graph is disconnected ({count} of {g.n} vertices reachable)")
-        v, e, n_faces = g.n, 3 * g.n // 2, len(fs)
-        chi = v - e + n_faces
-        if chi != 2:
-            raise GraphError(
-                f"rotation system is not a sphere embedding: V-E+F = {v}-{e}+{n_faces} = {chi}"
-            )
-        object.__setattr__(g, "_faces", fs)
-    return fs
-
-
 # ---------------------------------------------------------------------------
 # face tracing
 # ---------------------------------------------------------------------------
@@ -502,13 +539,13 @@ def faces(g: EmbeddedGraph | FullereneGraph) -> FaceSet:
     """Trace all faces of the embedding and index which faces meet.
 
     Arcs are scanned in sorted order, so each face starts at its least arc
-    and face ids follow those arcs.  A graph that passed ``_embedding``, as
-    every ``FullereneGraph``'s did, gets its kept faces; any other has its
-    rotation checked first (GraphError), but may be disconnected or off the
-    sphere.
+    and face ids follow those arcs.  A graph whose embedding was checked
+    (``EmbeddedGraph._faces``), as every ``FullereneGraph``'s was, gets its
+    kept faces; any other has its rotation checked first (GraphError), but
+    may be disconnected or off the sphere.
     """
     g, _ = _embedded(g)
-    if g._faces is not None:
+    if _built(g, "_faces") is not None:
         return g._faces
     _check_rotation(g.rotation)
     turns = _turns(g.rotation)
@@ -549,7 +586,7 @@ def _fullerene_fields(g: EmbeddedGraph) -> tuple[FaceSet, tuple[int, ...], tuple
         NotFullereneError: if any face is not a pentagon or hexagon, or the
             pentagon count differs from 12.
     """
-    fs = _embedding(g)
+    fs = g._faces
     pentagons: list[int] = []
     hexagons: list[int] = []
     for f in fs:
@@ -574,7 +611,7 @@ def validate_fullerene(g: EmbeddedGraph | FullereneGraph) -> FullereneGraph:
     """Check the fullerene face condition and wrap the graph.
 
     A ``FullereneGraph`` was checked when it was built, and is returned
-    unchanged, memo and all.
+    unchanged, its tables and all.
 
     Raises:
         GraphError: if g is neither graph type; else as :func:`parse_graph`
@@ -702,8 +739,8 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
     two bytes per label, all big-endian so byte order is numeric order.
 
     The pass also closes the automorphism group, which :func:`automorphisms`
-    returns; both are kept on a ``FullereneGraph``, so the pass runs at most
-    once per graph.
+    returns; both are kept on the ``EmbeddedGraph`` (a ``FullereneGraph``'s
+    ``graph``), so the pass runs at most once per rotation.
 
     Raises:
         GuardExceeded: if the graph has more than 65,535 vertices, which two
@@ -712,7 +749,7 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
             is not a connected plane cubic graph on the sphere (the checks
             of :func:`parse_graph`).
     """
-    return _canonical(g)[0]
+    return _embedded(g)[0]._canonical[0]
 
 
 def automorphisms(g: EmbeddedGraph | FullereneGraph) -> tuple[Automorphism, ...]:
@@ -727,23 +764,7 @@ def automorphisms(g: EmbeddedGraph | FullereneGraph) -> tuple[Automorphism, ...]
     Raises:
         GuardExceeded, GraphError: as :func:`canonical_code`.
     """
-    return _canonical(g)[1]
-
-
-def _canonical(g: EmbeddedGraph | FullereneGraph) -> tuple[bytes, tuple[Automorphism, ...]]:
-    """The canonical code and the automorphism group, kept on a FullereneGraph.
-
-    The pass runs after ``_embedding``, which a ``FullereneGraph`` passed
-    when it was validated, so it returns at once there.
-    """
-    g, f = _embedded(g)
-    if g.n > 0xFFFF:
-        raise GuardExceeded(f"canonical code supports at most 65535 vertices, got {g.n}")
-    memo = {} if f is None else f._memo
-    if "canonical" not in memo:
-        _embedding(g)
-        memo["canonical"] = _canonical_pass(g)
-    return memo["canonical"]
+    return _embedded(g)[0]._canonical[1]
 
 
 def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[Automorphism, ...]]:
@@ -890,7 +911,7 @@ def verify_cyclic_edge_connectivity(g: EmbeddedGraph | FullereneGraph, k: int = 
     """
     g, _ = _embedded(g)
     check_int("k", k)
-    rotation, fs = g.rotation, _embedding(g)
+    rotation, fs = g.rotation, g._faces
     for l in range(1, min(k - 1, len(fs)) + 1):
         for root in range(len(fs)):
             if _short_cyclic_cut(rotation, fs, root, l):

@@ -47,7 +47,7 @@ from .matching import (
     face_alternates,
     perfect_mate_tuples,
 )
-from .plane_graph import Automorphism, FullereneGraph, _turns, automorphisms
+from .plane_graph import Automorphism, FullereneGraph, _built, _turns, automorphisms
 
 ALL = "ALL"
 
@@ -487,10 +487,7 @@ def sextet(f: FullereneGraph) -> SextetPolynomial:
         GraphError: if f is not a ``FullereneGraph``, as every function of
             this module does.
     """
-    walk = check_type("graph", f, FullereneGraph)._memo.get("walk")
-    if walk is None:
-        walk = f._memo["walk"] = _walk(f)
-    coeffs = list(walk.counts)
+    coeffs = list(check_type("graph", f, FullereneGraph)._walk.counts)
     while coeffs[-1] == 0:
         coeffs.pop()
     return SextetPolynomial(tuple(coeffs))
@@ -549,7 +546,7 @@ def resonance_order(f: FullereneGraph, max_k: int | None = None) -> OrderReport:
     """
     if max_k is not None:
         check_int("max_k", max_k, 0)
-    walk = check_type("graph", f, FullereneGraph)._memo.get("walk")
+    walk = _built(check_type("graph", f, FullereneGraph), "_walk")
     bounded = walk is None
     bound = 2
     while True:
@@ -609,8 +606,7 @@ def hexagon_dichotomy_report(f: FullereneGraph) -> tuple[HexagonReport, ...]:
     odd cycle reported is the boundary of the least pentagon id not across
     h, a 5-cycle of F - V(h) in parent ids.
     """
-    check_type("graph", f, FullereneGraph)
-    singles = (f._memo.get("walk") or _walk(f, 1)).singles
+    singles = (_built(check_type("graph", f, FullereneGraph), "_walk") or _walk(f, 1)).singles
     across = f.faces.across_masks
     out = []
     for h in f.hexagon_ids:

@@ -37,14 +37,14 @@ face and in the direction it is reported in.  A ring's two boundary cycles
 are read off its faces: each face's boundary splits, at its edges to the
 previous and next ring face, into one arc of each cycle, and the arcs of
 one side, taken in ring order, make that cycle.  The arcs of each
-(previous, face, next) triple are kept in the graph's memo, since the rings
-of a graph pass through the same triples many times; the face's edge to
-the next face, the edge the two share, is fixed by the same triple, so it
-is kept with them and a ring looks up no shared edge.  A ring keeps its
-two sides as face bitmasks and lists their faces only when asked.
-Fragments find their boundary cycles by the rim walk (``_rim``) and
-``_edge_cycles``, which also fix the direction each ring cycle is reported
-in.
+(previous, face, next) triple are kept in the graph's ``_ring_arcs``,
+since the rings of a graph pass through the same triples many times; the
+face's edge to the next face, the edge the two share, is fixed by the
+same triple, so it is kept with them and a ring looks up no shared edge.
+A ring keeps its two sides as face bitmasks and lists their faces only
+when asked.  Fragments find their boundary cycles by the rim walk
+(``_rim``) and ``_edge_cycles``, which also fix the direction each ring
+cycle is reported in.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], pentagons: int)
     The faces must be a cycle of faces each across the next, as the scan
     and ``ring_stats`` give them.  One pass over the (previous, face, next)
     triples reads each face's arcs and its edge to the next face from
-    ``_arc``'s memo, the graph's ``"ring_arcs"`` entry.  The two boundary
+    ``_arc``'s table, the graph's ``_ring_arcs``.  The two boundary
     cycles are walked along the arcs (see the module docstring): the
     boundary is two cycles when neither walk meets a vertex twice and they
     share none.  Each shared edge is a rung when its end that ``_arc`` puts
@@ -295,7 +295,7 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], pentagons: int)
     a_vs: list[int] = []
     b_vs: list[int] = []
     a_cm = b_cm = a_own = b_own = firsts = xs = ys = ring = 0
-    arcs = f._memo.setdefault("ring_arcs", {})
+    arcs = f._ring_arcs
     prev = faces_cycle[-1]
     for fid, nxt in zip(faces_cycle, nexts):
         arc = arcs.get((prev, fid, nxt))
@@ -588,10 +588,7 @@ def pentagonal_rings(f: FullereneGraph) -> tuple[Ring, ...]:
     ``psi``, ``detect_r5_r6`` and the CLI report share the one scan, and its
     check of f.
     """
-    memo = check_type("graph", f, FullereneGraph)._memo
-    if "pentagonal_rings" not in memo:
-        memo["pentagonal_rings"] = tuple(find_polygonal_rings(f, 12, PENTAGONS_ONLY))
-    return memo["pentagonal_rings"]
+    return check_type("graph", f, FullereneGraph)._pentagonal_rings
 
 
 def tau(f: FullereneGraph) -> int | None:

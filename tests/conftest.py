@@ -1,6 +1,6 @@
 """Shared fixtures: catalog graphs built once per session.
 
-Graph objects memoise expensive per-graph results (the sextet walk's summary,
+Graph objects keep expensive per-graph tables (the sextet walk's summary,
 the pentagonal ring scan), so sharing instances across test modules keeps the
 whole suite fast.  The acceptance module records one verdict per numbered
 check into RESULTS; the terminal-summary hook prints them as a block.

@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import random
 import re
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -319,20 +320,72 @@ def test_automorphisms_are_the_point_group(name, relabel):
 
 
 def test_automorphisms_share_the_canonical_pass(graphs, monkeypatch):
+    # the pass is kept on the EmbeddedGraph, so it runs once per rotation:
+    # the FullereneGraph that wraps a graph shares the bare graph's pass
     from oracles import canonical_code_by_full_build
 
     passes = []
     canonical_pass = plane_graph._canonical_pass
     monkeypatch.setattr(plane_graph, "_canonical_pass", lambda g: passes.append(1) or canonical_pass(g))
     for name in ("F28", "C70"):
-        f = validate_fullerene(graphs[name].graph)
+        # parsed afresh: the fixture's graph may already hold its pass
+        f = validate_fullerene(parse_graph(emit_graph(graphs[name])))
         group = automorphisms(f)
         code = canonical_code(f)
-        assert f._memo["canonical"][0] == code
-        assert len(f._memo["canonical"][1]) == len(group)
+        assert f.graph._canonical[0] == code
+        assert len(f.graph._canonical[1]) == len(group)
         assert len(passes) == 1
         assert code == canonical_code(f.graph) == canonical_code_by_full_build(list(f.graph.rotation))
+        g = parse_graph(emit_graph(graphs[name]))
+        bare = canonical_code(g), automorphisms(g), canonical_code(g), canonical_code(validate_fullerene(g))
+        assert bare == (code, group, code, code) and len(passes) == 2
+        assert automorphisms(validate_fullerene(g)) is bare[1]
         passes.clear()
+
+
+def test_a_table_is_built_without_waiting_on_another_object():
+    # one object's build of a table holds up no other object's build of the
+    # same table (functools.cached_property's lock on 3.10 and 3.11 would),
+    # and threads that race to build one object's table all get the one kept
+    entered, release = threading.Event(), threading.Event()
+    racing = threading.Barrier(2, timeout=10)
+
+    class Owner:
+        def __init__(self, mode):
+            self.mode = mode
+
+        @plane_graph._derived
+        def table(self):
+            if self.mode == "slow":
+                entered.set()
+                release.wait(30)
+            elif self.mode == "race":
+                racing.wait()  # both threads are inside the build
+            return [self.mode]
+
+    got = {}
+
+    def read(key, obj):
+        got.setdefault(key, []).append(obj.table)
+
+    slow, quick, raced = Owner("slow"), Owner("quick"), Owner("race")
+    waiting = threading.Thread(target=read, args=("slow", slow))
+    waiting.start()
+    try:
+        assert entered.wait(30)
+        pairs = (("quick", quick), ("race", raced), ("race", raced))
+        threads = [threading.Thread(target=read, args=pair) for pair in pairs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert got["quick"] == [["quick"]]
+        first, second = got["race"]
+        assert first is second is raced.table
+    finally:
+        release.set()
+        waiting.join(30)
+    assert got["slow"] == [slow.table]
 
 
 # SHA-256 of the canonical code of each catalog graph and of its leapfrog
@@ -966,10 +1019,10 @@ def test_validate_fullerene_refuses_fields_that_disagree_with_the_graph(graphs):
     f24 = graphs["F24"]
     with pytest.raises(GraphError, match="must be those its graph traces"):
         resonantk.sextet(FullereneGraph(f24.graph, f24.faces, (), ()))
-    # a consistent one comes back as itself, memo and all
+    # a consistent one comes back as itself, its tables and all
     rebuilt = FullereneGraph(f.graph, f.faces, f.pentagon_ids, f.hexagon_ids)
-    rebuilt._memo["kept"] = True
-    assert validate_fullerene(rebuilt) is rebuilt and rebuilt._memo["kept"]
+    arcs = rebuilt._ring_arcs
+    assert validate_fullerene(rebuilt) is rebuilt and validate_fullerene(rebuilt)._ring_arcs is arcs
 
 
 def test_a_graph_argument_names_the_types_it_takes(graphs):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import tracemalloc
 from itertools import combinations
@@ -334,7 +335,7 @@ def test_disjoint_hexagon_sets_lex_order(graphs):
 
 
 def _fresh(name):
-    """A newly built graph, so its memo holds only what the test computes."""
+    """A newly built graph, so it holds only the tables the test builds."""
     if name[:3] in ("R5_", "R6_"):
         return nanotube(name[:2], int(name[3:]))
     return catalog_graph(name).graph
@@ -373,7 +374,7 @@ def test_walk_memo_agrees_with_is_central(name):
             break
         accepted += sum(matching.is_central(f, ids) for ids in sets)
     assert sum(sextet(f).coefficients) == accepted
-    assert sum(f._memo["walk"].counts) == accepted
+    assert sum(f._walk.counts) == accepted
 
 
 WALKED = catalog_names() + tuple(f"R5_{k}" for k in range(1, 7)) + tuple(
@@ -398,7 +399,7 @@ def test_walk_matches_the_sweep(name, relabel):
     for g in (_fresh(name), relabel(_fresh(name), seed), _reflected(relabel(_fresh(name), seed + 50))):
         expected = [resonance_order_by_sweep(g, cap) for cap in caps]
         assert [resonance_order(g, cap) for cap in caps] == expected
-        assert "walk" not in g._memo
+        assert "_walk" not in vars(g)
         coefficients.add(sextet(g).coefficients)
         assert coefficients == {sextet_by_unpruned_walk(g)}
         assert [resonance_order(g, cap) for cap in caps] == expected
@@ -552,26 +553,32 @@ def test_walk_does_not_depend_on_labels(relabel, name, seed, reflect):
     assert sextet(g).coefficients == sextet_by_unpruned_walk(g)
 
 
+def _tables(obj):
+    """What obj keeps besides its fields: the cached tables it has built."""
+    return set(vars(obj)) - {fld.name for fld in dataclasses.fields(obj)}
+
+
 def test_memo_keeps_no_resonant_sets():
     f = _fresh("C70")
     resonance_order(f)
     hexagon_dichotomy_report(f)
     find_g_star(f)
-    assert f._memo == {}
+    assert _tables(f) == set() and _tables(f.graph) == {"_faces"}
     sextet(f)
-    assert set(f._memo) == {"walk", "canonical"}
+    assert _tables(f) == {"_walk"} and _tables(f.graph) == {"_faces", "_canonical"}
     f = _fresh("C70")
     analyze_graph(f)
     # C70 has no pentagonal ring, so the ring scan builds no ring and keeps no arcs
-    assert set(f._memo) == {"walk", "canonical", "pentagonal_rings"}
+    assert _tables(f) == {"_walk", "_pentagonal_rings"}
+    assert _tables(f.graph) == {"_faces", "_canonical"}
     # the canonical pass keeps its code and the 20 automorphisms it closes,
     # identity first, and nothing else
-    code, group = f._memo["canonical"]
+    code, group = f.graph._canonical
     assert isinstance(code, bytes) and type(group) is tuple and len(group) == 20
     assert all(type(a) is Automorphism for a in group)
     assert group[0] == Automorphism(tuple(range(70)), False)
     # the walk keeps its counts and one least failing set
-    walk = f._memo["walk"]
+    walk = f._walk
     assert walk.counts == (1, 25, 255, 1355, 3940, 5958, 4715, 2065, 375, 25)
     assert walk.failed == (1, 10, 18)
 

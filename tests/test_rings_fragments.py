@@ -20,14 +20,19 @@ from oracles import find_polygonal_rings_by_full_walk
 
 from resonantk import rings_fragments
 from resonantk.catalog import catalog_graph, catalog_names, nanotube
+from resonantk.cli import analyze_graph
 from resonantk.errors import GraphError
+from resonantk.leapfrog import LeapfrogResult, leapfrog, two_resonance_certificate
 from resonantk.plane_graph import (
     EmbeddedGraph,
     FaceSet,
+    FullereneGraph,
+    automorphisms,
     emit_graph,
     parse_graph,
     validate_fullerene,
 )
+from resonantk.resonance import sextet
 from resonantk.rings_fragments import (
     ANY,
     PENTAGONS_ONLY,
@@ -132,8 +137,8 @@ def test_ring_stats_names_a_face_id_off_the_graph(graphs):
         with pytest.raises(GraphError, match=message):
             ring_stats(f, dataclasses.replace(ring, faces=faces))
     # a face sequence that is no ring is a GraphError, raised before any of
-    # its (previous, face, next) triples gets arcs in the memo
-    arcs = c60._memo["ring_arcs"]
+    # its (previous, face, next) triples gets arcs in the graph's _ring_arcs
+    arcs = c60._ring_arcs
     before = dict(arcs)
     first = ring.faces[:2]
     away = next(g for g in range(len(c60.faces)) if g not in c60.faces.across(first[1]))
@@ -177,7 +182,7 @@ def test_ring_stats_refuses_non_consecutive_faces_that_meet(graphs):
 
 
 def test_rung_check_needs_exactly_one_endpoint_on_each_cycle(graphs, monkeypatch):
-    # _build_ring reads each shared edge from the arc memo: the entry of a
+    # _build_ring reads each shared edge from the graph's arcs: the entry of a
     # (previous, face, next) triple ends with the face's edge to the next
     # face and the bits of its two ends, the first on cycle A and the second
     # on cycle B.  Report an edge of each cycle, between two vertices on no
@@ -200,7 +205,7 @@ def test_rung_check_needs_exactly_one_endpoint_on_each_cycle(graphs, monkeypatch
         if free_edge(r, r.inner_cycle) and free_edge(r, r.outer_cycle)
     )
     assert ring_stats(f, ring) == ring
-    arcs = f._memo["ring_arcs"]
+    arcs = f._ring_arcs
     faces = ring.faces
     for i, cyc in ((0, ring.inner_cycle), (1, ring.outer_cycle)):
         key = (faces[i - 1], faces[i], faces[i + 1])
@@ -212,12 +217,12 @@ def test_rung_check_needs_exactly_one_endpoint_on_each_cycle(graphs, monkeypatch
 
 def test_rung_check_fixes_which_end_lies_on_which_cycle(graphs, monkeypatch):
     # A true shared edge whose A end and B end are swapped still has one end
-    # on each cycle, but not the end the arcs put there: the memo is wrong,
+    # on each cycle, but not the end the arcs put there: the table is wrong,
     # so the rung check must refuse it.
     f = graphs["F28"]
     ring = find_polygonal_rings(f, 6, ANY)[0]
     assert ring_stats(f, ring) == ring
-    arcs = f._memo["ring_arcs"]
+    arcs = f._ring_arcs
     key = (ring.faces[-1], ring.faces[0], ring.faces[1])
     entry = arcs[key]
     monkeypatch.setitem(arcs, key, entry[:8] + (entry[9], entry[8]))
@@ -592,45 +597,83 @@ def test_turtle_is_the_connected_graph_with_degrees_1_1_3_3_3_3():
 
 
 def test_rings_and_fragments_build_the_face_masks_once(monkeypatch):
-    # the ring scan, the fragments and ring_stats read the FaceSet's tables,
-    # each built once, and keep only the ring scan and its arcs in the memo
+    # Every cached table of the classes that keep them, read off the classes
+    # so that a table added later is counted too, is built at most once per
+    # object.  Parsing traces the faces; the ring scan, the fragments and
+    # ring_stats then build the FaceSet's three tables, the ring scan and its
+    # arcs, and no table of any other object (no canonical pass, no walk);
+    # analyze and every certificate pair of the leapfrog image build the rest.
     built = Counter()
-    for name in ("vertex_masks", "across_masks", "steps"):
+    counted_objects = []  # kept alive, so that no id is reused
+    tables = set()
+    for cls in (EmbeddedGraph, FaceSet, FullereneGraph, LeapfrogResult):
+        for name, attr in list(vars(cls).items()):
+            if isinstance(attr, functools.cached_property):
+                key = f"{cls.__name__}.{name}"
+                tables.add(key)
 
-        def counted(fs, build=getattr(FaceSet, name).func, name=name):
-            built[name] += 1
-            return build(fs)
+                def counted(obj, build=attr.func, key=key):
+                    built[key, id(obj)] += 1
+                    counted_objects.append(obj)
+                    return build(obj)
 
-        table = functools.cached_property(counted)
-        table.__set_name__(FaceSet, name)
-        monkeypatch.setattr(FaceSet, name, table)
-    once = {"vertex_masks": 1, "across_masks": 1, "steps": 1}
+                wrapped = type(attr)(counted)
+                wrapped.__set_name__(cls, name)
+                monkeypatch.setattr(cls, name, wrapped)
+
     f = nanotube("R6", 2)
+    parsed = Counter({("EmbeddedGraph._faces", id(f.graph)): 1})
+    assert built == parsed
+    ring_phase = parsed + Counter(
+        [(key, id(f.faces)) for key in ("FaceSet.vertex_masks", "FaceSet.across_masks", "FaceSet.steps")]
+        + [(key, id(f)) for key in ("FullereneGraph._pentagonal_rings", "FullereneGraph._ring_arcs")]
+    )
     rings = pentagonal_rings(f)
-    assert rings and built == once
+    assert rings and built == ring_phase
     assert maximal_pentagonal_fragments(f)
     for ring in rings:
         assert ring_stats(f, ring) == ring
-    assert built == once
-    assert set(f._memo) == {"pentagonal_rings", "ring_arcs"}
+    assert built == ring_phase
+    analyze_graph(f)
+    lf = leapfrog(f)
+    verts = lf.image.faces.vertex_masks
+    for a, b in combinations(lf.image.hexagon_ids, 2):
+        if not verts[a] & verts[b]:
+            two_resonance_certificate(lf, a, b)
+    assert {key for key, _ in built} == tables
+    assert set(built.values()) == {1}
 
 
 def test_threads_that_race_to_build_the_face_tables_agree():
-    # cached_property fills without a lock from Python 3.12 on, and the memo
-    # is filled check-then-set, so threads on a fresh graph may each build a
-    # table or ring scan; each must still get what one thread gets alone
-    def report(f):
-        pentagonal = pentagonal_rings(f)
-        return pentagonal, maximal_pentagonal_fragments(f), find_polygonal_rings(f, 6, ANY)
+    # the tables build without a lock, and the ring arcs and the certificate
+    # table are filled check-then-set, so threads on fresh objects may each
+    # build a table or fill an entry; each must still get what one thread
+    # gets alone
+    def fresh():
+        f = nanotube("R6", 2)
+        return EmbeddedGraph(f.graph.rotation), f, leapfrog(f)
 
-    want = report(nanotube("R6", 2))
-    f = nanotube("R6", 2)
+    def report(g, f, lf):
+        # two heritable hexagons, which are disjoint and need flips
+        h1, h2 = sorted(h for h in lf.heritable if lf.image.is_hexagon(h))[:2]
+        pentagonal = pentagonal_rings(f)
+        return (
+            automorphisms(g),
+            sextet(f),
+            pentagonal,
+            maximal_pentagonal_fragments(f),
+            find_polygonal_rings(f, 6, ANY),
+            two_resonance_certificate(lf, h1, h2),
+        )
+
+    want = report(*fresh())
+    objects = fresh()
     got = [None] * 6
     start = threading.Barrier(len(got), timeout=60)
 
     def work(i):
         start.wait()
-        got[i] = report(f)
+        got[i] = report(*objects)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(got))]
     switch = sys.getswitchinterval()
