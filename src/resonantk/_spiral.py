@@ -26,11 +26,12 @@ synthesised embedding before it is returned, with its faces.  Its
 repeated-arc check rejects a repeated edge (a face glued along an edge the
 patch already has puts one arc into two face cycles).  Its rotation check
 rejects a vertex that is not one 3-cycle, such as one the closing face
-leaves at degree 2, with two rotation entries.  The embedding check of
-``parse_graph`` does the rest.  No vertex count is checked: the sizes sum
-to 3(2F - 4) for F faces, and the closing face has its size, so the face
-cycles hold 3(2F - 4) arcs; with each vertex in three rotation entries and
-no arc repeated, there are 2F - 4 vertices.
+leaves at degree 2, with two rotation entries.  The checks of
+``parse_graph``, made when the graph is built and traced, do the rest.  No
+vertex count is checked: the sizes sum to 3(2F - 4) for F faces, and the
+closing face has its size, so the face cycles hold 3(2F - 4) arcs; with
+each vertex in three rotation entries and no arc repeated, there are
+2F - 4 vertices.
 
 ``wind`` is a fold of ``_attach`` over the sizes between the first and the
 last.  It returns None whenever an integer sequence does not wind to a valid
@@ -177,8 +178,8 @@ def _assemble(nv: int, face_cycles: list[list[int]]) -> EmbeddedGraph | None:
         if len({a0, a1, a2}) != 3 or ring[a2] != a0:
             return None
         rotation.append((a0, a1, a2))
-    g = EmbeddedGraph(tuple(rotation))
     try:
+        g = EmbeddedGraph(tuple(rotation))
         g._faces
     except GraphError:
         return None

@@ -39,9 +39,15 @@ class ExpectedFacts:
 
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
+    """A named graph and its facts, checked when built (GraphError naming the field)."""
+
     name: str
     graph: FullereneGraph
     expected: ExpectedFacts
+
+    def __post_init__(self) -> None:
+        check_type("expected facts", self.expected, ExpectedFacts)
+        check_type("graph", self.graph, FullereneGraph)
 
 
 # The members whose every disjoint hexagon set is resonant.
@@ -144,13 +150,11 @@ def verify_entry(entry: CatalogEntry) -> dict[str, tuple[object, object, bool]]:
     """Recompute each expected fact; returns {fact: (expected, computed, ok)}.
 
     Raises:
-        GraphError: if entry is not a ``CatalogEntry``, or its expected facts
-            are not ``ExpectedFacts`` or its graph not a ``FullereneGraph``.
+        GraphError: if entry is not a ``CatalogEntry``.
     """
     check_type("catalog entry", entry, CatalogEntry)
-    expected = check_type("expected facts", entry.expected, ExpectedFacts)
     names = (k.name for k in fields(ExpectedFacts))
-    pairs = zip(astuple(expected), astuple(_facts(entry.graph)))
+    pairs = zip(astuple(entry.expected), astuple(_facts(entry.graph)))
     return {k: (want, got, want == got) for k, (want, got) in zip(names, pairs)}
 
 

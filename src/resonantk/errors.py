@@ -43,8 +43,9 @@ def check_type(name: str, value: object, kind: type[_T]) -> _T:
 
     The one type check of a ``FullereneGraph``, ``Matching``, ``Ring``,
     ``LeapfrogResult`` or ``CatalogEntry`` argument, and of the fields of
-    such a value where they are first read; either graph type is resolved
-    by ``plane_graph._embedded`` instead.
+    such a value: when it is built, or for a ``Matching`` or ``Ring`` where
+    they are first read.  Either graph type is resolved by
+    ``plane_graph._embedded`` instead.
 
     Raises:
         GraphError: naming ``name``, ``kind`` and the type given otherwise.

@@ -26,13 +26,14 @@ once.
 
 The certificate splits its checks in two.  Once per image it builds a
 table, ``LeapfrogResult._table`` (which ``dataclasses.replace`` starts
-afresh): M0 as a bitmask over the image's sorted edges, each face's
-edge bitmask, and the check that M0 is perfect; the faces' vertex bitmasks
-are the image ``FaceSet``'s.  Once per hexagon it checks, by popcounts on
-those masks, that each candidate's faces are pairwise disjoint and each
-alternates with M0, and keeps the candidate as face, vertex and edge bitmasks.  Per pair it only
-tests, by popcounts, that the two candidates' faces stay disjoint and that
-both targets alternate.  The matching that passes is still perfect:
+afresh): M0 as a bitmask over the image's sorted edges and each face's
+edge bitmask; the faces' vertex bitmasks are the image ``FaceSet``'s, and
+M0 was checked perfect when the result was built.  Once per hexagon it
+checks, by popcounts on those masks, that each candidate's faces are
+pairwise disjoint and each alternates with M0, and keeps the candidate as
+face, vertex and edge bitmasks.  Per pair it only tests, by popcounts,
+that the two candidates' faces stay disjoint and that both targets
+alternate.  The matching that passes is still perfect:
 flipping pairwise disjoint M0-alternating cycles of a perfect matching
 gives a perfect matching, and the per-image checks drop exactly the
 candidates whose flips would not (a flipped hexagon holding k < 3 M0 edges
@@ -65,10 +66,11 @@ class LeapfrogResult:
 
     Checked when built, however it is built, for what the certificates read
     without checking: ``original`` and ``image`` must be ``FullereneGraph``s
-    and ``arc_of`` a tuple; ``m0`` a ``Matching`` whose every edge is an
-    image edge stored as (u, v) with u < v; ``heritable`` and ``fresh``
-    dicts from image face ids to ints.  That M0 is perfect and the faces are
-    classified right is checked where a territory or certificate needs it.
+    and ``arc_of`` a tuple; ``m0`` a perfect matching of the image, a
+    ``Matching`` whose every edge is an image edge stored as (u, v) with
+    u < v; ``heritable`` and ``fresh`` dicts from image face ids to ints.
+    That the faces are classified right is checked where a territory or
+    certificate needs it.
 
     Raises:
         GraphError: naming the field that fails.
@@ -97,6 +99,8 @@ class LeapfrogResult:
                     f"LeapfrogResult m0 edge {(u, v)} is not an edge of its image "
                     "stored as (u, v) with u < v"
                 )
+        if 2 * len(edges) != n or len(self.m0.covered()) != n:
+            raise GraphError(f"LeapfrogResult m0 is not a perfect matching of its {n}-vertex image")
         for name, provenance in (("heritable", self.heritable), ("fresh", self.fresh)):
             check_type(f"LeapfrogResult {name}", provenance, dict)
             if (
@@ -108,11 +112,10 @@ class LeapfrogResult:
 
     @_derived
     def _table(self) -> _Table:
-        """The image's certificate table, with the one check that M0 is perfect."""
+        """The image's certificate table."""
         image, m0 = self.image, self.m0
         bit = {e: i for i, e in enumerate(image.graph.edges())}
         return _Table(
-            2 * m0.size == image.n and len(m0.covered()) == image.n,
             sum(1 << bit[e] for e in m0.edges),
             [sum(1 << bit[e] for e in face.boundary_edges()) for face in image.faces],
             {},
@@ -235,7 +238,6 @@ class _Table(NamedTuple):
     faces, built on first use; flipping nothing gives ``lf.m0`` itself.
     """
 
-    m0_perfect: bool
     m0: int  # bit i set when edge i is in M0
     edges: list[int]  # per face, bit i set when edge i bounds it
     flips: dict[int, list[_Flip]]  # per hexagon, its checked candidates
@@ -247,8 +249,7 @@ def _checked_flips(lf: LeapfrogResult, table: _Table, h: int) -> list[_Flip]:
 
     A candidate is dropped when two of its faces share a vertex or one of
     them does not alternate with M0, that is holds fewer than half its
-    boundary edges in M0 (read off the table's edge masks); every candidate
-    is dropped when M0 is not perfect.
+    boundary edges in M0 (read off the table's edge masks).
     """
     masks = lf.image.faces.vertex_masks
     kept = []
@@ -257,10 +258,8 @@ def _checked_flips(lf: LeapfrogResult, table: _Table, h: int) -> list[_Flip]:
         for x in flips:
             verts |= masks[x]
             edges |= table.edges[x]
-        if (
-            table.m0_perfect
-            and verts.bit_count() == sum(masks[x].bit_count() for x in flips)
-            and all(2 * (table.edges[x] & table.m0).bit_count() == masks[x].bit_count() for x in flips)
+        if verts.bit_count() == sum(masks[x].bit_count() for x in flips) and all(
+            2 * (table.edges[x] & table.m0).bit_count() == masks[x].bit_count() for x in flips
         ):
             kept.append((sum(1 << x for x in flips), verts, edges))
     table.flips[h] = kept
@@ -288,14 +287,14 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     a fixed order; each must be pairwise vertex-disjoint.  The first
     candidate that alternates on both targets is returned.
 
-    What does not depend on the pair is checked once per image: M0 is
-    perfect, and each hexagon's candidates have pairwise disjoint faces
-    that alternate with M0 (``_checked_flips``).  Per pair, on the image's
-    bitmasks (``lf._table`` and ``FaceSet.vertex_masks``), the two candidates'
-    faces must cover six vertices for each face they flip, so they are
-    pairwise disjoint (two fullerene faces share a vertex exactly when they
-    share an edge), and each target must hold three edges of M0 with the
-    flipped edges toggled.
+    M0 was checked perfect when lf was built.  What does not depend on the
+    pair is checked once per image: each hexagon's candidates have pairwise
+    disjoint faces that alternate with M0 (``_checked_flips``).  Per pair,
+    on the image's bitmasks (``lf._table`` and ``FaceSet.vertex_masks``),
+    the two candidates' faces must cover six vertices for each face they
+    flip, so they are pairwise disjoint (two fullerene faces share a vertex
+    exactly when they share an edge), and each target must hold three edges
+    of M0 with the flipped edges toggled.
     The certificate is built once per set of flipped faces and kept in the
     image's table: every pair that flips the same faces gets the same
     immutable ``Matching``, and flipping nothing gives ``lf.m0`` itself.  It

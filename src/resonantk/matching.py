@@ -93,10 +93,10 @@ def _adjacency(x: object) -> tuple[int, Sequence[Sequence[int]]]:
     """Vertex count and adjacency lists for any supported graph form.
 
     Stored graphs (either graph type, through ``plane_graph._embedded``, or
-    a ``Subgraph``) pass their own adjacency tuples through; a
-    caller-supplied sequence is copied, its vertex ids are checked to be
-    integers in range, and every neighbour must list the vertex back (a
-    loop lists itself).
+    a ``Subgraph``) were checked when built and pass their own adjacency
+    tuples through; a caller-supplied sequence is copied and checked as a
+    ``Subgraph``'s ``adj`` is: integer ids in range, each neighbour listing
+    the vertex back (a loop lists itself).
     """
     if isinstance(x, Subgraph):
         return x.n, x.adj

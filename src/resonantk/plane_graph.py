@@ -33,8 +33,9 @@ or a ``FullereneGraph`` through it, and any other value raises GraphError.
 Every other public function that takes a graph takes a ``FullereneGraph``
 only, checked by ``errors.check_type``.
 
-``EmbeddedGraph._faces`` decides once per graph that a rotation system is a
-connected plane cubic graph on the sphere, and keeps the faces it traced.
+An ``EmbeddedGraph`` is checked to be a simple cubic graph when built
+(``_check_rotation``); ``EmbeddedGraph._faces`` decides once per graph
+that it is connected and on the sphere, and keeps the faces it traced.
 It reads the first component of ``_components_without``, the one flood
 fill, and ``matching.tutte_witness`` the odd components a barrier leaves.
 """
@@ -114,13 +115,15 @@ class EmbeddedGraph:
     rotation is immutable, and the tables derived from it (``_faces``,
     ``_canonical``) are built on first use and kept.
 
-    Checked when built for its shape only: ``rotation`` must be a tuple of
-    tuples of ints (a bool is not one).  That it is a simple cubic graph is
-    checked by ``_check_rotation`` where it is first traced.
+    Checked when built, however it is built: ``rotation`` must be a tuple of
+    tuples of ints (a bool is not one) and of a simple cubic graph
+    (``_check_rotation``).  That it is connected and on the sphere is
+    checked where it is first traced (``_faces``).
 
     Raises:
         GraphError: naming the types found that are not a tuple of tuples
-            of ints.
+            of ints, or as :func:`parse_graph` for a graph that is not
+            simple and cubic.
     """
 
     rotation: tuple[tuple[int, int, int], ...]
@@ -129,10 +132,11 @@ class EmbeddedGraph:
         found = _stray_types(self.rotation)
         if found:
             raise GraphError(f"an EmbeddedGraph's rotation must be a tuple of tuples of ints, found {found}")
+        _check_rotation(self.rotation)
 
     @_derived
     def _faces(self) -> FaceSet:
-        """The faces, once the rotation check, connectivity and Euler's formula pass (GraphError)."""
+        """The faces, once connectivity and Euler's formula pass (GraphError)."""
         fs = faces(self)
         count = len(_components_without(self.n, self.rotation, set())[0])
         if count != self.n:
@@ -477,11 +481,9 @@ def emit_graph(g: EmbeddedGraph | FullereneGraph, comments: Sequence[str] = ()) 
 def _check_rotation(rotation: Sequence[Sequence[int]]) -> None:
     """Raise GraphError unless the rotation is of a simple cubic graph.
 
-    Every vertex must list three distinct neighbours in range, none of them
-    itself, and every neighbour must list it back.  Run on every graph that
-    enters through :func:`parse_graph`, :func:`validate_fullerene` or
-    :func:`canonical_code`, since an ``EmbeddedGraph`` can also be built
-    directly.
+    Every vertex must list three distinct neighbours, none of them itself;
+    ``_check_adjacency`` then checks that each is in range and lists it
+    back.  Run by ``EmbeddedGraph.__post_init__`` on every graph built.
     """
     n = len(rotation)
     if n < 4:
@@ -489,17 +491,11 @@ def _check_rotation(rotation: Sequence[Sequence[int]]) -> None:
     for i, nbrs in enumerate(rotation):
         if len(nbrs) != 3:
             raise GraphError(f"vertex {i} lists {len(nbrs)} neighbours; the graph must be cubic")
-        for w in nbrs:
-            if not 0 <= w < n:
-                raise GraphError(f"vertex {i} lists neighbour {w} outside 0..{n - 1}")
-            if w == i:
-                raise GraphError(f"vertex {i} lists itself (loops are not allowed)")
+        if i in nbrs:
+            raise GraphError(f"vertex {i} lists itself (loops are not allowed)")
         if len(set(nbrs)) != 3:
             raise GraphError(f"vertex {i} repeats a neighbour (multi-edges are not allowed)")
-    for v in range(n):
-        for w in rotation[v]:
-            if v not in rotation[w]:
-                raise GraphError(f"asymmetric adjacency: {v} lists {w} but {w} does not list {v}")
+    _check_adjacency("adjacency", rotation)
 
 
 def _components_without(
@@ -541,13 +537,12 @@ def faces(g: EmbeddedGraph | FullereneGraph) -> FaceSet:
     Arcs are scanned in sorted order, so each face starts at its least arc
     and face ids follow those arcs.  A graph whose embedding was checked
     (``EmbeddedGraph._faces``), as every ``FullereneGraph``'s was, gets its
-    kept faces; any other has its rotation checked first (GraphError), but
-    may be disconnected or off the sphere.
+    kept faces; any other is a simple cubic graph, as every ``EmbeddedGraph``
+    is when built, but may be disconnected or off the sphere.
     """
     g, _ = _embedded(g)
     if _built(g, "_faces") is not None:
         return g._faces
-    _check_rotation(g.rotation)
     turns = _turns(g.rotation)
     built: list[Face] = []
     cycles: list[list[Arc]] = []

@@ -59,7 +59,11 @@ def isomers(gen_catalog):
 
 
 def relabelled_rotation(g: EmbeddedGraph, seed: int) -> EmbeddedGraph:
-    """``relabel(f, seed).graph`` for ``g = f.graph``, built unchecked, so g may be any rotation."""
+    """``relabel(f, seed).graph`` for ``g = f.graph``.
+
+    g may be any ``EmbeddedGraph``, not only a fullerene's, and the result is
+    checked when built, as g was.
+    """
     rng = random.Random(seed)
     perm = list(range(g.n))
     rng.shuffle(perm)

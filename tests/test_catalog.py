@@ -48,13 +48,14 @@ def test_every_entry_verifies(catalog):
 def test_verify_entry_reads_a_hand_built_entry(catalog):
     entry = catalog["F24"]
     cases = [
-        (CatalogEntry("x", None, None), "^expected facts must be an ExpectedFacts, got NoneType$"),
-        (CatalogEntry("x", entry.graph, ()), "^expected facts must be an ExpectedFacts, got tuple$"),
-        (CatalogEntry("x", None, entry.expected), "^graph must be a FullereneGraph, got NoneType$"),
+        (("x", None, None), "^expected facts must be an ExpectedFacts, got NoneType$"),
+        (("x", entry.graph, ()), "^expected facts must be an ExpectedFacts, got tuple$"),
+        (("x", None, entry.expected), "^graph must be a FullereneGraph, got NoneType$"),
     ]
-    for bad, message in cases:
+    for fields, message in cases:
         with pytest.raises(GraphError, match=message):
-            verify_entry(bad)
+            CatalogEntry(*fields)
+    assert verify_entry(CatalogEntry("x", entry.graph, entry.expected)) == verify_entry(entry)
 
 
 def test_vertex_counts(graphs):

@@ -24,7 +24,7 @@ import resonantk
 from resonantk import catalog as _catalog
 from resonantk import rings_fragments
 from resonantk.cli import _build_parser, _dump_json, run
-from resonantk.plane_graph import EmbeddedGraph, emit_graph, parse_graph, validate_fullerene
+from resonantk.plane_graph import emit_graph, parse_graph, validate_fullerene
 
 
 @pytest.fixture()
@@ -117,9 +117,10 @@ def test_malformed_graphs_are_graph_errors(command, tmp_path, capsys):
     texts = {
         "K4 on the torus": K4_TORUS,
         "F20 + K3,3": emit_graph(_f20_plus_k33({"F20": f20})),
-        "asymmetric F20": emit_graph(EmbeddedGraph(((1, 2, 3),) + f20.graph.rotation[1:])),
+        "asymmetric F20": emit_graph(f20).replace("\n0: 1 7 4\n", "\n0: 1 2 3\n"),
         "K4": K4,
     }
+    assert texts["asymmetric F20"] != emit_graph(f20)
     path = tmp_path / "in.rot"
     for name, text in texts.items():
         path.write_text(text)

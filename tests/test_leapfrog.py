@@ -168,15 +168,14 @@ def test_a_flipped_m0_matches_the_rebuild_oracle(graphs, name):
 
 
 def test_an_imperfect_m0_gives_no_certificate(lf20):
+    # refused when the result is built, so no certificate reads it
     a, b = _disjoint_pairs(lf20.image)[0]
     two_resonance_certificate(lf20, a, b)  # fills lf20's flip table
     short = Matching(lf20.m0.edges - {min(lf20.m0.edges)}, lf20.image)
-    broken = dataclasses.replace(lf20, m0=short)
-    pairs = _disjoint_pairs(broken.image)
-    assert len(pairs) == 160
-    for a, b in pairs:
-        with pytest.raises(RuntimeError, match="no territory flip"):
-            two_resonance_certificate(broken, a, b)
+    message = "^LeapfrogResult m0 is not a perfect matching of its 60-vertex image$"
+    with pytest.raises(GraphError, match=message):
+        dataclasses.replace(lf20, m0=short)
+    assert len(_disjoint_pairs(lf20.image)) == 160
 
 
 def test_an_edited_result_builds_its_own_flip_table(graphs):
@@ -288,18 +287,27 @@ def test_certificate_errors_on_a_broken_result_come_in_order(graphs):
     for a, b in ((c1, c2), (c2, c1), (c1, c2)):  # and again, once a table exists
         with pytest.raises(RuntimeError, match=f"^territory of face {a} holds faces that are not fresh"):
             two_resonance_certificate(broken, a, b)
-    # with M0 not perfect a fresh first target keeps no candidate, and the
-    # second target's territory is never read
-    h = next(h for h in sorted(broken.fresh) if not image.faces[h].vertices & image.faces[c2].vertices)
-    short = dataclasses.replace(broken, m0=Matching(lf.m0.edges - {min(lf.m0.edges)}, image))
-    with pytest.raises(RuntimeError, match="^no territory flip"):
-        two_resonance_certificate(short, h, c2)
+    # An M0 that is not perfect is refused when built.  Flipped round two
+    # opposite faces of c1's territory, M0 stays perfect, but the other four
+    # stop alternating: c1 as the first target keeps no candidate, and the
+    # second target's stale territory is never read.
+    with pytest.raises(GraphError, match="^LeapfrogResult m0 is not a perfect matching"):
+        dataclasses.replace(broken, m0=Matching(lf.m0.edges - {min(lf.m0.edges)}, image))
+    ring = territory(lf, c1).ring
+    opposite = image.faces[ring[0]].boundary_edges() + image.faces[ring[3]].boundary_edges()
+    flipped = lf.m0.edges.symmetric_difference(opposite)
+    stale_c2 = {k: v for k, v in lf.fresh.items() if k != territory(lf, c2).ring[0]}
+    forged = dataclasses.replace(lf, fresh=stale_c2, m0=Matching(flipped, image))
+    with pytest.raises(RuntimeError, match=f"^no territory flip makes hexagons {c1} and {c2}"):
+        two_resonance_certificate(forged, c1, c2)
+    with pytest.raises(RuntimeError, match=f"^territory of face {c2} holds faces that are not fresh"):
+        two_resonance_certificate(forged, c2, c1)
 
 
 # A field replaced in F24's result, and the field the GraphError names.  The
 # first six ended in a traceback from a certificate (AttributeError,
 # TypeError or KeyError); another fullerene as the image fails on M0, whose
-# edges are not its edges.
+# edges are not its edges, and an M0 missing one edge is not perfect.
 FORGED = {
     "m0 None": ("m0", lambda lf, graphs: {"m0": None}),
     "image None": ("image", lambda lf, graphs: {"image": None}),
@@ -307,6 +315,10 @@ FORGED = {
     "m0 edges None": ("m0", lambda lf, graphs: {"m0": Matching(None, lf.image)}),
     "m0 pair of one": ("m0", lambda lf, graphs: {"m0": Matching(lf.m0.edges | {(1,)}, lf.image)}),
     "another image": ("m0", lambda lf, graphs: {"image": graphs["C70"]}),
+    "m0 missing an edge": (
+        "m0",
+        lambda lf, graphs: {"m0": Matching(lf.m0.edges - {min(lf.m0.edges)}, lf.image)},
+    ),
     "m0 pair reversed": (
         "m0",
         lambda lf, graphs: {"m0": Matching(frozenset((v, u) for u, v in lf.m0.edges), lf.image)},

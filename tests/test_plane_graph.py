@@ -455,8 +455,18 @@ def test_canonical_code_past_255_vertices(wide):
             _check_automorphism(wide[name], a)
     assert canonical_code(wide["L2(F36_1)"]) != canonical_code(wide["L2(F36_2)"])
     assert canonical_code(wide["R6_25"]) != canonical_code(wide["L2(F36_1)"])
+    from resonantk._spiral import wind
+
+    assert canonical_code(_prism(7)) == canonical_code(wind([7] + [4] * 7 + [7]))
     with pytest.raises(GuardExceeded, match="65535"):
-        canonical_code(EmbeddedGraph(((1, 2, 3),) * 65536))
+        canonical_code(_prism(32768))
+
+
+def _prism(k: int) -> EmbeddedGraph:
+    """The k-gonal prism, 2k vertices: outer cycle 0..k-1, inner cycle k..2k-1."""
+    outer = tuple(((i + 1) % k, (i - 1) % k, k + i) for i in range(k))
+    inner = tuple((k + (i - 1) % k, k + (i + 1) % k, i) for i in range(k))
+    return EmbeddedGraph(outer + inner)
 
 
 def test_validate_fullerene_rejects_k4():
@@ -500,22 +510,67 @@ def test_parse_rejects_a_disconnected_graph(graphs):
 @pytest.mark.parametrize(
     "row, message",
     [
-        ((1, 2, 3), "asymmetric adjacency: 0 lists 2"),
-        ((0, 1, 4), "vertex 0 lists itself"),
-        ((1, 7, 99), "neighbour 99 outside 0..19"),
+        ((1, 2, 3), "asymmetric adjacency: 0 lists 2 but 2 does not list 0"),
+        ((0, 7, 4), r"vertex 0 lists itself \(loops are not allowed\)"),
+        ((1, 7, 99), "adjacency row 0 lists vertex 99 outside 0..19"),
+        ((1, 7), "vertex 0 lists 2 neighbours; the graph must be cubic"),
+        ((1, 1, 4), r"vertex 0 repeats a neighbour \(multi-edges are not allowed\)"),
     ],
-    ids=["asymmetric", "loop", "out-of-range"],
+    ids=["asymmetric", "loop", "out-of-range", "short", "repeated"],
 )
 def test_a_directly_built_rotation_is_checked_as_parsed(graphs, row, message):
-    # F20 with vertex 0's rotation (1, 7, 4) replaced
+    # F20 with vertex 0's rotation (1, 7, 4) replaced, as built and as parsed
     rotation = graphs["F20"].graph.rotation
     assert rotation[0] == (1, 7, 4)
-    g = EmbeddedGraph((row,) + rotation[1:])
-    for check in (lambda: parse_graph(emit_graph(g)), lambda: validate_fullerene(g),
-                  lambda: canonical_code(g), lambda: automorphisms(g), lambda: faces(g),
-                  lambda: verify_cyclic_edge_connectivity(g)):
-        with pytest.raises(GraphError, match=message):
-            check()
+    text = emit_graph(graphs["F20"]).replace("\n0: 1 7 4\n", f"\n0: {' '.join(map(str, row))}\n")
+    for build in (lambda: EmbeddedGraph((row,) + rotation[1:]), lambda: parse_graph(text)):
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            build()
+
+
+@st.composite
+def _rotations(draw):
+    """A rotation and whether it is of a simple cubic graph.
+
+    Random rows of 2-4 ints, or K4, a prism (the cube is the 4-prism) or
+    K3,3 (simple cubic, not planar) relabelled, mirrored and turned at each
+    vertex, or with each row in any order, which leaves most of them off
+    the sphere.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 12))
+        row = st.lists(st.integers(-1, n), min_size=2, max_size=4).map(tuple)
+        return tuple(draw(st.lists(row, min_size=n, max_size=n))), False
+    k33 = ((3, 4, 5),) * 3 + ((0, 1, 2),) * 3
+    prisms = [_prism(k).rotation for k in range(3, 7)]
+    rotation = draw(st.sampled_from([parse_graph(K4).rotation, k33, *prisms]))
+    perm = draw(st.permutations(range(len(rotation))))
+    mirror, scramble = draw(st.booleans()), draw(st.booleans())
+    rows = [()] * len(rotation)
+    for v, ring in enumerate(rotation):
+        nbrs = [perm[w] for w in (reversed(ring) if mirror else ring)]
+        k = draw(st.integers(0, 2))
+        rows[perm[v]] = tuple(draw(st.permutations(nbrs)) if scramble else nbrs[k:] + nbrs[:k])
+    return tuple(rows), True
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rotations())
+def test_a_rotation_never_ends_in_a_traceback(drawn):
+    # Refused when built, or every function of a plane cubic graph answers
+    # or raises GraphError or GuardExceeded.
+    rotation, simple = drawn
+    try:
+        g = EmbeddedGraph(rotation)
+    except GraphError:
+        assert not simple
+        return
+    for name in sorted(EITHER_GRAPH_TYPE):
+        call = getattr(resonantk, name)
+        try:
+            call(g, [0]) if name == "delete_vertices" else call(g)
+        except (GraphError, GuardExceeded):
+            pass
 
 
 def _k33_plus_two_prisms():

@@ -284,6 +284,23 @@ def test_resonance_order_rejects_invalid_caps(graphs):
             resonance_order(f, max_k=bad)
 
 
+def test_theorems_hold_on_every_isomer_with_20_to_30_vertices(isomers):
+    # Every hexagon of a fullerene is resonant, so sigma_1 counts them all,
+    # and every leapfrog image is 2-resonant.
+    from resonantk._spiral import wind
+
+    checked = 0
+    for n, found in isomers.items():
+        for i, (_, seq) in enumerate(found):
+            f = validate_fullerene(wind(seq))
+            assert all(is_resonant_pattern(f, [h]) is not None for h in f.hexagon_ids), (n, i)
+            assert sextet(f).sigma(1) == len(f.hexagon_ids) == n // 2 - 10, (n, i)
+            order = resonance_order(leapfrog(f).image, max_k=2).order
+            assert order == ALL or order >= 2, (n, i)
+            checked += 1
+    assert checked == 8
+
+
 def test_g_star_c70_frozen(graphs):
     w = find_g_star(graphs["C70"])
     assert w is not None
