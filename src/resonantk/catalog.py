@@ -21,20 +21,30 @@ from dataclasses import astuple, dataclass, fields
 from typing import Union
 
 from ._spiral import wind
-from .errors import GraphError, GuardExceeded, check_int, check_type
-from .plane_graph import FullereneGraph, validate_fullerene
+from .errors import GraphError, GuardExceeded, check_int, check_ints, check_type
+from .plane_graph import _CODE_LIMIT, FullereneGraph, validate_fullerene
 from .resonance import ALL, resonance_order, sextet
 from .rings_fragments import tau
 
 
 @dataclass(frozen=True)
 class ExpectedFacts:
-    """Reference values re-verified against the live modules at test time."""
+    """Reference values that ``verify_entry`` recomputes, checked when built (GraphError naming the field)."""
 
     sextet: tuple[int, ...]  # ascending coefficients
     tau: int | None
     order: Union[int, str]
     hexagons: int
+
+    def __post_init__(self) -> None:
+        if type(self.sextet) is not tuple or not self.sextet:
+            raise GraphError(f"ExpectedFacts sextet must be a non-empty tuple of ints, got {self.sextet!r}")
+        check_ints("ExpectedFacts sextet coefficient", self.sextet)
+        if self.tau is not None:
+            check_int("ExpectedFacts tau", self.tau)
+        if self.order != ALL:
+            check_int("ExpectedFacts order", self.order, 0)
+        check_int("ExpectedFacts hexagons", self.hexagons, 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,10 +191,10 @@ def nanotube(cap: str, hex_rings: int) -> FullereneGraph:
     check_int("hex_rings", hex_rings, 1)
     k = 5 if kind == "R5" else 6  # the cap face's size and its ring of pentagons
     expected_n = 4 * k + 2 * k * hex_rings
-    if expected_n > 0xFFFF:
+    if expected_n > _CODE_LIMIT:
         raise GuardExceeded(
             f"an {kind} tube with {hex_rings} hexagon rings has {expected_n} vertices; "
-            "the canonical code holds at most 65535"
+            f"the canonical code holds at most {_CODE_LIMIT}"
         )
     seq = [k] + [5] * k + [6] * (k * hex_rings) + [5] * k + [k]
     g = wind(seq)

@@ -34,10 +34,11 @@ Every other public function that takes a graph takes a ``FullereneGraph``
 only, checked by ``errors.check_type``.
 
 An ``EmbeddedGraph`` is checked to be a simple cubic graph when built
-(``_check_rotation``); ``EmbeddedGraph._faces`` decides once per graph
-that it is connected and on the sphere, and keeps the faces it traced.
-It reads the first component of ``_components_without``, the one flood
-fill, and ``matching.tutte_witness`` the odd components a barrier leaves.
+(``_check_rotation``); ``EmbeddedGraph._faces`` decides once per graph that
+it is connected (the first component of ``_components_without``, the one
+flood fill, which ``matching.tutte_witness`` also reads) and on the sphere,
+and keeps the one trace, which ``faces`` returns.  A ``FullereneGraph``
+holds only its graph and derives its face ids from it when built.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ if TYPE_CHECKING:
 
 Arc = tuple[int, int]
 Edge = tuple[int, int]
+
+# The most vertices a canonical code holds: two bytes per label.
+_CODE_LIMIT = 0xFFFF
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +141,7 @@ class EmbeddedGraph:
     @_derived
     def _faces(self) -> FaceSet:
         """The faces, once connectivity and Euler's formula pass (GraphError)."""
-        fs = faces(self)
+        fs = _trace(self)
         count = len(_components_without(self.n, self.rotation, set())[0])
         if count != self.n:
             raise GraphError(f"graph is disconnected ({count} of {self.n} vertices reachable)")
@@ -152,8 +156,8 @@ class EmbeddedGraph:
     @_derived
     def _canonical(self) -> tuple[bytes, tuple[Automorphism, ...]]:
         """The code and the group of ``_canonical_pass``; GuardExceeded first past 65,535 vertices."""
-        if self.n > 0xFFFF:
-            raise GuardExceeded(f"canonical code supports at most 65535 vertices, got {self.n}")
+        if self.n > _CODE_LIMIT:
+            raise GuardExceeded(f"canonical code supports at most {_CODE_LIMIT} vertices, got {self.n}")
         self._faces  # checks the embedding
         return _canonical_pass(self)
 
@@ -289,29 +293,52 @@ def _bitmask(bits: Iterable[int]) -> int:
 class FullereneGraph:
     """A validated fullerene graph: cubic, plane, 12 pentagons, rest hexagons.
 
-    Checked when built, however it is built: ``graph`` must be an
-    ``EmbeddedGraph`` that passes :func:`validate_fullerene`, and the other
-    fields must be the ones that function derives from it (``_fullerene_fields``).
+    Its one field is ``graph``, an ``EmbeddedGraph``; ``faces`` (the
+    graph's ``_faces``), ``pentagon_ids`` and ``hexagon_ids`` are tables
+    derived from it when the object is built, so they cannot disagree.
 
     Raises:
         GraphError: if ``graph`` is not an ``EmbeddedGraph`` or is not a
-            plane cubic graph (as :func:`parse_graph`), or if a field
-            disagrees with it.
+            plane cubic graph (as :func:`parse_graph`).
         NotFullereneError: if the graph is not a fullerene.
     """
 
     graph: EmbeddedGraph
-    faces: FaceSet
-    pentagon_ids: tuple[int, ...]
-    hexagon_ids: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        fields = _fullerene_fields(check_type("FullereneGraph graph", self.graph, EmbeddedGraph))
-        if (self.faces, self.pentagon_ids, self.hexagon_ids) != fields:
-            # a FaceSet equals only itself
-            raise GraphError(
-                "a FullereneGraph's faces, pentagon_ids and hexagon_ids must be those its graph traces"
-            )
+        check_type("FullereneGraph graph", self.graph, EmbeddedGraph)
+        self.hexagon_ids  # checks the face sizes
+
+    @_derived
+    def faces(self) -> FaceSet:
+        """The faces of ``graph`` (its ``_faces``), checked as :func:`parse_graph` checks."""
+        return self.graph._faces
+
+    @_derived
+    def pentagon_ids(self) -> tuple[int, ...]:
+        """The pentagons' ids; the one pass over the face sizes (NotFullereneError)."""
+        pentagons: list[int] = []
+        for f in self.faces:
+            size = len(f.boundary)
+            if size == 5:
+                pentagons.append(f.index)
+            elif size != 6:
+                raise NotFullereneError(
+                    f"face {f.index} has size {size}; fullerene faces are pentagons and hexagons"
+                )
+        if len(pentagons) != 12:
+            raise NotFullereneError(f"found {len(pentagons)} pentagonal faces; a fullerene has exactly 12")
+        return tuple(pentagons)
+
+    @_derived
+    def hexagon_ids(self) -> tuple[int, ...]:
+        """The other faces' ids, all hexagons by ``pentagon_ids``."""
+        pentagons = set(self.pentagon_ids)
+        hexagons = tuple(i for i in range(len(self.faces)) if i not in pentagons)
+        # Implied by Euler's formula once all faces are 5s and 6s:
+        assert len(hexagons) == self.n // 2 - 10
+        assert self.n >= 20 and self.n % 2 == 0
+        return hexagons
 
     @property
     def n(self) -> int:
@@ -532,17 +559,17 @@ def _turns(rotation: Sequence[tuple[int, int, int]]) -> list[dict[int, tuple[int
 
 
 def faces(g: EmbeddedGraph | FullereneGraph) -> FaceSet:
-    """Trace all faces of the embedding and index which faces meet.
+    """All faces of the embedding and which faces meet: the one trace kept (``EmbeddedGraph._faces``).
 
-    Arcs are scanned in sorted order, so each face starts at its least arc
-    and face ids follow those arcs.  A graph whose embedding was checked
-    (``EmbeddedGraph._faces``), as every ``FullereneGraph``'s was, gets its
-    kept faces; any other is a simple cubic graph, as every ``EmbeddedGraph``
-    is when built, but may be disconnected or off the sphere.
+    Raises:
+        GraphError: if g is neither graph type, or a bare ``EmbeddedGraph``
+            is disconnected or off the sphere (as :func:`parse_graph`).
     """
-    g, _ = _embedded(g)
-    if _built(g, "_faces") is not None:
-        return g._faces
+    return _embedded(g)[0]._faces
+
+
+def _trace(g: EmbeddedGraph) -> FaceSet:
+    """Trace the faces from the sorted arcs, each from its least; only ``EmbeddedGraph._faces`` calls it."""
     turns = _turns(g.rotation)
     built: list[Face] = []
     cycles: list[list[Arc]] = []
@@ -569,54 +596,17 @@ def faces(g: EmbeddedGraph | FullereneGraph) -> FaceSet:
     return FaceSet(tuple(built), arc_face, across)
 
 
-def _fullerene_fields(g: EmbeddedGraph) -> tuple[FaceSet, tuple[int, ...], tuple[int, ...]]:
-    """The faces, pentagon ids and hexagon ids of a fullerene graph.
-
-    The one derivation of a ``FullereneGraph``'s fields, for
-    :func:`validate_fullerene` and for the check made when one is built.
-
-    Raises:
-        GraphError: as :func:`parse_graph` and in its order, before any face
-            size is read, so a graph off the sphere raises this.
-        NotFullereneError: if any face is not a pentagon or hexagon, or the
-            pentagon count differs from 12.
-    """
-    fs = g._faces
-    pentagons: list[int] = []
-    hexagons: list[int] = []
-    for f in fs:
-        size = len(f.boundary)
-        if size == 5:
-            pentagons.append(f.index)
-        elif size == 6:
-            hexagons.append(f.index)
-        else:
-            raise NotFullereneError(
-                f"face {f.index} has size {size}; fullerene faces are pentagons and hexagons"
-            )
-    if len(pentagons) != 12:
-        raise NotFullereneError(f"found {len(pentagons)} pentagonal faces; a fullerene has exactly 12")
-    # Implied by Euler's formula once all faces are 5s and 6s:
-    assert len(hexagons) == g.n // 2 - 10
-    assert g.n >= 20 and g.n % 2 == 0
-    return fs, tuple(pentagons), tuple(hexagons)
-
-
 def validate_fullerene(g: EmbeddedGraph | FullereneGraph) -> FullereneGraph:
-    """Check the fullerene face condition and wrap the graph.
-
-    A ``FullereneGraph`` was checked when it was built, and is returned
-    unchanged, its tables and all.
+    """The graph as a ``FullereneGraph``, checked as one is built; one is returned as it is, tables and all.
 
     Raises:
         GraphError: if g is neither graph type; else as :func:`parse_graph`
-            and in its order, before any face size is read, so a bare graph
-            off the sphere raises this.
+            and in its order, before any face size is read.
         NotFullereneError: if any face is not a pentagon or hexagon, or the
             pentagon count differs from 12.
     """
     g, fullerene = _embedded(g)
-    return fullerene or FullereneGraph(g, *_fullerene_fields(g))
+    return fullerene or FullereneGraph(g)
 
 
 # ---------------------------------------------------------------------------

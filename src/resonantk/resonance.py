@@ -25,8 +25,9 @@ The full walk, which ``sextet`` runs, also uses the graph's symmetry: it
 descends only into resonant sets that are lexicographically least in their
 orbit under the automorphism group (read off the canonical-code pass), and
 counts each with its orbit size.  A walk bounded to a few sizes, as
-``resonance_order`` and ``hexagon_dichotomy_report`` run on a fresh graph,
-takes no group: it stops too early to win back the group's cost.
+``resonance_order`` (to 2, then 3) and ``hexagon_dichotomy_report`` run on
+a fresh graph, takes no group: it stops too early to win back the group's
+cost.  Past 3, ``resonance_order`` reads the full walk.
 """
 
 from __future__ import annotations
@@ -407,8 +408,9 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
     tested there); the counts then cover only the sets before it.  A caller
     that deepens the bound one size at a time, each run clean below its
     bound, so gets the least failing set.  A bounded walk takes no group and
-    visits every resonant set: it ends after two or three sizes, where
-    building the group costs more than it saves.
+    visits every resonant set up to its bound: it ends after two or three
+    sizes, where building the group costs more than it saves, and past 3
+    ``resonance_order`` runs the full walk instead.
     """
     root = kernels.mate_array(f.n, f.graph.rotation)
     if -1 in root:
@@ -538,21 +540,18 @@ def resonance_order(f: FullereneGraph, max_k: int | None = None) -> OrderReport:
     (every later size is empty too).  A size past ``max_k`` gives
     ``max_k`` as a capped lower bound.  The sizes are read off the full
     walk if ``sextet`` has run on the graph; otherwise the walk is run
-    bounded to 2, 3, ... sets, each run ending at its first failure, so
-    that a small order costs only the small sets.
+    bounded to 2 and then 3 sets, each run ending at its first failure, so
+    that a small order costs only the small sets; a graph that passes both
+    (by the paper, one of the nine, of order "ALL") runs the full walk.
 
     Raises:
         GraphError: if ``max_k`` is given and is not an integer >= 0.
     """
     if max_k is not None:
         check_int("max_k", max_k, 0)
-    walk = _built(check_type("graph", f, FullereneGraph), "_walk")
-    bounded = walk is None
-    bound = 2
-    while True:
-        if bounded:
-            walk = _walk(f, bound)
-        counts, failed, _ = walk
+    kept = _built(check_type("graph", f, FullereneGraph), "_walk")
+    for bound in (None,) if kept else (2, 3, None):
+        counts, failed, _ = f._walk if bound is None else _walk(f, bound)
         # The least size that fails or is empty; a bounded walk that ends
         # clean only shows that it lies past the bound.
         end = len(failed) if failed else len(counts)
@@ -560,9 +559,9 @@ def resonance_order(f: FullereneGraph, max_k: int | None = None) -> OrderReport:
             return OrderReport(max_k, None, capped=True)
         if failed:
             return OrderReport(end - 1, failed)
-        if not bounded or end <= bound:
-            return OrderReport(ALL, None)
-        bound += 1
+        if bound is None or end <= bound:
+            break
+    return OrderReport(ALL, None)
 
 
 def find_g_star(f: FullereneGraph) -> GStarWitness | None:

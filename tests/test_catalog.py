@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -18,6 +19,7 @@ from resonantk.catalog import (
 from resonantk import catalog as _catalog
 from resonantk.errors import GraphError, GuardExceeded
 from resonantk.plane_graph import canonical_code, emit_graph
+from resonantk.resonance import ALL
 
 
 def test_names_frozen():
@@ -56,6 +58,29 @@ def test_verify_entry_reads_a_hand_built_entry(catalog):
         with pytest.raises(GraphError, match=message):
             CatalogEntry(*fields)
     assert verify_entry(CatalogEntry("x", entry.graph, entry.expected)) == verify_entry(entry)
+    # facts with a field at the edge of what it takes are built and compared
+    for name, edge in (("tau", None), ("order", 0), ("order", ALL), ("hexagons", 0)):
+        facts = dataclasses.replace(entry.expected, **{name: edge})
+        assert verify_entry(CatalogEntry("x", entry.graph, facts))[name][0] == edge
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("sextet", (), r"sextet must be a non-empty tuple of ints, got \(\)"),
+        ("sextet", [1, 2, 1], r"sextet must be a non-empty tuple of ints, got \[1, 2, 1\]"),
+        ("sextet", (1, True, 1), "sextet coefficient must be an integer, got True"),
+        ("tau", 6.0, "tau must be an integer, got 6.0"),
+        ("order", "all", "order must be an integer, got 'all'"),
+        ("order", -1, "order must be at least 0, got -1"),
+        ("hexagons", None, "hexagons must be an integer, got None"),
+        ("hexagons", -2, "hexagons must be at least 0, got -2"),
+    ],
+)
+def test_expected_facts_are_checked_when_built(catalog, field, value, message):
+    facts = catalog["F24"].expected
+    with pytest.raises(GraphError, match=f"^ExpectedFacts {message}$"):
+        dataclasses.replace(facts, **{field: value})
 
 
 def test_vertex_counts(graphs):

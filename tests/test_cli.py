@@ -435,6 +435,14 @@ def test_order_c70(tmp_path, capsys):
     assert capsys.readouterr().out == ">= 1\n"
 
 
+def test_order_is_all_on_the_nine(tmp_path, capsys):
+    for name in _catalog.THE_NINE:
+        path = tmp_path / f"{name}.rot"
+        run(["catalog", "emit", name, "-o", str(path)])
+        assert run(["order", str(path)]) == 0
+        assert capsys.readouterr().out == "ALL\n", name
+
+
 def test_scalar_commands(f24_file, capsys):
     assert run(["sextet", str(f24_file)]) == 0
     assert "coefficients (descending): 1 2 1" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import inspect
 import random
@@ -496,10 +497,13 @@ DISCONNECTED = r"graph is disconnected \(20 of 26 vertices reachable\)"
 
 
 def test_validate_fullerene_rejects_a_disconnected_graph(graphs):
+    from oracles import faces_by_sorted_trace
+
     g = _f20_plus_k33(graphs)
-    assert sorted(face.size for face in faces(g)) == [5] * 12 + [6] * 3
-    with pytest.raises(GraphError, match=DISCONNECTED):
-        validate_fullerene(g)
+    assert sorted(face.size for face in faces_by_sorted_trace(g)) == [5] * 12 + [6] * 3
+    for check in (faces, validate_fullerene):
+        with pytest.raises(GraphError, match=DISCONNECTED):
+            check(g)
 
 
 def test_parse_rejects_a_disconnected_graph(graphs):
@@ -596,14 +600,19 @@ def test_canonical_code_rejects_a_disconnected_graph(graphs):
 
 def test_a_loaded_graph_is_checked_and_traced_once(graphs, monkeypatch):
     # validate_fullerene(parse_graph(text)) and catalog_graph check the
-    # rotation, flood-fill the graph and trace its faces once each.
+    # rotation, flood-fill the graph, trace its faces and sort them into
+    # pentagons and hexagons once each.
     from resonantk.catalog import catalog_graph
 
     calls = []
-    for name in ("_check_rotation", "_components_without", "faces"):
+    for name in ("_check_rotation", "_components_without", "_trace"):
         real = getattr(plane_graph, name)
         monkeypatch.setattr(plane_graph, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
-    once = ["_check_rotation", "_components_without", "faces"]
+    face_ids = FullereneGraph.pentagon_ids.func
+    counted = plane_graph._derived(lambda f: calls.append("pentagon_ids") or face_ids(f))
+    counted.__set_name__(FullereneGraph, "pentagon_ids")
+    monkeypatch.setattr(FullereneGraph, "pentagon_ids", counted)
+    once = ["_check_rotation", "_components_without", "_trace", "pentagon_ids"]
     for name in ("F20", "C70"):
         text = emit_graph(graphs[name].graph)
         for load in (lambda: validate_fullerene(parse_graph(text)), lambda: catalog_graph(name).graph):
@@ -637,7 +646,8 @@ def test_faces_match_the_sorted_trace(graphs):
     for seed, (name, g) in enumerate(traced.items()):
         reflected = EmbeddedGraph(tuple(ring[::-1] for ring in g.rotation))
         for variant in (g, relabelled_rotation(g, seed), reflected):
-            got, want = faces(variant), faces_by_sorted_trace(variant)
+            # the private tracer, which traces the disconnected one too
+            got, want = plane_graph._trace(variant), faces_by_sorted_trace(variant)
             assert [(f.index, f.boundary, f.vertices, f.boundary_edges()) for f in got] == [
                 (f.index, f.boundary, f.vertices, f.boundary_edges()) for f in want
             ], name
@@ -1054,28 +1064,21 @@ def test_either_graph_type_gives_the_same_answer(graphs):
     assert verify_cyclic_edge_connectivity(f, 5) == verify_cyclic_edge_connectivity(f.graph, 5)
 
 
-def test_validate_fullerene_refuses_fields_that_disagree_with_the_graph(graphs):
+def test_a_fullerene_graph_holds_only_its_graph(graphs):
+    # Its faces and face ids are derived from its graph when it is built,
+    # so none can disagree with its graph.
     f = graphs["C60"]
-    other = graphs["F20"]
-    for bad in (
-        (f.graph, f.faces, (), ()),
-        (f.graph, other.faces, f.pentagon_ids, f.hexagon_ids),
-        (f.graph, f.faces, f.hexagon_ids[:12], f.pentagon_ids + f.hexagon_ids[12:]),
-        (f.graph, f.faces, list(f.pentagon_ids), f.hexagon_ids),
-    ):
-        with pytest.raises(GraphError, match="must be those its graph traces"):
-            FullereneGraph(*bad)
+    assert [fld.name for fld in dataclasses.fields(FullereneGraph)] == ["graph"]
     with pytest.raises(GraphError, match="^FullereneGraph graph must be an EmbeddedGraph, got NoneType$"):
-        FullereneGraph(None, f.faces, f.pentagon_ids, f.hexagon_ids)
+        FullereneGraph(None)
     k4 = parse_graph(K4)
-    with pytest.raises(NotFullereneError, match="face 0 has size 3"):
-        FullereneGraph(k4, faces(k4), (), ())
-    # no function that takes a FullereneGraph sees one whose ids are wrong
-    f24 = graphs["F24"]
-    with pytest.raises(GraphError, match="must be those its graph traces"):
-        resonantk.sextet(FullereneGraph(f24.graph, f24.faces, (), ()))
-    # a consistent one comes back as itself, its tables and all
-    rebuilt = FullereneGraph(f.graph, f.faces, f.pentagon_ids, f.hexagon_ids)
+    for build in (lambda: FullereneGraph(k4), lambda: dataclasses.replace(f, graph=k4)):
+        with pytest.raises(NotFullereneError, match="face 0 has size 3"):
+            build()
+    rebuilt = FullereneGraph(f.graph)
+    assert rebuilt.faces is f.graph._faces
+    assert (rebuilt.pentagon_ids, rebuilt.hexagon_ids) == (f.pentagon_ids, f.hexagon_ids)
+    # a FullereneGraph comes back as itself, its tables and all
     arcs = rebuilt._ring_arcs
     assert validate_fullerene(rebuilt) is rebuilt and validate_fullerene(rebuilt)._ring_arcs is arcs
 

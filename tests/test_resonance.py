@@ -406,19 +406,24 @@ def _reflected(f):
 @pytest.mark.parametrize("name", WALKED)
 def test_walk_matches_the_sweep(name, relabel):
     # The order and failing set of the former size-then-lex sweep, uncapped
-    # and capped at 0 to 3, both from the bounded walks (deepened from
-    # bound 2) and from the full walk that sextet keeps, and the
-    # coefficients of the former unpruned walk; as given, relabelled, and
-    # relabelled and reflected.
+    # and capped at 0 to 3, both from a fresh graph (bounded walks at 2 and
+    # 3, then the full walk) and from the full walk that sextet keeps, and
+    # the coefficients of the former unpruned walk; as given, relabelled,
+    # and relabelled and reflected.
     seed = WALKED.index(name)
     caps = (None, 0, 1, 2, 3)
     coefficients = set()
     for g in (_fresh(name), relabel(_fresh(name), seed), _reflected(relabel(_fresh(name), seed + 50))):
         expected = [resonance_order_by_sweep(g, cap) for cap in caps]
+        unpruned = sextet_by_unpruned_walk(g)
         assert [resonance_order(g, cap) for cap in caps] == expected
-        assert "_walk" not in vars(g)
+        # The full walk is built exactly when the walks at 2 and 3 both
+        # pass: every disjoint set of at most 3 hexagons is resonant, and
+        # one of 3 exists.
+        failing = expected[0].failing
+        assert ("_walk" in vars(g)) == ((failing is None or len(failing) > 3) and len(unpruned) > 3)
         coefficients.add(sextet(g).coefficients)
-        assert coefficients == {sextet_by_unpruned_walk(g)}
+        assert coefficients == {unpruned}
         assert [resonance_order(g, cap) for cap in caps] == expected
 
 
@@ -477,6 +482,24 @@ def test_orbit_pass_matches_brute_force_per_set(name, relabel, monkeypatch):
         before = decided
         resonance._walk(g)
         assert decided > before
+
+
+@pytest.mark.parametrize("name, sizes", [("C60", [2, 3, None]), ("C70", [2, 3]), ("R6_8", [2])])
+def test_resonance_order_reads_the_full_walk_past_3(name, sizes, monkeypatch):
+    # A fresh graph runs bounded walks at 2 and 3, and the full walk (kept
+    # on the graph) only when both pass; a kept walk is read, not run again.
+    calls = []
+    walk = resonance._walk
+    monkeypatch.setattr(
+        resonance, "_walk", lambda f, max_size=None: calls.append(max_size) or walk(f, max_size)
+    )
+    f = _fresh(name)
+    report = resonance_order(f)
+    assert calls == sizes
+    assert ("_walk" in vars(f)) == (None in sizes)
+    calls.clear()
+    assert resonance_order(f) == report
+    assert calls == ([] if None in sizes else sizes)
 
 
 def test_canonical_pass_only_for_the_full_walk(monkeypatch):
@@ -575,18 +598,22 @@ def _tables(obj):
     return set(vars(obj)) - {fld.name for fld in dataclasses.fields(obj)}
 
 
+# What a FullereneGraph derives from its graph when it is built.
+_BUILT_WITH = {"faces", "pentagon_ids", "hexagon_ids"}
+
+
 def test_memo_keeps_no_resonant_sets():
     f = _fresh("C70")
     resonance_order(f)
     hexagon_dichotomy_report(f)
     find_g_star(f)
-    assert _tables(f) == set() and _tables(f.graph) == {"_faces"}
+    assert _tables(f) == _BUILT_WITH and _tables(f.graph) == {"_faces"}
     sextet(f)
-    assert _tables(f) == {"_walk"} and _tables(f.graph) == {"_faces", "_canonical"}
+    assert _tables(f) == _BUILT_WITH | {"_walk"} and _tables(f.graph) == {"_faces", "_canonical"}
     f = _fresh("C70")
     analyze_graph(f)
     # C70 has no pentagonal ring, so the ring scan builds no ring and keeps no arcs
-    assert _tables(f) == {"_walk", "_pentagonal_rings"}
+    assert _tables(f) == _BUILT_WITH | {"_walk", "_pentagonal_rings"}
     assert _tables(f.graph) == {"_faces", "_canonical"}
     # the canonical pass keeps its code and the 20 automorphisms it closes,
     # identity first, and nothing else

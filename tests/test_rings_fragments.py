@@ -599,9 +599,10 @@ def test_turtle_is_the_connected_graph_with_degrees_1_1_3_3_3_3():
 def test_rings_and_fragments_build_the_face_masks_once(monkeypatch):
     # Every cached table of the classes that keep them, read off the classes
     # so that a table added later is counted too, is built at most once per
-    # object.  Parsing traces the faces; the ring scan, the fragments and
-    # ring_stats then build the FaceSet's three tables, the ring scan and its
-    # arcs, and no table of any other object (no canonical pass, no walk);
+    # object.  Parsing traces the faces, and building the FullereneGraph
+    # sorts them into pentagons and hexagons; the ring scan, the fragments
+    # and ring_stats then build the FaceSet's three tables, the ring scan and
+    # its arcs, and no table of any other object (no canonical pass, no walk);
     # analyze and every certificate pair of the leapfrog image build the rest.
     built = Counter()
     counted_objects = []  # kept alive, so that no id is reused
@@ -622,7 +623,10 @@ def test_rings_and_fragments_build_the_face_masks_once(monkeypatch):
                 monkeypatch.setattr(cls, name, wrapped)
 
     f = nanotube("R6", 2)
-    parsed = Counter({("EmbeddedGraph._faces", id(f.graph)): 1})
+    parsed = Counter(
+        [("EmbeddedGraph._faces", id(f.graph))]
+        + [(f"FullereneGraph.{key}", id(f)) for key in ("faces", "pentagon_ids", "hexagon_ids")]
+    )
     assert built == parsed
     ring_phase = parsed + Counter(
         [(key, id(f.faces)) for key in ("FaceSet.vertex_masks", "FaceSet.across_masks", "FaceSet.steps")]
