@@ -5,14 +5,14 @@ face spiral.  A spiral is named, as in Fowler & Manolopoulos, *An Atlas of
 Fullerenes* (1995), by the positions of its 12 pentagons among the n/2 + 2
 faces in winding order; every other face is a hexagon.  The spirals of the
 isomers pinned by invariants rather than by shape are reproduced by an
-exhaustive isomer search in tools/gen_catalog.py.  The nanotube families
-are wound from spirals too.
+exhaustive isomer search, the slow tests of tests/test_isomer_search.py
+(``pytest -m slow``).  The nanotube families are wound from spirals too.
 
 Every entry carries its expected facts - sextet polynomial, minimum
 pentagonal-ring length, resonance order, hexagon count - which the test
 suite and ``catalog verify`` recompute from scratch.  ``_facts`` is the one
 computation of those facts from a graph: ``verify_entry`` compares its
-result with the entry's, and tools/gen_catalog.py pins isomers by it.
+result with the entry's, and the slow isomer search pins isomers by it.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ _CATALOG: dict[str, tuple[int, tuple[int, ...], ExpectedFacts]] = {
         ExpectedFacts((1, 14, 67, 130, 109, 36, 4), 12, ALL, 14),
     ),
     # the icosahedral isomer; its graph is the leapfrog image of F20
-    # (checked by canonical code in tools/gen_catalog.py)
+    # (checked by canonical code in tests/test_leapfrog.py)
     "C60": (
         60, (1, 7, 9, 11, 13, 15, 18, 20, 22, 24, 26, 32),
         ExpectedFacts((1, 20, 160, 660, 1510, 1912, 1240, 320, 5), None, ALL, 20),

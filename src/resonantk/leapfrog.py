@@ -3,8 +3,8 @@
 The leapfrog image of a plane cubic graph has one vertex per directed edge
 (arc).  An arc keeps three image neighbours, in clockwise order: its
 face-tracing predecessor, its face-tracing successor, and its own reversal.
-Both are read off ``plane_graph._turns``, the one reading of the clockwise
-order, as the face trace reads them.  The reversal pairs form a
+Both are read off the graph's kept ``_turns`` table, the one reading of the
+clockwise order, as the face trace reads them.  The reversal pairs form a
 perfect matching M0 of the image.  Image faces come in exactly two kinds:
 
 * *heritable* faces - the arc cycle of an original face, same size;
@@ -55,7 +55,6 @@ from .plane_graph import (
     EmbeddedGraph,
     FullereneGraph,
     _derived,
-    _turns,
     validate_fullerene,
 )
 
@@ -144,7 +143,7 @@ def leapfrog(f: FullereneGraph) -> LeapfrogResult:
     arcs = g.arcs()
     index = {a: i for i, a in enumerate(arcs)}
 
-    turns = _turns(g.rotation)
+    turns = g._turns
     reversal = [index[(a[1], a[0])] for a in arcs]
     # the face-tracing predecessor and successor of (u, v), then its reversal
     rotation = tuple(

@@ -20,7 +20,9 @@ k and has no size guard.
 ``_turns`` is the one reading of the clockwise order: per vertex, each
 neighbour mapped to the next and the previous one after it.  The face
 trace, both orientations of the canonical pass, the leapfrog image and
-the G* scan of ``resonance`` all step round a vertex through it.
+the G* scan of ``resonance`` all step round a vertex through it.  Each
+rotation's table is built once and kept (``EmbeddedGraph._turns``); only
+the canonical pass's reversed orientation builds one of its own.
 
 ``_embedded`` is the one resolver of a graph argument, and the one place
 that tells the two graph types apart.  A function whose meaning holds for
@@ -116,8 +118,8 @@ class EmbeddedGraph:
 
     ``rotation[v]`` lists the three neighbours of v in clockwise order.
     Instances come from :func:`parse_graph` or are built directly; the
-    rotation is immutable, and the tables derived from it (``_faces``,
-    ``_canonical``) are built on first use and kept.
+    rotation is immutable, and the tables derived from it (``_turns``,
+    ``_faces``, ``_canonical``) are built on first use and kept.
 
     Checked when built, however it is built: ``rotation`` must be a tuple of
     tuples of ints (a bool is not one) and of a simple cubic graph
@@ -137,6 +139,11 @@ class EmbeddedGraph:
         if found:
             raise GraphError(f"an EmbeddedGraph's rotation must be a tuple of tuples of ints, found {found}")
         _check_rotation(self.rotation)
+
+    @_derived
+    def _turns(self) -> list[dict[int, tuple[int, int]]]:
+        """The module's ``_turns`` of the rotation, read by every step round a vertex."""
+        return _turns(self.rotation)
 
     @_derived
     def _faces(self) -> FaceSet:
@@ -570,7 +577,7 @@ def faces(g: EmbeddedGraph | FullereneGraph) -> FaceSet:
 
 def _trace(g: EmbeddedGraph) -> FaceSet:
     """Trace the faces from the sorted arcs, each from its least; only ``EmbeddedGraph._faces`` calls it."""
-    turns = _turns(g.rotation)
+    turns = g._turns
     built: list[Face] = []
     cycles: list[list[Arc]] = []
     arc_face: dict[Arc, int] = {}
@@ -794,7 +801,7 @@ def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[Automorphism, ...
     group = [Automorphism(tuple(range(n)), False)]
     gens: list[Automorphism] = []
     s = -1
-    for d, after in enumerate((_turns(rotation), _turns([row[::-1] for row in rotation]))):
+    for d, after in enumerate((base._turns, _turns([row[::-1] for row in rotation]))):
         for u in range(n):
             for v in rotation[u]:
                 s += 1

@@ -48,7 +48,7 @@ from .matching import (
     face_alternates,
     perfect_mate_tuples,
 )
-from .plane_graph import Automorphism, FullereneGraph, _built, _turns, automorphisms
+from .plane_graph import Automorphism, FullereneGraph, _built, automorphisms
 
 ALL = "ALL"
 
@@ -572,8 +572,8 @@ def find_g_star(f: FullereneGraph) -> GStarWitness | None:
     isolates v, so they witness a non-resonant 3-set.  Vertices are scanned
     in ascending order; the first hit is returned.
     """
-    rotation = check_type("graph", f, FullereneGraph).graph.rotation
-    turns = _turns(rotation)
+    g = check_type("graph", f, FullereneGraph).graph
+    rotation, turns = g.rotation, g._turns
     vertices = f.faces.vertex_masks
     for v in range(f.n):
         # The face along (w, x), x the neighbour before v at w, turns at w

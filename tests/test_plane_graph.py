@@ -344,6 +344,25 @@ def test_automorphisms_share_the_canonical_pass(graphs, monkeypatch):
         passes.clear()
 
 
+def test_each_rotation_builds_its_turn_table_once(graphs, monkeypatch):
+    # The trace, the canonical pass's first orientation, the G* scan and the
+    # leapfrog image read the table kept on the EmbeddedGraph; only the pass's
+    # reversed orientation and the image's own rotation build another.
+    from resonantk.cli import analyze_graph
+    from resonantk.leapfrog import leapfrog
+    from resonantk.resonance import find_g_star
+
+    built = []
+    turns = plane_graph._turns
+    monkeypatch.setattr(plane_graph, "_turns", lambda rotation: built.append(len(rotation)) or turns(rotation))
+    f = validate_fullerene(parse_graph(emit_graph(graphs["C70"])))
+    analyze_graph(f)
+    assert built == [70, 70]
+    assert find_g_star(f) is not None
+    leapfrog(f)
+    assert built == [70, 70, 210]
+
+
 def test_a_table_is_built_without_waiting_on_another_object():
     # one object's build of a table holds up no other object's build of the
     # same table (functools.cached_property's lock on 3.10 and 3.11 would),

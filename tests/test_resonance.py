@@ -607,14 +607,14 @@ def test_memo_keeps_no_resonant_sets():
     resonance_order(f)
     hexagon_dichotomy_report(f)
     find_g_star(f)
-    assert _tables(f) == _BUILT_WITH and _tables(f.graph) == {"_faces"}
+    assert _tables(f) == _BUILT_WITH and _tables(f.graph) == {"_turns", "_faces"}
     sextet(f)
-    assert _tables(f) == _BUILT_WITH | {"_walk"} and _tables(f.graph) == {"_faces", "_canonical"}
+    assert _tables(f) == _BUILT_WITH | {"_walk"} and _tables(f.graph) == {"_turns", "_faces", "_canonical"}
     f = _fresh("C70")
     analyze_graph(f)
     # C70 has no pentagonal ring, so the ring scan builds no ring and keeps no arcs
     assert _tables(f) == _BUILT_WITH | {"_walk", "_pentagonal_rings"}
-    assert _tables(f.graph) == {"_faces", "_canonical"}
+    assert _tables(f.graph) == {"_turns", "_faces", "_canonical"}
     # the canonical pass keeps its code and the 20 automorphisms it closes,
     # identity first, and nothing else
     code, group = f.graph._canonical
