@@ -24,16 +24,21 @@ what turns a heritable hexagon alternating; ``two_resonance_certificate``
 searches those flips to make any two disjoint image hexagons alternate at
 once.
 
-The certificate splits its checks in two.  Once per image it builds a
+A ``LeapfrogResult`` is checked when built, however it is built: M0 is a
+perfect matching of the image, the heritable and fresh faces split the
+image's faces as above, and every heritable face is ringed by distinct
+fresh faces.  Territories and certificates then read the provenance
+without a second check.
+
+The certificate splits its work in two.  Once per image it builds a
 table, ``LeapfrogResult._table`` (which ``dataclasses.replace`` starts
-afresh): M0 as a bitmask over the image's sorted edges and each face's
-edge bitmask; the faces' vertex bitmasks are the image ``FaceSet``'s, and
-M0 was checked perfect when the result was built.  Once per hexagon it
-checks, by popcounts on those masks, that each candidate's faces are
-pairwise disjoint and each alternates with M0, and keeps the candidate as
-face, vertex and edge bitmasks.  Per pair it only tests, by popcounts,
-that the two candidates' faces stay disjoint and that both targets
-alternate.  The matching that passes is still perfect:
+afresh): M0 as a bitmask over the image's sorted edges, each face's edge
+bitmask, and the checked flip candidates of every image hexagon; the
+faces' vertex bitmasks are the image ``FaceSet``'s.  A candidate is kept
+when, by popcounts on those masks, its faces are pairwise disjoint and
+each alternates with M0, as face, vertex and edge bitmasks.  Per pair it
+only tests, by popcounts, that the two candidates' faces stay disjoint and
+that both targets alternate.  The matching that passes is still perfect:
 flipping pairwise disjoint M0-alternating cycles of a perfect matching
 gives a perfect matching, and the per-image checks drop exactly the
 candidates whose flips would not (a flipped hexagon holding k < 3 M0 edges
@@ -48,10 +53,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import GraphError, check_int, check_type
-from .matching import Matching, _checked_edges, _matching_from_mates
+from .matching import Matching, _matching_from_mates, _perfect_edges
 from .plane_graph import (
     Arc,
-    Edge,
     EmbeddedGraph,
     FullereneGraph,
     _derived,
@@ -63,13 +67,16 @@ from .plane_graph import (
 class LeapfrogResult:
     """The image graph with its reversal matching and face provenance maps.
 
-    Checked when built, however it is built, for what the certificates read
-    without checking: ``original`` and ``image`` must be ``FullereneGraph``s
-    and ``arc_of`` a tuple; ``m0`` a perfect matching of the image, a
-    ``Matching`` whose every edge is an image edge stored as (u, v) with
-    u < v; ``heritable`` and ``fresh`` dicts from image face ids to ints.
-    That the faces are classified right is checked where a territory or
-    certificate needs it.
+    Checked when built, however it is built, for what the territories and
+    certificates read without checking: ``original`` and ``image`` must be
+    ``FullereneGraph``s and ``arc_of`` a tuple; ``m0`` a perfect matching
+    of the image, a ``Matching`` whose every edge is an image edge stored
+    as (u, v) with u < v; ``heritable`` a dict from image face ids to
+    original face ids, taking each original face once to an image face of
+    its size; ``fresh`` a dict from image face ids to original vertices,
+    taking each vertex once to an image hexagon; the keys of the two split
+    the image's faces, and the faces across each heritable face's boundary
+    are distinct fresh faces.
 
     Raises:
         GraphError: naming the field that fails.
@@ -83,43 +90,57 @@ class LeapfrogResult:
     fresh: dict[int, int]  # image face id -> original vertex
 
     def __post_init__(self) -> None:
-        check_type("LeapfrogResult original", self.original, FullereneGraph)
+        original = check_type("LeapfrogResult original", self.original, FullereneGraph)
         image = check_type("LeapfrogResult image", self.image, FullereneGraph)
         check_type("LeapfrogResult arc_of", self.arc_of, tuple)
-        try:
-            edges = _checked_edges(self.m0)
-        except GraphError as e:
-            raise GraphError(f"LeapfrogResult m0: {e}") from None
-        rotation = image.graph.rotation
-        n = len(rotation)
-        for u, v in edges:
-            if not (0 <= u < v < n and v in rotation[u]):
-                raise GraphError(
-                    f"LeapfrogResult m0 edge {(u, v)} is not an edge of its image "
-                    "stored as (u, v) with u < v"
-                )
-        if 2 * len(edges) != n or len(self.m0.covered()) != n:
-            raise GraphError(f"LeapfrogResult m0 is not a perfect matching of its {n}-vertex image")
-        for name, provenance in (("heritable", self.heritable), ("fresh", self.fresh)):
+        _perfect_edges(self.m0, image.graph, "LeapfrogResult m0", "image")
+        faces = image.faces
+        heritable, fresh = self.heritable, self.fresh
+        for name, provenance in (("heritable", heritable), ("fresh", fresh)):
             check_type(f"LeapfrogResult {name}", provenance, dict)
             if (
                 {*map(type, provenance), *map(type, provenance.values())} - {int}
                 or min(provenance, default=0) < 0
-                or max(provenance, default=0) >= len(image.faces)
+                or max(provenance, default=0) >= len(faces)
             ):
                 raise GraphError(f"LeapfrogResult {name} must map image face ids to ints")
+        n_faces = len(original.faces)
+        if sorted(heritable.values()) != list(range(n_faces)):
+            raise GraphError(f"LeapfrogResult heritable must take each of the {n_faces} original faces once")
+        if sorted(fresh.values()) != list(range(original.n)):
+            raise GraphError(
+                f"LeapfrogResult fresh must take each of the {original.n} original vertices once"
+            )
+        if len(heritable) + len(fresh) != len(faces) or not heritable.keys().isdisjoint(fresh):
+            raise GraphError(f"LeapfrogResult heritable and fresh must split the {len(faces)} image faces")
+        for img, v in fresh.items():
+            if faces[img].size != 6:
+                raise GraphError(
+                    f"LeapfrogResult fresh face {img} of vertex {v} has size {faces[img].size}, not 6"
+                )
+        for img, orig in heritable.items():
+            size, ring = faces[img].size, faces.across(img)
+            if size != original.faces[orig].size:
+                raise GraphError(
+                    f"LeapfrogResult heritable face {img} has size {size}, unlike original face {orig}"
+                )
+            if len(set(ring)) != size or not fresh.keys() >= set(ring):
+                raise GraphError(
+                    f"LeapfrogResult heritable face {img} is ringed by {ring}, not distinct fresh faces"
+                )
 
     @_derived
     def _table(self) -> _Table:
-        """The image's certificate table."""
+        """The image's certificate table, with the flip candidates of every image hexagon."""
         image, m0 = self.image, self.m0
         bit = {e: i for i, e in enumerate(image.graph.edges())}
-        return _Table(
-            sum(1 << bit[e] for e in m0.edges),
-            [sum(1 << bit[e] for e in face.boundary_edges()) for face in image.faces],
-            {},
-            {0: m0},
-        )
+        m0_mask = sum(1 << bit[e] for e in m0.edges)
+        edges = [sum(1 << bit[e] for e in face.boundary_edges()) for face in image.faces]
+        flips = [
+            _checked_flips(self, m0_mask, edges, h) if image.is_hexagon(h) else []
+            for h in range(len(image.faces))
+        ]
+        return _Table(m0_mask, edges, flips, {0: m0})
 
 
 @dataclass(frozen=True)
@@ -133,11 +154,10 @@ class Territory:
 def leapfrog(f: FullereneGraph) -> LeapfrogResult:
     """Construct the leapfrog image, its reversal matching, and provenance.
 
+    The result is checked when built, as every ``LeapfrogResult`` is.
+
     Raises:
         GraphError: if f is not a ``FullereneGraph``.
-        RuntimeError: if the image faces do not split into one heritable face
-            of equal size per original face and one fresh hexagon per
-            original vertex.
     """
     g = check_type("graph", f, FullereneGraph).graph
     arcs = g.arcs()
@@ -162,28 +182,6 @@ def leapfrog(f: FullereneGraph) -> LeapfrogResult:
     for v in range(f.n):
         u = g.rotation[v][0]
         fresh[face_of_arc((index[(u, v)], index[(v, u)]))] = v
-
-    if (
-        len(heritable) != len(f.faces)
-        or len(fresh) != f.n
-        or len(heritable.keys() | fresh.keys()) != len(image.faces)
-    ):
-        raise RuntimeError(
-            f"leapfrog provenance does not classify each of the {len(image.faces)} image "
-            f"faces exactly once: {len(heritable)} heritable, {len(fresh)} fresh"
-        )
-    for img, orig in heritable.items():
-        if image.faces[img].size != f.faces[orig].size:
-            raise RuntimeError(
-                f"heritable image face {img} has size {image.faces[img].size}, "
-                f"but its original face {orig} has size {f.faces[orig].size}"
-            )
-    for img, v in fresh.items():
-        if image.faces[img].size != 6:
-            raise RuntimeError(
-                f"fresh image face {img} at original vertex {v} has size "
-                f"{image.faces[img].size}, not 6"
-            )
     return LeapfrogResult(f, image, tuple(arcs), m0, heritable, fresh)
 
 
@@ -191,25 +189,17 @@ def territory(lf: LeapfrogResult, image_face_id: int) -> Territory:
     """The ring of faces met across a heritable face's boundary edges.
 
     Ring position i is the face on the far side of boundary edge i, with the
-    boundary read from the face's least arc.  For leapfrog images every ring
-    face is fresh.
+    boundary read from the face's least arc.  The ring faces are distinct
+    and fresh, as checked when lf was built.
 
     Raises:
         GraphError: if lf is not a ``LeapfrogResult``, the face id is not an
             integer or the face is not heritable.
-        RuntimeError: if the ring repeats a face or holds a face that is not
-            fresh.
     """
     check_type("leapfrog result", lf, LeapfrogResult)
     if check_int("face id", image_face_id) not in lf.heritable:
         raise GraphError(f"face {image_face_id} is not heritable; territories surround heritable faces")
-    ring = lf.image.faces.across(image_face_id)
-    if len(set(ring)) != len(ring):
-        raise RuntimeError(f"territory of face {image_face_id} repeats a face: {ring}")
-    stale = [r for r in ring if r not in lf.fresh]
-    if stale:
-        raise RuntimeError(f"territory of face {image_face_id} holds faces that are not fresh: {stale}")
-    return Territory(image_face_id, ring)
+    return Territory(image_face_id, lf.image.faces.across(image_face_id))
 
 
 def _flip_candidates(lf: LeapfrogResult, image_face_id: int) -> list[frozenset[int]]:
@@ -234,34 +224,34 @@ class _Table(NamedTuple):
 
     Edge i is the i-th of ``image.graph.edges()``.  ``winners`` holds the
     certificates themselves, one immutable ``Matching`` per set of flipped
-    faces, built on first use; flipping nothing gives ``lf.m0`` itself.
+    faces, built on first use; flipping nothing gives ``lf.m0`` itself.  It
+    is the one entry written after the table is built.
     """
 
     m0: int  # bit i set when edge i is in M0
     edges: list[int]  # per face, bit i set when edge i bounds it
-    flips: dict[int, list[_Flip]]  # per hexagon, its checked candidates
+    flips: list[list[_Flip]]  # per face, its checked candidates; none for a pentagon
     winners: dict[int, Matching]  # per flipped-face mask, the certificate
 
 
-def _checked_flips(lf: LeapfrogResult, table: _Table, h: int) -> list[_Flip]:
-    """Build into the table the candidates of ``_flip_candidates`` whose flip keeps M0 perfect.
+def _checked_flips(lf: LeapfrogResult, m0: int, edges: list[int], h: int) -> list[_Flip]:
+    """The candidates of ``_flip_candidates`` for hexagon h whose flip keeps M0 perfect.
 
     A candidate is dropped when two of its faces share a vertex or one of
     them does not alternate with M0, that is holds fewer than half its
-    boundary edges in M0 (read off the table's edge masks).
+    boundary edges in M0 (read off the M0 mask and the faces' edge masks).
     """
     masks = lf.image.faces.vertex_masks
     kept = []
     for flips in _flip_candidates(lf, h):
-        verts = edges = 0
+        verts = flipped = 0
         for x in flips:
             verts |= masks[x]
-            edges |= table.edges[x]
+            flipped |= edges[x]
         if verts.bit_count() == sum(masks[x].bit_count() for x in flips) and all(
-            2 * (table.edges[x] & table.m0).bit_count() == masks[x].bit_count() for x in flips
+            2 * (edges[x] & m0).bit_count() == masks[x].bit_count() for x in flips
         ):
-            kept.append((sum(1 << x for x in flips), verts, edges))
-    table.flips[h] = kept
+            kept.append((sum(1 << x for x in flips), verts, flipped))
     return kept
 
 
@@ -287,8 +277,9 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     candidate that alternates on both targets is returned.
 
     M0 was checked perfect when lf was built.  What does not depend on the
-    pair is checked once per image: each hexagon's candidates have pairwise
-    disjoint faces that alternate with M0 (``_checked_flips``).  Per pair,
+    pair is checked once per image, when its table is built: each hexagon's
+    candidates have pairwise disjoint faces that alternate with M0
+    (``_checked_flips``).  Per pair,
     on the image's bitmasks (``lf._table`` and ``FaceSet.vertex_masks``),
     the two candidates' faces must cover six vertices for each face they
     flip, so they are pairwise disjoint (two fullerene faces share a vertex
@@ -332,15 +323,8 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
 
     t1, t2 = table.edges[h1], table.edges[h2]
     m0 = table.m0
-    first = table.flips.get(h1)
-    if first is None:
-        first = _checked_flips(lf, table, h1)
-    # h2's territory is read only when some pair would use it
-    second = table.flips.get(h2) if first else []
-    if second is None:
-        second = _checked_flips(lf, table, h2)
-    for a_faces, a_verts, a_edges in first:
-        for b_faces, b_verts, b_edges in second:
+    for a_faces, a_verts, a_edges in table.flips[h1]:
+        for b_faces, b_verts, b_edges in table.flips[h2]:
             flips = a_faces | b_faces
             # every kept face alternates with M0, so it is a hexagon
             if (a_verts | b_verts).bit_count() != 6 * flips.bit_count():

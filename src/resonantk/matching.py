@@ -18,7 +18,9 @@ callers that score many matchings; the Fries number checks its winner with
 ``alternating_faces``.
 
 ``_checked_edges`` is the one read of a caller's ``Matching`` edges,
-shared by ``alternating_faces`` and ``symmetric_difference``.
+shared by ``symmetric_difference`` and ``_perfect_edges``, the one check
+that a matching is perfect on a graph, which ``alternating_faces`` and
+``leapfrog.LeapfrogResult`` share.
 ``_matching_from_mates`` is the one conversion of a mate array into a
 ``Matching``, for the leapfrog and resonance modules too; ``_rest_mates``
 is the one maximum matching with faces masked out, which ``is_central``
@@ -36,11 +38,11 @@ from . import kernels
 from .errors import GraphError, GuardExceeded, check_int, check_ints, check_type
 from .plane_graph import (
     Edge,
+    EmbeddedGraph,
     Face,
     FullereneGraph,
     Subgraph,
     _check_adjacency,
-    _components_without,
     _embedded,
 )
 
@@ -191,7 +193,12 @@ def tutte_witness(g: object) -> TutteWitness | None:
             trial[v] = trial[u] = -1
             in_d[v] = kernels.augment(n, adj, [w == v for w in range(n)], trial, u)
     barrier = tuple(v for v in range(n) if not in_d[v] and any(in_d[w] for w in adj[v]))
-    odd = tuple(c for c in _components_without(n, adj, set(barrier)) if len(c) % 2)
+    # with the barrier marked first, each sweep walks one component left without it
+    mark = [0] * n
+    for v in barrier:
+        mark[v] = 1
+    components = [tuple(sorted(kernels._sweep(adj, mark, root, 1))) for root in range(n) if not mark[root]]
+    odd = tuple(c for c in components if len(c) % 2)
     if len(odd) - len(barrier) != exposed:
         raise RuntimeError(
             f"barrier {barrier} leaves {len(odd)} odd components; {exposed} vertices are exposed"
@@ -199,16 +206,38 @@ def tutte_witness(g: object) -> TutteWitness | None:
     return TutteWitness(barrier, odd)
 
 
-def _checked_edges(m: Matching) -> frozenset[Edge]:
+def _checked_edges(m: Matching, name: str = "matching") -> frozenset[Edge]:
     """The edges of m, once m is a ``Matching`` and they a frozenset of pairs of integers.
 
     Raises:
-        GraphError: naming the matching, its edges or the first bad edge.
+        GraphError: naming the matching, its edges or the first bad edge;
+            each message starts with ``name``.
     """
-    edges = check_type("matching edges", check_type("matching", m, Matching).edges, frozenset)
+    edges = check_type(f"{name} edges", check_type(name, m, Matching).edges, frozenset)
     for e in edges:
-        if len(check_ints("matching vertex id", e)) != 2:
-            raise GraphError(f"matching edge {e!r} is not a pair of vertex ids")
+        if len(check_ints(f"{name} vertex id", e)) != 2:
+            raise GraphError(f"{name} edge {e!r} is not a pair of vertex ids")
+    return edges
+
+
+def _perfect_edges(
+    m: Matching, g: EmbeddedGraph, name: str = "matching", host: str = "graph"
+) -> frozenset[Edge]:
+    """The edges of m, once they are a perfect matching of g, each stored as (u, v) with u < v.
+
+    Raises:
+        GraphError: as ``_checked_edges``, or naming the least pair that is
+            not such an edge, or that m is not perfect; each message starts
+            with ``name``.
+    """
+    edges = _checked_edges(m, name)
+    rotation = g.rotation
+    n = len(rotation)
+    bad = min((e for e in edges if not (0 <= e[0] < e[1] < n and e[1] in rotation[e[0]])), default=None)
+    if bad is not None:
+        raise GraphError(f"{name} pair {bad} is not an edge of its {host} stored as (u, v) with u < v")
+    if 2 * len(edges) != n or len(set(chain.from_iterable(edges))) != n:
+        raise GraphError(f"{name} is not a perfect matching of its {n}-vertex {host}")
     return edges
 
 
@@ -278,17 +307,10 @@ def alternating_faces(f: FullereneGraph, m: Matching) -> tuple[int, ...]:
     Raises:
         GraphError: if f is not a ``FullereneGraph``, m is not a
             ``Matching`` whose edges are a frozenset of pairs of vertex
-            ids, the matching is not perfect on f, or it holds a pair that
-            is not an edge of f stored as (u, v) with u < v.
+            ids, it holds a pair that is not an edge of f stored as (u, v)
+            with u < v, or it is not perfect on f (``_perfect_edges``).
     """
-    check_type("graph", f, FullereneGraph)
-    _checked_edges(m)
-    if 2 * m.size != f.n or m.covered() != frozenset(range(f.n)):
-        raise GraphError("alternating faces are defined against a perfect matching")
-    rotation = f.graph.rotation
-    bad = min((e for e in m.edges if not (e[0] < e[1] and e[1] in rotation[e[0]])), default=None)
-    if bad:
-        raise GraphError(f"matching pair {bad} is not an edge of the graph stored with u < v")
+    _perfect_edges(m, check_type("graph", f, FullereneGraph).graph)
     return tuple(face.index for face in f.faces if face_alternates(face, m))
 
 
@@ -342,10 +364,11 @@ def enumerate_perfect_matchings(g: object, cap: int | None = None) -> tuple[Matc
     The order is that of backtracking on the lowest unmatched vertex, each
     vertex trying its neighbours in adjacency order; it does not depend on
     how the search itself branches.  The matchings are sorted by a key that
-    lists, for each vertex v in ascending order, the position of its mate in
-    v's adjacency row if v is below its mate, else -1: the backtracking
-    matches each such v by choosing from it, and two matchings first differ
-    at a common chooser, whose choice orders them.
+    lists, for each vertex v in ascending order, the first position of its
+    mate in v's adjacency row (where the backtracking meets it) if v is
+    below its mate, else -1: the backtracking matches each such v by
+    choosing from it, and two matchings first differ at a common chooser,
+    whose choice orders them.
 
     Raises:
         GuardExceeded: if the graph has more perfect matchings than the cap
@@ -353,6 +376,6 @@ def enumerate_perfect_matchings(g: object, cap: int | None = None) -> tuple[Matc
     """
     found = perfect_mate_tuples(g, cap)
     _, adj = _adjacency(g)
-    pos = [{u: i for i, u in enumerate(row)} for row in adj]
+    pos = [{u: i for i, u in enumerate(dict.fromkeys(row))} for row in adj]
     found.sort(key=lambda mates: tuple(pos[v][w] if v < w else -1 for v, w in enumerate(mates)))
     return tuple(_matching_from_mates(mates, g) for mates in found)

@@ -37,8 +37,8 @@ only, checked by ``errors.check_type``.
 
 An ``EmbeddedGraph`` is checked to be a simple cubic graph when built
 (``_check_rotation``); ``EmbeddedGraph._faces`` decides once per graph that
-it is connected (the first component of ``_components_without``, the one
-flood fill, which ``matching.tutte_witness`` also reads) and on the sphere,
+it is connected (``kernels._sweep``, the one flood fill, which
+``matching.tutte_witness`` also walks, reaches every vertex) and on the sphere,
 and keeps the one trace, which ``faces`` returns.  A ``FullereneGraph``
 holds only its graph and derives its face ids from it when built.
 """
@@ -52,6 +52,7 @@ from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
+from . import kernels
 from .errors import GraphError, GuardExceeded, NotFullereneError, check_int, check_ints, check_type
 
 if TYPE_CHECKING:
@@ -149,7 +150,7 @@ class EmbeddedGraph:
     def _faces(self) -> FaceSet:
         """The faces, once connectivity and Euler's formula pass (GraphError)."""
         fs = _trace(self)
-        count = len(_components_without(self.n, self.rotation, set())[0])
+        count = len(kernels._sweep(self.rotation, [0] * self.n, 0, 1))
         if count != self.n:
             raise GraphError(f"graph is disconnected ({count} of {self.n} vertices reachable)")
         v, e, n_faces = self.n, 3 * self.n // 2, len(fs)
@@ -530,29 +531,6 @@ def _check_rotation(rotation: Sequence[Sequence[int]]) -> None:
         if len(set(nbrs)) != 3:
             raise GraphError(f"vertex {i} repeats a neighbour (multi-edges are not allowed)")
     _check_adjacency("adjacency", rotation)
-
-
-def _components_without(
-    n: int, adj: Sequence[Sequence[int]], deleted: set[int]
-) -> list[tuple[int, ...]]:
-    """The connected components left without ``deleted``, each sorted, by least vertex."""
-    seen = [False] * n
-    comps: list[tuple[int, ...]] = []
-    for root in range(n):
-        if seen[root] or root in deleted:
-            continue
-        stack = [root]
-        seen[root] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w] and w not in deleted:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
 
 
 # ---------------------------------------------------------------------------

@@ -616,7 +616,8 @@ def test_leapfrog_past_255_vertices(tmp_path, capsys):
 # SHA-256 of the image, M0 and provenance files written by
 # ``leapfrog -o/--emit-matching/--provenance``, concatenated, on each catalog
 # graph's emitted file.  Recorded before provenance was read off the arc
-# construction; the outputs must not change.
+# construction, and C60 and C70 before a result's provenance was checked
+# when built; the outputs must not change.
 LEAPFROG_OUTPUT_DIGESTS = {
     "F20": "dad243a87073f0db610a9ad6843326a05a5e863d916613a6e5cd52f7ef7851ce",
     "F24": "d2b7f7957200b5aba138926eb0dfa96eefcc9e5aa284aac90acc494b94f149cf",
@@ -627,6 +628,8 @@ LEAPFROG_OUTPUT_DIGESTS = {
     "F36_2": "4a96ba6db641bab1f734aec0cdec47c66b850d6970809b1daf1a0a3fff3f5c8b",
     "F40": "771aa0e906dae149b250227698bbf9e965808e6770692ecdeb40271b9efebecc",
     "F48": "a3e8d2b5f6e12dbbd817ac3ae6a32f440acd0c8b87f331028791ce62d6038dd6",
+    "C60": "0c7597ae8b7819f97ef80b24fe9bb5025973289d86613d78438b13df45269870",
+    "C70": "f9f05a46de9ddffadbfd9953fa80624d35d314e1e424d6b81fdaa2420fdc24d5",
 }
 
 

@@ -176,6 +176,15 @@ def test_a_repeated_neighbour_is_one_choice():
     ]
 
 
+def test_a_repeated_neighbour_is_tried_at_its_first_position():
+    # 0 lists 2 first and again last: backtracking on 0 tries 2 before 1
+    adj = [[2, 1, 2], [0, 3], [0, 0, 3], [1, 2]]
+    assert [m.edges for m in enumerate_perfect_matchings(adj)] == [
+        frozenset({(0, 2), (1, 3)}),
+        frozenset({(0, 1), (2, 3)}),
+    ]
+
+
 def test_a_loop_is_never_a_matching_edge():
     assert kernels.perfect_matchings(2, [[0, 1], [0, 1]], 10) == [(1, 0)]
     assert kernels.perfect_matchings(2, [[0], [1]], 10) == []
@@ -246,5 +255,10 @@ def test_perfect_matchings_equal_the_oracle_on_small_multigraphs(adj, limit):
     full = set(perfect_matchings_lowest_first(n, simple, 10**6))
     found = kernels.perfect_matchings(n, adj, 10**6)
     assert len(found) == len(set(found)) and set(found) == full
+    # the enumeration's order is the oracle's on the rows as listed, each
+    # neighbour at its first position
+    rows = [[u for u in dict.fromkeys(row) if u != v] for v, row in enumerate(adj)]
+    lowest_first = perfect_matchings_lowest_first(n, rows, 10**6)
+    assert [m.edges for m in enumerate_perfect_matchings(adj)] == _edge_sets(lowest_first)
     over = kernels.perfect_matchings(n, adj, limit)
     assert len(over) == len(set(over)) == min(limit + 1, len(full)) and set(over) <= full

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import tracemalloc
 from itertools import combinations
 
@@ -12,10 +13,11 @@ import pytest
 from oracles import leapfrog_provenance, two_resonance_certificate_by_rebuild
 
 from resonantk.catalog import catalog_names
+from resonantk.cli import run
 from resonantk.errors import GraphError
-from resonantk.leapfrog import leapfrog, territory, two_resonance_certificate
+from resonantk.leapfrog import LeapfrogResult, leapfrog, territory, two_resonance_certificate
 from resonantk.matching import Matching, alternating_faces
-from resonantk.plane_graph import canonical_code
+from resonantk.plane_graph import canonical_code, emit_graph, parse_graph, validate_fullerene
 from resonantk.resonance import is_resonant_pattern, resonance_order
 
 
@@ -96,14 +98,13 @@ def test_territory_face_id_must_be_an_integer(graphs, face_id):
         territory(lf, face_id)
 
 
-def test_territory_rejects_ring_face_missing_from_fresh(lf20):
+def test_a_ring_face_missing_from_fresh_is_refused_when_built(lf20):
+    # no territory is ever read off a stale fresh map
     center = min(lf20.heritable)
     ring = territory(lf20, center).ring
-    broken = dataclasses.replace(
-        lf20, fresh={k: v for k, v in lf20.fresh.items() if k != ring[0]}
-    )
-    with pytest.raises(RuntimeError, match="not fresh"):
-        territory(broken, center)
+    message = "^LeapfrogResult fresh must take each of the 20 original vertices once$"
+    with pytest.raises(GraphError, match=message):
+        dataclasses.replace(lf20, fresh={k: v for k, v in lf20.fresh.items() if k != ring[0]})
 
 
 def test_certificates_for_all_disjoint_pairs(lf20):
@@ -179,16 +180,23 @@ def test_an_imperfect_m0_gives_no_certificate(lf20):
 
 
 def test_an_edited_result_builds_its_own_flip_table(graphs):
-    # F24's image has heritable hexagons, whose candidates read territories
+    # F24's image has heritable hexagons, whose candidates read territories.
+    # An edit with stale provenance is refused when built, once lf's table
+    # exists too; one with M0 flipped round a fresh face keeps its provenance
+    # and builds a table of its own, where the candidate flipping that face
+    # again is dropped.
     lf = leapfrog(graphs["F24"])
     image = lf.image
     center = next(h for h in sorted(lf.heritable) if image.is_hexagon(h))
     other = next(b for a, b in _disjoint_pairs(image) if a == center)
     two_resonance_certificate(lf, center, other)
     ring = territory(lf, center).ring
-    broken = dataclasses.replace(lf, fresh={k: v for k, v in lf.fresh.items() if k != ring[0]})
-    with pytest.raises(RuntimeError, match="not fresh"):
-        two_resonance_certificate(broken, center, other)
+    with pytest.raises(GraphError, match="^LeapfrogResult fresh"):
+        dataclasses.replace(lf, fresh={k: v for k, v in lf.fresh.items() if k != ring[0]})
+    flipped = Matching(lf.m0.edges.symmetric_difference(image.faces[ring[0]].boundary_edges()), image)
+    edited = dataclasses.replace(lf, m0=flipped)
+    assert edited._table is not lf._table
+    assert [len(lf._table.flips[center]), len(edited._table.flips[center])] == [2, 1]
 
 
 def test_certificates_stay_small_in_memory(graphs):
@@ -283,31 +291,39 @@ def test_certificate_errors_on_a_broken_result_come_in_order(graphs):
     image = lf.image
     c1, c2 = [h for h in sorted(lf.heritable) if image.is_hexagon(h)]
     stale = {territory(lf, c).ring[0] for c in (c1, c2)}
-    broken = dataclasses.replace(lf, fresh={k: v for k, v in lf.fresh.items() if k not in stale})
-    for a, b in ((c1, c2), (c2, c1), (c1, c2)):  # and again, once a table exists
-        with pytest.raises(RuntimeError, match=f"^territory of face {a} holds faces that are not fresh"):
-            two_resonance_certificate(broken, a, b)
-    # An M0 that is not perfect is refused when built.  Flipped round two
-    # opposite faces of c1's territory, M0 stays perfect, but the other four
-    # stop alternating: c1 as the first target keeps no candidate, and the
-    # second target's stale territory is never read.
+    stale_fresh = {k: v for k, v in lf.fresh.items() if k not in stale}
+    # A stale fresh map is refused when built, and an M0 that is not
+    # perfect before it.
+    message = "^LeapfrogResult fresh must take each of the 24 original vertices once$"
+    with pytest.raises(GraphError, match=message):
+        dataclasses.replace(lf, fresh=stale_fresh)
     with pytest.raises(GraphError, match="^LeapfrogResult m0 is not a perfect matching"):
-        dataclasses.replace(broken, m0=Matching(lf.m0.edges - {min(lf.m0.edges)}, image))
+        dataclasses.replace(lf, fresh=stale_fresh, m0=Matching(lf.m0.edges - {min(lf.m0.edges)}, image))
+    # Flipped round two opposite faces of c1's territory, M0 stays perfect,
+    # but the other four stop alternating: c1 keeps no candidate, as the
+    # first target or the second.
     ring = territory(lf, c1).ring
     opposite = image.faces[ring[0]].boundary_edges() + image.faces[ring[3]].boundary_edges()
-    flipped = lf.m0.edges.symmetric_difference(opposite)
-    stale_c2 = {k: v for k, v in lf.fresh.items() if k != territory(lf, c2).ring[0]}
-    forged = dataclasses.replace(lf, fresh=stale_c2, m0=Matching(flipped, image))
-    with pytest.raises(RuntimeError, match=f"^no territory flip makes hexagons {c1} and {c2}"):
-        two_resonance_certificate(forged, c1, c2)
-    with pytest.raises(RuntimeError, match=f"^territory of face {c2} holds faces that are not fresh"):
-        two_resonance_certificate(forged, c2, c1)
+    forged = dataclasses.replace(lf, m0=Matching(lf.m0.edges.symmetric_difference(opposite), image))
+    for a, b in ((c1, c2), (c2, c1)):
+        with pytest.raises(RuntimeError, match=f"^no territory flip makes hexagons {a} and {b}"):
+            two_resonance_certificate(forged, a, b)
+
+
+def _swapped(lf, a, b):
+    """lf's provenance with image faces a (heritable) and b (fresh) trading places."""
+    heritable = {b if k == a else k: v for k, v in lf.heritable.items()}
+    fresh = {a if k == b else k: v for k, v in lf.fresh.items()}
+    return {"heritable": heritable, "fresh": fresh}
 
 
 # A field replaced in F24's result, and the field the GraphError names.  The
 # first six ended in a traceback from a certificate (AttributeError,
 # TypeError or KeyError); another fullerene as the image fails on M0, whose
-# edges are not its edges, and an M0 missing one edge is not perfect.
+# edges are not its edges, and an M0 missing one edge is not perfect.  The
+# provenance cases from "fresh key missing" on pass the type and range
+# checks; only the ring check refuses the swapped hexagon, which keeps
+# every face size.
 FORGED = {
     "m0 None": ("m0", lambda lf, graphs: {"m0": None}),
     "image None": ("image", lambda lf, graphs: {"image": None}),
@@ -328,6 +344,24 @@ FORGED = {
     "heritable str keys": ("heritable", lambda lf, graphs: {"heritable": {str(k): 0 for k in lf.heritable}}),
     "fresh bool values": ("fresh", lambda lf, graphs: {"fresh": dict.fromkeys(lf.fresh, True)}),
     "fresh face out of range": ("fresh", lambda lf, graphs: {"fresh": {**lf.fresh, len(lf.image.faces): 0}}),
+    "fresh key missing": (
+        "fresh",
+        lambda lf, graphs: {"fresh": {k: v for k, v in lf.fresh.items() if k != min(lf.fresh)}},
+    ),
+    "heritable value out of range": (
+        "heritable",
+        lambda lf, graphs: {"heritable": {**lf.heritable, min(lf.heritable): len(lf.original.faces)}},
+    ),
+    "heritable hexagon swapped with a fresh one": (
+        "heritable",
+        lambda lf, graphs: _swapped(lf, next(filter(lf.image.is_hexagon, lf.heritable)), min(lf.fresh)),
+    ),
+    "heritable key on a fresh face": (
+        "heritable",
+        lambda lf, graphs: _swapped(lf, min(lf.heritable), min(lf.fresh)) | {"fresh": lf.fresh},
+    ),
+    "fresh pentagon": ("fresh", lambda lf, graphs: _swapped(lf, lf.image.pentagon_ids[0], min(lf.fresh))),
+    "another original": ("heritable", lambda lf, graphs: {"original": graphs["F28"]}),
 }
 
 
@@ -343,6 +377,32 @@ def test_a_forged_result_is_refused_when_built(graphs, case, call):
     field, edit = FORGED[case]
     with pytest.raises(GraphError, match=f"^LeapfrogResult {field}"):
         call(dataclasses.replace(lf, **edit(lf, graphs)), *args)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_result_rebuilt_from_the_cli_files_builds_and_certifies_the_same(graphs, tmp_path, name):
+    # The image, M0 and provenance that ``resonantk leapfrog`` writes pass
+    # the same checks as leapfrog()'s result, and give the same certificates;
+    # with one provenance entry edited, the rebuilt result is refused.
+    original = graphs[name]
+    src, paths = tmp_path / "in.rot", [tmp_path / "image.rot", tmp_path / "m0.txt", tmp_path / "prov.json"]
+    src.write_text(emit_graph(original.graph))
+    argv = ["leapfrog", str(src), "-o", str(paths[0])]
+    argv += ["--emit-matching", str(paths[1]), "--provenance", str(paths[2])]
+    assert run(argv) == 0
+    image = validate_fullerene(parse_graph(paths[0].read_text()))
+    m0 = Matching(frozenset(tuple(map(int, line.split("-"))) for line in paths[1].read_text().split()), image)
+    prov = json.loads(paths[2].read_text())
+    heritable, fresh = ({int(k): v for k, v in prov[key].items()} for key in ("heritable", "fresh"))
+    arcs = tuple(original.graph.arcs())
+    rebuilt = LeapfrogResult(original, image, arcs, m0, heritable, fresh)
+    lf = leapfrog(original)
+    for a, b in _disjoint_pairs(image):
+        assert two_resonance_certificate(rebuilt, a, b).edges == two_resonance_certificate(lf, a, b).edges
+    h = min(heritable)
+    edited = {**heritable, h: (heritable[h] + 1) % len(original.faces)}
+    with pytest.raises(GraphError, match="^LeapfrogResult heritable"):
+        LeapfrogResult(original, image, arcs, m0, edited, fresh)
 
 
 def test_certificate_rejects_overlapping_pair(lf20):

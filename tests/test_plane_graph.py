@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import resonantk
 from resonantk.catalog import catalog_names
 from resonantk.errors import GraphError, GuardExceeded, NotFullereneError
-from resonantk import plane_graph
+from resonantk import kernels, plane_graph
 from resonantk.plane_graph import (
     Automorphism,
     EmbeddedGraph,
@@ -624,14 +624,14 @@ def test_a_loaded_graph_is_checked_and_traced_once(graphs, monkeypatch):
     from resonantk.catalog import catalog_graph
 
     calls = []
-    for name in ("_check_rotation", "_components_without", "_trace"):
-        real = getattr(plane_graph, name)
-        monkeypatch.setattr(plane_graph, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    for module, name in ((plane_graph, "_check_rotation"), (kernels, "_sweep"), (plane_graph, "_trace")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
     face_ids = FullereneGraph.pentagon_ids.func
     counted = plane_graph._derived(lambda f: calls.append("pentagon_ids") or face_ids(f))
     counted.__set_name__(FullereneGraph, "pentagon_ids")
     monkeypatch.setattr(FullereneGraph, "pentagon_ids", counted)
-    once = ["_check_rotation", "_components_without", "_trace", "pentagon_ids"]
+    once = ["_check_rotation", "_sweep", "_trace", "pentagon_ids"]
     for name in ("F20", "C70"):
         text = emit_graph(graphs[name].graph)
         for load in (lambda: validate_fullerene(parse_graph(text)), lambda: catalog_graph(name).graph):
