@@ -498,13 +498,21 @@ def _build_parser() -> _Parser:
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one command line; returns the exit status.
 
-    Every file the command writes is checked before any work; then its
-    handler runs, and the text it returns goes through ``_write_output``.
+    Every file the command writes is checked before any work, and two
+    options that name one file are refused; then its handler runs, and the
+    text it returns goes through ``_write_output``.
     """
     try:
         args = _build_parser().parse_args(argv)
+        named: dict[str, str] = {}
         for name in ("output", "emit_matching", "provenance"):
-            _check_destination(getattr(args, name, None))
+            path = getattr(args, name, None)
+            _check_destination(path)
+            if path and path != "-":
+                option = "--" + name.replace("_", "-")
+                first = named.setdefault(os.path.realpath(path), option)
+                if first != option:
+                    raise GraphError(f"{first} and {option} name the same file {path}")
         result = args.handler(args)
         text, status = result if isinstance(result, tuple) else (result, 0)
         _write_output(text, getattr(args, "output", None))

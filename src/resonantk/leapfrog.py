@@ -2,33 +2,32 @@
 
 The leapfrog image of a plane cubic graph has one vertex per directed edge
 (arc).  An arc keeps three image neighbours, in clockwise order: its
-face-tracing predecessor, its face-tracing successor, and its own reversal.
-Both are read off the graph's kept ``_turns`` table, the one reading of the
-clockwise order, as the face trace reads them.  The reversal pairs form a
-perfect matching M0 of the image.  Image faces come in exactly two kinds:
+face-tracing predecessor, its face-tracing successor, and its own reversal
+(``_rotation``, read off the graph's kept ``_turns`` table, the one reading
+of the clockwise order, as the face trace reads it).  The reversal pairs
+form a perfect matching M0 of the image.  Image faces come in exactly two
+kinds:
 
 * *heritable* faces - the arc cycle of an original face, same size;
 * *fresh* faces - the six arcs touching one original vertex, always
   hexagons, and always M0-alternating.
 
-The provenance of every image face is read off the construction: the image
-arc from an original face's first boundary arc to its second lies on the
-heritable face of that face, and the image arc from (u, v) to its reversal
-lies on the fresh face at v.  Both faces are then looked up in the image's
-face index.
+A ``LeapfrogResult`` holds the original, the image and ``arc_of``, the arc
+each image vertex is; it is checked when built, however it is built, to be
+exactly this construction.  M0 and the provenance of every image face are
+derived from it: the image arc from an original face's first boundary arc
+to its second lies on the heritable face of that face, and the image arc
+from (u, v) to its reversal lies on the fresh face at v; both faces are
+looked up in the image's face index.
 
 Around each heritable face sits its *territory*: the ring of fresh faces
 met across its boundary edges, listed in boundary order starting at the
 face's least boundary arc.  Flipping M0 around a choice of ring faces is
 what turns a heritable hexagon alternating; ``two_resonance_certificate``
 searches those flips to make any two disjoint image hexagons alternate at
-once.
-
-A ``LeapfrogResult`` is checked when built, however it is built: M0 is a
-perfect matching of the image, the heritable and fresh faces split the
-image's faces as above, and every heritable face is ringed by distinct
-fresh faces.  Territories and certificates then read the provenance
-without a second check.
+once.  That the fresh faces are hexagons and ring each heritable face as
+distinct faces, which territories and certificates then read without a
+second check, is checked (RuntimeError) when the result is built.
 
 The certificate splits its work in two.  Once per image it builds a
 table, ``LeapfrogResult._table`` (which ``dataclasses.replace`` starts
@@ -53,81 +52,95 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import GraphError, check_int, check_type
-from .matching import Matching, _matching_from_mates, _perfect_edges
+from .matching import Matching, _matching_from_mates
 from .plane_graph import (
     Arc,
     EmbeddedGraph,
     FullereneGraph,
     _derived,
+    _stray_types,
     validate_fullerene,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class LeapfrogResult:
-    """The image graph with its reversal matching and face provenance maps.
+    """The leapfrog image of ``original``, with the arc each image vertex is.
 
-    Checked when built, however it is built, for what the territories and
-    certificates read without checking: ``original`` and ``image`` must be
-    ``FullereneGraph``s and ``arc_of`` a tuple; ``m0`` a perfect matching
-    of the image, a ``Matching`` whose every edge is an image edge stored
-    as (u, v) with u < v; ``heritable`` a dict from image face ids to
-    original face ids, taking each original face once to an image face of
-    its size; ``fresh`` a dict from image face ids to original vertices,
-    taking each vertex once to an image hexagon; the keys of the two split
-    the image's faces, and the faces across each heritable face's boundary
-    are distinct fresh faces.
+    Image vertex i is the arc ``arc_of[i]`` of the original.  Checked when
+    built, however it is built, to be the construction: ``original`` and
+    ``image`` must be ``FullereneGraph``s and ``arc_of`` a tuple of pairs
+    of ints listing each arc of the original once; the image must have one
+    vertex per arc, and vertex i the clockwise neighbours ``_rotation``
+    gives arc ``arc_of[i]``, from any of the three.  ``m0``, ``heritable``
+    and ``fresh`` are tables derived from the three; the check builds the
+    last two.
 
     Raises:
         GraphError: naming the field that fails.
+        RuntimeError: if a heritable face is not ringed by distinct fresh
+            hexagons (a construction bug).
     """
 
     original: FullereneGraph
     image: FullereneGraph
-    arc_of: tuple[Arc, ...]
-    m0: Matching
-    heritable: dict[int, int]  # image face id -> original face id
-    fresh: dict[int, int]  # image face id -> original vertex
+    arc_of: tuple[Arc, ...]  # image vertex -> original arc
 
     def __post_init__(self) -> None:
         original = check_type("LeapfrogResult original", self.original, FullereneGraph)
         image = check_type("LeapfrogResult image", self.image, FullereneGraph)
-        check_type("LeapfrogResult arc_of", self.arc_of, tuple)
-        _perfect_edges(self.m0, image.graph, "LeapfrogResult m0", "image")
-        faces = image.faces
-        heritable, fresh = self.heritable, self.fresh
-        for name, provenance in (("heritable", heritable), ("fresh", fresh)):
-            check_type(f"LeapfrogResult {name}", provenance, dict)
-            if (
-                {*map(type, provenance), *map(type, provenance.values())} - {int}
-                or min(provenance, default=0) < 0
-                or max(provenance, default=0) >= len(faces)
-            ):
-                raise GraphError(f"LeapfrogResult {name} must map image face ids to ints")
-        n_faces = len(original.faces)
-        if sorted(heritable.values()) != list(range(n_faces)):
-            raise GraphError(f"LeapfrogResult heritable must take each of the {n_faces} original faces once")
-        if sorted(fresh.values()) != list(range(original.n)):
-            raise GraphError(
-                f"LeapfrogResult fresh must take each of the {original.n} original vertices once"
-            )
-        if len(heritable) + len(fresh) != len(faces) or not heritable.keys().isdisjoint(fresh):
-            raise GraphError(f"LeapfrogResult heritable and fresh must split the {len(faces)} image faces")
-        for img, v in fresh.items():
-            if faces[img].size != 6:
-                raise GraphError(
-                    f"LeapfrogResult fresh face {img} of vertex {v} has size {faces[img].size}, not 6"
-                )
-        for img, orig in heritable.items():
-            size, ring = faces[img].size, faces.across(img)
-            if size != original.faces[orig].size:
-                raise GraphError(
-                    f"LeapfrogResult heritable face {img} has size {size}, unlike original face {orig}"
-                )
-            if len(set(ring)) != size or not fresh.keys() >= set(ring):
-                raise GraphError(
-                    f"LeapfrogResult heritable face {img} is ringed by {ring}, not distinct fresh faces"
-                )
+        arc_of = self.arc_of
+        found = _stray_types(arc_of)
+        if found:
+            raise GraphError(f"LeapfrogResult arc_of must be a tuple of pairs of ints, found {found}")
+        arcs = original.graph.arcs()
+        if sorted(arc_of) != arcs:
+            raise GraphError(f"LeapfrogResult arc_of must list each of the original's {len(arcs)} arcs once")
+        rows = image.graph.rotation
+        if len(rows) != len(arcs):
+            raise GraphError(f"LeapfrogResult image has {len(rows)} vertices, not one per original arc")
+        want = _rotation(original.graph, self._index)
+        if rows != want:
+            for i, (row, (a, b, c)) in enumerate(zip(rows, want)):
+                if row not in ((a, b, c), (b, c, a), (c, a, b)):
+                    raise GraphError(
+                        f"LeapfrogResult image vertex {i} has neighbours {row}, not those of"
+                        f" arc {arc_of[i]} in the leapfrog, {(a, b, c)} clockwise"
+                    )
+        # what territories and certificates read without a check
+        fresh_hexagons = self.fresh.keys() & set(image.hexagon_ids)
+        for img in self.heritable:
+            ring = image.faces.across(img)
+            if len(set(ring)) != len(ring) or not fresh_hexagons.issuperset(ring):
+                raise RuntimeError(f"leapfrog face {img} is ringed by {ring}, not distinct fresh hexagons")
+
+    @_derived
+    def _index(self) -> dict[Arc, int]:
+        """Each arc of the original -> its image vertex."""
+        return {arc: i for i, arc in enumerate(self.arc_of)}
+
+    @_derived
+    def m0(self) -> Matching:
+        """The reversal matching: each image vertex with the vertex of its reversed arc."""
+        index = self._index
+        return _matching_from_mates([index[v, u] for u, v in self.arc_of], self.image)
+
+    @_derived
+    def fresh(self) -> dict[int, int]:
+        """Image face id -> original vertex v: the face on the image arc from (u, v) to (v, u)."""
+        index, face_of_arc = self._index, self.image.faces.face_of_arc
+        rotation = self.original.graph.rotation
+        return {face_of_arc((index[u, v], index[v, u])): v for v, (u, _, _) in enumerate(rotation)}
+
+    @_derived
+    def heritable(self) -> dict[int, int]:
+        """Image face id -> original face id: the face on the image arc from its first arc to its second."""
+        index, face_of_arc = self._index, self.image.faces.face_of_arc
+        heritable: dict[int, int] = {}
+        for face in self.original.faces:
+            a, b, c = face.boundary[:3]
+            heritable[face_of_arc((index[a, b], index[b, c]))] = face.index
+        return heritable
 
     @_derived
     def _table(self) -> _Table:
@@ -151,8 +164,18 @@ class Territory:
     ring: tuple[int, ...]
 
 
+def _rotation(g: EmbeddedGraph, index: dict[Arc, int]) -> tuple[tuple[int, int, int], ...]:
+    """The leapfrog image's rotation, one row per arc in ``index`` order.
+
+    The row of (u, v) holds the image vertices of its face-tracing
+    predecessor and successor, then of its reversal.
+    """
+    turns = g._turns
+    return tuple((index[turns[u][v][1], u], index[v, turns[v][u][0]], index[v, u]) for u, v in index)
+
+
 def leapfrog(f: FullereneGraph) -> LeapfrogResult:
-    """Construct the leapfrog image, its reversal matching, and provenance.
+    """Construct the leapfrog image on the sorted arcs of f.
 
     The result is checked when built, as every ``LeapfrogResult`` is.
 
@@ -160,29 +183,9 @@ def leapfrog(f: FullereneGraph) -> LeapfrogResult:
         GraphError: if f is not a ``FullereneGraph``.
     """
     g = check_type("graph", f, FullereneGraph).graph
-    arcs = g.arcs()
-    index = {a: i for i, a in enumerate(arcs)}
-
-    turns = g._turns
-    reversal = [index[(a[1], a[0])] for a in arcs]
-    # the face-tracing predecessor and successor of (u, v), then its reversal
-    rotation = tuple(
-        (index[(turns[u][v][1], u)], index[(v, turns[v][u][0])], r)
-        for (u, v), r in zip(arcs, reversal)
-    )
-    image = validate_fullerene(EmbeddedGraph(rotation))
-    m0 = _matching_from_mates(reversal, image)
-
-    face_of_arc = image.faces.face_of_arc
-    heritable: dict[int, int] = {}
-    for face in f.faces:
-        a, b, c = face.boundary[:3]
-        heritable[face_of_arc((index[(a, b)], index[(b, c)]))] = face.index
-    fresh: dict[int, int] = {}
-    for v in range(f.n):
-        u = g.rotation[v][0]
-        fresh[face_of_arc((index[(u, v)], index[(v, u)]))] = v
-    return LeapfrogResult(f, image, tuple(arcs), m0, heritable, fresh)
+    arcs = tuple(g.arcs())
+    image = validate_fullerene(EmbeddedGraph(_rotation(g, {a: i for i, a in enumerate(arcs)})))
+    return LeapfrogResult(f, image, arcs)
 
 
 def territory(lf: LeapfrogResult, image_face_id: int) -> Territory:
@@ -276,15 +279,15 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     a fixed order; each must be pairwise vertex-disjoint.  The first
     candidate that alternates on both targets is returned.
 
-    M0 was checked perfect when lf was built.  What does not depend on the
-    pair is checked once per image, when its table is built: each hexagon's
-    candidates have pairwise disjoint faces that alternate with M0
-    (``_checked_flips``).  Per pair,
-    on the image's bitmasks (``lf._table`` and ``FaceSet.vertex_masks``),
-    the two candidates' faces must cover six vertices for each face they
-    flip, so they are pairwise disjoint (two fullerene faces share a vertex
-    exactly when they share an edge), and each target must hold three edges
-    of M0 with the flipped edges toggled.
+    M0 pairs each arc with its reversal, so it is perfect.  What does not
+    depend on the pair is checked once per image, when its table is built:
+    each hexagon's candidates have pairwise disjoint faces that alternate
+    with M0 (``_checked_flips``).  Per pair, on the image's bitmasks
+    (``lf._table`` and ``FaceSet.vertex_masks``), the two candidates' faces
+    must cover six vertices for each face they flip, so they are pairwise
+    disjoint (two fullerene faces share a vertex exactly when they share an
+    edge), and each target must hold three edges of M0 with the flipped
+    edges toggled.
     The certificate is built once per set of flipped faces and kept in the
     image's table: every pair that flips the same faces gets the same
     immutable ``Matching``, and flipping nothing gives ``lf.m0`` itself.  It

@@ -18,9 +18,8 @@ callers that score many matchings; the Fries number checks its winner with
 ``alternating_faces``.
 
 ``_checked_edges`` is the one read of a caller's ``Matching`` edges,
-shared by ``symmetric_difference`` and ``_perfect_edges``, the one check
-that a matching is perfect on a graph, which ``alternating_faces`` and
-``leapfrog.LeapfrogResult`` share.
+shared by ``symmetric_difference`` and ``_perfect_edges``, the check
+``alternating_faces`` makes that a matching is perfect on its graph.
 ``_matching_from_mates`` is the one conversion of a mate array into a
 ``Matching``, for the leapfrog and resonance modules too; ``_rest_mates``
 is the one maximum matching with faces masked out, which ``is_central``
@@ -206,38 +205,34 @@ def tutte_witness(g: object) -> TutteWitness | None:
     return TutteWitness(barrier, odd)
 
 
-def _checked_edges(m: Matching, name: str = "matching") -> frozenset[Edge]:
+def _checked_edges(m: Matching) -> frozenset[Edge]:
     """The edges of m, once m is a ``Matching`` and they a frozenset of pairs of integers.
 
     Raises:
-        GraphError: naming the matching, its edges or the first bad edge;
-            each message starts with ``name``.
+        GraphError: naming the matching, its edges or the first bad edge.
     """
-    edges = check_type(f"{name} edges", check_type(name, m, Matching).edges, frozenset)
+    edges = check_type("matching edges", check_type("matching", m, Matching).edges, frozenset)
     for e in edges:
-        if len(check_ints(f"{name} vertex id", e)) != 2:
-            raise GraphError(f"{name} edge {e!r} is not a pair of vertex ids")
+        if len(check_ints("matching vertex id", e)) != 2:
+            raise GraphError(f"matching edge {e!r} is not a pair of vertex ids")
     return edges
 
 
-def _perfect_edges(
-    m: Matching, g: EmbeddedGraph, name: str = "matching", host: str = "graph"
-) -> frozenset[Edge]:
+def _perfect_edges(m: Matching, g: EmbeddedGraph) -> frozenset[Edge]:
     """The edges of m, once they are a perfect matching of g, each stored as (u, v) with u < v.
 
     Raises:
         GraphError: as ``_checked_edges``, or naming the least pair that is
-            not such an edge, or that m is not perfect; each message starts
-            with ``name``.
+            not such an edge, or that m is not perfect.
     """
-    edges = _checked_edges(m, name)
+    edges = _checked_edges(m)
     rotation = g.rotation
     n = len(rotation)
     bad = min((e for e in edges if not (0 <= e[0] < e[1] < n and e[1] in rotation[e[0]])), default=None)
     if bad is not None:
-        raise GraphError(f"{name} pair {bad} is not an edge of its {host} stored as (u, v) with u < v")
+        raise GraphError(f"matching pair {bad} is not an edge of its graph stored as (u, v) with u < v")
     if 2 * len(edges) != n or len(set(chain.from_iterable(edges))) != n:
-        raise GraphError(f"{name} is not a perfect matching of its {n}-vertex {host}")
+        raise GraphError(f"matching is not a perfect matching of its {n}-vertex graph")
     return edges
 
 

@@ -207,10 +207,6 @@ class Face:
         """The boundary's undirected edges, in cycle order."""
         return self._edges
 
-    def boundary_arcs(self) -> tuple[Arc, ...]:
-        b = self.boundary
-        return tuple((b[i], b[(i + 1) % len(b)]) for i in range(len(b)))
-
 
 @dataclass(frozen=True, eq=False)
 class FaceSet:
@@ -254,17 +250,6 @@ class FaceSet:
         Entry i is ``face_of_arc((b, a))`` for the i-th boundary arc (a, b).
         """
         return self._across[face_id]
-
-    def shared_edge(self, a: int, b: int) -> Edge | None:
-        """The edge faces a and b meet in, or None unless they meet in exactly one edge.
-
-        Faces meet properly when b is across exactly one boundary edge of a;
-        they then share that edge's two endpoints and no other vertex.
-        """
-        around = self._across[a]
-        if around.count(b) != 1:
-            return None
-        return self.faces[a].boundary_edges()[around.index(b)]
 
     @_derived
     def vertex_masks(self) -> tuple[int, ...]:

@@ -491,7 +491,8 @@ def find_polygonal_rings_by_full_walk(f, max_len: int, face_filter: str) -> list
     called.  ``_check``, ``_edge_cycles`` and ``PENTAGONS_ONLY`` are
     unchanged in the package and imported from it.  ``Ring`` is too; it now
     keeps each side as a face bitmask, which the builder makes from its side
-    sets.
+    sets.  The edge two faces meet in is ``shared_edge``'s, read off their
+    boundary edges rather than the package's face index.
     """
     from resonantk.rings_fragments import PENTAGONS_ONLY
 
@@ -506,6 +507,12 @@ def find_polygonal_rings_by_full_walk(f, max_len: int, face_filter: str) -> list
     ]
     rings.sort(key=lambda r: (r.l, r.faces))
     return rings
+
+
+def shared_edge(a, b) -> tuple[int, int] | None:
+    """The edge faces a and b meet in, or None unless their boundaries share exactly one edge."""
+    common = set(a.boundary_edges()) & set(b.boundary_edges())
+    return common.pop() if len(common) == 1 else None
 
 
 def _ring_cycles(
@@ -543,7 +550,7 @@ def _ring_cycles(
             continue
         # close the ring with g as its final face
         if len(seq) >= 2 and len(seq) < max_len and seq[1] < g:
-            ce = fs.shared_edge(g, root)
+            ce = shared_edge(fs[g], fs[root])
             if ce is not None and not {ce[0], ce[1]} & (used | {e[0], e[1]}):
                 out.append(tuple(seq) + (g,))
         if len(seq) >= 2 and root in fs.across(g):
@@ -566,7 +573,7 @@ def _build_ring(f, faces_cycle: tuple[int, ...]):
 
     fs = f.faces
     l = len(faces_cycle)
-    shared = [fs.shared_edge(faces_cycle[i], faces_cycle[(i + 1) % l]) for i in range(l)]
+    shared = [shared_edge(fs[faces_cycle[i]], fs[faces_cycle[(i + 1) % l]]) for i in range(l)]
     _check(None not in shared, "consecutive faces meet in one edge", faces_cycle)
     shared_vs = [frozenset(e) for e in shared]
     _check(len(frozenset().union(*shared_vs)) == 2 * l, "shared edges form a matching", faces_cycle)

@@ -602,6 +602,36 @@ def test_failed_leapfrog_leaves_no_output(flag, target, f24_file, tmp_path, caps
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "first, second", [("-o", "--emit-matching"), ("-o", "--provenance"), ("--emit-matching", "--provenance")]
+)
+def test_two_outputs_naming_one_file_are_refused(first, second, f24_file, tmp_path, capsys, monkeypatch):
+    # the later write replaced the earlier, so the image or M0 was lost
+    # without an error; it is refused before the leapfrog is built
+    def leapfrog(f):
+        raise AssertionError("the leapfrog was built")
+
+    monkeypatch.setattr(resonantk.cli, "leapfrog", leapfrog)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {"-o": "out/image.rot", "--emit-matching": "out/m0.txt", "--provenance": "out/p.json"}
+    paths[second] = f"./out/../{paths[first]}"  # the same file, spelled otherwise
+    argv = ["leapfrog", str(f24_file)] + [a for item in paths.items() for a in item]
+    assert run(argv) == 1
+    option = "--output" if first == "-o" else first
+    assert capsys.readouterr().err == f"error: {option} and {second} name the same file {paths[second]}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_standard_output_may_be_named_twice(f24_file, tmp_path, capsys):
+    prov = tmp_path / "p.json"
+    assert run(["leapfrog", str(f24_file), "-o", "-", "--emit-matching", "-", "--provenance", str(prov)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("0-") and "leapfrog image: 72 vertices" in out
+    assert json.loads(prov.read_text())["fresh"]
+
+
 def test_leapfrog_past_255_vertices(tmp_path, capsys):
     # the source identity line needs the two-byte canonical code
     tube = tmp_path / "tube.rot"

@@ -17,7 +17,7 @@ from resonantk.cli import run
 from resonantk.errors import GraphError
 from resonantk.leapfrog import LeapfrogResult, leapfrog, territory, two_resonance_certificate
 from resonantk.matching import Matching, alternating_faces
-from resonantk.plane_graph import canonical_code, emit_graph, parse_graph, validate_fullerene
+from resonantk.plane_graph import EmbeddedGraph, canonical_code, emit_graph, parse_graph, validate_fullerene
 from resonantk.resonance import is_resonant_pattern, resonance_order
 
 
@@ -99,12 +99,15 @@ def test_territory_face_id_must_be_an_integer(graphs, face_id):
 
 
 def test_a_ring_face_missing_from_fresh_is_refused_when_built(lf20):
-    # no territory is ever read off a stale fresh map
+    # no territory is ever read off a stale fresh map: M0 and the provenance
+    # are derived from the three fields, and none of them can be passed in
+    assert [field.name for field in dataclasses.fields(LeapfrogResult)] == ["original", "image", "arc_of"]
     center = min(lf20.heritable)
     ring = territory(lf20, center).ring
-    message = "^LeapfrogResult fresh must take each of the 20 original vertices once$"
-    with pytest.raises(GraphError, match=message):
-        dataclasses.replace(lf20, fresh={k: v for k, v in lf20.fresh.items() if k != ring[0]})
+    assert set(ring) <= lf20.fresh.keys()
+    for name, value in (("fresh", {}), ("heritable", lf20.heritable), ("m0", lf20.m0)):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            dataclasses.replace(lf20, **{name: value})
 
 
 def test_certificates_for_all_disjoint_pairs(lf20):
@@ -142,61 +145,6 @@ def test_certificates_match_the_rebuild_oracle(graphs, relabel, name):
         for a, b in _disjoint_pairs(lf.image):
             got = two_resonance_certificate(lf, a, b)
             assert got.edges == two_resonance_certificate_by_rebuild(lf, a, b).edges, (name, a, b)
-
-
-def _outcome(certify, lf, a, b):
-    try:
-        return certify(lf, a, b).edges
-    except RuntimeError as e:
-        return str(e)
-
-
-@pytest.mark.parametrize("name", ["F20", "F24", "F28"])
-def test_a_flipped_m0_matches_the_rebuild_oracle(graphs, name):
-    # M0 flipped around one fresh face is still perfect, but the fresh
-    # faces next to that face no longer alternate with it: a candidate that
-    # flips one of them, or a fresh target among them, must be refused.
-    lf = leapfrog(graphs[name])
-    face = lf.image.faces[min(lf.fresh)]
-    flipped = Matching(lf.m0.edges.symmetric_difference(face.boundary_edges()), lf.image)
-    forged = dataclasses.replace(lf, m0=flipped)
-    outcomes = set()
-    for a, b in _disjoint_pairs(lf.image):
-        got = _outcome(two_resonance_certificate, forged, a, b)
-        assert got == _outcome(two_resonance_certificate_by_rebuild, forged, a, b), (a, b)
-        outcomes.add(isinstance(got, str))
-    assert outcomes == {False, True}
-
-
-def test_an_imperfect_m0_gives_no_certificate(lf20):
-    # refused when the result is built, so no certificate reads it
-    a, b = _disjoint_pairs(lf20.image)[0]
-    two_resonance_certificate(lf20, a, b)  # fills lf20's flip table
-    short = Matching(lf20.m0.edges - {min(lf20.m0.edges)}, lf20.image)
-    message = "^LeapfrogResult m0 is not a perfect matching of its 60-vertex image$"
-    with pytest.raises(GraphError, match=message):
-        dataclasses.replace(lf20, m0=short)
-    assert len(_disjoint_pairs(lf20.image)) == 160
-
-
-def test_an_edited_result_builds_its_own_flip_table(graphs):
-    # F24's image has heritable hexagons, whose candidates read territories.
-    # An edit with stale provenance is refused when built, once lf's table
-    # exists too; one with M0 flipped round a fresh face keeps its provenance
-    # and builds a table of its own, where the candidate flipping that face
-    # again is dropped.
-    lf = leapfrog(graphs["F24"])
-    image = lf.image
-    center = next(h for h in sorted(lf.heritable) if image.is_hexagon(h))
-    other = next(b for a, b in _disjoint_pairs(image) if a == center)
-    two_resonance_certificate(lf, center, other)
-    ring = territory(lf, center).ring
-    with pytest.raises(GraphError, match="^LeapfrogResult fresh"):
-        dataclasses.replace(lf, fresh={k: v for k, v in lf.fresh.items() if k != ring[0]})
-    flipped = Matching(lf.m0.edges.symmetric_difference(image.faces[ring[0]].boundary_edges()), image)
-    edited = dataclasses.replace(lf, m0=flipped)
-    assert edited._table is not lf._table
-    assert [len(lf._table.flips[center]), len(edited._table.flips[center])] == [2, 1]
 
 
 def test_certificates_stay_small_in_memory(graphs):
@@ -287,81 +235,54 @@ def test_certificate_errors_keep_their_messages_and_order(graphs):
 
 
 def test_certificate_errors_on_a_broken_result_come_in_order(graphs):
+    # With the candidates of heritable hexagon c1 emptied in a built table,
+    # a pair with c1 finds no flip, as the first target or the second; the
+    # checks on the targets still come first.
     lf = leapfrog(graphs["F24"])
     image = lf.image
     c1, c2 = [h for h in sorted(lf.heritable) if image.is_hexagon(h)]
-    stale = {territory(lf, c).ring[0] for c in (c1, c2)}
-    stale_fresh = {k: v for k, v in lf.fresh.items() if k not in stale}
-    # A stale fresh map is refused when built, and an M0 that is not
-    # perfect before it.
-    message = "^LeapfrogResult fresh must take each of the 24 original vertices once$"
-    with pytest.raises(GraphError, match=message):
-        dataclasses.replace(lf, fresh=stale_fresh)
-    with pytest.raises(GraphError, match="^LeapfrogResult m0 is not a perfect matching"):
-        dataclasses.replace(lf, fresh=stale_fresh, m0=Matching(lf.m0.edges - {min(lf.m0.edges)}, image))
-    # Flipped round two opposite faces of c1's territory, M0 stays perfect,
-    # but the other four stop alternating: c1 keeps no candidate, as the
-    # first target or the second.
-    ring = territory(lf, c1).ring
-    opposite = image.faces[ring[0]].boundary_edges() + image.faces[ring[3]].boundary_edges()
-    forged = dataclasses.replace(lf, m0=Matching(lf.m0.edges.symmetric_difference(opposite), image))
+    assert len(lf._table.flips[c1]) == 2
+    lf._table.flips[c1].clear()
+    p = image.pentagon_ids[0]
+    with pytest.raises(GraphError, match=f"^face {p} is not a hexagon of the leapfrog image$"):
+        two_resonance_certificate(lf, c1, p)
     for a, b in ((c1, c2), (c2, c1)):
-        with pytest.raises(RuntimeError, match=f"^no territory flip makes hexagons {a} and {b}"):
-            two_resonance_certificate(forged, a, b)
+        message = f"^no territory flip makes hexagons {a} and {b} alternate together$"
+        with pytest.raises(RuntimeError, match=message):
+            two_resonance_certificate(lf, a, b)
 
 
-def _swapped(lf, a, b):
-    """lf's provenance with image faces a (heritable) and b (fresh) trading places."""
-    heritable = {b if k == a else k: v for k, v in lf.heritable.items()}
-    fresh = {a if k == b else k: v for k, v in lf.fresh.items()}
-    return {"heritable": heritable, "fresh": fresh}
+def _image_of(rows):
+    """A replacement image whose rotation is ``rows``."""
+    return {"image": validate_fullerene(EmbeddedGraph(tuple(rows)))}
 
 
-# A field replaced in F24's result, and the field the GraphError names.  The
-# first six ended in a traceback from a certificate (AttributeError,
-# TypeError or KeyError); another fullerene as the image fails on M0, whose
-# edges are not its edges, and an M0 missing one edge is not perfect.  The
-# provenance cases from "fresh key missing" on pass the type and range
-# checks; only the ring check refuses the swapped hexagon, which keeps
-# every face size.
+def _relabelled(rows):
+    """The rows with image vertices 0 and 1 trading labels."""
+    swap = {0: 1, 1: 0}
+    return (tuple(swap.get(w, w) for w in row) for row in (rows[1], rows[0], *rows[2:]))
+
+
+# A field replaced in F24's result, and the field the GraphError names.  A
+# result built by hand must be the construction: arc_of must list the
+# original's arcs, and the image give each arc its leapfrog neighbours.
+# Two arcs swapped, the image's rotation mirrored or two of its vertices
+# relabelled all leave a valid fullerene and a valid arc list.
 FORGED = {
-    "m0 None": ("m0", lambda lf, graphs: {"m0": None}),
-    "image None": ("image", lambda lf, graphs: {"image": None}),
-    "fresh None": ("fresh", lambda lf, graphs: {"fresh": None}),
-    "m0 edges None": ("m0", lambda lf, graphs: {"m0": Matching(None, lf.image)}),
-    "m0 pair of one": ("m0", lambda lf, graphs: {"m0": Matching(lf.m0.edges | {(1,)}, lf.image)}),
-    "another image": ("m0", lambda lf, graphs: {"image": graphs["C70"]}),
-    "m0 missing an edge": (
-        "m0",
-        lambda lf, graphs: {"m0": Matching(lf.m0.edges - {min(lf.m0.edges)}, lf.image)},
-    ),
-    "m0 pair reversed": (
-        "m0",
-        lambda lf, graphs: {"m0": Matching(frozenset((v, u) for u, v in lf.m0.edges), lf.image)},
-    ),
     "original None": ("original", lambda lf, graphs: {"original": None}),
+    "image None": ("image", lambda lf, graphs: {"image": None}),
+    "arc_of None": ("arc_of", lambda lf, graphs: {"arc_of": None}),
     "arc_of list": ("arc_of", lambda lf, graphs: {"arc_of": list(lf.arc_of)}),
-    "heritable str keys": ("heritable", lambda lf, graphs: {"heritable": {str(k): 0 for k in lf.heritable}}),
-    "fresh bool values": ("fresh", lambda lf, graphs: {"fresh": dict.fromkeys(lf.fresh, True)}),
-    "fresh face out of range": ("fresh", lambda lf, graphs: {"fresh": {**lf.fresh, len(lf.image.faces): 0}}),
-    "fresh key missing": (
-        "fresh",
-        lambda lf, graphs: {"fresh": {k: v for k, v in lf.fresh.items() if k != min(lf.fresh)}},
-    ),
-    "heritable value out of range": (
-        "heritable",
-        lambda lf, graphs: {"heritable": {**lf.heritable, min(lf.heritable): len(lf.original.faces)}},
-    ),
-    "heritable hexagon swapped with a fresh one": (
-        "heritable",
-        lambda lf, graphs: _swapped(lf, next(filter(lf.image.is_hexagon, lf.heritable)), min(lf.fresh)),
-    ),
-    "heritable key on a fresh face": (
-        "heritable",
-        lambda lf, graphs: _swapped(lf, min(lf.heritable), min(lf.fresh)) | {"fresh": lf.fresh},
-    ),
-    "fresh pentagon": ("fresh", lambda lf, graphs: _swapped(lf, lf.image.pentagon_ids[0], min(lf.fresh))),
-    "another original": ("heritable", lambda lf, graphs: {"original": graphs["F28"]}),
+    "arc_of pair of one": ("arc_of", lambda lf, graphs: {"arc_of": ((1,),) + lf.arc_of[1:]}),
+    "arc_of bool pair": ("arc_of", lambda lf, graphs: {"arc_of": ((False, True),) + lf.arc_of[1:]}),
+    "arc_of missing an arc": ("arc_of", lambda lf, graphs: {"arc_of": lf.arc_of[:-1]}),
+    "arc_of repeating an arc": ("arc_of", lambda lf, graphs: {"arc_of": lf.arc_of[:-1] + lf.arc_of[:1]}),
+    "another original": ("arc_of", lambda lf, graphs: {"original": graphs["F28"]}),
+    "another image": ("image", lambda lf, graphs: {"image": graphs["C70"]}),
+    "arc_of two arcs swapped": ("image", lambda lf, graphs: {"arc_of": (*lf.arc_of[1::-1], *lf.arc_of[2:])}),
+    "arc_of reversed": ("image", lambda lf, graphs: {"arc_of": tuple((v, u) for u, v in lf.arc_of)}),
+    "image mirrored": ("image", lambda lf, graphs: _image_of(row[::-1] for row in lf.image.graph.rotation)),
+    "image relabelled": ("image", lambda lf, graphs: _image_of(_relabelled(lf.image.graph.rotation))),
 }
 
 
@@ -380,10 +301,28 @@ def test_a_forged_result_is_refused_when_built(graphs, case, call):
 
 
 @pytest.mark.parametrize("name", catalog_names())
+def test_a_rebuild_on_shifted_rotations_derives_the_same_tables(graphs, name):
+    # Each image vertex's clockwise order may start at any neighbour: with
+    # every row shifted, by one place or two, the rebuilt result derives
+    # leapfrog()'s M0, provenance and certificates, in a certificate table
+    # of its own.
+    lf = leapfrog(graphs[name])
+    rows = lf.image.graph.rotation
+    shifted = tuple(row[1 + i % 2 :] + row[: 1 + i % 2] for i, row in enumerate(rows))
+    rebuilt = LeapfrogResult(lf.original, validate_fullerene(EmbeddedGraph(shifted)), lf.arc_of)
+    assert rebuilt.m0.edges == lf.m0.edges
+    assert (rebuilt.heritable, rebuilt.fresh) == (lf.heritable, lf.fresh)
+    for a, b in _disjoint_pairs(lf.image):
+        assert two_resonance_certificate(rebuilt, a, b).edges == two_resonance_certificate(lf, a, b).edges
+    assert rebuilt._table is not lf._table
+
+
+@pytest.mark.parametrize("name", catalog_names())
 def test_a_result_rebuilt_from_the_cli_files_builds_and_certifies_the_same(graphs, tmp_path, name):
-    # The image, M0 and provenance that ``resonantk leapfrog`` writes pass
-    # the same checks as leapfrog()'s result, and give the same certificates;
-    # with one provenance entry edited, the rebuilt result is refused.
+    # The image ``resonantk leapfrog`` writes, with the sorted arcs, passes
+    # the same checks as leapfrog()'s result; the M0 and provenance it
+    # writes are the rebuilt result's tables, and the certificates are the
+    # same.  With two arcs swapped, the rebuilt result is refused.
     original = graphs[name]
     src, paths = tmp_path / "in.rot", [tmp_path / "image.rot", tmp_path / "m0.txt", tmp_path / "prov.json"]
     src.write_text(emit_graph(original.graph))
@@ -395,14 +334,14 @@ def test_a_result_rebuilt_from_the_cli_files_builds_and_certifies_the_same(graph
     prov = json.loads(paths[2].read_text())
     heritable, fresh = ({int(k): v for k, v in prov[key].items()} for key in ("heritable", "fresh"))
     arcs = tuple(original.graph.arcs())
-    rebuilt = LeapfrogResult(original, image, arcs, m0, heritable, fresh)
+    rebuilt = LeapfrogResult(original, image, arcs)
+    assert rebuilt.m0.edges == m0.edges
+    assert (rebuilt.heritable, rebuilt.fresh) == (heritable, fresh)
     lf = leapfrog(original)
     for a, b in _disjoint_pairs(image):
         assert two_resonance_certificate(rebuilt, a, b).edges == two_resonance_certificate(lf, a, b).edges
-    h = min(heritable)
-    edited = {**heritable, h: (heritable[h] + 1) % len(original.faces)}
-    with pytest.raises(GraphError, match="^LeapfrogResult heritable"):
-        LeapfrogResult(original, image, arcs, m0, edited, fresh)
+    with pytest.raises(GraphError, match="^LeapfrogResult image vertex 0 has neighbours"):
+        LeapfrogResult(original, image, (arcs[1], arcs[0], *arcs[2:]))
 
 
 def test_certificate_rejects_overlapping_pair(lf20):

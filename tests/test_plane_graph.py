@@ -905,8 +905,9 @@ def test_across_reverses_each_boundary_arc(indexed):
     for name, f in indexed.items():
         fs = f.faces
         for face in fs:
+            b = face.boundary
             assert fs.across(face.index) == tuple(
-                fs.face_of_arc((b, a)) for a, b in face.boundary_arcs()
+                fs.face_of_arc((b[(i + 1) % len(b)], b[i])) for i in range(len(b))
             ), name
             # the ring scan's steps: the face across each boundary edge, with its ends
             steps = fs.steps[face.index]
@@ -917,6 +918,8 @@ def test_across_reverses_each_boundary_arc(indexed):
 
 
 def test_faces_meet_exactly_when_across(indexed):
+    from oracles import shared_edge
+
     for name, f in indexed.items():
         fs = f.faces
         for a in fs:
@@ -929,9 +932,9 @@ def test_faces_meet_exactly_when_across(indexed):
                 assert (b.index in fs.across(a.index)) == meet, (name, a.index, b.index)
                 if meet:
                     assert fs.across(a.index).count(b.index) == 1
-                    assert set(fs.shared_edge(a.index, b.index)) == a.vertices & b.vertices
+                    assert set(shared_edge(a, b)) == a.vertices & b.vertices
                 else:
-                    assert fs.shared_edge(a.index, b.index) is None
+                    assert shared_edge(a, b) is None
 
 
 def test_hexagon_conflicts_are_shared_vertices(indexed):
