@@ -32,18 +32,25 @@ second check, is checked (RuntimeError) when the result is built.
 The certificate splits its work in two.  Once per image it builds a
 table, ``LeapfrogResult._table`` (which ``dataclasses.replace`` starts
 afresh): M0 as a bitmask over the image's sorted edges, each face's edge
-bitmask, and the checked flip candidates of every image hexagon; the
-faces' vertex bitmasks are the image ``FaceSet``'s.  A candidate is kept
-when, by popcounts on those masks, its faces are pairwise disjoint and
-each alternates with M0, as face, vertex and edge bitmasks.  Per pair it
-only tests, by popcounts, that the two candidates' faces stay disjoint and
-that both targets alternate.  The matching that passes is still perfect:
-flipping pairwise disjoint M0-alternating cycles of a perfect matching
-gives a perfect matching, and the per-image checks drop exactly the
-candidates whose flips would not (a flipped hexagon holding k < 3 M0 edges
-changes the size by 6 - 2k).  The winning ``Matching`` is built once per
-set of flipped faces and is the one immutable object that every
-certificate flipping them returns; with no flip it is M0 itself.
+bitmask, and the flips of every image hexagon, read off the construction;
+the faces' vertex bitmasks are the image ``FaceSet``'s.  A fresh hexagon
+flips nothing, and a heritable hexagon flips either alternating triple of
+its ring, odd positions first, as face, vertex and edge bitmasks.  Each
+flip alone keeps M0 perfect because the result is the construction, which
+``__post_init__`` checks.  The ring faces of a heritable face are the
+fresh faces at the original face's vertices, in boundary order, so a
+triple's faces sit at three pairwise non-adjacent original vertices (a
+fullerene has no cycle shorter than five); fresh faces at non-adjacent
+original vertices share no image vertex, as an image vertex is an arc
+between its two ends.  A fresh face alternates with the reversal pairs:
+its boundary takes turns between the reversal edge of an arc at its
+vertex and the image edge to the next arc.  Flipping pairwise disjoint
+M0-alternating cycles of a perfect matching gives a perfect matching.
+Per pair the certificate only tests, by popcounts, that the two flips'
+faces stay disjoint and that both targets alternate.  The winning
+``Matching`` is built once per set of flipped faces and is the one
+immutable object that every certificate flipping them returns; with no
+flip it is M0 itself.
 """
 
 from __future__ import annotations
@@ -144,15 +151,24 @@ class LeapfrogResult:
 
     @_derived
     def _table(self) -> _Table:
-        """The image's certificate table, with the flip candidates of every image hexagon."""
+        """The image's certificate table, each hexagon's flips read off the construction."""
         image, m0 = self.image, self.m0
+        faces, masks = image.faces, image.faces.vertex_masks
         bit = {e: i for i, e in enumerate(image.graph.edges())}
         m0_mask = sum(1 << bit[e] for e in m0.edges)
-        edges = [sum(1 << bit[e] for e in face.boundary_edges()) for face in image.faces]
-        flips = [
-            _checked_flips(self, m0_mask, edges, h) if image.is_hexagon(h) else []
-            for h in range(len(image.faces))
-        ]
+        edges = [sum(1 << bit[e] for e in face.boundary_edges()) for face in faces]
+        flips: list[list[tuple[int, int, int]]] = [[] for _ in faces]
+        for h in self.fresh:
+            flips[h].append((0, 0, 0))
+        for h in self.heritable:
+            if image.is_hexagon(h):
+                ring = faces.across(h)
+                for part in (ring[1::2], ring[0::2]):
+                    verts = flipped = 0
+                    for x in part:
+                        verts |= masks[x]
+                        flipped |= edges[x]
+                    flips[h].append((sum(1 << x for x in part), verts, flipped))
         return _Table(m0_mask, edges, flips, {0: m0})
 
 
@@ -205,57 +221,22 @@ def territory(lf: LeapfrogResult, image_face_id: int) -> Territory:
     return Territory(image_face_id, lf.image.faces.across(image_face_id))
 
 
-def _flip_candidates(lf: LeapfrogResult, image_face_id: int) -> list[frozenset[int]]:
-    """Ring subsets whose flip makes the face M0-alternating.
-
-    Fresh faces already alternate (no flip).  A heritable hexagon needs
-    every other ring face flipped; both alternating triples are candidates,
-    odd positions first.
-    """
-    if image_face_id in lf.fresh:
-        return [frozenset()]
-    ring = territory(lf, image_face_id).ring
-    return [frozenset((ring[1], ring[3], ring[5])), frozenset((ring[0], ring[2], ring[4]))]
-
-
-# A flip candidate as bitmasks: its faces, their vertices and their boundary edges.
-_Flip = tuple[int, int, int]
-
-
 class _Table(NamedTuple):
     """What certificates read of one image, built once as ``LeapfrogResult._table``.
 
-    Edge i is the i-th of ``image.graph.edges()``.  ``winners`` holds the
-    certificates themselves, one immutable ``Matching`` per set of flipped
-    faces, built on first use; flipping nothing gives ``lf.m0`` itself.  It
-    is the one entry written after the table is built.
+    Edge i is the i-th of ``image.graph.edges()``.  A hexagon's flips are
+    read off the construction that ``__post_init__`` checks, so each keeps
+    M0 perfect (see the module docstring); a pentagon has none.
+    ``winners`` holds the certificates themselves, one immutable
+    ``Matching`` per set of flipped faces, built on first use; flipping
+    nothing gives ``lf.m0`` itself.  It is the one entry written after the
+    table is built.
     """
 
     m0: int  # bit i set when edge i is in M0
     edges: list[int]  # per face, bit i set when edge i bounds it
-    flips: list[list[_Flip]]  # per face, its checked candidates; none for a pentagon
+    flips: list[list[tuple[int, int, int]]]  # per face, each flip's face, vertex, edge masks
     winners: dict[int, Matching]  # per flipped-face mask, the certificate
-
-
-def _checked_flips(lf: LeapfrogResult, m0: int, edges: list[int], h: int) -> list[_Flip]:
-    """The candidates of ``_flip_candidates`` for hexagon h whose flip keeps M0 perfect.
-
-    A candidate is dropped when two of its faces share a vertex or one of
-    them does not alternate with M0, that is holds fewer than half its
-    boundary edges in M0 (read off the M0 mask and the faces' edge masks).
-    """
-    masks = lf.image.faces.vertex_masks
-    kept = []
-    for flips in _flip_candidates(lf, h):
-        verts = flipped = 0
-        for x in flips:
-            verts |= masks[x]
-            flipped |= edges[x]
-        if verts.bit_count() == sum(masks[x].bit_count() for x in flips) and all(
-            2 * (edges[x] & m0).bit_count() == masks[x].bit_count() for x in flips
-        ):
-            kept.append((sum(1 << x for x in flips), verts, flipped))
-    return kept
 
 
 def _winner(lf: LeapfrogResult, table: _Table, flips: int) -> Matching:
@@ -279,21 +260,22 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     a fixed order; each must be pairwise vertex-disjoint.  The first
     candidate that alternates on both targets is returned.
 
-    M0 pairs each arc with its reversal, so it is perfect.  What does not
-    depend on the pair is checked once per image, when its table is built:
-    each hexagon's candidates have pairwise disjoint faces that alternate
-    with M0 (``_checked_flips``).  Per pair, on the image's bitmasks
-    (``lf._table`` and ``FaceSet.vertex_masks``), the two candidates' faces
-    must cover six vertices for each face they flip, so they are pairwise
-    disjoint (two fullerene faces share a vertex exactly when they share an
-    edge), and each target must hold three edges of M0 with the flipped
-    edges toggled.
+    M0 pairs each arc with its reversal, so it is perfect.  Each hexagon's
+    candidates are read off the construction once per image, when its
+    table is built, and each alone keeps M0 perfect, as the result is the
+    construction that ``__post_init__`` checks: its faces are fresh faces
+    at pairwise non-adjacent original vertices, which share no image
+    vertex, and a fresh face alternates with the reversal pairs.  Per pair,
+    on the image's bitmasks (``lf._table`` and ``FaceSet.vertex_masks``),
+    the two candidates' faces must cover six vertices for each face they
+    flip, so they are pairwise disjoint (two fullerene faces share a vertex
+    exactly when they share an edge), and each target must hold three edges
+    of M0 with the flipped edges toggled.
     The certificate is built once per set of flipped faces and kept in the
     image's table: every pair that flips the same faces gets the same
     immutable ``Matching``, and flipping nothing gives ``lf.m0`` itself.  It
     is perfect: flipping pairwise disjoint M0-alternating cycles keeps every
-    vertex matched once, while a flipped hexagon holding k < 3 M0 edges
-    would change the size by 6 - 2k, and those candidates are never kept.
+    vertex matched once.
 
     No winner flips a face sharing an edge with a fresh target: both faces
     alternate with M0, so each end of the shared edge is matched along both,
@@ -329,7 +311,7 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
     for a_faces, a_verts, a_edges in table.flips[h1]:
         for b_faces, b_verts, b_edges in table.flips[h2]:
             flips = a_faces | b_faces
-            # every kept face alternates with M0, so it is a hexagon
+            # every flipped face is a fresh face, so it is a hexagon
             if (a_verts | b_verts).bit_count() != 6 * flips.bit_count():
                 continue  # two flipped faces share a vertex
             toggled = m0 ^ (a_edges | b_edges)

@@ -682,12 +682,13 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
     stops and the candidate is finished as the new best. Every candidate has
     3n labels, so this is the exact minimum.
 
-    A start is skipped when an orientation-preserving automorphism found
-    so far maps an earlier labelled start onto it: the automorphism maps
-    one labelling onto the other, so the two codes are equal (the argument is on
-    ``_canonical_pass``).  Under ten random labellings C60 labelled 12-17 of
-    its 360 starts and its leapfrog image 27-68 of 1,080; a graph with no
-    symmetry labels every start.
+    A start is skipped when an earlier labelled start maps onto it under an
+    orientation-preserving automorphism already found when the earlier
+    start was labelled: the automorphism maps one labelling onto the other,
+    so the two codes are equal (the argument is on ``_canonical_pass``).  A
+    map found later marks no image of a start labelled before it.  Under ten
+    random labellings C60 labelled 12-17 of its 360 starts and its leapfrog
+    image 27-68 of 1,080; a graph with no symmetry labels every start.
 
     Encoding: for n <= 255 the byte n, then one byte per label. For larger n
     a 0x00 marker (a one-byte code never starts with 0), n as two bytes, then
@@ -729,9 +730,12 @@ def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[Automorphism, ...
     neighbour v of u in rotation order.  An automorphism a sends the
     labelling from start t to the labelling from a(t) (vertex by vertex,
     with the orientation reversed when a is a reflection), so the two codes
-    are equal.  A start is labelled only when no orientation-preserving
-    automorphism found so far maps an earlier labelled start onto it.  The
-    result is exact:
+    are equal.  Each labelled start, once labelled, marks its later images
+    under the orientation-preserving automorphisms found so far, the map of
+    its own tie included, and a marked start is skipped.  A map found later
+    marks no image of an earlier start: such an image is labelled unless
+    another start marks it.
+    The result is exact:
 
     - A skipped start has the code of an earlier start, and the best only
       goes down, so a skipped start never beats the best and is dropped

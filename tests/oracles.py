@@ -7,7 +7,11 @@ Pfaffian on graphs too large for it.  The package's former
 kernels are kept here, unchanged, as references for the faster ones that
 replaced them; those that call package code (the former ring scan,
 resonance sweep, resonance walk, 2-resonance certificate and face trace)
-import only parts that have not changed since.  The face trace takes the
+import only parts that have not changed since.  The 2-resonance
+certificate imports ``Matching``, ``face_alternates`` and the error
+checks, and builds its flip candidates from ``rings_by_edge``, the faces
+across each face's boundary edges read off its own edge -> faces map;
+nothing here imports ``resonantk.leapfrog``.  The face trace takes the
 ``Face``/``FaceSet`` types and ``EmbeddedGraph.arcs`` but steps round the
 rotation by its own ``ring.index``, and the former canonical pass spells
 out its own turn tables, so neither shares the package's ``_turns``.  They
@@ -515,6 +519,25 @@ def shared_edge(a, b) -> tuple[int, int] | None:
     return common.pop() if len(common) == 1 else None
 
 
+@lru_cache(maxsize=1)
+def rings_by_edge(faces) -> tuple[tuple[int, ...], ...]:
+    """Per face, the face across each boundary edge, in boundary order from its least arc.
+
+    Read off an edge -> faces map of the faces' ``boundary_edges()``, as
+    ``shared_edge`` reads the edge two faces meet in, not the package's face
+    index.  Kept for the last face set asked, which the certificate oracle
+    asks once per pair.
+    """
+    faces_of: dict[tuple[int, int], list[int]] = {}
+    for fid, face in enumerate(faces):
+        for e in face.boundary_edges():
+            faces_of.setdefault(e, []).append(fid)
+    return tuple(
+        tuple(next(g for g in faces_of[e] if g != fid) for e in face.boundary_edges())
+        for fid, face in enumerate(faces)
+    )
+
+
 def _ring_cycles(
     fs, candidates: frozenset[int], max_len: int, root: int
 ) -> list[tuple[int, ...]]:
@@ -676,13 +699,14 @@ def _face_component(fs, start: int, blocked: set[int] | frozenset[int]) -> set[i
 def two_resonance_certificate_by_rebuild(lf, h1: int, h2: int):
     """A 2-resonance certificate as the package found it before its flip table.
 
-    The package's former ``two_resonance_certificate``, kept verbatim: for
-    every candidate pair it rebuilds M0 with the flips applied as a
-    ``Matching`` and checks the whole matching for perfection before the two
-    targets.  ``_flip_candidates`` is unchanged in the package and imported.
+    The package's former ``two_resonance_certificate``: for every candidate
+    pair it rebuilds M0 with the flips applied as a ``Matching`` and checks
+    the whole matching for perfection before the two targets.  The
+    candidates are its own: a fresh target flips nothing, and a heritable
+    one either alternating triple of its ring, odd positions first, with
+    the ring and the faces' adjacency read off ``rings_by_edge``.
     """
     from resonantk.errors import GraphError, check_int
-    from resonantk.leapfrog import _flip_candidates
     from resonantk.matching import Matching, face_alternates
 
     image = lf.image
@@ -693,14 +717,20 @@ def two_resonance_certificate_by_rebuild(lf, h1: int, h2: int):
     if h1 == h2 or image.faces[h1].vertices & image.faces[h2].vertices:
         raise GraphError(f"hexagons {h1} and {h2} must be vertex-disjoint")
 
-    across = image.faces.across
+    rings = rings_by_edge(image.faces)
+
+    def candidates(h: int) -> list[frozenset[int]]:
+        if h in lf.fresh:
+            return [frozenset()]
+        return [frozenset(rings[h][1::2]), frozenset(rings[h][0::2])]
+
     fresh_targets = [h for h in (h1, h2) if h in lf.fresh]
-    for a_set in _flip_candidates(lf, h1):
-        for b_set in _flip_candidates(lf, h2):
+    for a_set in candidates(h1):
+        for b_set in candidates(h2):
             flips = a_set | b_set
-            if any(b in across(a) for a in flips for b in flips):
+            if any(b in rings[a] for a in flips for b in flips):
                 continue  # two flipped faces share a vertex
-            if any(flip in across(t) for t in fresh_targets for flip in flips):
+            if any(flip in rings[t] for t in fresh_targets for flip in flips):
                 continue
             edges = set(lf.m0.edges)
             for fid in flips:

@@ -10,7 +10,12 @@ from itertools import combinations
 
 import pytest
 
-from oracles import leapfrog_provenance, two_resonance_certificate_by_rebuild
+from oracles import (
+    faces_by_sorted_trace,
+    leapfrog_provenance,
+    rings_by_edge,
+    two_resonance_certificate_by_rebuild,
+)
 
 from resonantk.catalog import catalog_names
 from resonantk.cli import run
@@ -145,6 +150,46 @@ def test_certificates_match_the_rebuild_oracle(graphs, relabel, name):
         for a, b in _disjoint_pairs(lf.image):
             got = two_resonance_certificate(lf, a, b)
             assert got.edges == two_resonance_certificate_by_rebuild(lf, a, b).edges, (name, a, b)
+
+
+def _mirrored(f):
+    """f with every rotation reversed: its mirror image."""
+    return validate_fullerene(EmbeddedGraph(tuple(row[::-1] for row in f.graph.rotation)))
+
+
+def test_ring_triples_are_disjoint_fresh_hexagons_alternating_with_m0(graphs, tubes, relabel):
+    # What each flip of the certificate table relies on, computed with
+    # oracle code only: the faces by the former trace, the provenance by
+    # vertex sets and the rings off an edge -> faces map.  Every fresh
+    # hexagon holds three M0 edges, and each heritable hexagon is ringed by
+    # six distinct fresh hexagons whose odd and even triples are each
+    # pairwise vertex-disjoint.  Each catalog graph is taken as built,
+    # relabelled, and relabelled and mirrored.
+    originals = list(tubes.values())
+    for f in graphs.values():
+        originals += [f, relabel(f, 5), _mirrored(relabel(f, 5))]
+    checked = 0
+    for f in originals:
+        lf = leapfrog(f)
+        faces = faces_by_sorted_trace(lf.image.graph)
+        heritable, fresh = leapfrog_provenance(
+            [list(row) for row in f.graph.rotation],
+            [list(face.boundary) for face in faces_by_sorted_trace(f.graph)],
+            [face.vertices for face in faces],
+        )
+        rings = rings_by_edge(faces)
+        for x in fresh:
+            assert faces[x].size == 6
+            assert len(lf.m0.edges & set(faces[x].boundary_edges())) == 3, (f.n, x)
+        for h in heritable:
+            if faces[h].size != 6:
+                continue
+            ring = rings[h]
+            assert len(set(ring)) == 6 and set(ring) <= fresh.keys(), (f.n, h, ring)
+            for part in (ring[1::2], ring[0::2]):
+                assert all(not faces[a].vertices & faces[b].vertices for a, b in combinations(part, 2))
+            checked += 1
+    assert checked == 378
 
 
 def test_certificates_stay_small_in_memory(graphs):
