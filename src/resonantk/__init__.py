@@ -64,7 +64,6 @@ from .resonance import (
     ResonantPattern,
     SextetPolynomial,
     clar,
-    disjoint_hexagon_sets,
     find_g_star,
     fries,
     hexagon_dichotomy_report,
@@ -125,7 +124,6 @@ __all__ = [
     "clar",
     "delete_vertices",
     "detect_r5_r6",
-    "disjoint_hexagon_sets",
     "emit_graph",
     "enumerate_perfect_matchings",
     "faces",

@@ -67,8 +67,9 @@ class Matching:
         return any(v in e for e in self.edges)
 
     def __contains__(self, edge: Edge) -> bool:
-        u, v = edge
-        return ((u, v) if u < v else (v, u)) in self.edges
+        if type(edge) is not tuple or len(edge) != 2 or set(map(type, edge)) != {int}:
+            raise GraphError(f"an edge must be a pair of ints, got {edge!r}")
+        return (min(edge), max(edge)) in self.edges
 
     def serialize(self) -> str:
         """One ``u-v`` line per edge, sorted; the canonical text form."""

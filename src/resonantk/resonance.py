@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, count
 from operator import ne
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from . import kernels, matching
 from .errors import GraphError, check_int, check_ints, check_type
@@ -76,7 +76,9 @@ class SextetPolynomial:
         return self.coefficients[i] if 0 <= i < len(self.coefficients) else 0
 
     def __call__(self, x: int | float) -> int | float:
-        """The polynomial's value at x; exact (an int) when x is an int."""
+        """The value at an int or a float x, not a bool; exact (an int) when x is an int."""
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise GraphError(f"sextet polynomial argument must be an int or a float, got {x!r}")
         total = 0
         for c in reversed(self.coefficients):
             total = total * x + c
@@ -177,42 +179,6 @@ def is_resonant_pattern(
             f"the certificate for {ids} does not alternate on hexagons {missing}"
         )
     return ResonantPattern(ids, cert)
-
-
-def disjoint_hexagon_sets(f: FullereneGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-sets of pairwise vertex-disjoint hexagons, lexicographically.
-
-    Hexagons conflict when they share a vertex, that is when one is across
-    an edge of the other.
-
-    Raises:
-        GraphError: when called, not at the first set, if f is not a
-            ``FullereneGraph`` or k is not an integer >= 0.
-    """
-    return _disjoint_hexagon_sets(check_type("graph", f, FullereneGraph), check_int("set size", k, 0))
-
-
-def _disjoint_hexagon_sets(f: FullereneGraph, k: int) -> Iterator[tuple[int, ...]]:
-    """The sets of :func:`disjoint_hexagon_sets`, for checked arguments."""
-    if k == 0:
-        yield ()
-        return
-    across = f.faces.across_masks
-    # Frames [set so far, hexagons that may extend it, index of the next one to try].
-    stack = [[(), f.hexagon_ids, 0]]
-    while stack:
-        frame = stack[-1]
-        ids, cands, i = frame
-        if i + k - len(ids) > len(cands):
-            stack.pop()
-            continue
-        frame[2] = i + 1
-        h = cands[i]
-        if len(ids) + 1 == k:
-            yield ids + (h,)
-        else:
-            bad = across[h]
-            stack.append([ids + (h,), [c for c in cands[i + 1 :] if not bad >> c & 1], 0])
 
 
 class _Walk(NamedTuple):

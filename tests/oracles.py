@@ -1,23 +1,37 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-These deliberately share no code with the package: maximum matchings come
-from exhaustive search over edge subsets and perfect-matching counts from a
-textbook recursion on the lowest uncovered vertex, or from Kasteleyn's
-Pfaffian on graphs too large for it.  The package's former
-kernels are kept here, unchanged, as references for the faster ones that
-replaced them; those that call package code (the former ring scan,
-resonance sweep, resonance walk, 2-resonance certificate and face trace)
-import only parts that have not changed since.  The 2-resonance
-certificate imports ``Matching``, ``face_alternates`` and the error
-checks, and builds its flip candidates from ``rings_by_edge``, the faces
-across each face's boundary edges read off its own edge -> faces map;
-nothing here imports ``resonantk.leapfrog``.  The face trace takes the
-``Face``/``FaceSet`` types and ``EmbeddedGraph.arcs`` but steps round the
-rotation by its own ``ring.index``, and the former canonical pass spells
-out its own turn tables, so neither shares the package's ``_turns``.  They
-are only usable on small graphs, which is the point - package results on
-small inputs must agree with these, and frozen constants in the
-test-suite were produced by them.
+Maximum matchings come from exhaustive search over edge subsets and
+perfect-matching counts from a textbook recursion on the lowest uncovered
+vertex, or from Kasteleyn's Pfaffian on graphs too large for it.  The
+package's former kernels are kept here as references for the faster ones
+that replaced them.  They are only usable on small graphs, which is the
+point - package results on small inputs must agree with these, and frozen
+constants in the test-suite were produced by them.
+
+Nothing here imports ``resonantk.resonance`` or ``resonantk.leapfrog``,
+the modules whose results the sweep, the walk and the certificate oracle
+check (``test_oracles.py`` holds it to that).  The package imports that
+remain, each made where it is used:
+
+* ``resonantk.matching.is_central`` decides each set of the resonance
+  sweep, and ``resonantk.kernels.mate_array`` and ``augment`` run the
+  searches of the unpruned walk.  These are the Edmonds searches the
+  package's walk runs too; a perfect-matching decision of the oracles' own
+  is still to come, once its cost on the walk tests is measured.
+* ``resonantk.rings_fragments`` gives the former ring scan
+  ``PENTAGONS_ONLY``, ``Ring`` and the ``_check`` and ``_edge_cycles`` its
+  builder called, unchanged in the package since.
+* ``resonantk.plane_graph`` gives the former face trace its result types,
+  ``Face`` and ``FaceSet``, which the tests compare field by field with
+  the package's trace; the trace reads ``EmbeddedGraph.arcs`` but steps
+  round the rotation by its own ``ring.index``, and the former canonical pass spells out its own turn
+  tables, so neither shares the package's ``_turns``.  ``Arc``, ``Edge``
+  and ``EmbeddedGraph`` are imported for type checking only.
+* ``resonantk.errors`` gives the certificate oracle ``GraphError`` and
+  ``check_int``, so that it rejects a pair as the package does.  It takes
+  the fresh faces from ``leapfrog_provenance`` on the former face trace,
+  M0 from the reversal pairs of ``lf.arc_of`` and its flip candidates from
+  ``rings_by_edge``, and tests perfection and alternation on edge sets.
 """
 
 from __future__ import annotations
@@ -29,7 +43,7 @@ from math import isqrt
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
-    from resonantk.plane_graph import Arc, EmbeddedGraph, FaceSet
+    from resonantk.plane_graph import Arc, Edge, EmbeddedGraph, FaceSet
 
 
 def brute_force_maximum_matching_size(n: int, edges: list[tuple[int, int]]) -> int:
@@ -284,40 +298,56 @@ def count_disjoint_hexagon_sets(hexagon_vertex_sets: list[frozenset[int]], k: in
     return total
 
 
-def resonance_order_by_sweep(f, max_k: int | None = None):
+def disjoint_hexagon_sets(f, k: int) -> Iterator[tuple[int, ...]]:
+    """Every k-set of pairwise vertex-disjoint hexagons of f, lexicographically.
+
+    Depth first over the hexagons' vertex sets: a set is extended only by
+    the later hexagons that miss every vertex of it, so no set of hexagons
+    that meet is ever formed (checking every k-combination of C60's 20
+    hexagons is far slower).
+    """
+
+    def extend(ids: tuple[int, ...], later: list[tuple[int, frozenset[int]]]):
+        if len(ids) == k:
+            yield ids
+            return
+        for i, (h, vertices) in enumerate(later):
+            yield from extend(ids + (h,), [c for c in later[i + 1 :] if not c[1] & vertices])
+
+    return extend((), [(h, f.faces[h].vertices) for h in sorted(f.hexagon_ids)])
+
+
+def resonance_order_by_sweep(f, max_k: int | None = None) -> tuple[int | str, tuple[int, ...] | None, bool]:
     """The resonance order as the package found it before the single walk.
 
-    The package's former ``resonance_order``, kept verbatim: sizes swept
-    upward over ``disjoint_hexagon_sets`` in lexicographic order, each set
-    decided by ``matching.is_central`` (which the package's former resonance
-    memo called, once per set).
+    The package's former ``resonance_order``: sizes swept upward over
+    ``disjoint_hexagon_sets`` above, each set decided by
+    ``matching.is_central``.  Returns ``(order, failing, capped)``, the
+    fields of the package's ``OrderReport``: the order is one less than the
+    first size with a set that is not central, that set failing; "ALL" when
+    a size has no disjoint set at all; ``max_k``, capped, past ``max_k``.
     """
-    from resonantk.errors import check_int
     from resonantk.matching import is_central
-    from resonantk.resonance import ALL, OrderReport, disjoint_hexagon_sets
 
-    if max_k is not None:
-        check_int("max_k", max_k, 0)
     k = 1
-    while True:
-        if max_k is not None and k > max_k:
-            return OrderReport(max_k, None, capped=True)
+    while max_k is None or k <= max_k:
         any_set = False
         for ids in disjoint_hexagon_sets(f, k):
             any_set = True
             if not is_central(f, ids):
-                return OrderReport(k - 1, ids)
+                return k - 1, ids, False
         if not any_set:
-            return OrderReport(ALL, None)
+            return "ALL", None, False
         k += 1
+    return max_k, None, True
 
 
 def sextet_by_unpruned_walk(f) -> tuple[int, ...]:
     """Sextet coefficients as the package's former walk counted them.
 
-    Its former ``sextet`` without the memo writes: each resonant set is
-    extended by every later hexagon that misses it, whether or not that
-    hexagon extends the set's parent.
+    The package's former ``sextet`` walk with no pruning and no symmetry:
+    each resonant set is extended by every later hexagon that misses it,
+    whether or not that hexagon extends the set's parent.
     """
     from resonantk import kernels
 
@@ -363,15 +393,18 @@ def leapfrog_provenance(
     adj: list[list[int]],
     face_boundaries: list[list[int]],
     image_face_vertex_sets: list[frozenset[int]],
+    arcs: Sequence[tuple[int, int]] | None = None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Classify leapfrog image faces by vertex-set identity.
 
-    Image vertex i is the i-th arc of the original graph in sorted order.  A
-    heritable image face consists of the arcs of one original face's
-    boundary cycle, a fresh one of the six arcs touching one original
-    vertex.  Returns (image face -> original face, image face -> vertex).
+    Image vertex i is the arc ``arcs[i]`` of the original graph, by default
+    its i-th arc in sorted order.  A heritable image face consists of the
+    arcs of one original face's boundary cycle, a fresh one of the six arcs
+    touching one original vertex.  Returns (image face -> original face,
+    image face -> vertex).
     """
-    arcs = sorted((v, w) for v in range(len(adj)) for w in adj[v])
+    if arcs is None:
+        arcs = sorted((v, w) for v in range(len(adj)) for w in adj[v])
     index = {a: i for i, a in enumerate(arcs)}
     by_vertex_set: dict[frozenset[int], tuple[str, int]] = {}
     for fid, cycle in enumerate(face_boundaries):
@@ -525,8 +558,7 @@ def rings_by_edge(faces) -> tuple[tuple[int, ...], ...]:
 
     Read off an edge -> faces map of the faces' ``boundary_edges()``, as
     ``shared_edge`` reads the edge two faces meet in, not the package's face
-    index.  Kept for the last face set asked, which the certificate oracle
-    asks once per pair.
+    index.  Kept for the last face set asked.
     """
     faces_of: dict[tuple[int, int], list[int]] = {}
     for fid, face in enumerate(faces):
@@ -696,35 +728,57 @@ def _face_component(fs, start: int, blocked: set[int] | frozenset[int]) -> set[i
     return comp
 
 
-def two_resonance_certificate_by_rebuild(lf, h1: int, h2: int):
-    """A 2-resonance certificate as the package found it before its flip table.
+@lru_cache(maxsize=1)
+def _leapfrog_tables(lf) -> tuple[FaceSet, tuple[tuple[int, ...], ...], frozenset[int], frozenset[Edge]]:
+    """The image's faces by the former trace, their rings, the fresh faces and M0 as an edge set.
+
+    The fresh faces are ``leapfrog_provenance``'s, on the former trace of
+    the original and of the image, and M0 pairs each image vertex with the
+    vertex of its reversed arc, both read off ``lf.arc_of``.  Kept for the
+    last leapfrog result asked, which the certificate oracle asks once per
+    pair.
+    """
+    faces = faces_by_sorted_trace(lf.image.graph)
+    _, fresh = leapfrog_provenance(
+        [list(row) for row in lf.original.graph.rotation],
+        [list(face.boundary) for face in faces_by_sorted_trace(lf.original.graph)],
+        [face.vertices for face in faces],
+        lf.arc_of,
+    )
+    index = {arc: i for i, arc in enumerate(lf.arc_of)}
+    m0 = frozenset((i, index[v, u]) for i, (u, v) in enumerate(lf.arc_of) if i < index[v, u])
+    return faces, rings_by_edge(faces), frozenset(fresh), m0
+
+
+def two_resonance_certificate_by_rebuild(lf, h1: int, h2: int) -> frozenset[Edge]:
+    """The edges of a 2-resonance certificate as the package found it before its flip table.
 
     The package's former ``two_resonance_certificate``: for every candidate
-    pair it rebuilds M0 with the flips applied as a ``Matching`` and checks
-    the whole matching for perfection before the two targets.  The
-    candidates are its own: a fresh target flips nothing, and a heritable
-    one either alternating triple of its ring, odd positions first, with
-    the ring and the faces' adjacency read off ``rings_by_edge``.
+    pair it rebuilds M0 with the flips applied and checks the whole
+    matching for perfection before the two targets, here with set code of
+    its own.  The candidates are its own: a fresh target flips nothing, and
+    a heritable one either alternating triple of its ring, odd positions
+    first, with the ring and the faces' adjacency read off
+    ``rings_by_edge``.  The faces, the fresh ones among them and M0 are
+    ``_leapfrog_tables``'.
     """
     from resonantk.errors import GraphError, check_int
-    from resonantk.matching import Matching, face_alternates
 
-    image = lf.image
+    faces, rings, fresh, m0 = _leapfrog_tables(lf)
+    n = lf.image.n
     for h in (h1, h2):
         check_int("face id", h)
-        if not 0 <= h < len(image.faces) or not image.is_hexagon(h):
+        if not 0 <= h < len(faces) or faces[h].size != 6:
             raise GraphError(f"face {h} is not a hexagon of the leapfrog image")
-    if h1 == h2 or image.faces[h1].vertices & image.faces[h2].vertices:
+    if h1 == h2 or faces[h1].vertices & faces[h2].vertices:
         raise GraphError(f"hexagons {h1} and {h2} must be vertex-disjoint")
 
-    rings = rings_by_edge(image.faces)
-
     def candidates(h: int) -> list[frozenset[int]]:
-        if h in lf.fresh:
+        if h in fresh:
             return [frozenset()]
         return [frozenset(rings[h][1::2]), frozenset(rings[h][0::2])]
 
-    fresh_targets = [h for h in (h1, h2) if h in lf.fresh]
+    fresh_targets = [h for h in (h1, h2) if h in fresh]
     for a_set in candidates(h1):
         for b_set in candidates(h2):
             flips = a_set | b_set
@@ -732,21 +786,18 @@ def two_resonance_certificate_by_rebuild(lf, h1: int, h2: int):
                 continue  # two flipped faces share a vertex
             if any(flip in rings[t] for t in fresh_targets for flip in flips):
                 continue
-            edges = set(lf.m0.edges)
+            edges = set(m0)
             for fid in flips:
-                edges.symmetric_difference_update(image.faces[fid].boundary_edges())
-            candidate = Matching(frozenset(edges), image)
+                edges.symmetric_difference_update(faces[fid].boundary_edges())
             if (
-                2 * candidate.size == image.n
-                and len(candidate.covered()) == image.n
-                and face_alternates(image.faces[h1], candidate)
-                and face_alternates(image.faces[h2], candidate)
+                2 * len(edges) == n
+                and len({v for e in edges for v in e}) == n
+                and all(len(edges.intersection(faces[h].boundary_edges())) == 3 for h in (h1, h2))
             ):
-                return candidate
+                return frozenset(edges)
     raise RuntimeError(
         f"no territory flip makes hexagons {h1} and {h2} alternate together"
     )
-
 
 
 def _trace_face_cycles(g: EmbeddedGraph) -> list[tuple[Arc, ...]]:

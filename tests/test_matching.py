@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,19 @@ def test_matching_covers_and_contains(graphs):
     u, v = next(iter(m.edges))
     assert (v, u) in m
     assert m.covers(u)
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [5, None, (1, 2, 3), (0,), [0, 1], (True, 1), (0, 1.0), "ab"],
+    ids=["int", "none", "triple", "single", "list", "bool", "float", "str"],
+)
+def test_matching_contains_only_a_pair_of_ints(graphs, edge):
+    # a GraphError naming the value, never a TypeError or a ValueError
+    m = maximum_matching(graphs["F24"])
+    message = f"an edge must be a pair of ints, got {re.escape(repr(edge))}"
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        edge in m
 
 
 def test_is_central(graphs):

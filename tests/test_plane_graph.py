@@ -8,6 +8,7 @@ import inspect
 import random
 import re
 import threading
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -938,17 +939,12 @@ def test_faces_meet_exactly_when_across(indexed):
 
 
 def test_hexagon_conflicts_are_shared_vertices(indexed):
-    from resonantk.resonance import disjoint_hexagon_sets
-
+    # the walks extend a hexagon set only by hexagons off its across masks
     for name, f in indexed.items():
-        hexes = f.hexagon_ids
-        disjoint = [
-            (a, b)
-            for i, a in enumerate(hexes)
-            for b in hexes[i + 1 :]
-            if not f.faces[a].vertices & f.faces[b].vertices
-        ]
-        assert list(disjoint_hexagon_sets(f, 2)) == disjoint, name
+        across = f.faces.across_masks
+        for a, b in combinations(f.hexagon_ids, 2):
+            meet = bool(f.faces[a].vertices & f.faces[b].vertices)
+            assert bool(across[a] >> b & 1) == bool(across[b] >> a & 1) == meet, (name, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -990,7 +986,6 @@ def good_arguments(graphs, catalog):
         "clar": [f],
         "delete_vertices": [f, [0]],
         "detect_r5_r6": [f],
-        "disjoint_hexagon_sets": [f, 1],
         "emit_graph": [f],
         "enumerate_perfect_matchings": [f],
         "faces": [f],
@@ -1042,7 +1037,7 @@ _CASES = [
 def test_the_argument_table_covers_every_public_function(good_arguments):
     names = {name for name, _, _ in _checked_positions()}
     assert names == set(good_arguments)
-    assert len(names) == 33
+    assert len(names) == 32
     assert EITHER_GRAPH_TYPE <= names
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     count_disjoint_hexagon_sets,
+    disjoint_hexagon_sets,
     resonance_order_by_sweep,
     resonant_by_brute_force,
     sextet_by_unpruned_walk,
@@ -37,7 +39,6 @@ from resonantk.resonance import (
     ALL,
     OrderReport,
     clar,
-    disjoint_hexagon_sets,
     find_g_star,
     fries,
     hexagon_dichotomy_report,
@@ -67,6 +68,18 @@ def test_sextet_coefficients_count_disjoint_sets(graphs):
         # here every disjoint set is resonant, so sigma == raw disjoint count
         assert poly.sigma(i) == count_disjoint_hexagon_sets(hex_sets, i)
         assert poly.sigma(i) == sum(1 for _ in disjoint_hexagon_sets(f, i))
+
+
+@pytest.mark.parametrize(
+    "x", ["x", None, True, False, 1j, [2]], ids=["str", "none", "true", "false", "complex", "list"]
+)
+def test_sextet_polynomial_takes_an_int_or_a_float(graphs, x):
+    # a GraphError naming the value, never a TypeError, and no value at a bool
+    poly = sextet(graphs["F24"])
+    message = f"sextet polynomial argument must be an int or a float, got {re.escape(repr(x))}"
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        poly(x)
+    assert (poly(2), poly(-1), poly(0.5)) == (9, 0, 2.25)
 
 
 def test_is_resonant_certificate_alternates(graphs):
@@ -131,7 +144,6 @@ def test_is_resonant_rejections(graphs):
         lambda f: matching.is_central(f, 2.0),
         lambda f: matching.is_central(f, True),
         lambda f: two_resonance_certificate(leapfrog(f), 1.5, 3),
-        lambda f: list(disjoint_hexagon_sets(f, 1.5)),
         lambda f: delete_vertices(f, [1.5]),
         lambda f: psi(f, 1.5),
         lambda f: psi(f, True),
@@ -139,7 +151,7 @@ def test_is_resonant_rejections(graphs):
         lambda f: sextet(f).sigma(1.0),
     ],
     ids=[
-        "pattern", "central-float", "central-bool", "certificate", "sets", "delete",
+        "pattern", "central-float", "central-bool", "certificate", "delete",
         "psi-float", "psi-bool", "sigma-bool", "sigma-float",
     ],
 )
@@ -175,21 +187,6 @@ def test_ids_and_sizes_must_be_integers(graphs, call):
 def test_collection_arguments_are_checked(graphs, call, message):
     with pytest.raises(GraphError, match=f"^{message}$"):
         call(graphs["C60"])
-
-
-@pytest.mark.parametrize(
-    "f, k, message",
-    [
-        ("C60", -1, "set size must be at least 0, got -1"),
-        ("C60", "a", "set size must be an integer, got 'a'"),
-        (None, 2, "graph must be a FullereneGraph, got NoneType"),
-    ],
-    ids=["negative", "string", "none"],
-)
-def test_disjoint_hexagon_sets_checks_its_arguments_when_called(graphs, f, k, message):
-    # a generator would raise only at its first set
-    with pytest.raises(GraphError, match=f"^{message}$"):
-        disjoint_hexagon_sets(graphs.get(f), k)
 
 
 def test_out_of_range_ids_keep_their_messages(graphs):
@@ -344,13 +341,6 @@ def test_dichotomy_odd_cycles_lie_off_each_hexagon(graphs, relabel):
                     assert b in g.graph.rotation[a], name
 
 
-def test_disjoint_hexagon_sets_lex_order(graphs):
-    f = graphs["F36_1"]
-    pairs = list(disjoint_hexagon_sets(f, 2))
-    assert pairs == sorted(pairs)
-    assert all(a < b for a, b in pairs)
-
-
 def _fresh(name):
     """A newly built graph, so it holds only the tables the test builds."""
     if name[:3] in ("R5_", "R6_"):
@@ -380,7 +370,7 @@ def test_sextet_matches_brute_force_oracle(graphs, tubes):
 
 
 @pytest.mark.parametrize("name", ["F48", "R6_2"])
-def test_walk_memo_agrees_with_is_central(name):
+def test_walk_counts_the_sets_is_central_accepts(name):
     # the walk keeps no sets, only counts: they add up to the disjoint sets
     # of every size that is_central accepts
     f = _fresh(name)
@@ -397,6 +387,11 @@ def test_walk_memo_agrees_with_is_central(name):
 WALKED = catalog_names() + tuple(f"R5_{k}" for k in range(1, 7)) + tuple(
     f"R6_{k}" for k in range(1, 5)
 )
+
+
+def _order(g, cap):
+    """``resonance_order(g, cap)`` as the sweep oracle gives it: (order, failing, capped)."""
+    return dataclasses.astuple(resonance_order(g, cap))
 
 
 def _reflected(f):
@@ -416,15 +411,15 @@ def test_walk_matches_the_sweep(name, relabel):
     for g in (_fresh(name), relabel(_fresh(name), seed), _reflected(relabel(_fresh(name), seed + 50))):
         expected = [resonance_order_by_sweep(g, cap) for cap in caps]
         unpruned = sextet_by_unpruned_walk(g)
-        assert [resonance_order(g, cap) for cap in caps] == expected
+        assert [_order(g, cap) for cap in caps] == expected
         # The full walk is built exactly when the walks at 2 and 3 both
         # pass: every disjoint set of at most 3 hexagons is resonant, and
         # one of 3 exists.
-        failing = expected[0].failing
+        _, failing, _ = expected[0]
         assert ("_walk" in vars(g)) == ((failing is None or len(failing) > 3) and len(unpruned) > 3)
         coefficients.add(sextet(g).coefficients)
         assert coefficients == {unpruned}
-        assert [resonance_order(g, cap) for cap in caps] == expected
+        assert [_order(g, cap) for cap in caps] == expected
 
 
 def _nonzero_counts(walk):
@@ -587,9 +582,7 @@ def test_walk_does_not_depend_on_labels(relabel, name, seed, reflect):
     if reflect:
         g = _reflected(g)
     caps = (None, 1, 2)
-    assert [resonance_order(g, cap) for cap in caps] == [
-        resonance_order_by_sweep(g, cap) for cap in caps
-    ]
+    assert [_order(g, cap) for cap in caps] == [resonance_order_by_sweep(g, cap) for cap in caps]
     assert sextet(g).coefficients == sextet_by_unpruned_walk(g)
 
 
@@ -602,7 +595,7 @@ def _tables(obj):
 _BUILT_WITH = {"faces", "pentagon_ids", "hexagon_ids"}
 
 
-def test_memo_keeps_no_resonant_sets():
+def test_graph_keeps_the_walk_summary_and_no_resonant_sets():
     f = _fresh("C70")
     resonance_order(f)
     hexagon_dichotomy_report(f)
