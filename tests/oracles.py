@@ -30,8 +30,9 @@ remain, each made where it is used:
 * ``resonantk.errors`` gives the certificate oracle ``GraphError`` and
   ``check_int``, so that it rejects a pair as the package does.  It takes
   the fresh faces from ``leapfrog_provenance`` on the former face trace,
-  M0 from the reversal pairs of ``lf.arc_of`` and its flip candidates from
-  ``rings_by_edge``, and tests perfection and alternation on edge sets.
+  M0 from the reversal pairs of the original's arcs in sorted order and its
+  flip candidates from ``rings_by_edge``, and tests perfection and
+  alternation on edge sets.
 """
 
 from __future__ import annotations
@@ -393,18 +394,15 @@ def leapfrog_provenance(
     adj: list[list[int]],
     face_boundaries: list[list[int]],
     image_face_vertex_sets: list[frozenset[int]],
-    arcs: Sequence[tuple[int, int]] | None = None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Classify leapfrog image faces by vertex-set identity.
 
-    Image vertex i is the arc ``arcs[i]`` of the original graph, by default
-    its i-th arc in sorted order.  A heritable image face consists of the
-    arcs of one original face's boundary cycle, a fresh one of the six arcs
-    touching one original vertex.  Returns (image face -> original face,
-    image face -> vertex).
+    Image vertex i is the i-th arc of the original graph in sorted order.  A
+    heritable image face consists of the arcs of one original face's
+    boundary cycle, a fresh one of the six arcs touching one original
+    vertex.  Returns (image face -> original face, image face -> vertex).
     """
-    if arcs is None:
-        arcs = sorted((v, w) for v in range(len(adj)) for w in adj[v])
+    arcs = sorted((v, w) for v in range(len(adj)) for w in adj[v])
     index = {a: i for i, a in enumerate(arcs)}
     by_vertex_set: dict[frozenset[int], tuple[str, int]] = {}
     for fid, cycle in enumerate(face_boundaries):
@@ -734,19 +732,20 @@ def _leapfrog_tables(lf) -> tuple[FaceSet, tuple[tuple[int, ...], ...], frozense
 
     The fresh faces are ``leapfrog_provenance``'s, on the former trace of
     the original and of the image, and M0 pairs each image vertex with the
-    vertex of its reversed arc, both read off ``lf.arc_of``.  Kept for the
-    last leapfrog result asked, which the certificate oracle asks once per
-    pair.
+    vertex of its reversed arc, image vertex i being the original's i-th
+    arc in sorted order.  Kept for the last leapfrog result asked, which
+    the certificate oracle asks once per pair.
     """
+    adj = [list(row) for row in lf.original.graph.rotation]
     faces = faces_by_sorted_trace(lf.image.graph)
     _, fresh = leapfrog_provenance(
-        [list(row) for row in lf.original.graph.rotation],
+        adj,
         [list(face.boundary) for face in faces_by_sorted_trace(lf.original.graph)],
         [face.vertices for face in faces],
-        lf.arc_of,
     )
-    index = {arc: i for i, arc in enumerate(lf.arc_of)}
-    m0 = frozenset((i, index[v, u]) for i, (u, v) in enumerate(lf.arc_of) if i < index[v, u])
+    arcs = sorted((v, w) for v in range(len(adj)) for w in adj[v])
+    index = {arc: i for i, arc in enumerate(arcs)}
+    m0 = frozenset((i, index[v, u]) for i, (u, v) in enumerate(arcs) if i < index[v, u])
     return faces, rings_by_edge(faces), frozenset(fresh), m0
 
 

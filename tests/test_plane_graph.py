@@ -8,7 +8,6 @@ import inspect
 import random
 import re
 import threading
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -936,15 +935,6 @@ def test_faces_meet_exactly_when_across(indexed):
                     assert set(shared_edge(a, b)) == a.vertices & b.vertices
                 else:
                     assert shared_edge(a, b) is None
-
-
-def test_hexagon_conflicts_are_shared_vertices(indexed):
-    # the walks extend a hexagon set only by hexagons off its across masks
-    for name, f in indexed.items():
-        across = f.faces.across_masks
-        for a, b in combinations(f.hexagon_ids, 2):
-            meet = bool(f.faces[a].vertices & f.faces[b].vertices)
-            assert bool(across[a] >> b & 1) == bool(across[b] >> a & 1) == meet, (name, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,9 @@ def test_analyze_stays_small_and_keeps_its_answers(r6_6):
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     flags = ["-O"] * sys.flags.optimize
     done = subprocess.run(
-        [sys.executable, *flags, "-c", ANALYZE, str(r6_6)], env=env, capture_output=True, check=True
+        [sys.executable, *flags, "-c", ANALYZE, str(r6_6)], env=env, capture_output=True, text=True
     )
+    assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
     assert result["code"] == 0, done.stderr
     report = json.loads(result["report"])
