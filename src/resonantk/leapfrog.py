@@ -12,13 +12,13 @@ kinds:
 * *fresh* faces - the six arcs touching one original vertex, always
   hexagons, and always M0-alternating.
 
-A ``LeapfrogResult`` holds the original, the image and ``arc_of``, the arc
-each image vertex is; it is checked when built, however it is built, to be
-exactly this construction.  M0 and the provenance of every image face are
-derived from it: the image arc from an original face's first boundary arc
-to its second lies on the heritable face of that face, and the image arc
-from (u, v) to its reversal lies on the fresh face at v; both faces are
-looked up in the image's face index.
+A ``LeapfrogResult`` holds the original and ``arc_of``, the arc each image
+vertex is, so it is this construction however it is built; any order of
+the arcs labels the same image.  The image, M0 and the provenance of every
+image face are derived from the two: the image arc from an original
+face's first boundary arc to its second lies on the heritable face of
+that face, and the image arc from (u, v) to its reversal lies on the
+fresh face at v; both faces are looked up in the image's face index.
 
 Around each heritable face sits its *territory*: the ring of fresh faces
 met across its boundary edges, listed in boundary order starting at the
@@ -36,13 +36,12 @@ bitmask, and the flips of every image hexagon, read off the construction;
 the faces' vertex bitmasks are the image ``FaceSet``'s.  A fresh hexagon
 flips nothing, and a heritable hexagon flips either alternating triple of
 its ring, odd positions first, as face, vertex and edge bitmasks.  Each
-flip alone keeps M0 perfect because the result is the construction, which
-``__post_init__`` checks.  The ring faces of a heritable face are the
-fresh faces at the original face's vertices, in boundary order, so a
-triple's faces sit at three pairwise non-adjacent original vertices (a
-fullerene has no cycle shorter than five); fresh faces at non-adjacent
-original vertices share no image vertex, as an image vertex is an arc
-between its two ends.  A fresh face alternates with the reversal pairs:
+flip alone keeps M0 perfect because the image is the construction.  The
+ring faces of a heritable face are the fresh faces at the original face's
+vertices, in boundary order, so a triple's faces sit at three pairwise
+non-adjacent original vertices (a fullerene has no cycle shorter than
+five); fresh faces at non-adjacent original vertices share no image
+vertex, as an image vertex is an arc between its two ends.  A fresh face alternates with the reversal pairs:
 its boundary takes turns between the reversal edge of an arc at its
 vertex and the image edge to the next arc.  Flipping pairwise disjoint
 M0-alternating cycles of a perfect matching gives a perfect matching.
@@ -74,14 +73,13 @@ from .plane_graph import (
 class LeapfrogResult:
     """The leapfrog image of ``original``, with the arc each image vertex is.
 
-    Image vertex i is the arc ``arc_of[i]`` of the original.  Checked when
-    built, however it is built, to be the construction: ``original`` and
-    ``image`` must be ``FullereneGraph``s and ``arc_of`` a tuple of pairs
-    of ints listing each arc of the original once; the image must have one
-    vertex per arc, and vertex i the clockwise neighbours ``_rotation``
-    gives arc ``arc_of[i]``, from any of the three.  ``m0``, ``heritable``
-    and ``fresh`` are tables derived from the three; the check builds the
-    last two.
+    Image vertex i is the arc ``arc_of[i]`` of the original, and its
+    clockwise neighbours are those ``_rotation`` gives that arc; any order
+    of the arcs labels the same image.  Checked when built, however it is
+    built: ``original`` must be a ``FullereneGraph`` and ``arc_of`` a tuple
+    of pairs of ints listing each arc of the original once.  ``image``,
+    ``m0``, ``heritable`` and ``fresh`` are tables derived from the two; the
+    check builds the image and the last two.
 
     Raises:
         GraphError: naming the field that fails.
@@ -90,31 +88,18 @@ class LeapfrogResult:
     """
 
     original: FullereneGraph
-    image: FullereneGraph
     arc_of: tuple[Arc, ...]  # image vertex -> original arc
 
     def __post_init__(self) -> None:
         original = check_type("LeapfrogResult original", self.original, FullereneGraph)
-        image = check_type("LeapfrogResult image", self.image, FullereneGraph)
-        arc_of = self.arc_of
-        found = _stray_types(arc_of)
+        found = _stray_types(self.arc_of)
         if found:
             raise GraphError(f"LeapfrogResult arc_of must be a tuple of pairs of ints, found {found}")
         arcs = original.graph.arcs()
-        if sorted(arc_of) != arcs:
+        if sorted(self.arc_of) != arcs:
             raise GraphError(f"LeapfrogResult arc_of must list each of the original's {len(arcs)} arcs once")
-        rows = image.graph.rotation
-        if len(rows) != len(arcs):
-            raise GraphError(f"LeapfrogResult image has {len(rows)} vertices, not one per original arc")
-        want = _rotation(original.graph, self._index)
-        if rows != want:
-            for i, (row, (a, b, c)) in enumerate(zip(rows, want)):
-                if row not in ((a, b, c), (b, c, a), (c, a, b)):
-                    raise GraphError(
-                        f"LeapfrogResult image vertex {i} has neighbours {row}, not those of"
-                        f" arc {arc_of[i]} in the leapfrog, {(a, b, c)} clockwise"
-                    )
         # what territories and certificates read without a check
+        image = self.image
         fresh_hexagons = self.fresh.keys() & set(image.hexagon_ids)
         for img in self.heritable:
             ring = image.faces.across(img)
@@ -125,6 +110,11 @@ class LeapfrogResult:
     def _index(self) -> dict[Arc, int]:
         """Each arc of the original -> its image vertex."""
         return {arc: i for i, arc in enumerate(self.arc_of)}
+
+    @_derived
+    def image(self) -> FullereneGraph:
+        """The leapfrog image, one vertex per arc in ``arc_of`` order."""
+        return validate_fullerene(EmbeddedGraph(_rotation(self.original.graph, self._index)))
 
     @_derived
     def m0(self) -> Matching:
@@ -161,7 +151,7 @@ class LeapfrogResult:
         for h in self.fresh:
             flips[h].append((0, 0, 0))
         for h in self.heritable:
-            if image.is_hexagon(h):
+            if faces[h].size == 6:
                 ring = faces.across(h)
                 for part in (ring[1::2], ring[0::2]):
                     verts = flipped = 0
@@ -198,10 +188,7 @@ def leapfrog(f: FullereneGraph) -> LeapfrogResult:
     Raises:
         GraphError: if f is not a ``FullereneGraph``.
     """
-    g = check_type("graph", f, FullereneGraph).graph
-    arcs = tuple(g.arcs())
-    image = validate_fullerene(EmbeddedGraph(_rotation(g, {a: i for i, a in enumerate(arcs)})))
-    return LeapfrogResult(f, image, arcs)
+    return LeapfrogResult(check_type("graph", f, FullereneGraph), tuple(f.graph.arcs()))
 
 
 def territory(lf: LeapfrogResult, image_face_id: int) -> Territory:
@@ -225,12 +212,11 @@ class _Table(NamedTuple):
     """What certificates read of one image, built once as ``LeapfrogResult._table``.
 
     Edge i is the i-th of ``image.graph.edges()``.  A hexagon's flips are
-    read off the construction that ``__post_init__`` checks, so each keeps
-    M0 perfect (see the module docstring); a pentagon has none.
-    ``winners`` holds the certificates themselves, one immutable
-    ``Matching`` per set of flipped faces, built on first use; flipping
-    nothing gives ``lf.m0`` itself.  It is the one entry written after the
-    table is built.
+    read off the construction, so each keeps M0 perfect (see the module
+    docstring); a pentagon has none.  ``winners`` holds the certificates
+    themselves, one immutable ``Matching`` per set of flipped faces, built
+    on first use; flipping nothing gives ``lf.m0`` itself.  It is the one
+    entry written after the table is built.
     """
 
     m0: int  # bit i set when edge i is in M0
@@ -262,15 +248,15 @@ def two_resonance_certificate(lf: LeapfrogResult, h1: int, h2: int) -> Matching:
 
     M0 pairs each arc with its reversal, so it is perfect.  Each hexagon's
     candidates are read off the construction once per image, when its
-    table is built, and each alone keeps M0 perfect, as the result is the
-    construction that ``__post_init__`` checks: its faces are fresh faces
-    at pairwise non-adjacent original vertices, which share no image
-    vertex, and a fresh face alternates with the reversal pairs.  Per pair,
-    on the image's bitmasks (``lf._table`` and ``FaceSet.vertex_masks``),
-    the two candidates' faces must cover six vertices for each face they
-    flip, so they are pairwise disjoint (two fullerene faces share a vertex
-    exactly when they share an edge), and each target must hold three edges
-    of M0 with the flipped edges toggled.
+    table is built, and each alone keeps M0 perfect, as the image is the
+    construction: its faces are fresh faces at pairwise non-adjacent
+    original vertices, which share no image vertex, and a fresh face
+    alternates with the reversal pairs.  Per pair, on the image's bitmasks
+    (``lf._table`` and ``FaceSet.vertex_masks``), the two candidates' faces
+    must cover six vertices for each face they flip, so they are pairwise
+    disjoint (two fullerene faces share a vertex exactly when they share an
+    edge), and each target must hold three edges of M0 with the flipped
+    edges toggled.
     The certificate is built once per set of flipped faces and kept in the
     image's table: every pair that flips the same faces gets the same
     immutable ``Matching``, and flipping nothing gives ``lf.m0`` itself.  It

@@ -64,6 +64,8 @@ class Matching:
         return frozenset(chain.from_iterable(self.edges))
 
     def covers(self, v: int) -> bool:
+        if type(v) is not int:
+            raise GraphError(f"a vertex must be an int, got {v!r}")
         return any(v in e for e in self.edges)
 
     def __contains__(self, edge: Edge) -> bool:
@@ -334,14 +336,22 @@ def resolve_pm_cap(cap: int | None = None) -> int:
 def perfect_mate_tuples(g: object, cap: int | None = None) -> list[tuple[int, ...]]:
     """All perfect matchings as mate tuples, in the kernel's search order.
 
-    The one call into ``kernels.perfect_matchings`` (made through the module,
-    so that a tracer patching it sees every call); callers that only score
-    matchings use the tuples without building ``Matching`` objects, and
-    need no order.  The kernel itself returns none for a graph of odd order.
+    Callers that only score matchings use the tuples without building
+    ``Matching`` objects, and need no order.  The kernel itself returns none
+    for a graph of odd order.
 
     Raises:
         GuardExceeded: if the graph has more perfect matchings than the cap
             (no partial results are returned).
+    """
+    return _perfect_mates(g, cap)[1]
+
+
+def _perfect_mates(g: object, cap: int | None) -> tuple[Sequence[Sequence[int]], list[tuple[int, ...]]]:
+    """g's adjacency rows, resolved once, and ``perfect_mate_tuples(g, cap)``.
+
+    The one call into ``kernels.perfect_matchings`` (made through the module,
+    so that a tracer patching it sees every call).
     """
     limit = resolve_pm_cap(cap)
     n, adj = _adjacency(g)
@@ -351,7 +361,7 @@ def perfect_mate_tuples(g: object, cap: int | None = None) -> list[tuple[int, ..
             f"perfect matching count exceeds the cap of {limit}; "
             f"raise it via the cap argument or {_PM_CAP_ENV}"
         )
-    return found
+    return adj, found
 
 
 def enumerate_perfect_matchings(g: object, cap: int | None = None) -> tuple[Matching, ...]:
@@ -370,8 +380,7 @@ def enumerate_perfect_matchings(g: object, cap: int | None = None) -> tuple[Matc
         GuardExceeded: if the graph has more perfect matchings than the cap
             (no partial results are returned).
     """
-    found = perfect_mate_tuples(g, cap)
-    _, adj = _adjacency(g)
+    adj, found = _perfect_mates(g, cap)
     pos = [{u: i for i, u in enumerate(dict.fromkeys(row))} for row in adj]
     found.sort(key=lambda mates: tuple(pos[v][w] if v < w else -1 for v, w in enumerate(mates)))
     return tuple(_matching_from_mates(mates, g) for mates in found)

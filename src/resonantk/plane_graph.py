@@ -174,6 +174,13 @@ class EmbeddedGraph:
         return len(self.rotation)
 
     def neighbors(self, v: int) -> tuple[int, int, int]:
+        """Vertex v's neighbours, clockwise.
+
+        Raises:
+            GraphError: if v is not an int id of a vertex.
+        """
+        if type(v) is not int or not 0 <= v < self.n:
+            raise GraphError(f"vertex must be an int from 0 to {self.n - 1}, got {v!r}")
         return self.rotation[v]
 
     def edges(self) -> list[Edge]:
@@ -338,7 +345,15 @@ class FullereneGraph:
         return self.graph.n
 
     def is_hexagon(self, face_id: int) -> bool:
-        return self.faces[face_id].size == 6
+        """Whether face ``face_id`` is a hexagon.
+
+        Raises:
+            GraphError: if face_id is not an int id of a face.
+        """
+        faces = self.faces
+        if type(face_id) is not int or not 0 <= face_id < len(faces):
+            raise GraphError(f"face id must be an int from 0 to {len(faces) - 1}, got {face_id!r}")
+        return faces[face_id].size == 6
 
     # Derived tables (see ``_derived``); the builders import modules that import this one.
     @_derived

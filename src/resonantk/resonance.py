@@ -132,7 +132,7 @@ def _check_hexagon_set(f: FullereneGraph, hexagon_ids: Iterable[int]) -> tuple[i
     for h in ids:
         if not 0 <= h < len(f.faces):
             raise GraphError(f"face id {h} outside 0..{len(f.faces) - 1}")
-        if not f.is_hexagon(h):
+        if f.faces[h].size != 6:
             raise GraphError(f"face {h} is a pentagon; resonant sets contain hexagons only")
     for i in range(len(ids)):
         around = f.faces.across(ids[i])
@@ -540,12 +540,13 @@ def find_g_star(f: FullereneGraph) -> GStarWitness | None:
     """
     g = check_type("graph", f, FullereneGraph).graph
     rotation, turns = g.rotation, g._turns
-    vertices = f.faces.vertex_masks
+    faces = f.faces
+    vertices = faces.vertex_masks
     for v in range(f.n):
         # The face along (w, x), x the neighbour before v at w, turns at w
         # between the two edges other than wv; faces have no chords, so it misses v.
-        opposite = [f.faces.face_of_arc((w, turns[w][v][1])) for w in rotation[v]]
-        if not all(f.is_hexagon(fid) for fid in opposite):
+        opposite = [faces.face_of_arc((w, turns[w][v][1])) for w in rotation[v]]
+        if not all(faces[fid].size == 6 for fid in opposite):
             continue
         a, b, c = (vertices[x] for x in opposite)
         if a & b or a & c or b & c:

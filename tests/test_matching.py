@@ -158,6 +158,14 @@ def test_matching_contains_only_a_pair_of_ints(graphs, edge):
         edge in m
 
 
+@pytest.mark.parametrize("v", [None, True, 1.0, "0"], ids=["none", "bool", "float", "str"])
+def test_matching_covers_only_an_int(graphs, v):
+    # None and "0" were covered by no edge, and True as vertex 1
+    m = maximum_matching(graphs["F24"])
+    with pytest.raises(GraphError, match=f"^a vertex must be an int, got {re.escape(repr(v))}$"):
+        m.covers(v)
+
+
 def test_is_central(graphs):
     f = graphs["F24"]
     h1, h2 = f.hexagon_ids
@@ -288,6 +296,20 @@ def test_enumerate_counts_frozen(graphs):
     assert count_perfect_matchings(20, adj) == 36
     f24 = graphs["F24"]
     assert len(enumerate_perfect_matchings(f24)) == 54
+
+
+def test_an_adjacency_list_is_checked_once_per_enumeration(monkeypatch):
+    # The rows are read twice, by the kernel and for the order, but copied
+    # and checked once.
+    from resonantk import matching
+
+    calls = []
+    check = matching._check_adjacency
+    monkeypatch.setattr(matching, "_check_adjacency", lambda *args: calls.append(args) or check(*args))
+    square = [[1, 3], [0, 2], [1, 3], [0, 2]]
+    found = enumerate_perfect_matchings(square)
+    assert [m.edges for m in found] == [{(0, 1), (2, 3)}, {(0, 3), (1, 2)}]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", catalog_names())

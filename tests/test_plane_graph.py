@@ -676,6 +676,26 @@ def test_faces_match_the_sorted_trace(graphs):
             assert got._arc_face == want._arc_face, name
 
 
+@pytest.mark.parametrize("image", [False, True], ids=["given", "leapfrog"])
+@pytest.mark.parametrize("name", catalog_names())
+def test_faces_do_not_depend_on_where_each_row_starts(graphs, name, image):
+    # A clockwise order may start at any neighbour: with every row shifted
+    # by one place, by two, or by one and two in turn, the faces keep their
+    # boundaries, ids and the faces across them.  So a rotation read from a
+    # file that starts its rows elsewhere is traced into the same face ids.
+    from resonantk.leapfrog import leapfrog
+
+    g = leapfrog(graphs[name]).image.graph if image else graphs[name].graph
+    rows, want = g.rotation, faces(g)
+    for shifts in ((1,), (2,), (1, 2)):
+        shifted = EmbeddedGraph(tuple(row[s:] + row[:s] for row, s in zip(rows, shifts * len(rows))))
+        assert shifted.rotation != rows
+        got = faces(shifted)
+        assert [f.boundary for f in got] == [f.boundary for f in want], shifts
+        assert [f.index for f in got] == list(range(len(want))), shifts
+        assert [got.across(i) for i in range(len(got))] == [want.across(i) for i in range(len(want))], shifts
+
+
 @pytest.mark.parametrize(
     "name, shape, found",
     [
@@ -1069,6 +1089,25 @@ def test_either_graph_type_gives_the_same_answer(graphs):
     assert is_bipartite(f) == is_bipartite(f.graph)
     assert delete_vertices(f, [0]).adj == delete_vertices(f.graph, [0]).adj
     assert verify_cyclic_edge_connectivity(f, 5) == verify_cyclic_edge_connectivity(f.graph, 5)
+
+
+@pytest.mark.parametrize(
+    "value", [None, True, 1.0, -1, "high"], ids=["none", "bool", "float", "negative", "high"]
+)
+def test_neighbors_and_is_hexagon_take_only_an_id_in_range(graphs, value):
+    # None and 1.0 ended in a TypeError, 24 and 14 in an IndexError, and
+    # True and -1 read a row or face
+    f = graphs["F24"]
+    vertex = f.n if value == "high" else value
+    message = f"vertex must be an int from 0 to 23, got {re.escape(repr(vertex))}"
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        f.graph.neighbors(vertex)
+    face = len(f.faces) if value == "high" else value
+    message = f"face id must be an int from 0 to 13, got {re.escape(repr(face))}"
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        f.is_hexagon(face)
+    assert f.graph.neighbors(23) == f.graph.rotation[23]
+    assert [f.is_hexagon(i) for i in range(14)] == [len(x.boundary) == 6 for x in f.faces]
 
 
 def test_a_fullerene_graph_holds_only_its_graph(graphs):

@@ -23,15 +23,18 @@ from resonantk import cli
 
 pytestmark = pytest.mark.slow
 
-# Run in a fresh interpreter, with this one's -O, so that the peak RSS is
-# analyze's alone.  ru_maxrss is in KiB on Linux.
+# Run in a fresh interpreter, with this one's -O, which reads its own peak
+# RSS, VmHWM (in kB).  Not ru_maxrss: on Linux it survives exec, so a child
+# of a large process, such as this pytest run, reports the parent's peak at
+# the spawn if that is larger.
 ANALYZE = """
-import contextlib, io, json, resource, sys
+import contextlib, io, json, sys
 from resonantk import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.run(["analyze", "--json", sys.argv[1]])
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
 print(json.dumps({"code": code, "peak_mb": peak, "report": out.getvalue()}))
 """
 
