@@ -102,7 +102,7 @@ class LeapfrogResult:
         image = self.image
         fresh_hexagons = self.fresh.keys() & set(image.hexagon_ids)
         for img in self.heritable:
-            ring = image.faces.across(img)
+            ring = image.faces._across[img]
             if len(set(ring)) != len(ring) or not fresh_hexagons.issuperset(ring):
                 raise RuntimeError(f"leapfrog face {img} is ringed by {ring}, not distinct fresh hexagons")
 
@@ -125,25 +125,25 @@ class LeapfrogResult:
     @_derived
     def fresh(self) -> dict[int, int]:
         """Image face id -> original vertex v: the face on the image arc from (u, v) to (v, u)."""
-        index, face_of_arc = self._index, self.image.faces.face_of_arc
+        index, arc_face = self._index, self.image.faces._arc_face
         rotation = self.original.graph.rotation
-        return {face_of_arc((index[u, v], index[v, u])): v for v, (u, _, _) in enumerate(rotation)}
+        return {arc_face[index[u, v], index[v, u]]: v for v, (u, _, _) in enumerate(rotation)}
 
     @_derived
     def heritable(self) -> dict[int, int]:
         """Image face id -> original face id: the face on the image arc from its first arc to its second."""
-        index, face_of_arc = self._index, self.image.faces.face_of_arc
+        index, arc_face = self._index, self.image.faces._arc_face
         heritable: dict[int, int] = {}
         for face in self.original.faces:
             a, b, c = face.boundary[:3]
-            heritable[face_of_arc((index[a, b], index[b, c]))] = face.index
+            heritable[arc_face[index[a, b], index[b, c]]] = face.index
         return heritable
 
     @_derived
     def _table(self) -> _Table:
         """The image's certificate table, each hexagon's flips read off the construction."""
         image, m0 = self.image, self.m0
-        faces, masks = image.faces, image.faces.vertex_masks
+        faces, across, masks = image.faces.faces, image.faces._across, image.faces.vertex_masks
         bit = {e: i for i, e in enumerate(image.graph.edges())}
         m0_mask = sum(1 << bit[e] for e in m0.edges)
         edges = [sum(1 << bit[e] for e in face.boundary_edges()) for face in faces]
@@ -152,7 +152,7 @@ class LeapfrogResult:
             flips[h].append((0, 0, 0))
         for h in self.heritable:
             if faces[h].size == 6:
-                ring = faces.across(h)
+                ring = across[h]
                 for part in (ring[1::2], ring[0::2]):
                     verts = flipped = 0
                     for x in part:
@@ -205,7 +205,7 @@ def territory(lf: LeapfrogResult, image_face_id: int) -> Territory:
     check_type("leapfrog result", lf, LeapfrogResult)
     if check_int("face id", image_face_id) not in lf.heritable:
         raise GraphError(f"face {image_face_id} is not heritable; territories surround heritable faces")
-    return Territory(image_face_id, lf.image.faces.across(image_face_id))
+    return Territory(image_face_id, lf.image.faces._across[image_face_id])
 
 
 class _Table(NamedTuple):
@@ -227,7 +227,7 @@ class _Table(NamedTuple):
 
 def _winner(lf: LeapfrogResult, table: _Table, flips: int) -> Matching:
     """M0 with the faces of the non-empty mask ``flips`` flipped, built once per mask."""
-    faces = lf.image.faces
+    faces = lf.image.faces.faces
     toggled = set(lf.m0.edges)
     rest = flips
     while rest:

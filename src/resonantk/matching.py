@@ -167,7 +167,7 @@ def _rest_mates(f: FullereneGraph, face_ids: Iterable[int]) -> list[int] | None:
     """
     excluded = [False] * f.n
     for fid in face_ids:
-        for v in f.faces[fid].vertices:
+        for v in f.faces.faces[fid].vertices:
             excluded[v] = True
     mates = kernels.mate_array(f.n, f.graph.rotation, excluded)
     return mates if all(m >= 0 or x for m, x in zip(mates, excluded)) else None

@@ -232,6 +232,10 @@ class FaceSet:
     It also keeps three per-face bitmask tables, each built on first use and
     then read by the ring scan, the fragments, the leapfrog certificates and
     the resonance walks: ``vertex_masks``, ``across_masks`` and ``steps``.
+
+    Indexing, :meth:`face_of_arc` and :meth:`across` check their argument
+    (a ``GraphError`` names a bad one); the package's own loops read the
+    fields ``faces``, ``_arc_face`` and ``_across`` directly.
     """
 
     faces: tuple[Face, ...]
@@ -245,17 +249,37 @@ class FaceSet:
         return iter(self.faces)
 
     def __getitem__(self, face_id: int) -> Face:
+        """The face with id ``face_id``.
+
+        Raises:
+            GraphError: if face_id is not an int id of a face.
+        """
+        if type(face_id) is not int or not 0 <= face_id < len(self.faces):
+            raise GraphError(f"face id must be an int from 0 to {len(self.faces) - 1}, got {face_id!r}")
         return self.faces[face_id]
 
     def face_of_arc(self, arc: Arc) -> int:
-        """Id of the unique face whose boundary uses the directed edge."""
-        return self._arc_face[arc]
+        """Id of the unique face whose boundary uses the directed edge.
+
+        Raises:
+            GraphError: if arc is not a pair (u, v) of ints with v a neighbour of u.
+        """
+        if type(arc) is tuple and len(arc) == 2 and type(arc[0]) is int and type(arc[1]) is int:
+            face = self._arc_face.get(arc)
+            if face is not None:
+                return face
+        raise GraphError(f"{arc!r} is not an arc: a pair (u, v) of ints with v a neighbour of u")
 
     def across(self, face_id: int) -> tuple[int, ...]:
         """The face beyond each boundary edge, in boundary order from the least arc.
 
         Entry i is ``face_of_arc((b, a))`` for the i-th boundary arc (a, b).
+
+        Raises:
+            GraphError: if face_id is not an int id of a face.
         """
+        if type(face_id) is not int or not 0 <= face_id < len(self.faces):
+            raise GraphError(f"face id must be an int from 0 to {len(self.faces) - 1}, got {face_id!r}")
         return self._across[face_id]
 
     @_derived
@@ -350,10 +374,7 @@ class FullereneGraph:
         Raises:
             GraphError: if face_id is not an int id of a face.
         """
-        faces = self.faces
-        if type(face_id) is not int or not 0 <= face_id < len(faces):
-            raise GraphError(f"face id must be an int from 0 to {len(faces) - 1}, got {face_id!r}")
-        return faces[face_id].size == 6
+        return self.faces[face_id].size == 6
 
     # Derived tables (see ``_derived``); the builders import modules that import this one.
     @_derived
@@ -412,6 +433,13 @@ class Subgraph:
         return len(self.vertices)
 
     def to_parent(self, local: int) -> int:
+        """The parent id of local vertex ``local``.
+
+        Raises:
+            GraphError: if local is not an int id of a local vertex.
+        """
+        if type(local) is not int or not 0 <= local < len(self.vertices):
+            raise GraphError(f"local vertex must be an int from 0 to {len(self.vertices) - 1}, got {local!r}")
         return self.vertices[local]
 
 
@@ -907,7 +935,7 @@ def _short_cyclic_cut(
     """
     # Frames (the (edge, face across) pairs of path[-1] left to try, the
     # path's faces, the edges crossed along it).
-    stack = [(zip(fs[root].boundary_edges(), fs.across(root)), (root,), ())]
+    stack = [(zip(fs.faces[root].boundary_edges(), fs._across[root]), (root,), ())]
     while stack:
         todo, path, cut = stack[-1]
         for e, x in todo:
@@ -919,9 +947,9 @@ def _short_cyclic_cut(
                     return True
             elif x > root and len(path) < l and x not in path:
                 # the last face of the path must close onto the root
-                if len(path) == l - 1 and root not in fs.across(x):
+                if len(path) == l - 1 and root not in fs._across[x]:
                     continue
-                stack.append((zip(fs[x].boundary_edges(), fs.across(x)), path + (x,), cut + (e,)))
+                stack.append((zip(fs.faces[x].boundary_edges(), fs._across[x]), path + (x,), cut + (e,)))
                 break
         else:
             stack.pop()

@@ -24,10 +24,14 @@ kept on the graph.
 The full walk, which ``sextet`` runs, also uses the graph's symmetry: it
 descends only into resonant sets that are lexicographically least in their
 orbit under the automorphism group (read off the canonical-code pass), and
-counts each with its orbit size.  A walk bounded to a few sizes, as
-``resonance_order`` (to 2, then 3) and ``hexagon_dichotomy_report`` run on
-a fresh graph, takes no group: it stops too early to win back the group's
-cost.  Past 3, ``resonance_order`` reads the full walk.
+counts each with its orbit size.  It holds a set as a bitmask with hexagon h
+at bit top - h (top the largest face id), so that of two sets of one size
+the lexicographically smaller has the larger mask, and a set is least
+exactly when no image's mask exceeds its own.  A walk bounded to a few
+sizes, as ``resonance_order`` (to 2, then 3) and
+``hexagon_dichotomy_report`` run on a fresh graph, takes no group: it stops
+too early to win back the group's cost.  Past 3, ``resonance_order`` reads
+the full walk.
 """
 
 from __future__ import annotations
@@ -132,10 +136,10 @@ def _check_hexagon_set(f: FullereneGraph, hexagon_ids: Iterable[int]) -> tuple[i
     for h in ids:
         if not 0 <= h < len(f.faces):
             raise GraphError(f"face id {h} outside 0..{len(f.faces) - 1}")
-        if f.faces[h].size != 6:
+        if f.faces.faces[h].size != 6:
             raise GraphError(f"face {h} is a pentagon; resonant sets contain hexagons only")
     for i in range(len(ids)):
-        around = f.faces.across(ids[i])
+        around = f.faces._across[ids[i]]
         for j in range(i + 1, len(ids)):
             if ids[j] in around:
                 raise GraphError(
@@ -166,14 +170,14 @@ def is_resonant_pattern(
     if mate is None:
         return None
     for h in ids:
-        _close(mate, f.faces[h].boundary)
+        _close(mate, f.faces.faces[h].boundary)
     cert = _matching_from_mates(mate, f)
     if 2 * cert.size != f.n or len(cert.covered()) != f.n:
         raise RuntimeError(
             f"hexagons {ids} were decided resonant, but the certificate built from "
             f"a maximum matching of the rest covers {len(cert.covered())} of {f.n} vertices"
         )
-    missing = [h for h in ids if not face_alternates(f.faces[h], cert)]
+    missing = [h for h in ids if not face_alternates(f.faces.faces[h], cert)]
     if missing:
         raise RuntimeError(
             f"the certificate for {ids} does not alternate on hexagons {missing}"
@@ -211,7 +215,7 @@ def _repaired(
     """
     adj = f.graph.rotation
     n = len(mate)
-    ring = f.faces[h].boundary
+    ring = f.faces.faces[h].boundary
     for v in ring:
         excluded[v] = True
     freed = [mate[v] for v in ring if not excluded[mate[v]]]
@@ -243,7 +247,7 @@ def _clar_root(f: FullereneGraph, mate: list[int]) -> list[int]:
     excluded = [False] * f.n
     structure = []
     for h in f.hexagon_ids:
-        ring = f.faces[h].boundary
+        ring = f.faces.faces[h].boundary
         if any(excluded[v] for v in ring):
             continue
         child = _repaired(f, mate, excluded, h)
@@ -253,75 +257,50 @@ def _clar_root(f: FullereneGraph, mate: list[int]) -> list[int]:
                 excluded[v] = True
             structure.append(h)
     for h in structure:
-        _close(mate, f.faces[h].boundary)
+        _close(mate, f.faces.faces[h].boundary)
     return mate
 
 
 def _hexagon_maps(f: FullereneGraph, group: Iterable[Automorphism]) -> list[list[int]]:
-    """Each automorphism as a map of hexagon ids, a list indexed by face id.
+    """Each automorphism m as a list indexed by face id: hexagon h to ``1 << top - m(h)``.
 
-    A hexagon goes to the face of its least arc's image, read backwards
-    when the automorphism reverses the rotation (the face then lies on the
-    image arc's left).
+    ``top`` is the largest face id.  A hexagon goes to the face of its least
+    arc's image, read backwards when the automorphism reverses the rotation
+    (the face then lies on the image arc's left).
     """
-    face_of_arc = f.faces.face_of_arc
-    arcs = [(h, f.faces[h].boundary[0], f.faces[h].boundary[1]) for h in f.hexagon_ids]
+    arc_face, faces = f.faces._arc_face, f.faces.faces
+    top = len(faces) - 1
+    arcs = [(h, faces[h].boundary[0], faces[h].boundary[1]) for h in f.hexagon_ids]
     maps = []
     for perm, reverses in group:
-        m = [-1] * len(f.faces)
+        m = [0] * len(faces)
         for h, u, v in arcs:
-            m[h] = face_of_arc((perm[v], perm[u]) if reverses else (perm[u], perm[v]))
+            m[h] = 1 << top - arc_face[(perm[v], perm[u]) if reverses else (perm[u], perm[v])]
         maps.append(m)
     return maps
 
 
 # The group's action on a least set S, as ``_least`` reads it: each map other
-# than the identity with its *rise* on S, the element of S at the first
-# position where the sorted image of S exceeds S, or None if the map fixes S.
-_Action = list[tuple[list[int], int | None]]
+# than the identity with the mask of its image of S.
+_Action = list[tuple[list[int], int]]
 
 
-def _rise(s: tuple[int, ...], m: list[int]) -> int | None:
-    """The rise of m on s: None if m fixes s, -1 if the sorted image is below s."""
-    for a, b in zip(s, sorted([m[x] for x in s])):
-        if a != b:
-            return a if b > a else -1
-    return None
+def _least(mask: int, c: int, action: _Action) -> tuple[int, _Action] | None:
+    """The stabiliser order of S + c and the group's action on it, or None.
 
-
-def _least(ids: tuple[int, ...], c: int, action: _Action) -> tuple[int, _Action] | None:
-    """The stabiliser order of ids + (c,) and the group's action on it, or None.
-
-    None means that ids + (c,) is not least in its orbit.  ``ids`` is least
-    in its orbit, ``action`` is the group's action on it and every hexagon
-    of it is below c.  A map m that fixes ``ids`` sends the extended set
-    below itself exactly when m[c] < c, fixes it when m[c] = c, and has the
-    rise c otherwise.  For any other map, m[c] below its rise sends the set
-    below itself and m[c] above it sends the set above, with the same rise;
-    only m[c] equal to the rise needs the whole image.  One pass over the
-    maps decides the set and builds its action; the order counts the
-    identity.
+    ``mask`` is the mask of S + c, ``action`` the group's action on S.  None
+    means that some image of S + c has a larger mask, so is below it and
+    S + c is not least in its orbit.  The order counts the identity.
     """
     stab = 1
     child: _Action = []
-    for m, t in action:
-        x = m[c]
-        if t is None:
-            if x < c:
-                return None
-            if x == c:
-                stab += 1
-            else:
-                t = c
-        elif x <= t:
-            if x < t:
-                return None
-            t = _rise(ids + (c,), m)
-            if t == -1:
-                return None
-            if t is None:
-                stab += 1
-        child.append((m, t))
+    for m, image in action:
+        image |= m[c]
+        if image > mask:
+            return None
+        if image == mask:
+            stab += 1
+        child.append((m, image))
     return stab, child
 
 
@@ -350,11 +329,15 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
     The full walk (no ``max_size``) visits one set per orbit of the
     automorphism group A: it descends only into a resonant child that is
     lexicographically least among its images (decided by ``_least``), and
-    counts it |A| / |stabiliser| times, its orbit's size.  Automorphisms
-    keep resonance, and a prefix of a least set is least, so every orbit is
-    reached through its least member, which is tested as a child of a
-    visited set.  Every child of a visited set is still tested, least or
-    not, so the candidates and repairs below it are as without the group.
+    counts it |A| / |stabiliser| times, its orbit's size.  A set is also a
+    bitmask with hexagon h at bit top - h, top the largest face id, so of
+    two sets of one size the lexicographically smaller has the larger mask:
+    a set is least exactly when no image's mask exceeds its own.
+    Automorphisms keep resonance, and a prefix of a least set is least, so
+    every orbit is reached through its least member, which is tested as a
+    child of a visited set.  Every child of a visited set is still tested,
+    least or not, so the candidates and repairs below it are as without the
+    group.
 
     So a set whose proper subsets are all resonant is tested once, as a
     child of the set without its largest hexagon, whenever that set is
@@ -365,9 +348,9 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
     replaces it only by a failure of a smaller size.  It keeps no decided
     sets; besides its summary it holds the repairs of the resonant children
     along its path, the matching of each node's parent and, with each
-    pending node, the group's action on it, built by the ``_least`` pass
-    that found it least.  A resonant child with no candidates is only
-    counted.
+    pending node, its mask and the group's action on it (each map's image
+    mask), built by the ``_least`` pass that found it least.  A resonant
+    child with no candidates is only counted.
 
     With ``max_size`` (at least 1) no set larger is tested, and the walk
     ends at its first failure past the root (every single hexagon is still
@@ -385,20 +368,21 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
     if max_size is None and cands:
         group = automorphisms(f)
         order = len(group)
-        action: _Action = [(m, None) for m in _hexagon_maps(f, group[1:])]
+        action: _Action = [(m, 0) for m in _hexagon_maps(f, group[1:])]
     else:
         order, action = 1, []
     across = f.faces.across_masks
+    top = len(f.faces) - 1
     counts = [1]
     failed: tuple[int, ...] | None = None
     singles: frozenset[int] = frozenset()
-    # Frames (H, the parent's mate array, the repair of H's last hexagon h,
-    # candidates with their repairs, the group's action on H); a repair is
-    # (vertex bitmask, [(vertex, mate)]) relative to the parent's array, or
-    # None where it is not known.  The root has no parent and no h.
-    stack = [((), _clar_root(f, root), (0, []), cands, action)] if cands else []
+    # Frames (H, its mask, the parent's mate array, the repair of H's last
+    # hexagon h, candidates with their repairs, the group's action on H); a
+    # repair is (vertex bitmask, [(vertex, mate)]) relative to the parent's
+    # array, or None where it is not known.  The root has no parent and no h.
+    stack = [((), 0, _clar_root(f, root), (0, []), cands, action)] if cands else []
     while stack:
-        ids, mate, (hmask, entries), cands, action = stack.pop()
+        ids, bits, mate, (hmask, entries), cands, action = stack.pop()
         mate = mate[:]
         for v, w in entries:
             mate[v] = w
@@ -416,10 +400,10 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
             child = _repaired(f, mate, excluded, c)
             if child is not None:
                 diff = [(v, child[v]) for v in compress(count(), map(ne, child, mate))]
-                mask = 0
+                verts = 0
                 for v, _ in diff:
-                    mask |= 1 << v
-                passed.append((c, (mask, diff)))
+                    verts |= 1 << v
+                passed.append((c, (verts, diff)))
             elif failed is None or size < len(failed):
                 failed = ids + (c,)
                 if max_size and ids:
@@ -428,20 +412,21 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
             singles = frozenset(c for c, _ in passed)
         least = []
         for i, (c, _) in enumerate(passed):
-            found = _least(ids, c, action)
+            mask = bits | 1 << top - c
+            found = _least(mask, c, action)
             if found:
                 counts[size] += order // found[0]
-                least.append((i, found[1]))
+                least.append((i, mask, found[1]))
         if max_size and failed:
             break
         if size == max_size:
             continue
-        for i, child_action in reversed(least):
+        for i, mask, child_action in reversed(least):
             c, repair = passed[i]
             bad = across[c]
             later = [d for d in passed[i + 1 :] if not bad >> d[0] & 1]
             if later:
-                stack.append((ids + (c,), mate, repair, later, child_action))
+                stack.append((ids + (c,), mask, mate, repair, later, child_action))
     return _Walk(tuple(counts), failed, singles)
 
 
@@ -477,7 +462,7 @@ def fries(f: FullereneGraph, cap: int | None = None) -> int:
         RuntimeError: if the check disagrees with the score.
     """
     check_type("graph", f, FullereneGraph)
-    hexagons = [f.faces[h].boundary for h in f.hexagon_ids]
+    hexagons = [f.faces.faces[h].boundary for h in f.hexagon_ids]
 
     def score(mate: tuple[int, ...]) -> int:
         return alternating_hexagon_count(hexagons, mate)
@@ -540,13 +525,13 @@ def find_g_star(f: FullereneGraph) -> GStarWitness | None:
     """
     g = check_type("graph", f, FullereneGraph).graph
     rotation, turns = g.rotation, g._turns
-    faces = f.faces
-    vertices = faces.vertex_masks
+    fs = f.faces
+    arc_face, vertices = fs._arc_face, fs.vertex_masks
     for v in range(f.n):
         # The face along (w, x), x the neighbour before v at w, turns at w
         # between the two edges other than wv; faces have no chords, so it misses v.
-        opposite = [faces.face_of_arc((w, turns[w][v][1])) for w in rotation[v]]
-        if not all(faces[fid].size == 6 for fid in opposite):
+        opposite = [arc_face[w, turns[w][v][1]] for w in rotation[v]]
+        if not all(fs.faces[fid].size == 6 for fid in opposite):
             continue
         a, b, c = (vertices[x] for x in opposite)
         if a & b or a & c or b & c:
@@ -577,5 +562,5 @@ def hexagon_dichotomy_report(f: FullereneGraph) -> tuple[HexagonReport, ...]:
     out = []
     for h in f.hexagon_ids:
         p = next(p for p in f.pentagon_ids if not across[h] >> p & 1)
-        out.append(HexagonReport(h, h in singles, False, f.faces[p].boundary))
+        out.append(HexagonReport(h, h in singles, False, f.faces.faces[p].boundary))
     return tuple(out)

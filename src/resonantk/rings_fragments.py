@@ -390,7 +390,7 @@ def _arc(fs: FaceSet, arcs: dict, prev: int, fid: int, nxt: int) -> tuple:
 
     The caller has checked that ``fid`` meets both faces.  Returns the A
     arc's vertices (edges p + 1 .. q - 1 of the face, p and q the positions
-    of ``prev`` and ``nxt`` in ``fs.across(fid)``), the B arc's vertices
+    of ``prev`` and ``nxt`` in ``fs._across[fid]``), the B arc's vertices
     (edges q + 1 .. p - 1, run backward), the vertex mask of each, the mask
     of the faces across the edges of each, the bit of the face's first
     boundary vertex, the edge q that ``fid`` shares with ``nxt``, and the
@@ -399,8 +399,8 @@ def _arc(fs: FaceSet, arcs: dict, prev: int, fid: int, nxt: int) -> tuple:
     lists the first vertex of each of its edges, so an arc's last edge ends
     where the next face's arc starts.
     """
-    vs2 = fs[fid].boundary * 2
-    far2 = fs.across(fid) * 2
+    vs2 = fs.faces[fid].boundary * 2
+    far2 = fs._across[fid] * 2
     size = len(vs2) >> 1
     p = far2.index(prev)
     q = far2.index(nxt)
@@ -415,7 +415,7 @@ def _arc(fs: FaceSet, arcs: dict, prev: int, fid: int, nxt: int) -> tuple:
         sum(1 << g for g in set(far2[p + 1 : qa])),
         sum(1 << g for g in set(far2[q + 1 : pb])),
         1 << vs2[0],
-        fs[fid].boundary_edges()[q],
+        fs.faces[fid].boundary_edges()[q],
         1 << vs2[q],
         1 << vs2[q + 1],
     )
@@ -458,7 +458,7 @@ def _rim(fs: FaceSet, faces: Iterable[int], inside: int) -> list[Edge]:
     return [
         e
         for fid in faces
-        for e, g in zip(fs[fid].boundary_edges(), fs.across(fid))
+        for e, g in zip(fs.faces[fid].boundary_edges(), fs._across[fid])
         if not inside >> g & 1
     ]
 

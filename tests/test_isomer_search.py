@@ -24,11 +24,12 @@ import pytest
 
 from conftest import KNOWN_COUNTS, search_isomers
 
+from resonantk import resonance
 from resonantk._spiral import wind
 from resonantk.catalog import THE_NINE, _facts, catalog_graph, catalog_spiral
 from resonantk.leapfrog import leapfrog, two_resonance_certificate
 from resonantk.matching import alternating_faces, tutte_witness
-from resonantk.plane_graph import canonical_code, delete_vertices, validate_fullerene
+from resonantk.plane_graph import Automorphism, canonical_code, delete_vertices, validate_fullerene
 from resonantk.resonance import ALL, find_g_star, resonance_order, sextet
 from resonantk.rings_fragments import detect_r5_r6, maximal_pentagonal_fragments
 
@@ -127,3 +128,27 @@ def test_the_paper_theorems_hold_on_every_isomer_with_20_to_38_vertices(every_is
     assert sorted(three_resonant) == ["F20", "F24", "F28", "F32", "F36_1", "F36_2"]
     assert sum(map(len, wound.values())) == 52
     assert pairs == 40432
+
+
+def test_the_orbit_walk_equals_the_unreduced_walk_on_every_isomer(wound, monkeypatch):
+    # The full walk with the automorphism group and with the identity alone
+    # (every resonant set visited) agree on all 52 isomers.  A size at which
+    # every set fails may be tested by one walk only, so trailing zero
+    # counts are dropped.
+    graphs = [f for found in wound.values() for f in found]
+    orbit = [resonance._walk(f) for f in graphs]
+    monkeypatch.setattr(
+        resonance, "automorphisms", lambda f: (Automorphism(tuple(range(f.n)), False),)
+    )
+    for f, walk in zip(graphs, orbit):
+        plain = resonance._walk(f)
+        assert _nonzero(walk.counts) == _nonzero(plain.counts), f.n
+        assert (walk.failed, walk.singles) == (plain.failed, plain.singles), f.n
+    assert len(graphs) == 52
+
+
+def _nonzero(counts):
+    counts = list(counts)
+    while counts[-1] == 0:
+        counts.pop()
+    return counts

@@ -1110,6 +1110,73 @@ def test_neighbors_and_is_hexagon_take_only_an_id_in_range(graphs, value):
     assert [f.is_hexagon(i) for i in range(14)] == [len(x.boundary) == 6 for x in f.faces]
 
 
+# Bad arguments for one-argument public methods; (0, 99) is no arc of F24.
+_BAD = [None, 99, -1, "x", True, 1.5, (0, 99)]
+# The protocol methods among them, called as obj[x], x in obj and obj(x).
+_PROTOCOL = ("__getitem__", "__contains__", "__call__")
+
+
+def _one_argument_methods(cls):
+    """The names of cls's public methods, its protocol ones included, that take one argument."""
+    out = []
+    for name, fn in inspect.getmembers(cls, inspect.isfunction):
+        if fn.__module__.startswith("resonantk") and (not name.startswith("_") or name in _PROTOCOL):
+            if len(inspect.signature(fn).parameters) == 2:
+                out.append(name)
+    return out
+
+
+def test_every_one_argument_public_method_ends_in_an_answer_or_a_graph_error(catalog):
+    # Introspected from resonantk.__all__, so that a new method is covered
+    # with no table edit.  FaceSet's indexing, across and face_of_arc ended
+    # in a TypeError, an IndexError or a KeyError, and faces[-1] and
+    # faces[True] read another face.
+    entry = catalog["F24"]
+    f = entry.graph
+    lf = resonantk.leapfrog(f)
+    built = [
+        f, f.graph, f.faces, f.faces[0], resonantk.maximum_matching(f), lf, resonantk.sextet(f),
+        resonantk.resonance_order(f), resonantk.find_polygonal_rings(f, 6)[0],
+        resonantk.maximal_pentagonal_fragments(f)[0], entry, delete_vertices(f, [0]),
+    ]
+    by_class = {type(obj): obj for obj in built}
+    called = set()
+    for name in resonantk.__all__:
+        cls = getattr(resonantk, name)
+        if not inspect.isclass(cls):
+            continue
+        for method in _one_argument_methods(cls):
+            assert cls in by_class, f"{name}.{method} has no built instance to call it on"
+            bound = getattr(by_class[cls], method)
+            for value in _BAD:
+                try:
+                    bound(value)
+                except GraphError:
+                    pass
+            called.add(f"{name}.{method}")
+    assert {
+        "EmbeddedGraph.neighbors", "FaceSet.__getitem__", "FaceSet.across", "FaceSet.face_of_arc",
+        "FullereneGraph.is_hexagon", "Matching.__contains__", "Matching.covers",
+        "SextetPolynomial.__call__", "SextetPolynomial.sigma", "Subgraph.to_parent",
+    } <= called
+    for value in (-1, True):
+        with pytest.raises(GraphError, match=f"^face id must be an int from 0 to 13, got {value!r}$"):
+            f.faces[value]
+        with pytest.raises(GraphError, match=f"^face id must be an int from 0 to 13, got {value!r}$"):
+            f.faces.across(value)
+    for arc in (None, 99, (0, 99), (True, 1), [0, 1], (0.0, 1)):
+        message = f"^{re.escape(repr(arc))} is not an arc: a pair \\(u, v\\) of ints with v a neighbour of u$"
+        with pytest.raises(GraphError, match=message):
+            f.faces.face_of_arc(arc)
+    assert [f.faces.face_of_arc(arc) for arc in f.graph.arcs()] == [
+        f.faces._arc_face[arc] for arc in f.graph.arcs()
+    ]
+    assert [f.faces[i] for i in range(14)] == list(f.faces)
+    assert [f.faces.across(i) for i in range(14)] == list(f.faces._across)
+    with pytest.raises(GraphError, match="^local vertex must be an int from 0 to 22, got -1$"):
+        delete_vertices(f, [0]).to_parent(-1)
+
+
 def test_a_fullerene_graph_holds_only_its_graph(graphs):
     # Its faces and face ids are derived from its graph when it is built,
     # so none can disagree with its graph.

@@ -448,32 +448,48 @@ def test_orbit_walk_matches_the_unreduced_walk(name, relabel, monkeypatch):
         assert walk.failed == plain.failed
 
 
+def _face_maps(f):
+    """Each automorphism of f, identity first, as a dict from hexagon to hexagon.
+
+    A hexagon goes to the face whose vertex set is the image of its own.
+    """
+    face_of = {face.vertices: face.index for face in f.faces}
+    return [
+        {h: face_of[frozenset(perm[v] for v in f.faces[h].vertices)] for h in f.hexagon_ids}
+        for perm, _ in plane_graph.automorphisms(f)
+    ]
+
+
 @pytest.mark.parametrize("name", ["C60", "C70", "F48", "R5_3", "R6_2"])
 def test_orbit_pass_matches_brute_force_per_set(name, relabel, monkeypatch):
     # Every child the full walk decides, checked against the sorted image of
-    # the set under every hexagon map, identity included: not least exactly
-    # when some image is below the set, else the stabiliser order and each
-    # rise of the child's action as computed from scratch.
+    # the set under every automorphism, identity included: not least exactly
+    # when some image is below the set, else the stabiliser order and, for
+    # each map but the identity, the mask of the image computed from scratch.
     least = resonance._least
     decided = 0
 
-    def checked(ids, c, action):
+    def checked(mask, c, action):
         nonlocal decided
         decided += 1
-        s = ids + (c,)
+        s = tuple(sorted(x for x in range(top + 1) if mask >> top - x & 1))
+        assert s[-1] == c
         images = [tuple(sorted(m[x] for x in s)) for m in maps]
-        found = least(ids, c, action)
+        found = least(mask, c, action)
         assert (found is None) == any(image < s for image in images)
         if found is not None:
             stab, child = found
             assert stab == images.count(s)
             assert [m for m, _ in child] == [m for m, _ in action]
-            assert all(t == resonance._rise(s, m) for m, t in child)
+            assert [image for _, image in child] == [
+                sum(1 << top - x for x in image) for image in images[1:]
+            ]
         return found
 
     monkeypatch.setattr(resonance, "_least", checked)
     for g in (_fresh(name), relabel(_fresh(name), 900 + len(name))):
-        maps = resonance._hexagon_maps(g, plane_graph.automorphisms(g))
+        maps = _face_maps(g)
+        top = len(g.faces) - 1
         before = decided
         resonance._walk(g)
         assert decided > before
@@ -534,6 +550,29 @@ def test_walk_skips_supersets_of_failed_siblings(monkeypatch):
     calls.clear()
     sextet_by_unpruned_walk(f)
     assert pruned < 0.6 * len(calls)
+
+
+@pytest.mark.parametrize(
+    "name, searches, tests", [("C60", 20, 259), ("C70", 433, 1900), ("F48", 15, 74), ("R6_4", 265, 496)]
+)
+def test_walk_work_is_pinned(name, searches, tests, relabel, monkeypatch):
+    # The full walk's augment searches and orbit tests under one labelling;
+    # the same before and after the orbit test compared bitmasks.
+    calls = {"augment": 0, "_least": 0}
+
+    def counted(module, fn_name):
+        fn = getattr(module, fn_name)
+
+        def wrapper(*args):
+            calls[fn_name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, fn_name, wrapper)
+
+    counted(kernels, "augment")
+    counted(resonance, "_least")
+    resonance._walk(relabel(_fresh(name), 46))
+    assert calls == {"augment": searches, "_least": tests}
 
 
 @pytest.mark.parametrize("name, most", [("C60", 50), ("C70", 600), ("R6_4", 450)])
