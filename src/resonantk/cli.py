@@ -27,7 +27,6 @@ import hashlib
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Sequence
 
 from . import catalog as _catalog
@@ -52,6 +51,7 @@ from .resonance import (
 from .rings_fragments import (
     ANY,
     PENTAGONS_ONLY,
+    Ring,
     find_polygonal_rings,
     maximal_pentagonal_fragments,
     pentagonal_rings,
@@ -149,70 +149,8 @@ def analyze_graph(f: FullereneGraph, with_fries: bool = False, pm_cap: int | Non
 
 
 def _dump_json(obj: object) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, without json's Python encoder.
-
-    With ``indent`` set, ``json`` always encodes on its pure-Python path,
-    one small chunk string per token: most of a ``rings --json`` report's
-    encoding time.  This writer gives the same bytes for every value whose
-    dict keys are all str, as every report's are: each tuple of dict keys
-    is sorted and escaped once (``_key_heads``), plain ints are written by
-    ``str`` (a list of them in one join, a dict value inline), True, False
-    and None as the literals ``true``, ``false`` and ``null``, strings by
-    json's C escaper, and every other leaf (float, int subclasses) by
-    ``json.dumps``, which builds an encoder on each call.  Dicts, lists and
-    tuples are recognised by ``isinstance``, as json does.
-    Unlike ``json.dumps`` it refuses int, float, bool and None keys, and it
-    does not look for circular references.
-
-    Raises:
-        TypeError: for a dict key that is not a str, or a value json cannot
-            encode.
-    """
-    return _json_text(obj, "\n") + "\n"
-
-
-def _json_text(obj: object, pad: str) -> str:
-    """``obj`` as indented JSON; ``pad`` is a newline and the indent of its first line."""
-    if type(obj) is int:
-        return str(obj)
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        items = []
-        for key, head in _key_heads(tuple(obj)):
-            value = obj[key]
-            items.append(head + (str(value) if type(value) is int else _json_text(value, inner)))
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        if set(map(type, obj)) == {int}:
-            body = ("," + inner).join(map(str, obj))
-        else:
-            body = ("," + inner).join([_json_text(x, inner) for x in obj])
-        return "[" + inner + body + pad + "]"
-    return json.dumps(obj)
-
-
-@functools.lru_cache(maxsize=256)
-def _key_heads(keys: tuple) -> tuple[tuple[str, str], ...]:
-    """A dict's keys, sorted, each with its escaped ``"key": `` head.
-
-    A report repeats a few key tuples many times (ten keys for every ring),
-    so each tuple is sorted and escaped once.  A key that is not a str
-    raises TypeError, in ``sorted`` or in the escaper, and nothing is cached.
-    """
-    return tuple((key, encode_basestring_ascii(key) + ": ") for key in sorted(keys))
+    """``obj`` as a JSON report: sorted keys, 2-space indent, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _render_text(report: dict) -> str:
@@ -248,11 +186,6 @@ def _lines(items: Iterable[object]) -> str:
 
 def _ids(ids: Iterable[int]) -> str:
     return " ".join(map(str, ids))
-
-
-def _record(obj: object, fields: tuple[str, ...]) -> dict:
-    """The JSON record of ``obj``: each field by its attribute name."""
-    return {key: getattr(obj, key) for key in fields}
 
 
 # The command handlers, one for each subcommand; see the module docstring.
@@ -326,19 +259,17 @@ def _leapfrog(args: argparse.Namespace) -> str:
     return emit_graph(lf.image.graph, comments)
 
 
-# the fields of each record in ``rings --json`` and ``fragments --json``;
-# a fragment's record also lists its w_vertices, sorted
-_RING_FIELDS = (
-    "faces", "l", "s", "s_prime", "r", "n5", "n6", "all_pentagons", "inner_cycle", "outer_cycle",
-)
+# the fields of each record in ``fragments --json``, which also lists its
+# w_vertices, sorted
 _FRAGMENT_FIELDS = ("faces", "shape", "maximal", "gamma", "pentagonal", "boundary")
 
 
 def _rings(args: argparse.Namespace) -> str:
     face_filter = PENTAGONS_ONLY if args.pentagonal else ANY
-    rings = find_polygonal_rings(_load(args.path), max_len=args.max_len, face_filter=face_filter)
+    f = _load(args.path)
+    rings = find_polygonal_rings(f, max_len=args.max_len, face_filter=face_filter)
     if args.json:
-        return _dump_json([_record(r, _RING_FIELDS) for r in rings])
+        return _rings_json(rings, f.n)
     return _lines(
         f"l={r.l} s={r.s} s'={r.s_prime} r={r.r} n5={r.n5} n6={r.n6} "
         f"({'pentagonal' if r.all_pentagons else 'mixed'}) faces: {_ids(r.faces)}"
@@ -346,12 +277,36 @@ def _rings(args: argparse.Namespace) -> str:
     ) + f"total: {len(rings)}\n"
 
 
+def _rings_json(rings: Sequence[Ring], n: int) -> str:
+    """``_dump_json`` of the rings' records, written straight from the rings.
+
+    Each record holds ten fields, keys in sorted order; the rings' face
+    and vertex ids are all below ``n``, so each is read from one table of
+    decimal strings, and no cycle or face tuple is empty.
+    """
+    if not rings:
+        return "[]\n"
+    table = list(map(str, range(n)))
+    ids = table.__getitem__
+    sep = ",\n      "
+    return "[\n" + ",\n".join([
+        f'  {{\n    "all_pentagons": {"true" if r.all_pentagons else "false"},'
+        f'\n    "faces": [\n      {sep.join(map(ids, r.faces))}\n    ],'
+        f'\n    "inner_cycle": [\n      {sep.join(map(ids, r.inner_cycle))}\n    ],'
+        f'\n    "l": {r.l},\n    "n5": {r.n5},\n    "n6": {r.n6},'
+        f'\n    "outer_cycle": [\n      {sep.join(map(ids, r.outer_cycle))}\n    ],'
+        f'\n    "r": {r.r},\n    "s": {r.s},\n    "s_prime": {r.s_prime}\n  }}'
+        for r in rings
+    ]) + "\n]\n"
+
+
 def _fragments(args: argparse.Namespace) -> str:
     frags = maximal_pentagonal_fragments(_load(args.path))
     if args.json:
-        return _dump_json(
-            [{**_record(fr, _FRAGMENT_FIELDS), "w_vertices": sorted(fr.w_vertices)} for fr in frags]
-        )
+        return _dump_json([
+            {**{key: getattr(fr, key) for key in _FRAGMENT_FIELDS}, "w_vertices": sorted(fr.w_vertices)}
+            for fr in frags
+        ])
     return _lines(
         f"{fr.shape}: {len(fr.faces)} faces, maximal={fr.maximal}, "
         f"gamma={fr.gamma}, boundary cycles={len(fr.boundary)}"

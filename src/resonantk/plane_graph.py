@@ -487,10 +487,11 @@ def parse_graph(text: str) -> EmbeddedGraph:
             lines.append(line)
     if not lines:
         raise GraphError("empty input: expected a vertex count line")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise GraphError(f"first data line must be the vertex count, got {lines[0]!r}") from None
+    # the numbers are ASCII decimal digits only: int() alone would also take
+    # signs, underscores and other scripts' digits
+    if not (lines[0].isdigit() and lines[0].isascii()):
+        raise GraphError(f"first data line must be the vertex count, got {lines[0]!r}")
+    n = int(lines[0])
     if n < 4:
         raise GraphError(f"vertex count {n} too small for a cubic graph")
     if len(lines) - 1 != n:
@@ -501,11 +502,13 @@ def parse_graph(text: str) -> EmbeddedGraph:
         head, _, tail = line.partition(":")
         if not _:
             raise GraphError(f"vertex line {line!r} lacks the 'i:' prefix")
-        try:
-            idx = int(head)
-            nbrs = tuple(int(tok) for tok in tail.split())
-        except ValueError:
-            raise GraphError(f"unparseable vertex line {line!r}") from None
+        head = head.strip()
+        tokens = tail.split()
+        digits = head + "".join(tokens)
+        if not (head.isdigit() and digits.isdigit() and digits.isascii()):
+            raise GraphError(f"unparseable vertex line {line!r}")
+        idx = int(head)
+        nbrs = tuple(map(int, tokens))
         if idx != i:
             raise GraphError(f"vertex lines out of order: expected {i}, got {idx}")
         rotation.append(nbrs)

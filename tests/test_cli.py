@@ -4,27 +4,23 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import enum
 import errno
 import hashlib
 import json
-import math
 import os
 import subprocess
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import resonantk
 
 from resonantk import catalog as _catalog
 from resonantk import rings_fragments
-from resonantk.cli import _build_parser, _dump_json, run
+from resonantk.cli import _build_parser, _rings_json, run
 from resonantk.plane_graph import emit_graph, parse_graph, validate_fullerene
+from resonantk.rings_fragments import ANY, PENTAGONS_ONLY
 
 
 @pytest.fixture()
@@ -699,67 +695,63 @@ def _stdlib_json(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.tuples(inner, inner)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
-    max_leaves=30,
-)
+def _assert_same_text(got: str, want: str) -> None:
+    """``got == want``, failing with the first line that differs.
 
-
-@settings(max_examples=300, deadline=None)
-@given(_JSON_VALUES)
-def test_json_writer_matches_the_stdlib(value):
-    assert _dump_json(value) == _stdlib_json(value)
-
-
-class _Kind(enum.IntEnum):
-    SEVEN = 7
-
-
-class _Count(int):
-    def __str__(self):
-        return "a count"
-
-
-class _Items(list):
-    pass
+    pytest's own diff of two long reports that differ in a few lines can
+    take minutes.
+    """
+    if got != want:
+        pairs = zip(got.splitlines(True), want.splitlines(True))
+        line = next((i for i, (a, b) in enumerate(pairs, 1) if a != b), "past the shorter text")
+        pytest.fail(f"texts differ at line {line} of {got.count(chr(10))} and {want.count(chr(10))}")
 
 
 @pytest.mark.parametrize(
-    "value",
+    "argv",
     [
-        OrderedDict([("b", [2, 1]), ("a", OrderedDict([("d", 1), ("c", None)]))]),
-        _Items([3, _Items([1, 2]), "x"]),
-        (1, (2, "t"), ()),
-        [_Kind.SEVEN, 1],
-        [_Count(3), _Count(4)],
-        {"kind": _Kind.SEVEN, "kinds": (_Kind.SEVEN,)},
-        [1, True, None],
-        [math.nan, math.inf, -math.inf, -0.0, 1e300, 0.1],
-        ["h\u00e9 \u2603 \U0001f600", "\x00\x1f\t\n", '"quoted" back\\slash'],
-        {"\u00e9": 1, "a\nb": "\"", "": ""},
-        [],
-        {},
-        [[], {}, [[]], [{}], {"a": []}, {"b": {}}],
-        {"a": {"b": {"c": [[], {}]}}},
-        "top",
-        1.5,
-        None,
-        {"yes": True, "no": False, "none": None, "zero": 0, "one": 1},
-        True,
-        False,
+        ["analyze", "--json", "{f24}"],
+        ["analyze", "--json", "{f24}", "{f20}"],
+        ["rings", "{f24}", "--json"],
+        ["fragments", "{f24}", "--json"],
+        ["leapfrog", "{f24}", "-o", "{image}", "--provenance", "-"],
     ],
+    ids=" ".join,
 )
-def test_json_writer_matches_the_stdlib_on_edge_cases(value):
-    assert _dump_json(value) == _stdlib_json(value)
+def test_json_reports_are_json_dumps(argv, f24_file, tmp_path, capsys):
+    # every JSON report is json.dumps of itself; the provenance tables' keys
+    # are decimal strings whose numeric and string orders differ (2 < 10)
+    f20 = tmp_path / "f20.rot"
+    assert run(["catalog", "emit", "F20", "-o", str(f20)]) == 0
+    capsys.readouterr()
+    paths = {"f24": f24_file, "f20": f20, "image": tmp_path / "image.rot"}
+    assert run([arg.format(**paths) for arg in argv]) == 0
+    out = capsys.readouterr().out
+    _assert_same_text(out, _stdlib_json(json.loads(out)))
 
 
-@pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{"a": 1, 2.5: 2}]])
-def test_json_writer_refuses_keys_that_are_not_str(value):
-    with pytest.raises(TypeError):
-        _dump_json(value)
+# the ten fields of each record in ``rings --json``
+RING_FIELDS = (
+    "faces", "l", "s", "s_prime", "r", "n5", "n6", "all_pentagons", "inner_cycle", "outer_cycle",
+)
+TUBES = [f"{cap}_{k}" for cap in ("R5", "R6") for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("name", [*_catalog.catalog_names(), *TUBES])
+def test_rings_json_is_json_dumps_of_the_fields(name, graphs, relabel):
+    if name in graphs:
+        source = graphs[name]
+    else:
+        cap, k = name.split("_")
+        source = _catalog.nanotube(cap, int(k))
+    f = relabel(source, 47)
+    max_len = 9 if name in ("C60", "C70") else 12
+    for face_filter, length in ((ANY, max_len), (PENTAGONS_ONLY, max_len), (ANY, 0)):
+        rings = rings_fragments.find_polygonal_rings(f, max_len=length, face_filter=face_filter)
+        records = [{field: getattr(r, field) for field in RING_FIELDS} for r in rings]
+        text = _rings_json(rings, f.n)
+        _assert_same_text(text, _stdlib_json(records))
+    assert text == "[]\n"
 
 
 def test_catalog_commands(capsys):

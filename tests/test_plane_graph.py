@@ -96,6 +96,11 @@ def test_non_sphere_rotation_rejected():
         ("4\n0: 1 2 3\n1: 0 3 2\n2: 0 1 3\n3: 1 2 0\n# t", None),
         ("4\n0 1 2 3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1", "vertex line '0 1 2 3' lacks the 'i:' prefix"),
         ("4\n0: 1 x 3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1", "unparseable vertex line '0: 1 x 3'"),
+        # only ASCII decimal digits are numbers, though int() takes all of these
+        ("4\n0: 1 2 0_3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1", "unparseable vertex line '0: 1 2 0_3'"),
+        ("4\n0: +1 2 3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1", r"unparseable vertex line '0: \+1 2 3'"),
+        ("4\n0: 1 2 3\n1: 0 3 2\n2: 0 1 3\n3: 0 2 \u0661", "unparseable vertex line '3: 0 2 \u0661'"),
+        ("2_0", "first data line must be the vertex count, got '2_0'"),
         ("4\n1: 0 3 2\n0: 1 2 3\n2: 0 1 3\n3: 0 2 1", "vertex lines out of order: expected 0, got 1"),
         ("4\n0: 1 2\n1: 0 3 2\n2: 0 1 3\n3: 0 2 1", "vertex 0 lists 2 neighbours; the graph must be cubic"),
         (b"4\n", "must be a str, got bytes"),

@@ -77,9 +77,10 @@ def test_analyze_stays_small_and_keeps_its_answers(r6_6):
 
 @pytest.mark.parametrize("argv", REPORT_DIGESTS, ids=" ".join)
 def test_report_is_pinned_and_equal_to_json_dumps(r6_6, argv):
-    # cli._dump_json writes the reports without the json module, so beyond
-    # its pin each must equal what this Python's json.dumps makes of it,
-    # the true/false literals of the pentagonal reports included.
+    # cli writes the ring reports from the rings, not through the json
+    # module, so beyond its pin each must equal what this Python's
+    # json.dumps makes of it, the true/false literals of the pentagonal
+    # reports included.
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.run([argv[0], str(r6_6), *argv[1:]]) == 0
