@@ -305,6 +305,26 @@ class FaceSet:
         )
 
 
+def _tree(adjacent: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """A breadth-first spanning tree from node 0: each node's parent and the mask of the nodes below it.
+
+    ``adjacent[x]`` lists node x's neighbours; the graph must be connected.
+    The root is its own parent, and each node is below itself, so a node's
+    mask is that of the tree edge to its parent.
+    """
+    up = [0] + [-1] * (len(adjacent) - 1)
+    order = [0]
+    for x in order:
+        for y in adjacent[x]:
+            if up[y] < 0:
+                up[y] = x
+                order.append(y)
+    below = [1 << x for x in range(len(adjacent))]
+    for y in reversed(order[1:]):
+        below[up[y]] |= below[y]
+    return up, below
+
+
 def _bitmask(bits: Iterable[int]) -> int:
     """The int with exactly the given bits set."""
     mask = 0
@@ -387,6 +407,11 @@ class FullereneGraph:
     def _ring_arcs(self) -> dict[tuple[int, int, int], tuple]:
         """The ring scan's arcs per (previous, face, next) triple, filled by ``rings_fragments._arc``."""
         return {}
+
+    @_derived
+    def _spanning_trees(self) -> tuple[tuple[list[int], list[int]], tuple[list[int], list[int]]]:
+        """The ``_tree`` of the dual from face 0 and of the graph from vertex 0, which the ring arcs read."""
+        return _tree(self.faces._across), _tree(self.graph.rotation)
 
     @_derived
     def _pentagonal_rings(self) -> tuple[Ring, ...]:

@@ -26,8 +26,9 @@ when its faces meet 1, 1, 3, 3, 3 and 3 others of the cluster.
 
 Rings and fragments share one representation of a face region: the
 bitmasks of the faces across each face and of its vertices, which the
-graph's ``FaceSet`` builds once.  The same flood fill (``_side``) and
-"vertices on exactly one face" mask (``_once``) serve both.
+graph's ``FaceSet`` builds once.  The "vertices on exactly one face" mask
+(``_once``) serves both; the flood fill (``_side``) grows the pentagon
+clusters, and a ring reads its sides off spanning-tree parities instead.
 
 The ring scan steps from face to face across the edges of the last face,
 reading each face's steps (far face, edge ends) from the ``FaceSet``'s
@@ -41,8 +42,12 @@ one side, taken in ring order, make that cycle.  The arcs of each
 since the rings of a graph pass through the same triples many times; the
 face's edge to the next face, the edge the two share, is fixed by the
 same triple, so it is kept with them and a ring looks up no shared edge.
-A ring keeps its two sides as face bitmasks and lists their faces only
-when asked.  Fragments find their boundary cycles by the rim walk
+So are the triple's parities, read off the graph's two spanning trees
+(``_spanning_trees``): the XOR, over each arc's edges, of the faces below
+each edge's dual tree edge, and the vertices below the shared edge's tree
+edge.  A ring XORs these into its two sides and the vertices of each (see
+``_build_ring``), keeps the sides as face bitmasks and lists their faces
+only when asked.  Fragments find their boundary cycles by the rim walk
 (``_rim``) and ``_edge_cycles``, which also fix the direction each ring
 cycle is reported in.
 """
@@ -274,11 +279,30 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], pentagons: int)
     share none.  Each shared edge is a rung when its end that ``_arc`` puts
     on cycle A (a bit of ``xs``) lies on A and its other end (a bit of
     ``ys``) on B.  Face and vertex sets are int bitmasks (``f.faces`` holds
-    one per face).  Each side is a flood fill over the faces' across masks,
-    blocked by the ring's mask, that ORs the vertex masks of the faces it
-    reaches (the fill that also grows pentagon clusters); r is a popcount
-    of that, and s one of the cycle's vertices on exactly one ring face.
-    The cycles are sorted only when s and r tie, to pick the inner side.
+    one per face).
+
+    The sides come from two breadth-first spanning trees, one of the dual
+    from face 0 and one of the graph from vertex 0 (the graph's
+    ``_spanning_trees``), with no flood fill.
+    The dual tree path from face 0 to a face g crosses an edge's dual exactly
+    when g lies below that edge's dual tree edge, and it crosses a cycle an
+    odd number of times exactly when the cycle separates g from face 0.  So
+    the XOR over a cycle's edges of the faces below each is the set of faces
+    the cycle separates from face 0: for cycle A, side A when face 0 is not
+    on it, else the ring and side B.  Side A is that XOR, or its complement
+    when the XOR meets the ring; side B is read off cycle B alike, never as
+    the complement of side A, so that the check that the ring splits the
+    other faces into two sides still tests something.  Each arc of the
+    ``_ring_arcs`` keeps the XOR over its own edges, so a ring XORs l of
+    them per side.  The rungs are the edges between the vertices on the
+    faces of side A (cycle A and those inside it) and those on side B's, so
+    by the same argument on the graph's tree the XOR over the rungs of the
+    vertices below each is the one of these two sets that misses vertex 0.
+    A side's vertices are that set or its complement, whichever holds its
+    cycle, and they must miss the other cycle; r is their popcount less the
+    cycle's length, and s a popcount of the cycle's vertices on exactly one
+    ring face.  The cycles are sorted only when s and r tie, to pick the
+    inner side.
 
     Raises:
         RuntimeError: naming the ring structure or counting identity that
@@ -294,14 +318,14 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], pentagons: int)
     shared: list[Edge] = []
     a_vs: list[int] = []
     b_vs: list[int] = []
-    a_cm = b_cm = a_own = b_own = firsts = xs = ys = ring = 0
+    a_cm = b_cm = a_own = b_own = firsts = xs = ys = ring = a_par = b_par = cut = 0
     arcs = f._ring_arcs
     prev = faces_cycle[-1]
     for fid, nxt in zip(faces_cycle, nexts):
         arc = arcs.get((prev, fid, nxt))
         if arc is None:
-            arc = _arc(fs, arcs, prev, fid, nxt)
-        a_arc, b_arc, a_bits, b_bits, a_far, b_far, first, edge, x, y = arc
+            arc = _arc(f, arcs, prev, fid, nxt)
+        a_arc, b_arc, a_bits, b_bits, a_far, b_far, first, edge, x, y, a_x, b_x, rung = arc
         prev = fid
         shared.append(edge)
         a_vs += a_arc
@@ -313,6 +337,9 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], pentagons: int)
         firsts |= first
         xs |= x
         ys |= y
+        a_par ^= a_x
+        b_par ^= b_x
+        cut ^= rung
         ring |= 1 << fid
     ends = xs | ys
     _check(ends.bit_count() == 2 * l, "shared edges form a matching", faces_cycle)
@@ -332,14 +359,19 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], pentagons: int)
 
     once = _once(fs, faces_cycle)
 
-    # the two sides: the faces reached from each cycle without crossing the ring
+    # the two sides: the faces each cycle parts from the ring, and their vertices
+    all_faces = (1 << len(fs)) - 1
+    all_vertices = (1 << f.n) - 1
     sides = []
-    for cyc, cm, own in zip(cycles, (a_cm, b_cm), (a_own, b_own)):
-        side, covered = _side(fs, own & -own, ring)
+    for cyc, cm, other, own, parity in zip(
+        cycles, (a_cm, b_cm), (b_cm, a_cm), (a_own, b_own), (a_par, b_par)
+    ):
+        side = all_faces ^ parity if parity & ring else parity
         _check(not own & ~side, "one side owns each cycle", faces_cycle)
         s = (cm & once).bit_count()
         _check(len(cyc) == l + s, "cycle length l + s", faces_cycle)
-        _check(not cm & ~covered, "the side holds its cycle", faces_cycle)
+        covered = cut if not cm & ~cut else all_vertices ^ cut
+        _check(not cm & ~covered and not other & covered, "the side holds its cycle", faces_cycle)
         sides.append((s, covered.bit_count() - len(cyc), cyc, side))
 
     # the inner side: smaller s, then fewer interior vertices r, then the
@@ -352,7 +384,9 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], pentagons: int)
     s, r, inner_cyc, inner = inner_side
     s_prime, _, outer_cyc, outer = outer_side
     _check(
-        not inner & outer and inner.bit_count() + outer.bit_count() + l == len(fs),
+        not inner & outer
+        and not (inner | outer) & ring
+        and inner.bit_count() + outer.bit_count() + l == len(fs),
         "the ring splits the other faces into two sides",
         faces_cycle,
     )
@@ -385,7 +419,7 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], pentagons: int)
     )
 
 
-def _arc(fs: FaceSet, arcs: dict, prev: int, fid: int, nxt: int) -> tuple:
+def _arc(f: FullereneGraph, arcs: dict, prev: int, fid: int, nxt: int) -> tuple:
     """Face ``fid``'s two arcs between its edges to ``prev`` and ``nxt``, kept in ``arcs``.
 
     The caller has checked that ``fid`` meets both faces.  Returns the A
@@ -397,8 +431,12 @@ def _arc(fs: FaceSet, arcs: dict, prev: int, fid: int, nxt: int) -> tuple:
     bits of that edge's ends: ``1 << vs[q]``, where the A arc ends, and
     ``1 << vs[q + 1]``, where the B arc ends (``vs`` the boundary).  A walk
     lists the first vertex of each of its edges, so an arc's last edge ends
-    where the next face's arc starts.
+    where the next face's arc starts.  Last come the parities read off the
+    graph's ``_spanning_trees``: the XOR over the A arc's edges and over the B
+    arc's edges of the faces below each in the dual's tree, and the vertices
+    below edge q in the graph's.
     """
+    fs = f.faces
     vs2 = fs.faces[fid].boundary * 2
     far2 = fs._across[fid] * 2
     size = len(vs2) >> 1
@@ -407,6 +445,7 @@ def _arc(fs: FaceSet, arcs: dict, prev: int, fid: int, nxt: int) -> tuple:
     qa = q + size if q < p else q
     pb = p + size if p < q else p
     a_vs, b_vs = vs2[p + 1 : qa], vs2[pb : q + 1 : -1]
+    faces_tree, vertices_tree = f._spanning_trees
     arc = arcs[prev, fid, nxt] = (
         a_vs,
         b_vs,
@@ -418,8 +457,30 @@ def _arc(fs: FaceSet, arcs: dict, prev: int, fid: int, nxt: int) -> tuple:
         fs.faces[fid].boundary_edges()[q],
         1 << vs2[q],
         1 << vs2[q + 1],
+        _cross(faces_tree, fid, far2[p + 1 : qa]),
+        _cross(faces_tree, fid, far2[q + 1 : pb]),
+        _cross(vertices_tree, vs2[q], (vs2[q + 1],)),
     )
     return arc
+
+
+def _cross(tree: tuple[list[int], list[int]], x: int, ys: Iterable[int]) -> int:
+    """The XOR, over the edges from node x to each of ``ys``, of the nodes below each in ``tree``.
+
+    ``tree`` is a spanning tree as ``plane_graph._tree`` gives it, each
+    node's parent and the bitmask of the nodes below it; an edge not in the
+    tree counts 0.  An edge is named by its ends, so the dual's edges are
+    named by the two faces across them (two fullerene faces share at most
+    one edge).
+    """
+    up, below = tree
+    out = 0
+    for y in ys:
+        if up[y] == x:
+            out ^= below[y]
+        elif up[x] == y:
+            out ^= below[x]
+    return out
 
 
 def _oriented(vs: list[int], forward: bool, ends: int, firsts: int) -> tuple[int, ...]:
@@ -473,23 +534,17 @@ def _once(fs: FaceSet, faces: Iterable[int]) -> int:
     return seen & ~twice
 
 
-def _side(fs: FaceSet, start: int, blocked: int) -> tuple[int, int]:
-    """Flood fill from the face bit ``start`` across edges, never entering ``blocked``.
-
-    Returns the bitmasks of the faces reached and of the vertices on them.
-    """
-    vertices, across = fs.vertex_masks, fs.across_masks
+def _side(fs: FaceSet, start: int, blocked: int) -> int:
+    """The faces a flood fill from the face bit ``start`` reaches across edges, never entering ``blocked``."""
+    across = fs.across_masks
     side = frontier = start
-    covered = 0
     while frontier:
         low = frontier & -frontier
         frontier ^= low
-        fid = low.bit_length() - 1
-        covered |= vertices[fid]
-        grow = across[fid] & ~side & ~blocked
+        grow = across[low.bit_length() - 1] & ~side & ~blocked
         side |= grow
         frontier |= grow
-    return side, covered
+    return side
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -642,8 +697,8 @@ def detect_r5_r6(f: FullereneGraph) -> list[CapWitness]:
 def maximal_pentagonal_fragments(f: FullereneGraph) -> list[Fragment]:
     """Classify every connected pentagon cluster of the graph.
 
-    Clusters are grown over pentagon-pentagon shared edges, by the ring
-    scan's flood fill over the ``FaceSet``'s masks, blocked by the hexagons.
+    Clusters are grown over pentagon-pentagon shared edges, by a flood fill
+    (``_side``) over the ``FaceSet``'s across masks, blocked by the hexagons.
     A cluster whose union is a disk is a genuine fragment: its shape is
     PENTAGON (one face), TURTLE (the six-pentagon pattern), or OTHER, and it
     is maximal exactly when every face sharing an edge with it is a hexagon.
@@ -657,7 +712,7 @@ def maximal_pentagonal_fragments(f: FullereneGraph) -> list[Fragment]:
     for start in f.pentagon_ids:
         if seen >> start & 1:
             continue
-        cluster, _ = _side(f.faces, 1 << start, hexagons)
+        cluster = _side(f.faces, 1 << start, hexagons)
         seen |= cluster
         out.append(_classify_cluster(f, cluster))
     out.sort(key=lambda fr: fr.faces)

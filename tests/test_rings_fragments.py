@@ -18,7 +18,7 @@ import pytest
 from oracles import _build_ring as build_ring_by_sets
 from oracles import find_polygonal_rings_by_full_walk
 
-from resonantk import rings_fragments
+from resonantk import plane_graph, rings_fragments
 from resonantk.catalog import catalog_graph, catalog_names, nanotube
 from resonantk.cli import analyze_graph
 from resonantk.errors import GraphError
@@ -183,10 +183,11 @@ def test_ring_stats_refuses_non_consecutive_faces_that_meet(graphs):
 
 def test_rung_check_needs_exactly_one_endpoint_on_each_cycle(graphs, monkeypatch):
     # _build_ring reads each shared edge from the graph's arcs: the entry of a
-    # (previous, face, next) triple ends with the face's edge to the next
-    # face and the bits of its two ends, the first on cycle A and the second
-    # on cycle B.  Report an edge of each cycle, between two vertices on no
-    # shared edge, as the first two shared edges.  The shared edges still
+    # (previous, face, next) triple holds, after its first seven fields, the
+    # face's edge to the next face and the bits of its two ends, the first on
+    # cycle A and the second on cycle B (its three parities follow).  Report
+    # an edge of each cycle, between two vertices on no shared edge, as the
+    # first two shared edges.  The shared edges still
     # form a matching and each cycle still holds l of their endpoints, but
     # each forged edge has both ends on one cycle, so the rung check must
     # refuse them.
@@ -210,7 +211,7 @@ def test_rung_check_needs_exactly_one_endpoint_on_each_cycle(graphs, monkeypatch
     for i, cyc in ((0, ring.inner_cycle), (1, ring.outer_cycle)):
         key = (faces[i - 1], faces[i], faces[i + 1])
         u, v = free_edge(ring, cyc)
-        monkeypatch.setitem(arcs, key, arcs[key][:7] + ((u, v), 1 << u, 1 << v))
+        monkeypatch.setitem(arcs, key, arcs[key][:7] + ((u, v), 1 << u, 1 << v) + arcs[key][10:])
     with pytest.raises(RuntimeError, match="each shared edge is a rung"):
         ring_stats(f, ring)
 
@@ -225,9 +226,148 @@ def test_rung_check_fixes_which_end_lies_on_which_cycle(graphs, monkeypatch):
     arcs = f._ring_arcs
     key = (ring.faces[-1], ring.faces[0], ring.faces[1])
     entry = arcs[key]
-    monkeypatch.setitem(arcs, key, entry[:8] + (entry[9], entry[8]))
+    monkeypatch.setitem(arcs, key, entry[:8] + (entry[9], entry[8]) + entry[10:])
     with pytest.raises(RuntimeError, match="each shared edge is a rung"):
         ring_stats(f, ring)
+
+
+# the checks a forged parity must trip: the sides, then the counting identities
+SIDE_CHECKS = (
+    "one side owns each cycle",
+    "the side holds its cycle",
+    "the ring splits the other faces into two sides",
+    "s, s' != 1",
+    "r = s (mod 2)",
+    "n5 + n6 = (s + r + 2)/2",
+    "5 n5 + 6 n6 = 2s + 3r + l",
+    "n5 = 6 + s - l",
+    "n6 = l + (r - s)/2 - 5",
+    "s + s' = l on a pentagonal ring",
+)
+
+
+def _side_check_tripped(f, ring):
+    """The check ``ring_stats`` trips on ring, which must be one of SIDE_CHECKS."""
+    with pytest.raises(RuntimeError) as caught:
+        ring_stats(f, ring)
+    message = str(caught.value)
+    assert message.startswith(f"ring {ring.faces}: ") and message.endswith(" fails"), message
+    check = message[len(f"ring {ring.faces}: ") : -len(" fails")]
+    assert check in SIDE_CHECKS, message
+    return check
+
+
+def _some_rings(f):
+    """The first and the last ring of each length up to 9.
+
+    In scan order the first rings pass the low face ids, face 0 among them,
+    and the last the high ones, so the trees' roots fall on either side.
+    """
+    by_length = {}
+    for ring in find_polygonal_rings(f, 9, ANY):
+        by_length.setdefault(ring.l, []).append(ring)
+    return [ring for rings in by_length.values() for ring in [rings[0]] + rings[1:][-1:]]
+
+
+@pytest.mark.parametrize("name", ["F28", "C60"])
+def test_forged_arc_parities_fail_the_build(name, graphs, monkeypatch):
+    # Each arc entry ends with its three parities: the XOR over its A-arc and
+    # over its B-arc edges of the faces below each edge's dual tree edge, and
+    # the vertices below its shared edge's tree edge.  A ring XORs them over
+    # its entries, so forging one entry forges the ring's parity.  Flipping
+    # one bit moves one face or one vertex to the wrong side, and flipping
+    # two can swap a ring face onto a side for a face of that side: some
+    # check must say so.  A vertex parity of every vertex, or of none, makes
+    # one side's vertices hold both cycles.
+    f = FullereneGraph(graphs[name].graph)  # fresh tables
+    arcs = f._ring_arcs
+    n_faces, every_vertex = len(f.faces), (1 << f.n) - 1
+    for ring in _some_rings(f):
+        assert ring_stats(f, ring) == ring
+        key = (ring.faces[-1], ring.faces[0], ring.faces[1])
+        entry = arcs[key]
+        cut = 0
+        for i in range(ring.l):
+            cut ^= arcs[ring.faces[i - 1], ring.faces[i], ring.faces[(i + 1) % ring.l]][12]
+        pairs = [1 << a | 1 << b for a, b in combinations(range(n_faces), 2)]
+        ones = [1 << a for a in range(n_faces)]
+        forgeries = [(field, flip) for field in (10, 11) for flip in pairs + ones]
+        forgeries += [(12, 1 << v) for v in range(f.n)]
+        for field, flip in forgeries:
+            forged = entry[:field] + (entry[field] ^ flip,) + entry[field + 1 :]
+            monkeypatch.setitem(arcs, key, forged)
+            _side_check_tripped(f, ring)
+        for flip in (cut, cut ^ every_vertex):
+            monkeypatch.setitem(arcs, key, entry[:12] + (entry[12] ^ flip,))
+            assert _side_check_tripped(f, ring) == "the side holds its cycle"
+        monkeypatch.setitem(arcs, key, entry)
+        assert ring_stats(f, ring) == ring
+
+
+@pytest.mark.parametrize("name", ["F28", "C60"])
+def test_forged_tree_masks_fail_the_build(name, graphs, monkeypatch):
+    # A graph's _spanning_trees are the dual's tree and then the graph's,
+    # each as plane_graph._tree gives it: every node's parent and the mask
+    # of the nodes below it, which is the mask of the tree edge to its
+    # parent.  Flip one bit of the mask of one tree edge that a ring reads,
+    # an edge of either cycle in the dual's tree or a shared edge in the
+    # graph's, and build the ring on a fresh graph object, whose trees carry
+    # the forged mask.
+    g = graphs[name].graph
+    fs = g._faces
+    tree = plane_graph._tree
+    trees = FullereneGraph(g)._spanning_trees
+
+    def below_end(up, x, y):
+        """The end of edge (x, y) below the other in the tree, or None off the tree."""
+        return y if up[y] == x else x if up[x] == y else None
+
+    def forging(which, y, bit):
+        calls = []
+
+        def forged(adjacent):
+            up, below = tree(adjacent)
+            calls.append(adjacent)
+            if len(calls) - 1 == which:
+                below[y] ^= 1 << bit
+            return up, below
+
+        return forged
+
+    for ring in _some_rings(graphs[name]):
+        crossed = [
+            [(fs.face_of_arc((c[i - 1], c[i])), fs.face_of_arc((c[i], c[i - 1]))) for i in range(len(c))]
+            for c in (ring.inner_cycle, ring.outer_cycle)
+        ]
+        # the first tree edge across each cycle, and the first rung in the graph's tree
+        for which, edges in ((0, crossed[0]), (0, crossed[1]), (1, ring.shared_edges)):
+            ends = [below_end(trees[which][0], *e) for e in edges]
+            ends = [y for y in ends if y is not None]
+            assert ends, (ring.faces, which)  # each tree crosses each cycle, and the rungs
+            for bit in range(len(fs) if which == 0 else g.n):
+                monkeypatch.setattr(plane_graph, "_tree", forging(which, ends[0], bit))
+                _side_check_tripped(FullereneGraph(g), ring)
+    monkeypatch.setattr(plane_graph, "_tree", tree)
+    f = FullereneGraph(g)
+    for ring in _some_rings(graphs[name]):
+        assert ring_stats(f, ring) == ring
+
+
+def test_ring_scan_floods_no_side(graphs, monkeypatch):
+    # the ring scan reads every side off the spanning trees; only the
+    # fragments still flood, once per pentagon cluster
+    side = rings_fragments._side
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return side(*args)
+
+    monkeypatch.setattr(rings_fragments, "_side", counted)
+    f = FullereneGraph(graphs["C60"].graph)
+    assert find_polygonal_rings(f, 9) and calls == []
+    fragments = maximal_pentagonal_fragments(f)
+    assert len(calls) == len(fragments) == 12
 
 
 def _closed_face_walks(fs, shortest, longest):
@@ -352,6 +492,19 @@ def test_tube_ring_scan_matches_full_walk(cap, relabel):
         for kind, (g, vertex_map) in _variants(f, relabel, k).items():
             want = _mapped_rings(found, f, g, vertex_map) if g is not f else found
             assert find_polygonal_rings(g, 9, ANY) == want, (cap, k, kind)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("cap, k", [("R6", 12), ("R5", 16)])
+def test_long_tube_ring_scan_matches_full_walk(cap, k, relabel):
+    # A long tube's spanning trees are deep, and its rings' sides hold many
+    # faces and many tree edges; the oracle floods each side by sets of its
+    # own.  Length 8 keeps the oracle's walk to about a second a tube.
+    f = nanotube(cap, k)
+    found = find_polygonal_rings_by_full_walk(f, 8, ANY)
+    for kind, (g, vertex_map) in _variants(f, relabel, k).items():
+        want = _mapped_rings(found, f, g, vertex_map) if g is not f else found
+        assert find_polygonal_rings(g, 8, ANY) == want, (cap, k, kind)
 
 
 @pytest.mark.parametrize("face_filter", [ANY, PENTAGONS_ONLY])
@@ -601,10 +754,11 @@ def test_rings_and_fragments_build_the_face_masks_once(monkeypatch):
     # so that a table added later is counted too, is built at most once per
     # object.  Parsing reads the turns and traces the faces, and building
     # the FullereneGraph sorts them into pentagons and hexagons; the ring
-    # scan, the fragments and ring_stats then build the FaceSet's three
-    # tables, the ring scan and its arcs, and no table of any other object
-    # (no canonical pass, no walk); analyze and every certificate pair of the
-    # leapfrog image build the rest.
+    # scan then builds the FaceSet's vertex masks and steps, the scan, its
+    # arcs and the spanning trees they read, the fragments' flood and
+    # ring_stats the FaceSet's across masks, and no table of any other
+    # object (no canonical pass, no walk); analyze and every certificate
+    # pair of the leapfrog image build the rest.
     built = Counter()
     counted_objects = []  # kept alive, so that no id is reused
     tables = set()
@@ -630,15 +784,18 @@ def test_rings_and_fragments_build_the_face_masks_once(monkeypatch):
     )
     assert built == parsed
     ring_phase = parsed + Counter(
-        [(key, id(f.faces)) for key in ("FaceSet.vertex_masks", "FaceSet.across_masks", "FaceSet.steps")]
-        + [(key, id(f)) for key in ("FullereneGraph._pentagonal_rings", "FullereneGraph._ring_arcs")]
+        [(key, id(f.faces)) for key in ("FaceSet.vertex_masks", "FaceSet.steps")]
+        + [
+            (f"FullereneGraph.{key}", id(f))
+            for key in ("_pentagonal_rings", "_ring_arcs", "_spanning_trees")
+        ]
     )
     rings = pentagonal_rings(f)
     assert rings and built == ring_phase
     assert maximal_pentagonal_fragments(f)
     for ring in rings:
         assert ring_stats(f, ring) == ring
-    assert built == ring_phase
+    assert built == ring_phase + Counter([("FaceSet.across_masks", id(f.faces))])
     analyze_graph(f)
     lf = leapfrog(f)
     verts = lf.image.faces.vertex_masks
