@@ -237,7 +237,10 @@ def _breadth_first_order(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _sweep(adj: Sequence[Sequence[int]], mark: list[int], root: int, stamp: int) -> list[int]:
-    """Breadth first from root over the vertices not yet marked ``stamp``, marking them."""
+    """Breadth first from root over the nodes not yet marked ``stamp``, marking them.
+
+    The package's one flood fill; ``adj`` may be any adjacency, faces across faces too.
+    """
     mark[root] = stamp
     queue = [root]
     for v in queue:

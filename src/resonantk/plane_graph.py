@@ -14,8 +14,9 @@ bipartiteness with an odd-cycle witness, a canonical code deciding
 plane-isomorphism (reflections included), and a cyclic edge-connectivity
 check.  That check reads cuts off short dual cycles: a graph has a cyclic
 cut of fewer than k edges exactly when its dual has a cycle of some length
-l < k with at least l vertices on each side.  It costs O(n) for each fixed
-k and has no size guard.
+l < k with at least l vertices on each side, and a side's vertices are read
+off a spanning tree (``_tree``, ``_cross``).  Its walk costs O(n) for each
+fixed k, the tree's masks n^2 bits, and it has no size guard.
 
 ``_turns`` is the one reading of the clockwise order: per vertex, each
 neighbour mapped to the next and the previous one after it.  The face
@@ -37,10 +38,10 @@ only, checked by ``errors.check_type``.
 
 An ``EmbeddedGraph`` is checked to be a simple cubic graph when built
 (``_check_rotation``); ``EmbeddedGraph._faces`` decides once per graph that
-it is connected (``kernels._sweep``, the one flood fill, which
-``matching.tutte_witness`` also walks, reaches every vertex) and on the sphere,
-and keeps the one trace, which ``faces`` returns.  A ``FullereneGraph``
-holds only its graph and derives its face ids from it when built.
+it is connected (``kernels._sweep``, the package's one flood fill, reaches
+every vertex) and on the sphere, and keeps the one trace, which ``faces``
+returns.  A ``FullereneGraph`` holds only its graph and derives its face
+ids from it when built.
 """
 
 from __future__ import annotations
@@ -323,6 +324,25 @@ def _tree(adjacent: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     for y in reversed(order[1:]):
         below[up[y]] |= below[y]
     return up, below
+
+
+def _cross(tree: tuple[list[int], list[int]], x: int, ys: Iterable[int]) -> int:
+    """The XOR, over the edges from node x to each of ``ys``, of the nodes below each in ``tree``.
+
+    ``tree`` is a spanning tree as ``_tree`` gives it, each node's parent
+    and the bitmask of the nodes below it; an edge not in the tree counts
+    0.  An edge is named by its ends, so the dual's edges are named by the
+    two faces across them (two fullerene faces share at most one edge).
+    Over a bond's edges it is, by tree-cotree parity, the side without node 0.
+    """
+    up, below = tree
+    out = 0
+    for y in ys:
+        if up[y] == x:
+            out ^= below[y]
+        elif up[x] == y:
+            out ^= below[x]
+    return out
 
 
 def _bitmask(bits: Iterable[int]) -> int:
@@ -931,9 +951,10 @@ def verify_cyclic_edge_connectivity(g: EmbeddedGraph | FullereneGraph, k: int = 
     the bonds of a connected plane graph are exactly the cycles of its dual.
     A side with t vertices and l cut edges has (3t - l)/2 edges, so it holds
     a cycle exactly when t >= l.  The check therefore walks dual cycles of
-    length l = 1, 2, ..., k - 1 and tests both sides of each with flood fills
-    that stop at l vertices; it stops at the first cut.  For each fixed k
-    this costs O(n), on any number of vertices.
+    length l = 1, 2, ..., k - 1 and reads the vertices of one side off a
+    spanning tree of the graph (``_cross``); it stops at the first cut.  For
+    each fixed k the walk costs O(n), on any number of vertices; the tree
+    keeps an n-bit mask per vertex (46 MB at 24,024 vertices).
 
     Raises:
         GraphError: if g is neither graph type, k is not an integer, or a
@@ -941,17 +962,15 @@ def verify_cyclic_edge_connectivity(g: EmbeddedGraph | FullereneGraph, k: int = 
     """
     g, _ = _embedded(g)
     check_int("k", k)
-    rotation, fs = g.rotation, g._faces
+    fs, tree = g._faces, _tree(g.rotation)
     for l in range(1, min(k - 1, len(fs)) + 1):
         for root in range(len(fs)):
-            if _short_cyclic_cut(rotation, fs, root, l):
+            if _short_cyclic_cut(fs, tree, root, l):
                 return False
     return True
 
 
-def _short_cyclic_cut(
-    rotation: Sequence[tuple[int, int, int]], fs: FaceSet, root: int, l: int
-) -> bool:
+def _short_cyclic_cut(fs: FaceSet, tree: tuple[list[int], list[int]], root: int, l: int) -> bool:
     """Whether some dual cycle of length l, with least face ``root``, is a cyclic cut.
 
     A depth-first walk grows a path of distinct faces from ``root``, each
@@ -959,41 +978,26 @@ def _short_cyclic_cut(
     the cut.  A path of l faces closes back onto ``root``, so a loop (a
     bridge) closes at l = 1 and two faces that share two edges at l = 2.
     Each frame holds its path and its crossed edges as tuples, built on push
-    and dropped on pop.
+    and dropped on pop, and the side they cut off, their ``_cross`` in ``tree``.
     """
     # Frames (the (edge, face across) pairs of path[-1] left to try, the
-    # path's faces, the edges crossed along it).
-    stack = [(zip(fs.faces[root].boundary_edges(), fs._across[root]), (root,), ())]
+    # path's faces, the edges crossed along it, the XOR of their parities).
+    stack = [(zip(fs.faces[root].boundary_edges(), fs._across[root]), (root,), (), 0)]
     while stack:
-        todo, path, cut = stack[-1]
+        todo, path, cut, side = stack[-1]
         for e, x in todo:
             if e in cut:
                 continue
             if x == root and len(path) == l:
-                edges = {*cut, e}
-                if all(_side_reaches(rotation, edges, v, l) for v in e):
+                if l <= (side ^ _cross(tree, e[0], e[1:])).bit_count() <= len(tree[0]) - l:
                     return True
             elif x > root and len(path) < l and x not in path:
                 # the last face of the path must close onto the root
                 if len(path) == l - 1 and root not in fs._across[x]:
                     continue
-                stack.append((zip(fs.faces[x].boundary_edges(), fs._across[x]), path + (x,), cut + (e,)))
+                steps = zip(fs.faces[x].boundary_edges(), fs._across[x])
+                stack.append((steps, path + (x,), cut + (e,), side ^ _cross(tree, e[0], e[1:])))
                 break
         else:
             stack.pop()
     return False
-
-
-def _side_reaches(
-    rotation: Sequence[tuple[int, int, int]], cut: set[Edge], start: int, size: int
-) -> bool:
-    """Whether the side of ``cut`` that holds ``start`` has at least ``size`` vertices."""
-    seen = {start}
-    stack = [start]
-    while stack and len(seen) < size:
-        v = stack.pop()
-        for w in rotation[v]:
-            if w not in seen and ((v, w) if v < w else (w, v)) not in cut:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) >= size

@@ -27,8 +27,8 @@ when its faces meet 1, 1, 3, 3, 3 and 3 others of the cluster.
 Rings and fragments share one representation of a face region: the
 bitmasks of the faces across each face and of its vertices, which the
 graph's ``FaceSet`` builds once.  The "vertices on exactly one face" mask
-(``_once``) serves both; the flood fill (``_side``) grows the pentagon
-clusters, and a ring reads its sides off spanning-tree parities instead.
+(``_once``) serves both; the one flood fill, ``kernels._sweep``, grows the
+pentagon clusters, and a ring reads its sides off spanning-tree parities.
 
 The ring scan steps from face to face across the edges of the last face,
 reading each face's steps (far face, edge ends) from the ``FaceSet``'s
@@ -58,8 +58,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
+from . import kernels
 from .errors import GraphError, check_int, check_ints, check_type
-from .plane_graph import Edge, FaceSet, FullereneGraph
+from .plane_graph import Edge, FaceSet, FullereneGraph, _cross
 
 PENTAGONS_ONLY = "PENTAGONS_ONLY"
 ANY = "ANY"
@@ -464,25 +465,6 @@ def _arc(f: FullereneGraph, arcs: dict, prev: int, fid: int, nxt: int) -> tuple:
     return arc
 
 
-def _cross(tree: tuple[list[int], list[int]], x: int, ys: Iterable[int]) -> int:
-    """The XOR, over the edges from node x to each of ``ys``, of the nodes below each in ``tree``.
-
-    ``tree`` is a spanning tree as ``plane_graph._tree`` gives it, each
-    node's parent and the bitmask of the nodes below it; an edge not in the
-    tree counts 0.  An edge is named by its ends, so the dual's edges are
-    named by the two faces across them (two fullerene faces share at most
-    one edge).
-    """
-    up, below = tree
-    out = 0
-    for y in ys:
-        if up[y] == x:
-            out ^= below[y]
-        elif up[x] == y:
-            out ^= below[x]
-    return out
-
-
 def _oriented(vs: list[int], forward: bool, ends: int, firsts: int) -> tuple[int, ...]:
     """The closed walk ``vs`` in the direction ``_edge_cycles`` gives it on the rim.
 
@@ -532,19 +514,6 @@ def _once(fs: FaceSet, faces: Iterable[int]) -> int:
         twice |= seen & vertices[fid]
         seen |= vertices[fid]
     return seen & ~twice
-
-
-def _side(fs: FaceSet, start: int, blocked: int) -> int:
-    """The faces a flood fill from the face bit ``start`` reaches across edges, never entering ``blocked``."""
-    across = fs.across_masks
-    side = frontier = start
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        grow = across[low.bit_length() - 1] & ~side & ~blocked
-        side |= grow
-        frontier |= grow
-    return side
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -697,24 +666,23 @@ def detect_r5_r6(f: FullereneGraph) -> list[CapWitness]:
 def maximal_pentagonal_fragments(f: FullereneGraph) -> list[Fragment]:
     """Classify every connected pentagon cluster of the graph.
 
-    Clusters are grown over pentagon-pentagon shared edges, by a flood fill
-    (``_side``) over the ``FaceSet``'s across masks, blocked by the hexagons.
-    A cluster whose union is a disk is a genuine fragment: its shape is
-    PENTAGON (one face), TURTLE (the six-pentagon pattern), or OTHER, and it
-    is maximal exactly when every face sharing an edge with it is a hexagon.
+    Each cluster is one ``kernels._sweep`` over the faces across faces, with
+    the hexagons marked first.  A cluster whose union is a disk is a genuine
+    fragment: its shape is PENTAGON (one face), TURTLE (the six-pentagon
+    pattern), or OTHER, and it is maximal exactly when every face sharing an
+    edge with it is a hexagon.
     Non-disk clusters (whole sphere, annular belts) are reported with shape
     OTHER, maximal False, and their boundary cycles as found.
     """
     check_type("graph", f, FullereneGraph)
-    hexagons = sum(1 << h for h in f.hexagon_ids)
-    seen = 0
-    out: list[Fragment] = []
-    for start in f.pentagon_ids:
-        if seen >> start & 1:
-            continue
-        cluster = _side(f.faces, 1 << start, hexagons)
-        seen |= cluster
-        out.append(_classify_cluster(f, cluster))
+    mark = [0] * len(f.faces)
+    for h in f.hexagon_ids:
+        mark[h] = 1
+    out = [
+        _classify_cluster(f, sum(1 << x for x in kernels._sweep(f.faces._across, mark, p, 1)))
+        for p in f.pentagon_ids
+        if not mark[p]
+    ]
     out.sort(key=lambda fr: fr.faces)
     return out
 
@@ -744,7 +712,7 @@ def _classify_cluster(f: FullereneGraph, members: int) -> Fragment:
         shape = "TURTLE"
     else:
         shape = "OTHER"
-    # maximal: _side grows the cluster until only hexagons are across it
+    # maximal: the sweep grows the cluster until only hexagons are across it
     return Fragment(cluster, cycles, w, gamma, True, True, shape)
 
 

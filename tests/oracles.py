@@ -20,7 +20,8 @@ remain, each made where it is used:
   is still to come, once its cost on the walk tests is measured.
 * ``resonantk.rings_fragments`` gives the former ring scan
   ``PENTAGONS_ONLY``, ``Ring`` and the ``_check`` and ``_edge_cycles`` its
-  builder called, unchanged in the package since.
+  builder called, unchanged in the package since.  The fragment oracle
+  takes nothing from it.
 * ``resonantk.plane_graph`` gives the former face trace its result types,
   ``Face`` and ``FaceSet``, which the tests compare field by field with
   the package's trace; the trace reads ``EmbeddedGraph.arcs`` but steps
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import isqrt
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -724,6 +725,69 @@ def _face_component(fs, start: int, blocked: set[int] | frozenset[int]) -> set[i
                 comp.add(g)
                 stack.append(g)
     return comp
+
+
+# the turtle's faces as six nodes: K4 less the edge (0, 1), a pendant face on each of 0 and 1
+_TURTLE = ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 5))
+
+
+def fragments_by_sets(f) -> list[tuple]:
+    """Each pentagon cluster as (faces, free vertices, gamma, maximal, shape, boundary cycles), by faces.
+
+    Set-based, from the definitions: a cluster is the ``_face_component`` of
+    a pentagon blocked by the hexagons, its free vertices those on exactly
+    one of its faces (``_faces_per_vertex``), gamma the fewest cluster faces
+    across one of its faces, and its boundary cycles the components of its
+    ``_rim``.  A cluster with one boundary cycle is a disk, maximal when
+    every face across it is a hexagon, and a TURTLE when some relabelling
+    of its faces maps ``_TURTLE`` onto the pairs of them across each other.
+    """
+    fs = f.faces
+    hexagons = frozenset(f.hexagon_ids)
+    out = []
+    seen: set[int] = set()
+    for start in f.pentagon_ids:
+        if start in seen:
+            continue
+        comp = _face_component(fs, start, hexagons)
+        seen |= comp
+        faces = tuple(sorted(comp))
+        free = frozenset(v for v, count in _faces_per_vertex(fs, faces).items() if count == 1)
+        pairs = {frozenset((x, g)) for x in faces for g in fs.across(x) if g in comp}
+        gamma = min(sum(x in pair for pair in pairs) for x in faces)
+        cycles = _component_count(_rim(fs, faces))
+        disk = cycles == 1
+        turtle = len(faces) == 6 and any(
+            {frozenset((p[a], p[b])) for a, b in _TURTLE} == pairs for p in permutations(faces)
+        )
+        shape = "OTHER"
+        if disk and len(faces) == 1:
+            shape = "PENTAGON"
+        elif disk and turtle:
+            shape = "TURTLE"
+        maximal = disk and all(g in comp or g in hexagons for x in faces for g in fs.across(x))
+        out.append((faces, free, gamma, maximal, shape, cycles))
+    return sorted(out)
+
+
+def _component_count(edges: list) -> int:
+    """The number of connected components of the graph on the ends of ``edges``."""
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    seen: set[int] = set()
+    count = 0
+    for start in adj:
+        if start not in seen:
+            count += 1
+            stack = [start]
+            seen.add(start)
+            while stack:
+                for w in adj[stack.pop()] - seen:
+                    seen.add(w)
+                    stack.append(w)
+    return count
 
 
 @lru_cache(maxsize=1)

@@ -42,6 +42,13 @@ def test_oracles_import_no_resonance_or_leapfrog_code():
     modules = {module for module, _ in imports}
     assert modules.isdisjoint({"resonantk.resonance", "resonantk.leapfrog"}), imports
     assert {name for module, name in imports if module == "resonantk.matching"} == {"is_central"}
+    # the ring and fragment oracles take only what the docstring lists
+    assert {name for module, name in imports if module == "resonantk.rings_fragments"} == {
+        "PENTAGONS_ONLY",
+        "Ring",
+        "_check",
+        "_edge_cycles",
+    }
     # the root package reaches every module, so only its submodules may come from it
     assert "resonantk" not in modules, imports
     # the walk reaches the imports made inside functions

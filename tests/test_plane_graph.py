@@ -897,10 +897,14 @@ def test_doslic_cyclic_5_edge_connectivity(graphs, coded):
 
 def test_cyclic_connectivity_large_k(graphs, coded):
     # the walk stops at the first cut, and no dual cycle is longer than the
-    # face count: K4 has no cyclic cut at all, the cube one of 4 edges
+    # face count: K4 has no cyclic cut at all, the cube one of 4 edges.  The
+    # lengths go up one at a time, so C60 and the tube stop at a pentagon's
+    # 5-cut; one depth-first pass over all lengths at once dives into long
+    # dual paths first and did not end on C60 within 25 s.
     assert verify_cyclic_edge_connectivity(coded["K4"], 10**6)
     assert not verify_cyclic_edge_connectivity(coded["cube"], 10**6)
-    assert not verify_cyclic_edge_connectivity(graphs["F20"], 10**6)
+    for g in (graphs["F20"], graphs["C60"], coded["R6_4"]):
+        assert not verify_cyclic_edge_connectivity(g, 10**6)
 
 
 def test_cyclic_connectivity_rejects_non_integer_k(graphs):

@@ -18,7 +18,7 @@ import pytest
 from oracles import _build_ring as build_ring_by_sets
 from oracles import find_polygonal_rings_by_full_walk
 
-from resonantk import plane_graph, rings_fragments
+from resonantk import kernels, plane_graph, rings_fragments
 from resonantk.catalog import catalog_graph, catalog_names, nanotube
 from resonantk.cli import analyze_graph
 from resonantk.errors import GraphError
@@ -355,15 +355,16 @@ def test_forged_tree_masks_fail_the_build(name, graphs, monkeypatch):
 
 def test_ring_scan_floods_no_side(graphs, monkeypatch):
     # the ring scan reads every side off the spanning trees; only the
-    # fragments still flood, once per pentagon cluster
-    side = rings_fragments._side
+    # fragments flood, by the package's one flood fill, once per pentagon
+    # cluster.  The graph is traced already, so building f floods nothing.
+    sweep = kernels._sweep
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return side(*args)
+        return sweep(*args)
 
-    monkeypatch.setattr(rings_fragments, "_side", counted)
+    monkeypatch.setattr(kernels, "_sweep", counted)
     f = FullereneGraph(graphs["C60"].graph)
     assert find_polygonal_rings(f, 9) and calls == []
     fragments = maximal_pentagonal_fragments(f)
@@ -722,6 +723,30 @@ def test_fragment_flags(graphs):
         assert len(fr.w_vertices) == 5  # isolated pentagon: all boundary free
 
 
+def test_fragments_match_the_set_oracle(graphs, isomers, relabel):
+    # the fragments against cluster sets grown, counted and shaped from the
+    # definitions: the catalog, R5/R6 tubes k = 1..6 and every isomer with
+    # 20..30 vertices, each as given and relabelled
+    from oracles import fragments_by_sets
+    from resonantk._spiral import wind
+
+    fullerenes = dict(graphs)
+    fullerenes.update({f"{cap}_{k}": nanotube(cap, k) for cap in ("R5", "R6") for k in range(1, 7)})
+    for n, found in isomers.items():
+        fullerenes.update({f"C{n}:{i}": validate_fullerene(wind(seq)) for i, (_, seq) in enumerate(found)})
+    kinds = set()
+    for seed, (name, f) in enumerate(fullerenes.items()):
+        for g in (f, relabel(f, seed)):
+            got = [
+                (fr.faces, fr.w_vertices, fr.gamma, fr.maximal, fr.shape, len(fr.boundary))
+                for fr in maximal_pentagonal_fragments(g)
+            ]
+            assert got == fragments_by_sets(g), name
+            kinds |= {(shape, cycles) for *_, shape, cycles in got}
+    # every disk shape, the whole sphere (no cycle) and clusters with two to four cycles are met
+    assert kinds == {("PENTAGON", 1), ("TURTLE", 1), ("OTHER", 1)} | {("OTHER", c) for c in (0, 2, 3, 4)}
+
+
 def test_ipr_c70(graphs):
     frags = maximal_pentagonal_fragments(graphs["C70"])
     assert len(frags) == 12
@@ -755,8 +780,8 @@ def test_rings_and_fragments_build_the_face_masks_once(monkeypatch):
     # object.  Parsing reads the turns and traces the faces, and building
     # the FullereneGraph sorts them into pentagons and hexagons; the ring
     # scan then builds the FaceSet's vertex masks and steps, the scan, its
-    # arcs and the spanning trees they read, the fragments' flood and
-    # ring_stats the FaceSet's across masks, and no table of any other
+    # arcs and the spanning trees they read, the fragments' cluster degrees
+    # and ring_stats the FaceSet's across masks, and no table of any other
     # object (no canonical pass, no walk); analyze and every certificate
     # pair of the leapfrog image build the rest.
     built = Counter()
