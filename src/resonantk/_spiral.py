@@ -20,18 +20,19 @@ boundary exactly.
 
 Each edge ends up traversed once in each direction over all recorded face
 cycles, so a rotation system can be synthesised from the local constraint
-"in the cycle ... a -> b -> d ..., d follows a in the rotation at b".  The
-winding checks only what it needs to go on; ``_assemble`` re-verifies the
-synthesised embedding before it is returned, with its faces.  Its
-repeated-arc check rejects a repeated edge (a face glued along an edge the
-patch already has puts one arc into two face cycles).  Its rotation check
-rejects a vertex that is not one 3-cycle, such as one the closing face
-leaves at degree 2, with two rotation entries.  The checks of
-``parse_graph``, made when the graph is built and traced, do the rest.  No
-vertex count is checked: the sizes sum to 3(2F - 4) for F faces, and the
-closing face has its size, so the face cycles hold 3(2F - 4) arcs; with
-each vertex in three rotation entries and no arc repeated, there are
-2F - 4 vertices.
+"in the cycle ... a -> b -> d ..., d follows a in the rotation at b".
+``_assemble`` does so with no check, because none can fail.  A patch is a
+disk whose boundary lists distinct vertices of degree 2 or 3, and its
+faces run each boundary edge against the winding order: a face glued into
+the pocket runs the path forward and its fresh vertices backward, the
+path's inner vertices leave the boundary and its ends reach degree 3.  (A
+face glued along all boundary edges but one, with no fresh vertex, leaves
+a boundary of two vertices that no later face fits.)  The closing face
+runs round the boundary in winding order, so with the patch it makes a
+sphere on which each arc lies on one face.  The F sizes sum to
+3(2F - 4), twice the edge count, so Euler's formula gives V = 2F - 4 and
+the degrees sum to 3V; none is above 3, so each vertex has degree 3 and
+its three faces turn once round it.
 
 ``wind`` is a fold of ``_attach`` over the sizes between the first and the
 last.  It returns None whenever an integer sequence does not wind to a valid
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import GraphError, check_ints
+from .errors import check_ints
 from .plane_graph import EmbeddedGraph
 
 # (boundary, growth point index, degree-3 bitmask, next vertex id, face cycles)
@@ -157,30 +158,15 @@ def _close(patch: _Patch, size: int) -> EmbeddedGraph | None:
     return _assemble(next_id, cycles)
 
 
-def _assemble(nv: int, face_cycles: list[list[int]]) -> EmbeddedGraph | None:
-    """Synthesise rotations from oriented face cycles and re-verify."""
+def _assemble(nv: int, face_cycles: list[list[int]]) -> EmbeddedGraph:
+    """Synthesise the rotations of the sphere the oriented face cycles make."""
     cw: list[dict[int, int]] = [{} for _ in range(nv)]
     for cyc in face_cycles:
         size = len(cyc)
         for i in range(size):
-            a, b, d = cyc[i - 1], cyc[i], cyc[(i + 1) % size]
-            if a in cw[b]:
-                return None
-            cw[b][a] = d
+            cw[cyc[i]][cyc[i - 1]] = cyc[(i + 1) % size]
     rotation = []
-    for v in range(nv):
-        ring = cw[v]
-        if len(ring) != 3:
-            return None
+    for ring in cw:
         a0 = min(ring)
-        a1 = ring[a0]
-        a2 = ring[a1]
-        if len({a0, a1, a2}) != 3 or ring[a2] != a0:
-            return None
-        rotation.append((a0, a1, a2))
-    try:
-        g = EmbeddedGraph(tuple(rotation))
-        g._faces
-    except GraphError:
-        return None
-    return g
+        rotation.append((a0, ring[a0], ring[ring[a0]]))
+    return EmbeddedGraph(tuple(rotation))

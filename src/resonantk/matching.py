@@ -100,14 +100,19 @@ def _adjacency(x: object) -> tuple[int, Sequence[Sequence[int]]]:
     a ``Subgraph``) were checked when built and pass their own adjacency
     tuples through; a caller-supplied sequence is copied and checked as a
     ``Subgraph``'s ``adj`` is: integer ids in range, each neighbour listing
-    the vertex back (a loop lists itself).
+    the vertex back (a loop lists itself).  Text (``str``, ``bytes`` or
+    ``bytearray``) is a sequence too, but neither a graph nor a row.
     """
     if isinstance(x, Subgraph):
         return x.n, x.adj
+    if isinstance(x, (str, bytes, bytearray)):
+        raise GraphError(f"unsupported graph form: {type(x).__name__}; expected adjacency rows")
     if isinstance(x, Sequence):
         n = len(x)
         adj = []
         for v, row in enumerate(x):
+            if isinstance(row, (str, bytes, bytearray)):
+                raise GraphError(f"adjacency row {v} is a {type(row).__name__}, not a sequence of vertex ids")
             if not isinstance(row, Iterable):
                 raise GraphError(f"adjacency row {v} is {row!r}, not a sequence of vertex ids")
             adj.append(list(row))

@@ -230,9 +230,12 @@ class FaceSet:
     three faces at a vertex pairwise share an edge there, so two distinct
     faces share a vertex exactly when each is across the other.
 
-    It also keeps three per-face bitmask tables, each built on first use and
-    then read by the ring scan, the fragments, the leapfrog certificates and
-    the resonance walks: ``vertex_masks``, ``across_masks`` and ``steps``.
+    It also keeps one per-face bitmask table, ``vertex_masks``, built on
+    first use and read by the ring scan, the fragments, the leapfrog
+    certificates and the resonance walks.  Two fullerene faces share at most
+    one edge (the graph is cyclically 5-edge-connected, Došlić 2003), so the
+    masks of two distinct faces meet exactly when each is across the other,
+    and then in exactly the two ends of their shared edge.
 
     Indexing, :meth:`face_of_arc` and :meth:`across` check their argument
     (a ``GraphError`` names a bad one); the package's own loops read the
@@ -286,24 +289,7 @@ class FaceSet:
     @_derived
     def vertex_masks(self) -> tuple[int, ...]:
         """Per face, the bitmask of its vertices (bit v set when v is on it)."""
-        return tuple([_bitmask(face.boundary) for face in self.faces])
-
-    @_derived
-    def across_masks(self) -> tuple[int, ...]:
-        """Per face, the bitmask of :meth:`across` (bit g set when face g is across it)."""
-        return tuple(map(_bitmask, self._across))
-
-    @_derived
-    def steps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per face, ``(far face, 1 << u | 1 << v)`` for each boundary edge (u, v).
-
-        The steps come in boundary order: the far face of boundary edge i is
-        ``across(face)[i]``.
-        """
-        return tuple(
-            tuple((g, 1 << u | 1 << v) for (u, v), g in zip(face.boundary_edges(), around))
-            for face, around in zip(self.faces, self._across)
-        )
+        return tuple([sum(1 << v for v in face.vertices) for face in self.faces])
 
 
 def _tree(adjacent: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
@@ -343,14 +329,6 @@ def _cross(tree: tuple[list[int], list[int]], x: int, ys: Iterable[int]) -> int:
         elif up[x] == y:
             out ^= below[x]
     return out
-
-
-def _bitmask(bits: Iterable[int]) -> int:
-    """The int with exactly the given bits set."""
-    mask = 0
-    for b in bits:
-        mask |= 1 << b
-    return mask
 
 
 @dataclass(frozen=True, eq=False)

@@ -371,7 +371,7 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
         action: _Action = [(m, 0) for m in _hexagon_maps(f, group[1:])]
     else:
         order, action = 1, []
-    across = f.faces.across_masks
+    vertices = f.faces.vertex_masks
     top = len(f.faces) - 1
     counts = [1]
     failed: tuple[int, ...] | None = None
@@ -423,8 +423,8 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
             continue
         for i, mask, child_action in reversed(least):
             c, repair = passed[i]
-            bad = across[c]
-            later = [d for d in passed[i + 1 :] if not bad >> d[0] & 1]
+            bad = vertices[c]
+            later = [d for d in passed[i + 1 :] if not bad & vertices[d[0]]]
             if later:
                 stack.append((ids + (c,), mask, mate, repair, later, child_action))
     return _Walk(tuple(counts), failed, singles)
@@ -558,9 +558,9 @@ def hexagon_dichotomy_report(f: FullereneGraph) -> tuple[HexagonReport, ...]:
     h, a 5-cycle of F - V(h) in parent ids.
     """
     singles = (_built(check_type("graph", f, FullereneGraph), "_walk") or _walk(f, 1)).singles
-    across = f.faces.across_masks
+    vertices = f.faces.vertex_masks
     out = []
     for h in f.hexagon_ids:
-        p = next(p for p in f.pentagon_ids if not across[h] >> p & 1)
+        p = next(p for p in f.pentagon_ids if not vertices[h] & vertices[p])
         out.append(HexagonReport(h, h in singles, False, f.faces.faces[p].boundary))
     return tuple(out)

@@ -25,19 +25,20 @@ not treated as maximal fragments.  A six-pentagon disk is a TURTLE exactly
 when its faces meet 1, 1, 3, 3, 3 and 3 others of the cluster.
 
 Rings and fragments share one representation of a face region: the
-bitmasks of the faces across each face and of its vertices, which the
-graph's ``FaceSet`` builds once.  The "vertices on exactly one face" mask
-(``_once``) serves both; the one flood fill, ``kernels._sweep``, grows the
-pentagon clusters, and a ring reads its sides off spanning-tree parities.
+bitmask of each face's vertices, which the graph's ``FaceSet`` builds
+once.  The "vertices on exactly one face" mask (``_once``) serves both;
+the one flood fill, ``kernels._sweep``, grows the pentagon clusters, and
+a ring reads its sides off spanning-tree parities.
 
-The ring scan steps from face to face across the edges of the last face,
-reading each face's steps (far face, edge ends) from the ``FaceSet``'s
-step table; two fullerene faces share at most one edge, so a step meets
-the last face in that edge only.  It walks each ring once, from its least
-face and in the direction it is reported in.  A ring's two boundary cycles
-are read off its faces: each face's boundary splits, at its edges to the
-previous and next ring face, into one arc of each cycle, and the arcs of
-one side, taken in ring order, make that cycle.  The arcs of each
+The ring scan steps from face to face across the edges of the last face
+(``FaceSet._across``) and tests each step against one vertex bitmask:
+two fullerene faces share at most one edge, so the vertices of two faces
+meet exactly when one is across the other, and then in the two ends of
+that edge.  It walks each ring once, from its least face and in the
+direction it is reported in.  A ring's two boundary cycles are read off
+its faces: each face's boundary splits, at its edges to the previous and
+next ring face, into one arc of each cycle, and the arcs of one side,
+taken in ring order, make that cycle.  The arcs of each
 (previous, face, next) triple are kept in the graph's ``_ring_arcs``,
 since the rings of a graph pass through the same triples many times; the
 face's edge to the next face, the edge the two share, is fixed by the
@@ -179,20 +180,20 @@ def _ring_cycles(
     A depth-first walk grows a face path ``seq`` from ``root`` over the
     dual, one step to a face across an edge of the last face.  A fullerene
     is cyclically 5-edge-connected (Došlić 2003), so two faces share at
-    most one edge: the step meets the last face in that edge only, and a
-    face's ``fs.steps`` list one entry per face across it.
+    most one edge: the vertex masks of two distinct faces meet exactly when
+    each is across the other, and then in the two ends of their one shared
+    edge (``FaceSet``).
 
     A ring is reported in the one direction whose second face is less than
     its last, and only that direction is walked.  Let ``near`` be the
-    candidates above the root that are across it, with the ends of their
-    edge to the root.  Two faces of a ring share a vertex only when they
-    are consecutive, so a face of ``near`` can only be the second or the
-    last face of a ring through the root.  For each second face a in
-    ``near``, ascending, the walk starts at ``(root, a)``: the faces of
-    ``near`` above a are its closers, and those at or below a are out of
-    reach (a itself, or a last face that would report the ring the other
-    way round).  The root, the faces below it and the non-candidates are
-    out of reach too.
+    candidates above the root that are across it.  Two faces of a ring
+    share a vertex only when they are consecutive, so a face of ``near``
+    can only be the second or the last face of a ring through the root.
+    For each second face a in ``near``, ascending, the walk starts at
+    ``(root, a)``: the faces of ``near`` above a are its closers, and those
+    at or below a are out of reach (a itself, or a last face that would
+    report the ring the other way round).  The root, the faces below it and
+    the non-candidates are out of reach too.
 
     The walk is pruned by dual distance: ``dist[g]`` is the length of a
     shortest dual path from g to a closer, counting the closer, over the
@@ -201,32 +202,35 @@ def _ring_cycles(
     only when such a ring fits in ``max_len``; a face out of reach has a
     distance past any bound.  A closer (distance 1) only closes the ring.
     Each frame holds its whole path, built on push and dropped on pop:
-    ``seq`` as a tuple, and two bitmasks, the endpoints of the edges shared
-    along it (which must stay a matching) and the vertices of
-    ``seq[1:-1]``.  A step must miss the last of these: two faces share a
-    vertex exactly when one is across the other, so this keeps
-    non-consecutive faces vertex-disjoint.
+    ``seq`` as a tuple, and one bitmask that a step must miss.  The mask
+    starts as the ends of the root's edge to a, and each push ORs in the
+    vertices of the face that was last, so from the third face on it is
+    the vertices of ``seq[1:-1]``.  Missing it keeps non-consecutive faces
+    vertex-disjoint, and keeps the edges shared along ``seq`` a matching:
+    from the third face on, each shared edge lies on a face of
+    ``seq[1:-1]`` (the root's edge to a on a, each later one on the earlier
+    of its two faces), and the step's edge lies on the face it enters; at
+    ``(root, a)`` a step to g meets the mask exactly in the ends that its
+    edge to a shares with the root's edge to a.
 
     No face of ``seq`` is entered again: the root and a are out of reach,
-    the face before the last has its one edge to the last face among the
-    shared edges, and a face of ``seq[1:-1]`` meets the vertex mask.  A
-    closer g that passes both tests closes the ring with no test of its edge
-    to the root.  Its ends lie on the root, and of the faces of ``seq`` only
-    the root and a are across the root, so it could meet a shared edge only
-    at the root's edge to a, at a vertex of root, a and g.  Then g is across
-    a, and a is either the last face (its edge to g meets the shared edges)
-    or a face of ``seq[1:-1]`` (g meets the vertex mask): g was refused.
+    and a face of ``seq[1:-1]`` meets the mask.  A closer g that misses the
+    mask closes the ring with no test of its edge to the root.  Its ends
+    lie on the root, and of the faces of ``seq`` only the root and a are
+    across the root, so it could meet a shared edge only at the root's edge
+    to a, at a vertex of root, a and g.  That vertex is an end of the
+    root's edge to a, which the mask holds from the start, so g was refused.
     """
-    steps = fs.steps
+    across = fs._across
     vertices = fs.vertex_masks
     out_of_reach = max_len + 1
-    near = {g: ends for g, ends in steps[root] if g > root and candidate[g]}
-    middle = [g > root and candidate[g] and g not in near for g in range(len(steps))]
+    near = {g for g in across[root] if g > root and candidate[g]}
+    middle = [g > root and candidate[g] and g not in near for g in range(len(across))]
     order = sorted(near)
     out: list[tuple[int, ...]] = []
     for i, a in enumerate(order[:-1]):
         layer = order[i + 1 :]
-        dist = [out_of_reach] * len(steps)
+        dist = [out_of_reach] * len(across)
         for b in layer:
             dist[b] = 1
         for d in range(2, max_len - 1):
@@ -234,26 +238,25 @@ def _ring_cycles(
                 break  # every face in reach has its distance
             nxt = []
             for x in layer:
-                for g, _ in steps[x]:
+                for g in across[x]:
                     if middle[g] and dist[g] > d:
                         dist[g] = d
                         nxt.append(g)
             layer = nxt
 
-        # Frames (the (far face, edge ends) steps of seq[-1] left to try, the
-        # faces of seq, endpoints of the edges shared along seq, vertices of
-        # seq[1:-1]).
-        stack = [(iter(steps[a]), (root, a), near[a], 0)]
+        # Frames (the faces across seq[-1] left to try, the faces of seq,
+        # the vertices a step must miss).
+        stack = [(iter(across[a]), (root, a), vertices[root] & vertices[a])]
         while stack:
-            todo, seq, used, inner = stack[-1]
+            todo, seq, mask = stack[-1]
             room = max_len - len(seq)
-            for g, ends in todo:
-                if dist[g] > room or used & ends or vertices[g] & inner:
+            for g in todo:
+                if dist[g] > room or vertices[g] & mask:
                     continue
                 if dist[g] == 1:
                     out.append(seq + (g,))
                     continue
-                stack.append((iter(steps[g]), seq + (g,), used | ends, inner | vertices[seq[-1]]))
+                stack.append((iter(across[g]), seq + (g,), mask | vertices[seq[-1]]))
                 break
             else:
                 stack.pop()
@@ -580,10 +583,10 @@ def ring_stats(f: FullereneGraph, ring: Ring) -> Ring:
             raise GraphError(
                 f"ring face {fid} is not a face of the graph, which has {len(f.faces)} faces"
             )
-    vertices, across = f.faces.vertex_masks, f.faces.across_masks
+    vertices = f.faces.vertex_masks
     ends = 0
     for i, a in enumerate(faces):
-        if not across[a] >> faces[i - 1] & 1:
+        if faces[i - 1] not in f.faces._across[a]:
             raise GraphError(f"ring faces {faces[i - 1]} and {a} are consecutive but share no edge")
         ends |= vertices[a] & vertices[faces[i - 1]]
         # the faces after a that are not consecutive to it
@@ -700,7 +703,7 @@ def _classify_cluster(f: FullereneGraph, members: int) -> Fragment:
     cycles = tuple(_edge_cycles(_rim(fs, cluster, members)))
     w = frozenset(_bits(_once(fs, cluster)))
     # the number of cluster faces sharing an edge with each cluster face
-    degrees = [(fs.across_masks[fid] & members).bit_count() for fid in cluster]
+    degrees = [sum(members >> g & 1 for g in fs._across[fid]) for fid in cluster]
     gamma = min(degrees)
 
     if len(cycles) != 1:

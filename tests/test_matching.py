@@ -50,7 +50,7 @@ def _adj_from_edges(n, edges):
 @pytest.mark.parametrize(
     "adj, message",
     [
-        ("ab", "'a', not an integer vertex id"),
+        ("ab", "unsupported graph form: str"),
         ([[1.0], [0]], "1.0, not an integer vertex id"),
         ([1, 0], "row 0 is 1, not a sequence"),
         ([[1], [2]], "vertex 2 outside 0..1"),
@@ -62,22 +62,33 @@ def test_adjacency_rows_must_list_integer_ids(adj, message):
         maximum_matching(adj)
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        maximum_matching,
-        has_perfect_matching,
-        tutte_witness,
-        perfect_mate_tuples,
-        lambda adj: enumerate_perfect_matchings(adj, cap=5),
-    ],
-)
+ENTRY_POINTS = [
+    maximum_matching,
+    has_perfect_matching,
+    tutte_witness,
+    perfect_mate_tuples,
+    lambda adj: enumerate_perfect_matchings(adj, cap=5),
+]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_asymmetric_adjacency_rejected(entry):
     # 0 lists 1 but 1 lists nothing: a perfect matching by one reading, none by the other
     with pytest.raises(GraphError, match="asymmetric adjacency: 0 lists 1 but 1 does not list 0"):
         entry([[1], []])
     with pytest.raises(GraphError, match="asymmetric adjacency: 2 lists 0 but 0 does not list 2"):
         entry([[1], [0], [0, 3], [2]])
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("text", ["", "ab", b"", bytearray(b"\x01\x00")], ids=repr)
+def test_text_is_not_a_graph(entry, text):
+    # a str, bytes or bytearray is a Sequence, but its items are no adjacency rows
+    kind = type(text).__name__
+    with pytest.raises(GraphError, match=f"unsupported graph form: {kind}"):
+        entry(text)
+    with pytest.raises(GraphError, match=f"adjacency row 0 is a {kind}, not a sequence"):
+        entry((text,))
 
 
 def test_paths_and_cycles():

@@ -7,6 +7,7 @@ import functools
 import gc
 import hashlib
 import random
+import re
 import sys
 import threading
 import warnings
@@ -68,6 +69,13 @@ def test_max_len_must_be_a_nonnegative_integer(graphs):
     for face_filter in (ANY, PENTAGONS_ONLY):
         for max_len in (0, 1, 2):
             assert find_polygonal_rings(f, max_len, face_filter) == [], (face_filter, max_len)
+
+
+def test_unknown_face_filter_rejected(graphs):
+    f = graphs["F20"]
+    for bad in ("bogus", None, 0, "any"):
+        with pytest.raises(GraphError, match=f"unknown face filter {re.escape(repr(bad))}"):
+            find_polygonal_rings(f, 12, bad)
 
 
 @pytest.mark.parametrize("face_filter", [ANY, PENTAGONS_ONLY])
@@ -779,10 +787,10 @@ def test_rings_and_fragments_build_the_face_masks_once(monkeypatch):
     # so that a table added later is counted too, is built at most once per
     # object.  Parsing reads the turns and traces the faces, and building
     # the FullereneGraph sorts them into pentagons and hexagons; the ring
-    # scan then builds the FaceSet's vertex masks and steps, the scan, its
-    # arcs and the spanning trees they read, the fragments' cluster degrees
-    # and ring_stats the FaceSet's across masks, and no table of any other
-    # object (no canonical pass, no walk); analyze and every certificate
+    # scan then builds the FaceSet's vertex masks (its one table), the scan,
+    # its arcs and the spanning trees they read, the fragments and
+    # ring_stats build nothing new, and no table of any other object is
+    # built (no canonical pass, no walk); analyze and every certificate
     # pair of the leapfrog image build the rest.
     built = Counter()
     counted_objects = []  # kept alive, so that no id is reused
@@ -809,7 +817,7 @@ def test_rings_and_fragments_build_the_face_masks_once(monkeypatch):
     )
     assert built == parsed
     ring_phase = parsed + Counter(
-        [(key, id(f.faces)) for key in ("FaceSet.vertex_masks", "FaceSet.steps")]
+        [("FaceSet.vertex_masks", id(f.faces))]
         + [
             (f"FullereneGraph.{key}", id(f))
             for key in ("_pentagonal_rings", "_ring_arcs", "_spanning_trees")
@@ -820,7 +828,7 @@ def test_rings_and_fragments_build_the_face_masks_once(monkeypatch):
     assert maximal_pentagonal_fragments(f)
     for ring in rings:
         assert ring_stats(f, ring) == ring
-    assert built == ring_phase + Counter([("FaceSet.across_masks", id(f.faces))])
+    assert built == ring_phase
     analyze_graph(f)
     lf = leapfrog(f)
     verts = lf.image.faces.vertex_masks
