@@ -164,11 +164,7 @@ def _render_text(report: dict) -> str:
         + (f" (failing set: {' '.join(map(str, order['failing']))})" if order["failing"] else ""),
         f"tau: {report['tau']}",
         f"pentagonal rings: {report['rings']['pentagonal_total']}",
-        f"fragments: "
-        + (
-            ", ".join(f"{f['shape']}x{len(f['faces'])}" for f in report["fragments"])
-            or "none"
-        ),
+        "fragments: " + ", ".join(f"{f['shape']}x{len(f['faces'])}" for f in report["fragments"]),
         f"g_star: "
         + (f"vertex {g_star['vertex']} hexagons {g_star['hexagons']}" if g_star else "none"),
         f"dichotomy: {dich['resonant']}/{dich['hexagons']} hexagons resonant, "

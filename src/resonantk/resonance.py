@@ -519,22 +519,29 @@ def find_g_star(f: FullereneGraph) -> GStarWitness | None:
     """Scan for a vertex whose three opposite faces are disjoint hexagons.
 
     The face "opposite" a neighbour w of v is the one containing w but not v.
-    If all three are hexagons and pairwise vertex-disjoint, removing them
-    isolates v, so they witness a non-resonant 3-set.  Vertices are scanned
-    in ascending order; the first hit is returned.
+    If all three are hexagons, removing them isolates v, so they witness a
+    non-resonant 3-set.  Vertices are scanned in ascending order; the first
+    hit is returned.
+
+    The three are pairwise vertex-disjoint in every fullerene, so the scan
+    tests only their sizes.  Take two neighbours w and w' of v and the face
+    F at v between them: the faces opposite w and w' lie across two edges of
+    F that do not touch.  Two fullerene faces meet exactly when each is
+    across the other, and share at most one edge (``FaceSet``), so the two
+    differ, and if they met, they and F would be three faces each across the
+    other two with no vertex in common: their three shared edges would be a
+    cyclic 3-edge cut, and fullerenes are cyclically 5-edge-connected
+    (Došlić 2003).
     """
     g = check_type("graph", f, FullereneGraph).graph
     rotation, turns = g.rotation, g._turns
     fs = f.faces
-    arc_face, vertices = fs._arc_face, fs.vertex_masks
+    arc_face = fs._arc_face
     for v in range(f.n):
         # The face along (w, x), x the neighbour before v at w, turns at w
         # between the two edges other than wv; faces have no chords, so it misses v.
         opposite = [arc_face[w, turns[w][v][1]] for w in rotation[v]]
         if not all(fs.faces[fid].size == 6 for fid in opposite):
-            continue
-        a, b, c = (vertices[x] for x in opposite)
-        if a & b or a & c or b & c:
             continue
         witness = GStarWitness(v, tuple(sorted(opposite)))
         if matching.is_central(f, witness.hexagons):

@@ -16,7 +16,15 @@ import pytest
 
 from resonantk._spiral import _spirals
 from resonantk.catalog import catalog_graph, catalog_names, nanotube
-from resonantk.plane_graph import EmbeddedGraph, FullereneGraph, canonical_code, validate_fullerene
+from resonantk import plane_graph
+from resonantk.plane_graph import (
+    Automorphism,
+    EmbeddedGraph,
+    FullereneGraph,
+    canonical_code,
+    faces,
+    validate_fullerene,
+)
 
 # check number -> (description, passed)
 RESULTS: dict[int, tuple[str, bool]] = {}
@@ -80,6 +88,58 @@ def relabelled_rotation(g: EmbeddedGraph, seed: int) -> EmbeddedGraph:
         k = rng.randrange(3)
         rotation[perm[v]] = tuple(nbrs[k:] + nbrs[:k])
     return EmbeddedGraph(tuple(rotation))
+
+
+def check_automorphism(g: EmbeddedGraph, a: Automorphism) -> None:
+    """The map sends each rotation onto the image vertex's, reversed for a reflection."""
+    assert sorted(a.perm) == list(range(g.n))
+    for v, ring in enumerate(g.rotation):
+        image = [a.perm[w] for w in (reversed(ring) if a.reverses else ring)]
+        target = g.rotation[a.perm[v]]
+        k = target.index(image[0])
+        assert target[k:] + target[:k] == tuple(image), (a, v)
+
+
+def _pentagon_starts(g: EmbeddedGraph) -> set[tuple[int, int, int]]:
+    """The (orientation, u, v) starts whose face is a pentagon, and whose other face is one too when two meet.
+
+    The start's face is that of arc (u, v) in orientation 0 and of (v, u) in orientation 1.
+    """
+    fs = faces(g)
+    on = {arc for arc, face in fs._arc_face.items() if fs[face].size == 5}
+    kept = {(u, v) for u, v in on if (v, u) in on} or on
+    return {(0, u, v) for u, v in kept} | {(1, v, u) for u, v in kept}
+
+
+def matches_every_start(graphs: dict[str, EmbeddedGraph], sixth: int | None = None) -> set[int]:
+    """Check the pass against the every-start oracle on each graph as given,
+    relabelled with each rotation turned, and reflected; return the group orders.
+
+    The oracle's tied starts are one per automorphism.  So a group of as many
+    distinct automorphisms, identity first, is the whole group.  With
+    ``sixth`` (the graphs are then fullerenes), each code begins
+    (1,2,3), (0,4,5), (0,6,7), (0,8,9), (1,9,10), (1,11,sixth), and every tie
+    starts on a pentagon, and on two pentagons when two meet.
+    """
+    from oracles import canonical_pass_by_every_start
+
+    orders = set()
+    for seed, (name, g) in enumerate(graphs.items()):
+        reflected = EmbeddedGraph(tuple(ring[::-1] for ring in g.rotation))
+        for variant in (g, relabelled_rotation(g, seed), reflected):
+            code, ties = canonical_pass_by_every_start(variant)
+            got, group = plane_graph._canonical_pass(variant)
+            assert got == code, name
+            assert len(group) == len(ties), name
+            assert group[0] == Automorphism(tuple(range(variant.n)), False), name
+            assert len({a.perm for a in group}) == len(group), name
+            for a in group:
+                check_automorphism(variant, a)
+            if sixth is not None:
+                assert tuple(code[1:19]) == (1, 2, 3, 0, 4, 5, 0, 6, 7, 0, 8, 9, 1, 9, 10, 1, 11, sixth), name
+                assert {(d, *labelling[:2]) for d, labelling in ties} <= _pentagon_starts(variant), name
+            orders.add(len(group))
+    return orders
 
 
 def _relabelled(f: FullereneGraph, seed: int) -> FullereneGraph:

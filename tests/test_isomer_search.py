@@ -6,7 +6,8 @@ order 20...38 (``conftest.search_isomers``), checks the isomer tallies
 against the published counts, pins each named catalog isomer of those
 orders by its invariants and checks that the pinned isomer's spiral is the
 one the catalog winds for that name.  Then it checks the paper's theorems
-on all 52 isomers and on their leapfrog images.
+on all 52 isomers and on their leapfrog images, and the canonical pass
+against the every-start oracle on all 104 graphs.
 
 The catalog checks the fast suite already makes stay there: the facts of
 every entry as wound from its spiral (``test_every_entry_verifies``),
@@ -22,7 +23,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import KNOWN_COUNTS, search_isomers
+from conftest import KNOWN_COUNTS, matches_every_start, search_isomers
 
 from resonantk import resonance
 from resonantk._spiral import wind
@@ -48,6 +49,12 @@ def wound(every_isomer):
     return {
         n: [validate_fullerene(wind(seq)) for _, seq in found] for n, found in every_isomer.items()
     }
+
+
+@pytest.fixture(scope="module")
+def leapfrogs(wound):
+    """The isomers' leapfrog results by n, in the order of ``every_isomer[n]``."""
+    return {n: [leapfrog(f) for f in found] for n, found in wound.items()}
 
 
 def test_isomer_tallies_match_the_published_counts(every_isomer):
@@ -94,7 +101,7 @@ def _has_tutte_witness(f, failing) -> bool:
     return w is not None and w.deficit > 0
 
 
-def test_the_paper_theorems_hold_on_every_isomer_with_20_to_38_vertices(every_isomer, wound):
+def test_the_paper_theorems_hold_on_every_isomer_with_20_to_38_vertices(every_isomer, wound, leapfrogs):
     # Every hexagon is resonant (sigma_1 counts them all), the order is at
     # least 3 exactly for the nine, every leapfrog image is exactly
     # 2-resonant (C60 = Le(F20) is fully resonant) with a certificate for
@@ -103,13 +110,12 @@ def test_the_paper_theorems_hold_on_every_isomer_with_20_to_38_vertices(every_is
     three_resonant = []
     pairs = 0
     for n, found in every_isomer.items():
-        for (code, _), f in zip(found, wound[n]):
+        for (code, _), f, lf in zip(found, wound[n], leapfrogs[n]):
             assert sextet(f).sigma(1) == len(f.hexagon_ids), (n, code)
             order = resonance_order(f)
             assert (order.order == ALL or order.order >= 3) == (code in nine), (n, code)
             if code in nine:
                 three_resonant.append(nine[code])
-            lf = leapfrog(f)
             image = lf.image
             image_order = resonance_order(image)
             assert image_order.order == (ALL if nine.get(code) == "F20" else 2), (n, code)
@@ -128,6 +134,17 @@ def test_the_paper_theorems_hold_on_every_isomer_with_20_to_38_vertices(every_is
     assert sorted(three_resonant) == ["F20", "F24", "F28", "F32", "F36_1", "F36_2"]
     assert sum(map(len, wound.values())) == 52
     assert pairs == 40432
+
+
+def test_canonical_pass_matches_every_start_on_every_isomer_and_image(wound, leapfrogs):
+    # As test_canonical_pass_keeps_only_pentagon_starts: each isomer has
+    # pentagons that meet, so rule 2 decides; each image is IPR, so rule 1.
+    # Groups of every order from 1 (C1) to 120 (Ih) that these graphs have.
+    isomers = {f"C{n}:{i}": f.graph for n, found in wound.items() for i, f in enumerate(found)}
+    images = {f"L(C{n}:{i})": lf.image.graph for n, found in leapfrogs.items() for i, lf in enumerate(found)}
+    assert len(isomers) == len(images) == 52
+    orders = matches_every_start(isomers, sixth=6) | matches_every_start(images, sixth=12)
+    assert orders == {1, 2, 4, 6, 8, 12, 20, 24, 120}
 
 
 def test_the_orbit_walk_equals_the_unreduced_walk_on_every_isomer(wound, monkeypatch):

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import check_automorphism, matches_every_start
+
 import resonantk
 from resonantk.catalog import catalog_names
 from resonantk.errors import GraphError, GuardExceeded, NotFullereneError
@@ -237,38 +239,33 @@ def test_canonical_code_matches_full_build(coded):
         assert canonical_code(_reflect(g)) == expected, name
 
 
-def _matches_every_start(graphs: dict[str, EmbeddedGraph]) -> set[int]:
-    """Check the pass against the every-start oracle on each graph as given,
-    relabelled with each rotation turned, and reflected; return the group orders.
-
-    The oracle's tied starts are one per automorphism.  So a group of as many
-    distinct automorphisms, identity first, is the whole group.
-    """
-    from conftest import relabelled_rotation
-    from oracles import canonical_pass_by_every_start
-
-    orders = set()
-    for seed, (name, g) in enumerate(graphs.items()):
-        reflected = EmbeddedGraph(tuple(ring[::-1] for ring in g.rotation))
-        for variant in (g, relabelled_rotation(g, seed), reflected):
-            code, ties = canonical_pass_by_every_start(variant)
-            got, group = plane_graph._canonical_pass(variant)
-            assert got == code, name
-            assert len(group) == len(ties), name
-            assert group[0] == Automorphism(tuple(range(variant.n)), False), name
-            assert len({a.perm for a in group}) == len(group), name
-            for a in group:
-                _check_automorphism(variant, a)
-            orders.add(len(group))
-    return orders
+def _fullerenes(coded: dict[str, EmbeddedGraph]) -> dict[str, EmbeddedGraph]:
+    """The graphs of ``coded`` whose faces are all pentagons and hexagons."""
+    return {name: g for name, g in coded.items() if {face.size for face in faces(g)} <= {5, 6}}
 
 
 def test_canonical_pass_matches_every_start(coded):
     # The pass labels only starts that no automorphism found so far maps
     # from an earlier start, and returns the group it closes; the former
-    # pass labels all 6n starts.  Trivial groups (mixed10), order 2 (mixed7,
-    # mixed9) up to Ih (F20, C60).
-    assert {1, 2, 120} <= _matches_every_start(coded)
+    # pass labels all 6n starts.  On a plane cubic graph that is not a
+    # fullerene it tries every start: trivial groups (mixed10), order 2
+    # (mixed7, mixed9) up to the cube's 48.
+    others = {name: g for name, g in coded.items() if name not in _fullerenes(coded)}
+    assert {1, 2, 48} <= matches_every_start(others)
+
+
+def test_canonical_pass_keeps_only_pentagon_starts(coded):
+    # On a fullerene the pass tries only starts on a pentagon, and on two
+    # pentagons when two meet (``_canonical_pass``'s rules 1 and 2).  Rule 1
+    # decides on the IPR graphs, C60, C70 and every leapfrog image: the
+    # sixth triple is (1, 11, 12).  Rule 2 decides where pentagons meet,
+    # F20...F48 and the tubes: (1, 11, 6).  Groups of order 4 (F30, C2v) to 120.
+    fullerenes = _fullerenes(coded)
+    ipr = {name: g for name, g in fullerenes.items() if name.startswith(("C", "L("))}
+    adjacent = {name: g for name, g in fullerenes.items() if name not in ipr}
+    assert len(ipr) == 13 and len(adjacent) == 25
+    orders = matches_every_start(ipr, sixth=12) | matches_every_start(adjacent, sixth=6)
+    assert orders == {4, 8, 12, 20, 24, 120}
 
 
 def test_canonical_pass_matches_every_start_on_isomers(isomers):
@@ -282,17 +279,7 @@ def test_canonical_pass_matches_every_start_on_isomers(isomers):
         for i, (code, seq) in enumerate(found):
             g = wound[f"C{n}:{i}"] = wind(seq)
             assert canonical_code(g) == code
-    assert _matches_every_start(wound) == {4, 12, 20, 24, 120}
-
-
-def _check_automorphism(g: EmbeddedGraph, a: Automorphism) -> None:
-    """The map sends each rotation onto the image vertex's, reversed for a reflection."""
-    assert sorted(a.perm) == list(range(g.n))
-    for v, ring in enumerate(g.rotation):
-        image = [a.perm[w] for w in (reversed(ring) if a.reverses else ring)]
-        target = g.rotation[a.perm[v]]
-        k = target.index(image[0])
-        assert target[k:] + target[:k] == tuple(image), (a, v)
+    assert matches_every_start(wound, sixth=6) == {4, 12, 20, 24, 120}
 
 
 # Point-group orders (Fowler & Manolopoulos, An Atlas of Fullerenes): F20 and
@@ -314,7 +301,7 @@ def test_automorphisms_are_the_point_group(name, relabel):
     perms = {a.perm for a in group}
     assert len(perms) == len(group)
     for a in group:
-        _check_automorphism(f.graph, a)
+        check_automorphism(f.graph, a)
     # closed under composition, with as many reflections as rotations
     for p in perms:
         for q in perms:
@@ -477,7 +464,7 @@ def test_canonical_code_past_255_vertices(wide):
         group = automorphisms(wide[name])
         assert len(group) == order, name
         for a in group:
-            _check_automorphism(wide[name], a)
+            check_automorphism(wide[name], a)
     assert canonical_code(wide["L2(F36_1)"]) != canonical_code(wide["L2(F36_2)"])
     assert canonical_code(wide["R6_25"]) != canonical_code(wide["L2(F36_1)"])
     from resonantk._spiral import wind

@@ -314,6 +314,34 @@ def test_g_star_absent_when_fully_resonant(graphs):
         assert find_g_star(graphs[name]) is None
 
 
+def test_dropped_checks_hold_by_their_theorems(graphs, isomers):
+    # find_g_star tests only the sizes of a vertex's three opposite faces and
+    # pentagon_ids does not count the pentagons: the opposite faces never
+    # meet (cyclic 5-edge-connectivity), and Euler's formula gives exactly 12
+    # pentagons.  Swept over the catalog, R5/R6 tubes with k <= 6 and every
+    # isomer with 20..30 vertices.
+    from resonantk._spiral import wind
+
+    fullerenes = list(graphs.values())
+    fullerenes += [nanotube(cap, k) for cap in ("R5", "R6") for k in range(1, 7)]
+    fullerenes += [validate_fullerene(wind(seq)) for found in isomers.values() for _, seq in found]
+    vertices = 0
+    for f in fullerenes:
+        fs, rotation = f.faces, f.graph.rotation
+        assert sum(face.size == 5 for face in fs) == 12 == len(f.pentagon_ids)
+        for v, ring in enumerate(rotation):
+            # at each neighbour w, the faces there that miss v: one, the opposite face
+            opposite = [
+                [fs[i].vertices for i in {fs.face_of_arc((w, x)) for x in rotation[w]} if v not in fs[i].vertices]
+                for w in ring
+            ]
+            assert [len(faces) for faces in opposite] == [1, 1, 1], v
+            for (a,), (b,) in combinations(opposite, 2):
+                assert a.isdisjoint(b), v
+            vertices += 1
+    assert len(fullerenes) == 11 + 12 + 8 and vertices == 1366
+
+
 def test_hexagon_dichotomy(graphs):
     f = graphs["C70"]
     reports = hexagon_dichotomy_report(f)
