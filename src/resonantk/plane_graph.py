@@ -20,10 +20,10 @@ fixed k, the tree's masks n^2 bits, and it has no size guard.
 
 ``_turns`` is the one reading of the clockwise order: per vertex, each
 neighbour mapped to the next and the previous one after it.  The face
-trace, both orientations of the canonical pass, the leapfrog image and
-the G* scan of ``resonance`` all step round a vertex through it.  Each
-rotation's table is built once and kept (``EmbeddedGraph._turns``); only
-the canonical pass's reversed orientation builds one of its own.
+trace, both orientations of the canonical pass (the reversed one reads
+each pair swapped), the leapfrog image and the G* scan of ``resonance``
+all step round a vertex through it.  Each rotation's table is built once
+and kept (``EmbeddedGraph._turns``).
 
 ``_embedded`` is the one resolver of a graph argument, and the one place
 that tells the two graph types apart.  A function whose meaning holds for
@@ -754,17 +754,17 @@ def canonical_code(g: EmbeddedGraph | FullereneGraph) -> bytes:
     stops and the candidate is finished as the new best. Every candidate has
     3n labels, so this is the exact minimum.
 
-    A start is skipped when an earlier labelled start maps onto it under an
+    In a fullerene only the starts on a pentagon, and on two pentagons when
+    two meet, can hold the minimum, and the pass lists only those: at most
+    120.  A listed start is skipped when an earlier labelled start maps onto it under an
     orientation-preserving automorphism already found when the earlier
     start was labelled: the automorphism maps one labelling onto the other,
     so the two codes are equal (the argument is on ``_canonical_pass``).  A
-    map found later marks no image of a start labelled before it.  In a
-    fullerene only the starts on a pentagon, and on two pentagons when two
-    meet, can hold the minimum, so the others are skipped from the outset: at
-    most 120 starts are left.  Under ten random labellings C60 labelled 4-5
-    of its 360 starts, its leapfrog image 4-5 of 1,080 and C70 18-32 of 420;
-    a fullerene with no symmetry labels every start it keeps, and any other
-    plane cubic graph with none labels every start.
+    map found later marks no image of a start labelled before it.  Under
+    ten random labellings C60 labelled 4-5 of its 360 starts, its leapfrog
+    image 4-5 of 1,080 and C70 18-32 of 420; a fullerene with no symmetry
+    labels every start it keeps, and any other plane cubic graph with none
+    labels every start.
 
     Encoding: for n <= 255 the byte n, then one byte per label. For larger n
     a 0x00 marker (a one-byte code never starts with 0), n as two bytes, then
@@ -803,20 +803,23 @@ def automorphisms(g: EmbeddedGraph | FullereneGraph) -> tuple[Automorphism, ...]
 def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[Automorphism, ...]]:
     """The canonical code and the automorphism group, identity first.
 
-    Starts are taken in a fixed order: orientation, then vertex u, then each
-    neighbour v of u in rotation order.  An automorphism a sends the
-    labelling from start t to the labelling from a(t) (vertex by vertex,
-    with the orientation reversed when a is a reflection), so the two codes
-    are equal.  Each labelled start, once labelled, marks its later images
-    under the orientation-preserving automorphisms found so far, the map of
-    its own tie included, and a marked start is skipped.  A map found later
-    marks no image of an earlier start: such an image is labelled unless
-    another start marks it.
+    A start (d, u, v), an orientation d and an arc (u, v), comes from one
+    list (below) in a fixed order: orientation, then u, then v's place in
+    ``rotation[u]``.  Orientation 1 reads the graph's ``_turns`` with each
+    pair swapped, the table of the reversed rotation.  An automorphism a
+    sends the labelling from start t to the labelling from a(t) (vertex by
+    vertex, with the orientation reversed when a is a reflection), so the
+    two codes are equal.  Each labelled start marks its images under the
+    orientation-preserving automorphisms found so far, the map of its own
+    tie included, and a marked start is skipped: its code is known.  Only
+    the identity fixes a start, and the loop never returns to a passed one.
+    A map found later marks no image of an earlier start: such an image is
+    labelled unless another start marks it.
 
-    In a fullerene most starts cannot hold the minimum, and they are
-    skipped before the loop.  Its girth is 5, and every 5-cycle bounds a
-    face: the cycle has no chord, and of the 5 edges leaving it at most 2
-    go to one side, which is then empty, as a fullerene is 3-edge-connected.
+    In a fullerene most starts cannot hold the minimum, and they are left
+    out of the list.  Its girth is 5, and every 5-cycle bounds a face: the
+    cycle has no chord, and of the 5 edges leaving it at most 2 go to one
+    side, which is then empty, as a fullerene is 3-edge-connected.
     So every code begins (1,2,3), (0,4,5), (0,6,7), (0,8,9).  The start's
     face is ``_arc_face[(u, v)]`` in orientation 0 and ``[(v, u)]`` in
     orientation 1.  Vertex 4 follows v round it, and vertex 5 comes before v
@@ -830,29 +833,30 @@ def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[Automorphism, ...
     - Rule 2: after (1,9,10), the sixth triple is (1,11,6) when the other
       face is a pentagon too and (1,11,12) when it is not.
 
-    Only the starts on a pentagon are kept, and only those on an edge
-    between two pentagons when the graph has one: at most 120 of the 6n.
-    Whether a start is kept is read off its code, so starts with equal codes
-    are kept alike and every start that holds the minimum is kept; an
-    automorphism keeps face sizes, so it maps kept starts onto kept starts.
-    A plane cubic graph with a face of another size labels every start.
-    The result is exact:
+    The list is read off the faces of the arcs: each pentagon arc (a, b)
+    gives the starts (0, a, b) and (1, b, a), whose face it lies on, and
+    when some pentagon arc lies between two pentagons only those arcs give
+    starts: at most 120 of the 6n.  Whether a start is kept is read off its
+    code, so starts with equal codes are kept alike and every start that
+    holds the minimum is kept; an automorphism keeps face sizes, so it maps
+    kept starts onto kept starts.  A plane cubic graph with a face of
+    another size lists every start.  The result is exact:
 
-    - A start skipped before the loop has a code above the minimum.  Any
-      other skipped start has the code of an earlier start, and the best
-      only goes down, so a skipped start never beats the best and is dropped
-      with no outcome kept.
+    - A start left out of the list has a code above the minimum.  A marked
+      start has the code of an earlier start, and the best only goes down,
+      so a marked start never beats the best and is dropped with no outcome
+      kept.
     - A labelled start that ties with the best gives the map from the
       best's first labelling (``first``: that start's orientation and its
       vertices in label order) to its own, and that map goes through
       ``_close``, which keeps the group closed under composition.
     - Every automorphism maps the first start of the final best onto a
       start that ties with it.  A labelled tie's map is in the group; a
-      skipped tie is the image of an earlier tie under a known map, so its
+      marked tie is the image of an earlier tie under a known map, so its
       map is a composition of maps in the group.  So the closed group is the
       whole group: an automorphism of a connected plane map is fixed by the
       image of one start, and each tie gives one.
-    - No reflection could skip a start.  A reflection joins the group only
+    - A reflection would mark no later start.  One joins the group only
       at a tie in orientation 1 while the best is in orientation 0 (a best
       found in orientation 1 beats every orientation-0 code, and then no
       reflection exists, since it would give an orientation-0 start the
@@ -863,73 +867,64 @@ def _canonical_pass(base: EmbeddedGraph) -> tuple[bytes, tuple[Automorphism, ...
     """
     n = base.n
     rotation = base.rotation
-    best: list[tuple[int, int, int]] | None = None
-    first: tuple[int, tuple[int, ...]] = (0, ())
-    # Start s is (d * n + u) * 3 + i for v = rotation[u][i]; set when skipped.
-    skip = bytearray(6 * n)
+    turns = base._turns
     fs = base._faces  # checks the embedding
     sizes = [face.size for face in fs.faces]
+    on = fs._arc_face
+    arcs = list(on)
     if set(sizes) <= {5, 6}:
-        # A fullerene: skip all but the starts of rule 2, or of rule 1 when no two pentagons meet.
-        # Pentagon arc (a, b) lies on the face of start (a, b) in orientation 0 and of (b, a) in 1.
-        arcs = [
-            (a, b)
-            for face in fs.faces
-            if face.size == 5
-            for a, b in zip(face.boundary, face.boundary[1:] + face.boundary[:1])
-        ]
-        pairs = [(a, b) for a, b in arcs if sizes[fs._arc_face[(b, a)]] == 5]
-        skip = bytearray(b"\1") * (6 * n)
-        for a, b in pairs or arcs:
-            skip[a * 3 + rotation[a].index(b)] = 0
-            skip[(n + b) * 3 + rotation[b].index(a)] = 0
+        # A fullerene: the pentagon arcs (rule 1), or those between two pentagons (rule 2).
+        arcs = [arc for arc in arcs if sizes[on[arc]] == 5]
+        arcs = [(a, b) for a, b in arcs if sizes[on[(b, a)]] == 5] or arcs
+    # Arc (a, b) lies on the face of start (a, b) in orientation 0 and of (b, a) in 1;
+    # (d, u, v's place round u, v) sorts the starts into the order above.
+    starts = sorted(
+        [(0, a, rotation[a].index(b), b) for a, b in arcs]
+        + [(1, b, rotation[b].index(a), a) for a, b in arcs]
+    )
+    best: list[tuple[int, int, int]] | None = None
+    first: tuple[int, tuple[int, ...]] = (0, ())
     group = [Automorphism(tuple(range(n)), False)]
     gens: list[Automorphism] = []
-    s = -1
-    for d, after in enumerate((base._turns, _turns([row[::-1] for row in rotation]))):
-        for u in range(n):
-            for v in rotation[u]:
-                s += 1
-                if skip[s]:
-                    continue
-                label = [-1] * n
-                label[u] = 0
-                label[v] = 1
-                order = [(u, v), (v, u)]  # (vertex, entry neighbour) by label
-                code: list[tuple[int, int, int]] = []
-                tied = best is not None
-                for w, e in order:
-                    x1, x2 = after[w][e]
-                    l1 = label[x1]
-                    if l1 < 0:
-                        l1 = label[x1] = len(order)
-                        order.append((x1, w))
-                    l2 = label[x2]
-                    if l2 < 0:
-                        l2 = label[x2] = len(order)
-                        order.append((x2, w))
-                    triple = (label[e], l1, l2)
-                    if tied:
-                        other = best[len(code)]
-                        if triple > other:
-                            break
-                        tied = triple == other
-                    code.append(triple)
-                else:
-                    if tied:
-                        perm = [0] * n
-                        for x, (y, _) in zip(first[1], order):
-                            perm[x] = y
-                        _close(group, gens, Automorphism(tuple(perm), d != first[0]))
-                    else:
-                        best = code
-                        first = (d, tuple(w for w, _ in order))
-                for perm, reverses in group[1:]:
-                    if not reverses:
-                        pu = perm[u]
-                        image = (d * n + pu) * 3 + rotation[pu].index(perm[v])
-                        if image > s:
-                            skip[image] = 1
+    marked: set[tuple[int, int, int]] = set()
+    for d, u, _, v in starts:
+        if (d, u, v) in marked:
+            continue
+        label = [-1] * n
+        label[u] = 0
+        label[v] = 1
+        order = [(u, v), (v, u)]  # (vertex, entry neighbour) by label
+        code: list[tuple[int, int, int]] = []
+        tied = best is not None
+        for w, e in order:
+            x1, x2 = turns[w][e]
+            if d:
+                x1, x2 = x2, x1
+            l1 = label[x1]
+            if l1 < 0:
+                l1 = label[x1] = len(order)
+                order.append((x1, w))
+            l2 = label[x2]
+            if l2 < 0:
+                l2 = label[x2] = len(order)
+                order.append((x2, w))
+            triple = (label[e], l1, l2)
+            if tied:
+                other = best[len(code)]
+                if triple > other:
+                    break
+                tied = triple == other
+            code.append(triple)
+        else:
+            if tied:
+                perm = [0] * n
+                for x, (y, _) in zip(first[1], order):
+                    perm[x] = y
+                _close(group, gens, Automorphism(tuple(perm), d != first[0]))
+            else:
+                best = code
+                first = (d, tuple(w for w, _ in order))
+        marked.update((d, perm[u], perm[v]) for perm, reverses in group[1:] if not reverses)
     assert best is not None
     labels = [x for triple in best for x in triple]
     if n <= 255:

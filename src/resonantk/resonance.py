@@ -309,9 +309,11 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
 
     A node of the depth-first walk is a resonant set H with a perfect
     matching of G - V(H) as a mate array.  The root's is ``_clar_root``'s,
-    in which a greedy Clar structure alternates.  At a node the walk first
-    tests each candidate child H + c and keeps the *repair* of each
-    resonant one: the vertices whose mate entry differs between H + c's
+    in which a greedy Clar structure alternates, grown from
+    ``kernels.mate_array``'s maximum matching.  That one is perfect (a
+    bridgeless cubic graph has one, by Petersen, and a fullerene, cyclically
+    5-edge-connected, has no bridge).  At a node the walk first tests each
+    candidate child H + c and keeps the *repair* of each resonant one: the vertices whose mate entry differs between H + c's
     matching and H's, with their new entries.  The walk then descends into
     each resonant child H + h in ascending order; its candidates are the
     later resonant children H + c whose c misses h, since a superset of the
@@ -362,8 +364,6 @@ def _walk(f: FullereneGraph, max_size: int | None = None) -> _Walk:
     ``resonance_order`` runs the full walk instead.
     """
     root = kernels.mate_array(f.n, f.graph.rotation)
-    if -1 in root:
-        raise RuntimeError("the graph has no perfect matching, so the empty set is not resonant")
     cands = [(h, None) for h in f.hexagon_ids]
     if max_size is None and cands:
         group = automorphisms(f)
@@ -455,7 +455,8 @@ def fries(f: FullereneGraph, cap: int | None = None) -> int:
     """Largest number of alternating hexagons over all perfect matchings.
 
     Each matching is scored from its mate array; the best one is then
-    built and checked once against ``alternating_faces``.
+    built and checked once against ``alternating_faces``.  There is one to
+    score, as in ``_walk``: a fullerene has a perfect matching (Petersen).
 
     Raises:
         GuardExceeded: if the matching count exceeds the enumeration cap.
@@ -467,9 +468,7 @@ def fries(f: FullereneGraph, cap: int | None = None) -> int:
     def score(mate: tuple[int, ...]) -> int:
         return alternating_hexagon_count(hexagons, mate)
 
-    best = max(perfect_mate_tuples(f, cap), key=score, default=None)
-    if best is None:
-        return 0
+    best = max(perfect_mate_tuples(f, cap), key=score)
     top = score(best)
     count = len(alternating_faces(f, _matching_from_mates(best, f)))
     if count != top:

@@ -17,6 +17,11 @@ on vertex labels; only when r ties too does the lexicographically smaller
 sorted cycle decide.  For pentagonal rings (all ring faces pentagons)
 additionally s + s' = l.
 
+``_build_ring`` checks the first two, which imply the rest: over the
+integers 2(n5 + n6) = s + r + 2 forces r == s (mod 2); six times the first
+less the second gives n5 = 3(s + r + 2) - (2s + 3r + l) = 6 + s - l; then
+n6 = (s + r + 2)/2 - n5 = l + (r - s)/2 - 5.
+
 A *pentagonal fragment* is a disk bounded by a cycle whose interior faces
 are all pentagons.  Connected pentagon clusters are grown by flood fill over
 shared edges; clusters whose union is not a disk (the whole sphere for the
@@ -399,11 +404,8 @@ def _build_ring(f: FullereneGraph, faces_cycle: tuple[int, ...], pentagons: int)
 
     all_pent = not ring & ~pentagons
     _check(s != 1 and s_prime != 1, "s, s' != 1", faces_cycle)
-    _check(r % 2 == s % 2, "r = s (mod 2)", faces_cycle)
     _check(2 * (n5 + n6) == s + r + 2, "n5 + n6 = (s + r + 2)/2", faces_cycle)
     _check(5 * n5 + 6 * n6 == 2 * s + 3 * r + l, "5 n5 + 6 n6 = 2s + 3r + l", faces_cycle)
-    _check(n5 == 6 + s - l, "n5 = 6 + s - l", faces_cycle)
-    _check(2 * n6 == 2 * l + (r - s) - 10, "n6 = l + (r - s)/2 - 5", faces_cycle)
     _check(not all_pent or s + s_prime == l, "s + s' = l on a pentagonal ring", faces_cycle)
 
     return Ring(
@@ -621,16 +623,16 @@ def pentagonal_rings(f: FullereneGraph) -> tuple[Ring, ...]:
 def tau(f: FullereneGraph) -> int | None:
     """Minimum pentagonal-ring length, or None when no pentagonal ring exists.
 
-    Out-of-band values (outside 5..12, or the impossible 7) are reported as
-    warnings rather than errors: they would contradict the structure theory,
-    so a hit is a finding about the input or a bug worth surfacing loudly.
+    The value lies in 5..12: the scan stops at 12, and a ring's l shared
+    edges part its two boundary cycles, a cyclic cut, so l >= 5 (Došlić
+    2003).  A minimum of 7 is warned of rather than raised, since no
+    argument rules it out here: a hit would be a finding about the input
+    or a bug worth surfacing loudly.
     """
     rings = pentagonal_rings(f)
     if not rings:
         return None
     value = min(r.l for r in rings)
-    if not 5 <= value <= 12:
-        warnings.warn(f"pentagonal-ring minimum {value} outside the expected range 5..12")
     if value == 7:
         warnings.warn("pentagonal-ring minimum 7 should be impossible for fullerene graphs")
     return value

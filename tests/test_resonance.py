@@ -34,7 +34,7 @@ from resonantk.plane_graph import (
     is_bipartite,
     validate_fullerene,
 )
-from resonantk.rings_fragments import psi
+from resonantk.rings_fragments import find_polygonal_rings, psi
 from resonantk.resonance import (
     ALL,
     OrderReport,
@@ -318,8 +318,11 @@ def test_dropped_checks_hold_by_their_theorems(graphs, isomers):
     # find_g_star tests only the sizes of a vertex's three opposite faces and
     # pentagon_ids does not count the pentagons: the opposite faces never
     # meet (cyclic 5-edge-connectivity), and Euler's formula gives exactly 12
-    # pentagons.  Swept over the catalog, R5/R6 tubes with k <= 6 and every
-    # isomer with 20..30 vertices.
+    # pentagons.  _walk and fries take a perfect matching as given (Petersen:
+    # a bridgeless cubic graph has one), and tau no range check (a ring's
+    # shared edges are a cyclic cut, so no ring has fewer than 5 faces).
+    # Swept over the catalog, R5/R6 tubes with k <= 6 and every isomer with
+    # 20..30 vertices.
     from resonantk._spiral import wind
 
     fullerenes = list(graphs.values())
@@ -329,6 +332,8 @@ def test_dropped_checks_hold_by_their_theorems(graphs, isomers):
     for f in fullerenes:
         fs, rotation = f.faces, f.graph.rotation
         assert sum(face.size == 5 for face in fs) == 12 == len(f.pentagon_ids)
+        assert -1 not in kernels.mate_array(f.n, rotation)
+        assert find_polygonal_rings(f, 4) == []
         for v, ring in enumerate(rotation):
             # at each neighbour w, the faces there that miss v: one, the opposite face
             opposite = [

@@ -245,11 +245,8 @@ SIDE_CHECKS = (
     "the side holds its cycle",
     "the ring splits the other faces into two sides",
     "s, s' != 1",
-    "r = s (mod 2)",
     "n5 + n6 = (s + r + 2)/2",
     "5 n5 + 6 n6 = 2s + 3r + l",
-    "n5 = 6 + s - l",
-    "n6 = l + (r - s)/2 - 5",
     "s + s' = l on a pentagonal ring",
 )
 
